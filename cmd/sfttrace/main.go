@@ -104,9 +104,9 @@ func run(args []string, w io.Writer) error {
 
 // eventLine mirrors the JSONL wire schema of internal/obs. It lists
 // the full current field set; streams written before the request_id /
-// warm / rung additions simply decode those to their zero values, and
-// unknown future fields are ignored — the stream stays parseable in
-// both directions.
+// warm / rung / scaffold additions simply decode those to their zero
+// values, and unknown future fields are ignored — the stream stays
+// parseable in both directions.
 type eventLine struct {
 	Kind       string `json:"kind"`
 	Pass       int    `json:"pass"`
@@ -115,10 +115,12 @@ type eventLine struct {
 	RequestID  string `json:"request_id"`
 	Warm       bool   `json:"warm"`
 	Rung       string `json:"rung"`
+	Scaffold   bool   `json:"scaffold"`
 }
 
 // parseJSONL summarizes a solver-event JSONL stream: per-kind counts,
-// phase time totals, warm/cold solve split, and — when the stream was
+// phase time totals, warm/cold solve split, the stage-one split into
+// overlay, SFC Dijkstra and candidate sweep, and — when the stream was
 // scoped — the distinct request IDs and repair rungs seen.
 func parseJSONL(path string, w io.Writer) error {
 	f, err := os.Open(path)
@@ -131,7 +133,7 @@ func parseJSONL(path string, w io.Writer) error {
 	durations := map[string]time.Duration{}
 	requests := map[string]int{}
 	rungs := map[string]int{}
-	warmBuilds, coldBuilds, lines, badLines := 0, 0, 0, 0
+	warmBuilds, coldBuilds, scaffolded, lines, badLines := 0, 0, 0, 0, 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -160,6 +162,9 @@ func parseJSONL(path string, w io.Writer) error {
 				coldBuilds++
 			}
 		}
+		if ev.Kind == "overlay_built" && ev.Scaffold {
+			scaffolded++
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -187,6 +192,13 @@ func parseJSONL(path string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "solves: %d (%d warm metric, %d cold)\n",
 		kinds["stage2_end"], warmBuilds, coldBuilds)
+	if n := kinds["overlay_built"]; n > 0 {
+		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc dijkstra %s, candidate sweep %s\n",
+			durations["stage1_end"].Round(time.Microsecond),
+			durations["overlay_built"].Round(time.Microsecond), scaffolded, n,
+			durations["sfc_solved"].Round(time.Microsecond),
+			durations["sweep_end"].Round(time.Microsecond))
+	}
 	if len(requests) > 0 {
 		fmt.Fprintf(w, "request-scoped events: %d distinct request IDs\n", len(requests))
 	}
@@ -205,7 +217,7 @@ func parseJSONL(path string, w io.Writer) error {
 
 // summarizeTraces pulls a server's /debug/traces ring and reports the
 // serving-path story it tells: ops, warm ratio, repair rungs, request
-// ID coverage and the slowest runs.
+// ID coverage, where stage one's time went and the slowest runs.
 func summarizeTraces(base string, w io.Writer) error {
 	resp, err := http.Get(base + "/debug/traces")
 	if err != nil {
@@ -232,8 +244,19 @@ func summarizeTraces(base string, w io.Writer) error {
 	ops := map[string]int{}
 	rungs := map[string]int{}
 	warm, withID, early, failed := 0, 0, 0, 0
+	var stage1 time.Duration
+	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
 	slowest := doc.Traces[0]
 	for _, t := range doc.Traces {
+		for _, s := range t.Spans {
+			if s.Name != "stage1" || len(s.Children) == 0 {
+				continue
+			}
+			stage1 += time.Duration(s.DurationNs)
+			for _, c := range s.Children {
+				split[c.Name] += time.Duration(c.DurationNs)
+			}
+		}
 		ops[t.Op]++
 		if t.Rung != "" {
 			rungs[t.Rung]++
@@ -272,6 +295,11 @@ func summarizeTraces(base string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "warm-metric solves %d/%d, request-ID stamped %d/%d, early stops %d, failures %d\n",
 		warm, len(doc.Traces), withID, len(doc.Traces), early, failed)
+	if stage1 > 0 {
+		fmt.Fprintf(w, "stage one %s: overlay %s, sfc dijkstra %s, candidate sweep %s\n",
+			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
+			split["sfc_dijkstra"].Round(time.Microsecond), split["candidate_sweep"].Round(time.Microsecond))
+	}
 	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v request_id=%s\n",
 		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.RequestID)
 	return nil

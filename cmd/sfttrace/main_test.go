@@ -74,6 +74,11 @@ func TestParseJSONL(t *testing.T) {
 		`{"kind":"apsp_build","warm":true,"request_id":"req-1"}`,
 		`{"kind":"stage2_end","cost":39.0,"request_id":"req-1","duration_ns":300000}`,
 		`{"kind":"stage2_end","cost":44.0,"request_id":"req-2","rung":"patch"}`,
+		// Stage-one sub-phase lines, one overlay from the scaffold cache.
+		`{"kind":"overlay_built","duration_ns":20000}`,
+		`{"kind":"overlay_built","duration_ns":1000,"scaffold":true}`,
+		`{"kind":"sfc_solved","duration_ns":300000}`,
+		`{"kind":"sweep_end","candidates":6,"duration_ns":450000}`,
 		// Garbage must be skipped, not fatal.
 		`not json`,
 		``,
@@ -87,9 +92,10 @@ func TestParseJSONL(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"6 events",
+		"10 events",
 		"1 unparseable lines skipped",
 		"solves: 3 (1 warm metric, 1 cold)",
+		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc dijkstra 300µs, candidate sweep 450µs",
 		"2 distinct request IDs",
 		"repair rung patch: 1 events",
 	} {
@@ -114,7 +120,12 @@ func TestParseJSONLEmpty(t *testing.T) {
 // the consumer reads ops, rungs, warm ratio and request IDs back out.
 func TestSummarizeTraces(t *testing.T) {
 	buf := obs.NewTraceBuffer(8)
-	buf.Add(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6})
+	buf.Add(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6,
+		Spans: []*obs.Span{{Name: "stage1", DurationNs: 1500e3, Children: []*obs.Span{
+			{Name: "overlay", DurationNs: 10e3},
+			{Name: "sfc_dijkstra", DurationNs: 400e3},
+			{Name: "candidate_sweep", DurationNs: 1000e3},
+		}}}})
 	buf.Add(obs.Trace{Op: "repair", Rung: "patch", Session: 3, DurationNs: 5e6})
 	buf.Add(obs.Trace{Op: "solve", RequestID: "req-a", Err: "rejected", Session: -1, DurationNs: 1e6})
 	ts := httptest.NewServer(http.StripPrefix("/debug/traces", buf.Handler()))
@@ -132,6 +143,7 @@ func TestSummarizeTraces(t *testing.T) {
 		"warm-metric solves 1/3",
 		"request-ID stamped 2/3",
 		"failures 1",
+		"stage one 1.5ms: overlay 10µs, sfc dijkstra 400µs, candidate sweep 1ms",
 		"slowest: op=repair",
 	} {
 		if !strings.Contains(got, want) {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sftree/internal/graph"
 	"sftree/internal/mod"
@@ -149,6 +150,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	if err := task.Validate(net); err != nil {
 		return nil, nil, err
 	}
+	t0 := opts.now()
 	var overlay *mod.Network
 	var err error
 	if opts.Scaffolds != nil {
@@ -159,12 +161,23 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: stage one: %w", err)
 	}
+	t1 := opts.now()
+	opts.emit(Event{Kind: EventOverlayBuilt, Duration: t1.Sub(t0), Scaffold: opts.Scaffolds != nil})
 	sol := overlay.SolveSFC()
+	t2 := opts.now()
+	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1)})
 	metric := net.Metric()
 
-	candidates := net.Servers()
+	// Candidates in ascending chain cost. The keys are read off the
+	// SFC solution once; the comparator looks at the cost alone, so
+	// sort.Slice permutes the pairs exactly as it would the bare nodes.
+	servers := net.ServerList()
+	candidates := make([]candidate, len(servers))
+	for i, v := range servers {
+		candidates[i] = candidate{chainCost: sol.CostTo(v), node: v}
+	}
 	sort.Slice(candidates, func(a, b int) bool {
-		return sol.CostTo(candidates[a]) < sol.CostTo(candidates[b])
+		return candidates[a].chainCost < candidates[b].chainCost
 	})
 	if opts.MaxCandidateHosts > 0 && len(candidates) > opts.MaxCandidateHosts {
 		candidates = candidates[:opts.MaxCandidateHosts]
@@ -193,14 +206,14 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 						results[idx].skipped = true
 						continue
 					}
-					results[idx] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[idx])
+					results[idx] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[idx].node)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
-		for i, w := range candidates {
-			results[i] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), w)
+		for i, c := range candidates {
+			results[i] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), c.node)
 			// Anytime semantics: once a plausibly feasible solution is in
 			// hand, an expired deadline stops the sweep; the reduction
 			// below decides what that means exactly (and resumes inline
@@ -235,7 +248,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 				stats.EarlyStop = true
 				break
 			}
-			*r = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[i])
+			*r = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[i].node)
 		}
 		if r.tried {
 			stats.CandidatesTried++
@@ -255,7 +268,17 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 		return nil, nil, fmt.Errorf("%w: no candidate last host admits a feasible solution", ErrNoFeasible)
 	}
 	stats.Stage1Cost = bestCost
+	if opts.Observer != nil {
+		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2)})
+	}
 	return bestState, &stats, nil
+}
+
+// candidate is one last-VNF host with its sort key, the cost of the
+// cheapest chain ending there.
+type candidate struct {
+	chainCost float64
+	node      int
 }
 
 // candResult is one candidate last-host's evaluation, computed
@@ -284,7 +307,7 @@ func evalCandidate(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *m
 		return r
 	}
 	r.tried = true
-	hosts, ok := repairCapacity(net, task, hosts)
+	hosts, ok := repairCapacity(net, metric, task, hosts)
 	if !ok {
 		return r
 	}
@@ -336,7 +359,7 @@ func buildSteiner(net *nfv.Network, metric *graph.Metric, root int, dests []int,
 // feasibility policy. It returns the repaired host sequence and
 // whether a feasible placement exists.
 func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool) {
-	return repairCapacity(net, task, hosts)
+	return repairCapacity(net, net.Metric(), task, hosts)
 }
 
 // TailsFromEdges converts an explicit tree edge set into the
@@ -349,10 +372,9 @@ func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]i
 // for each new instance, and relocates any VNF whose host is full to
 // the feasible node minimizing connection-plus-setup cost (the paper's
 // adjustment rule). It reports failure when some VNF fits nowhere.
-func repairCapacity(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool) {
+func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, hosts []int) ([]int, bool) {
 	k := len(hosts)
 	out := append([]int(nil), hosts...)
-	metric := net.Metric()
 	sc := capPool.Get().(*capScratch)
 	defer capPool.Put(sc)
 	if n := net.NumNodes(); cap(sc.free) < n {
@@ -440,42 +462,104 @@ func stateFromSolution(net *nfv.Network, task nfv.Task, hosts []int, tree steine
 // treePaths returns, for each destination, the unique path from root
 // to it along the tree's edges.
 func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int) ([][]int, error) {
-	parent := make(map[int]int)
-	adj := make(map[int][]int)
+	// Returned to the pool on the way out only: a panic below leaves
+	// the arrays unrestored, and the arena is dropped with it.
+	sc := pathPool.Get().(*pathScratch)
+	sc.grow(g.NumNodes(), len(tree.Edges))
+	head, tail, parent := sc.head, sc.tail, sc.parent
+
+	// Per-node adjacency as linked arc lists in tree.Edges order, which
+	// fixes the traversal (and so the parents) should the edge set
+	// contain a cycle.
+	link := func(u, v int) {
+		a := int32(len(sc.to))
+		sc.to = append(sc.to, int32(v))
+		sc.next = append(sc.next, -1)
+		if head[u] < 0 {
+			head[u] = a
+		} else {
+			sc.next[tail[u]] = a
+		}
+		tail[u] = a
+	}
 	for _, id := range tree.Edges {
 		e := g.Edge(id)
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+		link(e.U, e.V)
+		link(e.V, e.U)
 	}
 	parent[root] = -1
-	stack := []int{root}
+	stack := append(sc.stack[:0], int32(root))
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if _, seen := parent[v]; !seen {
+		for a := head[u]; a >= 0; a = sc.next[a] {
+			if v := sc.to[a]; parent[v] == unseen {
 				parent[v] = u
 				stack = append(stack, v)
 			}
 		}
 	}
+	sc.stack = stack
+
 	out := make([][]int, len(dests))
+	var err error
 	for i, d := range dests {
-		if d == root {
-			out[i] = []int{root}
-			continue
+		if parent[d] == unseen {
+			out, err = nil, fmt.Errorf("%w: destination %d not in the Steiner tree", ErrNoFeasible, d)
+			break
 		}
-		if _, ok := parent[d]; !ok {
-			return nil, fmt.Errorf("%w: destination %d not in the Steiner tree", ErrNoFeasible, d)
+		depth := 0
+		for x := int32(d); x != -1; x = parent[x] {
+			depth++
 		}
-		var rev []int
-		for x := d; x != -1; x = parent[x] {
-			rev = append(rev, x)
+		path := make([]int, depth)
+		for x := int32(d); x != -1; x = parent[x] {
+			depth--
+			path[depth] = int(x)
 		}
-		for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-			rev[a], rev[b] = rev[b], rev[a]
-		}
-		out[i] = rev
+		out[i] = path
 	}
-	return out, nil
+
+	// Restore the node-indexed arrays at the entries this call touched.
+	for _, id := range tree.Edges {
+		e := g.Edge(id)
+		head[e.U], head[e.V] = -1, -1
+		parent[e.U], parent[e.V] = unseen, unseen
+	}
+	parent[root] = unseen
+	pathPool.Put(sc)
+	return out, err
+}
+
+// unseen marks a node the tree traversal has not reached; the root's
+// parent is -1.
+const unseen = -2
+
+// pathScratch is treePaths' pooled workspace. Between calls every head
+// entry is -1 and every parent entry is unseen; a call restores the
+// entries it touched instead of clearing the arrays.
+type pathScratch struct {
+	head, tail, parent []int32 // node-indexed
+	to, next           []int32 // two arcs per tree edge
+	stack              []int32
+}
+
+var pathPool = sync.Pool{New: func() any { return new(pathScratch) }}
+
+// grow sizes the workspace for n nodes and empties the arc lists.
+func (sc *pathScratch) grow(n, edges int) {
+	if len(sc.head) < n {
+		sc.head = make([]int32, n)
+		sc.tail = make([]int32, n)
+		sc.parent = make([]int32, n)
+		for v := range sc.head {
+			sc.head[v] = -1
+			sc.parent[v] = unseen
+		}
+	}
+	if cap(sc.to) < 2*edges {
+		sc.to = make([]int32, 0, 2*edges)
+		sc.next = make([]int32, 0, 2*edges)
+	}
+	sc.to, sc.next = sc.to[:0], sc.next[:0]
 }

@@ -4,7 +4,8 @@ import "time"
 
 // This file defines the solver's observability hook. An Observer set
 // on Options receives structured phase events from the two-stage
-// algorithm: stage-one tree construction, per-round OPA move
+// algorithm: stage-one tree construction and its split into overlay,
+// SFC Dijkstra and candidate sweep, per-round OPA move
 // proposals/acceptances/rejections with cost deltas, and the APSP
 // (metric closure) build time. A nil Observer costs a single pointer
 // check per emission site, so the hot path is unaffected when tracing
@@ -14,7 +15,9 @@ import "time"
 // EventKind classifies solver-phase events.
 type EventKind int
 
-// Event kinds, in the order a fully observed Solve emits them.
+// Event kinds. A fully observed Solve emits them in this order, with
+// the three stage-one sub-phase kinds at the end of the list falling
+// between EventStage1Start and EventStage1End.
 const (
 	// EventAPSPBuild reports the time to obtain the metric closure
 	// (zero-ish when the network's APSP cache is already warm).
@@ -45,6 +48,16 @@ const (
 	// EventMoveRejected reports a reverted move; CostAfter is the trial
 	// cost the global gate refused.
 	EventMoveRejected
+	// EventOverlayBuilt reports that the MOD overlay is in hand;
+	// carries Duration and Scaffold.
+	EventOverlayBuilt
+	// EventSFCSolved closes the Dijkstra over the overlay; carries
+	// Duration.
+	EventSFCSolved
+	// EventSweepEnd closes the candidate last-host sweep (sort,
+	// per-candidate repair and Steiner tree, reduction); carries
+	// Candidates and Duration.
+	EventSweepEnd
 )
 
 // String names the kind for logs and JSON streams.
@@ -70,6 +83,12 @@ func (k EventKind) String() string {
 		return "move_accepted"
 	case EventMoveRejected:
 		return "move_rejected"
+	case EventOverlayBuilt:
+		return "overlay_built"
+	case EventSFCSolved:
+		return "sfc_solved"
+	case EventSweepEnd:
+		return "sweep_end"
 	default:
 		return "unknown"
 	}
@@ -104,6 +123,10 @@ type Event struct {
 	// The explicit flag lets consumers distinguish warm solves from a
 	// cold build that merely measured fast.
 	Warm bool
+	// Scaffold marks an EventOverlayBuilt whose overlay came through
+	// Options.Scaffolds (a cache hit, or a build shared with concurrent
+	// same-signature solves) instead of a private mod.Build.
+	Scaffold bool
 }
 
 // Observer consumes solver-phase events. Implementations must be

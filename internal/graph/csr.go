@@ -1,7 +1,7 @@
 package graph
 
 // This file holds the flat compressed-sparse-row (CSR) adjacency
-// representations behind every shortest-path hot loop. The slice-of-
+// representation behind every shortest-path hot loop. The slice-of-
 // slices adjacency in Graph stays the mutable build-time structure;
 // CSR is derived from it once, cached, and shared read-only by any
 // number of goroutines. Arc order within a row matches the insertion
@@ -72,89 +72,3 @@ func (g *Graph) CSR() *CSR {
 // were built at and revalidate against it, so a stale cache is
 // rebuilt instead of silently served.
 func (g *Graph) Generation() uint64 { return g.gen }
-
-// DCSR is a directed graph in compressed-sparse-row form with
-// arc-exact storage: callers declare every node's out-degree up
-// front, then place exactly that many arcs. It backs the expanded MOD
-// overlay, whose arc counts are known in closed form, so construction
-// performs three large allocations total instead of per-node append
-// growth.
-type DCSR struct {
-	Start []int32
-	To    []int32
-	Cost  []float64
-	fill  []int32 // next free position per row while building
-}
-
-// NewDCSR returns a directed CSR graph with len(outDeg) nodes whose
-// row u has room for exactly outDeg[u] arcs. Fill the rows with
-// AddArc; arcs within a row keep insertion order.
-func NewDCSR(outDeg []int32) *DCSR {
-	n := len(outDeg)
-	start := make([]int32, n+1)
-	var total int32
-	for u, d := range outDeg {
-		start[u] = total
-		total += d
-	}
-	start[n] = total
-	d := &DCSR{
-		Start: start,
-		To:    make([]int32, total),
-		Cost:  make([]float64, total),
-		fill:  append([]int32(nil), start[:n]...),
-	}
-	return d
-}
-
-// NumNodes returns the node count.
-func (d *DCSR) NumNodes() int { return len(d.Start) - 1 }
-
-// NumArcs returns the number of directed arcs.
-func (d *DCSR) NumArcs() int { return len(d.To) }
-
-// AddArc places the next arc of row u. The caller must stay within
-// the out-degree declared to NewDCSR; exceeding it panics (a
-// programmer error in the count pass, caught immediately).
-func (d *DCSR) AddArc(u, v int, cost float64) {
-	p := d.fill[u]
-	if p >= d.Start[u+1] {
-		panic("graph: DCSR row over-filled")
-	}
-	d.To[p] = int32(v)
-	d.Cost[p] = cost
-	d.fill[u] = p + 1
-}
-
-// Dijkstra computes shortest paths from src over the directed arcs,
-// using pooled heap scratch.
-func (d *DCSR) Dijkstra(src int) *ShortestPathTree {
-	n := d.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]int, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = -1
-	}
-	dist[src] = 0
-	sc := getScratch(0)
-	h := &sc.heap
-	h.Reset(n)
-	h.Push(src, 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
-		for p, end := d.Start[u], d.Start[u+1]; p < end; p++ {
-			v := int(d.To[p])
-			if nd := du + d.Cost[p]; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = u
-				h.Push(v, nd)
-			}
-		}
-	}
-	putScratch(sc)
-	return &ShortestPathTree{Src: src, Dist: dist, Parent: parent}
-}

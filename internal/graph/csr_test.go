@@ -67,43 +67,3 @@ func TestCSRGenerationInvalidation(t *testing.T) {
 		t.Fatalf("rebuilt CSR has %d arcs, want %d", c3.NumArcs(), c1.NumArcs()+2)
 	}
 }
-
-// TestDCSRDijkstra checks the directed CSR builder end to end: exact
-// arc counts, fill order, and a Dijkstra run against hand-computed
-// distances on a small DAG.
-func TestDCSRDijkstra(t *testing.T) {
-	// 0 -> 1 (1), 0 -> 2 (4), 1 -> 2 (2), 2 -> 3 (1), 1 -> 3 (5)
-	d := NewDCSR([]int32{2, 2, 1, 0})
-	d.AddArc(0, 1, 1)
-	d.AddArc(0, 2, 4)
-	d.AddArc(1, 2, 2)
-	d.AddArc(1, 3, 5)
-	d.AddArc(2, 3, 1)
-	if d.NumNodes() != 4 || d.NumArcs() != 5 {
-		t.Fatalf("got %d nodes / %d arcs, want 4 / 5", d.NumNodes(), d.NumArcs())
-	}
-	tree := d.Dijkstra(0)
-	want := []float64{0, 1, 3, 4}
-	for v, dist := range want {
-		if tree.Dist[v] != dist {
-			t.Errorf("dist[%d] = %v, want %v", v, tree.Dist[v], dist)
-		}
-	}
-	if path := tree.PathTo(3); len(path) != 4 || path[0] != 0 || path[1] != 1 || path[2] != 2 || path[3] != 3 {
-		t.Errorf("PathTo(3) = %v, want [0 1 2 3]", path)
-	}
-}
-
-// TestDCSROverfillPanics checks the arc-exact invariant: adding more
-// arcs to a row than declared must panic instead of corrupting a
-// neighboring row.
-func TestDCSROverfillPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-filled DCSR row did not panic")
-		}
-	}()
-	d := NewDCSR([]int32{1, 0})
-	d.AddArc(0, 1, 1)
-	d.AddArc(0, 1, 2) // one more than declared
-}

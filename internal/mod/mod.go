@@ -15,6 +15,7 @@ package mod
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sftree/internal/graph"
 	"sftree/internal/nfv"
@@ -31,14 +32,17 @@ var (
 )
 
 // Network is the expanded MOD network for one (network, source, chain)
-// triple.
+// triple. The overlay is implicit: every arc weight is either an entry
+// of the metric closure or one of the k*S virtual-arc setup costs, so
+// only the latter are stored and SolveSFC enumerates the arcs on the
+// fly. A Network is immutable after Build and safe to share.
 type Network struct {
-	net     *nfv.Network
 	chain   nfv.SFC
 	source  int
-	servers []int   // physical IDs of candidate host nodes
-	rowOf   []int32 // node -> row index, -1 for non-servers
-	dg      *graph.DCSR
+	servers []int         // physical IDs of candidate host nodes, ascending; shared with the nfv.Network
+	rowOf   []int32       // node -> row index, -1 for non-servers
+	metric  *graph.Metric // the closure of the network Build saw
+	setup   []float64     // [(j-1)*S+row]: weight of column j's in->out arc at row
 }
 
 // Overlay node ID layout: 0 is the source; for column j in [1..k] and
@@ -58,7 +62,7 @@ func Build(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 			return nil, fmt.Errorf("mod: %w", err)
 		}
 	}
-	servers := net.Servers()
+	servers := net.ServerList()
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
@@ -66,13 +70,18 @@ func Build(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 		return nil, fmt.Errorf("mod: %w: source %d", graph.ErrNodeOutOfRange, source)
 	}
 	metric := net.Metric()
+	if !slices.ContainsFunc(servers, func(v int) bool { return metric.Dist[source][v] != graph.Inf }) {
+		return nil, ErrSourceUnreachable
+	}
 
+	s := len(servers)
 	m := &Network{
-		net:     net,
 		chain:   append(nfv.SFC(nil), chain...),
 		source:  source,
 		servers: servers,
 		rowOf:   make([]int32, net.NumNodes()),
+		metric:  metric,
+		setup:   make([]float64, len(chain)*s),
 	}
 	for v := range m.rowOf {
 		m.rowOf[v] = -1
@@ -80,64 +89,10 @@ func Build(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 	for r, v := range servers {
 		m.rowOf[v] = int32(r)
 	}
-	k := len(chain)
-	s := len(servers)
-
-	// The overlay's arc counts are known in closed form, so it is built
-	// directly into arc-exact CSR storage: a counting pass fills the
-	// per-node out-degrees, then the arcs are placed in the same order
-	// the adjacency-list construction used (so Dijkstra tie-breaking is
-	// unchanged). reachOut[ra] counts servers reachable from server ra,
-	// the out-degree of every column-j "out" node with j < k.
-	deg := make([]int32, 1+2*k*s)
-	reachOut := make([]int32, s)
-	reachable := false
-	for ra, va := range servers {
-		if metric.Dist[source][va] != graph.Inf {
-			reachable = true
-			deg[0]++
-		}
-		for j := 1; j <= k; j++ {
-			deg[m.inID(j, ra)]++ // virtual in->out arc
-		}
-		var cnt int32
-		for _, vb := range servers {
-			if metric.Dist[va][vb] != graph.Inf {
-				cnt++
-			}
-		}
-		reachOut[ra] = cnt
-	}
-	if !reachable {
-		return nil, ErrSourceUnreachable
-	}
-	for j := 1; j < k; j++ {
-		for ra := range servers {
-			deg[m.outID(j, ra)] = reachOut[ra]
-		}
-	}
-	m.dg = graph.NewDCSR(deg)
-
-	for r, v := range servers {
-		// Source -> first column (Fig. 4 step 1).
-		if d := metric.Dist[source][v]; d != graph.Inf {
-			m.dg.AddArc(0, m.inID(1, r), d)
-		}
-		// Virtual in->out arcs carrying setup costs, one per column.
-		for j := 1; j <= k; j++ {
-			m.dg.AddArc(m.inID(j, r), m.outID(j, r), net.SetupCost(chain[j-1], v))
-		}
-	}
-	// Column j out -> column j+1 in, fully connected with shortest-path
-	// costs (Algorithm 1 step 2).
-	for j := 1; j < k; j++ {
-		for ra, va := range servers {
-			da := metric.Dist[va]
-			for rb, vb := range servers {
-				if d := da[vb]; d != graph.Inf {
-					m.dg.AddArc(m.outID(j, ra), m.inID(j+1, rb), d)
-				}
-			}
+	for j, f := range chain {
+		col := m.setup[j*s : (j+1)*s]
+		for r, v := range servers {
+			col[r] = net.SetupCost(f, v)
 		}
 	}
 	return m, nil
@@ -150,12 +105,28 @@ func (m *Network) Chain() nfv.SFC { return append(nfv.SFC(nil), m.chain...) }
 // overlay rows.
 func (m *Network) Servers() []int { return append([]int(nil), m.servers...) }
 
-// NumOverlayNodes returns the size of the expanded overlay, including
-// the source.
-func (m *Network) NumOverlayNodes() int { return m.dg.NumNodes() }
+// NumOverlayNodes returns the size of the paper's expanded overlay,
+// including the source.
+func (m *Network) NumOverlayNodes() int { return 1 + 2*len(m.chain)*len(m.servers) }
 
-// NumOverlayArcs returns the arc count of the expanded overlay.
-func (m *Network) NumOverlayArcs() int { return m.dg.NumArcs() }
+// NumOverlayArcs returns the arc count of the paper's expanded
+// overlay: the arcs SolveSFC enumerates, none of which is stored.
+// It scans the S*S server block of the metric on every call.
+func (m *Network) NumOverlayArcs() int {
+	arcs := len(m.chain) * len(m.servers) // virtual in->out arcs
+	between := 0
+	for _, va := range m.servers {
+		if m.metric.Dist[m.source][va] != graph.Inf {
+			arcs++
+		}
+		for _, vb := range m.servers {
+			if m.metric.Dist[va][vb] != graph.Inf {
+				between++
+			}
+		}
+	}
+	return arcs + (len(m.chain)-1)*between
+}
 
 // SFCSolution is the result of one Dijkstra sweep over the expanded
 // MOD network: per candidate last-VNF host, the optimal SFC embedding
@@ -166,8 +137,68 @@ type SFCSolution struct {
 }
 
 // SolveSFC runs Dijkstra from the source over the expanded overlay.
+//
+// The arcs leaving a node are enumerated in a fixed order — from the
+// source to column 1 by ascending row (Fig. 4 step 1); from an "in"
+// node to its "out" node; from an "out" node of column j < k to the
+// "in" nodes of column j+1 by ascending row (Algorithm 1 step 2) —
+// and unreachable pairs contribute no arc. Together with the strict <
+// relaxation this order decides which of several equal-cost chains
+// HostsTo reports, so it is part of the solver's contract: embeddings
+// are reproducible only as long as it does not change.
 func (m *Network) SolveSFC() *SFCSolution {
-	return &SFCSolution{m: m, tree: m.dg.Dijkstra(0)}
+	n := m.NumOverlayNodes()
+	dist := make([]float64, n)
+	parent := make([]int, n)
+	for i := range dist {
+		dist[i] = graph.Inf
+		parent[i] = -1
+	}
+	graph.WithHeap(n, func(h *graph.NodeHeap) { m.dijkstra(h, dist, parent) })
+	return &SFCSolution{m: m, tree: &graph.ShortestPathTree{Src: 0, Dist: dist, Parent: parent}}
+}
+
+// dijkstra fills dist and parent (preset to Inf and -1) from overlay
+// node 0, using the empty heap h.
+func (m *Network) dijkstra(h *graph.NodeHeap, dist []float64, parent []int) {
+	s := len(m.servers)
+	sink := m.outID(len(m.chain), 0) // "out" nodes from here on are the last column: no outgoing arcs
+	dist[0] = 0
+	h.Push(0, 0)
+	for h.Len() > 0 {
+		u, du := h.Pop()
+		if du > dist[u] {
+			continue
+		}
+		switch {
+		case u == 0:
+			m.relaxColumn(h, dist, parent, u, du, m.metric.Dist[m.source], m.inID(1, 0))
+		case u&1 == 1: // "in" node
+			if out, nd := u+1, du+m.setup[(u-1)/2]; nd < dist[out] {
+				dist[out] = nd
+				parent[out] = u
+				h.Push(out, nd)
+			}
+		case u < sink: // "out" node of column j = cell/s + 1
+			cell := (u - 2) / 2
+			m.relaxColumn(h, dist, parent, u, du, m.metric.Dist[m.servers[cell%s]], m.inID(cell/s+2, 0))
+		}
+	}
+}
+
+// relaxColumn relaxes the arcs from overlay node u (at distance du) to
+// the "in" nodes of one column, rows ascending: first is the column's
+// row-0 node and from the metric row of u's physical node.
+func (m *Network) relaxColumn(h *graph.NodeHeap, dist []float64, parent []int, u int, du float64, from []float64, first int) {
+	for r, v := range m.servers {
+		if d := from[v]; d != graph.Inf {
+			if in, nd := first+2*r, du+d; nd < dist[in] {
+				dist[in] = nd
+				parent[in] = u
+				h.Push(in, nd)
+			}
+		}
+	}
 }
 
 // CostTo returns the minimum cost (setup + links) of embedding the
@@ -197,25 +228,25 @@ func (s *SFCSolution) HostsTo(v int) []int {
 	if r < 0 {
 		return nil
 	}
-	goal := s.m.outID(len(s.m.chain), r)
-	overlay := s.tree.PathTo(goal)
-	if overlay == nil {
+	k := len(s.m.chain)
+	goal := s.m.outID(k, r)
+	if s.tree.Dist[goal] == graph.Inf {
 		return nil
 	}
-	k := len(s.m.chain)
-	hosts := make([]int, 0, k)
-	for _, id := range overlay {
-		if id == 0 {
-			continue
-		}
-		// Only record each column once, at its "in" node.
-		idx := id - 1
-		if idx%2 == 0 { // in node
-			row := (idx / 2) % len(s.m.servers)
-			hosts = append(hosts, s.m.servers[row])
+	// Walk the shortest-path tree back to the source; the path crosses
+	// every column once, and the column's host is read at its "in" node.
+	hosts := make([]int, k)
+	j := k
+	for id := goal; id > 0; id = s.tree.Parent[id] {
+		if id&1 == 1 {
+			if j == 0 {
+				return nil
+			}
+			j--
+			hosts[j] = s.m.servers[(id-1)/2%len(s.m.servers)]
 		}
 	}
-	if len(hosts) != k {
+	if j != 0 {
 		return nil
 	}
 	return hosts
@@ -235,17 +266,22 @@ func (s *SFCSolution) BestHost() (int, float64) {
 
 // ChainCost recomputes the cost of a host sequence directly from the
 // metric and setup costs: dist(S,h1) + sum_j setup(l_j,h_j) +
-// sum_j dist(h_j,h_{j+1}). Used to cross-check HostsTo decoding.
+// sum_j dist(h_j,h_{j+1}). Used to cross-check HostsTo decoding and to
+// price repaired chains. A sequence of the wrong length or with a
+// non-server host costs +Inf.
 func (m *Network) ChainCost(hosts []int) float64 {
 	if len(hosts) != len(m.chain) {
 		return graph.Inf
 	}
-	metric := m.net.Metric()
-	cost := metric.Dist[m.source][hosts[0]]
+	cost := m.metric.Dist[m.source][hosts[0]]
 	for j, h := range hosts {
-		cost += m.net.SetupCost(m.chain[j], h)
+		r := m.row(h)
+		if r < 0 {
+			return graph.Inf
+		}
+		cost += m.setup[j*len(m.servers)+r]
 		if j+1 < len(hosts) {
-			cost += metric.Dist[h][hosts[j+1]]
+			cost += m.metric.Dist[h][hosts[j+1]]
 		}
 	}
 	return cost

@@ -56,7 +56,14 @@ type Network struct {
 	catalog  []VNF
 	deployed [][]bool    // [vnf][node]
 	setup    [][]float64 // [vnf][node]
-	linkCap  map[[2]int]int
+	// used[v] caches recountUsed(v), so UsedCapacity is one read.
+	// Deploy and Undeploy recompute the touched node's entry instead
+	// of adding or subtracting the demand: a running float total can
+	// differ from the catalog-order sum in the last bit, and capacity
+	// comparisons (and so embeddings) must not depend on the order in
+	// which instances came and went.
+	used    []float64
+	linkCap map[[2]int]int
 	// metric is the cached all-pairs closure, stamped with the graph
 	// generation it was computed at so topology mutations invalidate
 	// it instead of silently serving stale distances. metricFn, when
@@ -105,6 +112,7 @@ func NewNetwork(g *graph.Graph, catalog []VNF) *Network {
 		catalog:  make([]VNF, len(catalog)),
 		deployed: make([][]bool, len(catalog)),
 		setup:    make([][]float64, len(catalog)),
+		used:     make([]float64, n),
 		id:       netIDs.Add(1),
 	}
 	copy(net.catalog, catalog)
@@ -247,6 +255,7 @@ func (net *Network) Deploy(f, v int) error {
 			ErrCapacityExceeded, v, net.UsedCapacity(v), net.catalog[f].Demand, net.capacity[v])
 	}
 	net.deployed[f][v] = true
+	net.used[v] = net.recountUsed(v)
 	net.epoch++
 	return nil
 }
@@ -261,6 +270,7 @@ func (net *Network) Undeploy(f, v int) error {
 		return fmt.Errorf("nfv: no instance of VNF %d on node %d to undeploy", f, v)
 	}
 	net.deployed[f][v] = false
+	net.used[v] = net.recountUsed(v)
 	net.epoch++
 	return nil
 }
@@ -288,7 +298,11 @@ func (net *Network) IsDeployed(f, v int) bool { return net.deployed[f][v] }
 
 // UsedCapacity returns the resource units consumed on v by
 // pre-deployed instances.
-func (net *Network) UsedCapacity(v int) float64 {
+func (net *Network) UsedCapacity(v int) float64 { return net.used[v] }
+
+// recountUsed sums the demands of the instances deployed on v in
+// catalog order, the definition the used vector caches.
+func (net *Network) recountUsed(v int) float64 {
 	var used float64
 	for f := range net.catalog {
 		if net.deployed[f][v] {
@@ -354,6 +368,7 @@ func (net *Network) Clone() *Network {
 		catalog:   append([]VNF(nil), net.catalog...),
 		deployed:  make([][]bool, len(net.deployed)),
 		setup:     make([][]float64, len(net.setup)),
+		used:      append([]float64(nil), net.used...),
 		metric:    net.metric,
 		metricGen: net.metricGen,
 		metricFn:  net.metricFn,

@@ -55,10 +55,15 @@ func (r *SpanRecorder) Reset() {
 
 // Breakdown aggregates one solve's events into the phase timing
 // summary embedded in BENCH_core.json: where stage-2 time goes and
-// what the move funnel looked like.
+// what the move funnel looked like. OverlayNs, SFCSolveNs and SweepNs
+// split Stage1Ns from inside the solver: obtaining the MOD overlay,
+// the Dijkstra over it, and the candidate last-host sweep.
 type Breakdown struct {
 	APSPBuildNs   int64   `json:"apsp_build_ns"`
 	Stage1Ns      int64   `json:"stage1_ns"`
+	OverlayNs     int64   `json:"overlay_ns"`
+	SFCSolveNs    int64   `json:"sfc_solve_ns"`
+	SweepNs       int64   `json:"sweep_ns"`
 	Stage2Ns      int64   `json:"stage2_ns"`
 	OPAPasses     int     `json:"opa_passes"`
 	MovesProposed int     `json:"moves_proposed"`
@@ -94,6 +99,12 @@ func (r *SpanRecorder) Breakdown() Breakdown {
 		case core.EventStage1End:
 			b.Stage1Ns += e.Duration.Nanoseconds()
 			b.Stage1Cost = e.Cost
+		case core.EventOverlayBuilt:
+			b.OverlayNs += e.Duration.Nanoseconds()
+		case core.EventSFCSolved:
+			b.SFCSolveNs += e.Duration.Nanoseconds()
+		case core.EventSweepEnd:
+			b.SweepNs += e.Duration.Nanoseconds()
 		case core.EventStage2End:
 			b.Stage2Ns += e.Duration.Nanoseconds()
 			b.FinalCost = e.Cost
@@ -120,7 +131,8 @@ type Span struct {
 }
 
 // Spans rebuilds the span tree of the recorded solve: stage spans at
-// the top, one span per OPA pass under stage 2, move events as leaf
+// the top, the overlay / SFC Dijkstra / candidate sweep split under
+// stage 1, one span per OPA pass under stage 2, move events as leaf
 // spans under their pass.
 func (r *SpanRecorder) Spans() []*Span {
 	if r == nil {
@@ -130,6 +142,7 @@ func (r *SpanRecorder) Spans() []*Span {
 	defer r.mu.Unlock()
 	var roots []*Span
 	var stage2, pass *Span
+	var stage1Parts []*Span // closed sub-phases awaiting their stage1_end
 	add := func(s *Span) {
 		switch {
 		case pass != nil:
@@ -149,9 +162,23 @@ func (r *SpanRecorder) Spans() []*Span {
 			}
 			roots = append(roots, &Span{Name: "apsp_build", DurationNs: e.Duration.Nanoseconds(),
 				Attrs: map[string]float64{"warm": warm}})
+		case core.EventOverlayBuilt:
+			scaffold := 0.0
+			if e.Scaffold {
+				scaffold = 1
+			}
+			stage1Parts = append(stage1Parts, &Span{Name: "overlay", DurationNs: e.Duration.Nanoseconds(),
+				Attrs: map[string]float64{"scaffold": scaffold}})
+		case core.EventSFCSolved:
+			stage1Parts = append(stage1Parts, &Span{Name: "sfc_dijkstra", DurationNs: e.Duration.Nanoseconds()})
+		case core.EventSweepEnd:
+			stage1Parts = append(stage1Parts, &Span{Name: "candidate_sweep", DurationNs: e.Duration.Nanoseconds(),
+				Attrs: map[string]float64{"candidates": float64(e.Candidates)}})
 		case core.EventStage1End:
 			roots = append(roots, &Span{Name: "stage1", DurationNs: e.Duration.Nanoseconds(),
-				Attrs: map[string]float64{"cost": e.Cost, "candidates": float64(e.Candidates)}})
+				Attrs:    map[string]float64{"cost": e.Cost, "candidates": float64(e.Candidates)},
+				Children: stage1Parts})
+			stage1Parts = nil
 		case core.EventStage2Start:
 			stage2 = &Span{Name: "stage2"}
 			roots = append(roots, stage2)
@@ -186,10 +213,10 @@ func (r *SpanRecorder) Spans() []*Span {
 }
 
 // lineEvent is the JSON-lines wire form of a solver event. The
-// request_id, warm and rung fields are additions over the original
-// (PR 2) schema; they are omitted when empty, so old consumers keep
-// parsing new streams and new consumers treat their absence as the
-// zero value when reading old streams.
+// request_id, warm, rung and scaffold fields are additions over the
+// original (PR 2) schema; they are omitted when empty, so old
+// consumers keep parsing new streams and new consumers treat their
+// absence as the zero value when reading old streams.
 type lineEvent struct {
 	Kind       string  `json:"kind"`
 	Pass       int     `json:"pass,omitempty"`
@@ -212,6 +239,9 @@ type lineEvent struct {
 	// Rung names the repair-ladder rung a repair-scoped solve ran under
 	// ("patch", "reembed").
 	Rung string `json:"rung,omitempty"`
+	// Scaffold marks an overlay_built event whose overlay came through
+	// the scaffold cache.
+	Scaffold bool `json:"scaffold,omitempty"`
 }
 
 // JSONLObserver streams every solver event as one JSON object per
@@ -242,6 +272,7 @@ func (o *JSONLObserver) emit(e core.Event, requestID, rung string) {
 		Candidates: e.Candidates, Moves: e.Moves,
 		DurationNs: e.Duration.Nanoseconds(),
 		RequestID:  requestID, Warm: e.Warm, Rung: rung,
+		Scaffold: e.Scaffold,
 	})
 }
 
@@ -265,20 +296,25 @@ func (s *scopedJSONL) OnEvent(e core.Event) { s.o.emit(e, s.requestID, s.rung) }
 // wiring behind the server's /metrics solver section.
 type metricsObserver struct {
 	apsp, stage1, stage2         *Histogram
+	overlay, sfc, sweep          *Histogram
 	proposed, accepted, rejected *Counter
 	passes, solves               *Counter
 }
 
 // NewMetricsObserver returns a core.Observer that folds phase events
 // into the registry: solver_stage1_ms / solver_stage2_ms /
-// solver_apsp_ms histograms, the move-funnel counters and pass/solve
-// totals. The handles are captured once, so the per-event cost is a
-// few atomic adds.
+// solver_apsp_ms histograms, the stage-one split (solver_overlay_ms,
+// solver_sfc_dijkstra_ms, solver_sweep_ms), the move-funnel counters
+// and pass/solve totals. The handles are captured once, so the
+// per-event cost is a few atomic adds.
 func NewMetricsObserver(reg *Registry) core.Observer {
 	return &metricsObserver{
 		apsp:     reg.Histogram("solver_apsp_ms", LatencyBuckets),
 		stage1:   reg.Histogram("solver_stage1_ms", LatencyBuckets),
 		stage2:   reg.Histogram("solver_stage2_ms", LatencyBuckets),
+		overlay:  reg.Histogram("solver_overlay_ms", LatencyBuckets),
+		sfc:      reg.Histogram("solver_sfc_dijkstra_ms", LatencyBuckets),
+		sweep:    reg.Histogram("solver_sweep_ms", LatencyBuckets),
 		proposed: reg.Counter("solver_moves_proposed_total"),
 		accepted: reg.Counter("solver_moves_accepted_total"),
 		rejected: reg.Counter("solver_moves_rejected_total"),
@@ -294,6 +330,12 @@ func (m *metricsObserver) OnEvent(e core.Event) {
 		m.apsp.ObserveDuration(e.Duration)
 	case core.EventStage1End:
 		m.stage1.ObserveDuration(e.Duration)
+	case core.EventOverlayBuilt:
+		m.overlay.ObserveDuration(e.Duration)
+	case core.EventSFCSolved:
+		m.sfc.ObserveDuration(e.Duration)
+	case core.EventSweepEnd:
+		m.sweep.ObserveDuration(e.Duration)
 	case core.EventStage2End:
 		m.stage2.ObserveDuration(e.Duration)
 		m.solves.Inc()

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sftree/internal/core"
+	"sftree/internal/mod"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
@@ -181,6 +184,80 @@ func TestBreakdownAndSpans(t *testing.T) {
 	}
 	if stage2.DurationNs <= 0 {
 		t.Errorf("stage2 span has no duration")
+	}
+}
+
+// TestStageOneSplit checks the stage-one sub-phase events of one
+// observed solve: overlay, SFC Dijkstra and candidate sweep fire once
+// each, in that order, inside stage one; their durations fit inside
+// the stage's; the overlay event says whether it came through the
+// scaffold cache; and every consumer carries the split.
+func TestStageOneSplit(t *testing.T) {
+	net, task := obsInstance(t)
+	for _, scaffolds := range []*mod.Cache{nil, mod.NewCache()} {
+		rec := &SpanRecorder{}
+		reg := NewRegistry()
+		var buf bytes.Buffer
+		opts := core.Options{Observer: Tee(rec, NewMetricsObserver(reg), NewJSONLObserver(&buf)), Scaffolds: scaffolds}
+		res, err := core.Solve(net, task, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []core.EventKind
+		var split time.Duration
+		inStage1 := false
+		for _, e := range rec.Events() {
+			switch e.Kind {
+			case core.EventStage1Start:
+				inStage1 = true
+			case core.EventStage1End:
+				inStage1 = false
+				if split <= 0 || split > e.Duration {
+					t.Errorf("sub-phases total %v, stage one %v", split, e.Duration)
+				}
+			case core.EventOverlayBuilt, core.EventSFCSolved, core.EventSweepEnd:
+				if !inStage1 {
+					t.Errorf("%v outside stage one", e.Kind)
+				}
+				order = append(order, e.Kind)
+				split += e.Duration
+				if e.Kind == core.EventOverlayBuilt && e.Scaffold != (scaffolds != nil) {
+					t.Errorf("overlay_built scaffold = %v with cache %v", e.Scaffold, scaffolds != nil)
+				}
+				if e.Kind == core.EventSweepEnd && e.Candidates != res.CandidatesTried {
+					t.Errorf("sweep_end candidates = %d, result %d", e.Candidates, res.CandidatesTried)
+				}
+			}
+		}
+		want := []core.EventKind{core.EventOverlayBuilt, core.EventSFCSolved, core.EventSweepEnd}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("sub-phase events %v, want %v", order, want)
+		}
+
+		b := rec.Breakdown()
+		if b.SFCSolveNs <= 0 || b.SweepNs <= 0 || b.OverlayNs+b.SFCSolveNs+b.SweepNs > b.Stage1Ns {
+			t.Errorf("breakdown split %d+%d+%d ns of stage one %d ns", b.OverlayNs, b.SFCSolveNs, b.SweepNs, b.Stage1Ns)
+		}
+		var names []string
+		for _, s := range rec.Spans() {
+			if s.Name == "stage1" {
+				for _, c := range s.Children {
+					names = append(names, c.Name)
+				}
+			}
+		}
+		if !reflect.DeepEqual(names, []string{"overlay", "sfc_dijkstra", "candidate_sweep"}) {
+			t.Errorf("stage1 span children = %v", names)
+		}
+		for _, h := range []string{"solver_overlay_ms", "solver_sfc_dijkstra_ms", "solver_sweep_ms"} {
+			if got := reg.Histogram(h, nil).Count(); got != 1 {
+				t.Errorf("%s count = %d, want 1", h, got)
+			}
+		}
+		if got := strings.Contains(buf.String(), `"kind":"overlay_built"`) &&
+			strings.Contains(buf.String(), `"scaffold":true`) == (scaffolds != nil); !got {
+			t.Errorf("JSONL stream lacks the overlay_built line or its scaffold flag:\n%s", buf.String())
+		}
 	}
 }
 

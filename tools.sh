@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + race tests + chaos + recover + conformance + bench + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt only (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + bench module + race tests + chaos + recover + conformance + bench + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + bench module only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the bounded
 #                       # fixed-seed equivalence battery under -race
 #                       # (batched admissions bit-identical to
@@ -223,6 +223,12 @@ if [ -n "$fmt" ]; then
 	echo "$fmt" >&2
 	exit 1
 fi
+
+# bench/ is its own module (BENCHMARK.json's program), so ./... above
+# never compiles it: a renamed or removed symbol it uses would surface
+# only when the benchmark next runs.
+echo "==> bench module: go vet ./... && go test ./..."
+(cd bench && go vet ./... && go test ./...)
 
 if [ "${1:-}" = "quick" ]; then
 	echo "OK (quick)"
