@@ -104,9 +104,9 @@ func run(args []string, w io.Writer) error {
 
 // eventLine mirrors the JSONL wire schema of internal/obs. It lists
 // the full current field set; streams written before the request_id /
-// warm / rung / scaffold additions simply decode those to their zero
-// values, and unknown future fields are ignored — the stream stays
-// parseable in both directions.
+// warm / rung / scaffold / general_trees additions simply decode those
+// to their zero values, and unknown future fields are ignored — the
+// stream stays parseable in both directions.
 type eventLine struct {
 	Kind       string `json:"kind"`
 	Pass       int    `json:"pass"`
@@ -116,6 +116,9 @@ type eventLine struct {
 	Warm       bool   `json:"warm"`
 	Rung       string `json:"rung"`
 	Scaffold   bool   `json:"scaffold"`
+	// GeneralTrees rides on sweep_end: KMB trees that needed Kruskal
+	// and pruning because the closure expansion held a cycle.
+	GeneralTrees int `json:"general_trees"`
 }
 
 // parseJSONL summarizes a solver-event JSONL stream: per-kind counts,
@@ -133,7 +136,7 @@ func parseJSONL(path string, w io.Writer) error {
 	durations := map[string]time.Duration{}
 	requests := map[string]int{}
 	rungs := map[string]int{}
-	warmBuilds, coldBuilds, scaffolded, lines, badLines := 0, 0, 0, 0, 0
+	warmBuilds, coldBuilds, scaffolded, generalTrees, lines, badLines := 0, 0, 0, 0, 0, 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -165,6 +168,7 @@ func parseJSONL(path string, w io.Writer) error {
 		if ev.Kind == "overlay_built" && ev.Scaffold {
 			scaffolded++
 		}
+		generalTrees += ev.GeneralTrees
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -193,11 +197,11 @@ func parseJSONL(path string, w io.Writer) error {
 	fmt.Fprintf(w, "solves: %d (%d warm metric, %d cold)\n",
 		kinds["stage2_end"], warmBuilds, coldBuilds)
 	if n := kinds["overlay_built"]; n > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc dijkstra %s, candidate sweep %s\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc dijkstra %s, candidate sweep %s (%d general-branch KMB trees)\n",
 			durations["stage1_end"].Round(time.Microsecond),
 			durations["overlay_built"].Round(time.Microsecond), scaffolded, n,
 			durations["sfc_solved"].Round(time.Microsecond),
-			durations["sweep_end"].Round(time.Microsecond))
+			durations["sweep_end"].Round(time.Microsecond), generalTrees)
 	}
 	if len(requests) > 0 {
 		fmt.Fprintf(w, "request-scoped events: %d distinct request IDs\n", len(requests))
@@ -245,6 +249,7 @@ func summarizeTraces(base string, w io.Writer) error {
 	rungs := map[string]int{}
 	warm, withID, early, failed := 0, 0, 0, 0
 	var stage1 time.Duration
+	generalTrees := 0
 	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
 	slowest := doc.Traces[0]
 	for _, t := range doc.Traces {
@@ -255,6 +260,7 @@ func summarizeTraces(base string, w io.Writer) error {
 			stage1 += time.Duration(s.DurationNs)
 			for _, c := range s.Children {
 				split[c.Name] += time.Duration(c.DurationNs)
+				generalTrees += int(c.Attrs["general_trees"])
 			}
 		}
 		ops[t.Op]++
@@ -296,9 +302,9 @@ func summarizeTraces(base string, w io.Writer) error {
 	fmt.Fprintf(w, "warm-metric solves %d/%d, request-ID stamped %d/%d, early stops %d, failures %d\n",
 		warm, len(doc.Traces), withID, len(doc.Traces), early, failed)
 	if stage1 > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s, sfc dijkstra %s, candidate sweep %s\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s, sfc dijkstra %s, candidate sweep %s (%d general-branch KMB trees)\n",
 			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
-			split["sfc_dijkstra"].Round(time.Microsecond), split["candidate_sweep"].Round(time.Microsecond))
+			split["sfc_dijkstra"].Round(time.Microsecond), split["candidate_sweep"].Round(time.Microsecond), generalTrees)
 	}
 	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v request_id=%s\n",
 		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.RequestID)

@@ -71,9 +71,14 @@ type Options struct {
 	// Scaffolds, when non-nil, memoizes the stage-one MOD overlay keyed
 	// by (source, chain signature, graph generation, deployment epoch):
 	// same-signature solves against the same network version skip the
-	// overlay construction entirely. Because the key pins the exact
-	// version, results are bit-identical to building fresh. The dynamic
-	// manager shares one cache across concurrent admissions.
+	// overlay construction and, because an overlay keeps its solved SFC
+	// (mod.Network.SolveSFC runs once per overlay), the Dijkstra over
+	// it. Because the key pins the exact version, results are
+	// bit-identical to building fresh. A cached scaffold holds the
+	// solution's 2kS+1 distance/parent pairs — at most 256 entries, so
+	// ≈11 MB at S = 200, k = 7 — until the next version change evicts
+	// the lot. The dynamic manager shares one cache across concurrent
+	// admissions.
 	Scaffolds *mod.Cache
 	// Observer, when non-nil, receives structured phase events from
 	// every stage of the solve (see observe.go). Nil costs one pointer
@@ -183,6 +188,13 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 		candidates = candidates[:opts.MaxCandidateHosts]
 	}
 
+	// One sweeper serves the sequential sweep and the reduction; the
+	// parallel sweep gives every worker its own, as a sweeper carries
+	// one goroutine's scratch.
+	sw := newSweeper(net, task, overlay, sol, metric, opts.steiner())
+	defer sw.close()
+	var workerGeneral atomic.Int64 // general-branch KMB trees of the parallel workers
+
 	results := make([]candResult, len(candidates))
 	if workers := opts.workers(len(candidates)); workers > 1 {
 		// Candidate evaluation is pure — it reads only the (warm)
@@ -197,6 +209,11 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sw := newSweeper(net, task, overlay, sol, metric, opts.steiner())
+				defer func() {
+					workerGeneral.Add(sw.generalTrees())
+					sw.close()
+				}()
 				for {
 					idx := int(cursor.Add(1)) - 1
 					if idx >= len(candidates) {
@@ -206,14 +223,14 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 						results[idx].skipped = true
 						continue
 					}
-					results[idx] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[idx].node)
+					results[idx] = sw.eval(candidates[idx].node)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for i, c := range candidates {
-			results[i] = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), c.node)
+			results[i] = sw.eval(c.node)
 			// Anytime semantics: once a plausibly feasible solution is in
 			// hand, an expired deadline stops the sweep; the reduction
 			// below decides what that means exactly (and resumes inline
@@ -229,9 +246,9 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 
 	// Index-ordered reduction, identical to the historical sequential
 	// loop: candidates are considered in sorted order, a strict < on
-	// total cost picks the winner, and stateFromSolution runs only for
-	// improving candidates (its failure skips the candidate without
-	// touching the running best).
+	// total cost picks the winner, and the Steiner tree is materialised
+	// and stateFromSolution run only for improving candidates (a failure
+	// there skips the candidate without touching the running best).
 	var (
 		bestState *state
 		bestCost  = graph.Inf
@@ -248,7 +265,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 				stats.EarlyStop = true
 				break
 			}
-			*r = evalCandidate(net, task, overlay, sol, metric, opts.steiner(), candidates[i].node)
+			*r = sw.eval(candidates[i].node)
 		}
 		if r.tried {
 			stats.CandidatesTried++
@@ -256,20 +273,26 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 		if !r.ok || r.total >= bestCost {
 			continue
 		}
-		st, err := stateFromSolution(net, task, r.hosts, r.tree)
+		last := r.hosts[len(r.hosts)-1]
+		tree, err := sw.tree(last)
+		if err != nil {
+			continue
+		}
+		st, err := stateFromSolution(net, task, r.hosts, tree)
 		if err != nil {
 			continue
 		}
 		bestCost = r.total
 		bestState = st
-		stats.LastHost = r.hosts[len(r.hosts)-1]
+		stats.LastHost = last
 	}
 	if bestState == nil {
 		return nil, nil, fmt.Errorf("%w: no candidate last host admits a feasible solution", ErrNoFeasible)
 	}
 	stats.Stage1Cost = bestCost
 	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2)})
+		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2),
+			GeneralTrees: int(workerGeneral.Load() + sw.generalTrees())})
 	}
 	return bestState, &stats, nil
 }
@@ -283,45 +306,102 @@ type candidate struct {
 
 // candResult is one candidate last-host's evaluation, computed
 // without reference to the running best so candidates can run in any
-// order (or concurrently) and reduce deterministically by index.
+// order (or concurrently) and reduce deterministically by index. It
+// prices the Steiner tree without holding it: the reduction rebuilds
+// the tree of the few candidates that improve on the running best.
 type candResult struct {
 	tried   bool // counted by StageStats.CandidatesTried
-	ok      bool // chain repaired and Steiner tree built
+	ok      bool // chain repaired and Steiner tree priced
 	skipped bool // deadline expired before evaluation (parallel sweep)
 	hosts   []int
-	tree    steiner.Tree
 	total   float64
 }
 
-// evalCandidate prices candidate last-host w: decode the overlay's
-// optimal chain ending at w, repair capacity, and connect w to every
-// destination with a Steiner tree. It only reads shared state, so it
-// is safe to call concurrently once the metric is warm.
-func evalCandidate(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo, w int) candResult {
+// sweeper evaluates candidate last-hosts for one goroutine of one
+// solve. It only reads the shared state (network, overlay, SFC
+// solution, warm metric), so sweepers of the same solve run
+// concurrently; what it owns is the scratch that makes a candidate
+// cheap: the KMB sweep over the task's destinations and the
+// free-capacity vector, both set up once instead of per candidate.
+type sweeper struct {
+	net     *nfv.Network
+	task    nfv.Task
+	overlay *mod.Network
+	sol     *mod.SFCSolution
+	metric  *graph.Metric
+	algo    SteinerAlgo
+	kmb     *steiner.Sweep // nil unless algo is SteinerKMB
+	cap     *capScratch
+}
+
+func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo) *sweeper {
+	sw := &sweeper{net: net, task: task, overlay: overlay, sol: sol, metric: metric, algo: algo, cap: getCapScratch(net)}
+	if algo == SteinerKMB {
+		sw.kmb = steiner.NewSweep(net.Graph(), metric, task.Destinations)
+	}
+	return sw
+}
+
+// close releases the sweeper's pooled scratch.
+func (sw *sweeper) close() {
+	if sw.kmb != nil {
+		sw.kmb.Close()
+	}
+	capPool.Put(sw.cap)
+}
+
+// generalTrees reports how many of this sweeper's KMB trees needed
+// the Kruskal-and-prune branch (see steiner.Sweep).
+func (sw *sweeper) generalTrees() int64 {
+	if sw.kmb == nil {
+		return 0
+	}
+	return sw.kmb.Counters().GeneralTrees
+}
+
+// eval prices candidate last-host w: decode the overlay's optimal
+// chain ending at w, repair capacity, and price the Steiner tree
+// connecting the (possibly relocated) last host to every destination.
+func (sw *sweeper) eval(w int) candResult {
 	var r candResult
-	if sol.CostTo(w) == graph.Inf {
+	if sw.sol.CostTo(w) == graph.Inf {
 		return r
 	}
-	hosts := sol.HostsTo(w)
+	hosts := sw.sol.HostsTo(w)
 	if hosts == nil {
 		return r
 	}
 	r.tried = true
-	hosts, ok := repairCapacity(net, metric, task, hosts)
+	hosts, ok := repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.cap.free)
 	if !ok {
 		return r
 	}
-	chainCost := overlay.ChainCost(hosts)
-	last := hosts[len(hosts)-1]
-	tree, err := buildSteiner(net, metric, last, task.Destinations, algo)
+	treeCost, err := sw.treeCost(hosts[len(hosts)-1])
 	if err != nil {
 		return r // some destination unreachable from this host
 	}
 	r.ok = true
 	r.hosts = hosts
-	r.tree = tree
-	r.total = chainCost + tree.Cost
+	r.total = sw.overlay.ChainCost(hosts) + treeCost
 	return r
+}
+
+// treeCost is the cost of tree(root).
+func (sw *sweeper) treeCost(root int) (float64, error) {
+	if sw.kmb != nil {
+		return sw.kmb.Cost(root)
+	}
+	tree, err := sw.tree(root)
+	return tree.Cost, err
+}
+
+// tree connects root to the task's destinations with the solve's
+// Steiner routine.
+func (sw *sweeper) tree(root int) (steiner.Tree, error) {
+	if sw.kmb != nil {
+		return sw.kmb.Tree(root)
+	}
+	return buildSteiner(sw.net, sw.metric, root, sw.task.Destinations, sw.algo)
 }
 
 // BuildTails connects root to all destinations with the selected
@@ -359,7 +439,9 @@ func buildSteiner(net *nfv.Network, metric *graph.Metric, root int, dests []int,
 // feasibility policy. It returns the repaired host sequence and
 // whether a feasible placement exists.
 func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool) {
-	return repairCapacity(net, net.Metric(), task, hosts)
+	sc := getCapScratch(net)
+	defer capPool.Put(sc)
+	return repairCapacity(net, net.Metric(), task, hosts, sc.free)
 }
 
 // TailsFromEdges converts an explicit tree edge set into the
@@ -372,30 +454,42 @@ func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]i
 // for each new instance, and relocates any VNF whose host is full to
 // the feasible node minimizing connection-plus-setup cost (the paper's
 // adjustment rule). It reports failure when some VNF fits nowhere.
-func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, hosts []int) ([]int, bool) {
-	k := len(hosts)
+//
+// free must hold net.FreeCapacity(v) at every server v (see
+// getCapScratch) and does again on return: the walk decrements only
+// entries of hosts it settles on, and those are re-read from the
+// network on the way out — never restored by adding the demand back,
+// which drifts by an ulp.
+func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, hosts []int, free []float64) ([]int, bool) {
 	out := append([]int(nil), hosts...)
-	sc := capPool.Get().(*capScratch)
-	defer capPool.Put(sc)
-	if n := net.NumNodes(); cap(sc.free) < n {
-		sc.free = make([]float64, n)
+	ok := repairInPlace(net, metric, task, out, free)
+	for _, h := range out {
+		if net.IsServer(h) {
+			free[h] = net.FreeCapacity(h)
+		}
 	}
-	free := sc.free[:net.NumNodes()]
+	if !ok {
+		return nil, false
+	}
+	return out, true
+}
+
+// repairInPlace is repairCapacity's walk: it rewrites out and leaves
+// free decremented at the hosts it settled on.
+func repairInPlace(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []int, free []float64) bool {
+	k := len(out)
 	servers := net.ServerList()
-	for _, v := range servers {
-		free[v] = net.FreeCapacity(v)
-	}
 	for j := 0; j < k; j++ {
 		f := task.Chain[j]
 		h := out[j]
 		vnf, err := net.VNF(f)
 		if err != nil {
-			return nil, false
+			return false
 		}
 		if net.IsDeployed(f, h) {
 			continue // reuse, no capacity consumed
 		}
-		// The scratch array is refreshed only at server indices; a
+		// The free vector is meaningful only at server indices; a
 		// non-server host (possible via RepairChainHosts) has no
 		// capacity and always relocates, as with the old map's zero.
 		if net.IsServer(h) && free[h]+1e-9 >= vnf.Demand {
@@ -423,21 +517,35 @@ func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, hosts
 			}
 		}
 		if best == -1 {
-			return nil, false
+			return false
 		}
 		out[j] = best
 		if !net.IsDeployed(f, best) {
 			free[best] -= vnf.Demand
 		}
 	}
-	return out, true
+	return true
 }
 
-// capScratch is the pooled free-capacity array behind repairCapacity;
-// only server-indexed entries are meaningful (refreshed per call).
+// capScratch is the pooled free-capacity vector behind repairCapacity;
+// only server-indexed entries are meaningful.
 type capScratch struct{ free []float64 }
 
 var capPool = sync.Pool{New: func() any { return new(capScratch) }}
+
+// getCapScratch takes a vector from the pool and fills it with net's
+// free capacity at every server; return it with capPool.Put.
+func getCapScratch(net *nfv.Network) *capScratch {
+	sc := capPool.Get().(*capScratch)
+	if n := net.NumNodes(); cap(sc.free) < n {
+		sc.free = make([]float64, n)
+	}
+	sc.free = sc.free[:net.NumNodes()]
+	for _, v := range net.ServerList() {
+		sc.free[v] = net.FreeCapacity(v)
+	}
+	return sc
+}
 
 // stateFromSolution assembles the stage-one state: every destination
 // is served by the single chain host sequence, and tails follow the

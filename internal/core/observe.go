@@ -56,7 +56,7 @@ const (
 	EventSFCSolved
 	// EventSweepEnd closes the candidate last-host sweep (sort,
 	// per-candidate repair and Steiner tree, reduction); carries
-	// Candidates and Duration.
+	// Candidates, GeneralTrees and Duration.
 	EventSweepEnd
 )
 
@@ -114,6 +114,11 @@ type Event struct {
 	Cost float64
 	// Candidates is the number of last-host candidates stage one tried.
 	Candidates int
+	// GeneralTrees is how many of the sweep's KMB trees were not
+	// already trees after the closure expansion and went through
+	// Kruskal and pruning (see steiner.Sweep); zero on almost every
+	// topology, and always zero for the other Steiner routines.
+	GeneralTrees int
 	// Moves counts accepted moves (pass-end and stage-2-end events).
 	Moves int
 	// Duration is the wall time of the closed phase (end events).

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"sftree/internal/graph"
 	"sftree/internal/nfv"
@@ -35,7 +36,8 @@ var (
 // triple. The overlay is implicit: every arc weight is either an entry
 // of the metric closure or one of the k*S virtual-arc setup costs, so
 // only the latter are stored and SolveSFC enumerates the arcs on the
-// fly. A Network is immutable after Build and safe to share.
+// fly. A Network is immutable after Build and safe to share; its
+// solution is computed on first demand and shared with it.
 type Network struct {
 	chain   nfv.SFC
 	source  int
@@ -43,6 +45,9 @@ type Network struct {
 	rowOf   []int32       // node -> row index, -1 for non-servers
 	metric  *graph.Metric // the closure of the network Build saw
 	setup   []float64     // [(j-1)*S+row]: weight of column j's in->out arc at row
+
+	solveOnce sync.Once
+	sol       *SFCSolution
 }
 
 // Overlay node ID layout: 0 is the source; for column j in [1..k] and
@@ -146,7 +151,18 @@ type SFCSolution struct {
 // relaxation this order decides which of several equal-cost chains
 // HostsTo reports, so it is part of the solver's contract: embeddings
 // are reproducible only as long as it does not change.
+//
+// The solution is a pure function of the overlay, so it is computed
+// once per Network: later calls, and concurrent ones, share the same
+// read-only SFCSolution. An overlay served from a Cache therefore
+// carries its solved SFC with it.
 func (m *Network) SolveSFC() *SFCSolution {
+	m.solveOnce.Do(func() { m.sol = m.solveSFC() })
+	return m.sol
+}
+
+// solveSFC is the Dijkstra behind SolveSFC.
+func (m *Network) solveSFC() *SFCSolution {
 	n := m.NumOverlayNodes()
 	dist := make([]float64, n)
 	parent := make([]int, n)

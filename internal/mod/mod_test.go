@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"sftree/internal/graph"
@@ -307,5 +309,67 @@ func TestCostToNonServer(t *testing.T) {
 	}
 	if h := sol.HostsTo(2); h != nil {
 		t.Errorf("HostsTo(non-server) = %v, want nil", h)
+	}
+}
+
+// An overlay keeps its solved SFC: SolveSFC runs the Dijkstra once per
+// Network, however many callers ask and from however many goroutines,
+// so a scaffold served twice from a Cache hands out one solution. A
+// fresh Build solves afresh and agrees element for element; a
+// deployment moves the cache to a new version, overlay and solution.
+func TestSolveSFCOncePerOverlay(t *testing.T) {
+	net := buildNet(rand.New(rand.NewSource(61)), 14, 10, 4)
+	chain := nfv.SFC{2, 0, 3}
+	cache := NewCache()
+	first, err := cache.Get(net, 5, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sols := make([]*SFCSolution, 8)
+	var wg sync.WaitGroup
+	for i := range sols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := cache.Get(net, 5, chain)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sols[i] = m.SolveSFC()
+		}()
+	}
+	wg.Wait()
+	want := first.SolveSFC()
+	for i, sol := range sols {
+		if sol != want {
+			t.Fatalf("caller %d got its own solution: the cached overlay solved more than once", i)
+		}
+	}
+
+	fresh, err := Build(net, 5, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := fresh.SolveSFC()
+	if again == want {
+		t.Fatal("a fresh Build shares the cached overlay's solution")
+	}
+	if !slices.Equal(again.tree.Dist, want.tree.Dist) || !slices.Equal(again.tree.Parent, want.tree.Parent) {
+		t.Error("fresh and cached solutions differ")
+	}
+
+	if err := net.Deploy(3, 9); err != nil { // the chain's last VNF
+		t.Fatal(err)
+	}
+	moved, err := cache.Get(net, 5, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == first || moved.SolveSFC() == want {
+		t.Error("a deployment did not move the cache to a new overlay and solution")
+	}
+	if got, stale := moved.SolveSFC().CostTo(9), want.CostTo(9); got >= stale {
+		t.Errorf("chain ending at the new instance costs %v, before the deployment %v", got, stale)
 	}
 }

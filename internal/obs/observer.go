@@ -173,7 +173,7 @@ func (r *SpanRecorder) Spans() []*Span {
 			stage1Parts = append(stage1Parts, &Span{Name: "sfc_dijkstra", DurationNs: e.Duration.Nanoseconds()})
 		case core.EventSweepEnd:
 			stage1Parts = append(stage1Parts, &Span{Name: "candidate_sweep", DurationNs: e.Duration.Nanoseconds(),
-				Attrs: map[string]float64{"candidates": float64(e.Candidates)}})
+				Attrs: map[string]float64{"candidates": float64(e.Candidates), "general_trees": float64(e.GeneralTrees)}})
 		case core.EventStage1End:
 			roots = append(roots, &Span{Name: "stage1", DurationNs: e.Duration.Nanoseconds(),
 				Attrs:    map[string]float64{"cost": e.Cost, "candidates": float64(e.Candidates)},
@@ -213,10 +213,10 @@ func (r *SpanRecorder) Spans() []*Span {
 }
 
 // lineEvent is the JSON-lines wire form of a solver event. The
-// request_id, warm, rung and scaffold fields are additions over the
-// original (PR 2) schema; they are omitted when empty, so old
-// consumers keep parsing new streams and new consumers treat their
-// absence as the zero value when reading old streams.
+// request_id, warm, rung, scaffold and general_trees fields are
+// additions over the original (PR 2) schema; they are omitted when
+// empty, so old consumers keep parsing new streams and new consumers
+// treat their absence as the zero value when reading old streams.
 type lineEvent struct {
 	Kind       string  `json:"kind"`
 	Pass       int     `json:"pass,omitempty"`
@@ -242,6 +242,9 @@ type lineEvent struct {
 	// Scaffold marks an overlay_built event whose overlay came through
 	// the scaffold cache.
 	Scaffold bool `json:"scaffold,omitempty"`
+	// GeneralTrees counts a sweep_end event's KMB trees that were not
+	// trees after the closure expansion and needed Kruskal and pruning.
+	GeneralTrees int `json:"general_trees,omitempty"`
 }
 
 // JSONLObserver streams every solver event as one JSON object per
@@ -272,7 +275,7 @@ func (o *JSONLObserver) emit(e core.Event, requestID, rung string) {
 		Candidates: e.Candidates, Moves: e.Moves,
 		DurationNs: e.Duration.Nanoseconds(),
 		RequestID:  requestID, Warm: e.Warm, Rung: rung,
-		Scaffold: e.Scaffold,
+		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees,
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"sftree/internal/graph"
 	"sftree/internal/mod"
 	"sftree/internal/nfv"
+	"sftree/internal/steiner"
 )
 
 // RegisterCacheStats wires the process-global cache and pool counters
@@ -23,6 +24,11 @@ import (
 //	scaffold_cache_hits / scaffold_cache_misses / scaffold_cache_hit_rate
 //	    mod.Cache signature-keyed MOD-overlay scaffolds (stage-one
 //	    construction skipped on same-signature, same-version solves)
+//	kmb_trees_total / kmb_general_branch_total / kmb_path_memo_hit_rate
+//	    steiner.Sweep: KMB trees built, how many of them were not
+//	    already trees after the closure expansion (and so paid for
+//	    Kruskal and pruning), and the share of destination-to-
+//	    destination path lookups the per-solve memo served
 //	sp_pool_gets / sp_pool_news / sp_pool_reuse_rate
 //	    graph shortest-path scratch arenas (sync.Pool)
 //	journal_pool_gets / journal_pool_news / journal_pool_reuse_rate
@@ -54,6 +60,12 @@ func RegisterCacheStats(reg *Registry) {
 	reg.GaugeFunc("scaffold_cache_hit_rate", func() float64 {
 		h, m := mod.CacheStats()
 		return ratio(h, h+m)
+	})
+	reg.GaugeFunc("kmb_trees_total", func() float64 { return float64(steiner.SweepStats().Trees) })
+	reg.GaugeFunc("kmb_general_branch_total", func() float64 { return float64(steiner.SweepStats().GeneralTrees) })
+	reg.GaugeFunc("kmb_path_memo_hit_rate", func() float64 {
+		c := steiner.SweepStats()
+		return ratio(c.MemoHits, c.MemoHits+c.MemoFills)
 	})
 	reg.GaugeFunc("sp_pool_gets", func() float64 { g, _ := graph.PoolStats(); return float64(g) })
 	reg.GaugeFunc("sp_pool_news", func() float64 { _, n := graph.PoolStats(); return float64(n) })

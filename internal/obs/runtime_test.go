@@ -68,6 +68,7 @@ func TestRegisterCacheStats(t *testing.T) {
 	for _, name := range []string{
 		"metric_cache_hits", "metric_cache_misses", "metric_cache_hit_rate",
 		"apsp_cache_hits", "apsp_cache_misses", "apsp_cache_hit_rate",
+		"kmb_trees_total", "kmb_general_branch_total", "kmb_path_memo_hit_rate",
 		"sp_pool_gets", "sp_pool_news", "sp_pool_reuse_rate",
 		"journal_pool_gets", "journal_pool_news", "journal_pool_reuse_rate",
 	} {
@@ -103,6 +104,23 @@ func TestRegisterCacheStats(t *testing.T) {
 	}
 	if final["apsp_cache_hits"] <= before["apsp_cache_hits"] {
 		t.Error("apsp cache hit not counted for pristine passthrough")
+	}
+
+	// One solve: a KMB tree per candidate host over shared destinations,
+	// so the path memo is hit far more often than it is filled.
+	task, err := netgen.GenerateTask(net, rand.New(rand.NewSource(4)), 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Solve(net, task, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	solved := reg.Snapshot().Floats
+	if solved["kmb_trees_total"] <= final["kmb_trees_total"] {
+		t.Error("KMB trees of a solve not counted")
+	}
+	if r := solved["kmb_path_memo_hit_rate"]; r <= 0.5 || r > 1 {
+		t.Errorf("kmb_path_memo_hit_rate = %v after a solve, want in (0.5, 1]", r)
 	}
 }
 

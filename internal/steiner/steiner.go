@@ -65,85 +65,31 @@ func dedupTerminals(terminals []int) []int {
 // expansion, and pruning of non-terminal leaves. The result is within
 // 2(1-1/|terminals|) of optimal. m must be the metric of g.
 //
-// All transient state lives in a pooled workspace; the only
-// allocations on the happy path are the returned Tree's edges.
+// It is a Sweep of one, rooted at the first terminal: all transient
+// state lives in a pooled workspace, and the only allocations on the
+// happy path are the returned Tree's edges.
 func KMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
-	ws := getWS()
-	defer putWS(ws)
-	terminals = ws.dedup(terminals, g.NumNodes())
-	switch len(terminals) {
-	case 0:
+	if len(terminals) == 0 {
 		return Tree{}, ErrNoTerminals
-	case 1:
-		return Tree{}, nil
 	}
-	for _, a := range terminals[1:] {
-		if m.Dist[terminals[0]][a] == graph.Inf {
-			return Tree{}, fmt.Errorf("%w: %d and %d", ErrUnreachable, terminals[0], a)
-		}
-	}
-
-	// 1. MST of the metric closure over terminals (Prim, O(t^2)).
-	t := len(terminals)
-	ws.growTerms(t)
-	inTree, bestD, bestFrom := ws.tIn, ws.tDist, ws.tFrom
-	for i := 0; i < t; i++ {
-		inTree[i] = false
-		bestD[i] = graph.Inf
-		bestFrom[i] = -1
-	}
-	bestD[0] = 0
-	closure := ws.pairs[:0] // (a, b) indices into terminals
-	for range terminals {
-		pick := -1
-		for i := 0; i < t; i++ {
-			if !inTree[i] && (pick == -1 || bestD[i] < bestD[pick]) {
-				pick = i
-			}
-		}
-		inTree[pick] = true
-		if bestFrom[pick] >= 0 {
-			closure = append(closure, [2]int32{bestFrom[pick], int32(pick)})
-		}
-		for i := 0; i < t; i++ {
-			if !inTree[i] {
-				if d := m.Dist[terminals[pick]][terminals[i]]; d < bestD[i] {
-					bestD[i] = d
-					bestFrom[i] = int32(pick)
-				}
-			}
-		}
-	}
-	ws.pairs = closure
-
-	// 2. Expand closure edges into shortest paths; collect distinct edges.
-	ws.bumpEdges(g.NumEdges())
-	badU, badV := -1, -1
-	for _, ce := range closure {
-		m.EachHop(terminals[ce[0]], terminals[ce[1]], func(x, y int) {
-			id, ok := cheapestEdgeBetween(g, x, y)
-			if !ok {
-				badU, badV = x, y
-				return
-			}
-			ws.markEdge(id)
-		})
-	}
-	if badU != -1 {
-		return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
-	}
-
-	// 3. MST of the expansion subgraph; 4. prune non-terminal leaves.
-	pruned := ws.prune(g, ws.mstOfCollected(g), terminals)
-	return treeFromEdges(g, pruned), nil
+	var s Sweep
+	s.init(g, m, terminals[1:])
+	defer s.Close()
+	return s.Tree(terminals[0])
 }
 
 // TakahashiMatsuyama grows a Steiner tree from root by repeatedly
 // attaching the terminal closest (in metric distance) to the current
 // tree via a shortest path. Approximation factor 2(1-1/|terminals|),
-// often better than KMB in practice on geographic graphs.
+// often better than KMB in practice on geographic graphs. Among
+// equally close pairs the earliest terminal in the caller's order wins,
+// then the node that joined the tree first, so equal inputs give equal
+// trees.
 func TakahashiMatsuyama(g *graph.Graph, m *graph.Metric, root int, terminals []int) (Tree, error) {
-	terminals = dedupTerminals(append([]int{root}, terminals...))
+	ws := getWS()
+	defer putWS(ws)
+	ws.rootTerms = append(append(ws.rootTerms[:0], root), terminals...)
+	terminals = ws.dedup(ws.rootTerms, g.NumNodes())
 	if len(terminals) == 1 {
 		return Tree{}, nil
 	}
@@ -152,51 +98,53 @@ func TakahashiMatsuyama(g *graph.Graph, m *graph.Metric, root int, terminals []i
 			return Tree{}, fmt.Errorf("%w: %d from root %d", ErrUnreachable, a, root)
 		}
 	}
-	treeNodes := map[int]bool{root: true}
-	remaining := make([]int, 0, len(terminals)-1)
-	for _, v := range terminals[1:] {
-		if v != root {
-			remaining = append(remaining, v)
-		}
-	}
-	edgeSet := make(map[int]bool)
-	for len(remaining) > 0 {
+	ws.growTerms(len(terminals))
+	attached := ws.tIn // by terminal index
+	clear(attached)
+	attached[0] = true
+	ws.bumpNodes(g.NumNodes()) // marks the nodes of the growing tree
+	ws.markNode(root)
+	treeNodes := append(ws.treeNodes[:0], root)
+	ws.bumpEdges(g.NumEdges())
+	for range terminals[1:] {
 		// Closest (terminal, attach-node) pair.
-		bestT, bestIdx := -1, -1
-		var bestAttach int
+		bestIdx, bestAttach := -1, -1
 		bestD := graph.Inf
-		for i, term := range remaining {
-			for v := range treeNodes {
-				if d := m.Dist[term][v]; d < bestD {
-					bestD = d
-					bestT = term
-					bestIdx = i
-					bestAttach = v
+		for i, term := range terminals {
+			if attached[i] {
+				continue
+			}
+			from := m.Dist[term]
+			for _, v := range treeNodes {
+				if d := from[v]; d < bestD {
+					bestD, bestIdx, bestAttach = d, i, v
 				}
 			}
 		}
-		if bestT == -1 {
+		if bestIdx == -1 {
 			return Tree{}, ErrUnreachable
 		}
-		path := m.Path(bestAttach, bestT)
-		for i := 1; i < len(path); i++ {
-			id, ok := cheapestEdgeBetween(g, path[i-1], path[i])
+		attached[bestIdx] = true
+		badU, badV := -1, -1
+		m.EachHop(bestAttach, terminals[bestIdx], func(x, y int) {
+			id, ok := cheapestEdgeBetween(g, x, y)
 			if !ok {
-				return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", path[i-1], path[i])
+				badU, badV = x, y
+				return
 			}
-			edgeSet[id] = true
-			treeNodes[path[i]] = true
+			ws.markEdge(id)
+			if ws.markNode(y) {
+				treeNodes = append(treeNodes, y)
+			}
+		})
+		if badU != -1 {
+			return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
 		}
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
-	edges := make([]int, 0, len(edgeSet))
-	for id := range edgeSet {
-		edges = append(edges, id)
-	}
+	ws.treeNodes = treeNodes
 	// The union of attach paths can in rare cases contain a cycle; take
 	// an MST of the union and prune to be safe.
-	pruned := Prune(g, mstOfEdgeSubset(g, edges), terminals)
-	return treeFromEdges(g, pruned), nil
+	return treeFromEdges(g, ws.prune(g, ws.mstOfCollected(g), terminals)), nil
 }
 
 // Prune repeatedly removes edges incident to non-terminal leaves,

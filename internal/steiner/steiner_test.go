@@ -82,17 +82,7 @@ func bruteForceSteiner(t *testing.T, g *graph.Graph, terminals []int) float64 {
 }
 
 func randomConnectedGraph(rng *rand.Rand, n, extraEdges int) *graph.Graph {
-	g := graph.New(n)
-	for v := 1; v < n; v++ {
-		g.MustAddEdge(rng.Intn(v), v, 1+rng.Float64()*9)
-	}
-	for i := 0; i < extraEdges; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			g.MustAddEdge(u, v, 1+rng.Float64()*9)
-		}
-	}
-	return g
+	return randomGraphWithCosts(rng, n, extraEdges, costModes[0])
 }
 
 func sampleTerminals(rng *rand.Rand, n, k int) []int {

@@ -1,0 +1,291 @@
+package steiner
+
+import (
+	"fmt"
+	"math/bits"
+	"sync/atomic"
+
+	"sftree/internal/graph"
+)
+
+// Sweep is KMB's per-solve form. Stage one asks for one KMB tree per
+// candidate last-host, every one of them over the same destination
+// set D with only the root changed, so everything that does not
+// depend on the root is computed once: the deduplicated destinations,
+// the block of metric distances between them, and (lazily) each
+// ordered D-D shortest path as a pair of bitsets. Tree(root) and
+// Cost(root) then equal KMB(g, m, [root]+D) edge for edge and bit for
+// bit; KMB itself is a sweep of one.
+//
+// A Sweep holds a pooled workspace and a memo it fills as it goes, so
+// it serves one goroutine at a time; parallel callers take one each.
+// Close returns the workspace.
+type Sweep struct {
+	g  *graph.Graph
+	m  *graph.Metric
+	ws *workspace
+	// dests is D deduplicated in first-seen order (td of them). The
+	// workspace holds the rest: dd[i*td+j] = m.Dist[dests[i]][dests[j]]
+	// (orientation kept: Dist is not bitwise symmetric), and
+	// slot[i*td+j], the arena offset of the memoised shortest path
+	// dests[i] -> dests[j] as ew words of edge ids then nw words of
+	// nodes, or -1 until a closure first uses that ordered pair. A
+	// sweep touches about 2*td of the td*td pairs, so the arena grows
+	// by the path instead of being laid out up front.
+	dests  []int
+	ew, nw int
+	stats  SweepCounters
+}
+
+// SweepCounters counts what the sweeps of this process have done.
+type SweepCounters struct {
+	// Trees is the number of KMB trees built (Tree and Cost calls over
+	// at least two terminals that passed the reachability check).
+	Trees int64
+	// GeneralTrees is how many of them were not already trees after
+	// the closure expansion and took the Kruskal-and-prune branch.
+	GeneralTrees int64
+	// MemoHits and MemoFills count lookups of a D-D shortest path in
+	// the sweep's memo: served from it, or walked and stored.
+	MemoHits, MemoFills int64
+}
+
+var sweepTrees, sweepGeneral, sweepMemoHits, sweepMemoFills atomic.Int64
+
+// SweepStats reports the cumulative counters of every closed Sweep
+// (and so of every KMB call) in the process.
+func SweepStats() SweepCounters {
+	return SweepCounters{
+		Trees:        sweepTrees.Load(),
+		GeneralTrees: sweepGeneral.Load(),
+		MemoHits:     sweepMemoHits.Load(),
+		MemoFills:    sweepMemoFills.Load(),
+	}
+}
+
+// fromRoot is the closure-edge origin of a root outside D; origins
+// inside D are indices into dests.
+const fromRoot = -1
+
+// NewSweep prepares KMB trees over dests for any number of roots. m
+// must be the metric of g.
+func NewSweep(g *graph.Graph, m *graph.Metric, dests []int) *Sweep {
+	s := new(Sweep)
+	s.init(g, m, dests)
+	return s
+}
+
+// init is NewSweep on a caller-owned (for KMB, stack-allocated) Sweep.
+func (s *Sweep) init(g *graph.Graph, m *graph.Metric, dests []int) {
+	ws := getWS()
+	*s = Sweep{g: g, m: m, ws: ws, dests: ws.dedup(dests, g.NumNodes()),
+		ew: (g.NumEdges() + 63) / 64, nw: (g.NumNodes() + 63) / 64}
+	td := len(s.dests)
+	if cap(ws.dd) < td*td {
+		ws.dd = make([]float64, td*td)
+		ws.slot = make([]int32, td*td)
+	}
+	ws.dd, ws.slot = ws.dd[:td*td], ws.slot[:td*td]
+	for i, a := range s.dests {
+		from := m.Dist[a]
+		row := ws.dd[i*td : (i+1)*td]
+		for j, b := range s.dests {
+			row[j] = from[b]
+		}
+	}
+	for i := range ws.slot {
+		ws.slot[i] = -1
+	}
+	ws.growTerms(td)
+	ws.arena = ws.arena[:0]
+	if cap(ws.bits) < s.ew+s.nw {
+		ws.bits = make([]uint64, s.ew+s.nw)
+	}
+	ws.bits = ws.bits[:s.ew+s.nw]
+}
+
+// Close folds the sweep's counters into SweepStats and releases its
+// workspace. A closed sweep panics on use; closing it again is a
+// no-op.
+func (s *Sweep) Close() {
+	if s.ws == nil {
+		return
+	}
+	sweepTrees.Add(s.stats.Trees)
+	sweepGeneral.Add(s.stats.GeneralTrees)
+	sweepMemoHits.Add(s.stats.MemoHits)
+	sweepMemoFills.Add(s.stats.MemoFills)
+	putWS(s.ws)
+	s.ws, s.dests = nil, nil
+}
+
+// Counters reports what this sweep has done so far.
+func (s *Sweep) Counters() SweepCounters { return s.stats }
+
+// Tree returns KMB(g, m, [root]+D).
+func (s *Sweep) Tree(root int) (Tree, error) {
+	ids, err := s.build(root)
+	if err != nil {
+		return Tree{}, err
+	}
+	return treeFromEdges(s.g, ids), nil
+}
+
+// Cost returns the cost of Tree(root) without materialising it.
+func (s *Sweep) Cost(root int) (float64, error) {
+	ids, err := s.build(root)
+	var cost float64
+	for _, id := range ids {
+		cost += s.g.Edge(id).Cost
+	}
+	return cost, err
+}
+
+// build runs KMB for one root and returns the tree's edge ids in
+// ascending order, in workspace storage valid until the next call.
+//
+// Steps 1 and 2 are the textbook ones — Prim over the metric closure
+// of dedup([root]+D), starting at the root, lowest index first and
+// strict < on ties; closure edges expanded along the metric's (from,
+// to) shortest paths — with the paths between destinations OR-ed in
+// from the memo. Steps 3 and 4 (MST of the expansion, pruning of
+// non-terminal leaves) are decided by two popcounts. The expansion is
+// connected by construction, so it is a tree exactly when it has one
+// edge fewer than nodes; Kruskal keeps every edge of a tree, and every
+// leaf of a union of terminal-to-terminal simple paths is a terminal,
+// so pruning removes none: the expansion is the answer, read off in id
+// order, which is the order prune sorts into. Otherwise the expansion
+// goes through mstOfCollected and prune as it always did.
+func (s *Sweep) build(root int) ([]int, error) {
+	ws, td := s.ws, len(s.dests)
+	rootAt := fromRoot // root's index in dests, if it is a destination
+	rootRow := s.m.Dist[root]
+	for i, d := range s.dests {
+		if d == root {
+			rootAt = i
+		} else if rootRow[d] == graph.Inf {
+			return nil, fmt.Errorf("%w: %d and %d", ErrUnreachable, root, d)
+		}
+	}
+	if td == 0 || (td == 1 && rootAt == 0) {
+		return nil, nil // a single terminal: the empty tree
+	}
+	s.stats.Trees++
+
+	// 1. Prim. The root joins first; each later round picks the open
+	// terminal nearest the tree and, in the same pass that relaxes the
+	// others against it, finds the next pick.
+	inTree, bestD, bestFrom := ws.tIn, ws.tDist, ws.tFrom
+	next := -1
+	for i, d := range s.dests {
+		inTree[i] = i == rootAt
+		if inTree[i] {
+			continue
+		}
+		bestD[i], bestFrom[i] = rootRow[d], int32(rootAt)
+		if next == -1 || bestD[i] < bestD[next] {
+			next = i
+		}
+	}
+	closure := ws.pairs[:0] // (from, to) indices into dests
+	for next != -1 {
+		pick := next
+		inTree[pick] = true
+		closure = append(closure, [2]int32{bestFrom[pick], int32(pick)})
+		row := ws.dd[pick*td : (pick+1)*td]
+		next = -1
+		for i, d := range row {
+			if inTree[i] {
+				continue
+			}
+			if d < bestD[i] {
+				bestD[i], bestFrom[i] = d, int32(pick)
+			}
+			if next == -1 || bestD[i] < bestD[next] {
+				next = i
+			}
+		}
+	}
+	ws.pairs = closure
+
+	// 2. Expand the closure edges into one edge bitset and one node
+	// bitset.
+	eb, nb := ws.bits[:s.ew], ws.bits[s.ew:]
+	clear(ws.bits)
+	for _, ce := range closure {
+		if ce[0] == fromRoot {
+			if err := s.walk(root, s.dests[ce[1]], eb, nb); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		off, err := s.path(int(ce[0]), int(ce[1]))
+		if err != nil {
+			return nil, err
+		}
+		for i, w := range ws.arena[off : off+len(ws.bits)] {
+			ws.bits[i] |= w // edge words then node words, as in the memo
+		}
+	}
+
+	// 3 and 4.
+	ids := ws.edges[:0]
+	for i, w := range eb {
+		for ; w != 0; w &= w - 1 {
+			ids = append(ids, i<<6+bits.TrailingZeros64(w))
+		}
+	}
+	ws.edges = ids
+	nodes := 0
+	for _, w := range nb {
+		nodes += bits.OnesCount64(w)
+	}
+	if len(ids) == nodes-1 {
+		return ids, nil
+	}
+	s.stats.GeneralTrees++
+	ws.rootTerms = append(append(ws.rootTerms[:0], root), s.dests...)
+	return ws.prune(s.g, ws.mstOfCollected(s.g), ws.rootTerms), nil
+}
+
+// path returns the arena offset of the memoised shortest path
+// dests[i] -> dests[j], walking and storing it on first use.
+func (s *Sweep) path(i, j int) (int, error) {
+	ws := s.ws
+	at := i*len(s.dests) + j
+	if off := ws.slot[at]; off >= 0 {
+		s.stats.MemoHits++
+		return int(off), nil
+	}
+	off := len(ws.arena)
+	ws.arena = append(ws.arena, make([]uint64, s.ew+s.nw)...)
+	p := ws.arena[off:]
+	if err := s.walk(s.dests[i], s.dests[j], p[:s.ew], p[s.ew:]); err != nil {
+		ws.arena = ws.arena[:off]
+		return 0, err
+	}
+	ws.slot[at] = int32(off)
+	s.stats.MemoFills++
+	return off, nil
+}
+
+// walk sets the bits of the metric's shortest path u -> v: every node
+// on it in nb, and per hop the cheapest edge joining the two nodes in
+// eb.
+func (s *Sweep) walk(u, v int, eb, nb []uint64) error {
+	nb[u>>6] |= 1 << (u & 63)
+	badU, badV := -1, -1
+	s.m.EachHop(u, v, func(x, y int) {
+		id, ok := cheapestEdgeBetween(s.g, x, y)
+		if !ok {
+			badU, badV = x, y
+			return
+		}
+		eb[id>>6] |= 1 << (id & 63)
+		nb[y>>6] |= 1 << (y & 63)
+	})
+	if badU != -1 {
+		return fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
+	}
+	return nil
+}

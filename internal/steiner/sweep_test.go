@@ -1,0 +1,357 @@
+package steiner
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"sftree/internal/graph"
+)
+
+// referenceKMB is the textbook four-step KMB the package shipped
+// before Sweep: Prim over the metric closure, expansion along the
+// metric's shortest paths, Kruskal over the expansion, leaf pruning —
+// one root at a time, nothing shared, nothing skipped. It is the
+// oracle for every sweep.
+func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
+	ws := getWS()
+	defer putWS(ws)
+	terminals = ws.dedup(terminals, g.NumNodes())
+	switch len(terminals) {
+	case 0:
+		return Tree{}, ErrNoTerminals
+	case 1:
+		return Tree{}, nil
+	}
+	for _, a := range terminals[1:] {
+		if m.Dist[terminals[0]][a] == graph.Inf {
+			return Tree{}, fmt.Errorf("%w: %d and %d", ErrUnreachable, terminals[0], a)
+		}
+	}
+
+	// 1. MST of the metric closure over terminals (Prim, O(t^2)).
+	t := len(terminals)
+	inTree := make([]bool, t)
+	bestD := make([]float64, t)
+	bestFrom := make([]int, t)
+	for i := range bestD {
+		bestD[i], bestFrom[i] = graph.Inf, -1
+	}
+	bestD[0] = 0
+	var closure [][2]int
+	for range terminals {
+		pick := -1
+		for i := 0; i < t; i++ {
+			if !inTree[i] && (pick == -1 || bestD[i] < bestD[pick]) {
+				pick = i
+			}
+		}
+		inTree[pick] = true
+		if bestFrom[pick] >= 0 {
+			closure = append(closure, [2]int{bestFrom[pick], pick})
+		}
+		for i := 0; i < t; i++ {
+			if !inTree[i] {
+				if d := m.Dist[terminals[pick]][terminals[i]]; d < bestD[i] {
+					bestD[i], bestFrom[i] = d, pick
+				}
+			}
+		}
+	}
+
+	// 2. Expand closure edges into shortest paths; collect distinct edges.
+	ws.bumpEdges(g.NumEdges())
+	badU, badV := -1, -1
+	for _, ce := range closure {
+		m.EachHop(terminals[ce[0]], terminals[ce[1]], func(x, y int) {
+			id, ok := cheapestEdgeBetween(g, x, y)
+			if !ok {
+				badU, badV = x, y
+				return
+			}
+			ws.markEdge(id)
+		})
+	}
+	if badU != -1 {
+		return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
+	}
+
+	// 3. MST of the expansion subgraph; 4. prune non-terminal leaves.
+	return treeFromEdges(g, ws.prune(g, ws.mstOfCollected(g), terminals)), nil
+}
+
+// errClass sorts errors into the classes callers tell apart.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrUnreachable):
+		return "unreachable"
+	case errors.Is(err, ErrNoTerminals):
+		return "no terminals"
+	default:
+		return "other"
+	}
+}
+
+// diffSweep holds one sweep over dests, and KMB itself, to the oracle
+// for every node as root: same edges in the same order, Cost ==, same
+// error class. It returns how many of the sweep's trees took the
+// general branch.
+func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) int64 {
+	t.Helper()
+	s := NewSweep(g, m, dests)
+	defer s.Close()
+	for root := 0; root < g.NumNodes(); root++ {
+		terminals := append([]int{root}, dests...)
+		want, wantErr := referenceKMB(g, m, terminals)
+		check := func(what string, got Tree, err error) {
+			t.Helper()
+			if errClass(err) != errClass(wantErr) {
+				t.Fatalf("%s root %d dests %v: error %v, oracle %v", what, root, dests, err, wantErr)
+			}
+			if !slices.Equal(got.Edges, want.Edges) || got.Cost != want.Cost {
+				t.Fatalf("%s root %d dests %v: tree %v cost %v, oracle %v cost %v",
+					what, root, dests, got.Edges, got.Cost, want.Edges, want.Cost)
+			}
+		}
+		got, err := s.Tree(root)
+		check("Sweep.Tree", got, err)
+		cost, err := s.Cost(root)
+		check("Sweep.Cost", Tree{Edges: want.Edges, Cost: cost}, err)
+		got, err = KMB(g, m, terminals)
+		check("KMB", got, err)
+	}
+	return s.Counters().GeneralTrees
+}
+
+// apspBuilders are the three ways a metric reaches the solver; they
+// break equal-cost ties differently, so each is its own case.
+var apspBuilders = []struct {
+	name  string
+	build func(*graph.Graph) *graph.Metric
+}{
+	{"FloydWarshall", (*graph.Graph).FloydWarshall},
+	{"AllDijkstra", (*graph.Graph).AllDijkstra},
+	{"APSPAuto", (*graph.Graph).APSPAuto},
+}
+
+// costModes draw edge costs: floats (ties rare), all ones and {1,2}
+// (ties everywhere).
+var costModes = []func(*rand.Rand) float64{
+	func(rng *rand.Rand) float64 { return 1 + rng.Float64()*9 },
+	func(*rand.Rand) float64 { return 1 },
+	func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(2)) },
+}
+
+func randomGraphWithCosts(rng *rand.Rand, n, extra int, cost func(*rand.Rand) float64) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(rng.Intn(v), v, cost(rng))
+	}
+	for i := 0; i < extra; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.MustAddEdge(u, v, cost(rng))
+		}
+	}
+	return g
+}
+
+func unitGrid(rows, cols int) *graph.Graph {
+	g := graph.New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				g.MustAddEdge(r*cols+c, r*cols+c+1, 1)
+			}
+			if r+1 < rows {
+				g.MustAddEdge(r*cols+c, (r+1)*cols+c, 1)
+			}
+		}
+	}
+	return g
+}
+
+func hypercube(dim int) *graph.Graph {
+	g := graph.New(1 << dim)
+	for v := 0; v < 1<<dim; v++ {
+		for b := 0; b < dim; b++ {
+			if u := v ^ 1<<b; v < u {
+				g.MustAddEdge(v, u, 1)
+			}
+		}
+	}
+	return g
+}
+
+// generalBranchGraph is the smallest instance found whose expansion is
+// not a tree: the paths 0 -> 6 and 6 -> 8 take different sides of the
+// diamond 3-4-6-5 under AllDijkstra, so the union holds its cycle.
+func generalBranchGraph() (g *graph.Graph, dests []int) {
+	g = graph.New(9)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {6, 5}, {6, 4}, {3, 7}, {7, 8}} {
+		g.MustAddEdge(e[0], e[1], 1)
+	}
+	return g, []int{6, 8}
+}
+
+func TestSweepDifferentialRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 330; trial++ {
+		n := 2 + rng.Intn(28)
+		g := randomGraphWithCosts(rng, n, rng.Intn(2*n), costModes[trial%len(costModes)])
+		dests := make([]int, 1+rng.Intn(8))
+		for i := range dests {
+			dests[i] = rng.Intn(n) // duplicates and root-in-D come up on their own
+		}
+		for _, apsp := range apspBuilders {
+			diffSweep(t, g, apsp.build(g), dests)
+		}
+	}
+}
+
+func TestSweepDifferentialLattices(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	graphs := []*graph.Graph{unitGrid(4, 4), unitGrid(6, 6), unitGrid(3, 9), unitGrid(9, 8), hypercube(3), hypercube(5), hypercube(6)}
+	for _, g := range graphs {
+		for _, apsp := range apspBuilders {
+			m := apsp.build(g)
+			for trial := 0; trial < 6; trial++ {
+				diffSweep(t, g, m, rng.Perm(g.NumNodes())[:2+rng.Intn(7)])
+			}
+		}
+	}
+}
+
+func TestSweepDifferentialEdgeCases(t *testing.T) {
+	path := graph.New(5)
+	for v := 1; v < 5; v++ {
+		path.MustAddEdge(v-1, v, 1)
+	}
+	split := graph.New(6) // two components: 0-1-2 and 3-4, node 5 alone
+	split.MustAddEdge(0, 1, 1)
+	split.MustAddEdge(1, 2, 2)
+	split.MustAddEdge(3, 4, 1)
+	parallel := graph.New(3) // parallel edges, equal and unequal costs
+	parallel.MustAddEdge(0, 1, 2)
+	parallel.MustAddEdge(0, 1, 1)
+	parallel.MustAddEdge(1, 0, 1)
+	parallel.MustAddEdge(1, 2, 3)
+	parallel.MustAddEdge(2, 1, 3)
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		dests []int
+	}{
+		{"no destinations", path, nil},
+		{"one destination", path, []int{3}},
+		{"duplicates", path, []int{4, 0, 4, 0, 2, 2}},
+		{"every node", path, []int{0, 1, 2, 3, 4}},
+		{"unreachable for some roots", split, []int{0, 2}},
+		{"unreachable for every root", split, []int{1, 4}},
+		{"isolated destination", split, []int{5}},
+		{"parallel edges", parallel, []int{2, 0}},
+	} {
+		for _, apsp := range apspBuilders {
+			t.Run(tc.name+"/"+apsp.name, func(t *testing.T) {
+				diffSweep(t, tc.g, apsp.build(tc.g), tc.dests)
+			})
+		}
+	}
+	if _, err := KMB(path, path.FloydWarshall(), nil); !errors.Is(err, ErrNoTerminals) {
+		t.Errorf("KMB of no terminals: %v, want ErrNoTerminals", err)
+	}
+}
+
+// The tree test must be allowed to fail: on this instance the
+// expansion for root 0 holds a cycle, and the sweep has to notice and
+// fall back to Kruskal and pruning.
+func TestSweepGeneralBranch(t *testing.T) {
+	g, dests := generalBranchGraph()
+	before := SweepStats()
+	general := diffSweep(t, g, g.AllDijkstra(), dests)
+	if general == 0 {
+		t.Fatal("no root took the general branch; the instance no longer covers it")
+	}
+	after := SweepStats()
+	if after.GeneralTrees-before.GeneralTrees < general || after.Trees <= before.Trees {
+		t.Errorf("SweepStats moved from %+v to %+v, sweep alone counted %d general trees", before, after, general)
+	}
+	if after.MemoFills <= before.MemoFills || after.MemoHits <= before.MemoHits {
+		t.Errorf("path memo unused: %+v -> %+v", before, after)
+	}
+}
+
+// fuzzGraph decodes a graph from fuzz bytes: n nodes on a spanning
+// path (so most roots reach most destinations), then one extra edge
+// per byte triple. Bit 7 of the cost byte picks a fractional cost,
+// otherwise costs are 1 or 2 and ties are everywhere.
+func fuzzGraph(n int, spine bool, edges []byte) *graph.Graph {
+	g := graph.New(n)
+	if spine {
+		for v := 1; v < n; v++ {
+			g.MustAddEdge(v-1, v, 1)
+		}
+	}
+	for ; len(edges) >= 3; edges = edges[3:] {
+		u, v, c := int(edges[0])%n, int(edges[1])%n, edges[2]
+		if u == v {
+			continue
+		}
+		cost := float64(1 + c&1)
+		if c&0x80 != 0 {
+			cost = 1 + float64(c&0x7f)/16
+		}
+		g.MustAddEdge(u, v, cost)
+	}
+	return g
+}
+
+func FuzzSweepDifferential(f *testing.F) {
+	// The general-branch instance, edge for edge.
+	f.Add(uint8(9), false, []byte{0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 3, 5, 0, 6, 5, 0, 6, 4, 0, 3, 7, 0, 7, 8, 0}, []byte{6, 8}, uint8(1))
+	// A 4x4 unit grid's worth of ties, a float-cost tangle, two
+	// components, duplicates and the empty destination set.
+	f.Add(uint8(16), true, []byte{0, 4, 0, 4, 8, 0, 8, 12, 0, 1, 5, 0, 5, 9, 0, 9, 13, 0, 2, 6, 0, 6, 10, 0, 3, 7, 0, 11, 15, 0}, []byte{15, 5, 10, 3}, uint8(0))
+	f.Add(uint8(12), true, []byte{0, 7, 0x93, 3, 9, 0xa1, 2, 11, 0x85, 5, 1, 0xff, 8, 4, 0x80}, []byte{11, 0, 6}, uint8(2))
+	f.Add(uint8(6), false, []byte{0, 1, 0, 1, 2, 1, 3, 4, 0}, []byte{2, 4, 0}, uint8(0))
+	f.Add(uint8(5), true, []byte{}, []byte{4, 4, 0, 0}, uint8(1))
+	f.Add(uint8(3), true, []byte{}, []byte{}, uint8(2))
+	f.Fuzz(func(t *testing.T, n uint8, spine bool, edges, dests []byte, apsp uint8) {
+		if n == 0 || n > 48 || len(edges) > 3*96 || len(dests) > 12 {
+			t.Skip()
+		}
+		g := fuzzGraph(int(n), spine, edges)
+		d := make([]int, len(dests))
+		for i, b := range dests {
+			d[i] = int(b) % int(n)
+		}
+		diffSweep(t, g, apspBuilders[int(apsp)%len(apspBuilders)].build(g), d)
+	})
+}
+
+// TakahashiMatsuyama used to range over maps: on this grid most
+// repeats returned a different edge set from the first.
+func TestTakahashiMatsuyamaDeterministic(t *testing.T) {
+	g := unitGrid(6, 6)
+	m := g.FloydWarshall()
+	dests := []int{35, 5, 30, 14, 21}
+	first, err := TakahashiMatsuyama(g, m, 0, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.IsTreeSpanning(first.Edges, append([]int{0}, dests...)) {
+		t.Fatalf("not a tree spanning the terminals: %v", first.Edges)
+	}
+	for rep := 1; rep < 200; rep++ {
+		again, err := TakahashiMatsuyama(g, m, 0, dests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(again.Edges, first.Edges) || again.Cost != first.Cost {
+			t.Fatalf("repeat %d: edges %v cost %v, first call %v cost %v", rep, again.Edges, again.Cost, first.Edges, first.Cost)
+		}
+	}
+}

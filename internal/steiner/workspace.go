@@ -14,8 +14,9 @@ import (
 // formulations allocate dominated the solver's allocation profile;
 // the workspace replaces them with epoch-marked flat arrays recycled
 // through a sync.Pool. Acquire with getWS, release with putWS on the
-// same call path; nothing reachable from the workspace may escape
-// into a returned Tree.
+// same call path — or, for a Sweep, which keeps its workspace from
+// NewSweep to Close, on the same goroutine; nothing reachable from the
+// workspace may escape into a returned Tree.
 type workspace struct {
 	// nodeMark/nodeGen: epoch membership marks over graph nodes
 	// (terminal sets, dedup). A node is marked iff nodeMark[v] == nodeGen.
@@ -37,6 +38,9 @@ type workspace struct {
 	heap   graph.NodeHeap
 	// uf serves both Kruskal over nodes and the terminal-region MST.
 	uf graph.UnionFind
+	// treeNodes lists the growing tree's nodes in joining order
+	// (Takahashi-Matsuyama).
+	treeNodes []int
 	// Terminal-sized buffers.
 	terms []int
 	tDist []float64
@@ -46,6 +50,15 @@ type workspace struct {
 	// Bridge matrices (Mehlhorn), t*t flattened.
 	bridgeW []float64
 	bridgeE []int32
+	// Sweep state (see Sweep): the D*D distance block and path-memo
+	// slots, the memo arena, the current root's edge and node bitsets;
+	// rootTerms is a [root]+D terminal list (the sweep's general
+	// branch, Takahashi-Matsuyama).
+	dd        []float64
+	slot      []int32
+	arena     []uint64
+	bits      []uint64
+	rootTerms []int
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}

@@ -5,7 +5,7 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + bench module + race tests + chaos + recover + conformance + bench + obs + queue + load
+#   ./tools.sh          # vet + gofmt + bench module + race tests + fuzz smoke + chaos + recover + conformance + bench + obs + queue + load
 #   ./tools.sh quick    # vet + gofmt + bench module only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the bounded
 #                       # fixed-seed equivalence battery under -race
@@ -237,6 +237,12 @@ fi
 
 echo "==> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
+
+# The seed corpora already ran above as plain tests; ten seconds of
+# mutation on top holds the KMB sweep to its textbook oracle on graphs
+# nobody wrote down.
+echo "==> fuzz smoke: FuzzSweepDifferential, 10s"
+go test -run '^$' -fuzz FuzzSweepDifferential -fuzztime 10s ./internal/steiner
 
 chaos_gate
 
