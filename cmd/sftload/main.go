@@ -347,10 +347,9 @@ type loadDoc struct {
 		HoldSec     float64 `json:"hold_sec"`
 		Faults      int     `json:"faults"`
 		Parallelism int     `json:"parallelism"`
-		// QueueDepth/BatchWindowMs record the in-process server's
-		// admission-queue settings; zero depth means inline admission.
-		QueueDepth    int     `json:"queue_depth,omitempty"`
-		BatchWindowMs float64 `json:"batch_window_ms,omitempty"`
+		// QueueDepth records the in-process server's admission-queue
+		// depth; zero means inline admission.
+		QueueDepth int `json:"queue_depth,omitempty"`
 	} `json:"config"`
 	Points []point `json:"points"`
 	// Metrics excerpts the server's /metrics floats (cache hit rates,
@@ -556,7 +555,6 @@ func run(args []string, stdout io.Writer) error {
 		gate     = fs.String("gate", "", "regression-gate mode: fail if sustained adm/s at this baseline BENCH_load.json's top rate point dropped more than 10%")
 		restart  = fs.Duration("restart", 0, "kill and WAL-restore the in-process manager this long into the first rate point (0 disables; in-process mode only)")
 		qdepth   = fs.Int("queue-depth", 0, "run the in-process server's batched admission queue at this depth (0 = inline admission)")
-		qwindow  = fs.Duration("batch-window", 2*time.Millisecond, "admission-queue batch window for the in-process server (with -queue-depth)")
 		speedup  = fs.Float64("queue-speedup", 0, "dual-run diagnostic gate: queued server must sustain this multiple of the inline server's adm/s at an overloaded shared-signature point, with no regression at the mixed point (0 disables)")
 		gateSpee = fs.Float64("gate-speedup", 0, "with -gate: require this run's best unsaturated adm/s to reach this multiple of the baseline's top unsaturated adm/s (0 = same-rate no-regression check)")
 	)
@@ -588,7 +586,7 @@ func run(args []string, stdout io.Writer) error {
 			return errors.New("-queue-speedup needs the in-process servers; it cannot A/B a remote one")
 		}
 		return runQueueSpeedup(network, core.Options{Parallelism: *par}, *seed,
-			*duration, *warmup, *drain, *hold, *qdepth, *qwindow, *speedup, stdout)
+			*duration, *warmup, *drain, *hold, *qdepth, *speedup, stdout)
 	}
 
 	w := &world{url: *url, opts: core.Options{Parallelism: *par}}
@@ -596,10 +594,9 @@ func run(args []string, stdout io.Writer) error {
 		reg := obs.NewRegistry()
 		quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 		cfg := server.Config{
-			Registry:    reg,
-			Logger:      quiet,
-			QueueDepth:  *qdepth,
-			BatchWindow: *qwindow,
+			Registry:   reg,
+			Logger:     quiet,
+			QueueDepth: *qdepth,
 		}
 		if *restart > 0 {
 			// Durable-restart mode: the manager logs every commit to a
@@ -679,9 +676,6 @@ func run(args []string, stdout io.Writer) error {
 	doc.Config.Faults = *faultsN
 	doc.Config.Parallelism = *par
 	doc.Config.QueueDepth = *qdepth
-	if *qdepth > 0 {
-		doc.Config.BatchWindowMs = float64(*qwindow) / float64(time.Millisecond)
-	}
 
 	fmt.Fprintf(stdout, "%10s %9s %9s %6s %5s %9s %8s %8s %8s %8s %7s %4s\n",
 		"rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p50ms", "p95ms", "p99ms", "p999ms", "rej%", "sat")
@@ -798,14 +792,13 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // newSelfWorld boots one in-process server for the A/B speedup gate.
-func newSelfWorld(network *nfv.Network, opts core.Options, qdepth int, qwindow time.Duration) *world {
+func newSelfWorld(network *nfv.Network, opts core.Options, qdepth int) *world {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	reg := obs.NewRegistry()
 	srv := server.NewWith(network, opts, server.Config{
-		Registry:    reg,
-		Logger:      quiet,
-		QueueDepth:  qdepth,
-		BatchWindow: qwindow,
+		Registry:   reg,
+		Logger:     quiet,
+		QueueDepth: qdepth,
 	})
 	w := &world{opts: opts, srv: srv, reg: reg, mgr: srv.Manager()}
 	w.ts = httptest.NewServer(srv)
@@ -836,7 +829,7 @@ const (
 // plans. The queued server must sustain at least `factor` times the
 // inline adm/s at the overloaded shared-signature point and at least
 // speedupMixedTolerance of it at the unsaturated mixed point.
-func runQueueSpeedup(network *nfv.Network, opts core.Options, seed int64, duration, warmup, drain, hold time.Duration, qdepth int, qwindow time.Duration, factor float64, stdout io.Writer) error {
+func runQueueSpeedup(network *nfv.Network, opts core.Options, seed int64, duration, warmup, drain, hold time.Duration, qdepth int, factor float64, stdout io.Writer) error {
 	if qdepth <= 0 {
 		qdepth = 1024
 	}
@@ -871,7 +864,7 @@ func runQueueSpeedup(network *nfv.Network, opts core.Options, seed int64, durati
 	fmt.Fprintf(stdout, "%8s %8s %10s %9s %9s %6s %5s %9s %8s %4s\n",
 		"server", "point", "rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p99ms", "sat")
 	for _, v := range variants {
-		w := newSelfWorld(network.Clone(), opts, v.depth, qwindow)
+		w := newSelfWorld(network.Clone(), opts, v.depth)
 		relCtx, relCancel := context.WithCancel(ctx)
 		var relWG sync.WaitGroup
 		run := func(plan []arrival, rate float64, label string) (point, error) {

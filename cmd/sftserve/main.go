@@ -146,7 +146,6 @@ func run(ctx context.Context, args []string) error {
 		solveMax  = fs.Duration("solve-timeout", 0, "ceiling on any one solve/admission; the solver returns its best embedding so far at the deadline (0 = unbounded)")
 		sample    = fs.Duration("sample-interval", 5*time.Second, "Go-runtime sampler period feeding /metrics (goroutines, heap, GC pauses); 0 disables")
 		queueDep  = fs.Int("queue-depth", 256, "bounded admission queue depth for POST /v1/sessions; overflow answers 429 with Retry-After; 0 solves inline")
-		batchWin  = fs.Duration("batch-window", 2*time.Millisecond, "how long the admission dispatcher lingers so a burst pools into one chain-signature batch")
 		walDir    = fs.String("wal-dir", "", "write-ahead-log directory for durable admission state; empty disables durability")
 		snapEvery = fs.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a compacted snapshot; 0 disables periodic snapshots")
 		fsyncPol  = fs.String("fsync", "always", "WAL fsync policy: always (fsync per commit), interval (batched), none (OS-buffered)")
@@ -223,7 +222,6 @@ func run(ctx context.Context, args []string) error {
 		SolveTimeout: *solveMax,
 		Manager:      mgr,
 		QueueDepth:   *queueDep,
-		BatchWindow:  *batchWin,
 	})
 	if *sample > 0 {
 		stopSampler := obs.StartRuntimeSampler(ctx, reg, *sample)

@@ -22,7 +22,7 @@ type BatchTask struct {
 }
 
 // BatchOutcome is one task's admission result. Exactly one outcome is
-// produced per BatchTask, in input order.
+// delivered per BatchTask, in input order.
 type BatchOutcome struct {
 	Sess *Session
 	Err  error
@@ -54,10 +54,14 @@ type BatchOutcome struct {
 // in the same order would produce: snapshot reuse is gated on the same
 // version triple tryCommit validates, so a reused snapshot is
 // indistinguishable from one taken fresh.
-func (m *Manager) AdmitBatch(ctx context.Context, tasks []BatchTask) []BatchOutcome {
+//
+// done receives task i's outcome the moment its commit (or rejection)
+// is final, on the calling goroutine and before task i+1 starts, so a
+// caller can answer each task without waiting for the rest of the
+// batch.
+func (m *Manager) AdmitBatch(ctx context.Context, tasks []BatchTask, done func(i int, out BatchOutcome)) {
 	m.inflight.Add(1)
 	defer m.inflight.Done()
-	outs := make([]BatchOutcome, len(tasks))
 	var reuse *snapshot
 	for i, bt := range tasks {
 		base := bt.Ctx
@@ -77,22 +81,21 @@ func (m *Manager) AdmitBatch(ctx context.Context, tasks []BatchTask) []BatchOutc
 		if cancel != nil {
 			cancel()
 		}
-		outs[i] = BatchOutcome{
+		if out.coalesced && out.err == nil {
+			m.noteCoalesced()
+		}
+		done(i, BatchOutcome{
 			Sess:      out.sess,
 			Err:       out.err,
 			Coalesced: out.coalesced,
 			Retries:   out.retries,
 			Duration:  time.Since(start),
-		}
-		if out.coalesced && out.err == nil {
-			m.noteCoalesced()
-		}
+		})
 		reuse = nil
 		if out.snapValid {
 			reuse = &out.snap
 		}
 	}
-	return outs
 }
 
 // CloneNetwork takes a consistent deep clone of the managed network

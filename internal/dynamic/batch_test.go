@@ -13,6 +13,24 @@ import (
 	"sftree/internal/nfv"
 )
 
+// admitBatch runs AdmitBatch and collects the per-task outcomes in
+// input order, checking that each is delivered exactly once and in
+// sequence.
+func admitBatch(t *testing.T, m *Manager, bts []BatchTask) []BatchOutcome {
+	t.Helper()
+	outs := make([]BatchOutcome, 0, len(bts))
+	m.AdmitBatch(context.Background(), bts, func(i int, out BatchOutcome) {
+		if i != len(outs) {
+			t.Errorf("outcome %d delivered at position %d", i, len(outs))
+		}
+		outs = append(outs, out)
+	})
+	if len(outs) != len(bts) {
+		t.Fatalf("%d outcomes for %d tasks", len(outs), len(bts))
+	}
+	return outs
+}
+
 // embBytes canonicalizes a session's embedding for bit-level
 // comparison.
 func embBytes(t *testing.T, sess *Session) string {
@@ -60,7 +78,7 @@ func TestAdmitBatchMatchesSerialized(t *testing.T) {
 		for _, task := range tasks[lo:hi] {
 			bts = append(bts, BatchTask{Task: task})
 		}
-		outs = append(outs, mA.AdmitBatch(context.Background(), bts)...)
+		outs = append(outs, admitBatch(t, mA, bts)...)
 		lo = hi
 	}
 
@@ -123,7 +141,7 @@ func TestAdmitBatchCoalesces(t *testing.T) {
 	}
 
 	bts := []BatchTask{{Task: task}, {Task: task}, {Task: task}}
-	outs := m.AdmitBatch(context.Background(), bts)
+	outs := admitBatch(t, m, bts)
 	coalesced := 0
 	for i, out := range outs {
 		if out.Err != nil {
@@ -155,7 +173,7 @@ func TestAdmitBatchDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(net, core.Options{})
-	outs := m.AdmitBatch(context.Background(), []BatchTask{
+	outs := admitBatch(t, m, []BatchTask{
 		{Task: task, Deadline: time.Now().Add(time.Hour)},
 	})
 	if outs[0].Err != nil {

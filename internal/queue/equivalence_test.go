@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -64,36 +65,95 @@ func embJSON(t *testing.T, sess *dynamic.Session) string {
 	return string(blob)
 }
 
+// checkEquivalence replays the tickets' tasks through serialized
+// AdmitCtx calls on mS in the queue's recorded dispatch order and
+// requires bit-identical admission decisions to what the queue
+// produced on mQ — same per-task outcome, session IDs, embedding
+// bytes, cost bits, ref ledger and accounting — and both final states
+// must pass the conformance validator.
+func checkEquivalence(t *testing.T, mQ, mS *dynamic.Manager, tickets []*Ticket) {
+	t.Helper()
+	ordered := append([]*Ticket(nil), tickets...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
+	for i, tk := range ordered {
+		if tk.order != i {
+			t.Fatalf("dispatch orders are not 0..%d: position %d holds order %d (err %v)", len(ordered)-1, i, tk.order, tk.err)
+		}
+		sessS, errS := mS.AdmitCtx(context.Background(), tk.task)
+		if (tk.err == nil) != (errS == nil) {
+			t.Fatalf("order %d: queue err %v, serial err %v", tk.order, tk.err, errS)
+		}
+		if errS != nil {
+			continue
+		}
+		if tk.sess.ID != sessS.ID {
+			t.Fatalf("order %d: session ID %d vs %d", tk.order, tk.sess.ID, sessS.ID)
+		}
+		if a, b := embJSON(t, tk.sess), embJSON(t, sessS); a != b {
+			t.Fatalf("order %d: embeddings diverge:\n%s\n%s", tk.order, a, b)
+		}
+		if a, b := tk.sess.Result.FinalCost, sessS.Result.FinalCost; math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("order %d: cost %v vs %v", tk.order, a, b)
+		}
+	}
+
+	sQ, sS := mQ.Stats(), mS.Stats()
+	if sQ.Admitted != sS.Admitted || sQ.Rejected != sS.Rejected || sQ.Active != sS.Active {
+		t.Fatalf("stats diverge: queue %+v serial %+v", sQ, sS)
+	}
+	if math.Float64bits(sQ.AdmittedCost) != math.Float64bits(sS.AdmittedCost) {
+		t.Fatalf("accounting diverges: %v vs %v", sQ.AdmittedCost, sS.AdmittedCost)
+	}
+	refsQ, refsS := mQ.Refs(), mS.Refs()
+	if len(refsQ) != len(refsS) {
+		t.Fatalf("ref ledgers diverge: %d vs %d", len(refsQ), len(refsS))
+	}
+	for key, nref := range refsQ {
+		if refsS[key] != nref {
+			t.Fatalf("refs[%v] = %d vs %d", key, nref, refsS[key])
+		}
+	}
+	for _, m := range []*dynamic.Manager{mQ, mS} {
+		for _, sess := range m.Sessions() {
+			if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
+				t.Errorf("session %d: conformance: %v", sess.ID, err)
+			}
+		}
+		if err := m.VerifyRefs(); err != nil {
+			t.Errorf("refs: %v", err)
+		}
+	}
+}
+
 // TestQueueEquivalenceBattery is the headline gate: fixed-seed arrival
 // scripts replayed through a one-worker queue and through serialized
-// AdmitCtx calls on an identical network clone, in the queue's
-// recorded dispatch order, must produce bit-identical admission
-// decisions — same per-task outcome, session IDs, embedding bytes,
-// cost bits, ref ledger and accounting — and both final states must
-// pass the conformance validator.
+// AdmitCtx calls on an identical network clone must agree bit for bit
+// (see checkEquivalence). Both batch shapes are covered: a script
+// enqueued on an idle queue dispatches in whatever small batches the
+// solver's pace cuts, and one enqueued behind a held batch rides a
+// single EDF-sorted, signature-grouped batch.
 func TestQueueEquivalenceBattery(t *testing.T) {
 	for _, tc := range []struct {
-		seed   int64
-		n      int
-		window time.Duration
+		name string
+		seed int64
+		n    int
+		held bool
 	}{
-		{seed: 1, n: 24, window: 0},
-		{seed: 2, n: 24, window: 2 * time.Millisecond},
-		{seed: 3, n: 32, window: 10 * time.Millisecond},
-		{seed: 4, n: 16, window: 50 * time.Millisecond},
+		{name: "idle/1", seed: 1, n: 24},
+		{name: "held/2", seed: 2, n: 24, held: true},
+		{name: "held/3", seed: 3, n: 32, held: true},
+		{name: "idle/4", seed: 4, n: 16},
 	} {
-		t.Run("", func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			netQ, script := makeScript(t, tc.seed, tc.n)
-			netS := netQ.Clone()
 			mQ := dynamic.NewManager(netQ, core.Options{})
-			mS := dynamic.NewManager(netS, core.Options{})
+			mS := dynamic.NewManager(netQ.Clone(), core.Options{})
 
-			q := New(Config{
-				Depth:       len(script),
-				BatchWindow: tc.window,
-				Workers:     1,
-				Manager:     func() *dynamic.Manager { return mQ },
-			})
+			g := newGate(mQ)
+			if !tc.held {
+				g.open()
+			}
+			q := New(Config{Depth: len(script), Workers: 1, Manager: g.manager})
 			start := time.Now()
 			tickets := make([]*Ticket, len(script))
 			for i, a := range script {
@@ -106,6 +166,12 @@ func TestQueueEquivalenceBattery(t *testing.T) {
 					t.Fatalf("enqueue %d: %v", i, err)
 				}
 				tickets[i] = tk
+				if tc.held && i == 0 {
+					<-g.parked // the rest queue up behind the first
+				}
+			}
+			if tc.held {
+				g.open()
 			}
 			for i, tk := range tickets {
 				if _, err := tk.Wait(context.Background()); err != nil && !errors.Is(err, dynamic.ErrRejected) {
@@ -113,58 +179,60 @@ func TestQueueEquivalenceBattery(t *testing.T) {
 				}
 			}
 			closeQueue(t, q)
+			if st := q.Stats(); tc.held && st.Batches != 2 {
+				t.Errorf("held script must ride one batch behind its first ticket, got %d batches", st.Batches)
+			}
+			checkEquivalence(t, mQ, mS, tickets)
+		})
+	}
+}
 
-			// Serial replay in the queue's recorded dispatch order.
-			ordered := append([]*Ticket(nil), tickets...)
-			sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
-			for _, tk := range ordered {
-				if tk.order < 0 {
-					t.Fatalf("ticket never dispatched (err %v)", tk.err)
-				}
-				sessS, errS := mS.AdmitCtx(context.Background(), tk.task)
-				if (tk.err == nil) != (errS == nil) {
-					t.Fatalf("order %d: queue err %v, serial err %v", tk.order, tk.err, errS)
-				}
-				if errS != nil {
-					continue
-				}
-				if tk.sess.ID != sessS.ID {
-					t.Fatalf("order %d: session ID %d vs %d", tk.order, tk.sess.ID, sessS.ID)
-				}
-				if a, b := embJSON(t, tk.sess), embJSON(t, sessS); a != b {
-					t.Fatalf("order %d: embeddings diverge:\n%s\n%s", tk.order, a, b)
-				}
-				if a, b := tk.sess.Result.FinalCost, sessS.Result.FinalCost; math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("order %d: cost %v vs %v", tk.order, a, b)
-				}
-			}
+// TestQueueOrderAcrossSplit enqueues 32 same-signature no-deadline
+// tickets while the dispatcher is mid-batch, either all behind one
+// batch or in two halves that land in different batches: with nothing
+// for EDF to reorder they must dispatch in arrival order whichever way
+// the backlog was cut, and the outcome must still equal serialized
+// admission.
+func TestQueueOrderAcrossSplit(t *testing.T) {
+	for _, halves := range [][]int{{32}, {16, 16}} {
+		t.Run(fmt.Sprint(halves), func(t *testing.T) {
+			netQ, script := makeScript(t, 5, 1)
+			task := script[0].task
+			mQ := dynamic.NewManager(netQ, core.Options{})
+			mS := dynamic.NewManager(netQ.Clone(), core.Options{})
+			g := newGate(mQ)
+			q := New(Config{Depth: 64, Workers: 1, Manager: g.manager})
 
-			sQ, sS := mQ.Stats(), mS.Stats()
-			if sQ.Admitted != sS.Admitted || sQ.Rejected != sS.Rejected || sQ.Active != sS.Active {
-				t.Fatalf("stats diverge: queue %+v serial %+v", sQ, sS)
-			}
-			if math.Float64bits(sQ.AdmittedCost) != math.Float64bits(sS.AdmittedCost) {
-				t.Fatalf("accounting diverges: %v vs %v", sQ.AdmittedCost, sS.AdmittedCost)
-			}
-			refsQ, refsS := mQ.Refs(), mS.Refs()
-			if len(refsQ) != len(refsS) {
-				t.Fatalf("ref ledgers diverge: %d vs %d", len(refsQ), len(refsS))
-			}
-			for key, nref := range refsQ {
-				if refsS[key] != nref {
-					t.Fatalf("refs[%v] = %d vs %d", key, nref, refsS[key])
+			tickets := []*Ticket{g.hold(t, q, task)}
+			for h, n := range halves {
+				if h > 0 {
+					// Let the held batch go; what queued up behind it is
+					// the next batch, and is held mid-batch in turn.
+					g.resume <- struct{}{}
+					<-g.parked
 				}
-			}
-			for _, m := range []*dynamic.Manager{mQ, mS} {
-				for _, sess := range m.Sessions() {
-					if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
-						t.Errorf("session %d: conformance: %v", sess.ID, err)
+				for i := 0; i < n; i++ {
+					tk, err := q.Enqueue(context.Background(), task, time.Time{})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if err := m.VerifyRefs(); err != nil {
-					t.Errorf("refs: %v", err)
+					tickets = append(tickets, tk)
 				}
 			}
+			g.open()
+			for i, tk := range tickets {
+				if _, err := tk.Wait(context.Background()); err != nil && !errors.Is(err, dynamic.ErrRejected) {
+					t.Fatalf("ticket %d: %v", i, err)
+				}
+				if tk.Order() != i {
+					t.Errorf("ticket %d dispatched at %d: arrival order lost", i, tk.Order())
+				}
+			}
+			closeQueue(t, q)
+			if st := q.Stats(); int(st.Batches) != 1+len(halves) {
+				t.Errorf("want the plug's batch plus %d, got %d batches", len(halves), st.Batches)
+			}
+			checkEquivalence(t, mQ, mS, tickets)
 		})
 	}
 }

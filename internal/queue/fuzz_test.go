@@ -39,27 +39,29 @@ var fuzzBase = func() fuzzWorld {
 }()
 
 // FuzzQueueSchedule holds the never-lose-a-task contract over
-// arbitrary arrival/deadline/signature/batch-window interleavings:
+// arbitrary arrival/deadline/signature/batch-shape interleavings:
 // every enqueued task terminates in exactly one of {admitted,
-// rejected, expired}, session IDs are never double-committed, and the
-// manager's ledger survives a refcount audit afterwards.
+// rejected, expired, canceled}, the queue's books balance, session IDs
+// are never double-committed, and the manager's ledger survives a
+// refcount audit afterwards.
 //
-// Input encoding: byte 0 picks the batch window, byte 1 the queue
+// Input encoding: byte 0 picks the batch shape (odd: everything
+// queues up behind a held plug ticket and rides one batch; even: the
+// idle dispatcher cuts batches at its own pace), byte 1 the queue
 // depth; each following byte pair is one enqueue — the first byte
-// picks the task (signature), the second its deadline class (none,
-// already-past, tight, generous).
+// picks the task (signature), the second its class (no deadline,
+// caller already gone, deadline already past, tight, generous).
 func FuzzQueueSchedule(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 2, 3, 0, 5})
 	f.Add([]byte{2, 2, 0, 0, 0, 0, 1, 4, 2, 4, 0, 3})
 	f.Add([]byte{5, 8, 0, 7, 1, 3, 2, 0, 1, 5, 0, 4, 2, 6})
-	f.Add([]byte{1, 1, 0, 0})
+	f.Add([]byte{1, 1, 0, 0, 1, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip()
 		}
 		baseNet, pool := fuzzBase.net, fuzzBase.pool
-		windows := []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-		window := windows[int(data[0])%len(windows)]
+		held := data[0]%2 == 1
 		depth := 1 + int(data[1])%16
 		ops := data[2:]
 		if len(ops) > 48 {
@@ -67,19 +69,26 @@ func FuzzQueueSchedule(f *testing.F) {
 		}
 
 		m := dynamic.NewManager(baseNet.Clone(), core.Options{})
-		q := New(Config{
-			Depth:       depth,
-			BatchWindow: window,
-			Manager:     func() *dynamic.Manager { return m },
-		})
-
-		now := time.Now()
+		g := newGate(m)
+		q := New(Config{Depth: depth, Manager: g.manager})
 		var tickets []*Ticket
-		var overflow, preExpired int
+		if held {
+			tickets = append(tickets, g.hold(t, q, pool[0]))
+		} else {
+			g.open()
+		}
+
+		gone, cancel := context.WithCancel(context.Background())
+		cancel()
+		now := time.Now()
+		var overflow, pastDeadline int
 		for i := 0; i+1 < len(ops); i += 2 {
 			task := pool[int(ops[i])%len(pool)]
+			ctx := context.Background()
 			var deadline time.Time
 			switch int(ops[i+1]) % 8 {
+			case 2:
+				ctx = gone
 			case 3:
 				deadline = now.Add(-time.Second) // already past
 			case 4:
@@ -87,20 +96,23 @@ func FuzzQueueSchedule(f *testing.F) {
 			case 5, 6, 7:
 				deadline = now.Add(time.Minute)
 			}
-			tk, err := q.Enqueue(context.Background(), task, deadline)
+			tk, err := q.Enqueue(ctx, task, deadline)
 			switch {
 			case errors.Is(err, ErrQueueFull):
 				overflow++
 			case errors.Is(err, ErrExpired):
-				preExpired++
+				pastDeadline++
 			case err != nil:
 				t.Fatalf("enqueue: %v", err)
 			default:
 				tickets = append(tickets, tk)
 			}
 		}
+		if held {
+			g.open()
+		}
 
-		var admitted, rejected, expired int
+		var admitted, rejected, expired, canceled int
 		seen := make(map[dynamic.SessionID]bool)
 		for i, tk := range tickets {
 			sess, err := tk.Wait(context.Background())
@@ -116,23 +128,29 @@ func FuzzQueueSchedule(f *testing.F) {
 				if tk.Order() != -1 {
 					t.Fatalf("ticket %d expired but was dispatched (order %d)", i, tk.Order())
 				}
+			case errors.Is(err, context.Canceled):
+				canceled++
+				if tk.Order() != -1 {
+					t.Fatalf("ticket %d was canceled before enqueue but was dispatched (order %d)", i, tk.Order())
+				}
 			case errors.Is(err, dynamic.ErrRejected):
 				rejected++
 			default:
-				t.Fatalf("ticket %d: outcome outside {admitted, rejected, expired}: sess=%v err=%v", i, sess, err)
+				t.Fatalf("ticket %d: outcome outside {admitted, rejected, expired, canceled}: sess=%v err=%v", i, sess, err)
 			}
 		}
 		closeQueue(t, q)
 
-		if admitted+rejected+expired != len(tickets) {
-			t.Fatalf("%d tickets, outcomes %d+%d+%d", len(tickets), admitted, rejected, expired)
-		}
 		st := q.Stats()
-		if int(st.Admitted) != admitted || int(st.Rejected) != rejected {
-			t.Fatalf("queue counters %+v vs observed %d/%d", st, admitted, rejected)
+		checkConserved(t, st)
+		if int(st.Enqueued) != len(tickets) {
+			t.Fatalf("%d tickets, %d enqueued", len(tickets), st.Enqueued)
 		}
-		if int(st.Expired) != expired+preExpired || int(st.Overflow) != overflow {
-			t.Fatalf("expiry/overflow counters %+v vs observed %d/%d", st, expired+preExpired, overflow)
+		if int(st.Admitted) != admitted || int(st.Rejected) != rejected || int(st.Expired) != expired || int(st.Canceled) != canceled {
+			t.Fatalf("queue counters %+v vs observed %d/%d/%d/%d", st, admitted, rejected, expired, canceled)
+		}
+		if int(st.PastDeadline) != pastDeadline || int(st.Overflow) != overflow {
+			t.Fatalf("refusal counters %+v vs observed %d/%d", st, pastDeadline, overflow)
 		}
 		ms := m.Stats()
 		if ms.Admitted != admitted || ms.Active != admitted {

@@ -6,19 +6,30 @@
 // one metric warm-up, one scaffold build — while every task still
 // commits individually through the optimistic two-phase path.
 //
+// The queue is work-conserving: batches form behind a busy solver,
+// never behind a clock. The dispatcher takes everything pending the
+// instant it has nothing in flight, and whatever arrives while that
+// batch solves is the next batch — one ticket when idle, the whole
+// backlog under a burst or overload. Each ticket resolves the moment
+// its own commit lands, not when its batch ends.
+//
 // Scheduling is earliest-deadline-first: each drained batch drops
-// already-expired tickets before any solve runs (they answer
-// Retry-After upstream), sorts the rest by deadline (no deadline sorts
-// last) with the arrival sequence as tie-break, and dispatches
-// signature groups in that order. On one worker the result is
-// bit-identical to serialized AdmitCtx calls in the queue's dispatch
-// order — the property the equivalence battery in this package pins.
+// already-expired tickets and tickets whose caller has left before any
+// solve runs, sorts the rest by deadline (no deadline sorts last) with
+// the arrival sequence as tie-break, and dispatches signature groups
+// in that order. On one worker the result is bit-identical to
+// serialized AdmitCtx calls in the queue's dispatch order — the
+// property the equivalence battery in this package pins.
 //
 // The never-lose-a-task contract: every ticket accepted by Enqueue is
 // finished exactly once, in exactly one of {admitted, rejected,
-// expired, closed, unavailable}. Tickets are owned by exactly one
-// place at any time — the pending slice, a draining batch, or Close's
-// abandonment path — and only finish closes the ticket's done channel.
+// expired, closed, unavailable, canceled}, and Stats counts each, so
+// Enqueued equals their sum once the queue is closed. Tickets are
+// owned by exactly one place at any time — the pending slice, a
+// draining batch, or Close's abandonment path — and only finish closes
+// the ticket's done channel. No session outlives its caller: a ticket
+// whose Enqueue context ends before its commit lands is released at
+// once and finishes canceled.
 package queue
 
 import (
@@ -55,8 +66,8 @@ type Config struct {
 	// Depth bounds the number of queued tickets; enqueues beyond it
 	// fail fast with ErrQueueFull. Default 256.
 	Depth int
-	// BatchWindow is how long the dispatcher lingers after waking so a
-	// burst can pool into one batch. Zero dispatches immediately.
+	// Deprecated: BatchWindow is ignored. The dispatcher never waits on
+	// a clock; batches form behind a busy solver.
 	BatchWindow time.Duration
 	// Workers bounds how many signature groups solve concurrently
 	// within a batch. Default 1 — the only setting with the
@@ -90,15 +101,20 @@ type Ticket struct {
 }
 
 // Wait blocks until the ticket resolves or the context ends. A context
-// error abandons only the wait: the admission itself still runs to
-// completion inside the dispatcher.
+// error abandons only the wait; the admission is abandoned through the
+// Enqueue context (a session committed after that one ends is released
+// at once).
 func (t *Ticket) Wait(ctx context.Context) (*dynamic.Session, error) {
 	select {
 	case <-t.done:
-		return t.sess, t.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		select {
+		case <-t.done: // resolved as well: the outcome wins
+		default:
+			return nil, ctx.Err()
+		}
 	}
+	return t.sess, t.err
 }
 
 // WaitDuration is the time the task spent queued before its solve slot
@@ -106,7 +122,7 @@ func (t *Ticket) Wait(ctx context.Context) (*dynamic.Session, error) {
 func (t *Ticket) WaitDuration() time.Duration { return t.wait }
 
 // SolveDuration is the task's own solve-and-commit time; zero for
-// tickets that never reached a solver (expired, closed, unavailable).
+// tickets that never reached a solver.
 func (t *Ticket) SolveDuration() time.Duration { return t.solve }
 
 // Order is the global dispatch index the scheduler assigned, the
@@ -118,28 +134,51 @@ func (t *Ticket) Order() int { return t.order }
 // inherited from an earlier task in its batch.
 func (t *Ticket) Coalesced() bool { return t.coalesced }
 
-// Stats is a point-in-time queue snapshot.
+// outcome is how an accepted ticket ended.
+type outcome int
+
+const (
+	admitted    outcome = iota
+	rejected            // the solver found no feasible embedding
+	expired             // deadline passed while queued
+	closed              // abandoned by Close's drain budget
+	unavailable         // no manager installed at dispatch
+	canceled            // the Enqueue context ended first
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"admitted", "rejected", "expired", "closed", "unavailable", "canceled"}
+
+// Stats is a point-in-time queue snapshot. Once the queue is closed,
+// Enqueued == Admitted + Rejected + Expired + Closed + Unavailable +
+// Canceled; Overflow and PastDeadline count refusals Enqueue never
+// accepted.
 type Stats struct {
 	Depth     int  `json:"depth"`
 	Capacity  int  `json:"capacity"`
 	Saturated bool `json:"saturated"`
 
-	Enqueued  uint64 `json:"enqueued"`
-	Admitted  uint64 `json:"admitted"`
-	Rejected  uint64 `json:"rejected"`
-	Expired   uint64 `json:"expired"`
-	Overflow  uint64 `json:"overflow"`
-	Batches   uint64 `json:"batches"`
-	Coalesced uint64 `json:"coalesced"`
+	Enqueued     uint64 `json:"enqueued"`
+	Admitted     uint64 `json:"admitted"`
+	Rejected     uint64 `json:"rejected"`
+	Expired      uint64 `json:"expired"`
+	Closed       uint64 `json:"closed"`
+	Unavailable  uint64 `json:"unavailable"`
+	Canceled     uint64 `json:"canceled"`
+	Overflow     uint64 `json:"overflow"`
+	PastDeadline uint64 `json:"past_deadline"`
+	Batches      uint64 `json:"batches"`
+	Coalesced    uint64 `json:"coalesced"`
 }
 
 // queueMetrics are the optional registry handles (see Instrument).
 type queueMetrics struct {
-	enqueued, admitted, rejected *obs.Counter
-	expired, overflow            *obs.Counter
-	batches, coalesced           *obs.Counter
-	waitMS                       *obs.Histogram
-	batchSize                    *obs.Histogram
+	outcomes           [numOutcomes]*obs.Counter
+	enqueued, overflow *obs.Counter
+	pastDeadline       *obs.Counter
+	batches, coalesced *obs.Counter
+	waitMS             *obs.Histogram
+	batchSize          *obs.Histogram
 }
 
 // Queue is the bounded admission pipeline. All methods are safe for
@@ -155,9 +194,10 @@ type Queue struct {
 	seq     uint64
 	next    int // next global dispatch index
 
-	enqueued, admitted, rejected uint64
-	expired, overflow, batches   uint64
-	coalesced                    uint64
+	outcomes              [numOutcomes]uint64
+	enqueued, overflow    uint64
+	pastDeadline, batches uint64
+	coalesced             uint64
 
 	met  *queueMetrics
 	done chan struct{} // dispatcher exited
@@ -183,21 +223,23 @@ func New(cfg Config) *Queue {
 // Instrument wires the queue into the registry: queue_depth and
 // queue_saturated gauges, the queue_wait_ms histogram (enqueue to
 // solve slot), the queue_batch_size distribution, and the
-// queue_{enqueued,admitted,rejected,expired,overflow,batches,
-// coalesced_solves}_total counters. Returns the queue for chaining.
+// queue_{enqueued,admitted,rejected,expired,closed,unavailable,
+// canceled,overflow,past_deadline,batches,coalesced_solves}_total
+// counters. Returns the queue for chaining.
 func (q *Queue) Instrument(reg *obs.Registry) *Queue {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.met = &queueMetrics{
-		enqueued:  reg.Counter("queue_enqueued_total"),
-		admitted:  reg.Counter("queue_admitted_total"),
-		rejected:  reg.Counter("queue_rejected_total"),
-		expired:   reg.Counter("queue_expired_total"),
-		overflow:  reg.Counter("queue_overflow_total"),
-		batches:   reg.Counter("queue_batches_total"),
-		coalesced: reg.Counter("queue_coalesced_solves_total"),
-		waitMS:    reg.Histogram("queue_wait_ms", obs.LatencyBuckets),
-		batchSize: reg.Histogram("queue_batch_size", nil),
+		enqueued:     reg.Counter("queue_enqueued_total"),
+		overflow:     reg.Counter("queue_overflow_total"),
+		pastDeadline: reg.Counter("queue_past_deadline_total"),
+		batches:      reg.Counter("queue_batches_total"),
+		coalesced:    reg.Counter("queue_coalesced_solves_total"),
+		waitMS:       reg.Histogram("queue_wait_ms", obs.LatencyBuckets),
+		batchSize:    reg.Histogram("queue_batch_size", nil),
+	}
+	for o, name := range outcomeNames {
+		q.met.outcomes[o] = reg.Counter("queue_" + name + "_total")
 	}
 	reg.GaugeFunc("queue_depth", func() float64 {
 		q.mu.Lock()
@@ -215,9 +257,12 @@ func (q *Queue) Instrument(reg *obs.Registry) *Queue {
 
 // Enqueue accepts a task for batched admission. ctx is the per-task
 // base context (request ID, caller cancellation) threaded into the
-// solve; deadline, when non-zero, bounds the solve and expires the
-// ticket if no solve slot opens in time. Fails fast with ErrQueueFull,
-// ErrClosed, or ErrExpired (deadline already past).
+// solve: once it ends the caller is taken to have left, so the ticket
+// is dropped unsolved if still queued, and a session that commits
+// afterwards is released at once. deadline, when non-zero, bounds the
+// solve and expires the ticket if no solve slot opens in time. Fails
+// fast with ErrQueueFull, ErrClosed, or ErrExpired (deadline already
+// past).
 func (q *Queue) Enqueue(ctx context.Context, task nfv.Task, deadline time.Time) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -225,11 +270,11 @@ func (q *Queue) Enqueue(ctx context.Context, task nfv.Task, deadline time.Time) 
 	now := q.cfg.Now()
 	if !deadline.IsZero() && !now.Before(deadline) {
 		q.mu.Lock()
-		q.expired++
+		q.pastDeadline++
 		met := q.met
 		q.mu.Unlock()
 		if met != nil {
-			met.expired.Inc()
+			met.pastDeadline.Inc()
 		}
 		return nil, ErrExpired
 	}
@@ -289,8 +334,7 @@ func (q *Queue) Close(ctx context.Context) error {
 		q.cond.Broadcast()
 		q.mu.Unlock()
 		for _, t := range rest {
-			t.err = ErrClosed
-			close(t.done)
+			q.finish(t, closed, ErrClosed)
 		}
 		return ctx.Err()
 	}
@@ -305,17 +349,48 @@ func (q *Queue) Stats() Stats {
 		Capacity:  q.cfg.Depth,
 		Saturated: len(q.pending) >= q.cfg.Depth,
 		Enqueued:  q.enqueued,
-		Admitted:  q.admitted,
-		Rejected:  q.rejected,
-		Expired:   q.expired,
-		Overflow:  q.overflow,
-		Batches:   q.batches,
-		Coalesced: q.coalesced,
+
+		Admitted:     q.outcomes[admitted],
+		Rejected:     q.outcomes[rejected],
+		Expired:      q.outcomes[expired],
+		Closed:       q.outcomes[closed],
+		Unavailable:  q.outcomes[unavailable],
+		Canceled:     q.outcomes[canceled],
+		Overflow:     q.overflow,
+		PastDeadline: q.pastDeadline,
+		Batches:      q.batches,
+		Coalesced:    q.coalesced,
 	}
 }
 
-// dispatch is the scheduler loop: wait for work, linger one batch
-// window so a burst pools, take everything pending, run the batch.
+// finish resolves t exactly once: the outcome is on the books (Stats
+// and the registry) before done closes, so a caller woken by its own
+// ticket already sees it counted.
+func (q *Queue) finish(t *Ticket, o outcome, err error) {
+	t.err = err
+	q.mu.Lock()
+	q.outcomes[o]++
+	coalesced := o == admitted && t.coalesced
+	if coalesced {
+		q.coalesced++
+	}
+	met := q.met
+	q.mu.Unlock()
+	if met != nil {
+		met.outcomes[o].Inc()
+		if coalesced {
+			met.coalesced.Inc()
+		}
+		if t.order >= 0 {
+			met.waitMS.ObserveDuration(t.wait)
+		}
+	}
+	close(t.done)
+}
+
+// dispatch is the scheduler loop: the moment nothing is in flight it
+// takes everything pending as one batch and runs it. What arrives
+// meanwhile waits in pending and is the next batch.
 func (q *Queue) dispatch() {
 	defer close(q.done)
 	for {
@@ -323,45 +398,40 @@ func (q *Queue) dispatch() {
 		for len(q.pending) == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.pending) == 0 {
-			// Closed and drained.
-			q.mu.Unlock()
-			return
-		}
-		q.mu.Unlock()
-
-		if w := q.cfg.BatchWindow; w > 0 {
-			time.Sleep(w)
-		}
-
-		q.mu.Lock()
 		batch := q.pending
 		q.pending = nil
 		q.mu.Unlock()
-		if len(batch) > 0 {
-			q.runBatch(batch)
+		if len(batch) == 0 {
+			return // closed and drained
 		}
+		q.runBatch(batch)
 	}
 }
 
-// group is one chain-signature bucket in EDF order.
-type group struct {
-	sig     string
-	tickets []*Ticket
-}
-
-// plan orders a drained batch: expired tickets out first (no solve is
-// wasted on them), the rest earliest-deadline-first with arrival order
-// as tie-break, then bucketed by chain signature in first-occurrence
-// order. Pure function of (batch, now) — the fuzz harness replays it.
-func plan(batch []*Ticket, now time.Time) (groups []group, expired []*Ticket) {
-	live := batch[:0:0]
+// plan orders a drained batch: expired tickets (late) and tickets
+// whose caller has left (gone) come out first — no solve is wasted on
+// them — the rest go earliest-deadline-first with arrival order as
+// tie-break, then into chain-signature groups in first-occurrence
+// order. A function of (batch, now) and the tickets' contexts — the
+// fuzz harness replays it. It consumes batch, filtering it in place.
+func plan(batch []*Ticket, now time.Time) (groups [][]*Ticket, late, gone []*Ticket) {
+	live := batch[:0]
 	for _, t := range batch {
-		if !t.deadline.IsZero() && !now.Before(t.deadline) {
-			expired = append(expired, t)
-			continue
+		switch {
+		case !t.deadline.IsZero() && !now.Before(t.deadline):
+			late = append(late, t)
+		case t.ctx.Err() != nil:
+			gone = append(gone, t)
+		default:
+			live = append(live, t)
 		}
-		live = append(live, t)
+	}
+	if len(live) <= 1 {
+		// The idle queue's common case: nothing to sort or group.
+		if len(live) == 1 {
+			groups = [][]*Ticket{live}
+		}
+		return groups, late, gone
 	}
 	sort.SliceStable(live, func(i, j int) bool {
 		di, dj := live[i].deadline, live[j].deadline
@@ -385,33 +455,31 @@ func plan(batch []*Ticket, now time.Time) (groups []group, expired []*Ticket) {
 		if !ok {
 			gi = len(groups)
 			index[sig] = gi
-			groups = append(groups, group{sig: sig})
+			groups = append(groups, nil)
 		}
-		groups[gi].tickets = append(groups[gi].tickets, t)
+		groups[gi] = append(groups[gi], t)
 	}
-	return groups, expired
+	return groups, late, gone
 }
 
 // runBatch resolves one drained batch end to end.
 func (q *Queue) runBatch(batch []*Ticket) {
-	now := q.cfg.Now()
-	groups, expired := plan(batch, now)
+	size := len(batch)
+	groups, late, gone := plan(batch, q.cfg.Now())
 
 	q.mu.Lock()
 	q.batches++
-	q.expired += uint64(len(expired))
 	met := q.met
 	q.mu.Unlock()
 	if met != nil {
 		met.batches.Inc()
-		met.batchSize.Observe(float64(len(batch)))
-		for range expired {
-			met.expired.Inc()
-		}
+		met.batchSize.Observe(float64(size))
 	}
-	for _, t := range expired {
-		t.err = ErrExpired
-		close(t.done)
+	for _, t := range late {
+		q.finish(t, expired, ErrExpired)
+	}
+	for _, t := range gone {
+		q.finish(t, canceled, t.ctx.Err())
 	}
 	if len(groups) == 0 {
 		return
@@ -420,9 +488,8 @@ func (q *Queue) runBatch(batch []*Ticket) {
 	mgr := q.cfg.Manager()
 	if mgr == nil {
 		for _, g := range groups {
-			for _, t := range g.tickets {
-				t.err = ErrUnavailable
-				close(t.done)
+			for _, t := range g {
+				q.finish(t, unavailable, ErrUnavailable)
 			}
 		}
 		return
@@ -433,7 +500,7 @@ func (q *Queue) runBatch(batch []*Ticket) {
 	// one worker the solves run in exactly this order.
 	q.mu.Lock()
 	for _, g := range groups {
-		for _, t := range g.tickets {
+		for _, t := range g {
 			t.order = q.next
 			q.next++
 		}
@@ -453,7 +520,7 @@ func (q *Queue) runBatch(batch []*Ticket) {
 	for _, g := range groups {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(g group) {
+		go func(g []*Ticket) {
 			defer wg.Done()
 			q.runGroup(mgr, g)
 			<-sem
@@ -464,49 +531,29 @@ func (q *Queue) runBatch(batch []*Ticket) {
 
 // runGroup drives one signature group through a shared AdmitBatch
 // call: consecutive commits that leave the deployment epoch unmoved
-// share a single snapshot clone and scaffold warm-up.
-func (q *Queue) runGroup(mgr *dynamic.Manager, g group) {
-	start := q.cfg.Now()
-	bts := make([]dynamic.BatchTask, len(g.tickets))
-	for i, t := range g.tickets {
+// share a single snapshot clone and scaffold warm-up. Each ticket is
+// finished as its own commit lands, not when the group ends.
+func (q *Queue) runGroup(mgr *dynamic.Manager, g []*Ticket) {
+	slot := q.cfg.Now() // when the next ticket's solve starts
+	bts := make([]dynamic.BatchTask, len(g))
+	for i, t := range g {
 		bts[i] = dynamic.BatchTask{Task: t.task, Deadline: t.deadline, Ctx: t.ctx}
 	}
-	outs := mgr.AdmitBatch(context.Background(), bts)
-
-	var admitted, rejected, coalesced uint64
-	cum := time.Duration(0)
-	for i, t := range g.tickets {
-		out := outs[i]
-		t.sess, t.err = out.Sess, out.Err
-		t.coalesced = out.Coalesced
-		t.solve = out.Duration
-		t.wait = start.Add(cum).Sub(t.enqueued)
-		cum += out.Duration
-		if out.Err != nil {
-			rejected++
-		} else {
-			admitted++
-			if out.Coalesced {
-				coalesced++
-			}
+	mgr.AdmitBatch(context.Background(), bts, func(i int, out dynamic.BatchOutcome) {
+		t := g[i]
+		t.sess, t.coalesced, t.solve = out.Sess, out.Coalesced, out.Duration
+		t.wait = slot.Sub(t.enqueued)
+		slot = slot.Add(out.Duration)
+		switch cerr := t.ctx.Err(); {
+		case out.Err != nil:
+			q.finish(t, rejected, out.Err)
+		case cerr != nil:
+			// The caller left mid-solve and nobody holds the session ID:
+			// release it rather than leak it.
+			t.sess = nil
+			q.finish(t, canceled, errors.Join(cerr, mgr.Release(out.Sess.ID)))
+		default:
+			q.finish(t, admitted, nil)
 		}
-	}
-
-	q.mu.Lock()
-	q.admitted += admitted
-	q.rejected += rejected
-	q.coalesced += coalesced
-	met := q.met
-	q.mu.Unlock()
-	if met != nil {
-		for _, t := range g.tickets {
-			met.waitMS.ObserveDuration(t.wait)
-		}
-		met.admitted.Add(int64(admitted))
-		met.rejected.Add(int64(rejected))
-		met.coalesced.Add(int64(coalesced))
-	}
-	for _, t := range g.tickets {
-		close(t.done)
-	}
+	})
 }

@@ -46,9 +46,8 @@ func TestQueueStress(t *testing.T) {
 		pool[i] = task
 	}
 	q := New(Config{
-		Depth:       64,
-		BatchWindow: time.Millisecond,
-		Manager:     func() *dynamic.Manager { return m },
+		Depth:   64,
+		Manager: func() *dynamic.Manager { return m },
 	})
 
 	stop := make(chan struct{})
@@ -187,6 +186,10 @@ func TestQueueStress(t *testing.T) {
 	if int(st2.Admitted) != admitted || int(st2.Rejected) != rejected {
 		t.Errorf("queue counters %+v vs observed admitted %d rejected %d", st2, admitted, rejected)
 	}
+	if int(st2.Expired+st2.PastDeadline) != expired || int(st2.Overflow) != overflow {
+		t.Errorf("queue counters %+v vs observed expired %d overflow %d", st2, expired, overflow)
+	}
+	checkConserved(t, st2)
 
 	if err := m.VerifyRefs(); err != nil {
 		t.Error(err)

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +19,86 @@ import (
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
+
+// solverHold is a Config.Observer that parks the admission dispatcher
+// inside a solve: once armed, the next solver event announces itself
+// on parked and blocks until open. Requests posted meanwhile queue up
+// behind the busy solver, so tests assemble queue states by event
+// instead of by timer.
+type solverHold struct {
+	mu     sync.Mutex
+	armed  bool
+	parked chan struct{}
+	resume chan struct{}
+}
+
+func newSolverHold() *solverHold {
+	return &solverHold{armed: true, parked: make(chan struct{}), resume: make(chan struct{})}
+}
+
+func (h *solverHold) OnEvent(core.Event) {
+	h.mu.Lock()
+	first := h.armed
+	h.armed = false
+	h.mu.Unlock()
+	if first {
+		close(h.parked)
+		<-h.resume
+	}
+}
+
+func (h *solverHold) open() { close(h.resume) }
+
+// postAsync posts the task in the background and delivers the
+// response, body closed (nil on a transport error).
+func postAsync(url string, blob []byte) <-chan *http.Response {
+	got := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
+		if err != nil {
+			got <- nil
+			return
+		}
+		resp.Body.Close()
+		got <- resp
+	}()
+	return got
+}
+
+// wantStatus receives an async response and checks its status code.
+func wantStatus(t *testing.T, what string, got <-chan *http.Response, status int) *http.Response {
+	t.Helper()
+	resp := <-got
+	if resp == nil || resp.StatusCode != status {
+		t.Fatalf("%s: response %+v, want status %d", what, resp, status)
+	}
+	return resp
+}
+
+// waitFor polls cond — a state only observable from outside, such as
+// a request having reached the queue — until it holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// holdQueue posts a plug admission and returns once the dispatcher is
+// parked inside its solve, with the queue empty behind it.
+func holdQueue(t *testing.T, h *solverHold, url string, blob []byte) <-chan *http.Response {
+	t.Helper()
+	plug := postAsync(url, blob)
+	select {
+	case <-h.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("plug admission never reached the solver")
+	}
+	return plug
+}
 
 // newQueuedServer boots a session server in queued-admission mode and
 // returns the Server (for queue introspection), its test listener and
@@ -45,7 +128,7 @@ func newQueuedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, nfv.T
 }
 
 func TestQueuedAdmitSucceeds(t *testing.T) {
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8, BatchWindow: 2 * time.Millisecond})
+	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8})
 	resp := postJSON(t, ts.URL+"/v1/sessions", task)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -145,33 +228,24 @@ func TestQueuedAdmitRejection(t *testing.T) {
 	}
 }
 
-// TestQueuedAdmitOverflow forces the bounded queue full and asserts
-// the 429 envelope carries Retry-After.
+// TestQueuedAdmitOverflow forces the bounded queue full behind a busy
+// solver and asserts the 429 envelope carries Retry-After.
 func TestQueuedAdmitOverflow(t *testing.T) {
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 1, BatchWindow: time.Second})
+	h := newSolverHold()
+	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 1, Observer: h})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
 	}
+	url := ts.URL + "/v1/sessions"
 
-	// Fill the single slot, then post again while it is still queued
-	// (the batch window keeps the dispatcher lingering).
-	first := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(string(blob)))
-		if err == nil {
-			first <- resp
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Queue().Stats().Depth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// One admission occupies the solver, the next fills the single
+	// slot, the third finds the queue full.
+	plug := holdQueue(t, h, url, blob)
+	queued := postAsync(url, blob)
+	waitFor(t, "the second request to reach the queue", func() bool { return srv.Queue().Stats().Depth == 1 })
 
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(string(blob)))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +260,7 @@ func TestQueuedAdmitOverflow(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == "" {
 		t.Fatalf("error envelope missing: %v %+v", err, envelope)
 	}
-	if srv.Queue().Stats().Overflow == 0 {
+	if srv.Queue().Stats().Overflow != 1 {
 		t.Error("overflow not counted")
 	}
 
@@ -207,33 +281,103 @@ func TestQueuedAdmitOverflow(t *testing.T) {
 		t.Errorf("readyz while saturated = %+v", ready)
 	}
 
-	if fr := <-first; fr != nil {
-		fr.Body.Close()
-	}
+	h.open()
+	wantStatus(t, "plug", plug, http.StatusCreated)
+	wantStatus(t, "queued request", queued, http.StatusCreated)
 }
 
-// TestQueuedAdmitExpires asks for a deadline far shorter than the
-// batch window: the ticket must expire in-queue and answer 429 with
-// Retry-After, never reaching a solver.
+// TestQueuedAdmitExpires queues a 1 ms deadline behind a busy solver
+// and lets it pass: the ticket must expire in-queue and answer 429
+// with Retry-After, never reaching a solver.
 func TestQueuedAdmitExpires(t *testing.T) {
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8, BatchWindow: 300 * time.Millisecond})
+	h := newSolverHold()
+	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8, Observer: h})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sessions?timeout_ms=1", "application/json", strings.NewReader(string(blob)))
+	plug := holdQueue(t, h, ts.URL+"/v1/sessions", blob)
+
+	late := postAsync(ts.URL+"/v1/sessions?timeout_ms=1", blob)
+	waitFor(t, "the deadlined request to reach the queue", func() bool { return srv.Queue().Stats().Depth == 1 })
+	// Its deadline was fixed before it was enqueued, so 1 ms from now
+	// it is certainly past.
+	seen := time.Now()
+	waitFor(t, "the queued deadline to pass", func() bool { return time.Since(seen) > time.Millisecond })
+	h.open()
+
+	if resp := wantStatus(t, "expired request", late, http.StatusTooManyRequests); resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	wantStatus(t, "plug", plug, http.StatusCreated)
+	if st := srv.Queue().Stats(); st.Expired != 1 || st.Admitted != 1 {
+		t.Errorf("queue stats = %+v, want 1 expired, 1 admitted", st)
+	}
+}
+
+// TestQueuedAdmitClientGone covers the client that leaves before its
+// answer: whether its ticket was still queued or already solving, the
+// request ends 503-side and no session is left that nobody holds.
+func TestQueuedAdmitClientGone(t *testing.T) {
+	h := newSolverHold()
+	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8, Observer: h})
+	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	url := ts.URL + "/v1/sessions"
+	post := func(ctx context.Context) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(blob))
+			if err != nil {
+				done <- err
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		return done
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+
+	// The first client leaves mid-solve, the second while still queued.
+	solvingCtx, leaveSolving := context.WithCancel(context.Background())
+	solving := post(solvingCtx)
+	select {
+	case <-h.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first admission never reached the solver")
 	}
-	if st := srv.Queue().Stats(); st.Expired == 0 {
-		t.Errorf("expiry not counted: %+v", st)
+	queuedCtx, leaveQueued := context.WithCancel(context.Background())
+	queued := post(queuedCtx)
+	waitFor(t, "the second request to reach the queue", func() bool { return srv.Queue().Stats().Depth == 1 })
+	leaveSolving()
+	leaveQueued()
+	for _, done := range []<-chan error{solving, queued} {
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("client side: err = %v, want context.Canceled", err)
+		}
+	}
+	// The server notices a closed connection asynchronously; both
+	// handlers answer 503 into the void once it has.
+	gone := srv.Registry().Counter("http_responses_total|POST /v1/sessions|5xx")
+	waitFor(t, "the server to see both clients gone", func() bool { return gone.Value() == 2 })
+	h.open()
+	waitFor(t, "both tickets to resolve", func() bool {
+		st := srv.Queue().Stats()
+		return st.Depth == 0 && st.Admitted+st.Canceled == 2
+	})
+	if st := srv.Queue().Stats(); st.Canceled != 2 {
+		t.Errorf("queue stats = %+v, want both tickets canceled", st)
+	}
+	if n := srv.Manager().Active(); n != 0 {
+		t.Errorf("%d sessions left that nobody holds", n)
+	}
+	if err := srv.Manager().VerifyRefs(); err != nil {
+		t.Error(err)
 	}
 }
 

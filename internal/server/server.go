@@ -80,13 +80,13 @@ type Config struct {
 	Manager *dynamic.Manager
 	// QueueDepth, when positive, routes POST /v1/sessions through the
 	// bounded async admission queue instead of solving inline: requests
-	// enqueue with their deadline, a dispatcher batches them by chain
+	// enqueue with their deadline, a dispatcher takes whatever queued
+	// up behind the previous solve as one batch grouped by chain
 	// signature, and overflow answers 429 with Retry-After. Zero keeps
 	// the inline path.
 	QueueDepth int
-	// BatchWindow is how long the queue dispatcher lingers so a burst
-	// pools into one batch (queued mode only). Zero dispatches
-	// immediately.
+	// Deprecated: BatchWindow is ignored; the queue dispatches the
+	// moment its solver is free.
 	BatchWindow time.Duration
 	// QueueWorkers bounds concurrent signature groups per batch. The
 	// default 1 keeps batched admissions bit-identical to serialized
@@ -549,16 +549,20 @@ func admitStatus(err error) int {
 }
 
 // retryAfter is the back-off hint attached to 429 responses (queue
-// overflow or a deadline that expired before a solve slot opened): one
-// batch window is long past by then, so one second is a conservative
-// "the queue has turned over" bound.
+// overflow or a deadline that expired before a solve slot opened):
+// both mean a backlog stands behind the solver, and a full queue of
+// sub-millisecond solves drains well inside one second, so that is a
+// conservative "the queue has turned over" bound.
 const retryAfter = "1"
 
 // admitQueued is the queued admission path: the request enqueues with
 // its deadline (timeout_ms capped by the server ceiling, converted to
 // an absolute instant) and blocks on the ticket. Overflow and
 // in-queue expiry answer 429 with Retry-After; a closed queue or a
-// missing manager answer 503 (drain in progress / mid-restart).
+// missing manager answer 503 (drain in progress / mid-restart). The
+// request context rides the ticket, so a client that leaves is never
+// left holding a session: the queue drops its ticket unsolved, or
+// releases the session if the commit had already landed.
 func (s *Server) admitQueued(w http.ResponseWriter, r *http.Request, task nfv.Task, timeoutMS int64) {
 	var deadline time.Time
 	if limit := s.solveLimit(timeoutMS); limit > 0 {
@@ -582,8 +586,7 @@ func (s *Server) admitQueued(w http.ResponseWriter, r *http.Request, task nfv.Ta
 		writeError(w, admitStatus(err), err)
 		return
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client went away while queued; the admission itself
-		// still resolves inside the dispatcher.
+		// The client went away; the queue cancels the admission.
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	default:

@@ -225,32 +225,50 @@ func (r *crashRunner) exec(op crashOp) error {
 // tickets at the moment of a kill.
 type parked struct {
 	q       *queue.Queue
+	plug    *queue.Ticket // in the dispatcher's hands, waiting for a manager
 	tickets []*queue.Ticket
+	die     chan struct{} // closed when the kill takes the dispatcher down
 }
 
 // parkTasks fills a bounded queue in front of the crashing manager
-// with tasks that are still undispatched when the kill fires: the
-// batch window dwarfs the nanoseconds between the last Enqueue and
-// the kill, so the tickets are accepted but nothing about them is
-// durable. abandon audits the aftermath.
+// with tasks that are still undispatched when the kill fires. The
+// dispatcher is wedged the way a busy solver wedges it: a plug ticket
+// is in its hands and its manager lookup does not return until the
+// process dies, so everything enqueued behind it is accepted but
+// nothing about it is durable. abandon audits the aftermath.
 func parkTasks(r *crashRunner, cfg CrashConfig, op, n int) (*parked, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(op)))
-	mgr := r.mgr
-	q := queue.New(queue.Config{
-		Depth:       n,
-		BatchWindow: 10 * time.Second,
-		Manager:     func() *dynamic.Manager { return mgr },
+	p := &parked{die: make(chan struct{})}
+	wedged := make(chan struct{})
+	p.q = queue.New(queue.Config{
+		Depth: n,
+		Manager: func() *dynamic.Manager {
+			close(wedged)
+			<-p.die
+			return nil // the process is gone; there is no manager to ask
+		},
 	})
-	p := &parked{q: q}
-	net := mgr.CloneNetwork()
-	for i := 0; i < n; i++ {
+	net := r.mgr.CloneNetwork()
+	park := func() (*queue.Ticket, error) {
 		task, err := netgen.GenerateTask(net, rng, 2+rng.Intn(3), 2+rng.Intn(2))
 		if err != nil {
 			return nil, fmt.Errorf("crash: park task: %w", err)
 		}
-		tk, err := q.Enqueue(context.Background(), task, time.Time{})
+		tk, err := p.q.Enqueue(context.Background(), task, time.Time{})
 		if err != nil {
 			return nil, fmt.Errorf("crash: park enqueue: %w", err)
+		}
+		return tk, nil
+	}
+	var err error
+	if p.plug, err = park(); err != nil {
+		return nil, err
+	}
+	<-wedged
+	for i := 0; i < n; i++ {
+		tk, err := park()
+		if err != nil {
+			return nil, err
 		}
 		p.tickets = append(p.tickets, tk)
 	}
@@ -259,13 +277,15 @@ func parkTasks(r *crashRunner, cfg CrashConfig, op, n int) (*parked, error) {
 
 // abandon closes the dead queue with an already-expired drain budget
 // and audits the never-lose-a-task contract across the crash: every
-// parked ticket terminates with ErrClosed, and the queue dispatched
-// nothing — the WAL saw none of these tasks, so any session the
-// restore resurrects for them surfaces as a phantom in compareRuns.
+// parked ticket terminates with ErrClosed, the plug the dispatcher
+// held finds no manager, and the queue's books say exactly that — the
+// WAL saw none of these tasks, so any session the restore resurrects
+// for them surfaces as a phantom in compareRuns.
 func (p *parked) abandon(op int, rep *CrashReport) int {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = p.q.Close(ctx)
+	close(p.die)
 	for i, tk := range p.tickets {
 		sess, err := tk.Wait(context.Background())
 		if sess != nil || !errors.Is(err, queue.ErrClosed) {
@@ -273,7 +293,12 @@ func (p *parked) abandon(op int, rep *CrashReport) int {
 				fmt.Sprintf("parked ticket %d at op %d: sess=%v err=%v, want ErrClosed", i, op, sess, err))
 		}
 	}
-	if st := p.q.Stats(); st.Admitted != 0 || st.Rejected != 0 || st.Batches != 0 {
+	if sess, err := p.plug.Wait(context.Background()); sess != nil || !errors.Is(err, queue.ErrUnavailable) {
+		rep.Mismatches = append(rep.Mismatches,
+			fmt.Sprintf("held ticket at op %d: sess=%v err=%v, want ErrUnavailable", op, sess, err))
+	}
+	if st := p.q.Stats(); st.Admitted != 0 || st.Rejected != 0 ||
+		st.Closed != uint64(len(p.tickets)) || st.Unavailable != 1 || st.Enqueued != st.Closed+1 {
 		rep.Mismatches = append(rep.Mismatches,
 			fmt.Sprintf("parked queue at op %d dispatched work: %+v", op, st))
 	}

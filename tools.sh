@@ -7,12 +7,14 @@
 #
 #   ./tools.sh          # vet + gofmt + bench module + race tests + fuzz smoke + chaos + recover + conformance + bench + obs + queue + load
 #   ./tools.sh quick    # vet + gofmt + bench module only (skip the race run and smoke)
-#   ./tools.sh queue    # admission-queue gate only: the bounded
-#                       # fixed-seed equivalence battery under -race
-#                       # (batched admissions bit-identical to
-#                       # serialized same-order admits), plus the
-#                       # queue stress test mixing enqueue, release,
-#                       # Rebase and WAL checkpoints
+#   ./tools.sh queue    # admission-queue gate only: the queue package
+#                       # five times under -race (equivalence battery:
+#                       # batched admissions bit-identical to
+#                       # serialized same-order admits; stress test
+#                       # mixing enqueue, release, Rebase and WAL
+#                       # checkpoints; fuzz seeds; dispatch-rule
+#                       # tests), plus the AdmitBatch and queued
+#                       # HTTP admission tests
 #   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
 #                       # run against an in-process sftserve, asserting
 #                       # non-zero admissions, zero dropped measurements
@@ -132,19 +134,26 @@ recover_gate() {
 
 # queue_gate proves the batched admission queue keeps the serialized
 # semantics: the equivalence battery replays fixed-seed arrival
-# scripts through the queue and through serialized AdmitCtx calls in
-# the queue's recorded dispatch order and requires bit-identical
-# sessions, refcounts and accounting; the stress test races enqueues
-# against releases, Rebase fault flaps and WAL checkpoints; the fuzz
-# seeds pin the never-lose-a-task contract. All under -race.
+# scripts through the queue (enqueued idle and behind a held batch,
+# plus a 32-ticket backlog cut into one batch or two) and through
+# serialized AdmitCtx calls in the queue's recorded dispatch order and
+# requires bit-identical sessions, refcounts and accounting; the stress
+# test races enqueues against releases, Rebase fault flaps and WAL
+# checkpoints; the fuzz seeds pin the never-lose-a-task contract and
+# the Stats conservation identity; the work-conservation, per-ticket
+# completion and orphan tests pin the dispatch rules. The queue package
+# assembles every batch by hook, never by sleeping, so it repeats
+# under -race; the server's queued-admission tests and AdmitBatch's
+# own equivalence test ride along.
 queue_gate() {
-	echo "==> queue gate: equivalence battery + stress + fuzz seeds (race)"
-	go test -race -count=1 -run 'TestQueueEquivalenceBattery|TestQueueStress|FuzzQueueSchedule|TestAdmitBatch' ./internal/queue ./internal/dynamic
+	echo "==> queue gate: queue package x5 + AdmitBatch + queued-admission HTTP tests (race)"
+	go test -race -count=5 ./internal/queue
+	go test -race -count=1 -run 'TestAdmitBatch|TestQueuedAdmit' ./internal/dynamic ./internal/server
 	echo "OK (queue gate)"
 }
 
 # load_gate drives the open-loop load harness for a short fixed-seed
-# window with one fault flap and the -check assertions on: sessions
+# run with one fault flap and the -check assertions on: sessions
 # must be admitted, no measurement may be dropped at an unsaturated
 # point, /metrics must show non-zero metric-cache and APSP-cache hit
 # rates, and /debug/traces must hold an admission trace stamped with
@@ -155,9 +164,9 @@ queue_gate() {
 # with:
 #   go run ./cmd/sftload -parallelism 4 -out BENCH_load.json
 # The third run is the admission-queue speedup gate: a queued server
-# at a shared-signature mix (one fixed chain, the shape the queue's
-# signature coalescing batches) must sustain ≥1.5x the baseline's top
-# unsaturated adm/s without itself saturating.
+# at a shared-signature mix (one fixed chain, so the backlog that forms
+# behind the solver at this rate rides shared snapshots) must sustain
+# ≥1.5x the baseline's top unsaturated adm/s without itself saturating.
 load_gate() {
 	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check (queued)"
 	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -queue-depth 256 -check
