@@ -1,13 +1,15 @@
 // Durable admission state: the manager's WAL integration. Every
 // state-changing operation (admit commit, release, rebase purge,
-// repair outcome) appends one lifecycle record to an attached
-// write-ahead log *before* the in-memory commit, inside the same
-// critical section, so the durable history and the live state can
-// never disagree about what was committed. Restore rebuilds a manager
-// from the newest snapshot plus the WAL tail, re-derives the
-// refcount ledger and deployment state, and routes sessions the
-// restored topology can no longer satisfy through the ordinary
-// Rebase repair ladder instead of failing the restore.
+// repair outcome) is decided first, written as one lifecycle record,
+// appended to the attached write-ahead log and only then folded into
+// the in-memory ledger by apply (ledger.go), all inside one critical
+// section, so the durable history and the live state can never
+// disagree about what was committed. Restore rebuilds a manager from
+// the newest snapshot plus the WAL tail by running the same apply over
+// the records, re-derives the deployment state from the resulting
+// ledger, and routes sessions the restored topology can no longer
+// satisfy through the ordinary Rebase repair ladder instead of failing
+// the restore.
 package dynamic
 
 import (
@@ -83,63 +85,50 @@ func (m *Manager) appendRecord(rec *wal.Record) error {
 	return nil
 }
 
-// usesCopy clones a usage list for a WAL record, so the record never
+// commitDurable is the second half of an admission or release: the
+// operation is decided and rec describes it. The record is appended,
+// the named crash point fires, and apply folds the record into the
+// ledger. A failed append commits nothing and returns ErrWAL; the
+// caller undoes whatever it did to the network. Callers hold m.mu.
+func (m *Manager) commitDurable(rec *wal.Record, point string) (applied, error) {
+	if err := m.appendRecord(rec); err != nil {
+		return applied{}, fmt.Errorf("%w: %w", ErrWAL, err)
+	}
+	m.crashPoint(point)
+	return m.applyLive(rec), nil
+}
+
+// commitLagging is commitDurable for rebase and repair records, whose
+// outcome is already a fact of the network and cannot be refused: a
+// failed append is counted and the record applied regardless. It DOES
+// mark the manager checkpoint-dirty — until a snapshot re-captures the
+// live state, a crash would restore stale pre-repair sessions, so the
+// serving loop must fold one immediately, not on the interval. Callers
+// hold m.mu.
+func (m *Manager) commitLagging(rec *wal.Record) applied {
+	if err := m.appendRecord(rec); err != nil {
+		m.markCheckpointDirtyLocked()
+	}
+	return m.applyLive(rec)
+}
+
+// applyLive applies a record a live path built from state it had just
+// read under the lock. Only a bug can make apply refuse such a record.
+func (m *Manager) applyLive(rec *wal.Record) applied {
+	out, err := m.apply(rec)
+	if err != nil {
+		panic(fmt.Sprintf("dynamic: live %s record refused: %v", rec.Type, err))
+	}
+	return out
+}
+
+// usesCopy clones a usage list for a snapshot, so the document never
 // aliases the session's live slice.
 func usesCopy(uses [][2]int) [][2]int {
 	if len(uses) == 0 {
 		return nil
 	}
 	return append([][2]int(nil), uses...)
-}
-
-// appendAdmitLocked logs one committed admission; callers hold m.mu.
-func (m *Manager) appendAdmitLocked(sess *Session) error {
-	return m.appendRecord(&wal.Record{
-		Type:      wal.RecAdmit,
-		Session:   int64(sess.ID),
-		Embedding: sess.Result.Embedding,
-		FinalCost: sess.Result.FinalCost,
-		Uses:      usesCopy(sess.uses),
-	})
-}
-
-// appendRepairLocked logs one session's post-repair state; callers
-// hold m.mu. Append failures are counted but do not abort the repair:
-// the in-memory state is already the source of truth mid-Rebase. They
-// DO mark the manager checkpoint-dirty — until a snapshot re-captures
-// the live state, a crash would restore stale pre-repair sessions, so
-// the serving loop must fold one immediately, not on the interval.
-func (m *Manager) appendRepairLocked(sess *Session, outcome RepairOutcome) {
-	err := m.appendRecord(&wal.Record{
-		Type:      wal.RecRepair,
-		Session:   int64(sess.ID),
-		Embedding: sess.Result.Embedding,
-		FinalCost: sess.Result.FinalCost,
-		Uses:      usesCopy(sess.uses),
-		Degraded:  sess.Degraded,
-		Lost:      append([]int(nil), sess.Lost...),
-		Outcome:   string(outcome),
-	})
-	if err != nil {
-		m.markCheckpointDirtyLocked()
-	}
-}
-
-// appendRebaseLocked logs a substrate swap and its purged instance
-// references; callers hold m.mu. Like repairs, a failed append leaves
-// the durable history behind the live state and marks the manager
-// checkpoint-dirty.
-func (m *Manager) appendRebaseLocked(purged [][2]int) {
-	sortKeys(purged)
-	err := m.appendRecord(&wal.Record{
-		Type:   wal.RecRebase,
-		Purged: purged,
-		Gen:    m.net.Graph().Generation(),
-		Epoch:  m.net.DeployEpoch(),
-	})
-	if err != nil {
-		m.markCheckpointDirtyLocked()
-	}
 }
 
 // markCheckpointDirtyLocked records that durable history and live
@@ -270,7 +259,8 @@ type RecoverReport struct {
 	SessionsRecovered int `json:"sessions_recovered"`
 	// RefsDeployed counts dynamic instances re-installed onto the
 	// restored network; RefsUnplaceable ones the topology no longer
-	// admits (dead node, shrunk capacity) — their sessions go through
+	// admits (dead node, shrunk capacity) — the repair pass purges them
+	// (they count in PurgedInstances too) and their sessions go through
 	// the repair ladder.
 	RefsDeployed    int `json:"refs_deployed"`
 	RefsUnplaceable int `json:"refs_unplaceable,omitempty"`
@@ -291,9 +281,10 @@ type RecoverReport struct {
 }
 
 // Restore rebuilds a manager from the recovery a wal.Open returned:
-// it loads the snapshot state, replays the WAL tail through the same
-// state machine the live commit path uses, re-installs every
-// reference-counted instance onto net, runs the Rebase repair ladder
+// it loads the snapshot state, replays the WAL tail through apply —
+// the function the live admit, release, rebase and repair paths commit
+// through — re-installs every reference-counted instance onto net,
+// runs the Rebase repair ladder
 // for anything the restored topology no longer satisfies, and
 // cross-checks the result with conformance.CheckLive/Recount plus an
 // independent refcount re-derivation. The returned manager owns net
@@ -316,8 +307,9 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 		}
 	}
 	if rec != nil {
+		// The orphans apply reports are ignored: nothing is deployed yet.
 		for i := range rec.Records {
-			if err := m.applyRecord(&rec.Records[i]); err != nil {
+			if _, err := m.apply(&rec.Records[i]); err != nil {
 				return nil, nil, fmt.Errorf("dynamic: restore: replay seq %d: %w", rec.Records[i].Seq, err)
 			}
 		}
@@ -327,8 +319,9 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 	// Re-derive the deployment state: the refcount ledger's keys are
 	// exactly the dynamically deployed instances. Anything the restored
 	// topology refuses (dead node, vanished server, shrunk capacity) is
-	// treated like a fault kill: the reference is dropped here and the
-	// repair pass below re-embeds or degrades the sessions leaning on it.
+	// a fault kill like any other: it stays undeployed, so the Rebase
+	// below purges the reference — durably, in its rebase record — and
+	// re-embeds or degrades the sessions leaning on it.
 	keys := make([][2]int, 0, len(m.refs))
 	for k := range m.refs {
 		keys = append(keys, k)
@@ -339,7 +332,6 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 			continue
 		}
 		if err := net.Deploy(k[0], k[1]); err != nil {
-			delete(m.refs, k)
 			rep.RefsUnplaceable++
 			continue
 		}
@@ -363,148 +355,6 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 	m.crossCheck(rep)
 	rep.ReplayDuration = time.Since(start)
 	return m, rep, nil
-}
-
-// loadSnapshotState applies a snapshot document to a fresh manager.
-func (m *Manager) loadSnapshotState(snap *wal.Snapshot) error {
-	for i := range snap.Sessions {
-		ss := &snap.Sessions[i]
-		if ss.Embedding == nil {
-			return fmt.Errorf("dynamic: restore: snapshot session %d without embedding", ss.ID)
-		}
-		id := SessionID(ss.ID)
-		if _, dup := m.sessions[id]; dup {
-			return fmt.Errorf("dynamic: restore: duplicate snapshot session %d", ss.ID)
-		}
-		m.sessions[id] = &Session{
-			ID:       id,
-			Task:     ss.Embedding.Task.CloneTask(),
-			Result:   &core.Result{Embedding: ss.Embedding, FinalCost: ss.FinalCost},
-			Degraded: ss.Degraded,
-			Lost:     ss.Lost,
-			uses:     ss.Uses,
-		}
-	}
-	for _, rc := range snap.Refs {
-		if rc.Count <= 0 {
-			return fmt.Errorf("dynamic: restore: non-positive refcount %d for vnf=%d node=%d",
-				rc.Count, rc.VNF, rc.Node)
-		}
-		m.refs[[2]int{rc.VNF, rc.Node}] = rc.Count
-	}
-	m.nextID = SessionID(snap.NextID)
-	m.admitted = snap.Counters.Admitted
-	m.rejected = snap.Counters.Rejected
-	m.admittedCost = snap.Counters.AdmittedCost
-	m.commitConflicts = snap.Counters.CommitConflicts
-	m.admitRetries = snap.Counters.AdmitRetries
-	m.serializedFallbacks = snap.Counters.SerializedFallbacks
-	return nil
-}
-
-// applyRecord replays one WAL record through the same state machine
-// the live commit path runs, minus the network mutations (deployment
-// state is re-derived from the final refcount ledger afterwards).
-func (m *Manager) applyRecord(r *wal.Record) error {
-	switch r.Type {
-	case wal.RecAdmit:
-		id := SessionID(r.Session)
-		if _, dup := m.sessions[id]; dup {
-			return fmt.Errorf("duplicate admit for session %d", id)
-		}
-		if r.Embedding == nil {
-			return fmt.Errorf("admit record for session %d without embedding", id)
-		}
-		m.sessions[id] = &Session{
-			ID:     id,
-			Task:   r.Embedding.Task.CloneTask(),
-			Result: &core.Result{Embedding: r.Embedding, FinalCost: r.FinalCost},
-			uses:   r.Uses,
-		}
-		for _, k := range r.Uses {
-			m.refs[k]++
-		}
-		if id >= m.nextID {
-			m.nextID = id + 1
-		}
-		m.admitted++
-		m.admittedCost += r.FinalCost
-
-	case wal.RecRelease:
-		sess, ok := m.sessions[SessionID(r.Session)]
-		if !ok {
-			return fmt.Errorf("release of unknown session %d", r.Session)
-		}
-		delete(m.sessions, sess.ID)
-		for _, k := range sess.uses {
-			if _, ok := m.refs[k]; !ok {
-				continue // purged by an earlier rebase
-			}
-			if m.refs[k]--; m.refs[k] <= 0 {
-				delete(m.refs, k)
-			}
-		}
-
-	case wal.RecRebase:
-		for _, k := range r.Purged {
-			delete(m.refs, k)
-		}
-		for _, sess := range m.sessions {
-			var kept [][2]int
-			for _, k := range sess.uses {
-				if _, ok := m.refs[k]; ok {
-					kept = append(kept, k)
-				}
-			}
-			sess.uses = kept
-		}
-
-	case wal.RecRepair:
-		sess, ok := m.sessions[SessionID(r.Session)]
-		if !ok {
-			return fmt.Errorf("repair of unknown session %d", r.Session)
-		}
-		if r.Embedding == nil {
-			return fmt.Errorf("repair record for session %d without embedding", r.Session)
-		}
-		// Refcount diff, mirroring reref: newly referenced keys gain,
-		// dropped ones lose (unless already purged).
-		oldSet := getKeySet()
-		for _, k := range sess.uses {
-			oldSet.add(k)
-		}
-		newSet := getKeySet()
-		for _, k := range r.Uses {
-			newSet.add(k)
-		}
-		for _, k := range r.Uses {
-			if !oldSet.has(k) {
-				m.refs[k]++
-			}
-		}
-		for _, k := range sess.uses {
-			if newSet.has(k) {
-				continue
-			}
-			if _, ok := m.refs[k]; !ok {
-				continue
-			}
-			if m.refs[k]--; m.refs[k] <= 0 {
-				delete(m.refs, k)
-			}
-		}
-		putKeySet(oldSet)
-		putKeySet(newSet)
-		sess.uses = r.Uses
-		sess.Result.Embedding = r.Embedding
-		sess.Result.FinalCost = r.FinalCost
-		sess.Degraded = r.Degraded
-		sess.Lost = r.Lost
-
-	default:
-		return fmt.Errorf("unknown record type %q", r.Type)
-	}
-	return nil
 }
 
 // crossCheck validates the restored state: every non-degraded session

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"sftree/internal/core"
@@ -42,7 +43,8 @@ func mustRestore(t *testing.T, dir string, net *nfv.Network) (*Manager, *Recover
 
 // stateFingerprint captures everything two managers must agree on:
 // per-session embedding bytes, cost, degradation marks and usage
-// lists, plus the refcount ledger and admission accounting.
+// lists, plus the refcount ledger, the next session ID and the
+// admission accounting.
 func stateFingerprint(t *testing.T, m *Manager) string {
 	t.Helper()
 	type sessState struct {
@@ -56,6 +58,7 @@ func stateFingerprint(t *testing.T, m *Manager) string {
 	var doc struct {
 		Sessions     []sessState
 		Refs         map[string]int
+		NextID       SessionID
 		Admitted     int
 		AdmittedCost float64
 	}
@@ -74,6 +77,9 @@ func stateFingerprint(t *testing.T, m *Manager) string {
 		doc.Refs[string(rune(k[0]))+"/"+string(rune(k[1]))] = v
 	}
 	st := m.Stats()
+	m.mu.Lock()
+	doc.NextID = m.nextID
+	m.mu.Unlock()
 	doc.Admitted, doc.AdmittedCost = st.Admitted, st.AdmittedCost
 	blob, err := json.Marshal(doc)
 	if err != nil {
@@ -316,5 +322,63 @@ func TestCheckpointWithoutWAL(t *testing.T) {
 	m := NewManager(lineNet(t, 2), core.Options{})
 	if _, err := m.Checkpoint(); err != ErrNoWAL {
 		t.Fatalf("Checkpoint without WAL: %v", err)
+	}
+}
+
+// deployedCount counts every installed instance on the network.
+func deployedCount(net *nfv.Network) int {
+	n := 0
+	for f := 0; f < net.CatalogSize(); f++ {
+		for v := 0; v < net.NumNodes(); v++ {
+			if net.IsDeployed(f, v) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestClosedLogFailsTyped closes the log under a live manager — a dead
+// disk. Admissions and releases must fail as ErrWAL with the cause
+// wrapped, not as a capacity rejection; nothing may change, the fresh
+// deploys must be rolled back, and reads must keep working.
+func TestClosedLogFailsTyped(t *testing.T) {
+	l, _ := openWAL(t, t.TempDir())
+	net := lineNet(t, 2)
+	m := NewManager(net, core.Options{}).AttachWAL(l)
+	held, err := m.Admit(nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, deployed := stateFingerprint(t, m), deployedCount(net)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Chain {1} needs a fresh install, so the commit gets as far as
+	// deploying before the append fails.
+	_, err = m.Admit(nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{1}})
+	if !errors.Is(err, ErrWAL) || !errors.Is(err, wal.ErrClosed) || errors.Is(err, ErrRejected) {
+		t.Fatalf("admit on a closed log: %v", err)
+	}
+	err = m.Release(held.ID)
+	if !errors.Is(err, ErrWAL) || !errors.Is(err, wal.ErrClosed) || errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("release on a closed log: %v", err)
+	}
+
+	if got := stateFingerprint(t, m); got != before {
+		t.Fatalf("failed commits changed the ledger:\n got %s\nwant %s", got, before)
+	}
+	if m.Active() != 1 || m.LiveInstances() != 1 || len(m.Sessions()) != 1 {
+		t.Fatalf("active=%d instances=%d", m.Active(), m.LiveInstances())
+	}
+	if got := deployedCount(net); got != deployed {
+		t.Fatalf("%d instances deployed, want %d: the refused admission's install leaked", got, deployed)
+	}
+	if err := m.VerifyRefs(); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Rejected != 0 || st.WALAppendErrors != 2 || st.Admitted != 1 {
+		t.Fatalf("stats %+v: want no rejection, two append errors", st)
 	}
 }

@@ -14,10 +14,11 @@
 // manager's mutex. The commit re-checks exactly the deployment state
 // the embedding touches, so concurrent admissions over disjoint
 // instances commit without re-solving; genuinely conflicting ones
-// retry a bounded number of times and then fall back to solving under
-// the lock, which guarantees progress. A single client (no
-// concurrency) always commits its first attempt against an unchanged
-// snapshot, making results bit-identical to the fully serialized path.
+// retry a bounded number of times and then run the same attempt once
+// more with the lock held throughout, which guarantees progress. A
+// single client (no concurrency) always commits its first attempt
+// against an unchanged snapshot, making results bit-identical to the
+// fully serialized path.
 package dynamic
 
 import (
@@ -40,12 +41,17 @@ var (
 	ErrRejected = errors.New("dynamic: session rejected")
 	// ErrUnknownSession reports a release for an unknown session ID.
 	ErrUnknownSession = errors.New("dynamic: unknown session")
+	// ErrWAL reports an admission or release the attached write-ahead
+	// log refused to record (cause wrapped). Nothing was committed: the
+	// manager is as it was before the call. It is a durability fault,
+	// not a capacity verdict, and is never an ErrRejected.
+	ErrWAL = errors.New("dynamic: wal append failed")
 )
 
 // maxAdmitRetries bounds how many times an admission re-solves after a
-// commit conflict before falling back to solving under the lock. The
-// fallback serializes with every other commit, so admission latency
-// stays bounded even under pathological contention.
+// commit conflict before its next attempt holds the lock from snapshot
+// to commit. That attempt serializes with every other commit, so
+// admission latency stays bounded even under pathological contention.
 const maxAdmitRetries = 3
 
 // SessionID identifies an admitted session.
@@ -65,6 +71,10 @@ type Session struct {
 	// Lost lists destination node IDs no longer served (unreachable or
 	// unrepairable after a fault). Empty for healthy sessions.
 	Lost []int
+	// Coalesced reports that the solve this session committed from ran
+	// against a snapshot an earlier admission had already taken (see
+	// takeSnapshot) rather than a fresh clone. Set once at commit.
+	Coalesced bool
 	// uses lists the (vnf, node) instances this session's flows
 	// traverse, including ones inherited from earlier sessions.
 	uses [][2]int
@@ -86,6 +96,9 @@ type Manager struct {
 	// live, mutating network), so a cached overlay can be shared by
 	// every solver at that version.
 	scaffolds *mod.Cache
+	// snap is the newest admission snapshot, handed out again for as
+	// long as it still equals the live network (see takeSnapshot).
+	snap snapshot
 
 	nextID   SessionID
 	sessions map[SessionID]*Session
@@ -102,8 +115,8 @@ type Manager struct {
 	commitConflicts     int
 	admitRetries        int
 	serializedFallbacks int
-	// coalescedSolves counts batch admissions that committed off a
-	// reused snapshot (see AdmitBatch).
+	// coalescedSolves counts admissions that committed off a reused
+	// snapshot (see takeSnapshot).
 	coalescedSolves int
 
 	// met holds the optional registry handles (see Instrument).
@@ -113,9 +126,10 @@ type Manager struct {
 	trace *obs.TraceBuffer
 
 	// wal, when attached, receives one lifecycle record per commit —
-	// appended inside the critical section, before the in-memory state
-	// mutates, so the durable history can never lag a committed
-	// operation (see AttachWAL, Checkpoint, Restore in durable.go).
+	// appended inside the critical section, before apply folds the same
+	// record into the in-memory ledger, so the durable history can never
+	// lag a committed operation (see AttachWAL, Checkpoint, Restore in
+	// durable.go).
 	wal *wal.Log
 	// crashHook, when set, fires at named crash points inside the
 	// commit critical sections (test-only; see SetCrashHook).
@@ -175,6 +189,17 @@ func NewManager(net *nfv.Network, opts core.Options) *Manager {
 
 // Network exposes the managed network (read-only use expected).
 func (m *Manager) Network() *nfv.Network { return m.net }
+
+// CloneNetwork takes a consistent deep clone of the managed network
+// under the manager lock — the safe way for an external observer (a
+// fault injector, the chaos harness) to read deployment state while
+// admissions commit concurrently. Network() by contrast hands back the
+// live object and is only safe when nothing is in flight.
+func (m *Manager) CloneNetwork() *nfv.Network {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.net.Clone()
+}
 
 // Instrument wires the manager's lifecycle into the registry:
 // sessions_{admitted,rejected,released}_total counters, the
@@ -247,32 +272,50 @@ type snapshot struct {
 	parent *nfv.Network // the live network object the clone was taken from
 	gen    uint64       // graph generation at snapshot time
 	epoch  uint64       // deployment epoch at snapshot time
-	opts   core.Options // solver options as configured at snapshot time
+	// The fields below are read fresh for every admission and never
+	// cached: the solver options and trace ring as configured right now,
+	// and whether net came out of the cache instead of a new clone.
+	opts   core.Options
 	trace  *obs.TraceBuffer
+	reused bool
 }
 
-// takeSnapshot captures the network and manager configuration under
-// the lock. The metric closure is warmed first so every clone (and
-// the live network) share one APSP computation instead of each cold
-// solve paying its own.
+// takeSnapshot returns the admission's read view; callers hold m.mu.
+// The newest clone is kept and handed out again for as long as its
+// (network, graph generation, deployment epoch) triple equals the live
+// network's — the predicate settle commits under, so a reused clone is
+// indistinguishable from a fresh one. A run of admissions that reuse
+// live instances without deploying anything therefore shares one
+// clone, and with it one scaffold build per (source, chain).
+//
+// Concurrent solvers share the clone, so everything it computes lazily
+// — the metric closure and the server list — is warmed on the live
+// network first: Clone copies both, and the live network and every
+// clone then share one APSP run.
 func (m *Manager) takeSnapshot() snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.net.Metric()
-	return snapshot{
-		net:    m.net.Clone(),
-		parent: m.net,
-		gen:    m.net.Graph().Generation(),
-		epoch:  m.net.DeployEpoch(),
-		opts:   m.opts,
-		trace:  m.trace,
+	s := m.snap
+	s.reused = s.net != nil && s.parent == m.net &&
+		s.gen == m.net.Graph().Generation() && s.epoch == m.net.DeployEpoch()
+	if !s.reused {
+		m.net.Metric()
+		m.net.ServerList()
+		s = snapshot{
+			net:    m.net.Clone(),
+			parent: m.net,
+			gen:    m.net.Graph().Generation(),
+			epoch:  m.net.DeployEpoch(),
+		}
+		m.snap = s
 	}
+	s.opts, s.trace = m.opts, m.trace
+	return s
 }
 
 // Admit solves the task against the current deployment state,
 // installs its new instances, and reference-counts every dynamic
 // instance its flows traverse. A solver failure (no capacity, no
-// route) yields ErrRejected with the cause wrapped.
+// route) yields ErrRejected with the cause wrapped; a write-ahead log
+// that refuses the commit yields ErrWAL.
 func (m *Manager) Admit(task nfv.Task) (*Session, error) {
 	return m.AdmitCtx(context.Background(), task)
 }
@@ -280,30 +323,32 @@ func (m *Manager) Admit(task nfv.Task) (*Session, error) {
 // AdmitCtx is Admit with a solve deadline: the context is threaded
 // into core.Options.Ctx, so an expiring deadline yields the best
 // feasible embedding found so far (anytime semantics) rather than an
-// abort — admission still succeeds with Result.EarlyStop set.
+// abort — admission still succeeds with Result.EarlyStop set. It is
+// the one admission entry point: library callers, the HTTP handler and
+// the admission queue all come through here.
 //
 // The solve runs outside the manager lock against a snapshot; the
 // commit step re-acquires the lock, verifies the snapshot's version
 // (or, when only the deployment epoch moved, re-validates exactly the
 // instances and capacities the embedding touches) and installs the
 // session. On conflict it re-solves against a fresh snapshot up to
-// maxAdmitRetries times, then falls back to one serialized
-// solve-and-commit under the lock.
+// maxAdmitRetries times; the attempt after that is the same attempt
+// with the lock held from snapshot to commit, which cannot conflict.
 func (m *Manager) AdmitCtx(ctx context.Context, task nfv.Task) (*Session, error) {
 	m.inflight.Add(1)
 	defer m.inflight.Done()
 	start := time.Now()
-	out := m.admitLoop(ctx, task, nil)
-	m.finishAdmit(out.tracing, out.rec, ctx, out.par, out.retries, out.sess, out.res, out.err, start)
-	if out.err != nil {
-		return nil, out.err
+	var out admitOutcome
+	for !m.attempt(ctx, task, &out) {
+		out.retries++
 	}
-	return out.sess, nil
+	m.finishAdmit(ctx, &out, start)
+	return out.sess, out.err
 }
 
-// admitOutcome bundles one admission's final result plus the telemetry
-// finishAdmit reports and the snapshot-reuse state AdmitBatch threads
-// from task to task.
+// admitOutcome bundles one admission's result with the telemetry
+// finishAdmit reports. Every field but retries describes the latest
+// attempt.
 type admitOutcome struct {
 	sess    *Session
 	res     *core.Result
@@ -312,177 +357,129 @@ type admitOutcome struct {
 	par     int
 	retries int
 	tracing *obs.TraceBuffer
-	// coalesced marks an admission whose committed attempt solved
-	// against a snapshot inherited from an earlier batch task instead
-	// of a fresh clone.
-	coalesced bool
-	// snap is the snapshot behind the final optimistic attempt;
-	// snapValid marks it reusable (the attempt committed without
-	// falling back to the serialized path). AdmitBatch hands it to the
-	// next task when the network version has not moved since.
-	snap      snapshot
-	snapValid bool
 }
 
-// admitLoop runs the optimistic solve/commit protocol for one task:
-// solve outside the lock against a snapshot, validate-and-commit under
-// it, re-solve on conflict up to maxAdmitRetries times, then fall back
-// to one serialized solve-and-commit. reuse, when non-nil, serves the
-// first attempt instead of a fresh clone — the batch path passes the
-// previous task's snapshot while the version triple proves it still
-// equals the live state, so an epoch-stable run of admissions shares
-// one clone and one scaffold warm-up.
-func (m *Manager) admitLoop(ctx context.Context, task nfv.Task, reuse *snapshot) admitOutcome {
-	var out admitOutcome
-	for {
-		var snap snapshot
-		if reuse != nil {
-			snap, out.coalesced = *reuse, true
-			reuse = nil
-		} else {
-			out.coalesced = false
-			snap = m.takeSnapshot()
+// attempt runs one round of the admission protocol — snapshot, solve
+// on the clone with the scaffold cache, settle — and reports whether
+// the outcome in out is final; false means a concurrent commit
+// invalidated the round and the caller should go again.
+//
+// Ordinarily only the snapshot and the settle step hold m.mu and the
+// solve runs unlocked. Once the retries are used up the round keeps
+// the lock from snapshot to commit instead: nothing can move under it,
+// so it is always final. That is the progress guarantee, and the only
+// difference between the two is where the lock is dropped — the solver
+// never sees the live network.
+func (m *Manager) attempt(ctx context.Context, task nfv.Task, out *admitOutcome) (final bool) {
+	m.mu.Lock()
+	if out.retries > maxAdmitRetries {
+		defer m.mu.Unlock()
+		m.serializedFallbacks++
+		if m.met != nil {
+			m.met.serializedFallbacks.Inc()
 		}
-		out.tracing, out.par = snap.trace, snap.opts.Parallelism
-		attempt := snap.opts
-		attempt.Ctx = ctx
-		attempt.Scaffolds = m.scaffolds
-		out.rec = nil
-		if out.tracing != nil {
-			out.rec = &obs.SpanRecorder{}
-			attempt.Observer = obs.Tee(attempt.Observer, out.rec)
-		}
-		out.res, out.err = core.Solve(snap.net, task, attempt)
-		if out.err != nil {
-			// Rejections need no commit: the network was not touched.
-			// A conflicting commit cannot turn an infeasible task
-			// feasible only by *adding* load, but a concurrent release
-			// could, so a rejection computed against a stale snapshot
-			// is re-checked once against the current version.
-			if stale := m.noteRejectionLocked(snap); !stale {
-				out.sess = nil
-				out.err = fmt.Errorf("%w: %w", ErrRejected, out.err)
-				// The stale check just proved the version unmoved, so
-				// the snapshot still equals the live state: a batch
-				// can reuse it for the next task.
-				out.snap, out.snapValid = snap, true
-				return out
-			}
-			out.retries++
-			if out.retries > maxAdmitRetries {
-				out.sess, out.res, out.err, out.rec = m.admitSerialized(ctx, task)
-				return out
-			}
-			continue
-		}
-		var conflicted bool
-		out.sess, out.err, conflicted = m.tryCommit(snap, task, out.res)
-		if !conflicted {
-			out.snap, out.snapValid = snap, true
-			return out
-		}
-		out.retries++
-		if out.retries > maxAdmitRetries {
-			out.sess, out.res, out.err, out.rec = m.admitSerialized(ctx, task)
-			return out
-		}
+		snap := m.takeSnapshot()
+		m.solve(ctx, task, snap, out)
+		return m.settle(snap, task, out)
 	}
+	snap := m.takeSnapshot()
+	m.mu.Unlock()
+	m.solve(ctx, task, snap, out)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.settle(snap, task, out)
+}
+
+// solve runs the two-stage solver against the snapshot's clone.
+func (m *Manager) solve(ctx context.Context, task nfv.Task, snap snapshot, out *admitOutcome) {
+	opts := snap.opts
+	opts.Ctx = ctx
+	opts.Scaffolds = m.scaffolds
+	out.tracing, out.par, out.rec = snap.trace, opts.Parallelism, nil
+	if out.tracing != nil {
+		out.rec = &obs.SpanRecorder{}
+		opts.Observer = obs.Tee(opts.Observer, out.rec)
+	}
+	out.res, out.err = core.Solve(snap.net, task, opts)
 }
 
 // finishAdmit records the admission's trace and latency once the
-// outcome (success, rejection, or fallback result) is final. Exactly
-// one trace is added per AdmitCtx call, carrying the spans of the
-// attempt that produced the outcome.
-func (m *Manager) finishAdmit(buf *obs.TraceBuffer, rec *obs.SpanRecorder, ctx context.Context, par, retries int, sess *Session, res *core.Result, err error, start time.Time) {
+// outcome is final. Exactly one trace is added per AdmitCtx call,
+// carrying the spans of the attempt that produced the outcome.
+func (m *Manager) finishAdmit(ctx context.Context, out *admitOutcome, start time.Time) {
 	if m.met != nil {
 		m.met.solveMS.ObserveDuration(time.Since(start))
 	}
-	if buf == nil {
+	if out.tracing == nil {
 		return
 	}
 	t := obs.Trace{
 		Op:          "admit",
 		RequestID:   obs.RequestID(ctx),
 		Session:     -1,
-		Parallelism: par,
-		Retries:     retries,
+		Parallelism: out.par,
+		Retries:     out.retries,
 		Start:       start,
 		DurationNs:  time.Since(start).Nanoseconds(),
 	}
-	if rec != nil {
-		t.Warm = rec.Breakdown().Warm
-		t.Spans = rec.Spans()
+	if out.rec != nil {
+		t.Warm = out.rec.Breakdown().Warm
+		t.Spans = out.rec.Spans()
 	}
-	if sess != nil {
-		t.Session = int(sess.ID)
+	if out.sess != nil {
+		t.Session = int(out.sess.ID)
 	}
-	if res != nil {
-		t.EarlyStop = res.EarlyStop
+	if out.res != nil {
+		t.EarlyStop = out.res.EarlyStop
 	}
-	if err != nil {
-		t.Err = err.Error()
+	if out.err != nil {
+		t.Err = out.err.Error()
 	}
-	buf.Add(t)
+	out.tracing.Add(t)
 }
 
-// noteRejectionLocked accounts one solver rejection. It reports the
-// rejection as stale — worth a retry instead of a final answer — when
-// the deployment state changed since the snapshot was taken: capacity
-// freed by a concurrent release could make the task feasible.
-func (m *Manager) noteRejectionLocked(snap snapshot) (stale bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.net != snap.parent ||
-		m.net.Graph().Generation() != snap.gen ||
-		m.net.DeployEpoch() != snap.epoch {
+// settle is the short serialized phase of an attempt; callers hold
+// m.mu. It decides whether the solve's snapshot still describes the
+// live network — same network object, same graph generation, and
+// either the same deployment epoch or, when only the epoch moved,
+// unchanged state for exactly the instances and node capacities the
+// embedding touches — and if so makes the solve's verdict final: the
+// session is committed, or the task rejected. Otherwise it counts a
+// conflict and returns false, asking for a re-solve.
+//
+// A rejection needs the exact version: load a concurrent commit added
+// cannot make an infeasible task feasible, but capacity a concurrent
+// release freed could, and there is no embedding to re-validate.
+func (m *Manager) settle(snap snapshot, task nfv.Task, out *admitOutcome) (final bool) {
+	current := m.net == snap.parent && m.net.Graph().Generation() == snap.gen
+	if current && m.net.DeployEpoch() != snap.epoch {
+		current = out.err == nil && m.revalidateLocked(task, out.res.Embedding)
+	}
+	switch {
+	case !current:
 		m.commitConflicts++
 		m.admitRetries++
 		if m.met != nil {
 			m.met.commitConflicts.Inc()
 			m.met.admitRetries.Inc()
 		}
-		return true
+		return false
+	case out.err != nil:
+		out.err = m.rejectLocked(out.err)
+	default:
+		out.sess, out.err = m.commitLocked(task, out.res, snap.reused)
 	}
+	return true
+}
+
+// rejectLocked counts one rejection and types its cause; callers hold
+// m.mu.
+func (m *Manager) rejectLocked(cause error) error {
 	m.rejected++
 	if m.met != nil {
 		m.met.rejected.Inc()
 	}
-	return false
-}
-
-// tryCommit is the short serialized phase of an optimistic admission.
-// It validates that the solve's snapshot still describes the live
-// network — same network object, same graph generation, and either
-// the same deployment epoch or, when only the epoch moved, unchanged
-// state for exactly the instances and node capacities the embedding
-// touches — and then installs the session. conflicted=true asks the
-// caller to re-solve; a non-nil error is a terminal rejection.
-func (m *Manager) tryCommit(snap snapshot, task nfv.Task, res *core.Result) (sess *Session, err error, conflicted bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.net != snap.parent || m.net.Graph().Generation() != snap.gen {
-		// Rebase swapped the network (or the topology mutated):
-		// everything the solve priced is suspect, so re-solve.
-		m.noteConflictLocked()
-		return nil, nil, true
-	}
-	if m.net.DeployEpoch() != snap.epoch && !m.revalidateLocked(task, res.Embedding) {
-		m.noteConflictLocked()
-		return nil, nil, true
-	}
-	sess, err = m.commitLocked(task, res)
-	return sess, err, false
-}
-
-// noteConflictLocked counts one invalidated commit attempt and the
-// retry it forces; callers hold m.mu.
-func (m *Manager) noteConflictLocked() {
-	m.commitConflicts++
-	m.admitRetries++
-	if m.met != nil {
-		m.met.commitConflicts.Inc()
-		m.met.admitRetries.Inc()
-	}
+	return fmt.Errorf("%w: %w", ErrRejected, cause)
 }
 
 // revalidateLocked re-checks an embedding solved against an older
@@ -552,69 +549,36 @@ func (m *Manager) revalidateLocked(task nfv.Task, emb *nfv.Embedding) bool {
 	return true
 }
 
-// admitSerialized is the bounded-retry fallback: one solve-and-commit
-// entirely under the lock, exactly the pre-optimistic behavior. It
-// cannot conflict, so admission latency under pathological contention
-// degrades to the serialized path instead of livelocking. The scaffold
-// cache is bypassed because the live network mutates between (and
-// during) admissions, and cached overlays must only reference
-// immutable snapshots.
-func (m *Manager) admitSerialized(ctx context.Context, task nfv.Task) (*Session, *core.Result, error, *obs.SpanRecorder) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.serializedFallbacks++
-	if m.met != nil {
-		m.met.serializedFallbacks.Inc()
-	}
-	opts := m.opts
-	opts.Ctx = ctx
-	var rec *obs.SpanRecorder
-	if m.trace != nil {
-		rec = &obs.SpanRecorder{}
-		opts.Observer = obs.Tee(opts.Observer, rec)
-	}
-	res, err := core.Solve(m.net, task, opts)
-	if err != nil {
-		m.rejected++
-		if m.met != nil {
-			m.met.rejected.Inc()
-		}
-		return nil, res, fmt.Errorf("%w: %w", ErrRejected, err), rec
-	}
-	sess, err := m.commitLocked(task, res)
-	return sess, res, err, rec
-}
-
-// commitLocked installs a validated solver result: deploys the fresh
-// instances (rolling back on the impossible install failure), builds
-// the session, appends its admit record to the attached WAL, and only
-// then reference-counts every dynamic instance its walks traverse.
-// The WAL append sits between "the session is fully decided" and "the
-// in-memory state changes", so a crash on either side is clean:
-// before the append nothing was committed (the record is absent, the
-// deploys die with the process), after it the record replays the
-// exact state the commit was about to install. The critical section
-// allocates only the session object itself — the dedup scratch comes
-// from a pool. Callers hold m.mu.
-func (m *Manager) commitLocked(task nfv.Task, res *core.Result) (*Session, error) {
-	for _, inst := range res.Embedding.NewInstances {
+// commitLocked installs a validated solver result: it deploys the
+// fresh instances (rolling back on the impossible install failure),
+// writes the admit record — session ID, embedding, cost and the usage
+// list of every dynamic instance the walks traverse — appends it to
+// the attached WAL, and only then lets apply fold it into the ledger.
+// The append sits between "the session is fully decided" and "the
+// in-memory state changes", so a crash on either side is clean: before
+// it nothing was committed (the record is absent, the deploys die with
+// the process), after it the record replays through the same apply
+// into the exact state this commit was about to install. Callers hold
+// m.mu.
+func (m *Manager) commitLocked(task nfv.Task, res *core.Result, coalesced bool) (*Session, error) {
+	fresh := res.Embedding.NewInstances
+	for i, inst := range fresh {
 		if err := m.net.Deploy(inst.VNF, inst.Node); err != nil {
-			// Roll back what we already installed; this indicates a
-			// solver bug (validated embeddings must fit capacity).
-			m.rollback(res.Embedding.NewInstances, inst)
-			m.rejected++
-			if m.met != nil {
-				m.met.rejected.Inc()
-			}
-			return nil, fmt.Errorf("%w: install: %w", ErrRejected, err)
+			// This indicates a solver bug: validated embeddings must fit
+			// capacity.
+			m.undeploy(fresh[:i])
+			return nil, m.rejectLocked(fmt.Errorf("install: %w", err))
 		}
 	}
-	sess := &Session{ID: m.nextID, Task: task.CloneTask(), Result: res}
-
-	// Collect every dynamic instance the session traverses — reused
-	// ones already in the ledger plus its fresh installs — without
-	// touching the counts yet: the usage list goes into the WAL record
-	// first, and only a durable record may mutate state.
+	rec := &wal.Record{
+		Type:      wal.RecAdmit,
+		Session:   int64(m.nextID),
+		Embedding: res.Embedding,
+		FinalCost: res.FinalCost,
+	}
+	// The usage list: reused instances already in the ledger, then the
+	// fresh installs. The dedup scratch comes from a pool, so the
+	// critical section allocates only the record and the session.
 	seen := getKeySet()
 	for di := range task.Destinations {
 		for lvl := 1; lvl <= task.K(); lvl++ {
@@ -623,85 +587,65 @@ func (m *Manager) commitLocked(task nfv.Task, res *core.Result) (*Session, error
 				continue
 			}
 			if _, dynamicInst := m.refs[key]; dynamicInst {
-				sess.uses = append(sess.uses, key)
+				rec.Uses = append(rec.Uses, key)
 			}
 		}
 	}
 	putKeySet(seen)
-	for _, inst := range res.Embedding.NewInstances {
-		sess.uses = append(sess.uses, [2]int{inst.VNF, inst.Node})
+	for _, inst := range fresh {
+		rec.Uses = append(rec.Uses, [2]int{inst.VNF, inst.Node})
 	}
 
-	if err := m.appendAdmitLocked(sess); err != nil {
+	out, err := m.commitDurable(rec, "admit:post-wal")
+	if err != nil {
 		// Durability is part of the commit: an unloggable admission is
-		// rejected and its installs undone, keeping disk and memory in
+		// refused and its installs undone, keeping disk and memory in
 		// agreement (both without the session).
-		for _, inst := range res.Embedding.NewInstances {
-			_ = m.net.Undeploy(inst.VNF, inst.Node)
-		}
-		m.rejected++
-		if m.met != nil {
-			m.met.rejected.Inc()
-		}
-		return nil, fmt.Errorf("%w: wal append: %w", ErrRejected, err)
+		m.undeploy(fresh)
+		return nil, err
 	}
-	m.crashPoint("admit:post-wal")
-
-	m.nextID++
-	for _, key := range sess.uses {
-		m.refs[key]++
+	// The ledger keeps what the record carries; the live session also
+	// offers the solver's full result.
+	out.sess.Result, out.sess.Coalesced = res, coalesced
+	if coalesced {
+		m.coalescedSolves++
 	}
-	m.sessions[sess.ID] = sess
-	m.admitted++
-	m.admittedCost += res.FinalCost
 	if m.met != nil {
 		m.met.admitted.Inc()
+		if coalesced {
+			m.met.coalescedSolves.Inc()
+		}
 		m.observe()
 	}
-	return sess, nil
+	return out.sess, nil
 }
 
-// rollback undoes deployments up to (excluding) the failing one.
-func (m *Manager) rollback(insts []nfv.Instance, failed nfv.Instance) {
+// undeploy removes instances this commit installed itself, so the
+// removals cannot fail.
+func (m *Manager) undeploy(insts []nfv.Instance) {
 	for _, inst := range insts {
-		if inst == failed {
-			return
-		}
 		_ = m.net.Undeploy(inst.VNF, inst.Node)
 	}
 }
 
 // Release tears a session down: every dynamic instance it referenced
 // is decremented and undeployed once no live session uses it. Like
-// admission, the release record hits the WAL before the in-memory
-// state changes, so a crash either loses the whole release (the
+// admission, the release record hits the WAL before apply changes the
+// in-memory state, so a crash either loses the whole release (the
 // session survives restore) or none of it.
 func (m *Manager) Release(id SessionID) error {
 	m.inflight.Add(1)
 	defer m.inflight.Done()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sess, ok := m.sessions[id]
-	if !ok {
+	if _, ok := m.sessions[id]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
-	if err := m.appendRecord(&wal.Record{Type: wal.RecRelease, Session: int64(id)}); err != nil {
-		return fmt.Errorf("dynamic: release %d: wal append: %w", id, err)
+	out, err := m.commitDurable(&wal.Record{Type: wal.RecRelease, Session: int64(id)}, "release:post-wal")
+	if err != nil {
+		return fmt.Errorf("dynamic: release %d: %w", id, err)
 	}
-	m.crashPoint("release:post-wal")
-	delete(m.sessions, id)
-	for _, key := range sess.uses {
-		if _, ok := m.refs[key]; !ok {
-			// The instance died in a fault after this session last
-			// referenced it; decrementing would mint a phantom negative
-			// entry and a later Undeploy would fail.
-			continue
-		}
-		m.refs[key]--
-		if m.refs[key] > 0 {
-			continue
-		}
-		delete(m.refs, key)
+	for _, key := range out.orphans {
 		if err := m.net.Undeploy(key[0], key[1]); err != nil {
 			return fmt.Errorf("dynamic: release %d: %w", id, err)
 		}
@@ -764,12 +708,13 @@ type Stats struct {
 	// CommitConflicts counts optimistic commit attempts invalidated by
 	// a concurrent commit; AdmitRetries the solve reruns they forced;
 	// SerializedFallbacks admissions that exhausted their retries and
-	// solved under the lock. All three stay zero without concurrency.
+	// ran their last attempt holding the lock. All three stay zero
+	// without concurrency.
 	CommitConflicts     int `json:"commit_conflicts"`
 	AdmitRetries        int `json:"admit_retries"`
 	SerializedFallbacks int `json:"serialized_fallbacks"`
-	// CoalescedSolves counts batch admissions that committed off a
-	// reused snapshot (see AdmitBatch).
+	// CoalescedSolves counts admissions that committed off a reused
+	// snapshot: the sessions whose Coalesced is set.
 	CoalescedSolves int `json:"coalesced_solves,omitempty"`
 	// Durability history; all zero without an attached WAL.
 	WALRecords      int    `json:"wal_records,omitempty"`

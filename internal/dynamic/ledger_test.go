@@ -1,0 +1,277 @@
+package dynamic
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"sftree/internal/core"
+	"sftree/internal/faults"
+	"sftree/internal/netgen"
+	"sftree/internal/nfv"
+	"sftree/internal/wal"
+)
+
+// shadowSeeds is how many seeded scripts TestShadowLedger runs.
+const shadowSeeds = 200
+
+// logTail reads a live log's records back out of its segment files as
+// they are appended: each drain returns the records written since the
+// previous one, decoded from the bytes the WAL's encoder put on disk.
+// The log stays open and nothing is restored; the files are only read.
+type logTail struct {
+	dir     string
+	segment string // segment the cursor is in ("" before the first drain)
+	offset  int    // bytes of it already consumed
+}
+
+func (lt *logTail) drain(t *testing.T) []wal.Record {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(lt.dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names) // zero-padded sequence numbers: name order is log order
+	var out []wal.Record
+	for _, name := range names {
+		if name < lt.segment {
+			continue // folded into a snapshot and not pruned yet
+		}
+		if name > lt.segment {
+			lt.segment, lt.offset = name, 0
+		}
+		blob, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn, err := wal.ReplayBytes(blob[lt.offset:], true, func(r *wal.Record) error {
+			out = append(out, *r)
+			return nil
+		})
+		if err != nil || torn {
+			t.Fatalf("reading back %s from offset %d: torn=%v err=%v", name, lt.offset, torn, err)
+		}
+		lt.offset = len(blob)
+	}
+	return out
+}
+
+// shadowNet is a small substrate where sessions must share: few VNF
+// types, few servers, little capacity.
+func shadowNet(t *testing.T, rng *rand.Rand) *nfv.Network {
+	t.Helper()
+	net, err := netgen.Generate(netgen.Config{
+		Nodes:          14,
+		ServerFraction: 0.4,
+		CapacityMin:    1,
+		CapacityMax:    2,
+		CatalogSize:    3,
+		SetupCostMu:    2,
+		Area:           100,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// runShadowScript drives one seeded script of admissions, releases,
+// fault rebases and checkpoints against a WAL-backed manager. After
+// every operation the records that operation appended are read back
+// from the log and fed to a bare second manager — no network, no WAL,
+// nothing but apply — and the two must agree on the whole ledger. It
+// returns how often each repair rung fired.
+func runShadowScript(t *testing.T, seed int64) map[RepairOutcome]int {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	base := shadowNet(t, rng)
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Config{Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	live := NewManager(base.Clone(), core.Options{}).AttachWAL(l)
+	shadow := NewManager(nil, core.Options{})
+	tail := &logTail{dir: dir}
+	st := faults.NewState(base)
+	edges := base.Graph().Edges()
+	servers := base.Servers()
+	rungs := map[RepairOutcome]int{}
+
+	for op := 0; op < 40; op++ {
+		var what string
+		switch r := rng.Intn(11); {
+		case r < 4:
+			task, err := netgen.GenerateTask(base, rng, 1+rng.Intn(3), 1+rng.Intn(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			what = fmt.Sprintf("admit %v", task)
+			if _, err := live.Admit(task); err != nil && !errors.Is(err, ErrRejected) {
+				t.Fatalf("seed %d op %d %s: %v", seed, op, what, err)
+			}
+		case r < 6:
+			sessions := live.Sessions()
+			if len(sessions) == 0 {
+				continue
+			}
+			id := sessions[rng.Intn(len(sessions))].ID
+			what = fmt.Sprintf("release %d", id)
+			if err := live.Release(id); err != nil {
+				t.Fatalf("seed %d op %d %s: %v", seed, op, what, err)
+			}
+		case r < 9:
+			var ev faults.Event
+			switch k := rng.Intn(6); {
+			case k < 2:
+				e := edges[rng.Intn(len(edges))]
+				ev = faults.Event{Kind: faults.LinkDown, U: e.U, V: e.V}
+			case k == 2:
+				e := edges[rng.Intn(len(edges))]
+				ev = faults.Event{Kind: faults.LinkUp, U: e.U, V: e.V}
+			case k == 3:
+				ev = faults.Event{Kind: faults.NodeDown, Node: servers[rng.Intn(len(servers))]}
+			case k == 4:
+				ev = faults.Event{Kind: faults.NodeUp, Node: servers[rng.Intn(len(servers))]}
+			default:
+				refs := live.Refs()
+				keys := make([][2]int, 0, len(refs))
+				for key := range refs {
+					keys = append(keys, key)
+				}
+				if len(keys) == 0 {
+					continue
+				}
+				sortKeys(keys)
+				key := keys[rng.Intn(len(keys))]
+				ev = faults.Event{Kind: faults.InstanceDown, VNF: key[0], Node: key[1]}
+			}
+			what = ev.String()
+			if err := st.Apply(ev); err != nil {
+				t.Fatalf("seed %d op %d %s: %v", seed, op, what, err)
+			}
+			degraded, err := st.Materialize(live.CloneNetwork())
+			if err != nil {
+				t.Fatalf("seed %d op %d %s: %v", seed, op, what, err)
+			}
+			rr := live.Rebase(degraded)
+			rungs[RepairIntact] += rr.Checked - rr.Affected
+			for _, sr := range rr.Sessions {
+				rungs[sr.Outcome]++
+			}
+		case r == 9:
+			// No random fault reaches the re-embed rung: it runs only after a
+			// patch failed, and a patch can always lean on the instances the
+			// session's intact walks still use. Drive it directly, on a
+			// healthy session — a wholesale re-solve committed the way Rebase
+			// would commit it.
+			sessions := live.Sessions()
+			if len(sessions) == 0 {
+				continue
+			}
+			sess := sessions[rng.Intn(len(sessions))]
+			emb := sess.Result.Embedding
+			if len(emb.Task.Destinations) == 0 {
+				continue
+			}
+			what = fmt.Sprintf("reembed %d", sess.ID)
+			all := make([]int, len(emb.Task.Destinations))
+			for i := range all {
+				all[i] = i
+			}
+			sr := SessionRepair{ID: sess.ID, CostBefore: sess.Result.FinalCost}
+			live.mu.Lock()
+			if live.tryReembed(sess, emb, all, nil, &sr) {
+				rungs[sr.Outcome]++
+			}
+			live.mu.Unlock()
+		default:
+			what = "checkpoint"
+			if _, err := live.Checkpoint(); err != nil {
+				t.Fatalf("seed %d op %d %s: %v", seed, op, what, err)
+			}
+		}
+
+		recs := tail.drain(t)
+		for i := range recs {
+			if _, err := shadow.apply(&recs[i]); err != nil {
+				t.Fatalf("seed %d op %d %s: shadow refused seq %d: %v", seed, op, what, recs[i].Seq, err)
+			}
+		}
+		if got, want := stateFingerprint(t, shadow), stateFingerprint(t, live); got != want {
+			t.Fatalf("seed %d op %d %s: shadow ledger diverged after %d records:\nshadow %s\n  live %s",
+				seed, op, what, len(recs), got, want)
+		}
+		if err := live.VerifyRefs(); err != nil {
+			t.Fatalf("seed %d op %d %s: %v", seed, op, what, err)
+		}
+	}
+	return rungs
+}
+
+// TestShadowLedger is the by-construction claim made executable: the
+// live ledger after any operation equals apply folded over the records
+// that operation logged, as the WAL's encoder wrote them.
+func TestShadowLedger(t *testing.T) {
+	total := map[RepairOutcome]int{}
+	for seed := int64(1); seed <= shadowSeeds; seed++ {
+		for outcome, n := range runShadowScript(t, seed) {
+			total[outcome] += n
+		}
+	}
+	t.Logf("repair rungs over %d seeds: %v", shadowSeeds, total)
+	for _, rung := range []RepairOutcome{RepairIntact, RepairPatched, RepairReembedded, RepairDegraded} {
+		if total[rung] == 0 {
+			t.Errorf("no script reached the %q rung: %v", rung, total)
+		}
+	}
+}
+
+// TestRestoreParentWrittenLog pins the on-disk format: testdata holds a
+// WAL directory written by the commit before apply existed — a snapshot
+// of two sessions plus a tail with all four record types (admit,
+// release, rebase, two repairs) — and the fingerprint of the manager
+// that wrote it. Restoring a copy must land on that fingerprint.
+func TestRestoreParentWrittenLog(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent_wal/*")
+	if err != nil || len(files) != 2 {
+		t.Fatalf("fixture: %v %v", files, err)
+	}
+	for _, name := range files {
+		blob, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/parent_wal.fingerprint")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The log ends after a 1-4 link cut on the repair fixture.
+	st := faults.NewState(repairNet(t, 2))
+	if err := st.Apply(faults.Event{Kind: faults.LinkDown, U: 1, V: 4}); err != nil {
+		t.Fatal(err)
+	}
+	degraded, err := st.Materialize(repairNet(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, rep := mustRestore(t, dir, degraded) // fails on any RecoverReport.Errors
+	if rep.SnapshotSeq != 2 || rep.ReplayedRecords != 5 {
+		t.Fatalf("report: %+v", rep)
+	}
+	if got := stateFingerprint(t, m); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("restored state diverged from the parent's:\n got %s\nwant %s", got, want)
+	}
+}

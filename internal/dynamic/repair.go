@@ -10,6 +10,7 @@ import (
 	"sftree/internal/graph"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
+	"sftree/internal/wal"
 )
 
 // RepairOutcome classifies what Rebase did to one affected session.
@@ -78,43 +79,42 @@ func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.net = newNet
-	// Advance the version and drop the scaffold cache: in-flight
-	// optimistic solves still hold snapshots of the old incarnation and
-	// must fail their commit checks, and overlays built against the old
-	// network are dead weight (the incarnation-keyed cache would never
-	// serve them again anyway).
+	// Advance the version and drop the scaffold cache and the cached
+	// snapshot: in-flight optimistic solves still hold snapshots of the
+	// old incarnation and must fail their commit checks, and the clone
+	// and the overlays built against the old network are dead weight
+	// (neither would ever be served again anyway).
 	newNet.BumpDeployEpoch()
 	m.scaffolds.Purge()
+	m.snap = snapshot{}
 	// Warm the metric before repairing: every session repair below
 	// prices against it, and a faults.State-materialized network may
 	// satisfy this from its per-topology cache instead of a fresh APSP.
 	newNet.Metric()
 	rep := &RepairReport{Checked: len(m.sessions)}
 
-	// Purge references to instances that died with the fault: they are
-	// gone from the new network, so there is nothing to undeploy.
+	// References to instances that died with the fault are purged: they
+	// are gone from the new network, so there is nothing to undeploy.
+	// The rebase record lists them and apply drops them from the ledger
+	// and from every usage list, ahead of the repair records that
+	// depend on it.
 	var purged [][2]int
 	for key := range m.refs {
 		if !m.net.IsDeployed(key[0], key[1]) {
-			delete(m.refs, key)
 			purged = append(purged, key)
-			rep.PurgedInstances++
 		}
 	}
-	// Log the substrate swap before the repair records that depend on
-	// it: replay purges exactly these references, then trims usage
-	// lists the same way the live path below does.
-	m.appendRebaseLocked(purged)
+	sortKeys(purged)
+	rep.PurgedInstances = len(purged)
+	m.commitLagging(&wal.Record{
+		Type:   wal.RecRebase,
+		Purged: purged,
+		Gen:    m.net.Graph().Generation(),
+		Epoch:  m.net.DeployEpoch(),
+	})
 	ids := make([]SessionID, 0, len(m.sessions))
-	for id, sess := range m.sessions {
+	for id := range m.sessions {
 		ids = append(ids, id)
-		kept := make([][2]int, 0, len(sess.uses))
-		for _, key := range sess.uses {
-			if _, ok := m.refs[key]; ok {
-				kept = append(kept, key)
-			}
-		}
-		sess.uses = kept
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
@@ -123,10 +123,6 @@ func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 		if sr.Outcome == RepairIntact {
 			continue
 		}
-		// Durable record of the outcome: the session's post-repair
-		// embedding, usage list and degraded/lost marks, so replay lands
-		// on the repaired state without re-running the ladder.
-		m.appendRepairLocked(m.sessions[id], sr.Outcome)
 		rep.Affected++
 		switch sr.Outcome {
 		case RepairPatched:
@@ -282,7 +278,7 @@ func (m *Manager) tryPatch(sess *Session, emb *nfv.Embedding, intact, recoverabl
 	sr.Outcome = RepairPatched
 	sr.Lost = destNodes(emb, lost)
 	sr.ReusedInstances = m.countReused(merged, res.Embedding.NewInstances)
-	m.finishRepair(sess, merged, lost, sr.CostAfter)
+	m.finishRepair(sess, merged, lost, sr)
 	return true
 }
 
@@ -310,7 +306,7 @@ func (m *Manager) tryReembed(sess *Session, emb *nfv.Embedding, reachable, lost 
 	sr.Outcome = RepairReembedded
 	sr.Lost = destNodes(emb, lost)
 	sr.ReusedInstances = m.countReused(merged, res.Embedding.NewInstances)
-	m.finishRepair(sess, merged, lost, sr.CostAfter)
+	m.finishRepair(sess, merged, lost, sr)
 	return true
 }
 
@@ -325,8 +321,7 @@ func (m *Manager) degrade(sess *Session, emb *nfv.Embedding, intact, severed []i
 	sr.Lost = destNodes(emb, severed)
 	sr.CostAfter = m.net.Cost(kept).Total
 	sr.NewInstances = 0
-	m.finishRepair(sess, kept, severed, sr.CostAfter)
-	sess.Degraded = true
+	m.finishRepair(sess, kept, severed, sr)
 }
 
 // commitRepair prices and validates the candidate embedding, then
@@ -342,9 +337,7 @@ func (m *Manager) commitRepair(sess *Session, merged *nfv.Embedding, fresh []nfv
 	}
 	for i, inst := range fresh {
 		if err := m.net.Deploy(inst.VNF, inst.Node); err != nil {
-			for _, undo := range fresh[:i] {
-				_ = m.net.Undeploy(undo.VNF, undo.Node)
-			}
+			m.undeploy(fresh[:i])
 			sr.Err = fmt.Sprintf("install: %v", err)
 			return false
 		}
@@ -354,75 +347,55 @@ func (m *Manager) commitRepair(sess *Session, merged *nfv.Embedding, fresh []nfv
 	return true
 }
 
-// finishRepair swaps the session onto its new embedding, accumulates
-// lost destinations, and re-diffs the reference counts. cost is the
-// repaired embedding's price as computed before installation (fresh
-// setup included, survivors free), which becomes the cost of record.
-func (m *Manager) finishRepair(sess *Session, merged *nfv.Embedding, lostIdx []int, cost float64) {
-	sess.Lost = append(sess.Lost, destNodes(sess.Result.Embedding, lostIdx)...)
-	sort.Ints(sess.Lost)
-	if len(lostIdx) > 0 {
-		sess.Degraded = true
+// finishRepair commits the rung that succeeded, the way every other
+// state change commits: the outcome is written as a repair record — the
+// merged embedding, its price as computed before installation (fresh
+// setup included, survivors free), the usage list re-derived from its
+// walks, the accumulated lost destinations and the degraded mark — the
+// record is appended, apply swaps the session onto it and re-diffs the
+// reference counts, and the instances that diff orphaned are
+// undeployed. Replay lands on the repaired state from the record alone,
+// without re-running the ladder. sr carries the rung's outcome and
+// cost.
+func (m *Manager) finishRepair(sess *Session, merged *nfv.Embedding, lostIdx []int, sr *SessionRepair) {
+	lost := append(append([]int(nil), sess.Lost...), destNodes(sess.Result.Embedding, lostIdx)...)
+	sort.Ints(lost)
+	out := m.commitLagging(&wal.Record{
+		Type:      wal.RecRepair,
+		Session:   int64(sess.ID),
+		Embedding: merged,
+		FinalCost: sr.CostAfter,
+		Uses:      m.repairedUses(merged),
+		Degraded:  sess.Degraded || len(lostIdx) > 0 || sr.Outcome == RepairDegraded,
+		Lost:      lost,
+		Outcome:   string(sr.Outcome),
+	})
+	for _, key := range out.orphans {
+		_ = m.net.Undeploy(key[0], key[1])
 	}
-	sess.Result.Embedding = merged
-	sess.Result.FinalCost = cost
-	m.reref(sess, merged)
 }
 
-// reref re-derives the session's dynamic-instance references from its
-// current walks: newly traversed instances gain a reference, dropped
-// ones lose theirs and are undeployed once orphaned. Callers hold m.mu.
-func (m *Manager) reref(sess *Session, emb *nfv.Embedding) {
-	oldSet := getKeySet()
-	defer putKeySet(oldSet)
-	for _, key := range sess.uses {
-		oldSet.add(key)
-	}
-	newSet := getKeySet()
-	defer putKeySet(newSet)
+// repairedUses derives a repaired embedding's dynamic-instance
+// references from its walks, sorted. Only dynamic instances are
+// reference-counted: ones already in the ledger, or fresh installs
+// this repair just deployed (in the ledger under no session yet —
+// those are exactly the embedding's NewInstances). Callers hold m.mu.
+func (m *Manager) repairedUses(emb *nfv.Embedding) [][2]int {
+	set := getKeySet()
+	defer putKeySet(set)
 	k := emb.Task.K()
 	for di := range emb.Task.Destinations {
 		for lvl := 1; lvl <= k; lvl++ {
 			key := [2]int{emb.Task.Chain[lvl-1], emb.ServingNode(di, lvl)}
-			if newSet.has(key) {
-				continue
-			}
-			// Only dynamic instances are reference-counted: ones already in
-			// refs, or fresh installs this repair just deployed (in refs
-			// under no session yet, i.e. absent — those are exactly the
-			// embedding's NewInstances).
 			if _, dyn := m.refs[key]; dyn || isNewInstance(emb, key) {
-				newSet.add(key)
+				set.add(key)
 			}
 		}
 	}
-	// sess.uses keeps the slice, so it must be owned, not pooled.
-	keys := append([][2]int(nil), newSet.keys...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, key := range keys {
-		if !oldSet.has(key) {
-			m.refs[key]++
-		}
-	}
-	for _, key := range sess.uses {
-		if newSet.has(key) {
-			continue
-		}
-		if _, ok := m.refs[key]; !ok {
-			continue // died in the fault; already purged
-		}
-		m.refs[key]--
-		if m.refs[key] <= 0 {
-			delete(m.refs, key)
-			_ = m.net.Undeploy(key[0], key[1])
-		}
-	}
-	sess.uses = keys
+	// The session keeps the slice, so it must be owned, not pooled.
+	keys := append([][2]int(nil), set.keys...)
+	sortKeys(keys)
+	return keys
 }
 
 // keptInstances filters the session's instance list down to instances

@@ -9,42 +9,40 @@ import (
 	"sftree/internal/nfv"
 )
 
-// TestRollbackStopsAtFailedInstance drives the mid-admission rollback
-// helper directly: when the i-th Deploy of an admission fails, every
-// instance installed before it must be undeployed and the failed one
-// (plus any after it) left untouched.
+// TestRollbackStopsAtFailedInstance drives the mid-admission rollback:
+// when the i-th Deploy of a commit fails, every instance installed
+// before it must be undeployed, the ones after it never installed, and
+// the admission rejected with the ledger untouched.
 func TestRollbackStopsAtFailedInstance(t *testing.T) {
-	insts := []nfv.Instance{
+	good := []nfv.Instance{
 		{VNF: 0, Node: 1, Level: 1},
 		{VNF: 1, Node: 1, Level: 2},
 		{VNF: 0, Node: 2, Level: 1},
 	}
-	cases := []struct {
-		name      string
-		installed int // how many of insts got deployed before the failure
-		failed    nfv.Instance
-	}{
-		{"first deploy fails", 0, insts[0]},
-		{"middle deploy fails", 1, insts[1]},
-		{"last deploy fails", 2, insts[2]},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for failAt, name := range []string{"first deploy fails", "middle deploy fails", "last deploy fails"} {
+		t.Run(name, func(t *testing.T) {
 			net := lineNet(t, 4)
 			m := NewManager(net, core.Options{})
-			for i := 0; i < tc.installed; i++ {
-				if err := net.Deploy(insts[i].VNF, insts[i].Node); err != nil {
-					t.Fatal(err)
-				}
+			insts := append([]nfv.Instance(nil), good...)
+			insts[failAt].Node = 0 // a switch: Deploy refuses it
+			task := nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0, 1}}
+			res := &core.Result{Embedding: &nfv.Embedding{Task: task, NewInstances: insts}}
+			m.mu.Lock()
+			_, err := m.commitLocked(task, res, false)
+			m.mu.Unlock()
+			if !errors.Is(err, ErrRejected) {
+				t.Fatalf("commit with an uninstallable instance: %v", err)
 			}
-			m.rollback(insts, tc.failed)
-			for i, inst := range insts {
+			for i, inst := range good {
 				if net.IsDeployed(inst.VNF, inst.Node) {
 					t.Errorf("instance %d (%+v) still deployed after rollback", i, inst)
 				}
 			}
 			if used := net.UsedCapacity(1) + net.UsedCapacity(2); used != 0 {
 				t.Errorf("capacity leak after rollback: %v in use", used)
+			}
+			if st := m.Stats(); st.Active != 0 || st.Admitted != 0 || st.Rejected != 1 || m.LiveInstances() != 0 {
+				t.Errorf("failed commit left a mark: %+v, %d instances", st, m.LiveInstances())
 			}
 		})
 	}

@@ -86,7 +86,7 @@ func TestStressAdmitReleaseRebase(t *testing.T) {
 					// Restore the link so the final validation runs against
 					// the healed topology.
 					_ = st.Apply(faults.Event{Kind: faults.LinkUp, U: edge.U, V: edge.V})
-					if deg, err := st.Materialize(m.takeSnapshot().net); err == nil {
+					if deg, err := st.Materialize(m.CloneNetwork()); err == nil {
 						m.Rebase(deg)
 					}
 				}
@@ -103,7 +103,7 @@ func TestStressAdmitReleaseRebase(t *testing.T) {
 			down = !down
 			// Materialize from a consistent snapshot (the live network
 			// mutates concurrently) and rebase the manager onto it.
-			if deg, err := st.Materialize(m.takeSnapshot().net); err == nil {
+			if deg, err := st.Materialize(m.CloneNetwork()); err == nil {
 				m.Rebase(deg)
 			}
 		}

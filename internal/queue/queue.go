@@ -1,10 +1,13 @@
 // Package queue is the bounded async admission pipeline in front of
 // dynamic.Manager: requests enqueue with a deadline and a dispatcher
 // drains them in batches, grouping tasks that share a chain signature
-// (the same varint key internal/mod memoizes scaffolds under) so a
-// signature group rides one shared solve context — one snapshot clone,
-// one metric warm-up, one scaffold build — while every task still
-// commits individually through the optimistic two-phase path.
+// (the same varint key internal/mod memoizes scaffolds under) and
+// admitting each group back to back, one Manager.AdmitCtx call per
+// ticket. The manager hands consecutive admissions the same snapshot
+// clone for as long as no commit moves the deployment state, so a
+// signature group in the reuse-heavy steady state rides one clone, one
+// metric warm-up and one scaffold build while every task still commits
+// individually through the optimistic two-phase path.
 //
 // The queue is work-conserving: batches form behind a busy solver,
 // never behind a clock. The dispatcher takes everything pending the
@@ -130,8 +133,11 @@ func (t *Ticket) SolveDuration() time.Duration { return t.solve }
 // that never reached a solver.
 func (t *Ticket) Order() int { return t.order }
 
-// Coalesced reports whether the admission committed off a snapshot
-// inherited from an earlier task in its batch.
+// Coalesced reports whether the admission committed off a snapshot the
+// manager had already taken for an earlier admission — from this batch,
+// an earlier one, or a caller that bypassed the queue — instead of a
+// fresh clone (dynamic.Session.Coalesced). False for tickets that were
+// not admitted.
 func (t *Ticket) Coalesced() bool { return t.coalesced }
 
 // outcome is how an accepted ticket ended.
@@ -142,7 +148,7 @@ const (
 	rejected            // the solver found no feasible embedding
 	expired             // deadline passed while queued
 	closed              // abandoned by Close's drain budget
-	unavailable         // no manager installed at dispatch
+	unavailable         // no manager installed at dispatch, or its WAL refused the commit
 	canceled            // the Enqueue context ended first
 	numOutcomes
 )
@@ -529,31 +535,34 @@ func (q *Queue) runBatch(batch []*Ticket) {
 	wg.Wait()
 }
 
-// runGroup drives one signature group through a shared AdmitBatch
-// call: consecutive commits that leave the deployment epoch unmoved
-// share a single snapshot clone and scaffold warm-up. Each ticket is
+// runGroup admits one signature group in order, one AdmitCtx call per
+// ticket under the ticket's own context and deadline. Each ticket is
 // finished as its own commit lands, not when the group ends.
 func (q *Queue) runGroup(mgr *dynamic.Manager, g []*Ticket) {
 	slot := q.cfg.Now() // when the next ticket's solve starts
-	bts := make([]dynamic.BatchTask, len(g))
-	for i, t := range g {
-		bts[i] = dynamic.BatchTask{Task: t.task, Deadline: t.deadline, Ctx: t.ctx}
-	}
-	mgr.AdmitBatch(context.Background(), bts, func(i int, out dynamic.BatchOutcome) {
-		t := g[i]
-		t.sess, t.coalesced, t.solve = out.Sess, out.Coalesced, out.Duration
+	for _, t := range g {
+		ctx, cancel := t.ctx, context.CancelFunc(func() {})
+		if !t.deadline.IsZero() {
+			ctx, cancel = context.WithDeadline(t.ctx, t.deadline)
+		}
+		start := time.Now()
+		sess, err := mgr.AdmitCtx(ctx, t.task)
+		cancel()
+		t.solve = time.Since(start)
 		t.wait = slot.Sub(t.enqueued)
-		slot = slot.Add(out.Duration)
+		slot = slot.Add(t.solve)
 		switch cerr := t.ctx.Err(); {
-		case out.Err != nil:
-			q.finish(t, rejected, out.Err)
+		case errors.Is(err, dynamic.ErrWAL):
+			q.finish(t, unavailable, err)
+		case err != nil:
+			q.finish(t, rejected, err)
 		case cerr != nil:
 			// The caller left mid-solve and nobody holds the session ID:
 			// release it rather than leak it.
-			t.sess = nil
-			q.finish(t, canceled, errors.Join(cerr, mgr.Release(out.Sess.ID)))
+			q.finish(t, canceled, errors.Join(cerr, mgr.Release(sess.ID)))
 		default:
+			t.sess, t.coalesced = sess, sess.Coalesced
 			q.finish(t, admitted, nil)
 		}
-	})
+	}
 }

@@ -540,10 +540,15 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // admitStatus maps an admission error to its HTTP status: malformed
-// tasks 400, capacity rejections 409.
+// tasks 400, a write-ahead log that refused the commit 503 (the disk,
+// not the network, is out of room — retrying elsewhere can help),
+// capacity rejections 409.
 func admitStatus(err error) int {
-	if errors.Is(err, nfv.ErrInvalidTask) {
+	switch {
+	case errors.Is(err, nfv.ErrInvalidTask):
 		return http.StatusBadRequest
+	case errors.Is(err, dynamic.ErrWAL):
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusConflict
 }
@@ -558,8 +563,9 @@ const retryAfter = "1"
 // admitQueued is the queued admission path: the request enqueues with
 // its deadline (timeout_ms capped by the server ceiling, converted to
 // an absolute instant) and blocks on the ticket. Overflow and
-// in-queue expiry answer 429 with Retry-After; a closed queue or a
-// missing manager answer 503 (drain in progress / mid-restart). The
+// in-queue expiry answer 429 with Retry-After; a closed queue, a
+// missing manager or a refused WAL append answer 503 (drain in
+// progress / mid-restart / dead disk). The
 // request context rides the ticket, so a client that leaves is never
 // left holding a session: the queue drops its ticket unsolved, or
 // releases the session if the commit had already landed.
@@ -623,9 +629,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := mgr.Release(dynamic.SessionID(id)); err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, dynamic.ErrUnknownSession) {
-			status = http.StatusInternalServerError
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, dynamic.ErrUnknownSession):
+			status = http.StatusNotFound
+		case errors.Is(err, dynamic.ErrWAL):
+			status = http.StatusServiceUnavailable
 		}
 		writeError(w, status, err)
 		return

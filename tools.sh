@@ -5,16 +5,19 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + bench module + race tests + fuzz smoke + chaos + recover + conformance + bench + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + bench module only (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + ledger guard + bench module + race tests + fuzz smoke + chaos + recover + conformance + bench + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + ledger guard + bench module only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race (equivalence battery:
 #                       # batched admissions bit-identical to
 #                       # serialized same-order admits; stress test
 #                       # mixing enqueue, release, Rebase and WAL
 #                       # checkpoints; fuzz seeds; dispatch-rule
-#                       # tests), plus the AdmitBatch and queued
-#                       # HTTP admission tests
+#                       # tests), plus the manager's AdmitCtx tests
+#                       # (shadow-solve equivalence, cross-call
+#                       # coalescing, deadline, lock-holding fallback,
+#                       # shared-snapshot race) and the queued HTTP
+#                       # admission tests
 #   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
 #                       # run against an in-process sftserve, asserting
 #                       # non-zero admissions, zero dropped measurements
@@ -143,13 +146,35 @@ recover_gate() {
 # the Stats conservation identity; the work-conservation, per-ticket
 # completion and orphan tests pin the dispatch rules. The queue package
 # assembles every batch by hook, never by sleeping, so it repeats
-# under -race; the server's queued-admission tests and AdmitBatch's
-# own equivalence test ride along.
+# under -race; the server's queued-admission tests and the manager's
+# own AdmitCtx tests (the one admission routine the queue calls) ride
+# along.
 queue_gate() {
-	echo "==> queue gate: queue package x5 + AdmitBatch + queued-admission HTTP tests (race)"
+	echo "==> queue gate: queue package x5 + AdmitCtx + queued-admission HTTP tests (race)"
 	go test -race -count=5 ./internal/queue
-	go test -race -count=1 -run 'TestAdmitBatch|TestQueuedAdmit' ./internal/dynamic ./internal/server
+	go test -race -count=1 -run 'TestAdmitCtx|TestQueuedAdmit' ./internal/dynamic ./internal/server
 	echo "OK (queue gate)"
+}
+
+# ledger_guard keeps the session ledger's single writer single, by
+# construction rather than by review: among internal/dynamic's non-test
+# files only ledger.go (apply, loadSnapshotState) may assign to or
+# delete from m.refs and m.sessions, and the routines apply replaced
+# stay gone from the whole tree.
+ledger_guard() {
+	echo "==> ledger guard: one writer of m.refs / m.sessions, no retired admission paths"
+	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
+		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
+	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
+		echo "ledger guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
+		exit 1
+	fi
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord' --include='*.go' . || true)
+	if [ -n "$retired" ]; then
+		echo "ledger guard: retired symbols are back:" >&2
+		echo "$retired" >&2
+		exit 1
+	fi
 }
 
 # load_gate drives the open-loop load harness for a short fixed-seed
@@ -232,6 +257,8 @@ if [ -n "$fmt" ]; then
 	echo "$fmt" >&2
 	exit 1
 fi
+
+ledger_guard
 
 # bench/ is its own module (BENCHMARK.json's program), so ./... above
 # never compiles it: a renamed or removed symbol it uses would surface
