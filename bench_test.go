@@ -47,8 +47,7 @@ func BenchmarkBranchStudyWeakStarts(b *testing.B) {
 	benchFigure(b, experiments.BranchStudy, false)
 }
 
-func BenchmarkAblationSteiner(b *testing.B)  { benchFigure(b, experiments.AblationSteiner, false) }
-func BenchmarkAblationLastHost(b *testing.B) { benchFigure(b, experiments.AblationLastHost, false) }
+func BenchmarkAblationSteiner(b *testing.B) { benchFigure(b, experiments.AblationSteiner, false) }
 func BenchmarkAblationOPAAcceptance(b *testing.B) {
 	benchFigure(b, experiments.AblationOPA, false)
 }

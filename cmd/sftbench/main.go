@@ -7,18 +7,14 @@
 //	sftbench -fig 13 -trials 10 -ref  # Fig. 13 with the OPT* reference
 //	sftbench -fig ablations           # design-choice ablations
 //	sftbench -fig 8 -csv out/         # also write out/fig8.csv
-//	sftbench -json BENCH_core.json    # hot-path micro-benchmarks as JSON
-//	sftbench -gate BENCH_core.json    # fail on perf regressions vs baseline
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"sftree/internal/benchsuite"
 	"sftree/internal/experiments"
 )
 
@@ -39,17 +35,9 @@ func run(args []string) error {
 		csvDir   = fs.String("csv", "", "directory to also write per-figure CSV files into")
 		parallel = fs.Int("parallel", 1, "concurrent trials per point (>1 makes timing columns noisy)")
 		chart    = fs.Bool("chart", false, "also draw ASCII bar charts of the cost series")
-		jsonOut  = fs.String("json", "", "run the hot-path micro-benchmark suite and write its JSON report to this file (skips figures)")
-		gateIn   = fs.String("gate", "", "re-measure the gate benchmarks and fail on regressions against this baseline JSON report (skips figures)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *jsonOut != "" {
-		return runBenchSuite(*jsonOut)
-	}
-	if *gateIn != "" {
-		return runGate(*gateIn)
 	}
 	cfg := experiments.Config{Trials: *trials, Seed: *seed, WithReference: *ref, Parallel: *parallel}
 
@@ -97,53 +85,5 @@ func run(args []string) error {
 			fmt.Printf("wrote %s\n\n", path)
 		}
 	}
-	return nil
-}
-
-// runBenchSuite measures the hot-path micro-benchmarks (solver,
-// stage-two pass, delta-cost evaluation, replay — each with its naive
-// counterpart where one exists) and writes the benchstat-style JSON
-// regression record.
-func runBenchSuite(path string) error {
-	report, err := benchsuite.NewReport()
-	if err != nil {
-		return err
-	}
-	for _, r := range report.Benchmarks {
-		fmt.Printf("%-24s %12.0f ns/op %10d B/op %8d allocs/op (%d runs)\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.Runs)
-	}
-	if p := report.SolverPhases; p != nil {
-		fmt.Printf("solver phases: apsp %.2fms  stage1 %.2fms  stage2 %.2fms  (%d passes, moves %d proposed / %d accepted / %d rejected)\n",
-			float64(p.APSPBuildNs)/1e6, float64(p.Stage1Ns)/1e6, float64(p.Stage2Ns)/1e6,
-			p.OPAPasses, p.MovesProposed, p.MovesAccepted, p.MovesRejected)
-	}
-	buf, err := benchsuite.MarshalReport(report)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runGate loads the checked-in baseline report and re-measures the
-// gate benchmarks against it (best of three each), exiting non-zero
-// on a >5% ns/op or >10% allocs/op regression.
-func runGate(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("gate baseline: %w", err)
-	}
-	var baseline benchsuite.Report
-	if err := json.Unmarshal(buf, &baseline); err != nil {
-		return fmt.Errorf("gate baseline %s: %w", path, err)
-	}
-	if err := benchsuite.Gate(&baseline); err != nil {
-		return err
-	}
-	fmt.Printf("perf gate passed against %s (%v)\n", path, benchsuite.GateBenches)
 	return nil
 }

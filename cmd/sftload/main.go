@@ -346,7 +346,6 @@ type loadDoc struct {
 		WarmupSec   float64 `json:"warmup_sec"`
 		HoldSec     float64 `json:"hold_sec"`
 		Faults      int     `json:"faults"`
-		Parallelism int     `json:"parallelism"`
 		// QueueDepth records the in-process server's admission-queue
 		// depth; zero means inline admission.
 		QueueDepth int `json:"queue_depth,omitempty"`
@@ -370,7 +369,6 @@ type world struct {
 	ts           *httptest.Server
 	srv          *server.Server
 	reg          *obs.Registry
-	opts         core.Options
 	mgr          *dynamic.Manager
 	state        *faults.State
 	flapU, flapV int
@@ -451,7 +449,7 @@ func (w *world) restart(ctx context.Context) (*dynamic.RecoverReport, error) {
 	// The drained manager's network is exactly the committed state the
 	// WAL describes (failed commits rolled their deployments back), so
 	// the restore re-attaches to it rather than rebuilding from scratch.
-	m, rep, err := dynamic.Restore(old.Network(), l, rec, w.opts)
+	m, rep, err := dynamic.Restore(old.Network(), l, rec, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("restore: %w", err)
 	}
@@ -495,7 +493,7 @@ func (w *world) flap(ev faults.Event) {
 	if err := w.state.Apply(ev); err != nil {
 		return
 	}
-	if deg, err := w.state.Materialize(w.mgr.Network()); err == nil {
+	if deg, err := w.state.Materialize(w.mgr.CloneNetwork()); err == nil {
 		w.mgr.Rebase(deg)
 	}
 }
@@ -548,7 +546,6 @@ func run(args []string, stdout io.Writer) error {
 		hold     = fs.Duration("hold", 2*time.Second, "mean exponential session holding time before release (0 = never release)")
 		mixStr   = fs.String("mix", "2x2:2,4x3:2,8x5:1", "chain-signature mix: destsxchain[:weight] terms")
 		faultsN  = fs.Int("faults", 2, "link flap+Rebase cycles per rate point (in-process mode only)")
-		par      = fs.Int("parallelism", 2, "solver stage-one parallelism for the in-process server")
 		drain    = fs.Duration("drain", 10*time.Second, "post-window wait for in-flight admissions before counting them dropped")
 		out      = fs.String("out", "", "write the BENCH_load.json artifact here")
 		check    = fs.Bool("check", false, "smoke-gate mode: fail unless admissions, zero unsaturated drops, warm cache hit rates and a request-ID trace are observed")
@@ -585,11 +582,11 @@ func run(args []string, stdout io.Writer) error {
 		if *url != "" {
 			return errors.New("-queue-speedup needs the in-process servers; it cannot A/B a remote one")
 		}
-		return runQueueSpeedup(network, core.Options{Parallelism: *par}, *seed,
+		return runQueueSpeedup(network, *seed,
 			*duration, *warmup, *drain, *hold, *qdepth, *speedup, stdout)
 	}
 
-	w := &world{url: *url, opts: core.Options{Parallelism: *par}}
+	w := &world{url: *url}
 	if *url == "" {
 		reg := obs.NewRegistry()
 		quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -613,12 +610,12 @@ func run(args []string, stdout io.Writer) error {
 			}
 			defer func() { w.log.Close() }()
 			w.log = l
-			cfg.Manager = dynamic.NewManager(network, w.opts).AttachWAL(l)
+			cfg.Manager = dynamic.NewManager(network, core.Options{}).AttachWAL(l)
 			w.tracking = true
 			w.ackedAdmit = make(map[dynamic.SessionID]bool)
 			w.ackedRel = make(map[dynamic.SessionID]bool)
 		}
-		srv := server.NewWith(network, w.opts, cfg)
+		srv := server.NewWith(network, core.Options{}, cfg)
 		w.ts = httptest.NewServer(srv)
 		w.url = w.ts.URL
 		w.srv = srv
@@ -674,7 +671,6 @@ func run(args []string, stdout io.Writer) error {
 	doc.Config.WarmupSec = warmup.Seconds()
 	doc.Config.HoldSec = hold.Seconds()
 	doc.Config.Faults = *faultsN
-	doc.Config.Parallelism = *par
 	doc.Config.QueueDepth = *qdepth
 
 	fmt.Fprintf(stdout, "%10s %9s %9s %6s %5s %9s %8s %8s %8s %8s %7s %4s\n",
@@ -792,15 +788,15 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // newSelfWorld boots one in-process server for the A/B speedup gate.
-func newSelfWorld(network *nfv.Network, opts core.Options, qdepth int) *world {
+func newSelfWorld(network *nfv.Network, qdepth int) *world {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	reg := obs.NewRegistry()
-	srv := server.NewWith(network, opts, server.Config{
+	srv := server.NewWith(network, core.Options{}, server.Config{
 		Registry:   reg,
 		Logger:     quiet,
 		QueueDepth: qdepth,
 	})
-	w := &world{opts: opts, srv: srv, reg: reg, mgr: srv.Manager()}
+	w := &world{srv: srv, reg: reg, mgr: srv.Manager()}
 	w.ts = httptest.NewServer(srv)
 	w.url = w.ts.URL
 	transport := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
@@ -829,7 +825,7 @@ const (
 // plans. The queued server must sustain at least `factor` times the
 // inline adm/s at the overloaded shared-signature point and at least
 // speedupMixedTolerance of it at the unsaturated mixed point.
-func runQueueSpeedup(network *nfv.Network, opts core.Options, seed int64, duration, warmup, drain, hold time.Duration, qdepth int, factor float64, stdout io.Writer) error {
+func runQueueSpeedup(network *nfv.Network, seed int64, duration, warmup, drain, hold time.Duration, qdepth int, factor float64, stdout io.Writer) error {
 	if qdepth <= 0 {
 		qdepth = 1024
 	}
@@ -864,7 +860,7 @@ func runQueueSpeedup(network *nfv.Network, opts core.Options, seed int64, durati
 	fmt.Fprintf(stdout, "%8s %8s %10s %9s %9s %6s %5s %9s %8s %4s\n",
 		"server", "point", "rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p99ms", "sat")
 	for _, v := range variants {
-		w := newSelfWorld(network.Clone(), opts, v.depth)
+		w := newSelfWorld(network.Clone(), v.depth)
 		relCtx, relCancel := context.WithCancel(ctx)
 		var relWG sync.WaitGroup
 		run := func(plan []arrival, rate float64, label string) (point, error) {

@@ -75,24 +75,8 @@ func BenchmarkOPAPass(b *testing.B) {
 	}
 }
 
-// BenchmarkOPAPassNaive is the pre-ledger baseline: the same pass with
-// clone-and-recost move evaluation. The OPAPass/OPAPassNaive ratio is
-// the speedup the incremental engine buys.
-func BenchmarkOPAPassNaive(b *testing.B) {
-	_, _, st := opaBenchState(b, 100, 5, 10)
-	opts := Options{NaiveRecost: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := st.clone()
-		if _, err := runOPAPassNaive(c, opts, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // deltaBenchMove picks one feasible last-level re-homing move on the
-// benchmark instance so both delta-cost benchmarks price the same move.
+// benchmark instance; st must carry its ledger.
 func deltaBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (connGroup, int) {
 	b.Helper()
 	metric := net.Metric()
@@ -128,24 +112,6 @@ func BenchmarkStateDeltaCost(b *testing.B) {
 			b.Fatal(err)
 		}
 		st.revert(jr)
-	}
-}
-
-// BenchmarkStateDeltaCostNaive prices the same move the pre-ledger
-// way: clone the state, apply, reconstruct the full embedding.
-func BenchmarkStateDeltaCostNaive(b *testing.B) {
-	net, task, st := opaBenchState(b, 100, 5, 10)
-	grp, e := deltaBenchMove(b, net, task, st)
-	metric := net.Metric()
-	k := task.K()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trial := st.clone()
-		trial.applyMove(k, grp, e, metric)
-		if _, err := trial.cost(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

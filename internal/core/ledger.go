@@ -46,9 +46,9 @@ func JournalPoolStats() (gets, news int64) {
 // Every mutation is recorded in a journal; rejecting a move reverts
 // the journal, restoring the running sums bit-for-bit from snapshots.
 // Journals are pooled on the ledger (releaseJournal) so steady-state
-// move evaluation allocates nothing. The naive path is preserved
-// (Options.NaiveRecost, state.cost) and the two are asserted
-// equivalent in equivalence_test.go.
+// move evaluation allocates nothing. The naive path is preserved as
+// the test-only reference engine (naive_test.go) and the two are
+// asserted equivalent in equivalence_test.go.
 
 // stageEdge identifies a (stage, directed edge) traversal that does
 // not correspond to a graph edge; such walks are priced +Inf and kept
@@ -179,10 +179,6 @@ func (s *state) ensureLedger() {
 		s.ledgerAddTail(di, nil)
 	}
 }
-
-// dropLedger discards the incremental state; the next ensureLedger
-// rebuilds it from scratch. Used after bulk rewrites (state cloning).
-func (s *state) dropLedger() { s.led = nil }
 
 // totalCost returns the ledger's view of objective (1a), mirroring
 // state.cost: an error when some segment has no route at all, +Inf

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sftree/internal/graph"
@@ -34,9 +32,6 @@ const (
 type Options struct {
 	// Steiner selects the stage-one Steiner routine (default KMB).
 	Steiner SteinerAlgo
-	// MaxCandidateHosts, when positive, restricts stage one to the
-	// cheapest-chain candidates instead of all servers (ablation).
-	MaxCandidateHosts int
 	// LocalAcceptance makes stage two accept moves on the paper's
 	// local rule alone instead of verifying the recomputed global
 	// cost (ablation). Capacity feasibility is still enforced.
@@ -46,12 +41,6 @@ type Options struct {
 	// implementing the paper's "repeat the above procedures until one
 	// VNF cannot be deployed on multiple nodes". Zero means one pass.
 	MaxOPAPasses int
-	// NaiveRecost makes stage two price every candidate move by
-	// cloning the state and reconstructing the full embedding, the
-	// pre-ledger reference implementation, instead of the incremental
-	// cost engine (ledger.go). Semantically identical and much slower;
-	// kept for debugging and the engine-equivalence tests.
-	NaiveRecost bool
 	// AggressiveOPA is an extension beyond the paper: stage two also
 	// considers dependent root-to-leaf paths (the paper discards them)
 	// and probes the best candidate host even when the local rule is
@@ -60,14 +49,6 @@ type Options struct {
 	// trade-off is more trial evaluations. Incompatible with
 	// LocalAcceptance (which has no global gate) — ignored there.
 	AggressiveOPA bool
-	// Parallelism bounds the worker goroutines evaluating stage-one
-	// candidate last-hosts concurrently. 0 or 1 runs the sweep
-	// sequentially; >1 uses that many workers (capped at the candidate
-	// count); <0 uses GOMAXPROCS. The result is bit-identical across
-	// every setting: candidate evaluation is pure (no shared mutable
-	// state), and the winners are reduced in candidate-index order with
-	// the same strict-< rule the sequential loop applies.
-	Parallelism int
 	// Scaffolds, when non-nil, memoizes the stage-one MOD overlay keyed
 	// by (source, chain signature, graph generation, deployment epoch):
 	// same-signature solves against the same network version skip the
@@ -122,21 +103,6 @@ func (o Options) steiner() SteinerAlgo {
 	return o.Steiner
 }
 
-// workers resolves Parallelism against the candidate count.
-func (o Options) workers(n int) int {
-	p := o.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 2 {
-		return 1
-	}
-	return p
-}
-
 // StageStats reports how stage one reached its feasible solution.
 type StageStats struct {
 	CandidatesTried int
@@ -184,89 +150,28 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	sort.Slice(candidates, func(a, b int) bool {
 		return candidates[a].chainCost < candidates[b].chainCost
 	})
-	if opts.MaxCandidateHosts > 0 && len(candidates) > opts.MaxCandidateHosts {
-		candidates = candidates[:opts.MaxCandidateHosts]
-	}
 
-	// One sweeper serves the sequential sweep and the reduction; the
-	// parallel sweep gives every worker its own, as a sweeper carries
-	// one goroutine's scratch.
 	sw := newSweeper(net, task, overlay, sol, metric, opts.steiner())
 	defer sw.close()
-	var workerGeneral atomic.Int64 // general-branch KMB trees of the parallel workers
 
-	results := make([]candResult, len(candidates))
-	if workers := opts.workers(len(candidates)); workers > 1 {
-		// Candidate evaluation is pure — it reads only the (warm)
-		// metric, the overlay's Dijkstra tree and the network — so the
-		// sweep fans out over a bounded worker pool pulling indices
-		// from an atomic cursor. A worker that sees an expired deadline
-		// marks its remaining claims skipped instead of evaluating;
-		// the ordered reduction below restores the anytime semantics.
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sw := newSweeper(net, task, overlay, sol, metric, opts.steiner())
-				defer func() {
-					workerGeneral.Add(sw.generalTrees())
-					sw.close()
-				}()
-				for {
-					idx := int(cursor.Add(1)) - 1
-					if idx >= len(candidates) {
-						return
-					}
-					if opts.ctxErr() != nil {
-						results[idx].skipped = true
-						continue
-					}
-					results[idx] = sw.eval(candidates[idx].node)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, c := range candidates {
-			results[i] = sw.eval(c.node)
-			// Anytime semantics: once a plausibly feasible solution is in
-			// hand, an expired deadline stops the sweep; the reduction
-			// below decides what that means exactly (and resumes inline
-			// if the candidates in hand all turn out infeasible).
-			if results[i].ok && opts.ctxErr() != nil {
-				for j := i + 1; j < len(results); j++ {
-					results[j].skipped = true
-				}
-				break
-			}
-		}
-	}
-
-	// Index-ordered reduction, identical to the historical sequential
-	// loop: candidates are considered in sorted order, a strict < on
-	// total cost picks the winner, and the Steiner tree is materialised
-	// and stateFromSolution run only for improving candidates (a failure
+	// The sweep: candidates in sorted order, a strict < on total cost
+	// picks the winner, and the Steiner tree is materialised and
+	// stateFromSolution run only for improving candidates (a failure
 	// there skips the candidate without touching the running best).
 	var (
 		bestState *state
 		bestCost  = graph.Inf
 		stats     StageStats
 	)
-	for i := range results {
-		r := &results[i]
-		if r.skipped {
-			// The deadline expired before this candidate ran. Mirror the
-			// sequential anytime rule: with a feasible solution in hand
-			// the sweep ends early; without one, keep evaluating inline
-			// so the solve fails only when no candidate is feasible.
-			if bestState != nil {
-				stats.EarlyStop = true
-				break
-			}
-			*r = sw.eval(candidates[i].node)
+	for _, c := range candidates {
+		// Anytime semantics: once a feasible solution is in hand, an
+		// expired deadline stops the sweep; without one it keeps going,
+		// so the solve fails only when no candidate is feasible.
+		if bestState != nil && opts.ctxErr() != nil {
+			stats.EarlyStop = true
+			break
 		}
+		r := sw.eval(c.node)
 		if r.tried {
 			stats.CandidatesTried++
 		}
@@ -292,7 +197,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	stats.Stage1Cost = bestCost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2),
-			GeneralTrees: int(workerGeneral.Load() + sw.generalTrees())})
+			GeneralTrees: int(sw.generalTrees())})
 	}
 	return bestState, &stats, nil
 }
@@ -305,24 +210,21 @@ type candidate struct {
 }
 
 // candResult is one candidate last-host's evaluation, computed
-// without reference to the running best so candidates can run in any
-// order (or concurrently) and reduce deterministically by index. It
-// prices the Steiner tree without holding it: the reduction rebuilds
-// the tree of the few candidates that improve on the running best.
+// without reference to the running best. It prices the Steiner tree
+// without holding it: the sweep rebuilds the tree of the few
+// candidates that improve on the running best.
 type candResult struct {
-	tried   bool // counted by StageStats.CandidatesTried
-	ok      bool // chain repaired and Steiner tree priced
-	skipped bool // deadline expired before evaluation (parallel sweep)
-	hosts   []int
-	total   float64
+	tried bool // counted by StageStats.CandidatesTried
+	ok    bool // chain repaired and Steiner tree priced
+	hosts []int
+	total float64
 }
 
-// sweeper evaluates candidate last-hosts for one goroutine of one
-// solve. It only reads the shared state (network, overlay, SFC
-// solution, warm metric), so sweepers of the same solve run
-// concurrently; what it owns is the scratch that makes a candidate
-// cheap: the KMB sweep over the task's destinations and the
-// free-capacity vector, both set up once instead of per candidate.
+// sweeper evaluates candidate last-hosts for one solve. It only reads
+// the network, overlay, SFC solution and warm metric; what it owns is
+// the scratch that makes a candidate cheap: the KMB sweep over the
+// task's destinations and the free-capacity vector, both set up once
+// instead of per candidate.
 type sweeper struct {
 	net     *nfv.Network
 	task    nfv.Task

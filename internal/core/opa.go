@@ -16,10 +16,6 @@ const costEps = 1e-9
 // state as-is (every prefix of accepted moves is a valid solution, so
 // stopping between passes or levels loses nothing but optimization).
 func runOPA(s *state, opts Options) (int, bool, error) {
-	pass := runOPAPass
-	if opts.NaiveRecost {
-		pass = runOPAPassNaive
-	}
 	total := 0
 	for i := 0; i < opts.opaPasses(); i++ {
 		if opts.ctxErr() != nil {
@@ -27,7 +23,7 @@ func runOPA(s *state, opts Options) (int, bool, error) {
 		}
 		t0 := opts.now()
 		opts.emit(Event{Kind: EventOPAPassStart, Pass: i + 1})
-		moves, err := pass(s, opts, i+1)
+		moves, err := runOPAPass(s, opts, i+1)
 		total += moves
 		if opts.Observer != nil {
 			opts.emit(Event{Kind: EventOPAPassEnd, Pass: i + 1, Moves: moves, Duration: time.Since(t0)})
@@ -50,8 +46,8 @@ func runOPA(s *state, opts Options) (int, bool, error) {
 //
 // Cost evaluation is incremental: the state's ledger (see ledger.go)
 // tracks the objective under each trial move, and a rejected move is
-// reverted through its journal. runOPAPassNaive preserves the
-// clone-and-recost evaluation with identical semantics.
+// reverted through its journal. The clone-and-recost reference it is
+// asserted against lives in naive_test.go.
 func runOPAPass(s *state, opts Options, passNo int) (int, error) {
 	k := s.task.K()
 	metric := s.net.Metric()
@@ -159,116 +155,6 @@ func runOPAPass(s *state, opts Options, passNo int) (int, error) {
 					CostBefore: curCost, CostAfter: trialCost})
 			}
 			s.releaseJournal(jr)
-			curCost = trialCost
-			moves++
-			nextConn = append(nextConn, bestE)
-		}
-		if len(nextConn) == 0 {
-			break // Theorem 4: earlier levels cannot branch either
-		}
-		groups = s.groupsAt(j, nextConn)
-	}
-	return moves, nil
-}
-
-// runOPAPassNaive is the clone-and-recost evaluation of Algorithm 3:
-// every candidate move is applied to a cloned state and priced by a
-// full embedding reconstruction. Kept behind Options.NaiveRecost as
-// the reference implementation the incremental engine is asserted
-// against (see equivalence_test.go). It emits the same Observer events
-// as runOPAPass, so traces are comparable across engines.
-func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
-	k := s.task.K()
-	metric := s.net.Metric()
-	curCost, err := s.cost()
-	if err != nil {
-		return 0, err
-	}
-
-	aggressive := opts.AggressiveOPA && !opts.LocalAcceptance
-	groups := s.initialConnectionGroups(aggressive)
-	moves := 0
-
-	for j := k; j >= 1; j-- {
-		if opts.ctxErr() != nil {
-			return moves, nil // deadline: the current state is valid as-is
-		}
-		f := s.task.Chain[j-1]
-		if _, err := s.net.VNF(f); err != nil {
-			return moves, err
-		}
-		var nextConn []int // nodes hosting the instances added at level j
-		for _, grp := range groups {
-			if len(grp.members) == 0 {
-				continue
-			}
-			cur := s.serve[grp.members[0]][j]
-			pred := s.serve[grp.members[0]][j-1]
-			curScore := metric.Dist[grp.node][cur]
-			if grp.node == cur {
-				continue // already colocated; nothing to gain
-			}
-
-			bestE, bestScore := -1, graph.Inf
-			for _, u := range s.net.ServerList() {
-				if u == cur {
-					continue
-				}
-				if metric.Dist[grp.node][u] == graph.Inf || metric.Dist[u][pred] == graph.Inf {
-					continue
-				}
-				if !s.canHost(f, u) {
-					continue
-				}
-				score := metric.Dist[grp.node][u] + metric.Dist[u][pred] + s.instanceSetupCost(f, u)
-				if score < bestScore {
-					bestE, bestScore = u, score
-				}
-			}
-			if bestE == -1 {
-				continue
-			}
-			if !aggressive && bestScore >= curScore-costEps {
-				continue
-			}
-
-			if opts.Observer != nil {
-				opts.emit(Event{Kind: EventMoveProposed, Pass: passNo, Level: j,
-					Conn: grp.node, From: cur, To: bestE, Group: len(grp.members), CostBefore: curCost})
-			}
-			trial := s.clone()
-			trial.applyMove(j, grp, bestE, metric)
-			if opts.LocalAcceptance {
-				*s = *trial
-				moves++
-				nextConn = append(nextConn, bestE)
-				c, err := s.cost()
-				if err != nil {
-					return moves, err
-				}
-				if opts.Observer != nil {
-					opts.emit(Event{Kind: EventMoveAccepted, Pass: passNo, Level: j,
-						Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-						CostBefore: curCost, CostAfter: c})
-				}
-				curCost = c
-				continue
-			}
-			trialCost, err := trial.cost()
-			if err != nil || trialCost >= curCost-costEps {
-				if opts.Observer != nil {
-					opts.emit(Event{Kind: EventMoveRejected, Pass: passNo, Level: j,
-						Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-						CostBefore: curCost, CostAfter: trialCost})
-				}
-				continue
-			}
-			if opts.Observer != nil {
-				opts.emit(Event{Kind: EventMoveAccepted, Pass: passNo, Level: j,
-					Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-					CostBefore: curCost, CostAfter: trialCost})
-			}
-			*s = *trial
 			curCost = trialCost
 			moves++
 			nextConn = append(nextConn, bestE)
@@ -393,57 +279,12 @@ func (s *state) groupsAt(j int, conn []int) []connGroup {
 
 // instanceSetupCost prices a new instance of f at u for the local
 // rule: zero when deployed or already placed in the current state.
+// Like canHost it reads the ledger, which the caller must have attached.
 func (s *state) instanceSetupCost(f, u int) float64 {
-	if s.net.IsDeployed(f, u) {
+	if s.net.IsDeployed(f, u) || s.led.instRef[f*s.led.n+u] > 0 {
 		return 0
 	}
-	if led := s.led; led != nil {
-		if led.instRef[f*led.n+u] > 0 {
-			return 0
-		}
-		return s.net.SetupCost(f, u)
-	}
-	for _, inst := range s.placedInstances() {
-		if inst.VNF == f && inst.Node == u {
-			return 0
-		}
-	}
 	return s.net.SetupCost(f, u)
-}
-
-// applyMove re-homes the group's members onto a new level-j instance
-// at node e. For the last level the explicit tails are rewritten (the
-// new route runs e -> connection node -> old downstream suffix); for
-// inner levels only the serving assignment changes, and the walk
-// segments follow metric paths automatically.
-func (s *state) applyMove(j int, grp connGroup, e int, metric *graph.Metric) {
-	k := s.task.K()
-	for _, di := range grp.members {
-		s.serve[di][j] = e
-	}
-	if j != k {
-		return
-	}
-	head := metric.Path(e, grp.node)
-	for _, di := range grp.members {
-		old := s.tail[di]
-		idx := -1
-		for i, v := range old {
-			if v == grp.node {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			// Member does not route through the connection node (should
-			// not happen; keep a safe fallback route).
-			s.tail[di] = metric.Path(e, s.task.Destinations[di])
-			continue
-		}
-		nt := append([]int(nil), head...)
-		nt = append(nt, old[idx+1:]...)
-		s.tail[di] = nt
-	}
 }
 
 func edgeKey(u, v int) [2]int {

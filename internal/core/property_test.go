@@ -35,37 +35,6 @@ func TestQuickTwoStageSoundness(t *testing.T) {
 	}
 }
 
-// Property: restricting the stage-one candidate host set never
-// improves the final cost (the full sweep dominates truncations).
-func TestQuickCandidateRestrictionMonotone(t *testing.T) {
-	prop := func(seed int64, rawK uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		net, task := randomInstance(rng, 8+rng.Intn(10), 1+rng.Intn(2), 1+rng.Intn(3))
-		full, err := Solve(net, task, Options{})
-		if errors.Is(err, ErrNoFeasible) {
-			return true
-		}
-		if err != nil {
-			return false
-		}
-		limit := 1 + int(rawK)%4
-		restricted, err := Solve(net, task, Options{MaxCandidateHosts: limit})
-		if errors.Is(err, ErrNoFeasible) {
-			return true // truncation can lose the only feasible host
-		}
-		if err != nil {
-			return false
-		}
-		// Compare stage-one costs: the full sweep minimizes over a
-		// superset of candidates. (Stage-two moves could in principle
-		// cross over, so the guarantee is on stage one.)
-		return full.Stage1Cost <= restricted.Stage1Cost+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property (Theorem 4): in the final SFT, the number of distinct
 // instances serving chain level j never exceeds the number serving
 // level j+1 — predecessor VNFs cannot out-branch their successors.

@@ -38,7 +38,7 @@ type state struct {
 	tail [][]int
 	// led is the incremental cost engine (see ledger.go), attached
 	// lazily by stage two. It always reflects serve/tail exactly; any
-	// mutation outside applyMoveInc must drop or rebuild it.
+	// mutation outside applyMoveInc must rebuild it.
 	led *ledger
 }
 
@@ -55,19 +55,6 @@ func newState(net *nfv.Network, task nfv.Task) *state {
 		s.serve[di][0] = task.Source
 	}
 	return s
-}
-
-func (s *state) clone() *state {
-	// The ledger is not copied: a clone rebuilds it on first use.
-	c := &state{net: s.net, task: s.task,
-		serve: make([][]int, len(s.serve)),
-		tail:  make([][]int, len(s.tail)),
-	}
-	for i := range s.serve {
-		c.serve[i] = append([]int(nil), s.serve[i]...)
-		c.tail[i] = append([]int(nil), s.tail[i]...)
-	}
-	return c
 }
 
 // placedInstances derives the set of in-use new instances from the
@@ -93,25 +80,11 @@ func (s *state) placedInstances() []nfv.Instance {
 	return out
 }
 
-// usedCapacity returns per-node capacity consumed by the current new
-// instances (pre-deployed demand is accounted by the Network itself).
-func (s *state) usedCapacity() map[int]float64 {
-	used := make(map[int]float64)
-	for _, inst := range s.placedInstances() {
-		vnf, err := s.net.VNF(inst.VNF)
-		if err != nil {
-			continue // unreachable: instances come from a validated task
-		}
-		used[inst.Node] += vnf.Demand
-	}
-	return used
-}
-
 // canHost reports whether chain VNF f can serve traffic from node v in
 // the current state: it is pre-deployed, already placed new, or there
-// is room to place it. With a ledger attached the answer comes from
-// the ref-count and capacity accumulators in O(1); the naive fallback
-// re-derives both from the serving assignment.
+// is room to place it. The answer comes from the ledger's ref-count
+// and capacity accumulators in O(1), so the caller must have attached
+// one (ensureLedger).
 func (s *state) canHost(f, v int) bool {
 	if !s.net.IsServer(v) {
 		return false
@@ -119,26 +92,15 @@ func (s *state) canHost(f, v int) bool {
 	if s.net.IsDeployed(f, v) {
 		return true
 	}
-	if led := s.led; led != nil {
-		if led.instRef[f*led.n+v] > 0 {
-			return true
-		}
-		vnf, err := s.net.VNF(f)
-		if err != nil {
-			return false
-		}
-		return led.freeBase[v]-led.usedCap[v]+1e-9 >= vnf.Demand
-	}
-	for _, inst := range s.placedInstances() {
-		if inst.VNF == f && inst.Node == v {
-			return true
-		}
+	led := s.led
+	if led.instRef[f*led.n+v] > 0 {
+		return true
 	}
 	vnf, err := s.net.VNF(f)
 	if err != nil {
 		return false
 	}
-	return s.net.FreeCapacity(v)-s.usedCapacity()[v]+1e-9 >= vnf.Demand
+	return led.freeBase[v]-led.usedCap[v]+1e-9 >= vnf.Demand
 }
 
 // embedding materializes the state into an nfv.Embedding: chain

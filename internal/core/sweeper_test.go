@@ -133,8 +133,7 @@ func (l *eventLog) OnEvent(e Event) { *l = append(*l, e) }
 // tie-breaks route 0 -> 6 and 6 -> 8 around opposite sides of the
 // diamond. The servers are node 0 and the far end of the tail, so
 // every candidate's tree holds the cycle; the solve must say so in its
-// sweep_end event, the same at every parallelism, and still return the
-// valid embedding.
+// sweep_end event and still return the valid embedding.
 func TestSolveReportsGeneralBranchTrees(t *testing.T) {
 	g := graph.New(70)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {6, 5}, {6, 4}, {3, 7}, {7, 8}} {
@@ -151,27 +150,25 @@ func TestSolveReportsGeneralBranchTrees(t *testing.T) {
 		}
 	}
 	task := nfv.Task{Source: 1, Destinations: []int{6, 8}, Chain: nfv.SFC{0}}
-	for _, p := range []int{1, 2} {
-		var log eventLog
-		res, err := Solve(net, task, Options{Observer: &log, Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
+	var log eventLog
+	res, err := Solve(net, task, Options{Observer: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Validate(res.Embedding); err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalCost != 1+3+2+2 { // 1 -> 0, then 0 -> 3, 3 -> 6 and 3 -> 8; setup is free
+		t.Errorf("cost %v, want 8", res.FinalCost)
+	}
+	general := -1
+	for _, e := range log {
+		if e.Kind == EventSweepEnd {
+			general = e.GeneralTrees
 		}
-		if err := net.Validate(res.Embedding); err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if res.FinalCost != 1+3+2+2 { // 1 -> 0, then 0 -> 3, 3 -> 6 and 3 -> 8; setup is free
-			t.Errorf("parallelism %d: cost %v, want 8", p, res.FinalCost)
-		}
-		general := -1
-		for _, e := range log {
-			if e.Kind == EventSweepEnd {
-				general = e.GeneralTrees
-			}
-		}
-		// Both candidates priced, the winner built.
-		if general != 3 {
-			t.Errorf("parallelism %d: sweep_end reports %d general-branch trees, want 3", p, general)
-		}
+	}
+	// Both candidates priced, the winner built.
+	if general != 3 {
+		t.Errorf("sweep_end reports %d general-branch trees, want 3", general)
 	}
 }

@@ -233,27 +233,6 @@ func TestSolveLocalAcceptanceStillValid(t *testing.T) {
 	}
 }
 
-func TestSolveCandidateHostLimit(t *testing.T) {
-	net, task := workedExample(t)
-	res, err := Solve(net, task, Options{MaxCandidateHosts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CandidatesTried != 1 {
-		t.Errorf("candidates tried = %d, want 1", res.CandidatesTried)
-	}
-	if err := net.Validate(res.Embedding); err != nil {
-		t.Errorf("invalid: %v", err)
-	}
-	full, err := Solve(net, task, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalCost < full.FinalCost-1e-9 {
-		t.Errorf("restricted search beat full search: %v < %v", res.FinalCost, full.FinalCost)
-	}
-}
-
 func TestSolveTightCapacityForcesRelocation(t *testing.T) {
 	// Line S=0 - A=1 - B=2 - d=3; chain (f1,f2); A can host only one
 	// instance and f1's setup is far cheaper on A. The repair step must

@@ -354,7 +354,6 @@ type admitOutcome struct {
 	res     *core.Result
 	err     error
 	rec     *obs.SpanRecorder
-	par     int
 	retries int
 	tracing *obs.TraceBuffer
 }
@@ -395,7 +394,7 @@ func (m *Manager) solve(ctx context.Context, task nfv.Task, snap snapshot, out *
 	opts := snap.opts
 	opts.Ctx = ctx
 	opts.Scaffolds = m.scaffolds
-	out.tracing, out.par, out.rec = snap.trace, opts.Parallelism, nil
+	out.tracing, out.rec = snap.trace, nil
 	if out.tracing != nil {
 		out.rec = &obs.SpanRecorder{}
 		opts.Observer = obs.Tee(opts.Observer, out.rec)
@@ -414,13 +413,12 @@ func (m *Manager) finishAdmit(ctx context.Context, out *admitOutcome, start time
 		return
 	}
 	t := obs.Trace{
-		Op:          "admit",
-		RequestID:   obs.RequestID(ctx),
-		Session:     -1,
-		Parallelism: out.par,
-		Retries:     out.retries,
-		Start:       start,
-		DurationNs:  time.Since(start).Nanoseconds(),
+		Op:         "admit",
+		RequestID:  obs.RequestID(ctx),
+		Session:    -1,
+		Retries:    out.retries,
+		Start:      start,
+		DurationNs: time.Since(start).Nanoseconds(),
 	}
 	if out.rec != nil {
 		t.Warm = out.rec.Breakdown().Warm

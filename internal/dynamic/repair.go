@@ -227,14 +227,13 @@ func (m *Manager) repairSolve(rung string, id SessionID, task nfv.Task) (*core.R
 	start := time.Now()
 	res, err := core.Solve(m.net, task, opts)
 	t := obs.Trace{
-		Op:          "repair",
-		Rung:        rung,
-		Session:     int(id),
-		Parallelism: opts.Parallelism,
-		Start:       start,
-		DurationNs:  time.Since(start).Nanoseconds(),
-		Warm:        rec.Breakdown().Warm,
-		Spans:       rec.Spans(),
+		Op:         "repair",
+		Rung:       rung,
+		Session:    int(id),
+		Start:      start,
+		DurationNs: time.Since(start).Nanoseconds(),
+		Warm:       rec.Breakdown().Warm,
+		Spans:      rec.Spans(),
 	}
 	if res != nil {
 		t.EarlyStop = res.EarlyStop

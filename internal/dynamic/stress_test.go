@@ -69,7 +69,7 @@ func TestStressAdmitReleaseRebase(t *testing.T) {
 			tasks[wi][i] = task
 		}
 	}
-	m := NewManager(net, core.Options{Parallelism: 2})
+	m := NewManager(net, core.Options{})
 	st := faults.NewState(net)
 	edge := net.Graph().Edge(0)
 

@@ -71,15 +71,6 @@ func TestBruteForceValidatesAndBeatsNothing(t *testing.T) {
 		if got := net.Cost(emb).Total; math.Abs(got-cost) > 1e-9 {
 			t.Fatalf("trial %d: cost mismatch %v vs %v", trial, got, cost)
 		}
-		// The two-stage heuristic restricted to shortest-path routing
-		// cannot beat the brute force on its own terms, but the SFT may
-		// share tree edges, so we only check brute force is not *worse*
-		// than the plain SFC heuristic (which it dominates by search).
-		if h, err := core.SolveStageOne(net, task, core.Options{MaxCandidateHosts: 1}); err == nil {
-			if cost > h.Stage1Cost+1e-6 {
-				t.Fatalf("trial %d: brute force %v worse than restricted stage-one %v", trial, cost, h.Stage1Cost)
-			}
-		}
 	}
 }
 

@@ -73,19 +73,6 @@ func AblationSteiner(cfg Config) (*Figure, error) {
 		[]string{"MSA-KMB", "MSA-TM", "MSA-Mehlhorn"}, cfg)
 }
 
-// AblationLastHost compares sweeping every candidate last-VNF host
-// (Algorithm 2's loop) against greedy truncations.
-func AblationLastHost(cfg Config) (*Figure, error) {
-	return runVariants("ablation-lasthost", "Stage-one candidate hosts: all vs top-K by chain cost",
-		[]int{50, 100, 150}, func(n int) int { return n / 5 }, 5,
-		map[string]solverFn{
-			"AllHosts": solveWith(core.Options{}),
-			"Top5":     solveWith(core.Options{MaxCandidateHosts: 5}),
-			"Top1":     solveWith(core.Options{MaxCandidateHosts: 1}),
-		},
-		[]string{"AllHosts", "Top5", "Top1"}, cfg)
-}
-
 // AblationOPA compares stage-two acceptance rules: recomputed global
 // cost (this implementation's default), the paper's raw local rule,
 // and no stage two at all.
@@ -158,7 +145,7 @@ func checksum(dist [][]float64) float64 {
 
 // Ablations runs every ablation in order.
 func Ablations(cfg Config) ([]*Figure, error) {
-	runs := []func(Config) (*Figure, error){AblationSteiner, AblationLastHost, AblationOPA, AblationAPSP}
+	runs := []func(Config) (*Figure, error){AblationSteiner, AblationOPA, AblationAPSP}
 	out := make([]*Figure, 0, len(runs))
 	for _, run := range runs {
 		fig, err := run(cfg)

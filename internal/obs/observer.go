@@ -53,9 +53,9 @@ func (r *SpanRecorder) Reset() {
 	r.mu.Unlock()
 }
 
-// Breakdown aggregates one solve's events into the phase timing
-// summary embedded in BENCH_core.json: where stage-2 time goes and
-// what the move funnel looked like. OverlayNs, SFCSolveNs and SweepNs
+// Breakdown aggregates one solve's events into a phase timing
+// summary: where stage-2 time goes and what the move funnel looked
+// like. OverlayNs, SFCSolveNs and SweepNs
 // split Stage1Ns from inside the solver: obtaining the MOD overlay,
 // the Dijkstra over it, and the candidate last-host sweep.
 type Breakdown struct {

@@ -122,35 +122,6 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineEventParity: the incremental and naive stage-two engines
-// must emit the same move sequence on the same instance.
-func TestEngineEventParity(t *testing.T) {
-	net, task := obsInstance(t)
-	runs := make([][]core.Event, 2)
-	for i, naive := range []bool{false, true} {
-		rec := &SpanRecorder{}
-		if _, err := core.Solve(net, task, core.Options{Observer: rec, NaiveRecost: naive}); err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range rec.Events() {
-			switch e.Kind {
-			case core.EventMoveProposed, core.EventMoveAccepted, core.EventMoveRejected:
-				e.Duration = 0
-				runs[i] = append(runs[i], e)
-			}
-		}
-	}
-	if len(runs[0]) != len(runs[1]) {
-		t.Fatalf("move event counts differ: %d vs %d", len(runs[0]), len(runs[1]))
-	}
-	for i := range runs[0] {
-		a, b := runs[0][i], runs[1][i]
-		if a.Kind != b.Kind || a.Level != b.Level || a.From != b.From || a.To != b.To {
-			t.Errorf("move %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 func TestBreakdownAndSpans(t *testing.T) {
 	net, task := obsInstance(t)
 	rec := &SpanRecorder{}

@@ -54,8 +54,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 var DefBuckets = []float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // LatencyBuckets is the fine-grained layout for solver and admission
-// latencies, whose warm-solve mode sits near one millisecond
-// (BENCH_core.json records ~1.3 ms for SolveTwoStage100): 25 µs
+// latencies, whose warm-solve mode sits near one millisecond: 25 µs
 // resolution below a millisecond so sub-millisecond percentiles
 // interpolate inside narrow buckets instead of collapsing onto the
 // 0.25 ms DefBuckets floor, then the standard decades up to 10 s.

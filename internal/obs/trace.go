@@ -31,8 +31,6 @@ type Trace struct {
 	// build); EarlyStop that the deadline expired mid-solve.
 	Warm      bool `json:"warm"`
 	EarlyStop bool `json:"early_stop,omitempty"`
-	// Parallelism is the stage-one worker setting the solve ran with.
-	Parallelism int `json:"parallelism"`
 	// Retries counts solve reruns forced by commit conflicts: for
 	// admissions, how many times a concurrent commit invalidated the
 	// optimistic solve before this trace's spans were committed (0 on
@@ -153,23 +151,22 @@ func (b *TraceBuffer) Handler() http.Handler {
 //	rec, finish := buf.StartTrace("solve", requestID)
 //	opts.Observer = obs.Tee(opts.Observer, rec)
 //	res, err := core.Solve(...)
-//	finish(opts.Parallelism, res, err)
-func (b *TraceBuffer) StartTrace(op, requestID string) (*SpanRecorder, func(parallelism int, res *core.Result, err error)) {
+//	finish(res, err)
+func (b *TraceBuffer) StartTrace(op, requestID string) (*SpanRecorder, func(res *core.Result, err error)) {
 	if b == nil {
-		return nil, func(int, *core.Result, error) {}
+		return nil, func(*core.Result, error) {}
 	}
 	rec := &SpanRecorder{}
 	start := time.Now()
-	return rec, func(parallelism int, res *core.Result, err error) {
+	return rec, func(res *core.Result, err error) {
 		t := Trace{
-			Op:          op,
-			RequestID:   requestID,
-			Session:     -1,
-			Parallelism: parallelism,
-			Start:       start,
-			DurationNs:  time.Since(start).Nanoseconds(),
-			Warm:        rec.Breakdown().Warm,
-			Spans:       rec.Spans(),
+			Op:         op,
+			RequestID:  requestID,
+			Session:    -1,
+			Start:      start,
+			DurationNs: time.Since(start).Nanoseconds(),
+			Warm:       rec.Breakdown().Warm,
+			Spans:      rec.Spans(),
 		}
 		if res != nil {
 			t.EarlyStop = res.EarlyStop

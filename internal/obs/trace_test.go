@@ -73,6 +73,12 @@ func TestTraceBufferHandler(t *testing.T) {
 	if tr.Op != "admit" || tr.RequestID != "abc" || !tr.Warm || tr.Session != -1 {
 		t.Errorf("round-tripped trace = %+v", tr)
 	}
+	// Trace files written while runs carried a "parallelism" attribute
+	// still decode.
+	var old Trace
+	if err := json.Unmarshal([]byte(`{"op":"repair","session":3,"warm":true,"parallelism":2}`), &old); err != nil || old.Op != "repair" || old.Session != 3 || !old.Warm {
+		t.Errorf("trace with the retired parallelism key: %+v, %v", old, err)
+	}
 
 	post, err := http.Post(srv.URL, "application/json", nil)
 	if err != nil {
@@ -105,7 +111,7 @@ func TestStartTraceNilBuffer(t *testing.T) {
 	if s := rec.Spans(); s != nil {
 		t.Errorf("nil recorder spans = %v", s)
 	}
-	finish(2, nil, nil) // must not panic
+	finish(nil, nil) // must not panic
 }
 
 func TestStartTraceRecordsOutcome(t *testing.T) {
@@ -113,17 +119,17 @@ func TestStartTraceRecordsOutcome(t *testing.T) {
 	rec, finish := b.StartTrace("solve", "req-1")
 	rec.OnEvent(core.Event{Kind: core.EventAPSPBuild, Warm: true})
 	rec.OnEvent(core.Event{Kind: core.EventStage1End, Cost: 5})
-	finish(8, &core.Result{EarlyStop: true}, nil)
+	finish(&core.Result{EarlyStop: true}, nil)
 
 	_, finish = b.StartTrace("admit", "req-2")
-	finish(1, nil, fmt.Errorf("no capacity"))
+	finish(nil, fmt.Errorf("no capacity"))
 
 	snap := b.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("ring holds %d traces, want 2", len(snap))
 	}
 	ok, bad := snap[0], snap[1]
-	if !ok.Warm || !ok.EarlyStop || ok.Parallelism != 8 || len(ok.Spans) == 0 || ok.RequestID != "req-1" {
+	if !ok.Warm || !ok.EarlyStop || len(ok.Spans) == 0 || ok.RequestID != "req-1" {
 		t.Errorf("success trace = %+v", ok)
 	}
 	if bad.Err != "no capacity" || bad.Op != "admit" {

@@ -425,7 +425,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	rec, finish := s.traces.StartTrace("solve", obs.RequestID(r.Context()))
 	res, err := s.runAlgorithm(ctx, &req, rec)
-	finish(s.opts.Parallelism, res, err)
+	finish(res, err)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, nfv.ErrInvalidTask) {
@@ -481,7 +481,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	rec, finish := s.traces.StartTrace("render", obs.RequestID(r.Context()))
 	res, err := s.runAlgorithm(ctx, &req, rec)
-	finish(s.opts.Parallelism, res, err)
+	finish(res, err)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return

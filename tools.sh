@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + ledger guard + bench module + race tests + fuzz smoke + chaos + recover + conformance + bench + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + ledger guard + bench module only (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + race tests + fuzz smoke + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race (equivalence battery:
 #                       # batched admissions bit-identical to
@@ -42,12 +42,6 @@
 #                       # solver through the shared validator. The seed
 #                       # (default 1) makes failures reproduce
 #                       # byte-for-byte: rerun with the printed seed.
-#   ./tools.sh bench    # perf gate only: re-measure the gate benchmarks
-#                       # against the checked-in BENCH_core.json and
-#                       # fail on >5% ns/op or >10% allocs/op
-#                       # regressions. Regenerate the baseline after an
-#                       # intentional perf change with
-#                       #   go run ./cmd/sftbench -json BENCH_core.json
 
 set -eu
 
@@ -156,23 +150,29 @@ queue_gate() {
 	echo "OK (queue gate)"
 }
 
-# ledger_guard keeps the session ledger's single writer single, by
-# construction rather than by review: among internal/dynamic's non-test
-# files only ledger.go (apply, loadSnapshotState) may assign to or
-# delete from m.refs and m.sessions, and the routines apply replaced
-# stay gone from the whole tree.
-ledger_guard() {
-	echo "==> ledger guard: one writer of m.refs / m.sessions, no retired admission paths"
+# retired_guard keeps what earlier PRs removed removed, by construction
+# rather than by review: among internal/dynamic's non-test files only
+# ledger.go (apply, loadSnapshotState) may assign to or delete from
+# m.refs and m.sessions; the admission routines apply replaced, the
+# solver options that selected a second code path and the micro-
+# benchmark stack that measured them stay gone from every .go file,
+# bench/ included; and the stage-one sweep stays one goroutine's loop.
+retired_guard() {
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
-		echo "ledger guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
+		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
-		echo "ledger guard: retired symbols are back:" >&2
+		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
+		exit 1
+	fi
+	if grep -nE 'go func|WaitGroup|atomic\.' internal/core/msa.go; then
+		echo "retired guard: internal/core/msa.go fans out again" >&2
 		exit 1
 	fi
 }
@@ -183,11 +183,10 @@ ledger_guard() {
 # point, /metrics must show non-zero metric-cache and APSP-cache hit
 # rates, and /debug/traces must hold an admission trace stamped with
 # its request ID. A second run re-measures the checked-in
-# BENCH_load.json's top rate point (same network, seed and solver
-# parallelism as the baseline) and fails if sustained adm/s dropped
-# more than 10% — regenerate the baseline after an intentional change
-# with:
-#   go run ./cmd/sftload -parallelism 4 -out BENCH_load.json
+# BENCH_load.json's top rate point (same network and seed as the
+# baseline) and fails if sustained adm/s dropped more than 10% —
+# regenerate the baseline after an intentional change with:
+#   go run ./cmd/sftload -out BENCH_load.json
 # The third run is the admission-queue speedup gate: a queued server
 # at a shared-signature mix (one fixed chain, so the backlog that forms
 # behind the solver at this rate rides shared snapshots) must sustain
@@ -196,29 +195,14 @@ load_gate() {
 	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check (queued)"
 	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -queue-depth 256 -check
 	echo "==> load throughput gate: top BENCH_load.json rate point, -10% tolerance"
-	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -parallelism 4 -queue-depth 256 -gate BENCH_load.json
+	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -queue-depth 256 -gate BENCH_load.json
 	echo "==> queue speedup gate: shared-signature mix, 1.5x baseline floor"
 	go run ./cmd/sftload -nodes 50 -seed 1 -mix '6x4!' -rates 768 -duration 4s -warmup 1s -hold 2s -queue-depth 1024 -gate BENCH_load.json -gate-speedup 1.5
 	echo "OK (load gate)"
 }
 
-# bench_gate re-measures the gate benchmarks (best of three each)
-# against the checked-in baseline snapshot and fails on a >5% ns/op or
-# >10% allocs/op regression. Single-sample best-of-three is a smoke
-# gate, not benchstat — see EXPERIMENTS.md for the careful protocol.
-bench_gate() {
-	echo "==> perf gate: sftbench -gate BENCH_core.json"
-	go run ./cmd/sftbench -gate BENCH_core.json
-	echo "OK (perf gate)"
-}
-
 if [ "${1:-}" = "conformance" ]; then
 	conformance_gate "${2:-1}"
-	exit 0
-fi
-
-if [ "${1:-}" = "bench" ]; then
-	bench_gate
 	exit 0
 fi
 
@@ -258,7 +242,7 @@ if [ -n "$fmt" ]; then
 	exit 1
 fi
 
-ledger_guard
+retired_guard
 
 # bench/ is its own module (BENCHMARK.json's program), so ./... above
 # never compiles it: a renamed or removed symbol it uses would surface
@@ -285,8 +269,6 @@ chaos_gate
 recover_gate
 
 conformance_gate "${CONFORM_SEED:-1}"
-
-bench_gate
 
 obs_smoke
 
