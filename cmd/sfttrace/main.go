@@ -104,8 +104,8 @@ func run(args []string, w io.Writer) error {
 
 // eventLine mirrors the JSONL wire schema of internal/obs. It lists
 // the full current field set; streams written before the request_id /
-// warm / rung / scaffold / general_trees additions simply decode those
-// to their zero values, and unknown future fields are ignored — the
+// warm / rung / scaffold / general_trees / sfc_rows additions simply
+// decode those to their zero values, and unknown future fields are ignored — the
 // stream stays parseable in both directions.
 type eventLine struct {
 	Kind       string `json:"kind"`
@@ -119,11 +119,15 @@ type eventLine struct {
 	// GeneralTrees rides on sweep_end: KMB trees that needed Kruskal
 	// and pruning because the closure expansion held a cycle.
 	GeneralTrees int `json:"general_trees"`
+	// SFCRowsRelaxed and SFCRows ride on sfc_solved: predecessor rows
+	// the chain search relaxed, of rows with a finite distance.
+	SFCRowsRelaxed int `json:"sfc_rows_relaxed"`
+	SFCRows        int `json:"sfc_rows"`
 }
 
 // parseJSONL summarizes a solver-event JSONL stream: per-kind counts,
 // phase time totals, warm/cold solve split, the stage-one split into
-// overlay, SFC Dijkstra and candidate sweep, and — when the stream was
+// overlay, SFC chain search and candidate sweep, and — when the stream was
 // scoped — the distinct request IDs and repair rungs seen.
 func parseJSONL(path string, w io.Writer) error {
 	f, err := os.Open(path)
@@ -137,6 +141,7 @@ func parseJSONL(path string, w io.Writer) error {
 	requests := map[string]int{}
 	rungs := map[string]int{}
 	warmBuilds, coldBuilds, scaffolded, generalTrees, lines, badLines := 0, 0, 0, 0, 0, 0
+	rowsRelaxed, rows := 0, 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -169,6 +174,8 @@ func parseJSONL(path string, w io.Writer) error {
 			scaffolded++
 		}
 		generalTrees += ev.GeneralTrees
+		rowsRelaxed += ev.SFCRowsRelaxed
+		rows += ev.SFCRows
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -197,10 +204,10 @@ func parseJSONL(path string, w io.Writer) error {
 	fmt.Fprintf(w, "solves: %d (%d warm metric, %d cold)\n",
 		kinds["stage2_end"], warmBuilds, coldBuilds)
 	if n := kinds["overlay_built"]; n > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc dijkstra %s, candidate sweep %s (%d general-branch KMB trees)\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees)\n",
 			durations["stage1_end"].Round(time.Microsecond),
 			durations["overlay_built"].Round(time.Microsecond), scaffolded, n,
-			durations["sfc_solved"].Round(time.Microsecond),
+			durations["sfc_solved"].Round(time.Microsecond), rowsRelaxed, rows,
 			durations["sweep_end"].Round(time.Microsecond), generalTrees)
 	}
 	if len(requests) > 0 {
@@ -249,7 +256,7 @@ func summarizeTraces(base string, w io.Writer) error {
 	rungs := map[string]int{}
 	warm, withID, early, failed := 0, 0, 0, 0
 	var stage1 time.Duration
-	generalTrees := 0
+	generalTrees, rowsRelaxed, rows := 0, 0, 0
 	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
 	slowest := doc.Traces[0]
 	for _, t := range doc.Traces {
@@ -261,6 +268,8 @@ func summarizeTraces(base string, w io.Writer) error {
 			for _, c := range s.Children {
 				split[c.Name] += time.Duration(c.DurationNs)
 				generalTrees += int(c.Attrs["general_trees"])
+				rowsRelaxed += int(c.Attrs["rows_relaxed"])
+				rows += int(c.Attrs["rows"])
 			}
 		}
 		ops[t.Op]++
@@ -302,9 +311,10 @@ func summarizeTraces(base string, w io.Writer) error {
 	fmt.Fprintf(w, "warm-metric solves %d/%d, request-ID stamped %d/%d, early stops %d, failures %d\n",
 		warm, len(doc.Traces), withID, len(doc.Traces), early, failed)
 	if stage1 > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s, sfc dijkstra %s, candidate sweep %s (%d general-branch KMB trees)\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees)\n",
 			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
-			split["sfc_dijkstra"].Round(time.Microsecond), split["candidate_sweep"].Round(time.Microsecond), generalTrees)
+			split["sfc_dijkstra"].Round(time.Microsecond), rowsRelaxed, rows,
+			split["candidate_sweep"].Round(time.Microsecond), generalTrees)
 	}
 	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v request_id=%s\n",
 		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.RequestID)

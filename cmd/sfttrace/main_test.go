@@ -77,7 +77,8 @@ func TestParseJSONL(t *testing.T) {
 		// Stage-one sub-phase lines, one overlay from the scaffold cache.
 		`{"kind":"overlay_built","duration_ns":20000}`,
 		`{"kind":"overlay_built","duration_ns":1000,"scaffold":true}`,
-		`{"kind":"sfc_solved","duration_ns":300000}`,
+		`{"kind":"sfc_solved","duration_ns":300000}`, // written before the row counts
+		`{"kind":"sfc_solved","duration_ns":40000,"sfc_rows_relaxed":48,"sfc_rows":800}`,
 		`{"kind":"sweep_end","candidates":6,"duration_ns":450000,"general_trees":2}`,
 		// Garbage must be skipped, not fatal.
 		`not json`,
@@ -92,10 +93,10 @@ func TestParseJSONL(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"10 events",
+		"11 events",
 		"1 unparseable lines skipped",
 		"solves: 3 (1 warm metric, 1 cold)",
-		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc dijkstra 300µs, candidate sweep 450µs (2 general-branch KMB trees)",
+		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc search 340µs (48 of 800 predecessor rows), candidate sweep 450µs (2 general-branch KMB trees)",
 		"2 distinct request IDs",
 		"repair rung patch: 1 events",
 	} {
@@ -123,7 +124,7 @@ func TestSummarizeTraces(t *testing.T) {
 	buf.Add(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6,
 		Spans: []*obs.Span{{Name: "stage1", DurationNs: 1500e3, Children: []*obs.Span{
 			{Name: "overlay", DurationNs: 10e3},
-			{Name: "sfc_dijkstra", DurationNs: 400e3},
+			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows": 200}},
 			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1}},
 		}}}})
 	buf.Add(obs.Trace{Op: "repair", Rung: "patch", Session: 3, DurationNs: 5e6})
@@ -143,7 +144,7 @@ func TestSummarizeTraces(t *testing.T) {
 		"warm-metric solves 1/3",
 		"request-ID stamped 2/3",
 		"failures 1",
-		"stage one 1.5ms: overlay 10µs, sfc dijkstra 400µs, candidate sweep 1ms (1 general-branch KMB trees)",
+		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows), candidate sweep 1ms (1 general-branch KMB trees)",
 		"slowest: op=repair",
 	} {
 		if !strings.Contains(got, want) {

@@ -53,13 +53,13 @@ type Options struct {
 	// by (source, chain signature, graph generation, deployment epoch):
 	// same-signature solves against the same network version skip the
 	// overlay construction and, because an overlay keeps its solved SFC
-	// (mod.Network.SolveSFC runs once per overlay), the Dijkstra over
-	// it. Because the key pins the exact version, results are
+	// (mod.Network.SolveSFC runs once per overlay), the chain search
+	// over it. Because the key pins the exact version, results are
 	// bit-identical to building fresh. A cached scaffold holds the
-	// solution's 2kS+1 distance/parent pairs — at most 256 entries, so
-	// ≈11 MB at S = 200, k = 7 — until the next version change evicts
-	// the lot. The dynamic manager shares one cache across concurrent
-	// admissions.
+	// solution's kS distance/predecessor pairs, 12 B each — at most 256
+	// entries, so ≈4.3 MB at S = 200, k = 7 — until the next version
+	// change evicts the lot. The dynamic manager shares one cache across
+	// concurrent admissions.
 	Scaffolds *mod.Cache
 	// Observer, when non-nil, receives structured phase events from
 	// every stage of the solve (see observe.go). Nil costs one pointer
@@ -136,7 +136,8 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	opts.emit(Event{Kind: EventOverlayBuilt, Duration: t1.Sub(t0), Scaffold: opts.Scaffolds != nil})
 	sol := overlay.SolveSFC()
 	t2 := opts.now()
-	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1)})
+	relaxed, rows := sol.Rows()
+	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRows: rows})
 	metric := net.Metric()
 
 	// Candidates in ascending chain cost. The keys are read off the
@@ -183,7 +184,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 		if err != nil {
 			continue
 		}
-		st, err := stateFromSolution(net, task, r.hosts, tree)
+		st, err := stateFromSolution(net, task, r.hosts, tree) // copies r.hosts
 		if err != nil {
 			continue
 		}
@@ -214,17 +215,17 @@ type candidate struct {
 // without holding it: the sweep rebuilds the tree of the few
 // candidates that improve on the running best.
 type candResult struct {
-	tried bool // counted by StageStats.CandidatesTried
-	ok    bool // chain repaired and Steiner tree priced
-	hosts []int
+	tried bool  // counted by StageStats.CandidatesTried
+	ok    bool  // chain repaired and Steiner tree priced
+	hosts []int // the sweeper's buffer: valid until its next eval
 	total float64
 }
 
 // sweeper evaluates candidate last-hosts for one solve. It only reads
 // the network, overlay, SFC solution and warm metric; what it owns is
 // the scratch that makes a candidate cheap: the KMB sweep over the
-// task's destinations and the free-capacity vector, both set up once
-// instead of per candidate.
+// task's destinations, the free-capacity vector and the chain buffer,
+// all set up once instead of per candidate.
 type sweeper struct {
 	net     *nfv.Network
 	task    nfv.Task
@@ -234,6 +235,7 @@ type sweeper struct {
 	algo    SteinerAlgo
 	kmb     *steiner.Sweep // nil unless algo is SteinerKMB
 	cap     *capScratch
+	hosts   []int // the candidate under evaluation's chain
 }
 
 func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo) *sweeper {
@@ -266,16 +268,13 @@ func (sw *sweeper) generalTrees() int64 {
 // connecting the (possibly relocated) last host to every destination.
 func (sw *sweeper) eval(w int) candResult {
 	var r candResult
-	if sw.sol.CostTo(w) == graph.Inf {
-		return r
-	}
-	hosts := sw.sol.HostsTo(w)
-	if hosts == nil {
+	sw.hosts = sw.sol.AppendHostsTo(sw.hosts[:0], w)
+	hosts := sw.hosts
+	if len(hosts) == 0 {
 		return r
 	}
 	r.tried = true
-	hosts, ok := repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.cap.free)
-	if !ok {
+	if !repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.cap.free) {
 		return r
 	}
 	treeCost, err := sw.treeCost(hosts[len(hosts)-1])
@@ -343,7 +342,11 @@ func buildSteiner(net *nfv.Network, metric *graph.Metric, root int, dests []int,
 func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool) {
 	sc := getCapScratch(net)
 	defer capPool.Put(sc)
-	return repairCapacity(net, net.Metric(), task, hosts, sc.free)
+	out := append([]int(nil), hosts...)
+	if !repairCapacity(net, net.Metric(), task, out, sc.free) {
+		return nil, false
+	}
+	return out, true
 }
 
 // TailsFromEdges converts an explicit tree edge set into the
@@ -352,28 +355,25 @@ func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]i
 	return treePaths(net.Graph(), steiner.Tree{Edges: edges}, root, dests)
 }
 
-// repairCapacity walks the chain hosts in order, reserving capacity
-// for each new instance, and relocates any VNF whose host is full to
-// the feasible node minimizing connection-plus-setup cost (the paper's
-// adjustment rule). It reports failure when some VNF fits nowhere.
+// repairCapacity walks the chain hosts in out in order, reserving
+// capacity for each new instance, and relocates any VNF whose host is
+// full to the feasible node minimizing connection-plus-setup cost (the
+// paper's adjustment rule), rewriting out. It reports failure when some
+// VNF fits nowhere.
 //
 // free must hold net.FreeCapacity(v) at every server v (see
 // getCapScratch) and does again on return: the walk decrements only
 // entries of hosts it settles on, and those are re-read from the
 // network on the way out — never restored by adding the demand back,
 // which drifts by an ulp.
-func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, hosts []int, free []float64) ([]int, bool) {
-	out := append([]int(nil), hosts...)
+func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []int, free []float64) bool {
 	ok := repairInPlace(net, metric, task, out, free)
 	for _, h := range out {
 		if net.IsServer(h) {
 			free[h] = net.FreeCapacity(h)
 		}
 	}
-	if !ok {
-		return nil, false
-	}
-	return out, true
+	return ok
 }
 
 // repairInPlace is repairCapacity's walk: it rewrites out and leaves

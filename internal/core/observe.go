@@ -5,7 +5,7 @@ import "time"
 // This file defines the solver's observability hook. An Observer set
 // on Options receives structured phase events from the two-stage
 // algorithm: stage-one tree construction and its split into overlay,
-// SFC Dijkstra and candidate sweep, per-round OPA move
+// SFC chain search and candidate sweep, per-round OPA move
 // proposals/acceptances/rejections with cost deltas, and the APSP
 // (metric closure) build time. A nil Observer costs a single pointer
 // check per emission site, so the hot path is unaffected when tracing
@@ -51,8 +51,8 @@ const (
 	// EventOverlayBuilt reports that the MOD overlay is in hand;
 	// carries Duration and Scaffold.
 	EventOverlayBuilt
-	// EventSFCSolved closes the Dijkstra over the overlay; carries
-	// Duration.
+	// EventSFCSolved closes the chain search over the overlay; carries
+	// Duration, SFCRowsRelaxed and SFCRows.
 	EventSFCSolved
 	// EventSweepEnd closes the candidate last-host sweep (sort,
 	// per-candidate repair and Steiner tree, reduction); carries
@@ -119,6 +119,11 @@ type Event struct {
 	// Kruskal and pruning (see steiner.Sweep); zero on almost every
 	// topology, and always zero for the other Steiner routines.
 	GeneralTrees int
+	// SFCRowsRelaxed and SFCRows say how much of the overlay the chain
+	// search behind an EventSFCSolved read: predecessor rows relaxed, of
+	// rows with a finite distance (see mod.SFCStats). A scaffold hit
+	// reports the cached solution's counts with a Duration near zero.
+	SFCRowsRelaxed, SFCRows int
 	// Moves counts accepted moves (pass-end and stage-2-end events).
 	Moves int
 	// Duration is the wall time of the closed phase (end events).

@@ -57,14 +57,3 @@ func getScratch(n int) *spScratch {
 }
 
 func putScratch(sc *spScratch) { spPool.Put(sc) }
-
-// WithHeap runs fn with a pooled, empty heap sized for nodes in
-// [0, n): the arena's heap for shortest-path loops that live outside
-// this package (the MOD overlay's implicit Dijkstra). The heap must
-// not be retained after fn returns.
-func WithHeap(n int, fn func(h *NodeHeap)) {
-	sc := getScratch(0)
-	sc.heap.Reset(n)
-	fn(&sc.heap)
-	putScratch(sc)
-}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"sftree/internal/graph"
@@ -14,12 +16,12 @@ import (
 )
 
 // materialize is the reference for the implicit overlay: the expanded
-// MOD network of Fig. 4 with every arc stored, built in the order
-// SolveSFC promises to enumerate them. graph.Digraph's Dijkstra uses
-// the same heap and the same strict-< relaxation, so on equal input
-// the two must agree on every distance and on every parent, ties
-// included. It returns nil when no server is reachable from the
-// source.
+// MOD network of Fig. 4 with every arc stored — source to column 1,
+// "in" to "out", "out" of column j to "in" of column j+1, rows
+// ascending — for graph.Digraph's heap Dijkstra to run over. Node 0 is
+// the source; column j's row r is the pair (in, in+1) at
+// 1 + 2*((j-1)*S + r). It returns nil when no server is reachable from
+// the source.
 func materialize(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) *graph.Digraph {
 	t.Helper()
 	servers := net.ServerList()
@@ -55,10 +57,15 @@ func materialize(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) *gra
 	return dg
 }
 
-// diffOverlay solves (net, source, chain) over the implicit overlay
-// and over the materialized one and requires identical shortest-path
-// trees and identical logical sizes.
-func diffOverlay(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) {
+// diffOverlay solves (net, source, chain) with the column pass and
+// with Dijkstra over the materialized overlay, and holds the pass to
+// its contract at every overlay node: (i) distances equal bit for bit;
+// (ii) the predecessor is, by brute force, the first in ascending
+// (out, row) order among the rows attaining the minimum; (iii) where
+// that differs from the parent Dijkstra kept, the two rows' out values
+// are equal — the heap's sift order used to pick between them. It
+// returns how many predecessors differ, of how many.
+func diffOverlay(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) (differ, parents int) {
 	t.Helper()
 	want := materialize(t, net, source, chain)
 	m, err := Build(net, source, chain)
@@ -66,7 +73,7 @@ func diffOverlay(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) {
 		if !errors.Is(err, ErrSourceUnreachable) {
 			t.Fatalf("Build = %v, want ErrSourceUnreachable (oracle has no source arc)", err)
 		}
-		return
+		return 0, 0
 	}
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -77,13 +84,54 @@ func diffOverlay(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) {
 	if got := m.NumOverlayArcs(); got != want.NumArcs() {
 		t.Fatalf("NumOverlayArcs = %d, materialized %d", got, want.NumArcs())
 	}
-	got, ref := m.SolveSFC().tree, want.Dijkstra(0)
-	for id := range ref.Dist {
-		if got.Dist[id] != ref.Dist[id] || got.Parent[id] != ref.Parent[id] {
-			t.Fatalf("overlay node %d: implicit (dist %v, parent %d), materialized (dist %v, parent %d)",
-				id, got.Dist[id], got.Parent[id], ref.Dist[id], ref.Parent[id])
+	sol, ref := m.SolveSFC(), want.Dijkstra(0)
+	servers, metric := net.ServerList(), net.Metric()
+	s := len(servers)
+	for j := 1; j <= len(chain); j++ {
+		for r, v := range servers {
+			cell := (j-1)*s + r
+			in := 1 + 2*cell
+			if sol.out[cell] != ref.Dist[in+1] {
+				t.Fatalf("column %d row %d: out %v, materialized %v", j, r, sol.out[cell], ref.Dist[in+1])
+			}
+			p := int(sol.pred[cell])
+			if j == 1 {
+				if p != -1 {
+					t.Fatalf("column 1 row %d: predecessor %d, want -1", r, p)
+				}
+				continue
+			}
+			prev := sol.out[(j-2)*s : (j-1)*s]
+			// The brute-force minimum, and its first row in (out, row) order.
+			best, arg := graph.Inf, -1
+			for a, va := range servers {
+				switch nd := prev[a] + metric.Dist[va][v]; {
+				case nd < best:
+					best, arg = nd, a
+				case nd == best && nd != graph.Inf && prev[a] < prev[arg]:
+					arg = a
+				}
+			}
+			if best != ref.Dist[in] {
+				t.Fatalf("column %d row %d: in %v, materialized %v", j, r, best, ref.Dist[in])
+			}
+			if p != arg {
+				t.Fatalf("column %d row %d: predecessor row %d, first in (out, row) order is %d", j, r, p, arg)
+			}
+			if p == -1 {
+				continue
+			}
+			parents++
+			if heap := (ref.Parent[in] - 2) / 2 % s; heap != p {
+				differ++
+				if prev[heap] != prev[p] {
+					t.Fatalf("column %d row %d: predecessor row %d (out %v), Dijkstra kept row %d (out %v): not a tie",
+						j, r, p, prev[p], heap, prev[heap])
+				}
+			}
 		}
 	}
+	return differ, parents
 }
 
 // prefixChain is the chain 0..k-1, clipped to the catalog.
@@ -121,29 +169,65 @@ func corpusDocs(t testing.TB) map[string][]byte {
 	return docs
 }
 
+// An overlayCase is one (network, source, chain) triple; a family
+// visits its cases in a fixed order.
+type (
+	overlayCase func(net *nfv.Network, source int, chain nfv.SFC)
+	family      func(t testing.TB, visit overlayCase)
+)
+
+// corpusCases visits one conformance instance with its own task and
+// with every node as the source of a prefix chain.
+func corpusCases(t testing.TB, blob []byte, visit overlayCase) {
+	t.Helper()
+	var doc nfv.InstanceDoc
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	visit(doc.Network, doc.Task.Source, doc.Task.Chain)
+	for src := 0; src < doc.Network.NumNodes(); src++ {
+		visit(doc.Network, src, prefixChain(doc.Network, 3))
+	}
+}
+
 // TestOverlayDifferentialCorpus covers every checked-in conformance
-// instance, the unit-weight strata (fat-tree, Abilene) included, with
-// the instance's own task and with every node as the source of a
-// prefix chain.
+// instance, the unit-weight strata (fat-tree, Abilene) included. No
+// predecessor differs from Dijkstra's: the corpus needed no new
+// baseline.
 func TestOverlayDifferentialCorpus(t *testing.T) {
 	for name, blob := range corpusDocs(t) {
 		t.Run(name, func(t *testing.T) {
-			var doc nfv.InstanceDoc
-			if err := json.Unmarshal(blob, &doc); err != nil {
-				t.Fatal(err)
-			}
-			diffOverlay(t, doc.Network, doc.Task.Source, doc.Task.Chain)
-			for src := 0; src < doc.Network.NumNodes(); src++ {
-				diffOverlay(t, doc.Network, src, prefixChain(doc.Network, 3))
-			}
+			requireNoDiffering(t, func(t testing.TB, visit overlayCase) { corpusCases(t, blob, visit) })
 		})
 	}
 }
 
-// TestOverlayDifferentialUnreachable splits the servers over two
-// components: from a source in one, the other's servers are rows with
-// no source arc and no arc from the reachable rows.
-func TestOverlayDifferentialUnreachable(t *testing.T) {
+// countDiffering runs diffOverlay over a family and totals its counts.
+func countDiffering(t *testing.T, cases family) (differ, parents int) {
+	t.Helper()
+	cases(t, func(net *nfv.Network, source int, chain nfv.SFC) {
+		d, p := diffOverlay(t, net, source, chain)
+		differ, parents = differ+d, parents+p
+	})
+	t.Logf("%d of %d predecessors differ from Dijkstra's", differ, parents)
+	return differ, parents
+}
+
+// requireNoDiffering requires every predecessor of a family to be the
+// one Dijkstra kept.
+func requireNoDiffering(t *testing.T, cases family) {
+	t.Helper()
+	if differ, parents := countDiffering(t, cases); differ != 0 || parents == 0 {
+		t.Errorf("%d of %d predecessors differ from Dijkstra's, want 0 of some", differ, parents)
+	}
+}
+
+// unreachableCases splits the servers over two components: from a
+// source in one, the other's servers are rows with no source arc and
+// no arc from the reachable rows. Server 6 is isolated: no row reaches
+// it, so from column 2 on its in stays +Inf.
+func unreachableCases(t testing.TB, visit overlayCase) {
+	t.Helper()
 	g := graph.New(7)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
@@ -151,7 +235,7 @@ func TestOverlayDifferentialUnreachable(t *testing.T) {
 	g.MustAddEdge(3, 4, 1)
 	g.MustAddEdge(4, 5, 1)
 	net := nfv.NewNetwork(g, nfv.DefaultCatalog()[:4])
-	for _, v := range []int{1, 2, 4, 5, 6} { // 6 is an isolated server
+	for _, v := range []int{1, 2, 4, 5, 6} {
 		if err := net.SetServer(v, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +250,7 @@ func TestOverlayDifferentialUnreachable(t *testing.T) {
 	}
 	for src := 0; src < net.NumNodes(); src++ {
 		for k := 1; k <= 4; k++ {
-			diffOverlay(t, net, src, prefixChain(net, k))
+			visit(net, src, prefixChain(net, k))
 		}
 	}
 	// Node 0 reaches no server once 1 and 2 lose their links to it.
@@ -176,14 +260,19 @@ func TestOverlayDifferentialUnreachable(t *testing.T) {
 	if err := bare.SetServer(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	diffOverlay(t, bare, 0, nfv.SFC{0})
+	visit(bare, 0, nfv.SFC{0})
 }
 
-// TestOverlayDifferentialGenerated sweeps seeded netgen networks:
-// chain lengths from 1, repeated VNFs in a chain, networks where only
-// a fraction of the nodes are servers, and the pre-deployments the
-// generator scatters (zero-weight virtual arcs).
-func TestOverlayDifferentialGenerated(t *testing.T) {
+func TestOverlayDifferentialUnreachable(t *testing.T) {
+	requireNoDiffering(t, unreachableCases)
+}
+
+// generatedCases sweeps seeded netgen networks: chain lengths from 1,
+// repeated VNFs in a chain, networks where only a fraction of the
+// nodes are servers, and the pre-deployments the generator scatters
+// (zero-weight virtual arcs).
+func generatedCases(t testing.TB, visit overlayCase) {
+	t.Helper()
 	const nets = 60
 	for seed := int64(1); seed <= nets; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -201,16 +290,21 @@ func TestOverlayDifferentialGenerated(t *testing.T) {
 			for j := range chain {
 				chain[j] = rng.Intn(net.CatalogSize())
 			}
-			diffOverlay(t, net, rng.Intn(net.NumNodes()), chain)
+			visit(net, rng.Intn(net.NumNodes()), chain)
 		}
 	}
 }
 
-// TestOverlayDifferentialTies makes equal-cost chains the rule: unit
-// link weights on a torus and setup costs from {0, 1, 2}, so which
-// parent a node keeps depends on the order arcs are relaxed in and on
-// the heap's handling of equal priorities.
-func TestOverlayDifferentialTies(t *testing.T) {
+func TestOverlayDifferentialGenerated(t *testing.T) {
+	requireNoDiffering(t, generatedCases)
+}
+
+// tiesCases makes equal-cost chains the rule: unit link weights on a
+// torus and setup costs from {0, 1, 2}, so many rows of a column share
+// one out value and which of them a node keeps as its predecessor is
+// decided by the (out, row) order alone.
+func tiesCases(t testing.TB, visit overlayCase) {
+	t.Helper()
 	const side = 5
 	g := graph.New(side * side)
 	for x := 0; x < side; x++ {
@@ -237,9 +331,134 @@ func TestOverlayDifferentialTies(t *testing.T) {
 		}
 		for src := 0; src < g.NumNodes(); src += 3 {
 			for k := 1; k <= 5; k++ {
-				diffOverlay(t, net, src, prefixChain(net, k))
+				visit(net, src, prefixChain(net, k))
 			}
 		}
+	}
+}
+
+// TestOverlayDifferentialTies is where the column pass and the heap
+// part ways: both keep a predecessor of minimal (out + link) and of
+// minimal out among those, and the torus has many. The count must be
+// positive or clause (iii) of diffOverlay was never exercised.
+func TestOverlayDifferentialTies(t *testing.T) {
+	if differ, parents := countDiffering(t, tiesCases); differ == 0 {
+		t.Errorf("0 of %d predecessors differ from Dijkstra's: the torus no longer produces bit-equal ties", parents)
+	}
+}
+
+// solveUnpruned is the column pass without its stopping bound: every
+// row with a finite out relaxed, in ascending (out, row) order.
+func solveUnpruned(m *Network) (out []float64, pred []int32) {
+	s, k := len(m.servers), len(m.chain)
+	out, pred = make([]float64, k*s), make([]int32, k*s)
+	for r, v := range m.servers {
+		out[r], pred[r] = m.metric.Dist[m.source][v]+m.setup[r], -1
+	}
+	for j := 1; j < k; j++ {
+		prev := out[(j-1)*s : j*s]
+		var rows []int
+		for a := range prev {
+			if prev[a] != graph.Inf {
+				rows = append(rows, a)
+			}
+		}
+		sort.SliceStable(rows, func(x, y int) bool { return prev[rows[x]] < prev[rows[y]] })
+		for r, v := range m.servers {
+			cell := j*s + r
+			out[cell], pred[cell] = graph.Inf, -1
+			for _, a := range rows {
+				if nd := prev[a] + m.metric.Dist[m.servers[a]][v]; nd < out[cell] {
+					out[cell], pred[cell] = nd, int32(a)
+				}
+			}
+			out[cell] += m.setup[cell]
+		}
+	}
+	return out, pred
+}
+
+// requireBoundExact holds m's solution to the unpruned pass, slab for
+// slab.
+func requireBoundExact(t testing.TB, m *Network) *SFCSolution {
+	t.Helper()
+	sol := m.SolveSFC()
+	out, pred := solveUnpruned(m)
+	if !slices.Equal(sol.out, out) || !slices.Equal(sol.pred, pred) {
+		t.Fatalf("source %d chain %v: pruned pass (out %v, pred %v), unpruned (out %v, pred %v)",
+			m.source, m.chain, sol.out, sol.pred, out, pred)
+	}
+	if sol.rowsRelaxed > sol.rowsFinite {
+		t.Fatalf("source %d chain %v: relaxed %d of %d finite rows", m.source, m.chain, sol.rowsRelaxed, sol.rowsFinite)
+	}
+	return sol
+}
+
+// TestColumnBoundIsExact: stopping a column once the next predecessor's
+// out is no smaller than the largest tentative in changes nothing.
+func TestColumnBoundIsExact(t *testing.T) {
+	relaxed, finite := 0, 0
+	check := func(net *nfv.Network, source int, chain nfv.SFC) *SFCSolution {
+		t.Helper()
+		m, err := Build(net, source, chain)
+		if errors.Is(err, ErrSourceUnreachable) {
+			return nil
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol := requireBoundExact(t, m)
+		relaxed, finite = relaxed+sol.rowsRelaxed, finite+sol.rowsFinite
+		return sol
+	}
+	visit := func(net *nfv.Network, source int, chain nfv.SFC) { check(net, source, chain) }
+	for _, blob := range corpusDocs(t) {
+		corpusCases(t, blob, visit)
+	}
+	generatedCases(t, visit)
+	tiesCases(t, visit)
+	if relaxed == 0 || relaxed >= finite {
+		t.Errorf("the bound never fired: %d of %d rows relaxed", relaxed, finite)
+	}
+
+	// A row no other row reaches keeps in = +Inf, so the largest
+	// tentative in is +Inf and the bound must never fire.
+	unreachableCases(t, func(net *nfv.Network, source int, chain nfv.SFC) {
+		if sol := check(net, source, chain); sol != nil && sol.rowsRelaxed != sol.rowsFinite {
+			t.Fatalf("source %d chain %v: relaxed %d of %d finite rows with a row at +Inf", source, chain, sol.rowsRelaxed, sol.rowsFinite)
+		}
+	})
+
+	// Edges of the recurrence: a single column, a single row, zero
+	// virtual arcs everywhere, and a host that cannot run one VNF.
+	net := buildNet(rand.New(rand.NewSource(71)), 12, 8, 4)
+	check(net, 3, nfv.SFC{2})
+	free := buildNet(rand.New(rand.NewSource(72)), 12, 8, 4)
+	for _, v := range free.ServerList() {
+		for f := 0; f < free.CatalogSize(); f++ {
+			if err := free.SetSetupCost(f, v, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check(free, 0, nfv.SFC{0, 1, 2, 3})
+	if err := net.SetSetupCost(1, 5, graph.Inf); err != nil {
+		t.Fatal(err)
+	}
+	barred := check(net, 3, nfv.SFC{0, 1, 2})
+	if hosts := barred.HostsTo(7); hosts == nil || hosts[1] == 5 {
+		t.Errorf("chain to 7 is %v: want one avoiding node 5 for its second VNF", hosts)
+	}
+	g := graph.New(4)
+	g.MustAddEdge(0, 1, 2)
+	g.MustAddEdge(1, 2, 3)
+	g.MustAddEdge(2, 3, 1)
+	single := nfv.NewNetwork(g, nfv.DefaultCatalog()[:3])
+	if err := single.SetServer(2, 9); err != nil {
+		t.Fatal(err)
+	}
+	if sol := check(single, 0, nfv.SFC{0, 1, 2}); !slices.Equal(sol.HostsTo(2), []int{2, 2, 2}) {
+		t.Errorf("one-server chain is %v, want [2 2 2]", sol.HostsTo(2))
 	}
 }
 
@@ -259,9 +478,13 @@ func FuzzOverlayDifferential(f *testing.F) {
 		if net.NumNodes() > 40 || net.Graph().NumEdges() > 200 || task.K() > 5 {
 			return
 		}
-		if _, err := Build(net, task.Source, task.Chain); err != nil && !errors.Is(err, ErrSourceUnreachable) {
+		m, err := Build(net, task.Source, task.Chain)
+		if err != nil && !errors.Is(err, ErrSourceUnreachable) {
 			return // chains, sources and networks Build rejects
 		}
 		diffOverlay(t, net, task.Source, task.Chain)
+		if err == nil {
+			requireBoundExact(t, m)
+		}
 	})
 }

@@ -1,10 +1,11 @@
 // Package mod builds the multilevel overlay directed (MOD) network of
 // the paper's Algorithm 1 and its *expanded* form (Fig. 4), in which
 // every overlay node is split into an in/out pair joined by a virtual
-// arc weighted with the VNF setup cost. A single Dijkstra run from the
+// arc weighted with the VNF setup cost. One shortest-path pass from the
 // source over the expanded MOD network yields, for every candidate
 // host of the last chain VNF, the cost-optimal SFC embedding ending
-// there (Theorem 2).
+// there (Theorem 2). The network is a layered DAG, so the pass is a
+// column-by-column dynamic program rather than a general Dijkstra.
 //
 // Columns correspond to chain positions 1..k, rows to server nodes of
 // the target network. Arcs between adjacent columns carry the
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sftree/internal/graph"
 	"sftree/internal/nfv"
@@ -35,8 +37,8 @@ var (
 // Network is the expanded MOD network for one (network, source, chain)
 // triple. The overlay is implicit: every arc weight is either an entry
 // of the metric closure or one of the k*S virtual-arc setup costs, so
-// only the latter are stored and SolveSFC enumerates the arcs on the
-// fly. A Network is immutable after Build and safe to share; its
+// only the latter are stored and SolveSFC reads the arcs it needs on
+// the fly. A Network is immutable after Build and safe to share; its
 // solution is computed on first demand and shared with it.
 type Network struct {
 	chain   nfv.SFC
@@ -49,12 +51,6 @@ type Network struct {
 	solveOnce sync.Once
 	sol       *SFCSolution
 }
-
-// Overlay node ID layout: 0 is the source; for column j in [1..k] and
-// server row r, the "in" node is 1 + 2*((j-1)*S + r) and the "out"
-// node is in+1.
-func (m *Network) inID(j, row int) int  { return 1 + 2*((j-1)*len(m.servers)+row) }
-func (m *Network) outID(j, row int) int { return m.inID(j, row) + 1 }
 
 // Build constructs the expanded MOD network. Setup costs reflect
 // deployment state: pre-deployed chain VNFs cost zero (§IV-D).
@@ -115,7 +111,7 @@ func (m *Network) Servers() []int { return append([]int(nil), m.servers...) }
 func (m *Network) NumOverlayNodes() int { return 1 + 2*len(m.chain)*len(m.servers) }
 
 // NumOverlayArcs returns the arc count of the paper's expanded
-// overlay: the arcs SolveSFC enumerates, none of which is stored.
+// overlay, none of which is stored.
 // It scans the S*S server block of the metric on every call.
 func (m *Network) NumOverlayArcs() int {
 	arcs := len(m.chain) * len(m.servers) // virtual in->out arcs
@@ -133,88 +129,112 @@ func (m *Network) NumOverlayArcs() int {
 	return arcs + (len(m.chain)-1)*between
 }
 
-// SFCSolution is the result of one Dijkstra sweep over the expanded
-// MOD network: per candidate last-VNF host, the optimal SFC embedding
-// cost and host sequence.
+// SFCSolution is the result of the chain search over the expanded MOD
+// network: per candidate last-VNF host, the optimal SFC embedding cost
+// and host sequence. Both slabs are indexed [(j-1)*S+row] for column j.
 type SFCSolution struct {
 	m    *Network
-	tree *graph.ShortestPathTree
+	out  []float64 // cost of the cheapest embedding of l_1..l_j with l_j on that row; +Inf if there is none
+	pred []int32   // the row hosting l_{j-1} in that embedding; -1 in column 1 and on rows nothing reaches
+	// Predecessor rows the search relaxed, and rows with a finite out it
+	// could have, summed over columns 1..k-1.
+	rowsRelaxed, rowsFinite int
 }
 
-// SolveSFC runs Dijkstra from the source over the expanded overlay.
+// Chain-search traffic of every solution computed in the process.
+var sfcRowsRelaxed, sfcRowsFinite atomic.Int64
+
+// SFCStats reports how much of their overlays the process's chain
+// searches read: predecessor rows relaxed, out of the rows with a
+// finite distance. The S*S arc block between two columns is read one
+// predecessor row at a time, so relaxed/total is also the share of
+// inter-column arcs read.
+func SFCStats() (relaxed, total int64) {
+	return sfcRowsRelaxed.Load(), sfcRowsFinite.Load()
+}
+
+// Rows reports this solution's share of SFCStats.
+func (s *SFCSolution) Rows() (relaxed, total int) { return s.rowsRelaxed, s.rowsFinite }
+
+// SolveSFC computes shortest-path distances from the source to every
+// "out" node of the expanded overlay, column by column:
 //
-// The arcs leaving a node are enumerated in a fixed order — from the
-// source to column 1 by ascending row (Fig. 4 step 1); from an "in"
-// node to its "out" node; from an "out" node of column j < k to the
-// "in" nodes of column j+1 by ascending row (Algorithm 1 step 2) —
-// and unreachable pairs contribute no arc. Together with the strict <
-// relaxation this order decides which of several equal-cost chains
-// HostsTo reports, so it is part of the solver's contract: embeddings
-// are reproducible only as long as it does not change.
+//	in_1[r]     = dist(source, server r)
+//	out_j[r]    = in_j[r] + setup_j[r]
+//	in_{j+1}[r] = min over rows a of out_j[a] + dist(server a, server r)
+//
+// Among the rows a attaining a minimum, the predecessor kept is the
+// first in ascending (out_j[a], a) order. That is the order Dijkstra
+// would pop column j in, so distances and predecessors are those of
+// Dijkstra over the stored-arc overlay, except that rows tied on a
+// bit-equal out_j resolve to the lower row. The order decides which of
+// several equal-cost chains HostsTo reports, so it is part of the
+// solver's contract (ALGORITHM.md, "Implicit MOD overlay").
 //
 // The solution is a pure function of the overlay, so it is computed
 // once per Network: later calls, and concurrent ones, share the same
 // read-only SFCSolution. An overlay served from a Cache therefore
 // carries its solved SFC with it.
 func (m *Network) SolveSFC() *SFCSolution {
-	m.solveOnce.Do(func() { m.sol = m.solveSFC() })
+	m.solveOnce.Do(func() {
+		m.sol = m.solveSFC()
+		sfcRowsRelaxed.Add(int64(m.sol.rowsRelaxed))
+		sfcRowsFinite.Add(int64(m.sol.rowsFinite))
+	})
 	return m.sol
 }
 
-// solveSFC is the Dijkstra behind SolveSFC.
+// solveSFC is the column pass behind SolveSFC.
 func (m *Network) solveSFC() *SFCSolution {
-	n := m.NumOverlayNodes()
-	dist := make([]float64, n)
-	parent := make([]int, n)
-	for i := range dist {
-		dist[i] = graph.Inf
-		parent[i] = -1
+	s, k := len(m.servers), len(m.chain)
+	sol := &SFCSolution{m: m, out: make([]float64, k*s), pred: make([]int32, k*s)}
+	for i := range sol.pred {
+		sol.out[i], sol.pred[i] = graph.Inf, -1
 	}
-	graph.WithHeap(n, func(h *graph.NodeHeap) { m.dijkstra(h, dist, parent) })
-	return &SFCSolution{m: m, tree: &graph.ShortestPathTree{Src: 0, Dist: dist, Parent: parent}}
-}
-
-// dijkstra fills dist and parent (preset to Inf and -1) from overlay
-// node 0, using the empty heap h.
-func (m *Network) dijkstra(h *graph.NodeHeap, dist []float64, parent []int) {
-	s := len(m.servers)
-	sink := m.outID(len(m.chain), 0) // "out" nodes from here on are the last column: no outgoing arcs
-	dist[0] = 0
-	h.Push(0, 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
-		switch {
-		case u == 0:
-			m.relaxColumn(h, dist, parent, u, du, m.metric.Dist[m.source], m.inID(1, 0))
-		case u&1 == 1: // "in" node
-			if out, nd := u+1, du+m.setup[(u-1)/2]; nd < dist[out] {
-				dist[out] = nd
-				parent[out] = u
-				h.Push(out, nd)
-			}
-		case u < sink: // "out" node of column j = cell/s + 1
-			cell := (u - 2) / 2
-			m.relaxColumn(h, dist, parent, u, du, m.metric.Dist[m.servers[cell%s]], m.inID(cell/s+2, 0))
-		}
-	}
-}
-
-// relaxColumn relaxes the arcs from overlay node u (at distance du) to
-// the "in" nodes of one column, rows ascending: first is the column's
-// row-0 node and from the metric row of u's physical node.
-func (m *Network) relaxColumn(h *graph.NodeHeap, dist []float64, parent []int, u int, du float64, from []float64, first int) {
+	from := m.metric.Dist[m.source]
 	for r, v := range m.servers {
-		if d := from[v]; d != graph.Inf {
-			if in, nd := first+2*r, du+d; nd < dist[in] {
-				dist[in] = nd
-				parent[in] = u
-				h.Push(in, nd)
+		sol.out[r] = from[v] + m.setup[r]
+	}
+	todo := make([]float64, s) // column j's out, +Inf once a row has been relaxed from
+	for j := 1; j < k; j++ {
+		in, pred := sol.out[j*s:(j+1)*s], sol.pred[j*s:(j+1)*s]
+		next := 0 // the row to relax from next: the lowest holding todo's minimum
+		for r, d := range sol.out[(j-1)*s : j*s] {
+			todo[r] = d
+			if d != graph.Inf {
+				sol.rowsFinite++
+			}
+			if d < todo[next] {
+				next = r
 			}
 		}
+		// Predecessors in ascending (out, row) order. Metric entries are
+		// >= 0, so once the next out is no smaller than the largest
+		// tentative in, neither it nor any later row can win a strict <;
+		// that is also where the rows run out, the next out being +Inf.
+		for worst := graph.Inf; todo[next] < worst; {
+			a, du := next, todo[next]
+			todo[a] = graph.Inf
+			sol.rowsRelaxed++
+			from, worst = m.metric.Dist[m.servers[a]], 0
+			for r, v := range m.servers {
+				d := in[r]
+				if nd := du + from[v]; nd < d {
+					d, in[r], pred[r] = nd, nd, int32(a)
+				}
+				if d > worst {
+					worst = d
+				}
+				if todo[r] < todo[next] { // the argmin rides along
+					next = r
+				}
+			}
+		}
+		for r, c := range m.setup[j*s : (j+1)*s] {
+			in[r] += c
+		}
 	}
+	return sol
 }
 
 // CostTo returns the minimum cost (setup + links) of embedding the
@@ -225,7 +245,7 @@ func (s *SFCSolution) CostTo(v int) float64 {
 	if r < 0 {
 		return graph.Inf
 	}
-	return s.tree.Dist[s.m.outID(len(s.m.chain), r)]
+	return s.out[len(s.out)-len(s.m.servers)+r]
 }
 
 // row returns v's server row index, or -1 when v is not a server.
@@ -239,33 +259,22 @@ func (m *Network) row(v int) int {
 // HostsTo returns the chain host sequence (one physical node per chain
 // position, repeats allowed) of the optimal embedding ending at v, or
 // nil if unreachable.
-func (s *SFCSolution) HostsTo(v int) []int {
+func (s *SFCSolution) HostsTo(v int) []int { return s.AppendHostsTo(nil, v) }
+
+// AppendHostsTo appends HostsTo(v) to dst and returns the extended
+// slice; dst comes back unchanged when v is not a reachable server.
+func (s *SFCSolution) AppendHostsTo(dst []int, v int) []int {
+	if s.CostTo(v) == graph.Inf {
+		return dst
+	}
+	n, size := len(dst), len(s.m.servers)
+	dst = append(dst, make([]int, len(s.m.chain))...)
 	r := s.m.row(v)
-	if r < 0 {
-		return nil
+	for j := len(s.m.chain) - 1; j >= 0; j-- {
+		dst[n+j] = s.m.servers[r]
+		r = int(s.pred[j*size+r])
 	}
-	k := len(s.m.chain)
-	goal := s.m.outID(k, r)
-	if s.tree.Dist[goal] == graph.Inf {
-		return nil
-	}
-	// Walk the shortest-path tree back to the source; the path crosses
-	// every column once, and the column's host is read at its "in" node.
-	hosts := make([]int, k)
-	j := k
-	for id := goal; id > 0; id = s.tree.Parent[id] {
-		if id&1 == 1 {
-			if j == 0 {
-				return nil
-			}
-			j--
-			hosts[j] = s.m.servers[(id-1)/2%len(s.m.servers)]
-		}
-	}
-	if j != 0 {
-		return nil
-	}
-	return hosts
+	return dst
 }
 
 // BestHost returns the candidate last-VNF host with the cheapest SFC

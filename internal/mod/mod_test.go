@@ -279,6 +279,49 @@ func TestDeployedVNFCategories(t *testing.T) {
 	}
 }
 
+// AppendHostsTo is HostsTo into the caller's buffer: the same hosts
+// after whatever the buffer held, and the buffer back untouched for a
+// node HostsTo answers nil for.
+func TestHostsToAppendMatches(t *testing.T) {
+	g := graph.New(6)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 2, 2)
+	g.MustAddEdge(2, 3, 1)
+	g.MustAddEdge(4, 5, 1) // a second component
+	net := nfv.NewNetwork(g, nfv.DefaultCatalog()[:3])
+	for _, v := range []int{1, 3, 5} {
+		if err := net.SetServer(v, 4); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 3; f++ {
+			if err := net.SetSetupCost(f, v, float64(1+(f*v)%4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m, err := Build(net, 0, nfv.SFC{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := m.SolveSFC()
+	prefix := []int{41, 42}
+	for v := -1; v <= net.NumNodes(); v++ {
+		hosts := sol.HostsTo(v)
+		got := sol.AppendHostsTo(slices.Clone(prefix), v)
+		if !slices.Equal(got, append(slices.Clone(prefix), hosts...)) {
+			t.Errorf("AppendHostsTo(%v, %d) = %v, HostsTo = %v", prefix, v, got, hosts)
+		}
+		if reachable := v == 1 || v == 3; (hosts != nil) != reachable {
+			t.Errorf("HostsTo(%d) = %v, reachable server: %v", v, hosts, reachable)
+		}
+	}
+	// Reusing one buffer across candidates leaves no residue.
+	buf := sol.AppendHostsTo(nil, 3)
+	if buf = sol.AppendHostsTo(buf[:0], 1); !slices.Equal(buf, sol.HostsTo(1)) {
+		t.Errorf("reused buffer holds %v, HostsTo(1) = %v", buf, sol.HostsTo(1))
+	}
+}
+
 func TestChainCostLengthMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := buildNet(rng, 4, 2, 3)
@@ -312,8 +355,8 @@ func TestCostToNonServer(t *testing.T) {
 	}
 }
 
-// An overlay keeps its solved SFC: SolveSFC runs the Dijkstra once per
-// Network, however many callers ask and from however many goroutines,
+// An overlay keeps its solved SFC: SolveSFC runs the chain search once
+// per Network, however many callers ask and from however many goroutines,
 // so a scaffold served twice from a Cache hands out one solution. A
 // fresh Build solves afresh and agrees element for element; a
 // deployment moves the cache to a new version, overlay and solution.
@@ -355,7 +398,7 @@ func TestSolveSFCOncePerOverlay(t *testing.T) {
 	if again == want {
 		t.Fatal("a fresh Build shares the cached overlay's solution")
 	}
-	if !slices.Equal(again.tree.Dist, want.tree.Dist) || !slices.Equal(again.tree.Parent, want.tree.Parent) {
+	if !slices.Equal(again.out, want.out) || !slices.Equal(again.pred, want.pred) {
 		t.Error("fresh and cached solutions differ")
 	}
 

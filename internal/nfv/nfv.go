@@ -10,6 +10,7 @@ package nfv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"sftree/internal/graph"
@@ -212,7 +213,7 @@ func (net *Network) ServerList() []int {
 }
 
 // SetSetupCost sets the cost gamma of deploying a new instance of VNF f
-// on node v.
+// on node v; +Inf means v cannot host f.
 func (net *Network) SetSetupCost(f, v int, cost float64) error {
 	if f < 0 || f >= len(net.catalog) {
 		return fmt.Errorf("%w: id %d", ErrUnknownVNF, f)
@@ -220,7 +221,7 @@ func (net *Network) SetSetupCost(f, v int, cost float64) error {
 	if v < 0 || v >= net.g.NumNodes() {
 		return fmt.Errorf("%w: node %d", graph.ErrNodeOutOfRange, v)
 	}
-	if cost < 0 {
+	if cost < 0 || math.IsNaN(cost) {
 		return fmt.Errorf("nfv: negative setup cost %v", cost)
 	}
 	net.setup[f][v] = cost

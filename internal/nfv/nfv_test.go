@@ -2,6 +2,7 @@ package nfv
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"sftree/internal/graph"
@@ -41,6 +42,27 @@ func TestSetServerValidation(t *testing.T) {
 	}
 	if err := net.SetServer(0, -1); err == nil {
 		t.Error("negative capacity accepted")
+	}
+}
+
+func TestSetSetupCostValidation(t *testing.T) {
+	net := lineNetwork(t)
+	for _, tc := range []struct {
+		cost float64
+		ok   bool
+	}{
+		{0, true},
+		{2.5, true},
+		{math.Inf(1), true}, // "cannot host here"
+		{-1, false},
+		{math.NaN(), false}, // every < in the chain search would be false
+	} {
+		if err := net.SetSetupCost(0, 1, tc.cost); (err == nil) != tc.ok {
+			t.Errorf("SetSetupCost(%v) = %v, want accepted: %v", tc.cost, err, tc.ok)
+		}
+	}
+	if got := net.RawSetupCost(0, 1); !math.IsInf(got, 1) {
+		t.Errorf("setup cost after the rejected writes = %v, want the last accepted one, +Inf", got)
 	}
 }
 

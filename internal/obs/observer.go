@@ -57,7 +57,7 @@ func (r *SpanRecorder) Reset() {
 // summary: where stage-2 time goes and what the move funnel looked
 // like. OverlayNs, SFCSolveNs and SweepNs
 // split Stage1Ns from inside the solver: obtaining the MOD overlay,
-// the Dijkstra over it, and the candidate last-host sweep.
+// the chain search over it, and the candidate last-host sweep.
 type Breakdown struct {
 	APSPBuildNs   int64   `json:"apsp_build_ns"`
 	Stage1Ns      int64   `json:"stage1_ns"`
@@ -131,7 +131,7 @@ type Span struct {
 }
 
 // Spans rebuilds the span tree of the recorded solve: stage spans at
-// the top, the overlay / SFC Dijkstra / candidate sweep split under
+// the top, the overlay / SFC chain search / candidate sweep split under
 // stage 1, one span per OPA pass under stage 2, move events as leaf
 // spans under their pass.
 func (r *SpanRecorder) Spans() []*Span {
@@ -170,7 +170,10 @@ func (r *SpanRecorder) Spans() []*Span {
 			stage1Parts = append(stage1Parts, &Span{Name: "overlay", DurationNs: e.Duration.Nanoseconds(),
 				Attrs: map[string]float64{"scaffold": scaffold}})
 		case core.EventSFCSolved:
-			stage1Parts = append(stage1Parts, &Span{Name: "sfc_dijkstra", DurationNs: e.Duration.Nanoseconds()})
+			// The span keeps the name older trace files carry; it times
+			// the column pass over the overlay.
+			stage1Parts = append(stage1Parts, &Span{Name: "sfc_dijkstra", DurationNs: e.Duration.Nanoseconds(),
+				Attrs: map[string]float64{"rows_relaxed": float64(e.SFCRowsRelaxed), "rows": float64(e.SFCRows)}})
 		case core.EventSweepEnd:
 			stage1Parts = append(stage1Parts, &Span{Name: "candidate_sweep", DurationNs: e.Duration.Nanoseconds(),
 				Attrs: map[string]float64{"candidates": float64(e.Candidates), "general_trees": float64(e.GeneralTrees)}})
@@ -213,8 +216,8 @@ func (r *SpanRecorder) Spans() []*Span {
 }
 
 // lineEvent is the JSON-lines wire form of a solver event. The
-// request_id, warm, rung, scaffold and general_trees fields are
-// additions over the original (PR 2) schema; they are omitted when
+// request_id, warm, rung, scaffold, general_trees and sfc_rows fields
+// are additions over the original (PR 2) schema; they are omitted when
 // empty, so old consumers keep parsing new streams and new consumers
 // treat their absence as the zero value when reading old streams.
 type lineEvent struct {
@@ -245,6 +248,10 @@ type lineEvent struct {
 	// GeneralTrees counts a sweep_end event's KMB trees that were not
 	// trees after the closure expansion and needed Kruskal and pruning.
 	GeneralTrees int `json:"general_trees,omitempty"`
+	// SFCRowsRelaxed and SFCRows are an sfc_solved event's predecessor
+	// rows relaxed, of rows with a finite distance.
+	SFCRowsRelaxed int `json:"sfc_rows_relaxed,omitempty"`
+	SFCRows        int `json:"sfc_rows,omitempty"`
 }
 
 // JSONLObserver streams every solver event as one JSON object per
@@ -276,6 +283,7 @@ func (o *JSONLObserver) emit(e core.Event, requestID, rung string) {
 		DurationNs: e.Duration.Nanoseconds(),
 		RequestID:  requestID, Warm: e.Warm, Rung: rung,
 		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees,
+		SFCRowsRelaxed: e.SFCRowsRelaxed, SFCRows: e.SFCRows,
 	})
 }
 

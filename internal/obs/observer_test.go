@@ -159,7 +159,7 @@ func TestBreakdownAndSpans(t *testing.T) {
 }
 
 // TestStageOneSplit checks the stage-one sub-phase events of one
-// observed solve: overlay, SFC Dijkstra and candidate sweep fire once
+// observed solve: overlay, SFC chain search and candidate sweep fire once
 // each, in that order, inside stage one; their durations fit inside
 // the stage's; the overlay event says whether it came through the
 // scaffold cache; and every consumer carries the split.
@@ -195,6 +195,9 @@ func TestStageOneSplit(t *testing.T) {
 				if e.Kind == core.EventOverlayBuilt && e.Scaffold != (scaffolds != nil) {
 					t.Errorf("overlay_built scaffold = %v with cache %v", e.Scaffold, scaffolds != nil)
 				}
+				if e.Kind == core.EventSFCSolved && (e.SFCRowsRelaxed <= 0 || e.SFCRowsRelaxed > e.SFCRows) {
+					t.Errorf("sfc_solved read %d of %d predecessor rows", e.SFCRowsRelaxed, e.SFCRows)
+				}
 				if e.Kind == core.EventSweepEnd && e.Candidates != res.CandidatesTried {
 					t.Errorf("sweep_end candidates = %d, result %d", e.Candidates, res.CandidatesTried)
 				}
@@ -214,6 +217,9 @@ func TestStageOneSplit(t *testing.T) {
 			if s.Name == "stage1" {
 				for _, c := range s.Children {
 					names = append(names, c.Name)
+					if c.Name == "sfc_dijkstra" && (c.Attrs["rows_relaxed"] <= 0 || c.Attrs["rows"] < c.Attrs["rows_relaxed"]) {
+						t.Errorf("sfc_dijkstra span attrs = %v", c.Attrs)
+					}
 				}
 			}
 		}
@@ -228,6 +234,9 @@ func TestStageOneSplit(t *testing.T) {
 		if got := strings.Contains(buf.String(), `"kind":"overlay_built"`) &&
 			strings.Contains(buf.String(), `"scaffold":true`) == (scaffolds != nil); !got {
 			t.Errorf("JSONL stream lacks the overlay_built line or its scaffold flag:\n%s", buf.String())
+		}
+		if !strings.Contains(buf.String(), `"sfc_rows_relaxed":`) || !strings.Contains(buf.String(), `"sfc_rows":`) {
+			t.Errorf("JSONL stream lacks the sfc_solved row counts:\n%s", buf.String())
 		}
 	}
 }

@@ -5,7 +5,7 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + race tests + fuzz smoke + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
 #   ./tools.sh quick    # vet + gofmt + retired guard + bench module only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race (equivalence battery:
@@ -154,18 +154,21 @@ queue_gate() {
 # rather than by review: among internal/dynamic's non-test files only
 # ledger.go (apply, loadSnapshotState) may assign to or delete from
 # m.refs and m.sessions; the admission routines apply replaced, the
-# solver options that selected a second code path and the micro-
-# benchmark stack that measured them stay gone from every .go file,
-# bench/ included; and the stage-one sweep stays one goroutine's loop.
+# solver options that selected a second code path, the micro-
+# benchmark stack that measured them and the pooled-heap hook of the
+# MOD overlay's old Dijkstra stay gone from every .go file, bench/
+# included; the stage-one sweep stays one goroutine's loop; and the
+# chain search in internal/mod stays a column pass (no heap, no
+# shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
@@ -173,6 +176,10 @@ retired_guard() {
 	fi
 	if grep -nE 'go func|WaitGroup|atomic\.' internal/core/msa.go; then
 		echo "retired guard: internal/core/msa.go fans out again" >&2
+		exit 1
+	fi
+	if grep -nE 'NodeHeap|ShortestPathTree' $(ls internal/mod/*.go | grep -v _test.go); then
+		echo "retired guard: internal/mod runs a heap Dijkstra again" >&2
 		exit 1
 	fi
 }
@@ -263,6 +270,11 @@ go test -race -timeout 10m ./...
 # nobody wrote down.
 echo "==> fuzz smoke: FuzzSweepDifferential, 10s"
 go test -run '^$' -fuzz FuzzSweepDifferential -fuzztime 10s ./internal/steiner
+
+# Likewise the column pass over the MOD overlay, against the stored-arc
+# Dijkstra oracle and its own unpruned form.
+echo "==> fuzz smoke: FuzzOverlayDifferential, 10s"
+go test -run '^$' -fuzz FuzzOverlayDifferential -fuzztime 10s ./internal/mod
 
 chaos_gate
 
