@@ -255,6 +255,7 @@ func summarizeTraces(base string, w io.Writer) error {
 	ops := map[string]int{}
 	rungs := map[string]int{}
 	warm, withID, early, failed := 0, 0, 0, 0
+	ahead, stale := 0, 0 // admissions the queue solved ahead of their turn; those solved again
 	var stage1 time.Duration
 	generalTrees, rowsRelaxed, rows := 0, 0, 0
 	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
@@ -288,6 +289,12 @@ func summarizeTraces(base string, w io.Writer) error {
 		if t.Err != "" {
 			failed++
 		}
+		if t.Speculative {
+			ahead++
+		}
+		if t.Stale {
+			stale++
+		}
 		if t.DurationNs > slowest.DurationNs {
 			slowest = t
 		}
@@ -310,13 +317,16 @@ func summarizeTraces(base string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "warm-metric solves %d/%d, request-ID stamped %d/%d, early stops %d, failures %d\n",
 		warm, len(doc.Traces), withID, len(doc.Traces), early, failed)
+	if ahead > 0 {
+		fmt.Fprintf(w, "solved ahead of their turn %d/%d admissions, %d stale and solved again\n", ahead, ops["admit"], stale)
+	}
 	if stage1 > 0 {
 		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees)\n",
 			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
 			split["sfc_dijkstra"].Round(time.Microsecond), rowsRelaxed, rows,
 			split["candidate_sweep"].Round(time.Microsecond), generalTrees)
 	}
-	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v request_id=%s\n",
-		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.RequestID)
+	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v speculative=%v stale=%v request_id=%s\n",
+		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.Speculative, slowest.Stale, slowest.RequestID)
 	return nil
 }

@@ -127,6 +127,8 @@ func TestSummarizeTraces(t *testing.T) {
 			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows": 200}},
 			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1}},
 		}}}})
+	buf.Add(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true})
+	buf.Add(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true})
 	buf.Add(obs.Trace{Op: "repair", Rung: "patch", Session: 3, DurationNs: 5e6})
 	buf.Add(obs.Trace{Op: "solve", RequestID: "req-a", Err: "rejected", Session: -1, DurationNs: 1e6})
 	ts := httptest.NewServer(http.StripPrefix("/debug/traces", buf.Handler()))
@@ -138,14 +140,15 @@ func TestSummarizeTraces(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"3 held (capacity 8, 3 added, 0 evicted)",
+		"5 held (capacity 8, 5 added, 0 evicted)",
 		"op admit",
 		"repair rung patch",
-		"warm-metric solves 1/3",
-		"request-ID stamped 2/3",
+		"warm-metric solves 1/5",
+		"request-ID stamped 2/5",
 		"failures 1",
+		"solved ahead of their turn 2/3 admissions, 1 stale and solved again",
 		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows), candidate sweep 1ms (1 general-branch KMB trees)",
-		"slowest: op=repair",
+		"slowest: op=repair dur=5ms warm=false speculative=false stale=false",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in output:\n%s", want, got)

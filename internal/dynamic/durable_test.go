@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 
 	"sftree/internal/core"
@@ -300,21 +301,42 @@ func TestRestoreOntoShrunkenTopologyDegrades(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForInflight: Drain returns at once on an idle manager,
+// honors its deadline on a busy one, and counts an admission as in
+// flight from the start of its first half until it has settled — also
+// while it sits solved and uncommitted between the two, where the
+// admission queue keeps a ticket waiting for its turn.
 func TestDrainWaitsForInflight(t *testing.T) {
 	m := NewManager(lineNet(t, 2), core.Options{})
 	if err := m.Drain(context.Background()); err != nil {
 		t.Fatalf("idle drain: %v", err)
 	}
-	// A blocked drain honors its deadline.
-	m.inflight.Add(1)
+	a := m.Solve(context.Background(), nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := m.Drain(ctx); err == nil {
 		t.Fatal("drain ignored an expired context with inflight work")
 	}
-	m.inflight.Done()
-	if err := m.Drain(context.Background()); err != nil {
-		t.Fatalf("drain after quiesce: %v", err)
+	drained := make(chan int, 1)
+	go func() {
+		if err := m.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		drained <- m.Stats().Admitted
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // every chance for a Drain that does not wait to return
+	}
+	select {
+	case <-drained:
+		t.Fatal("drain returned over a solved, unsettled admission")
+	default:
+	}
+	if _, err := a.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-drained; got != 1 {
+		t.Fatalf("drain returned with %d admissions committed, want 1", got)
 	}
 }
 

@@ -97,8 +97,10 @@ type Manager struct {
 	// every solver at that version.
 	scaffolds *mod.Cache
 	// snap is the newest admission snapshot, handed out again for as
-	// long as it still equals the live network (see takeSnapshot).
-	snap snapshot
+	// long as it still equals the live network (see takeSnapshot);
+	// snapClaimed says an admission has had its turn on it.
+	snap        snapshot
+	snapClaimed bool
 
 	nextID   SessionID
 	sessions map[SessionID]*Session
@@ -274,7 +276,7 @@ type snapshot struct {
 	epoch  uint64       // deployment epoch at snapshot time
 	// The fields below are read fresh for every admission and never
 	// cached: the solver options and trace ring as configured right now,
-	// and whether net came out of the cache instead of a new clone.
+	// and whether an earlier admission had this clone before this one.
 	opts   core.Options
 	trace  *obs.TraceBuffer
 	reused bool
@@ -288,27 +290,42 @@ type snapshot struct {
 // live instances without deploying anything therefore shares one
 // clone, and with it one scaffold build per (source, chain).
 //
+// An attempt solving ahead of its turn takes the same clone but leaves
+// reused for settle to decide, in commit order (see claimSnapshot).
+//
 // Concurrent solvers share the clone, so everything it computes lazily
 // — the metric closure and the server list — is warmed on the live
 // network first: Clone copies both, and the live network and every
 // clone then share one APSP run.
-func (m *Manager) takeSnapshot() snapshot {
-	s := m.snap
-	s.reused = s.net != nil && s.parent == m.net &&
-		s.gen == m.net.Graph().Generation() && s.epoch == m.net.DeployEpoch()
-	if !s.reused {
+func (m *Manager) takeSnapshot(ahead bool) snapshot {
+	if s := &m.snap; s.net == nil || s.parent != m.net ||
+		s.gen != m.net.Graph().Generation() || s.epoch != m.net.DeployEpoch() {
 		m.net.Metric()
 		m.net.ServerList()
-		s = snapshot{
+		m.snap = snapshot{
 			net:    m.net.Clone(),
 			parent: m.net,
 			gen:    m.net.Graph().Generation(),
 			epoch:  m.net.DeployEpoch(),
 		}
-		m.snap = s
+		m.snapClaimed = false
+	}
+	s := m.snap
+	if !ahead {
+		s.reused = m.claimSnapshot()
 	}
 	s.opts, s.trace = m.opts, m.trace
 	return s
+}
+
+// claimSnapshot reports whether an admission already had its turn on
+// the cached clone, and records that one now has; callers hold m.mu.
+// The answer is Session.Coalesced, and it must not depend on who
+// cloned first: an attempt solved ahead of its turn asks when its turn
+// comes, so it hears what a serial run would have told it.
+func (m *Manager) claimSnapshot() (reused bool) {
+	reused, m.snapClaimed = m.snapClaimed, true
+	return reused
 }
 
 // Admit solves the task against the current deployment state,
@@ -324,148 +341,204 @@ func (m *Manager) Admit(task nfv.Task) (*Session, error) {
 // into core.Options.Ctx, so an expiring deadline yields the best
 // feasible embedding found so far (anytime semantics) rather than an
 // abort — admission still succeeds with Result.EarlyStop set. It is
-// the one admission entry point: library callers, the HTTP handler and
-// the admission queue all come through here.
+// the one admission routine: library callers and the HTTP handler call
+// it, and the admission queue runs its two halves, Solve and Settle,
+// with the wait for the ticket's turn in between.
 //
 // The solve runs outside the manager lock against a snapshot; the
 // commit step re-acquires the lock, verifies the snapshot's version
 // (or, when only the deployment epoch moved, re-validates exactly the
 // instances and capacities the embedding touches) and installs the
 // session. On conflict it re-solves against a fresh snapshot up to
-// maxAdmitRetries times; the attempt after that is the same attempt
-// with the lock held from snapshot to commit, which cannot conflict.
+// maxAdmitRetries times; the round after that is the same round with
+// the lock held from snapshot to commit, which cannot conflict.
 func (m *Manager) AdmitCtx(ctx context.Context, task nfv.Task) (*Session, error) {
-	m.inflight.Add(1)
-	defer m.inflight.Done()
-	start := time.Now()
-	var out admitOutcome
-	for !m.attempt(ctx, task, &out) {
-		out.retries++
-	}
-	m.finishAdmit(ctx, &out, start)
-	return out.sess, out.err
+	return m.Solve(ctx, task, false).Settle()
 }
 
-// admitOutcome bundles one admission's result with the telemetry
-// finishAdmit reports. Every field but retries describes the latest
-// attempt.
-type admitOutcome struct {
+// Attempt is one admission between its two halves: Solve has run the
+// solver against a snapshot, nothing is committed, and Settle makes
+// the verdict final. Every field but retries and the two flags
+// describes the latest round. An Attempt must be settled, exactly
+// once: Drain waits for it from Solve until Settle returns.
+type Attempt struct {
+	m    *Manager
+	ctx  context.Context
+	task nfv.Task
+	// ahead marks a result solved before the admissions ordered in
+	// front of it had committed; stale that the network had moved by
+	// its turn, so that result was thrown away and Settle solved again.
+	ahead, stale bool
+
+	snap    snapshot
 	sess    *Session
 	res     *core.Result
 	err     error
 	rec     *obs.SpanRecorder
-	retries int
 	tracing *obs.TraceBuffer
+	retries int
+	// start is when the round in hand began and busy what the first
+	// half took; the time the attempt then sat waiting for Settle is
+	// nobody's solve time and is left out of both.
+	start time.Time
+	busy  time.Duration
 }
 
-// attempt runs one round of the admission protocol — snapshot, solve
-// on the clone with the scaffold cache, settle — and reports whether
-// the outcome in out is final; false means a concurrent commit
-// invalidated the round and the caller should go again.
-//
-// Ordinarily only the snapshot and the settle step hold m.mu and the
-// solve runs unlocked. Once the retries are used up the round keeps
-// the lock from snapshot to commit instead: nothing can move under it,
-// so it is always final. That is the progress guarantee, and the only
-// difference between the two is where the lock is dropped — the solver
-// never sees the live network.
-func (m *Manager) attempt(ctx context.Context, task nfv.Task, out *admitOutcome) (final bool) {
-	m.mu.Lock()
-	if out.retries > maxAdmitRetries {
-		defer m.mu.Unlock()
-		m.serializedFallbacks++
-		if m.met != nil {
-			m.met.serializedFallbacks.Inc()
-		}
-		snap := m.takeSnapshot()
-		m.solve(ctx, task, snap, out)
-		return m.settle(snap, task, out)
+// Stale reports whether Settle had to discard a solve that ran ahead.
+func (a *Attempt) Stale() bool { return a.stale }
+
+// Solve is the first half of AdmitCtx: snapshot, then the two-stage
+// solver on the clone with the scaffold cache, outside the lock. ahead
+// says the caller is solving before its turn — earlier admissions of
+// an order it means to keep have not settled yet. Such a result stands
+// for what a solve at its turn would return only if nothing moved in
+// between, so Settle commits it at the exact snapshot version or not
+// at all.
+func (m *Manager) Solve(ctx context.Context, task nfv.Task, ahead bool) *Attempt {
+	m.inflight.Add(1)
+	a := &Attempt{m: m, ctx: ctx, task: task, ahead: ahead, start: time.Now()}
+	a.solve(false)
+	a.busy = time.Since(a.start)
+	return a
+}
+
+// solve runs one round's snapshot and solver. Ordinarily only the
+// snapshot holds m.mu and the solver runs unlocked; with locked set the
+// caller holds it throughout, so nothing can move under the round. The
+// solver never sees the live network either way.
+func (a *Attempt) solve(locked bool) {
+	m := a.m
+	if !locked {
+		m.mu.Lock()
 	}
-	snap := m.takeSnapshot()
-	m.mu.Unlock()
-	m.solve(ctx, task, snap, out)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.settle(snap, task, out)
-}
-
-// solve runs the two-stage solver against the snapshot's clone.
-func (m *Manager) solve(ctx context.Context, task nfv.Task, snap snapshot, out *admitOutcome) {
-	opts := snap.opts
-	opts.Ctx = ctx
+	a.snap = m.takeSnapshot(a.ahead)
+	if !locked {
+		m.mu.Unlock()
+	}
+	opts := a.snap.opts
+	opts.Ctx = a.ctx
 	opts.Scaffolds = m.scaffolds
-	out.tracing, out.rec = snap.trace, nil
-	if out.tracing != nil {
-		out.rec = &obs.SpanRecorder{}
-		opts.Observer = obs.Tee(opts.Observer, out.rec)
+	a.tracing, a.rec = a.snap.trace, nil
+	if a.tracing != nil {
+		a.rec = &obs.SpanRecorder{}
+		opts.Observer = obs.Tee(opts.Observer, a.rec)
 	}
-	out.res, out.err = core.Solve(snap.net, task, opts)
+	a.res, a.err = core.Solve(a.snap.net, a.task, opts)
+}
+
+// Settle is the second half of AdmitCtx: it commits the session or
+// rejects the task if the solve still describes the live network, and
+// otherwise solves again until it does. A solve that ran ahead and
+// went stale is discarded whole — no conflict, no retry, no trace and
+// no latency sample — and the attempt carries on as the ordinary
+// admission it would have been at its turn. Once the retries are used
+// up the round keeps the lock from snapshot to commit: that is the
+// progress guarantee, and the only difference is where the lock is
+// dropped.
+func (a *Attempt) Settle() (*Session, error) {
+	m := a.m
+	defer m.inflight.Done()
+	began := time.Now()
+	m.mu.Lock()
+	for !m.settle(a) {
+		if a.ahead {
+			began = time.Now()
+			a.ahead, a.stale, a.start, a.busy = false, true, began, 0
+		} else {
+			a.retries++
+		}
+		if a.retries > maxAdmitRetries {
+			m.serializedFallbacks++
+			if m.met != nil {
+				m.met.serializedFallbacks.Inc()
+			}
+			a.solve(true)
+			continue
+		}
+		m.mu.Unlock()
+		a.solve(false)
+		m.mu.Lock()
+	}
+	m.mu.Unlock()
+	m.finishAdmit(a, a.busy+time.Since(began))
+	return a.sess, a.err
 }
 
 // finishAdmit records the admission's trace and latency once the
-// outcome is final. Exactly one trace is added per AdmitCtx call,
-// carrying the spans of the attempt that produced the outcome.
-func (m *Manager) finishAdmit(ctx context.Context, out *admitOutcome, start time.Time) {
+// outcome is final. Exactly one trace is added per admission, carrying
+// the spans of the round that produced the outcome.
+func (m *Manager) finishAdmit(a *Attempt, took time.Duration) {
 	if m.met != nil {
-		m.met.solveMS.ObserveDuration(time.Since(start))
+		m.met.solveMS.ObserveDuration(took)
 	}
-	if out.tracing == nil {
+	if a.tracing == nil {
 		return
 	}
 	t := obs.Trace{
-		Op:         "admit",
-		RequestID:  obs.RequestID(ctx),
-		Session:    -1,
-		Retries:    out.retries,
-		Start:      start,
-		DurationNs: time.Since(start).Nanoseconds(),
+		Op:          "admit",
+		RequestID:   obs.RequestID(a.ctx),
+		Session:     -1,
+		Retries:     a.retries,
+		Speculative: a.ahead || a.stale,
+		Stale:       a.stale,
+		Start:       a.start,
+		DurationNs:  took.Nanoseconds(),
 	}
-	if out.rec != nil {
-		t.Warm = out.rec.Breakdown().Warm
-		t.Spans = out.rec.Spans()
+	if a.rec != nil {
+		t.Warm = a.rec.Breakdown().Warm
+		t.Spans = a.rec.Spans()
 	}
-	if out.sess != nil {
-		t.Session = int(out.sess.ID)
+	if a.sess != nil {
+		t.Session = int(a.sess.ID)
 	}
-	if out.res != nil {
-		t.EarlyStop = out.res.EarlyStop
+	if a.res != nil {
+		t.EarlyStop = a.res.EarlyStop
 	}
-	if out.err != nil {
-		t.Err = out.err.Error()
+	if a.err != nil {
+		t.Err = a.err.Error()
 	}
-	out.tracing.Add(t)
+	a.tracing.Add(t)
 }
 
-// settle is the short serialized phase of an attempt; callers hold
-// m.mu. It decides whether the solve's snapshot still describes the
-// live network — same network object, same graph generation, and
-// either the same deployment epoch or, when only the epoch moved,
-// unchanged state for exactly the instances and node capacities the
-// embedding touches — and if so makes the solve's verdict final: the
-// session is committed, or the task rejected. Otherwise it counts a
-// conflict and returns false, asking for a re-solve.
+// settle is the short serialized phase of a round; callers hold m.mu.
+// It decides whether the solve's snapshot still describes the live
+// network — same network object, same graph generation, and either
+// the same deployment epoch or, when only the epoch moved, unchanged
+// state for exactly the instances and node capacities the embedding
+// touches — and if so makes the solve's verdict final: the session is
+// committed, or the task rejected. Otherwise it returns false, asking
+// for a re-solve, and counts a conflict unless the solve ran ahead.
 //
 // A rejection needs the exact version: load a concurrent commit added
 // cannot make an infeasible task feasible, but capacity a concurrent
-// release freed could, and there is no embedding to re-validate.
-func (m *Manager) settle(snap snapshot, task nfv.Task, out *admitOutcome) (final bool) {
-	current := m.net == snap.parent && m.net.Graph().Generation() == snap.gen
-	if current && m.net.DeployEpoch() != snap.epoch {
-		current = out.err == nil && m.revalidateLocked(task, out.res.Embedding)
+// release freed could, and there is no embedding to re-validate. So
+// does a solve that ran ahead: re-validation admits an embedding that
+// is still feasible, not the one a solve at its turn would have found
+// — an instance deployed meanwhile is one it would have reused for
+// free.
+func (m *Manager) settle(a *Attempt) (final bool) {
+	current := m.net == a.snap.parent && m.net.Graph().Generation() == a.snap.gen
+	if current && m.net.DeployEpoch() != a.snap.epoch {
+		current = !a.ahead && a.err == nil && m.revalidateLocked(a.task, a.res.Embedding)
 	}
-	switch {
-	case !current:
-		m.commitConflicts++
-		m.admitRetries++
-		if m.met != nil {
-			m.met.commitConflicts.Inc()
-			m.met.admitRetries.Inc()
+	if !current {
+		if !a.ahead {
+			m.commitConflicts++
+			m.admitRetries++
+			if m.met != nil {
+				m.met.commitConflicts.Inc()
+				m.met.admitRetries.Inc()
+			}
 		}
 		return false
-	case out.err != nil:
-		out.err = m.rejectLocked(out.err)
-	default:
-		out.sess, out.err = m.commitLocked(task, out.res, snap.reused)
+	}
+	if a.ahead {
+		a.snap.reused = m.claimSnapshot()
+	}
+	if a.err != nil {
+		a.err = m.rejectLocked(a.err)
+	} else {
+		a.sess, a.err = m.commitLocked(a.task, a.res, a.snap.reused)
 	}
 	return true
 }

@@ -36,6 +36,13 @@ type Trace struct {
 	// optimistic solve before this trace's spans were committed (0 on
 	// the uncontended path).
 	Retries int `json:"retries,omitempty"`
+	// Speculative marks an admission the queue solved ahead of its
+	// turn. Without Stale the spans are that solve, committed as it
+	// was, and the wait for the turn is left out of DurationNs; with
+	// Stale the network had moved by then, the solve was discarded, and
+	// the trace is the re-solve at the head of the line.
+	Speculative bool `json:"speculative,omitempty"`
+	Stale       bool `json:"stale,omitempty"`
 	// Start and DurationNs bracket the run's wall time.
 	Start      time.Time `json:"start"`
 	DurationNs int64     `json:"duration_ns"`

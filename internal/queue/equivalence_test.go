@@ -125,13 +125,18 @@ func checkEquivalence(t *testing.T, mQ, mS *dynamic.Manager, tickets []*Ticket) 
 	}
 }
 
+// workerCounts are the parallelism bounds every ordering property in
+// this package is held at: the one-solver line, one helper, and more
+// solvers than the test machine may have processors.
+var workerCounts = []int{1, 2, 4}
+
 // TestQueueEquivalenceBattery is the headline gate: fixed-seed arrival
-// scripts replayed through a one-worker queue and through serialized
-// AdmitCtx calls on an identical network clone must agree bit for bit
-// (see checkEquivalence). Both batch shapes are covered: a script
-// enqueued on an idle queue dispatches in whatever small batches the
-// solver's pace cuts, and one enqueued behind a held batch rides a
-// single EDF-sorted, signature-grouped batch.
+// scripts replayed through the queue, at every worker count, and
+// through serialized AdmitCtx calls on an identical network clone must
+// agree bit for bit (see checkEquivalence). Both batch shapes are
+// covered: a script enqueued on an idle queue dispatches in whatever
+// small batches the solver's pace cuts, and one enqueued behind a held
+// batch rides a single EDF-sorted, signature-grouped batch.
 func TestQueueEquivalenceBattery(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,44 +150,53 @@ func TestQueueEquivalenceBattery(t *testing.T) {
 		{name: "idle/4", seed: 4, n: 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			netQ, script := makeScript(t, tc.seed, tc.n)
-			mQ := dynamic.NewManager(netQ, core.Options{})
-			mS := dynamic.NewManager(netQ.Clone(), core.Options{})
+			for _, workers := range workerCounts {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					netQ, script := makeScript(t, tc.seed, tc.n)
+					mQ := dynamic.NewManager(netQ, core.Options{})
+					mS := dynamic.NewManager(netQ.Clone(), core.Options{})
 
-			g := newGate(mQ)
-			if !tc.held {
-				g.open()
+					g := newGate(mQ)
+					if !tc.held {
+						g.open()
+					}
+					q := New(Config{Depth: len(script), Workers: workers, Manager: g.manager})
+					start := time.Now()
+					tickets := make([]*Ticket, len(script))
+					for i, a := range script {
+						var deadline time.Time
+						if a.deadline != 0 {
+							deadline = start.Add(a.deadline)
+						}
+						tk, err := q.Enqueue(context.Background(), a.task, deadline)
+						if err != nil {
+							t.Fatalf("enqueue %d: %v", i, err)
+						}
+						tickets[i] = tk
+						if tc.held && i == 0 {
+							<-g.parked // the rest queue up behind the first
+						}
+					}
+					if tc.held {
+						g.open()
+					}
+					for i, tk := range tickets {
+						if _, err := tk.Wait(context.Background()); err != nil && !errors.Is(err, dynamic.ErrRejected) {
+							t.Fatalf("ticket %d: unexpected terminal error %v", i, err)
+						}
+					}
+					closeQueue(t, q)
+					st := q.Stats()
+					if tc.held && st.Batches != 2 {
+						t.Errorf("held script must ride one batch behind its first ticket, got %d batches", st.Batches)
+					}
+					if workers == 1 && st.Speculated != 0 {
+						t.Errorf("one solver has nobody to run ahead of, yet %d solves did", st.Speculated)
+					}
+					checkConserved(t, st)
+					checkEquivalence(t, mQ, mS, tickets)
+				})
 			}
-			q := New(Config{Depth: len(script), Workers: 1, Manager: g.manager})
-			start := time.Now()
-			tickets := make([]*Ticket, len(script))
-			for i, a := range script {
-				var deadline time.Time
-				if a.deadline != 0 {
-					deadline = start.Add(a.deadline)
-				}
-				tk, err := q.Enqueue(context.Background(), a.task, deadline)
-				if err != nil {
-					t.Fatalf("enqueue %d: %v", i, err)
-				}
-				tickets[i] = tk
-				if tc.held && i == 0 {
-					<-g.parked // the rest queue up behind the first
-				}
-			}
-			if tc.held {
-				g.open()
-			}
-			for i, tk := range tickets {
-				if _, err := tk.Wait(context.Background()); err != nil && !errors.Is(err, dynamic.ErrRejected) {
-					t.Fatalf("ticket %d: unexpected terminal error %v", i, err)
-				}
-			}
-			closeQueue(t, q)
-			if st := q.Stats(); tc.held && st.Batches != 2 {
-				t.Errorf("held script must ride one batch behind its first ticket, got %d batches", st.Batches)
-			}
-			checkEquivalence(t, mQ, mS, tickets)
 		})
 	}
 }
@@ -201,7 +215,7 @@ func TestQueueOrderAcrossSplit(t *testing.T) {
 			mQ := dynamic.NewManager(netQ, core.Options{})
 			mS := dynamic.NewManager(netQ.Clone(), core.Options{})
 			g := newGate(mQ)
-			q := New(Config{Depth: 64, Workers: 1, Manager: g.manager})
+			q := New(Config{Depth: 64, Manager: g.manager})
 
 			tickets := []*Ticket{g.hold(t, q, task)}
 			for h, n := range halves {

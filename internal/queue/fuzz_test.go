@@ -47,8 +47,9 @@ var fuzzBase = func() fuzzWorld {
 //
 // Input encoding: byte 0 picks the batch shape (odd: everything
 // queues up behind a held plug ticket and rides one batch; even: the
-// idle dispatcher cuts batches at its own pace), byte 1 the queue
-// depth; each following byte pair is one enqueue — the first byte
+// idle dispatcher cuts batches at its own pace) and, above that bit,
+// how many solvers work a batch (1, 2 or 4), byte 1 the queue depth;
+// each following byte pair is one enqueue — the first byte
 // picks the task (signature), the second its class (no deadline,
 // caller already gone, deadline already past, tight, generous).
 func FuzzQueueSchedule(f *testing.F) {
@@ -62,6 +63,7 @@ func FuzzQueueSchedule(f *testing.F) {
 		}
 		baseNet, pool := fuzzBase.net, fuzzBase.pool
 		held := data[0]%2 == 1
+		workers := workerCounts[int(data[0]/2)%len(workerCounts)]
 		depth := 1 + int(data[1])%16
 		ops := data[2:]
 		if len(ops) > 48 {
@@ -70,7 +72,7 @@ func FuzzQueueSchedule(f *testing.F) {
 
 		m := dynamic.NewManager(baseNet.Clone(), core.Options{})
 		g := newGate(m)
-		q := New(Config{Depth: depth, Manager: g.manager})
+		q := New(Config{Depth: depth, Workers: workers, Manager: g.manager})
 		var tickets []*Ticket
 		if held {
 			tickets = append(tickets, g.hold(t, q, pool[0]))

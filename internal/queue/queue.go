@@ -2,12 +2,22 @@
 // dynamic.Manager: requests enqueue with a deadline and a dispatcher
 // drains them in batches, grouping tasks that share a chain signature
 // (the same varint key internal/mod memoizes scaffolds under) and
-// admitting each group back to back, one Manager.AdmitCtx call per
-// ticket. The manager hands consecutive admissions the same snapshot
-// clone for as long as no commit moves the deployment state, so a
-// signature group in the reuse-heavy steady state rides one clone, one
-// metric warm-up and one scaffold build while every task still commits
-// individually through the optimistic two-phase path.
+// admitting each group back to back, one admission per ticket. The
+// manager hands consecutive admissions the same snapshot clone for as
+// long as no commit moves the deployment state, so a signature group
+// in the reuse-heavy steady state rides one clone, one metric warm-up
+// and one scaffold build while every task still commits individually
+// through the optimistic two-phase path.
+//
+// A batch is a pipeline. Commits land strictly in the planned order —
+// a deployed instance costs the next task nothing, so the order is
+// part of every cost — but up to Workers solves run at once: while the
+// head of the line solves, the tickets behind it are solved ahead of
+// their turn on the same snapshot, and each commits when its turn
+// comes if the network is still at the exact version it was solved
+// at. If not, the result is discarded and the ticket is solved again
+// at the head of the line, so at most Workers−1 solves are wasted each
+// time the version moves.
 //
 // The queue is work-conserving: batches form behind a busy solver,
 // never behind a clock. The dispatcher takes everything pending the
@@ -20,7 +30,7 @@
 // already-expired tickets and tickets whose caller has left before any
 // solve runs, sorts the rest by deadline (no deadline sorts last) with
 // the arrival sequence as tie-break, and dispatches signature groups
-// in that order. On one worker the result is bit-identical to
+// in that order. At every Workers the result is bit-identical to
 // serialized AdmitCtx calls in the queue's dispatch order — the
 // property the equivalence battery in this package pins.
 //
@@ -38,6 +48,7 @@ package queue
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -72,9 +83,8 @@ type Config struct {
 	// Deprecated: BatchWindow is ignored. The dispatcher never waits on
 	// a clock; batches form behind a busy solver.
 	BatchWindow time.Duration
-	// Workers bounds how many signature groups solve concurrently
-	// within a batch. Default 1 — the only setting with the
-	// bit-identity guarantee.
+	// Workers bounds how many tickets of a batch solve at once.
+	// Default GOMAXPROCS.
 	Workers int
 	// Manager supplies the admission manager per batch; indirection
 	// keeps the queue correct across the restart harness's hot swap.
@@ -97,10 +107,12 @@ type Ticket struct {
 	done      chan struct{}
 	sess      *dynamic.Session
 	err       error
-	wait      time.Duration // enqueue → this task's solve slot
-	solve     time.Duration // this task's own solve+commit time
+	wait      time.Duration // enqueue → this task's first solve starts
+	solve     time.Duration // from there until its commit lands
 	order     int           // global dispatch index (-1 until solved)
 	coalesced bool
+	ahead     bool // solved before its turn had come
+	stale     bool // and that solve was discarded
 }
 
 // Wait blocks until the ticket resolves or the context ends. A context
@@ -120,12 +132,14 @@ func (t *Ticket) Wait(ctx context.Context) (*dynamic.Session, error) {
 	return t.sess, t.err
 }
 
-// WaitDuration is the time the task spent queued before its solve slot
+// WaitDuration is the time the task spent queued before its solve
 // started; valid after Wait returns without a context error.
 func (t *Ticket) WaitDuration() time.Duration { return t.wait }
 
-// SolveDuration is the task's own solve-and-commit time; zero for
-// tickets that never reached a solver.
+// SolveDuration runs from the task's solve start to its commit: the
+// solve, the wait for its turn if it was solved ahead, a second solve
+// if that one went stale, and the commit. Zero for tickets that never
+// reached a solver.
 func (t *Ticket) SolveDuration() time.Duration { return t.solve }
 
 // Order is the global dispatch index the scheduler assigned, the
@@ -158,7 +172,9 @@ var outcomeNames = [numOutcomes]string{"admitted", "rejected", "expired", "close
 // Stats is a point-in-time queue snapshot. Once the queue is closed,
 // Enqueued == Admitted + Rejected + Expired + Closed + Unavailable +
 // Canceled; Overflow and PastDeadline count refusals Enqueue never
-// accepted.
+// accepted. Speculated counts solves that ran ahead of their ticket's
+// turn and Stale those of them that were discarded, so Speculated −
+// Stale tickets committed as first solved.
 type Stats struct {
 	Depth     int  `json:"depth"`
 	Capacity  int  `json:"capacity"`
@@ -175,6 +191,8 @@ type Stats struct {
 	PastDeadline uint64 `json:"past_deadline"`
 	Batches      uint64 `json:"batches"`
 	Coalesced    uint64 `json:"coalesced"`
+	Speculated   uint64 `json:"speculated"`
+	Stale        uint64 `json:"stale"`
 }
 
 // queueMetrics are the optional registry handles (see Instrument).
@@ -183,6 +201,7 @@ type queueMetrics struct {
 	enqueued, overflow *obs.Counter
 	pastDeadline       *obs.Counter
 	batches, coalesced *obs.Counter
+	speculated, stale  *obs.Counter
 	waitMS             *obs.Histogram
 	batchSize          *obs.Histogram
 }
@@ -204,6 +223,7 @@ type Queue struct {
 	enqueued, overflow    uint64
 	pastDeadline, batches uint64
 	coalesced             uint64
+	speculated, stale     uint64
 
 	met  *queueMetrics
 	done chan struct{} // dispatcher exited
@@ -215,7 +235,7 @@ func New(cfg Config) *Queue {
 		cfg.Depth = 256
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 1
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -228,10 +248,11 @@ func New(cfg Config) *Queue {
 
 // Instrument wires the queue into the registry: queue_depth and
 // queue_saturated gauges, the queue_wait_ms histogram (enqueue to
-// solve slot), the queue_batch_size distribution, and the
+// solve start), the queue_batch_size distribution, and the
 // queue_{enqueued,admitted,rejected,expired,closed,unavailable,
-// canceled,overflow,past_deadline,batches,coalesced_solves}_total
-// counters. Returns the queue for chaining.
+// canceled,overflow,past_deadline,batches,coalesced_solves,
+// speculations,speculations_stale}_total counters. Returns the queue
+// for chaining.
 func (q *Queue) Instrument(reg *obs.Registry) *Queue {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -241,6 +262,8 @@ func (q *Queue) Instrument(reg *obs.Registry) *Queue {
 		pastDeadline: reg.Counter("queue_past_deadline_total"),
 		batches:      reg.Counter("queue_batches_total"),
 		coalesced:    reg.Counter("queue_coalesced_solves_total"),
+		speculated:   reg.Counter("queue_speculations_total"),
+		stale:        reg.Counter("queue_speculations_stale_total"),
 		waitMS:       reg.Histogram("queue_wait_ms", obs.LatencyBuckets),
 		batchSize:    reg.Histogram("queue_batch_size", nil),
 	}
@@ -366,6 +389,8 @@ func (q *Queue) Stats() Stats {
 		PastDeadline: q.pastDeadline,
 		Batches:      q.batches,
 		Coalesced:    q.coalesced,
+		Speculated:   q.speculated,
+		Stale:        q.stale,
 	}
 }
 
@@ -380,12 +405,24 @@ func (q *Queue) finish(t *Ticket, o outcome, err error) {
 	if coalesced {
 		q.coalesced++
 	}
+	if t.ahead {
+		q.speculated++
+	}
+	if t.stale {
+		q.stale++
+	}
 	met := q.met
 	q.mu.Unlock()
 	if met != nil {
 		met.outcomes[o].Inc()
 		if coalesced {
 			met.coalesced.Inc()
+		}
+		if t.ahead {
+			met.speculated.Inc()
+		}
+		if t.stale {
+			met.stale.Inc()
 		}
 		if t.order >= 0 {
 			met.waitMS.ObserveDuration(t.wait)
@@ -491,66 +528,95 @@ func (q *Queue) runBatch(batch []*Ticket) {
 		return
 	}
 
-	mgr := q.cfg.Manager()
-	if mgr == nil {
-		for _, g := range groups {
-			for _, t := range g {
-				q.finish(t, unavailable, ErrUnavailable)
-			}
+	// The line is the global serialization order, assigned up front:
+	// groups in EDF first-occurrence order, tickets in EDF order within
+	// each. Commits land in exactly this order.
+	l := &line{q: q, mgr: q.cfg.Manager(), tickets: groups[0]}
+	for _, g := range groups[1:] {
+		l.tickets = append(l.tickets, g...)
+	}
+	if l.mgr == nil {
+		for _, t := range l.tickets {
+			q.finish(t, unavailable, ErrUnavailable)
 		}
 		return
 	}
-
-	// Assign the global serialization order up front: groups in EDF
-	// first-occurrence order, tickets in EDF order within each. With
-	// one worker the solves run in exactly this order.
 	q.mu.Lock()
-	for _, g := range groups {
-		for _, t := range g {
-			t.order = q.next
-			q.next++
-		}
+	for _, t := range l.tickets {
+		t.order = q.next
+		q.next++
 	}
 	q.mu.Unlock()
 
-	if q.cfg.Workers <= 1 || len(groups) == 1 {
-		for _, g := range groups {
-			q.runGroup(mgr, g)
-		}
-		return
+	// The dispatcher is the first solver and takes the head ticket
+	// before any helper exists, so a lone ticket never changes hands.
+	l.turn.L = &l.mu
+	first := l.claim()
+	var helpers sync.WaitGroup
+	for w := 1; w < q.cfg.Workers && w < len(l.tickets); w++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			l.work(l.claim())
+		}()
 	}
-	// Multi-worker: signature groups solve concurrently, bit-identity
-	// is traded for parallelism. Order within a group still holds.
-	sem := make(chan struct{}, q.cfg.Workers)
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(g []*Ticket) {
-			defer wg.Done()
-			q.runGroup(mgr, g)
-			<-sem
-		}(g)
-	}
-	wg.Wait()
+	l.work(first)
+	helpers.Wait()
 }
 
-// runGroup admits one signature group in order, one AdmitCtx call per
-// ticket under the ticket's own context and deadline. Each ticket is
-// finished as its own commit lands, not when the group ends.
-func (q *Queue) runGroup(mgr *dynamic.Manager, g []*Ticket) {
-	slot := q.cfg.Now() // when the next ticket's solve starts
-	for _, t := range g {
+// line is one batch in flight: its tickets in commit order and how far
+// the solvers have got.
+type line struct {
+	q       *Queue
+	mgr     *dynamic.Manager
+	tickets []*Ticket
+
+	mu        sync.Mutex
+	turn      sync.Cond // committed moved
+	claimed   int       // tickets[:claimed] have a solver
+	committed int       // tickets[:committed] are finished
+}
+
+// claim hands the caller the next ticket nobody is solving, marked
+// ahead unless its turn has already come; nil when none is left.
+func (l *line) claim() *Ticket {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.claimed == len(l.tickets) {
+		return nil
+	}
+	t := l.tickets[l.claimed]
+	t.ahead = l.committed < l.claimed
+	l.claimed++
+	return t
+}
+
+// work is one solver's loop, from ticket t on: solve the ticket under
+// its own context and deadline, wait for its turn, settle it, finish
+// it, claim the next. A ticket whose turn has come when it is claimed
+// is a plain AdmitCtx. Any other is solved ahead and settles at its
+// turn only at the exact version it was solved at (see
+// dynamic.Manager.Solve), so whichever solver gets there, the line
+// commits what one solver working through it alone would have. Each
+// solver holds at most one unsettled result, which is the waste bound.
+func (l *line) work(t *Ticket) {
+	q := l.q
+	for t != nil {
 		ctx, cancel := t.ctx, context.CancelFunc(func() {})
 		if !t.deadline.IsZero() {
 			ctx, cancel = context.WithDeadline(t.ctx, t.deadline)
 		}
+		t.wait = q.cfg.Now().Sub(t.enqueued)
 		start := time.Now()
-		sess, err := mgr.AdmitCtx(ctx, t.task)
+		a := l.mgr.Solve(ctx, t.task, t.ahead)
+		l.mu.Lock()
+		for l.tickets[l.committed] != t {
+			l.turn.Wait()
+		}
+		l.mu.Unlock()
+		sess, err := a.Settle()
 		cancel()
-		t.solve = time.Since(start)
-		t.wait = slot.Sub(t.enqueued)
-		slot = slot.Add(t.solve)
+		t.solve, t.stale = time.Since(start), a.Stale()
 		switch cerr := t.ctx.Err(); {
 		case errors.Is(err, dynamic.ErrWAL):
 			q.finish(t, unavailable, err)
@@ -559,10 +625,20 @@ func (q *Queue) runGroup(mgr *dynamic.Manager, g []*Ticket) {
 		case cerr != nil:
 			// The caller left mid-solve and nobody holds the session ID:
 			// release it rather than leak it.
-			q.finish(t, canceled, errors.Join(cerr, mgr.Release(sess.ID)))
+			q.finish(t, canceled, errors.Join(cerr, l.mgr.Release(sess.ID)))
 		default:
 			t.sess, t.coalesced = sess, sess.Coalesced
 			q.finish(t, admitted, nil)
+		}
+		l.mu.Lock()
+		l.committed++
+		l.turn.Broadcast()
+		l.mu.Unlock()
+		// With a solver on every processor, the caller just answered has
+		// none to wake up on until one of them blocks: let it run before
+		// the next solve starts.
+		if t = l.claim(); t != nil {
+			runtime.Gosched()
 		}
 	}
 }

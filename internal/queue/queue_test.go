@@ -3,6 +3,7 @@ package queue
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,7 +43,7 @@ func testWorld(t *testing.T, seed int64, opts core.Options) (*dynamic.Manager, f
 	}
 }
 
-func closeQueue(t *testing.T, q *Queue) {
+func closeQueue(t testing.TB, q *Queue) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -108,12 +109,17 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.now = c.now.Add(d)
 }
 
-// checkConserved asserts the Stats identity of a closed queue: every
-// accepted ticket is booked under exactly one terminal outcome.
+// checkConserved asserts the Stats identities of a closed queue: every
+// accepted ticket is booked under exactly one terminal outcome, and
+// only a solve that ran ahead can have gone stale — each of the tickets
+// that reached a solver did so at most once.
 func checkConserved(t *testing.T, st Stats) {
 	t.Helper()
 	if sum := st.Admitted + st.Rejected + st.Expired + st.Closed + st.Unavailable + st.Canceled; st.Enqueued != sum {
 		t.Errorf("stats do not balance: enqueued %d, terminal outcomes %d: %+v", st.Enqueued, sum, st)
+	}
+	if st.Stale > st.Speculated || st.Speculated > st.Enqueued {
+		t.Errorf("speculation does not balance: %d stale of %d ahead of %d enqueued", st.Stale, st.Speculated, st.Enqueued)
 	}
 }
 
@@ -203,59 +209,66 @@ func TestQueueWorkConserving(t *testing.T) {
 }
 
 // TestQueuePerTicketCompletion holds a batch of same-signature
-// tickets, releases it, and watches from inside the solver: by the
-// time ticket i+1's sweep ends, ticket i has its outcome, its done
-// channel is closed and it is on the books — completion does not wait
-// for the group.
+// tickets, releases it, and watches from inside the commit critical
+// section: when ticket k's commit lands, every ticket dispatched before
+// it has its outcome, its done channel is closed and it is on the
+// books — completion waits for the ticket's turn, never for the batch,
+// however many solvers work the line.
 func TestQueuePerTicketCompletion(t *testing.T) {
 	const n = 6
-	var (
-		q       *Queue
-		tickets []*Ticket // plug first, then the n held tickets
-		solves  int       // solver goroutine only
-	)
-	watch := observerFunc(func(e core.Event) {
-		if e.Kind != core.EventSweepEnd {
-			return
-		}
-		// This is solve number `solves` in dispatch order; everything
-		// dispatched before it must already be resolved and counted.
-		for i := 0; i < solves; i++ {
-			select {
-			case <-tickets[i].done:
-			default:
-				t.Errorf("ticket %d still pending during ticket %d's solve", i, solves)
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var (
+				q       *Queue
+				tickets []*Ticket // plug first, then the n held tickets
+				commits int       // under the manager lock
+			)
+			m, next := testWorld(t, 3, core.Options{})
+			m.SetCrashHook(func(point string) {
+				if point != "admit:post-wal" {
+					return
+				}
+				// This is commit number `commits` in dispatch order.
+				for i := 0; i < commits; i++ {
+					select {
+					case <-tickets[i].done:
+					default:
+						t.Errorf("ticket %d still pending as ticket %d commits", i, commits)
+					}
+				}
+				if got := q.Stats().Admitted; got != uint64(commits) {
+					t.Errorf("as ticket %d commits: Stats().Admitted = %d", commits, got)
+				}
+				commits++
+			})
+			g := newGate(m)
+			q = New(Config{Depth: 16, Workers: workers, Manager: g.manager})
+			task := next()
+			tickets = append(tickets, g.hold(t, q, task))
+			for i := 0; i < n; i++ {
+				tk, err := q.Enqueue(context.Background(), task, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tickets = append(tickets, tk)
 			}
-		}
-		if got := q.Stats().Admitted; got < uint64(solves) {
-			t.Errorf("during ticket %d's solve: Stats().Admitted = %d, want >= %d", solves, got, solves)
-		}
-		solves++
-	})
-	m, next := testWorld(t, 3, core.Options{Observer: watch})
-	g := newGate(m)
-	q = New(Config{Depth: 16, Manager: g.manager})
-	task := next()
-	tickets = append(tickets, g.hold(t, q, task))
-	for i := 0; i < n; i++ {
-		tk, err := q.Enqueue(context.Background(), task, time.Time{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	g.open()
-	for i, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-	}
-	closeQueue(t, q)
-	if solves != n+1 {
-		t.Fatalf("observed %d solves, want %d", solves, n+1)
-	}
-	if st := q.Stats(); st.Batches != 2 {
-		t.Errorf("held tickets must ride one batch behind the plug's, got %d batches", st.Batches)
+			g.open()
+			for i, tk := range tickets {
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Fatalf("ticket %d: %v", i, err)
+				}
+				if tk.Order() != i {
+					t.Errorf("ticket %d committed at %d", i, tk.Order())
+				}
+			}
+			closeQueue(t, q)
+			if commits != n+1 {
+				t.Fatalf("observed %d commits, want %d", commits, n+1)
+			}
+			if st := q.Stats(); st.Batches != 2 {
+				t.Errorf("held tickets must ride one batch behind the plug's, got %d batches", st.Batches)
+			}
+		})
 	}
 }
 

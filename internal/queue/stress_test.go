@@ -3,6 +3,7 @@ package queue
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,7 +18,8 @@ import (
 	"sftree/internal/wal"
 )
 
-// TestQueueStress hammers the full durable pipeline under -race:
+// TestQueueStress hammers the full durable pipeline under -race, at
+// every worker count:
 // producers enqueue (some with tight deadlines, so expiries interleave
 // with solves), released sessions free capacity mid-batch, a flapper
 // fails and restores a link through Rebase, and a checkpointer folds
@@ -25,6 +27,12 @@ import (
 // contract must hold, refcounts must be conserved, and every
 // surviving non-degraded session must re-validate.
 func TestQueueStress(t *testing.T) {
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { stress(t, workers) })
+	}
+}
+
+func stress(t *testing.T, workers int) {
 	rng := rand.New(rand.NewSource(131))
 	net, err := netgen.Generate(netgen.PaperConfig(40, 2), rng)
 	if err != nil {
@@ -47,6 +55,7 @@ func TestQueueStress(t *testing.T) {
 	}
 	q := New(Config{
 		Depth:   64,
+		Workers: workers,
 		Manager: func() *dynamic.Manager { return m },
 	})
 

@@ -143,8 +143,22 @@ func TestQueuedAdmitSucceeds(t *testing.T) {
 	if ar.WaitMS < 0 {
 		t.Errorf("wait_ms = %v, want >= 0", ar.WaitMS)
 	}
-	if st := srv.Queue().Stats(); st.Admitted != 1 || st.Batches == 0 {
-		t.Errorf("queue stats = %+v", st)
+	if st := srv.Queue().Stats(); st.Admitted != 1 || st.Batches == 0 || st.Speculated != 0 {
+		t.Errorf("queue stats = %+v: a lone ticket is solved at its turn", st)
+	}
+	metrics, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer metrics.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(metrics.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"queue_speculations_total", "queue_speculations_stale_total"} {
+		if !strings.Contains(body.String(), `"`+name+`"`) {
+			t.Errorf("/metrics does not list %s", name)
+		}
 	}
 }
 

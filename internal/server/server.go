@@ -88,10 +88,6 @@ type Config struct {
 	// Deprecated: BatchWindow is ignored; the queue dispatches the
 	// moment its solver is free.
 	BatchWindow time.Duration
-	// QueueWorkers bounds concurrent signature groups per batch. The
-	// default 1 keeps batched admissions bit-identical to serialized
-	// ones in dispatch order.
-	QueueWorkers int
 }
 
 // Server is the HTTP facade. Create it with New or NewWith; it
@@ -149,7 +145,6 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 		s.q = queue.New(queue.Config{
 			Depth:       cfg.QueueDepth,
 			BatchWindow: cfg.BatchWindow,
-			Workers:     cfg.QueueWorkers,
 			Manager:     s.Manager,
 		}).Instrument(reg)
 	}
@@ -258,9 +253,10 @@ type AdmitResponse struct {
 	// the session holds the best feasible embedding found by then.
 	EarlyStop bool `json:"early_stop,omitempty"`
 	// WaitMS is the time the request spent queued before its solve
-	// slot started; zero on the inline (unqueued) path. SolveMS is the
-	// solve-and-commit time alone — clients can split saturation-born
-	// queueing delay from solver cost.
+	// started; zero on the inline (unqueued) path. SolveMS runs from
+	// there to its commit, which for a ticket solved ahead of its turn
+	// includes waiting for that turn — clients can split saturation-born
+	// queueing delay from what the request's own batch cost.
 	WaitMS  float64 `json:"wait_ms,omitempty"`
 	SolveMS float64 `json:"solve_ms,omitempty"`
 }

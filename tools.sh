@@ -8,10 +8,12 @@
 #   ./tools.sh          # vet + gofmt + retired guard + bench module + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
 #   ./tools.sh quick    # vet + gofmt + retired guard + bench module only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
-#                       # five times under -race (equivalence battery:
-#                       # batched admissions bit-identical to
-#                       # serialized same-order admits; stress test
-#                       # mixing enqueue, release, Rebase and WAL
+#                       # five times under -race at -cpu 1,4
+#                       # (equivalence battery: batched admissions at
+#                       # 1, 2 and 4 solvers bit-identical to
+#                       # serialized same-order admits; forced-stale
+#                       # and forced-hit speculation scripts; stress
+#                       # test mixing enqueue, release, Rebase and WAL
 #                       # checkpoints; fuzz seeds; dispatch-rule
 #                       # tests), plus the manager's AdmitCtx tests
 #                       # (shadow-solve equivalence, cross-call
@@ -138,15 +140,18 @@ recover_gate() {
 # test races enqueues against releases, Rebase fault flaps and WAL
 # checkpoints; the fuzz seeds pin the never-lose-a-task contract and
 # the Stats conservation identity; the work-conservation, per-ticket
-# completion and orphan tests pin the dispatch rules. The queue package
-# assembles every batch by hook, never by sleeping, so it repeats
-# under -race; the server's queued-admission tests and the manager's
-# own AdmitCtx tests (the one admission routine the queue calls) ride
-# along.
+# completion and orphan tests pin the dispatch rules. Every ordering
+# property is held at 1, 2 and 4 solvers per batch, and the package
+# runs at -cpu 1 and -cpu 4: one processor interleaves the solvers of a
+# line at its blocking points only, four let them truly overlap. The
+# queue package assembles every batch by hook, never by sleeping, so it
+# repeats under -race; the server's queued-admission tests and the
+# manager's own AdmitCtx tests (the one admission routine, whose two
+# halves the queue calls) and its Drain test ride along.
 queue_gate() {
-	echo "==> queue gate: queue package x5 + AdmitCtx + queued-admission HTTP tests (race)"
-	go test -race -count=5 ./internal/queue
-	go test -race -count=1 -run 'TestAdmitCtx|TestQueuedAdmit' ./internal/dynamic ./internal/server
+	echo "==> queue gate: queue package x5 at -cpu 1,4 + AdmitCtx + queued-admission HTTP tests (race)"
+	go test -race -count=5 -cpu 1,4 ./internal/queue
+	go test -race -count=1 -run 'TestAdmitCtx|TestDrainWaits|TestQueuedAdmit' ./internal/dynamic ./internal/server
 	echo "OK (queue gate)"
 }
 
@@ -155,8 +160,9 @@ queue_gate() {
 # ledger.go (apply, loadSnapshotState) may assign to or delete from
 # m.refs and m.sessions; the admission routines apply replaced, the
 # solver options that selected a second code path, the micro-
-# benchmark stack that measured them and the pooled-heap hook of the
-# MOD overlay's old Dijkstra stay gone from every .go file, bench/
+# benchmark stack that measured them, the pooled-heap hook of the
+# MOD overlay's old Dijkstra and the server's pass-through of the
+# queue's worker count stay gone from every .go file, bench/
 # included; the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
 # shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra).
@@ -168,7 +174,7 @@ retired_guard() {
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
