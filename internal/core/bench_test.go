@@ -6,6 +6,7 @@ import (
 
 	"sftree/internal/graph"
 	"sftree/internal/mod"
+	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
 
@@ -55,7 +56,7 @@ func BenchmarkTwoStage250LongChain(b *testing.B) {
 func opaBenchState(b *testing.B, n, k, nd int) (*nfv.Network, nfv.Task, *state) {
 	b.Helper()
 	net, task := benchInstance(b, n, k, nd)
-	st, _, err := runMSA(net, task, Options{})
+	st, _, err := runMSA(net, task, Options{}, getScratch(net.NumNodes()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func BenchmarkOPAPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := st.clone()
-		if _, err := runOPAPass(c, opts, 1); err != nil {
+		if _, _, err := runOPAPass(c, opts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +87,7 @@ func deltaBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (c
 		b.Skip("no independent connection groups on this instance")
 	}
 	grp := groups[0]
-	cur := st.serve[grp.members[0]][k]
+	cur := st.row(grp.members[0])[k]
 	for _, u := range net.Servers() {
 		if u != cur && st.canHost(task.Chain[k-1], u) && metric.Dist[grp.node][u] != graph.Inf {
 			return grp, u
@@ -126,4 +127,85 @@ func BenchmarkMODBuildAndSolve200(b *testing.B) {
 		}
 		overlay.SolveSFC()
 	}
+}
+
+// benchTopologySeed is bench/'s topologySeed: the two pools below are
+// the ones its solve_paper and burst_shared workloads solve (same
+// generators, sizes and shapes), rebuilt here so B/op and allocs/op
+// have a reader inside the module.
+const benchTopologySeed = 20180702
+
+func paperNetwork(tb testing.TB, nodes int) *nfv.Network {
+	tb.Helper()
+	net, err := netgen.Generate(netgen.PaperConfig(nodes, 2), rand.New(rand.NewSource(benchTopologySeed)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.Metric()
+	return net
+}
+
+// paperPool is solve_paper's pool at seed 1: 96 tasks on 200 nodes,
+// |D| in {5,10,20} x k in {3,5,7} taken cyclically.
+func paperPool(tb testing.TB) (*nfv.Network, []nfv.Task) {
+	tb.Helper()
+	shapes := [][2]int{{5, 3}, {10, 5}, {20, 7}, {5, 5}, {10, 7}, {20, 3}, {5, 7}, {10, 3}, {20, 5}}
+	net := paperNetwork(tb, 200)
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]nfv.Task, 96)
+	for i := range tasks {
+		s := shapes[i%len(shapes)]
+		t, err := netgen.GenerateTask(net, rng, s[0], s[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tasks[i] = t
+	}
+	return net, tasks
+}
+
+// burstPool is four of burst_shared's bursts at seed 1: 128 tasks of
+// 10 destinations on 100 nodes, one 5-VNF chain, four origins.
+func burstPool(tb testing.TB) (*nfv.Network, []nfv.Task) {
+	tb.Helper()
+	net := paperNetwork(tb, 100)
+	fixed := rand.New(rand.NewSource(benchTopologySeed + 1))
+	proto, err := netgen.GenerateTask(net, fixed, 10, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	origins := fixed.Perm(net.NumNodes())[:4]
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]nfv.Task, 128)
+	for i := range tasks {
+		src := origins[rng.Intn(len(origins))]
+		var dests []int
+		for _, v := range rng.Perm(net.NumNodes()) {
+			if v != src && len(dests) < 10 {
+				dests = append(dests, v)
+			}
+		}
+		tasks[i] = nfv.Task{Source: src, Destinations: dests, Chain: proto.Chain}
+	}
+	return net, tasks
+}
+
+func benchSolvePool(b *testing.B, net *nfv.Network, tasks []nfv.Task) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(net, tasks[i%len(tasks)], Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSolvePoolPaper(b *testing.B) {
+	net, tasks := paperPool(b)
+	benchSolvePool(b, net, tasks)
+}
+
+func BenchmarkSolvePoolBurst(b *testing.B) {
+	net, tasks := burstPool(b)
+	benchSolvePool(b, net, tasks)
 }

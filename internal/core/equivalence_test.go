@@ -18,7 +18,7 @@ func TestQuickIncrementalMatchesNaive(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, task := randomInstance(rng, 8+rng.Intn(15), 1+rng.Intn(4), 1+rng.Intn(5))
-		st, _, err := runMSA(net, task, Options{})
+		st, _, err := runMSA(net, task, Options{}, getScratch(net.NumNodes()))
 		if err != nil {
 			return errors.Is(err, ErrNoFeasible)
 		}

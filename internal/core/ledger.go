@@ -22,11 +22,11 @@ func JournalPoolStats() (gets, news int64) {
 
 // This file implements the incremental cost engine behind stage two.
 //
-// The naive evaluation path (state.cost) materializes a full
-// nfv.Embedding — every metric path for every destination and level —
-// and re-derives the placed-instance set per candidate move. The
-// ledger instead mirrors the two components of objective (1a)
-// incrementally:
+// The naive evaluation path (state.cost, in naive_test.go)
+// materializes a full nfv.Embedding — every metric path for every
+// destination and level — and re-derives the placed-instance set per
+// candidate move. The ledger instead mirrors the two components of
+// objective (1a) incrementally:
 //
 //   - an instance ref-count per (vnf, node) pair, feeding a running
 //     setup-cost sum and a per-node used-capacity array (so canHost
@@ -77,11 +77,9 @@ type ledger struct {
 	// instance, indexed vnf*n + node; pre-deployed instances are never
 	// entered.
 	instRef []int32
-	// usedCap and freeBase cache per-node capacity state: freeBase is
-	// the network's free capacity (constant while solving), usedCap
-	// the demand consumed by current new instances.
+	// usedCap is the demand the current new instances consume per node,
+	// on top of what the network reports used.
 	usedCap  []float64
-	freeBase []float64
 	setupSum float64
 	linkSum  float64
 	// brokenSegs counts segments with no usable route (missing metric
@@ -155,26 +153,23 @@ func (s *state) ensureLedger() {
 	n := s.net.NumNodes()
 	k := s.task.K()
 	led := &ledger{
-		metric:   metric,
-		csr:      csr,
-		arcs:     csr.NumArcs(),
-		n:        n,
-		edgeRef:  make([]int32, (k+1)*csr.NumArcs()),
-		badRef:   make(map[stageEdge]int),
-		instRef:  make([]int32, s.net.CatalogSize()*n),
-		usedCap:  make([]float64, n),
-		freeBase: make([]float64, n),
-	}
-	for _, v := range s.net.ServerList() {
-		led.freeBase[v] = s.net.FreeCapacity(v)
+		metric:  metric,
+		csr:     csr,
+		arcs:    csr.NumArcs(),
+		n:       n,
+		edgeRef: make([]int32, (k+1)*csr.NumArcs()),
+		badRef:  make(map[stageEdge]int),
+		instRef: make([]int32, s.net.CatalogSize()*n),
+		usedCap: make([]float64, n),
 	}
 	s.led = led
-	for di := range s.serve {
+	for di := range s.tail {
+		row := s.row(di)
 		for j := 1; j <= k; j++ {
-			s.ledgerAddInstance(s.task.Chain[j-1], s.serve[di][j], nil)
+			s.ledgerAddInstance(s.task.Chain[j-1], row[j], nil)
 		}
 		for j := 0; j < k; j++ {
-			s.ledgerAddChainSeg(j, s.serve[di][j], s.serve[di][j+1], nil)
+			s.ledgerAddChainSeg(j, row[j], row[j+1], nil)
 		}
 		s.ledgerAddTail(di, nil)
 	}
@@ -248,7 +243,7 @@ func (s *state) revert(jr *journal) {
 	}
 	for i := len(jr.serve) - 1; i >= 0; i-- {
 		e := jr.serve[i]
-		s.serve[e.di][e.j] = e.old
+		s.row(e.di)[e.j] = e.old
 	}
 	for i := len(jr.tails) - 1; i >= 0; i-- {
 		s.tail[jr.tails[i].di] = jr.tails[i].old
@@ -257,21 +252,6 @@ func (s *state) revert(jr *journal) {
 	led.linkSum = jr.linkSum
 	led.brokenSegs = jr.broken
 	led.infEdges = jr.infEdges
-}
-
-// findArc returns the canonical CSR arc for the directed hop u -> v —
-// the cheapest parallel arc, earliest position winning ties — or -1
-// when u-v is not a graph edge.
-func (led *ledger) findArc(u, v int) int32 {
-	c := led.csr
-	best := int32(-1)
-	bestCost := graph.Inf
-	for p, end := c.Start[u], c.Start[u+1]; p < end; p++ {
-		if int(c.To[p]) == v && c.Cost[p] < bestCost {
-			best, bestCost = p, c.Cost[p]
-		}
-	}
-	return best
 }
 
 // ledgerAddInstance subscribes one (destination, level) to the
@@ -328,7 +308,7 @@ func (s *state) ledgerRemoveInstance(f, node int, jr *journal) {
 // 0->1 transition adds its link cost (or marks an infinite walk).
 func (s *state) ledgerAddEdge(level, u, v int, jr *journal) {
 	led := s.led
-	arc := led.findArc(u, v)
+	arc := led.csr.Arc(u, v)
 	if arc < 0 {
 		key := stageEdge{level: level, u: u, v: v}
 		old := led.badRef[key]
@@ -356,7 +336,7 @@ func (s *state) ledgerAddEdge(level, u, v int, jr *journal) {
 // its link cost.
 func (s *state) ledgerRemoveEdge(level, u, v int, jr *journal) {
 	led := s.led
-	arc := led.findArc(u, v)
+	arc := led.csr.Arc(u, v)
 	if arc < 0 {
 		key := stageEdge{level: level, u: u, v: v}
 		old := led.badRef[key]
@@ -440,20 +420,21 @@ func (s *state) applyMoveInc(j int, grp connGroup, e int, metric *graph.Metric) 
 	k := s.task.K()
 	f := s.task.Chain[j-1]
 	for _, di := range grp.members {
-		old := s.serve[di][j]
+		row := s.row(di)
+		old := row[j]
 		s.ledgerRemoveInstance(f, old, jr)
-		s.ledgerRemoveChainSeg(j-1, s.serve[di][j-1], old, jr)
+		s.ledgerRemoveChainSeg(j-1, row[j-1], old, jr)
 		if j < k {
-			s.ledgerRemoveChainSeg(j, old, s.serve[di][j+1], jr)
+			s.ledgerRemoveChainSeg(j, old, row[j+1], jr)
 		} else {
 			s.ledgerRemoveTail(di, jr)
 		}
 		jr.serve = append(jr.serve, journalServe{di, j, old})
-		s.serve[di][j] = e
+		row[j] = e
 		s.ledgerAddInstance(f, e, jr)
-		s.ledgerAddChainSeg(j-1, s.serve[di][j-1], e, jr)
+		s.ledgerAddChainSeg(j-1, row[j-1], e, jr)
 		if j < k {
-			s.ledgerAddChainSeg(j, e, s.serve[di][j+1], jr)
+			s.ledgerAddChainSeg(j, e, row[j+1], jr)
 		}
 	}
 	if j != k {

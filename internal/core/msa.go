@@ -3,8 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"sftree/internal/graph"
@@ -117,7 +116,7 @@ type StageStats struct {
 // network, repair capacity violations, and connect the last VNF host
 // to all destinations with a Steiner tree, trying every candidate
 // host and keeping the cheapest feasible combination.
-func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats, error) {
+func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state, *StageStats, error) {
 	if err := task.Validate(net); err != nil {
 		return nil, nil, err
 	}
@@ -140,19 +139,16 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRows: rows})
 	metric := net.Metric()
 
-	// Candidates in ascending chain cost. The keys are read off the
-	// SFC solution once; the comparator looks at the cost alone, so
-	// sort.Slice permutes the pairs exactly as it would the bare nodes.
-	servers := net.ServerList()
-	candidates := make([]candidate, len(servers))
-	for i, v := range servers {
-		candidates[i] = candidate{chainCost: sol.CostTo(v), node: v}
+	// Candidates in ascending chain cost, the keys read off the SFC
+	// solution once.
+	candidates := sc.cands[:0]
+	for _, v := range net.ServerList() {
+		candidates = append(candidates, candidate{chainCost: sol.CostTo(v), node: v})
 	}
-	sort.Slice(candidates, func(a, b int) bool {
-		return candidates[a].chainCost < candidates[b].chainCost
-	})
+	sc.cands = candidates
+	sortCandidates(candidates)
 
-	sw := newSweeper(net, task, overlay, sol, metric, opts.steiner())
+	sw := newSweeper(net, task, overlay, sol, metric, opts.steiner(), sc)
 	defer sw.close()
 
 	// The sweep: candidates in sorted order, a strict < on total cost
@@ -184,7 +180,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options) (*state, *StageStats,
 		if err != nil {
 			continue
 		}
-		st, err := stateFromSolution(net, task, r.hosts, tree) // copies r.hosts
+		st, err := stateFromSolution(net, task, r.hosts, tree, sc) // copies r.hosts
 		if err != nil {
 			continue
 		}
@@ -210,6 +206,23 @@ type candidate struct {
 	node      int
 }
 
+// sortCandidates orders c by ascending chain cost. The comparator
+// looks at the cost alone — no tie-break, which would reorder equal
+// keys: it is the strict < the reflection-based sort this replaced was
+// given, and the two are one pdqsort, so the permutation is the one
+// the sweep has always seen (TestCandidateOrderMatchesSortSlice).
+func sortCandidates(c []candidate) {
+	slices.SortFunc(c, func(a, b candidate) int {
+		switch {
+		case a.chainCost < b.chainCost:
+			return -1
+		case b.chainCost < a.chainCost:
+			return 1
+		}
+		return 0
+	})
+}
+
 // candResult is one candidate last-host's evaluation, computed
 // without reference to the running best. It prices the Steiner tree
 // without holding it: the sweep rebuilds the tree of the few
@@ -217,15 +230,16 @@ type candidate struct {
 type candResult struct {
 	tried bool  // counted by StageStats.CandidatesTried
 	ok    bool  // chain repaired and Steiner tree priced
-	hosts []int // the sweeper's buffer: valid until its next eval
+	hosts []int // the scratch's buffer: valid until the next eval
 	total float64
 }
 
 // sweeper evaluates candidate last-hosts for one solve. It only reads
 // the network, overlay, SFC solution and warm metric; what it owns is
 // the scratch that makes a candidate cheap: the KMB sweep over the
-// task's destinations, the free-capacity vector and the chain buffer,
-// all set up once instead of per candidate.
+// task's destinations, and in the solve's scratch the free-capacity
+// vector and the chain buffer, all set up once instead of per
+// candidate.
 type sweeper struct {
 	net     *nfv.Network
 	task    nfv.Task
@@ -234,24 +248,23 @@ type sweeper struct {
 	metric  *graph.Metric
 	algo    SteinerAlgo
 	kmb     *steiner.Sweep // nil unless algo is SteinerKMB
-	cap     *capScratch
-	hosts   []int // the candidate under evaluation's chain
+	sc      *scratch
 }
 
-func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo) *sweeper {
-	sw := &sweeper{net: net, task: task, overlay: overlay, sol: sol, metric: metric, algo: algo, cap: getCapScratch(net)}
+func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo, sc *scratch) *sweeper {
+	sw := &sweeper{net: net, task: task, overlay: overlay, sol: sol, metric: metric, algo: algo, sc: sc}
+	sc.fillFree(net)
 	if algo == SteinerKMB {
 		sw.kmb = steiner.NewSweep(net.Graph(), metric, task.Destinations)
 	}
 	return sw
 }
 
-// close releases the sweeper's pooled scratch.
+// close releases the KMB sweep's workspace.
 func (sw *sweeper) close() {
 	if sw.kmb != nil {
 		sw.kmb.Close()
 	}
-	capPool.Put(sw.cap)
 }
 
 // generalTrees reports how many of this sweeper's KMB trees needed
@@ -268,13 +281,13 @@ func (sw *sweeper) generalTrees() int64 {
 // connecting the (possibly relocated) last host to every destination.
 func (sw *sweeper) eval(w int) candResult {
 	var r candResult
-	sw.hosts = sw.sol.AppendHostsTo(sw.hosts[:0], w)
-	hosts := sw.hosts
+	hosts := sw.sol.AppendHostsTo(sw.sc.hosts[:0], w)
+	sw.sc.hosts = hosts
 	if len(hosts) == 0 {
 		return r
 	}
 	r.tried = true
-	if !repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.cap.free) {
+	if !repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.sc.free) {
 		return r
 	}
 	treeCost, err := sw.treeCost(hosts[len(hosts)-1])
@@ -314,7 +327,7 @@ func BuildTails(net *nfv.Network, root int, dests []int, algo SteinerAlgo) ([][]
 	if err != nil {
 		return nil, 0, err
 	}
-	paths, err := treePaths(net.Graph(), tree, root, dests)
+	paths, err := TailsFromEdges(net, root, dests, tree.Edges)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -340,10 +353,12 @@ func buildSteiner(net *nfv.Network, metric *graph.Metric, root int, dests []int,
 // feasibility policy. It returns the repaired host sequence and
 // whether a feasible placement exists.
 func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool) {
-	sc := getCapScratch(net)
-	defer capPool.Put(sc)
+	sc := getScratch(net.NumNodes())
+	sc.fillFree(net)
 	out := append([]int(nil), hosts...)
-	if !repairCapacity(net, net.Metric(), task, out, sc.free) {
+	ok := repairCapacity(net, net.Metric(), task, out, sc.free)
+	scratchPool.Put(sc)
+	if !ok {
 		return nil, false
 	}
 	return out, true
@@ -352,7 +367,10 @@ func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool
 // TailsFromEdges converts an explicit tree edge set into the
 // per-destination root paths OptimizeEmbedding consumes.
 func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]int, error) {
-	return treePaths(net.Graph(), steiner.Tree{Edges: edges}, root, dests)
+	sc := getScratch(net.NumNodes())
+	paths, err := treePaths(net.Graph(), steiner.Tree{Edges: edges}, root, dests, sc)
+	scratchPool.Put(sc)
+	return paths, err
 }
 
 // repairCapacity walks the chain hosts in out in order, reserving
@@ -362,7 +380,7 @@ func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]i
 // VNF fits nowhere.
 //
 // free must hold net.FreeCapacity(v) at every server v (see
-// getCapScratch) and does again on return: the walk decrements only
+// scratch.fillFree) and does again on return: the walk decrements only
 // entries of hosts it settles on, and those are re-read from the
 // network on the way out — never restored by adding the demand back,
 // which drifts by an ulp.
@@ -429,53 +447,32 @@ func repairInPlace(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []
 	return true
 }
 
-// capScratch is the pooled free-capacity vector behind repairCapacity;
-// only server-indexed entries are meaningful.
-type capScratch struct{ free []float64 }
-
-var capPool = sync.Pool{New: func() any { return new(capScratch) }}
-
-// getCapScratch takes a vector from the pool and fills it with net's
-// free capacity at every server; return it with capPool.Put.
-func getCapScratch(net *nfv.Network) *capScratch {
-	sc := capPool.Get().(*capScratch)
-	if n := net.NumNodes(); cap(sc.free) < n {
-		sc.free = make([]float64, n)
-	}
-	sc.free = sc.free[:net.NumNodes()]
-	for _, v := range net.ServerList() {
-		sc.free[v] = net.FreeCapacity(v)
-	}
-	return sc
-}
-
 // stateFromSolution assembles the stage-one state: every destination
 // is served by the single chain host sequence, and tails follow the
 // Steiner tree from the last host.
-func stateFromSolution(net *nfv.Network, task nfv.Task, hosts []int, tree steiner.Tree) (*state, error) {
-	s := newState(net, task)
-	k := task.K()
-	last := hosts[k-1]
-	paths, err := treePaths(net.Graph(), tree, last, task.Destinations)
+func stateFromSolution(net *nfv.Network, task nfv.Task, hosts []int, tree steiner.Tree, sc *scratch) (*state, error) {
+	paths, err := treePaths(net.Graph(), tree, hosts[len(hosts)-1], task.Destinations, sc)
 	if err != nil {
 		return nil, err
 	}
+	s := newState(net, task, sc)
+	s.tail = paths
 	for di := range task.Destinations {
-		for j := 1; j <= k; j++ {
-			s.serve[di][j] = hosts[j-1]
-		}
-		s.tail[di] = paths[di]
+		copy(s.row(di)[1:], hosts)
 	}
 	return s, nil
 }
 
 // treePaths returns, for each destination, the unique path from root
-// to it along the tree's edges.
-func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int) ([][]int, error) {
-	// Returned to the pool on the way out only: a panic below leaves
-	// the arrays unrestored, and the arena is dropped with it.
-	sc := pathPool.Get().(*pathScratch)
-	sc.grow(g.NumNodes(), len(tree.Edges))
+// to it along the tree's edges. The paths lie end to end in one
+// array, each cut to its own capacity so that appending to one copies
+// it instead of running into the next.
+func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int, sc *scratch) ([][]int, error) {
+	if cap(sc.to) < 2*len(tree.Edges) {
+		sc.to = make([]int32, 0, 2*len(tree.Edges))
+		sc.next = make([]int32, 0, 2*len(tree.Edges))
+	}
+	sc.to, sc.next = sc.to[:0], sc.next[:0]
 	head, tail, parent := sc.head, sc.tail, sc.parent
 
 	// Per-node adjacency as linked arc lists in tree.Edges order, which
@@ -511,23 +508,29 @@ func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int) ([][]in
 	}
 	sc.stack = stack
 
-	out := make([][]int, len(dests))
+	var out [][]int
 	var err error
-	for i, d := range dests {
+	total := 0
+	for _, d := range dests {
 		if parent[d] == unseen {
-			out, err = nil, fmt.Errorf("%w: destination %d not in the Steiner tree", ErrNoFeasible, d)
+			err = fmt.Errorf("%w: destination %d not in the Steiner tree", ErrNoFeasible, d)
 			break
 		}
-		depth := 0
 		for x := int32(d); x != -1; x = parent[x] {
-			depth++
+			total++
 		}
-		path := make([]int, depth)
-		for x := int32(d); x != -1; x = parent[x] {
-			depth--
-			path[depth] = int(x)
+	}
+	if err == nil {
+		out = make([][]int, len(dests))
+		nodes := make([]int, total)
+		for i := len(dests) - 1; i >= 0; i-- { // each path is written leaf to root
+			end := total
+			for x := int32(dests[i]); x != -1; x = parent[x] {
+				total--
+				nodes[total] = int(x)
+			}
+			out[i] = nodes[total:end:end]
 		}
-		out[i] = path
 	}
 
 	// Restore the node-indexed arrays at the entries this call touched.
@@ -537,39 +540,9 @@ func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int) ([][]in
 		parent[e.U], parent[e.V] = unseen, unseen
 	}
 	parent[root] = unseen
-	pathPool.Put(sc)
 	return out, err
 }
 
 // unseen marks a node the tree traversal has not reached; the root's
 // parent is -1.
 const unseen = -2
-
-// pathScratch is treePaths' pooled workspace. Between calls every head
-// entry is -1 and every parent entry is unseen; a call restores the
-// entries it touched instead of clearing the arrays.
-type pathScratch struct {
-	head, tail, parent []int32 // node-indexed
-	to, next           []int32 // two arcs per tree edge
-	stack              []int32
-}
-
-var pathPool = sync.Pool{New: func() any { return new(pathScratch) }}
-
-// grow sizes the workspace for n nodes and empties the arc lists.
-func (sc *pathScratch) grow(n, edges int) {
-	if len(sc.head) < n {
-		sc.head = make([]int32, n)
-		sc.tail = make([]int32, n)
-		sc.parent = make([]int32, n)
-		for v := range sc.head {
-			sc.head[v] = -1
-			sc.parent[v] = unseen
-		}
-	}
-	if cap(sc.to) < 2*edges {
-		sc.to = make([]int32, 0, 2*edges)
-		sc.next = make([]int32, 0, 2*edges)
-	}
-	sc.to, sc.next = sc.to[:0], sc.next[:0]
-}

@@ -14,7 +14,7 @@ import (
 // one via runMSA, then runOPAPassNaive in runOPA's pass loop. It
 // returns the accepted-move count and the final cost.
 func solveNaive(net *nfv.Network, task nfv.Task, opts Options) (int, float64, error) {
-	st, _, err := runMSA(net, task, opts)
+	st, _, err := runMSA(net, task, opts, getScratch(net.NumNodes()))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -62,8 +62,8 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 			if len(grp.members) == 0 {
 				continue
 			}
-			cur := s.serve[grp.members[0]][j]
-			pred := s.serve[grp.members[0]][j-1]
+			cur := s.row(grp.members[0])[j]
+			pred := s.row(grp.members[0])[j-1]
 			curScore := metric.Dist[grp.node][cur]
 			if grp.node == cur {
 				continue // already colocated; nothing to gain
@@ -149,7 +149,7 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 func (s *state) applyMove(j int, grp connGroup, e int, metric *graph.Metric) {
 	k := s.task.K()
 	for _, di := range grp.members {
-		s.serve[di][j] = e
+		s.row(di)[j] = e
 	}
 	if j != k {
 		return
@@ -177,22 +177,33 @@ func (s *state) applyMove(j int, grp connGroup, e int, metric *graph.Metric) {
 }
 
 func (s *state) clone() *state {
-	c := &state{net: s.net, task: s.task,
-		serve: make([][]int, len(s.serve)),
+	c := &state{net: s.net, task: s.task, w: s.w, sc: s.sc,
+		serve: append([]int(nil), s.serve...),
 		tail:  make([][]int, len(s.tail)),
 	}
-	for i := range s.serve {
-		c.serve[i] = append([]int(nil), s.serve[i]...)
+	for i := range s.tail {
 		c.tail[i] = append([]int(nil), s.tail[i]...)
 	}
 	return c
+}
+
+// cost evaluates the paper's objective for the current state from
+// scratch: materialise, then price. Production prices a solve once
+// (stageOne) and again only after an accepted move (stageTwo); the
+// reference engine and the tests price wherever they like.
+func (s *state) cost() (float64, error) {
+	e, err := s.embedding()
+	if err != nil {
+		return 0, err
+	}
+	return s.net.Cost(e).Total, nil
 }
 
 // usedCapacity returns per-node capacity consumed by the current new
 // instances (pre-deployed demand is accounted by the Network itself).
 func (s *state) usedCapacity() map[int]float64 {
 	used := make(map[int]float64)
-	for _, inst := range s.placedInstances() {
+	for _, inst := range s.appendPlaced(nil) {
 		vnf, err := s.net.VNF(inst.VNF)
 		if err != nil {
 			continue // unreachable: instances come from a validated task
@@ -210,10 +221,8 @@ func (s *state) canHostNaive(f, v int) bool {
 	if s.net.IsDeployed(f, v) {
 		return true
 	}
-	for _, inst := range s.placedInstances() {
-		if inst.VNF == f && inst.Node == v {
-			return true
-		}
+	if placedAt(s.appendPlaced(nil), f, v) {
+		return true
 	}
 	vnf, err := s.net.VNF(f)
 	if err != nil {
@@ -228,10 +237,8 @@ func (s *state) instanceSetupCostNaive(f, u int) float64 {
 	if s.net.IsDeployed(f, u) {
 		return 0
 	}
-	for _, inst := range s.placedInstances() {
-		if inst.VNF == f && inst.Node == u {
-			return 0
-		}
+	if placedAt(s.appendPlaced(nil), f, u) {
+		return 0
 	}
 	return s.net.SetupCost(f, u)
 }

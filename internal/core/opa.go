@@ -23,16 +23,16 @@ func runOPA(s *state, opts Options) (int, bool, error) {
 		}
 		t0 := opts.now()
 		opts.emit(Event{Kind: EventOPAPassStart, Pass: i + 1})
-		moves, err := runOPAPass(s, opts, i+1)
+		moves, stopped, err := runOPAPass(s, opts, i+1)
 		total += moves
 		if opts.Observer != nil {
 			opts.emit(Event{Kind: EventOPAPassEnd, Pass: i + 1, Moves: moves, Duration: time.Since(t0)})
 		}
-		if err != nil || moves == 0 {
-			return total, err == nil && opts.ctxErr() != nil, err
+		if err != nil || stopped || moves == 0 {
+			return total, stopped, err
 		}
 	}
-	return total, opts.ctxErr() != nil, nil
+	return total, false, nil
 }
 
 // runOPAPass implements Algorithm 3: starting from the stage-one state,
@@ -41,20 +41,29 @@ func runOPA(s *state, opts Options) (int, bool, error) {
 // the paper's local rule c(x,E) + c(E,pred) + gamma < c(x,cur); moves
 // are accepted only if the recomputed global cost strictly drops
 // (unless Options.LocalAcceptance asks for the paper's raw rule).
-// It returns the number of accepted moves. The pass number is only for
-// the optional Observer's events.
+// It returns the number of accepted moves and whether a deadline poll
+// cut the pass short. The pass number is only for the optional
+// Observer's events.
 //
 // Cost evaluation is incremental: the state's ledger (see ledger.go)
 // tracks the objective under each trial move, and a rejected move is
 // reverted through its journal. The clone-and-recost reference it is
-// asserted against lives in naive_test.go.
-func runOPAPass(s *state, opts Options, passNo int) (int, error) {
+// asserted against lives in naive_test.go. The ledger is attached at
+// the first move that passes the local gate — under the paper's rule
+// most solves propose none and never build one; until then nothing has
+// moved, and the placed-instance list answers canHost.
+func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 	k := s.task.K()
 	metric := s.net.Metric()
-	s.ensureLedger()
-	curCost, err := s.totalCost()
-	if err != nil {
-		return 0, err
+	var curCost float64 // read off the ledger once there is one
+	var err error
+	if s.led != nil {
+		if curCost, err = s.totalCost(); err != nil {
+			return 0, false, err
+		}
+	} else {
+		s.placed = s.appendPlaced(s.sc.insts[:0])
+		s.sc.insts = s.placed
 	}
 
 	// Connection groups for the level-k round: per independent
@@ -69,19 +78,19 @@ func runOPAPass(s *state, opts Options, passNo int) (int, error) {
 
 	for j := k; j >= 1; j-- {
 		if opts.ctxErr() != nil {
-			return moves, nil // deadline: the current state is valid as-is
+			return moves, true, nil // deadline: the current state is valid as-is
 		}
 		f := s.task.Chain[j-1]
 		if _, err := s.net.VNF(f); err != nil {
-			return moves, err
+			return moves, false, err
 		}
 		var nextConn []int // nodes hosting the instances added at level j
 		for _, grp := range groups {
 			if len(grp.members) == 0 {
 				continue
 			}
-			cur := s.serve[grp.members[0]][j]
-			pred := s.serve[grp.members[0]][j-1]
+			cur := s.row(grp.members[0])[j]
+			pred := s.row(grp.members[0])[j-1]
 			curScore := metric.Dist[grp.node][cur]
 			if grp.node == cur {
 				continue // already colocated; nothing to gain
@@ -117,6 +126,11 @@ func runOPAPass(s *state, opts Options, passNo int) (int, error) {
 				continue
 			}
 
+			if s.led == nil {
+				if curCost, err = s.totalCost(); err != nil { // attaches the ledger
+					return moves, false, err
+				}
+			}
 			if opts.Observer != nil {
 				opts.emit(Event{Kind: EventMoveProposed, Pass: passNo, Level: j,
 					Conn: grp.node, From: cur, To: bestE, Group: len(grp.members), CostBefore: curCost})
@@ -128,7 +142,7 @@ func runOPAPass(s *state, opts Options, passNo int) (int, error) {
 				c, err := s.totalCost()
 				s.releaseJournal(jr)
 				if err != nil {
-					return moves, err
+					return moves, false, err
 				}
 				if opts.Observer != nil {
 					opts.emit(Event{Kind: EventMoveAccepted, Pass: passNo, Level: j,
@@ -164,7 +178,7 @@ func runOPAPass(s *state, opts Options, passNo int) (int, error) {
 		}
 		groups = s.groupsAt(j, nextConn)
 	}
-	return moves, nil
+	return moves, false, nil
 }
 
 // connGroup is one re-homing opportunity: a connection node plus the
@@ -181,19 +195,31 @@ type connGroup struct {
 // nearest the root on a kept path, owning every destination whose
 // tail passes through it.
 func (s *state) initialConnectionGroups(aggressive bool) []connGroup {
-	k := s.task.K()
-	isDest := make(map[int]bool, len(s.task.Destinations))
+	k, sc := s.task.K(), s.sc
+	isDest, seen, sfcArcs := &sc.dests, &sc.conns, &sc.sfcArcs
+	isDest.reset(s.net.NumNodes())
+	seen.reset(s.net.NumNodes())
 	for _, d := range s.task.Destinations {
-		isDest[d] = true
+		isDest.add(d)
 	}
-	// Physical edges used by the SFC part of the walks (levels < k).
-	metric := s.net.Metric()
-	sfcEdges := make(map[[2]int]bool)
-	for di := range s.serve {
-		for j := 0; j < k; j++ {
-			metric.EachHop(s.serve[di][j], s.serve[di][j+1], func(x, y int) {
-				sfcEdges[edgeKey(x, y)] = true
-			})
+	// Physical edges used by the SFC part of the walks (levels < k),
+	// each marked at the arc that prices its low-to-high direction.
+	csr := s.net.Graph().CSR()
+	if !aggressive {
+		metric := s.net.Metric()
+		sfcArcs.reset(csr.NumArcs())
+		for di := range s.tail {
+			row := s.row(di)
+			for j := 0; j < k; j++ {
+				if s.repeatsSegment(di, j) {
+					continue
+				}
+				metric.EachHop(row[j], row[j+1], func(x, y int) {
+					if arc := csr.Arc(min(x, y), max(x, y)); arc >= 0 {
+						sfcArcs.add(int(arc))
+					}
+				})
+			}
 		}
 	}
 
@@ -202,7 +228,6 @@ func (s *state) initialConnectionGroups(aggressive bool) []connGroup {
 	// other tail extends beyond it; we just treat every destination's
 	// tail as a root-to-leaf candidate, which is equivalent for
 	// connection-node discovery.
-	seen := make(map[int]bool)
 	var groups []connGroup
 	for di := range s.tail {
 		tail := s.tail[di]
@@ -210,7 +235,7 @@ func (s *state) initialConnectionGroups(aggressive bool) []connGroup {
 		if !aggressive {
 			dependent := false
 			for i := 1; i < len(tail); i++ {
-				if sfcEdges[edgeKey(tail[i-1], tail[i])] {
+				if arc := csr.Arc(min(tail[i-1], tail[i]), max(tail[i-1], tail[i])); arc >= 0 && sfcArcs.has(int(arc)) {
 					dependent = true
 					break
 				}
@@ -222,15 +247,15 @@ func (s *state) initialConnectionGroups(aggressive bool) []connGroup {
 		// Connection node: first destination on the tail after the root.
 		conn := -1
 		for _, v := range tail[1:] {
-			if isDest[v] {
+			if isDest.has(v) {
 				conn = v
 				break
 			}
 		}
-		if conn == -1 || seen[conn] {
+		if conn == -1 || seen.has(conn) {
 			continue
 		}
-		seen[conn] = true
+		seen.add(conn)
 		groups = append(groups, connGroup{node: conn, members: s.destsThrough(conn)})
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].node < groups[b].node })
@@ -258,15 +283,13 @@ func (s *state) destsThrough(x int) []int {
 func (s *state) groupsAt(j int, conn []int) []connGroup {
 	sort.Ints(conn)
 	var groups []connGroup
-	seen := make(map[int]bool, len(conn))
-	for _, e := range conn {
-		if seen[e] {
+	for i, e := range conn {
+		if i > 0 && conn[i-1] == e {
 			continue
 		}
-		seen[e] = true
 		var members []int
-		for di := range s.serve {
-			if s.serve[di][j] == e {
+		for di := range s.tail {
+			if s.row(di)[j] == e {
 				members = append(members, di)
 			}
 		}
@@ -279,19 +302,14 @@ func (s *state) groupsAt(j int, conn []int) []connGroup {
 
 // instanceSetupCost prices a new instance of f at u for the local
 // rule: zero when deployed or already placed in the current state.
-// Like canHost it reads the ledger, which the caller must have attached.
 func (s *state) instanceSetupCost(f, u int) float64 {
-	if s.net.IsDeployed(f, u) || s.led.instRef[f*s.led.n+u] > 0 {
+	if s.net.IsDeployed(f, u) {
+		return 0
+	}
+	if placed, _ := s.hosted(f, u); placed {
 		return 0
 	}
 	return s.net.SetupCost(f, u)
-}
-
-func edgeKey(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int{u, v}
 }
 
 // DebugOPA, when set, prints stage-two group and candidate diagnostics

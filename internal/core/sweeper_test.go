@@ -71,15 +71,15 @@ func TestSweeperMatchesOneShot(t *testing.T) {
 			continue // no server reachable
 		}
 		sol, metric := overlay.SolveSFC(), net.Metric()
-		sw := newSweeper(net, task, overlay, sol, metric, SteinerKMB)
+		sw := newSweeper(net, task, overlay, sol, metric, SteinerKMB, getScratch(net.NumNodes()))
 		servers := net.ServerList()
 		order := append(rng.Perm(len(servers)), rng.Perm(len(servers))...) // every candidate twice
 		for _, i := range order {
 			w := servers[i]
 			got := sw.eval(w)
 			for _, v := range servers {
-				if sw.cap.free[v] != net.FreeCapacity(v) {
-					t.Fatalf("trial %d: after candidate %d free[%d] = %v, network says %v", trial, w, v, sw.cap.free[v], net.FreeCapacity(v))
+				if sw.sc.free[v] != net.FreeCapacity(v) {
+					t.Fatalf("trial %d: after candidate %d free[%d] = %v, network says %v", trial, w, v, sw.sc.free[v], net.FreeCapacity(v))
 				}
 			}
 			chain := sol.HostsTo(w)

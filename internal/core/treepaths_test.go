@@ -52,13 +52,20 @@ func treePathsRef(g *graph.Graph, tree steiner.Tree, root int, dests []int) ([][
 // treePaths with the map formulation on random edge subsets of random
 // graphs: trees, forests that miss a destination (the error path) and
 // sets with cycles, where the parents depend on traversal order. The
-// calls share the scratch pool across graphs of different sizes, so a
-// call that failed to restore its entries would corrupt a later one.
+// calls share one scratch across graphs of different sizes (it grows
+// twice on the way), so a call that failed to restore its entries
+// would corrupt a later one. The paths of one call lie end to end in
+// one array: appending to any of them must leave the next alone.
 func TestTreePathsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var missed, cyclic int
+	sc := getScratch(2)
 	for trial := 0; trial < 400; trial++ {
 		n := 2 + rng.Intn(40)
+		if len(sc.head) < n {
+			scratchPool.Put(sc)
+			sc = getScratch(n)
+		}
 		g := graph.New(n)
 		for v := 1; v < n; v++ {
 			g.MustAddEdge(rng.Intn(v), v, 1)
@@ -82,7 +89,7 @@ func TestTreePathsMatchesReference(t *testing.T) {
 		tree := steiner.Tree{Edges: edges}
 
 		want, ok := treePathsRef(g, tree, root, dests)
-		got, err := treePaths(g, tree, root, dests)
+		got, err := treePaths(g, tree, root, dests, sc)
 		if !ok {
 			missed++
 			if !errors.Is(err, ErrNoFeasible) || got != nil {
@@ -95,6 +102,13 @@ func TestTreePathsMatchesReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: paths %v, reference %v", trial, got, want)
+		}
+		for i := range got {
+			got[i] = append(got[i], -1)
+			got[i] = got[i][:len(got[i])-1]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: appending to one path wrote into another: %v, reference %v", trial, got, want)
 		}
 	}
 	if missed == 0 || cyclic == 0 {

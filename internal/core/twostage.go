@@ -33,6 +33,13 @@ type Result struct {
 // the resulting embedding, which is guaranteed to pass
 // Network.Validate. The network is treated as read-only.
 func Solve(net *nfv.Network, task nfv.Task, opts Options) (*Result, error) {
+	sc := getScratch(net.NumNodes())
+	res, err := solve(net, task, opts, sc)
+	scratchPool.Put(sc)
+	return res, err
+}
+
+func solve(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*Result, error) {
 	if opts.Observer != nil {
 		// A warm metric reports zero build time: the closure is cached
 		// (and generation-valid), so this solve pays nothing for APSP.
@@ -44,76 +51,39 @@ func Solve(net *nfv.Network, task nfv.Task, opts Options) (*Result, error) {
 			opts.emit(Event{Kind: EventAPSPBuild, Duration: time.Since(t0)})
 		}
 	}
+	st, res, err := stageOne(net, task, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := stageTwo(st, res, opts); err != nil {
+		return nil, err
+	}
+	if err := net.Validate(res.Embedding); err != nil {
+		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
+	}
+	return res, nil
+}
+
+// stageOne runs MSA and then materialises and prices its solution —
+// the one embedding and the one pricing a solve needs unless stage two
+// moves something. The result is complete for a solve that stops here.
+func stageOne(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state, *Result, error) {
 	t1 := opts.now()
 	opts.emit(Event{Kind: EventStage1Start})
-	st, stats, err := runMSA(net, task, opts)
+	st, stats, err := runMSA(net, task, opts, sc)
 	if err != nil {
-		return nil, err
-	}
-	stage1, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventStage1End, Cost: stage1,
-			Candidates: stats.CandidatesTried, Duration: time.Since(t1)})
-	}
-	t2 := opts.now()
-	opts.emit(Event{Kind: EventStage2Start, Cost: stage1})
-	moves, stopped, err := runOPA(st, opts)
-	if err != nil {
-		return nil, err
-	}
-	final, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventStage2End, Cost: final, Moves: moves, Duration: time.Since(t2)})
+		return nil, nil, err
 	}
 	emb, err := st.embedding()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := net.Validate(emb); err != nil {
-		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
-	}
-	return &Result{
-		Embedding:       emb,
-		Stage1Cost:      stage1,
-		FinalCost:       final,
-		MovesAccepted:   moves,
-		CandidatesTried: stats.CandidatesTried,
-		LastHost:        stats.LastHost,
-		EarlyStop:       stats.EarlyStop || stopped,
-	}, nil
-}
-
-// SolveStageOne runs only MSA (Algorithm 2), for ablations and as the
-// starting point that baseline strategies replace.
-func SolveStageOne(net *nfv.Network, task nfv.Task, opts Options) (*Result, error) {
-	t1 := opts.now()
-	opts.emit(Event{Kind: EventStage1Start})
-	st, stats, err := runMSA(net, task, opts)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
+	cost := net.Cost(emb).Total
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventStage1End, Cost: cost,
 			Candidates: stats.CandidatesTried, Duration: time.Since(t1)})
 	}
-	emb, err := st.embedding()
-	if err != nil {
-		return nil, err
-	}
-	if err := net.Validate(emb); err != nil {
-		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
-	}
-	return &Result{
+	return st, &Result{
 		Embedding:       emb,
 		Stage1Cost:      cost,
 		FinalCost:       cost,
@@ -121,6 +91,47 @@ func SolveStageOne(net *nfv.Network, task nfv.Task, opts Options) (*Result, erro
 		LastHost:        stats.LastHost,
 		EarlyStop:       stats.EarlyStop,
 	}, nil
+}
+
+// stageTwo runs OPA on st, whose embedding and price res carries, and
+// updates res. Only an accepted move re-materialises and re-prices: a
+// rejected one is reverted through its journal, which puts back the
+// serve entries and the old tail slices, so a stage two that accepts
+// nothing leaves the very state res.Embedding was built from.
+func stageTwo(st *state, res *Result, opts Options) error {
+	t2 := opts.now()
+	opts.emit(Event{Kind: EventStage2Start, Cost: res.Stage1Cost})
+	moves, stopped, err := runOPA(st, opts)
+	if err != nil {
+		return err
+	}
+	if moves > 0 {
+		if res.Embedding, err = st.embedding(); err != nil {
+			return err
+		}
+		res.FinalCost = st.net.Cost(res.Embedding).Total
+	}
+	if opts.Observer != nil {
+		opts.emit(Event{Kind: EventStage2End, Cost: res.FinalCost, Moves: moves, Duration: time.Since(t2)})
+	}
+	res.MovesAccepted = moves
+	res.EarlyStop = res.EarlyStop || stopped
+	return nil
+}
+
+// SolveStageOne runs only MSA (Algorithm 2), for ablations and as the
+// starting point that baseline strategies replace.
+func SolveStageOne(net *nfv.Network, task nfv.Task, opts Options) (*Result, error) {
+	sc := getScratch(net.NumNodes())
+	_, res, err := stageOne(net, task, opts, sc)
+	scratchPool.Put(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := net.Validate(res.Embedding); err != nil {
+		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
+	}
+	return res, nil
 }
 
 // OptimizeEmbedding runs stage two (OPA) on an externally produced
@@ -138,43 +149,29 @@ func OptimizeEmbedding(net *nfv.Network, task nfv.Task, hosts []int, tails [][]i
 	if len(tails) != len(task.Destinations) {
 		return nil, fmt.Errorf("%w: %d tails for %d destinations", ErrNoFeasible, len(tails), len(task.Destinations))
 	}
-	st := newState(net, task)
+	sc := getScratch(net.NumNodes())
+	res, err := optimize(net, task, hosts, tails, opts, sc)
+	scratchPool.Put(sc)
+	return res, err
+}
+
+func optimize(net *nfv.Network, task nfv.Task, hosts []int, tails [][]int, opts Options, sc *scratch) (*Result, error) {
+	st := newState(net, task, sc)
 	for di := range task.Destinations {
-		for j := 1; j <= task.K(); j++ {
-			st.serve[di][j] = hosts[j-1]
-		}
+		copy(st.row(di)[1:], hosts)
 		st.tail[di] = append([]int(nil), tails[di]...)
-	}
-	stage1, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	t2 := opts.now()
-	opts.emit(Event{Kind: EventStage2Start, Cost: stage1})
-	moves, stopped, err := runOPA(st, opts)
-	if err != nil {
-		return nil, err
-	}
-	final, err := st.cost()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Observer != nil {
-		opts.emit(Event{Kind: EventStage2End, Cost: final, Moves: moves, Duration: time.Since(t2)})
 	}
 	emb, err := st.embedding()
 	if err != nil {
 		return nil, err
 	}
-	if err := net.Validate(emb); err != nil {
+	cost := net.Cost(emb).Total
+	res := &Result{Embedding: emb, Stage1Cost: cost, FinalCost: cost, LastHost: hosts[len(hosts)-1]}
+	if err := stageTwo(st, res, opts); err != nil {
+		return nil, err
+	}
+	if err := net.Validate(res.Embedding); err != nil {
 		return nil, fmt.Errorf("core: optimized embedding invalid: %w", err)
 	}
-	return &Result{
-		Embedding:     emb,
-		Stage1Cost:    stage1,
-		FinalCost:     final,
-		MovesAccepted: moves,
-		LastHost:      hosts[len(hosts)-1],
-		EarlyStop:     stopped,
-	}, nil
+	return res, nil
 }

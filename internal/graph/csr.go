@@ -25,6 +25,23 @@ type CSR struct {
 // NumArcs returns the number of directed arcs (twice the edge count).
 func (c *CSR) NumArcs() int { return len(c.To) }
 
+// Arc returns the position of the arc that prices the directed hop
+// u -> v — the cheapest parallel arc, the earliest winning ties, so
+// Cost[Arc(u, v)] is what Graph.HasEdge(u, v) reports — or -1 when u-v
+// is not an edge. Positions double as dense ids of directed edges.
+func (c *CSR) Arc(u, v int) int32 {
+	if u < 0 || u >= c.N {
+		return -1
+	}
+	best, bestCost := int32(-1), Inf
+	for p, end := c.Start[u], c.Start[u+1]; p < end; p++ {
+		if int(c.To[p]) == v && c.Cost[p] < bestCost {
+			best, bestCost = p, c.Cost[p]
+		}
+	}
+	return best
+}
+
 func buildCSR(g *Graph) *CSR {
 	n := len(g.adj)
 	m := 0

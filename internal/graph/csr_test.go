@@ -40,6 +40,40 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 	}
 }
 
+// TestCSRArcPricesLikeHasEdge: Arc names the arc HasEdge prices, on a
+// multigraph with parallel edges (120 draws over 40 nodes repeat
+// pairs), for every ordered pair and out-of-range tails.
+func TestCSRArcPricesLikeHasEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := New(40)
+	for i := 0; i < 300; i++ {
+		if u, v := rng.Intn(40), rng.Intn(40); u != v {
+			g.MustAddEdge(u, v, float64(1+rng.Intn(3)))
+		}
+	}
+	c := g.CSR()
+	for u := -1; u <= g.NumNodes(); u++ {
+		for v := -1; v <= g.NumNodes(); v++ {
+			cost, ok := g.HasEdge(u, v)
+			p := c.Arc(u, v)
+			if ok != (p >= 0) {
+				t.Fatalf("%d->%d: HasEdge %v, Arc %d", u, v, ok, p)
+			}
+			if !ok {
+				continue
+			}
+			if int(c.To[p]) != v || c.Cost[p] != cost || p < c.Start[u] || p >= c.Start[u+1] {
+				t.Fatalf("%d->%d: arc %d = (to %d, cost %v), HasEdge cost %v", u, v, p, c.To[p], c.Cost[p], cost)
+			}
+			for q := c.Start[u]; q < p; q++ {
+				if int(c.To[q]) == v && c.Cost[q] <= cost {
+					t.Fatalf("%d->%d: arc %d chosen over earlier arc %d of cost %v", u, v, p, q, c.Cost[q])
+				}
+			}
+		}
+	}
+}
+
 // TestCSRGenerationInvalidation checks that mutating the graph after a
 // CSR build produces a fresh CSR, while repeated calls without
 // mutation return the cached one.

@@ -3,6 +3,7 @@ package nfv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -60,13 +61,6 @@ func (e *Embedding) Clone() *Embedding {
 	return c
 }
 
-// stageEdge is the deduplication key of objective (1a): an edge carries
-// one flow copy per chain stage regardless of destination fan-out.
-type stageEdge struct {
-	level int
-	u, v  int
-}
-
 // CostBreakdown decomposes the traffic delivery cost.
 type CostBreakdown struct {
 	Setup float64 `json:"setup"` // sum of new-instance setup costs
@@ -80,37 +74,61 @@ type CostBreakdown struct {
 // feasibility; pair it with Validate.
 func (net *Network) Cost(e *Embedding) CostBreakdown {
 	var bd CostBreakdown
-	seenInst := make(map[[2]int]bool, len(e.NewInstances))
-	for _, inst := range e.NewInstances {
-		key := [2]int{inst.VNF, inst.Node}
-		if seenInst[key] {
-			continue
+	for i, inst := range e.NewInstances {
+		if !placedBefore(e.NewInstances[:i], inst.VNF, inst.Node) {
+			bd.Setup += net.SetupCost(inst.VNF, inst.Node)
 		}
-		seenInst[key] = true
-		bd.Setup += net.SetupCost(inst.VNF, inst.Node)
 	}
-	seenEdge := make(map[stageEdge]bool)
+	// One bit per (stage, directed edge): an edge carries one flow copy
+	// per chain stage whatever the fan-out. Stages are numbered by first
+	// appearance, so a mislabelled segment (Validate's business) still
+	// deduplicates against its own label.
+	csr := net.g.CSR()
+	words := (csr.NumArcs() + 63) / 64
+	var levelBuf [16]int
+	levels := levelBuf[:0]
+	seen := make([]uint64, 0, (e.Task.K()+1)*words)
 	for _, w := range e.Walks {
 		for _, seg := range w {
+			if len(seg.Path) < 2 {
+				continue
+			}
+			li := slices.Index(levels, seg.Level)
+			if li < 0 {
+				li = len(levels)
+				levels = append(levels, seg.Level)
+				seen = append(seen, make([]uint64, words)...)
+			}
+			row := seen[li*words : (li+1)*words]
 			for i := 1; i < len(seg.Path); i++ {
-				key := stageEdge{level: seg.Level, u: seg.Path[i-1], v: seg.Path[i]}
-				if seenEdge[key] {
-					continue
-				}
-				seenEdge[key] = true
-				c, ok := net.g.HasEdge(key.u, key.v)
-				if !ok {
+				arc := csr.Arc(seg.Path[i-1], seg.Path[i])
+				if arc < 0 {
 					// Mirror Validate's verdict by pricing non-edges at +Inf.
 					bd.Link = math.Inf(1)
 					bd.Total = math.Inf(1)
 					return bd
 				}
-				bd.Link += c
+				if bit := uint64(1) << (arc & 63); row[arc>>6]&bit == 0 {
+					row[arc>>6] |= bit
+					bd.Link += csr.Cost[arc]
+				}
 			}
 		}
 	}
 	bd.Total = bd.Setup + bd.Link
 	return bd
+}
+
+// placedBefore reports whether insts lists an instance of f on node v.
+// Embeddings place a handful of instances (at most k per distinct
+// chain), so a scan beats a set.
+func placedBefore(insts []Instance, f, v int) bool {
+	for _, in := range insts {
+		if in.VNF == f && in.Node == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate checks the embedding against every problem constraint:
@@ -136,11 +154,9 @@ func (net *Network) Validate(e *Embedding) error {
 			ErrInfeasible, len(e.Walks), len(task.Destinations))
 	}
 
-	// New instances: structural checks + capacity accounting.
-	newDemand := make(map[int]float64) // node -> added demand
-	seenInst := make(map[[2]int]bool, len(e.NewInstances))
-	hasNew := make(map[[2]int]bool, len(e.NewInstances)) // (vnf,node)
-	for _, inst := range e.NewInstances {
+	// New instances: structural checks, then capacity per node with the
+	// demands added in listing order.
+	for i, inst := range e.NewInstances {
 		vnf, err := net.VNF(inst.VNF)
 		if err != nil {
 			return fmt.Errorf("%w: new instance %+v: %v", ErrInfeasible, inst, err)
@@ -153,17 +169,24 @@ func (net *Network) Validate(e *Embedding) error {
 			return fmt.Errorf("%w: instance of %q on node %d duplicates a deployed one",
 				ErrInfeasible, vnf.Name, inst.Node)
 		}
-		key := [2]int{inst.VNF, inst.Node}
-		if seenInst[key] {
+		if placedBefore(e.NewInstances[:i], inst.VNF, inst.Node) {
 			return fmt.Errorf("%w: duplicate new instance of %q on node %d",
 				ErrInfeasible, vnf.Name, inst.Node)
 		}
-		seenInst[key] = true
-		hasNew[key] = true
-		newDemand[inst.Node] += vnf.Demand
 	}
-	for v, add := range newDemand {
-		if net.UsedCapacity(v)+add > net.Capacity(v)+1e-9 {
+	for i, inst := range e.NewInstances {
+		v, add, first := inst.Node, 0.0, true
+		for j, in := range e.NewInstances {
+			if in.Node != v {
+				continue
+			}
+			if j < i {
+				first = false // summed at the node's first instance
+				break
+			}
+			add += net.catalog[in.VNF].Demand
+		}
+		if first && net.UsedCapacity(v)+add > net.Capacity(v)+1e-9 {
 			return fmt.Errorf("%w: constraint (1d): node %d capacity %v exceeded (used %v + new %v)",
 				ErrInfeasible, v, net.Capacity(v), net.UsedCapacity(v), add)
 		}
@@ -200,7 +223,7 @@ func (net *Network) Validate(e *Embedding) error {
 			if j < k {
 				host := prevEnd
 				f := task.Chain[j]
-				if !net.IsDeployed(f, host) && !hasNew[[2]int{f, host}] {
+				if !net.IsDeployed(f, host) && !placedBefore(e.NewInstances, f, host) {
 					return fmt.Errorf("%w: constraint (1b): destination %d level %d needs VNF %d on node %d but none is placed there",
 						ErrInfeasible, d, j+1, f, host)
 				}

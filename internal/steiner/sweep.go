@@ -131,18 +131,45 @@ func (s *Sweep) Tree(root int) (Tree, error) {
 	return treeFromEdges(s.g, ids), nil
 }
 
-// Cost returns the cost of Tree(root) without materialising it.
+// Cost returns the cost of Tree(root) without materialising it: when
+// the expansion is the tree, the edge costs are summed straight off
+// its set bits, in the ascending id order Tree lists them in.
 func (s *Sweep) Cost(root int) (float64, error) {
-	ids, err := s.build(root)
-	var cost float64
-	for _, id := range ids {
-		cost += s.g.Edge(id).Cost
+	isTree, err := s.expand(root)
+	if err != nil {
+		return 0, err
 	}
-	return cost, err
+	var cost float64
+	if !isTree {
+		for _, id := range s.general(root) {
+			cost += s.g.Edge(id).Cost
+		}
+		return cost, nil
+	}
+	for i, w := range s.ws.bits[:s.ew] {
+		for ; w != 0; w &= w - 1 {
+			cost += s.g.Edge(i<<6 + bits.TrailingZeros64(w)).Cost
+		}
+	}
+	return cost, nil
 }
 
 // build runs KMB for one root and returns the tree's edge ids in
 // ascending order, in workspace storage valid until the next call.
+func (s *Sweep) build(root int) ([]int, error) {
+	isTree, err := s.expand(root)
+	if err != nil {
+		return nil, err
+	}
+	if !isTree {
+		return s.general(root), nil
+	}
+	return s.edgeIDs(), nil
+}
+
+// expand runs KMB's steps 1 and 2 for one root, leaves the expansion
+// in the workspace's edge and node bitsets, and reports whether it is
+// the answer as it stands.
 //
 // Steps 1 and 2 are the textbook ones — Prim over the metric closure
 // of dedup([root]+D), starting at the root, lowest index first and
@@ -155,20 +182,21 @@ func (s *Sweep) Cost(root int) (float64, error) {
 // leaf of a union of terminal-to-terminal simple paths is a terminal,
 // so pruning removes none: the expansion is the answer, read off in id
 // order, which is the order prune sorts into. Otherwise the expansion
-// goes through mstOfCollected and prune as it always did.
-func (s *Sweep) build(root int) ([]int, error) {
+// goes through general.
+func (s *Sweep) expand(root int) (isTree bool, err error) {
 	ws, td := s.ws, len(s.dests)
+	clear(ws.bits)
 	rootAt := fromRoot // root's index in dests, if it is a destination
 	rootRow := s.m.Dist[root]
 	for i, d := range s.dests {
 		if d == root {
 			rootAt = i
 		} else if rootRow[d] == graph.Inf {
-			return nil, fmt.Errorf("%w: %d and %d", ErrUnreachable, root, d)
+			return false, fmt.Errorf("%w: %d and %d", ErrUnreachable, root, d)
 		}
 	}
 	if td == 0 || (td == 1 && rootAt == 0) {
-		return nil, nil // a single terminal: the empty tree
+		return true, nil // a single terminal: the empty tree
 	}
 	s.stats.Trees++
 
@@ -211,41 +239,53 @@ func (s *Sweep) build(root int) ([]int, error) {
 	// 2. Expand the closure edges into one edge bitset and one node
 	// bitset.
 	eb, nb := ws.bits[:s.ew], ws.bits[s.ew:]
-	clear(ws.bits)
 	for _, ce := range closure {
 		if ce[0] == fromRoot {
 			if err := s.walk(root, s.dests[ce[1]], eb, nb); err != nil {
-				return nil, err
+				return false, err
 			}
 			continue
 		}
 		off, err := s.path(int(ce[0]), int(ce[1]))
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		for i, w := range ws.arena[off : off+len(ws.bits)] {
 			ws.bits[i] |= w // edge words then node words, as in the memo
 		}
 	}
 
-	// 3 and 4.
-	ids := ws.edges[:0]
-	for i, w := range eb {
+	edges, nodes := 0, 0
+	for _, w := range eb {
+		edges += bits.OnesCount64(w)
+	}
+	for _, w := range nb {
+		nodes += bits.OnesCount64(w)
+	}
+	return edges == nodes-1, nil
+}
+
+// edgeIDs reads the expansion's edges off in ascending id order, into
+// workspace storage.
+func (s *Sweep) edgeIDs() []int {
+	ids := s.ws.edges[:0]
+	for i, w := range s.ws.bits[:s.ew] {
 		for ; w != 0; w &= w - 1 {
 			ids = append(ids, i<<6+bits.TrailingZeros64(w))
 		}
 	}
-	ws.edges = ids
-	nodes := 0
-	for _, w := range nb {
-		nodes += bits.OnesCount64(w)
-	}
-	if len(ids) == nodes-1 {
-		return ids, nil
-	}
+	s.ws.edges = ids
+	return ids
+}
+
+// general is steps 3 and 4 as they always were, for an expansion that
+// holds a cycle.
+func (s *Sweep) general(root int) []int {
+	ws := s.ws
+	s.edgeIDs()
 	s.stats.GeneralTrees++
 	ws.rootTerms = append(append(ws.rootTerms[:0], root), s.dests...)
-	return ws.prune(s.g, ws.mstOfCollected(s.g), ws.rootTerms), nil
+	return ws.prune(s.g, ws.mstOfCollected(s.g), ws.rootTerms)
 }
 
 // path returns the arena offset of the memoised shortest path

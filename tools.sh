@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module only (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve allocation budget + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
 #                       # (equivalence battery: batched admissions at
@@ -165,9 +165,11 @@ queue_gate() {
 # queue's worker count stay gone from every .go file, bench/
 # included; the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
-# shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra).
+# shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra);
+# internal/core's non-test files call no state.cost() (a solve prices
+# once) and msa.go sorts its candidates without sort.Slice.
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -186,6 +188,14 @@ retired_guard() {
 	fi
 	if grep -nE 'NodeHeap|ShortestPathTree' $(ls internal/mod/*.go | grep -v _test.go); then
 		echo "retired guard: internal/mod runs a heap Dijkstra again" >&2
+		exit 1
+	fi
+	if grep -nE '\.cost\(\)' $(ls internal/core/*.go | grep -v _test.go); then
+		echo "retired guard: internal/core prices a state through state.cost again (test-only since PR 22: a solve prices in stageOne, and in stageTwo after an accepted move)" >&2
+		exit 1
+	fi
+	if grep -n 'sort\.Slice' internal/core/msa.go; then
+		echo "retired guard: internal/core/msa.go sorts through reflection again" >&2
 		exit 1
 	fi
 }
@@ -262,6 +272,13 @@ retired_guard
 # only when the benchmark next runs.
 echo "==> bench module: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
+
+# The allocation budget of a default solve (at most 100 on the
+# benchmark's two solver-bound shapes) is what holds the flat embedding
+# and the per-solve scratch in place; it is a plain test, so the race
+# run below skips it and this is where it runs uncached.
+echo "==> solve allocation budget: TestSolveAllocBudget"
+go test -count=1 -run 'TestSolveAllocBudget' ./internal/core
 
 if [ "${1:-}" = "quick" ]; then
 	echo "OK (quick)"
