@@ -616,7 +616,9 @@ func run(args []string, stdout io.Writer) error {
 			w.ackedRel = make(map[dynamic.SessionID]bool)
 		}
 		srv := server.NewWith(network, core.Options{}, cfg)
-		w.ts = httptest.NewServer(srv)
+		w.ts = httptest.NewUnstartedServer(srv)
+		w.ts.Config.ConnState = obs.ConnState(reg)
+		w.ts.Start()
 		w.url = w.ts.URL
 		w.srv = srv
 		w.reg = reg
@@ -1136,11 +1138,17 @@ func scrapeMetrics(ctx context.Context, base string) (*obs.Snapshot, error) {
 }
 
 // excerptMetrics keeps the artifact focused: all callback floats
-// (cache hit rates, pool reuse) plus the headline solve percentiles.
+// (cache hit rates, pool reuse), the two counters whose ratio is
+// requests per connection, plus the headline solve percentiles.
 func excerptMetrics(snap *obs.Snapshot) map[string]float64 {
-	out := make(map[string]float64, len(snap.Floats)+4)
+	out := make(map[string]float64, len(snap.Floats)+6)
 	for k, v := range snap.Floats {
 		out[k] = v
+	}
+	for _, name := range []string{"http_requests_total", "http_connections_opened_total"} {
+		if v, ok := snap.Counters[name]; ok {
+			out[name] = float64(v)
+		}
 	}
 	if h, ok := snap.Histograms["session_solve_ms"]; ok {
 		out["session_solve_ms_p50"] = h.P50

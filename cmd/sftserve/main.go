@@ -284,6 +284,7 @@ func run(ctx context.Context, args []string) error {
 	hs := &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         obs.ConnState(reg),
 	}
 	logger.Info("sftserve listening",
 		"addr", ln.Addr().String(), "sessions", network != nil, "debug", *debug)

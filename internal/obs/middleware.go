@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -69,6 +71,40 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// routeKey names the two per-route metrics a finished request updates:
+// the route's latency histogram and its status-class counter.
+type routeKey struct {
+	route string
+	class int // status / 100
+}
+
+type routeMetrics struct {
+	ms        *Histogram
+	responses *Counter
+}
+
+// ConnState returns a hook for http.Server.ConnState that counts
+// accepted connections (http_connections_opened_total) and tracks the
+// ones still open (http_connections_open). Beside http_requests_total
+// it gives requests per connection: a client that drops its connection
+// after every response shows up as a ratio near one. A nil registry
+// yields a nil hook, which http.Server takes as none.
+func ConnState(reg *Registry) func(net.Conn, http.ConnState) {
+	if reg == nil {
+		return nil
+	}
+	opened, open := reg.Counter("http_connections_opened_total"), reg.Gauge("http_connections_open")
+	return func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			opened.Inc()
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+}
+
 // Middleware wraps next with the request-scoped observability stack:
 // request-ID propagation (context + response header), one structured
 // slog access line per request, an in-flight gauge, and per-route
@@ -82,6 +118,29 @@ func Middleware(reg *Registry, logger *slog.Logger, next http.Handler) http.Hand
 	if reg != nil {
 		inflight = reg.Gauge("http_in_flight")
 		total = reg.Counter("http_requests_total")
+	}
+	// The handles of matched routes are resolved once: mux patterns are
+	// a finite set, raw paths of unmatched requests are not.
+	var mu sync.RWMutex
+	routes := make(map[routeKey]routeMetrics)
+	metrics := func(route string, class int, matched bool) routeMetrics {
+		key := routeKey{route, class}
+		mu.RLock()
+		m, ok := routes[key]
+		mu.RUnlock()
+		if ok {
+			return m
+		}
+		m = routeMetrics{
+			ms:        reg.Histogram("http_request_ms|"+route, nil),
+			responses: reg.Counter(fmt.Sprintf("http_responses_total|%s|%dxx", route, class)),
+		}
+		if matched {
+			mu.Lock()
+			routes[key] = m
+			mu.Unlock()
+		}
+		return m
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
@@ -111,8 +170,9 @@ func Middleware(reg *Registry, logger *slog.Logger, next http.Handler) http.Hand
 			route = r.Method + " " + r.URL.Path
 		}
 		if reg != nil {
-			reg.Histogram("http_request_ms|"+route, nil).ObserveDuration(elapsed)
-			reg.Counter(fmt.Sprintf("http_responses_total|%s|%dxx", route, sw.status/100)).Inc()
+			m := metrics(route, sw.status/100, r.Pattern != "")
+			m.ms.ObserveDuration(elapsed)
+			m.responses.Inc()
 		}
 		if logger != nil {
 			logger.LogAttrs(r.Context(), slog.LevelInfo, "http request",

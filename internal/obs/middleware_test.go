@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,5 +137,49 @@ func TestStatusWriterDefaultsTo200(t *testing.T) {
 	Middleware(reg, nil, mux).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/implicit", nil))
 	if got := reg.Snapshot().Counters["http_responses_total|GET /implicit|2xx"]; got != 1 {
 		t.Errorf("implicit 200 not counted as 2xx: %d", got)
+	}
+}
+
+// TestConnState counts connections where http.Server reports them: a
+// keep-alive client's three requests ride one, a second client opens a
+// second, and the open gauge returns to zero once both are closed.
+func TestConnState(t *testing.T) {
+	if ConnState(nil) != nil {
+		t.Error("a nil registry must yield no hook")
+	}
+	reg := NewRegistry()
+	closed := make(chan struct{}, 2)
+	hook := ConnState(reg)
+	ts := httptest.NewUnstartedServer(Middleware(reg, nil, newMux(t, nil)))
+	ts.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		hook(c, s)
+		if s == http.StateClosed {
+			closed <- struct{}{}
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	for _, requests := range []int{3, 1} {
+		tr := &http.Transport{}
+		for i := 0; i < requests; i++ {
+			resp, err := (&http.Client{Transport: tr}).Get(ts.URL + "/ok")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		if got := reg.Gauge("http_connections_open").Value(); got != 1 {
+			t.Errorf("http_connections_open = %d with one client connected", got)
+		}
+		tr.CloseIdleConnections()
+		<-closed
+	}
+	snap := reg.Snapshot()
+	if opened, requests := snap.Counters["http_connections_opened_total"], snap.Counters["http_requests_total"]; opened != 2 || requests != 4 {
+		t.Errorf("%d connections for %d requests, want 2 for 4", opened, requests)
+	}
+	if got := snap.Gauges["http_connections_open"]; got != 0 {
+		t.Errorf("http_connections_open = %d after both clients left", got)
 	}
 }

@@ -133,21 +133,28 @@ var workerCounts = []int{1, 2, 4}
 // TestQueueEquivalenceBattery is the headline gate: fixed-seed arrival
 // scripts replayed through the queue, at every worker count, and
 // through serialized AdmitCtx calls on an identical network clone must
-// agree bit for bit (see checkEquivalence). Both batch shapes are
-// covered: a script enqueued on an idle queue dispatches in whatever
-// small batches the solver's pace cuts, and one enqueued behind a held
-// batch rides a single EDF-sorted, signature-grouped batch.
+// agree bit for bit (see checkEquivalence). Every shape of line is
+// covered: a script enqueued on an idle queue is drained in whatever
+// small cuts the solvers' pace makes, one enqueued behind a held drain
+// rides a single EDF-sorted, signature-grouped drain, and a trickle
+// script keeps only a few tickets in the queue — each arrival waits for
+// the commit of the ticket that many places before it — so that drains
+// happen while the line is mid-flight and its tickets come one drain
+// at a time.
 func TestQueueEquivalenceBattery(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		seed int64
-		n    int
-		held bool
+		name    string
+		seed    int64
+		n       int
+		held    bool
+		trickle int // tickets in the queue at once; 0 = all at once
 	}{
 		{name: "idle/1", seed: 1, n: 24},
 		{name: "held/2", seed: 2, n: 24, held: true},
 		{name: "held/3", seed: 3, n: 32, held: true},
 		{name: "idle/4", seed: 4, n: 16},
+		{name: "trickle/5", seed: 5, n: 24, trickle: 2},
+		{name: "trickle/6", seed: 6, n: 32, trickle: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range workerCounts {
@@ -164,6 +171,9 @@ func TestQueueEquivalenceBattery(t *testing.T) {
 					start := time.Now()
 					tickets := make([]*Ticket, len(script))
 					for i, a := range script {
+						if tc.trickle > 0 && i >= tc.trickle {
+							<-tickets[i-tc.trickle].done
+						}
 						var deadline time.Time
 						if a.deadline != 0 {
 							deadline = start.Add(a.deadline)
@@ -188,7 +198,10 @@ func TestQueueEquivalenceBattery(t *testing.T) {
 					closeQueue(t, q)
 					st := q.Stats()
 					if tc.held && st.Batches != 2 {
-						t.Errorf("held script must ride one batch behind its first ticket, got %d batches", st.Batches)
+						t.Errorf("held script must ride one drain behind its first ticket, got %d", st.Batches)
+					}
+					if tc.trickle > 0 && int(st.Batches)*tc.trickle < tc.n {
+						t.Errorf("no drain of a trickle script finds more than %d tickets, yet %d drains took %d", tc.trickle, st.Batches, tc.n)
 					}
 					if workers == 1 && st.Speculated != 0 {
 						t.Errorf("one solver has nobody to run ahead of, yet %d solves did", st.Speculated)
@@ -202,8 +215,8 @@ func TestQueueEquivalenceBattery(t *testing.T) {
 }
 
 // TestQueueOrderAcrossSplit enqueues 32 same-signature no-deadline
-// tickets while the dispatcher is mid-batch, either all behind one
-// batch or in two halves that land in different batches: with nothing
+// tickets while a drain is parked, either all behind one
+// drain or in two halves that land in different batches: with nothing
 // for EDF to reorder they must dispatch in arrival order whichever way
 // the backlog was cut, and the outcome must still equal serialized
 // admission.

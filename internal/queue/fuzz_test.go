@@ -47,7 +47,7 @@ var fuzzBase = func() fuzzWorld {
 //
 // Input encoding: byte 0 picks the batch shape (odd: everything
 // queues up behind a held plug ticket and rides one batch; even: the
-// idle dispatcher cuts batches at its own pace) and, above that bit,
+// idle solvers cut drains at their own pace) and, above that bit,
 // how many solvers work a batch (1, 2 or 4), byte 1 the queue depth;
 // each following byte pair is one enqueue — the first byte
 // picks the task (signature), the second its class (no deadline,

@@ -1,36 +1,37 @@
 // Package queue is the bounded async admission pipeline in front of
-// dynamic.Manager: requests enqueue with a deadline and a dispatcher
-// drains them in batches, grouping tasks that share a chain signature
-// (the same varint key internal/mod memoizes scaffolds under) and
-// admitting each group back to back, one admission per ticket. The
-// manager hands consecutive admissions the same snapshot clone for as
-// long as no commit moves the deployment state, so a signature group
-// in the reuse-heavy steady state rides one clone, one metric warm-up
-// and one scaffold build while every task still commits individually
-// through the optimistic two-phase path.
+// dynamic.Manager: requests enqueue with a deadline and Workers
+// long-lived solvers work one endless line of tickets, grouping tasks
+// that share a chain signature (the same varint key internal/mod
+// memoizes scaffolds under) and admitting each group back to back, one
+// admission per ticket. The manager hands consecutive admissions the
+// same snapshot clone for as long as no commit moves the deployment
+// state, so a signature group in the reuse-heavy steady state rides one
+// clone, one metric warm-up and one scaffold build while every task
+// still commits individually through the optimistic two-phase path.
 //
-// A batch is a pipeline. Commits land strictly in the planned order —
-// a deployed instance costs the next task nothing, so the order is
-// part of every cost — but up to Workers solves run at once: while the
-// head of the line solves, the tickets behind it are solved ahead of
-// their turn on the same snapshot, and each commits when its turn
-// comes if the network is still at the exact version it was solved
-// at. If not, the result is discarded and the ticket is solved again
-// at the head of the line, so at most Workers−1 solves are wasted each
-// time the version moves.
+// The line is a pipeline. Commits land strictly in line order — a
+// deployed instance costs the next task nothing, so the order is part
+// of every cost — but up to Workers solves run at once: a solver takes
+// the next ticket nobody is solving, and if the tickets before it have
+// not all committed it solves ahead of its turn, on the snapshot they
+// were solved on, and commits when its turn comes if the network is
+// still at the exact version it was solved at. If not, the result is
+// discarded and the ticket is solved again at the head of the line, so
+// at most Workers−1 solves are wasted each time the version moves.
 //
-// The queue is work-conserving: batches form behind a busy solver,
-// never behind a clock. The dispatcher takes everything pending the
-// instant it has nothing in flight, and whatever arrives while that
-// batch solves is the next batch — one ticket when idle, the whole
-// backlog under a burst or overload. Each ticket resolves the moment
-// its own commit lands, not when its batch ends.
+// The queue is work-conserving: tickets wait behind busy solvers, never
+// behind a clock or the end of a batch. A solver that finds every
+// ticket of the line claimed drains pending — everything that arrived
+// since the last drain — plans it and appends it to the line: one
+// ticket when idle, the whole backlog under a burst or overload. One
+// drain runs at a time, so arrival order survives however the backlog
+// is cut. Each ticket resolves the moment its own commit lands.
 //
-// Scheduling is earliest-deadline-first: each drained batch drops
+// Scheduling is earliest-deadline-first within a drain: it drops
 // already-expired tickets and tickets whose caller has left before any
 // solve runs, sorts the rest by deadline (no deadline sorts last) with
-// the arrival sequence as tie-break, and dispatches signature groups
-// in that order. At every Workers the result is bit-identical to
+// the arrival sequence as tie-break, and lines up signature groups in
+// that order. At every Workers the result is bit-identical to
 // serialized AdmitCtx calls in the queue's dispatch order — the
 // property the equivalence battery in this package pins.
 //
@@ -38,9 +39,9 @@
 // finished exactly once, in exactly one of {admitted, rejected,
 // expired, closed, unavailable, canceled}, and Stats counts each, so
 // Enqueued equals their sum once the queue is closed. Tickets are
-// owned by exactly one place at any time — the pending slice, a
-// draining batch, or Close's abandonment path — and only finish closes
-// the ticket's done channel. No session outlives its caller: a ticket
+// owned by exactly one place at any time — the pending slice, a drain,
+// the line, or Close's abandonment path — and only finish closes the
+// ticket's done channel. No session outlives its caller: a ticket
 // whose Enqueue context ends before its commit lands is released at
 // once and finishes canceled.
 package queue
@@ -51,6 +52,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sftree/internal/dynamic"
@@ -80,15 +82,16 @@ type Config struct {
 	// Depth bounds the number of queued tickets; enqueues beyond it
 	// fail fast with ErrQueueFull. Default 256.
 	Depth int
-	// Deprecated: BatchWindow is ignored. The dispatcher never waits on
-	// a clock; batches form behind a busy solver.
+	// Deprecated: BatchWindow is ignored. No solver ever waits on a
+	// clock; tickets queue up behind busy solvers.
 	BatchWindow time.Duration
-	// Workers bounds how many tickets of a batch solve at once.
-	// Default GOMAXPROCS.
+	// Workers is the number of solvers, and so bounds how many tickets
+	// solve at once. Default GOMAXPROCS.
 	Workers int
-	// Manager supplies the admission manager per batch; indirection
-	// keeps the queue correct across the restart harness's hot swap.
-	// A nil return fails the batch's tickets with ErrUnavailable.
+	// Manager supplies the admission manager once per drain of pending;
+	// indirection keeps the queue correct across the restart harness's
+	// hot swap. A nil return fails the drained tickets with
+	// ErrUnavailable.
 	Manager func() *dynamic.Manager
 	// Now is the clock; tests and the fuzz harness pin it. Default
 	// time.Now.
@@ -103,6 +106,7 @@ type Ticket struct {
 	deadline time.Time
 	enqueued time.Time
 	seq      uint64
+	mgr      *dynamic.Manager // the one its drain resolved
 
 	done      chan struct{}
 	sess      *dynamic.Session
@@ -148,8 +152,8 @@ func (t *Ticket) SolveDuration() time.Duration { return t.solve }
 func (t *Ticket) Order() int { return t.order }
 
 // Coalesced reports whether the admission committed off a snapshot the
-// manager had already taken for an earlier admission — from this batch,
-// an earlier one, or a caller that bypassed the queue — instead of a
+// manager had already taken for an earlier admission — from this queue
+// or a caller that bypassed it — instead of a
 // fresh clone (dynamic.Session.Coalesced). False for tickets that were
 // not admitted.
 func (t *Ticket) Coalesced() bool { return t.coalesced }
@@ -162,7 +166,7 @@ const (
 	rejected            // the solver found no feasible embedding
 	expired             // deadline passed while queued
 	closed              // abandoned by Close's drain budget
-	unavailable         // no manager installed at dispatch, or its WAL refused the commit
+	unavailable         // no manager installed at its drain, or its WAL refused the commit
 	canceled            // the Enqueue context ended first
 	numOutcomes
 )
@@ -172,7 +176,8 @@ var outcomeNames = [numOutcomes]string{"admitted", "rejected", "expired", "close
 // Stats is a point-in-time queue snapshot. Once the queue is closed,
 // Enqueued == Admitted + Rejected + Expired + Closed + Unavailable +
 // Canceled; Overflow and PastDeadline count refusals Enqueue never
-// accepted. Speculated counts solves that ran ahead of their ticket's
+// accepted. Batches counts drains of pending into the line. Speculated
+// counts solves that ran ahead of their ticket's
 // turn and Stale those of them that were discarded, so Speculated −
 // Stale tickets committed as first solved.
 type Stats struct {
@@ -211,13 +216,12 @@ type queueMetrics struct {
 type Queue struct {
 	cfg  Config
 	mu   sync.Mutex
-	cond *sync.Cond
-	// pending holds tickets accepted but not yet taken by the
-	// dispatcher; its length is the queue depth.
+	cond *sync.Cond // pending grew or the queue closed
+	// pending holds tickets accepted but not yet drained into the line;
+	// its length is the queue depth.
 	pending []*Ticket
 	closed  bool
 	seq     uint64
-	next    int // next global dispatch index
 
 	outcomes              [numOutcomes]uint64
 	enqueued, overflow    uint64
@@ -225,11 +229,21 @@ type Queue struct {
 	coalesced             uint64
 	speculated, stale     uint64
 
-	met  *queueMetrics
-	done chan struct{} // dispatcher exited
+	met *queueMetrics
+
+	// drain is held by the one solver moving pending into the line, from
+	// its wait for an arrival until the line has grown: arrivals during a
+	// drain are the next drain, in arrival order.
+	drain sync.Mutex
+	next  int // next global dispatch index; guarded by drain
+	line  line
+
+	solvers atomic.Int32  // still running
+	done    chan struct{} // every solver exited
 }
 
-// New starts a queue and its dispatcher goroutine. Stop it with Close.
+// New starts a queue and its Workers solver goroutines. Stop it with
+// Close.
 func New(cfg Config) *Queue {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 256
@@ -242,7 +256,11 @@ func New(cfg Config) *Queue {
 	}
 	q := &Queue{cfg: cfg, done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
-	go q.dispatch()
+	q.line.turn.L = &q.line.mu
+	q.solvers.Store(int32(cfg.Workers))
+	for w := 0; w < cfg.Workers; w++ {
+		go q.solve()
+	}
 	return q
 }
 
@@ -270,11 +288,7 @@ func (q *Queue) Instrument(reg *obs.Registry) *Queue {
 	for o, name := range outcomeNames {
 		q.met.outcomes[o] = reg.Counter("queue_" + name + "_total")
 	}
-	reg.GaugeFunc("queue_depth", func() float64 {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		return float64(len(q.pending))
-	})
+	reg.GaugeFunc("queue_depth", func() float64 { return float64(q.Stats().Depth) })
 	reg.GaugeFunc("queue_saturated", func() float64 {
 		if q.Stats().Saturated {
 			return 1
@@ -342,9 +356,9 @@ func (q *Queue) Enqueue(ctx context.Context, task nfv.Task, deadline time.Time) 
 	return t, nil
 }
 
-// Close stops intake and drains: the dispatcher keeps solving already
-// accepted work until the pending list empties or ctx expires, at
-// which point still-queued tickets fail with ErrClosed. Returns ctx's
+// Close stops intake and drains: the solvers keep working already
+// accepted work until pending and the line empty or ctx expires, at
+// which point tickets still pending fail with ErrClosed. Returns ctx's
 // error when the budget ran out, nil on a clean drain. Idempotent.
 func (q *Queue) Close(ctx context.Context) error {
 	q.mu.Lock()
@@ -355,8 +369,8 @@ func (q *Queue) Close(ctx context.Context) error {
 	case <-q.done:
 		return nil
 	case <-ctx.Done():
-		// Budget exhausted: abandon whatever the dispatcher has not
-		// taken. Tickets already inside a batch still resolve.
+		// Budget exhausted: abandon whatever no drain has taken. Tickets
+		// already on the line still resolve.
 		q.mu.Lock()
 		rest := q.pending
 		q.pending = nil
@@ -431,27 +445,57 @@ func (q *Queue) finish(t *Ticket, o outcome, err error) {
 	close(t.done)
 }
 
-// dispatch is the scheduler loop: the moment nothing is in flight it
-// takes everything pending as one batch and runs it. What arrives
-// meanwhile waits in pending and is the next batch.
-func (q *Queue) dispatch() {
-	defer close(q.done)
+// solve is one solver's life: claim a ticket, work it, until the
+// queue is closed and drained.
+func (q *Queue) solve() {
+	for t := q.claim(); t != nil; t = q.claim() {
+		q.work(t)
+	}
+	if q.solvers.Add(-1) == 0 {
+		close(q.done)
+	}
+}
+
+// claim hands the caller the next ticket of the line nobody is
+// solving, marked ahead unless its turn has already come. When every
+// ticket is claimed it drains pending into the line, waiting for an
+// arrival if it must; while it does, the other idle solvers queue up
+// behind drain. Nil once the queue is closed and drained.
+func (q *Queue) claim() *Ticket {
+	q.drain.Lock()
+	defer q.drain.Unlock()
+	l := &q.line
 	for {
+		l.mu.Lock()
+		if l.claimed < len(l.tickets) {
+			t := l.tickets[l.claimed]
+			t.ahead = l.claimed > 0
+			l.claimed++
+			l.mu.Unlock()
+			return t
+		}
+		l.mu.Unlock()
 		q.mu.Lock()
 		for len(q.pending) == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		batch := q.pending
-		q.pending = nil
-		q.mu.Unlock()
-		if len(batch) == 0 {
-			return // closed and drained
+		if len(q.pending) == 0 {
+			q.mu.Unlock()
+			return nil
 		}
-		q.runBatch(batch)
+		batch, met := q.pending, q.met
+		q.pending = nil
+		q.batches++
+		q.mu.Unlock()
+		if met != nil {
+			met.batches.Inc()
+			met.batchSize.Observe(float64(len(batch)))
+		}
+		q.extend(batch)
 	}
 }
 
-// plan orders a drained batch: expired tickets (late) and tickets
+// plan orders one drain of pending: expired tickets (late) and tickets
 // whose caller has left (gone) come out first — no solve is wasted on
 // them — the rest go earliest-deadline-first with arrival order as
 // tie-break, then into chain-signature groups in first-occurrence
@@ -505,19 +549,12 @@ func plan(batch []*Ticket, now time.Time) (groups [][]*Ticket, late, gone []*Tic
 	return groups, late, gone
 }
 
-// runBatch resolves one drained batch end to end.
-func (q *Queue) runBatch(batch []*Ticket) {
-	size := len(batch)
+// extend plans one drain of pending, answers the tickets no solve is
+// owed to, and appends the rest to the line. The caller holds q.drain
+// and neither of the other locks: the manager provider may block (the
+// restart window, a test gate) and Enqueue must not wait for it.
+func (q *Queue) extend(batch []*Ticket) {
 	groups, late, gone := plan(batch, q.cfg.Now())
-
-	q.mu.Lock()
-	q.batches++
-	met := q.met
-	q.mu.Unlock()
-	if met != nil {
-		met.batches.Inc()
-		met.batchSize.Observe(float64(size))
-	}
 	for _, t := range late {
 		q.finish(t, expired, ErrExpired)
 	}
@@ -527,118 +564,89 @@ func (q *Queue) runBatch(batch []*Ticket) {
 	if len(groups) == 0 {
 		return
 	}
-
-	// The line is the global serialization order, assigned up front:
-	// groups in EDF first-occurrence order, tickets in EDF order within
-	// each. Commits land in exactly this order.
-	l := &line{q: q, mgr: q.cfg.Manager(), tickets: groups[0]}
-	for _, g := range groups[1:] {
-		l.tickets = append(l.tickets, g...)
-	}
-	if l.mgr == nil {
-		for _, t := range l.tickets {
-			q.finish(t, unavailable, ErrUnavailable)
+	mgr := q.cfg.Manager()
+	if mgr == nil {
+		for _, g := range groups {
+			for _, t := range g {
+				q.finish(t, unavailable, ErrUnavailable)
+			}
 		}
 		return
 	}
-	q.mu.Lock()
-	for _, t := range l.tickets {
-		t.order = q.next
-		q.next++
-	}
-	q.mu.Unlock()
-
-	// The dispatcher is the first solver and takes the head ticket
-	// before any helper exists, so a lone ticket never changes hands.
-	l.turn.L = &l.mu
-	first := l.claim()
-	var helpers sync.WaitGroup
-	for w := 1; w < q.cfg.Workers && w < len(l.tickets); w++ {
-		helpers.Add(1)
-		go func() {
-			defer helpers.Done()
-			l.work(l.claim())
-		}()
-	}
-	l.work(first)
-	helpers.Wait()
-}
-
-// line is one batch in flight: its tickets in commit order and how far
-// the solvers have got.
-type line struct {
-	q       *Queue
-	mgr     *dynamic.Manager
-	tickets []*Ticket
-
-	mu        sync.Mutex
-	turn      sync.Cond // committed moved
-	claimed   int       // tickets[:claimed] have a solver
-	committed int       // tickets[:committed] are finished
-}
-
-// claim hands the caller the next ticket nobody is solving, marked
-// ahead unless its turn has already come; nil when none is left.
-func (l *line) claim() *Ticket {
+	// The global serialization order is assigned here, up front: groups
+	// in EDF first-occurrence order, tickets in EDF order within each.
+	// Commits land in exactly this order.
+	l := &q.line
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.claimed == len(l.tickets) {
-		return nil
+	for _, g := range groups {
+		for _, t := range g {
+			t.mgr, t.order = mgr, q.next
+			q.next++
+		}
+		l.tickets = append(l.tickets, g...)
 	}
-	t := l.tickets[l.claimed]
-	t.ahead = l.committed < l.claimed
-	l.claimed++
-	return t
 }
 
-// work is one solver's loop, from ticket t on: solve the ticket under
-// its own context and deadline, wait for its turn, settle it, finish
-// it, claim the next. A ticket whose turn has come when it is claimed
-// is a plain AdmitCtx. Any other is solved ahead and settles at its
-// turn only at the exact version it was solved at (see
-// dynamic.Manager.Solve), so whichever solver gets there, the line
-// commits what one solver working through it alone would have. Each
-// solver holds at most one unsettled result, which is the waste bound.
-func (l *line) work(t *Ticket) {
-	q := l.q
-	for t != nil {
-		ctx, cancel := t.ctx, context.CancelFunc(func() {})
-		if !t.deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(t.ctx, t.deadline)
-		}
-		t.wait = q.cfg.Now().Sub(t.enqueued)
-		start := time.Now()
-		a := l.mgr.Solve(ctx, t.task, t.ahead)
-		l.mu.Lock()
-		for l.tickets[l.committed] != t {
-			l.turn.Wait()
-		}
-		l.mu.Unlock()
-		sess, err := a.Settle()
-		cancel()
-		t.solve, t.stale = time.Since(start), a.Stale()
-		switch cerr := t.ctx.Err(); {
-		case errors.Is(err, dynamic.ErrWAL):
-			q.finish(t, unavailable, err)
-		case err != nil:
-			q.finish(t, rejected, err)
-		case cerr != nil:
-			// The caller left mid-solve and nobody holds the session ID:
-			// release it rather than leak it.
-			q.finish(t, canceled, errors.Join(cerr, l.mgr.Release(sess.ID)))
-		default:
-			t.sess, t.coalesced = sess, sess.Coalesced
-			q.finish(t, admitted, nil)
-		}
-		l.mu.Lock()
-		l.committed++
-		l.turn.Broadcast()
-		l.mu.Unlock()
-		// With a solver on every processor, the caller just answered has
-		// none to wake up on until one of them blocks: let it run before
-		// the next solve starts.
-		if t = l.claim(); t != nil {
-			runtime.Gosched()
-		}
+// line is every drained ticket that has not committed yet, in commit
+// order: tickets[0] is the one whose turn it is.
+type line struct {
+	mu      sync.Mutex
+	turn    sync.Cond // the head committed
+	tickets []*Ticket
+	claimed int // tickets[:claimed] have a solver
+}
+
+// work takes ticket t from claim to commit: solve it under its own
+// context and deadline, wait for its turn, settle it, finish it. A
+// ticket whose turn has come when it is claimed is a plain AdmitCtx.
+// Any other is solved ahead and settles at its turn only at the exact
+// version it was solved at (see dynamic.Manager.Solve), so whichever
+// solver gets there, the line commits what one solver working through
+// it alone would have. Each solver holds at most one unsettled result,
+// which is the waste bound.
+func (q *Queue) work(t *Ticket) {
+	l := &q.line
+	ctx, cancel := t.ctx, context.CancelFunc(func() {})
+	if !t.deadline.IsZero() {
+		ctx, cancel = context.WithDeadline(t.ctx, t.deadline)
+	}
+	t.wait = q.cfg.Now().Sub(t.enqueued)
+	start := time.Now()
+	a := t.mgr.Solve(ctx, t.task, t.ahead)
+	l.mu.Lock()
+	for l.tickets[0] != t {
+		l.turn.Wait()
+	}
+	l.mu.Unlock()
+	sess, err := a.Settle()
+	cancel()
+	t.solve, t.stale = time.Since(start), a.Stale()
+	switch cerr := t.ctx.Err(); {
+	case errors.Is(err, dynamic.ErrWAL):
+		q.finish(t, unavailable, err)
+	case err != nil:
+		q.finish(t, rejected, err)
+	case cerr != nil:
+		// The caller left mid-solve and nobody holds the session ID:
+		// release it rather than leak it.
+		q.finish(t, canceled, errors.Join(cerr, t.mgr.Release(sess.ID)))
+	default:
+		t.sess, t.coalesced = sess, sess.Coalesced
+		q.finish(t, admitted, nil)
+	}
+	l.mu.Lock()
+	l.tickets[0] = nil // the storage behind the head is let go as the line grows
+	l.tickets = l.tickets[1:]
+	l.claimed--
+	waiting := l.claimed < len(l.tickets)
+	l.turn.Broadcast()
+	l.mu.Unlock()
+	// With a solver on every processor, the caller just answered has
+	// none to wake up on until one of them blocks: let it run before
+	// the next solve starts. A solver with nothing to claim is about to
+	// block anyway.
+	if waiting {
+		runtime.Gosched()
 	}
 }

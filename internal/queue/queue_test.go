@@ -52,12 +52,12 @@ func closeQueue(t testing.TB, q *Queue) {
 	}
 }
 
-// gate is a Config.Manager provider that parks the dispatcher: every
-// batch that reaches the provider announces itself on parked and then
-// blocks until resume yields (one send per batch, or close to let
-// every later batch through). Tickets enqueued while a batch is parked
-// form exactly the next batch, so tests assemble batches by event
-// instead of by timer.
+// gate is a Config.Manager provider that parks the draining solver:
+// every drain of pending that reaches the provider announces itself on
+// parked and then blocks until resume yields (one send per drain, or
+// close to let every later drain through). One drain runs at a time, so
+// tickets enqueued while one is parked form exactly the next, and tests
+// assemble batches by event instead of by timer.
 type gate struct {
 	m      *dynamic.Manager
 	parked chan struct{}
@@ -65,8 +65,8 @@ type gate struct {
 }
 
 func newGate(m *dynamic.Manager) *gate {
-	// parked is buffered past any test's batch count, so the dispatcher
-	// never blocks announcing a batch nobody is stepping.
+	// parked is buffered past any test's drain count, so a solver never
+	// blocks announcing a drain nobody is stepping.
 	return &gate{m: m, parked: make(chan struct{}, 256), resume: make(chan struct{})}
 }
 
@@ -76,8 +76,8 @@ func (g *gate) manager() *dynamic.Manager {
 	return g.m
 }
 
-// hold enqueues a plug ticket and returns once the dispatcher is
-// parked inside the plug's batch.
+// hold enqueues a plug ticket and returns once a solver is parked
+// inside the plug's drain.
 func (g *gate) hold(t *testing.T, q *Queue, plug nfv.Task) *Ticket {
 	t.Helper()
 	tk, err := q.Enqueue(context.Background(), plug, time.Time{})
@@ -184,7 +184,7 @@ func TestQueueAdmits(t *testing.T) {
 }
 
 // TestQueueWorkConserving pins that no timer stands between an idle
-// dispatcher and a ticket: the deprecated BatchWindow field is inert,
+// solver and a ticket: the deprecated BatchWindow field is inert,
 // so even an hour of it cannot delay a lone admission.
 func TestQueueWorkConserving(t *testing.T) {
 	m, next := testWorld(t, 3, core.Options{})
@@ -278,7 +278,7 @@ func TestQueueOverflow(t *testing.T) {
 	q := New(Config{Depth: 2, Manager: g.manager})
 	defer closeQueue(t, q)
 
-	// The plug is in the dispatcher's hands, so the two slots are free.
+	// The plug is in a solver's hands, so the two slots are free.
 	kept := []*Ticket{g.hold(t, q, next())}
 	for i := 0; i < 6; i++ {
 		tk, err := q.Enqueue(context.Background(), next(), time.Time{})
@@ -314,7 +314,7 @@ func TestQueueExpired(t *testing.T) {
 	if _, err := q.Enqueue(context.Background(), next(), clock.Now().Add(-time.Second)); !errors.Is(err, ErrExpired) {
 		t.Fatalf("past deadline: err = %v, want ErrExpired", err)
 	}
-	// Expires while queued behind a busy solver: the dispatcher must
+	// Expires while queued behind a parked drain: the next drain must
 	// drop it before solving.
 	plug := g.hold(t, q, next())
 	tk, err := q.Enqueue(context.Background(), next(), clock.Now().Add(5*time.Millisecond))
@@ -382,7 +382,7 @@ func TestQueueCloseBudget(t *testing.T) {
 	if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("abandoned ticket: err = %v, want ErrClosed", err)
 	}
-	// The batch already in the dispatcher's hands still resolves.
+	// The drain already in a solver's hands still resolves.
 	g.open()
 	if _, err := plug.Wait(context.Background()); err != nil {
 		t.Fatalf("in-flight ticket: %v", err)

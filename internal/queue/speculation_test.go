@@ -51,37 +51,55 @@ func specTask(f int) nfv.Task {
 }
 
 // parkSolves is a core.Observer that, once armed, parks every solve at
-// its start until open closes, and closes full when the n-th arrives.
+// its start until open closes, announces each of the first n on parked
+// and closes full when the n-th arrives.
 type parkSolves struct {
 	armed   atomic.Bool
 	n       int32
 	arrived atomic.Int32
+	parked  chan struct{}
 	full    chan struct{}
 	open    chan struct{}
 }
 
 func newParkSolves(n int) *parkSolves {
-	return &parkSolves{n: int32(n), full: make(chan struct{}), open: make(chan struct{})}
+	return &parkSolves{n: int32(n), parked: make(chan struct{}, n), full: make(chan struct{}), open: make(chan struct{})}
 }
 
 func (p *parkSolves) OnEvent(e core.Event) {
 	if e.Kind != core.EventStage1Start || !p.armed.Load() {
 		return
 	}
-	if p.arrived.Add(1) == p.n {
+	k := p.arrived.Add(1)
+	if k <= p.n {
+		p.parked <- struct{}{}
+	}
+	if k == p.n {
 		close(p.full)
 	}
 	<-p.open
 }
 
-// heldLine queues tasks behind a plug on a queue with one solver per
-// task, lets the plug's own batch through, and returns with the
-// dispatcher parked at the head of the batch the tasks form. The plug
-// is tickets[0].
-func heldLine(t *testing.T, m *dynamic.Manager, plug nfv.Task, tasks []nfv.Task) (*Queue, *gate, []*Ticket) {
+// settled returns once every ticket on the line has committed and the
+// line has moved past it, which is a moment after the last of them
+// resolved: a ticket claimed before then would count as solved ahead.
+func settled(q *Queue) {
+	l := &q.line
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.tickets) > 0 {
+		l.turn.Wait()
+	}
+}
+
+// heldLine queues tasks behind a plug on a queue with the given number
+// of solvers, lets the plug's own drain through, and returns with the
+// line empty and a solver parked inside the drain the tasks form. The
+// plug is tickets[0].
+func heldLine(t *testing.T, m *dynamic.Manager, workers int, plug nfv.Task, tasks []nfv.Task) (*Queue, *gate, []*Ticket) {
 	t.Helper()
 	g := newGate(m)
-	q := New(Config{Depth: len(tasks), Workers: len(tasks), Manager: g.manager})
+	q := New(Config{Depth: len(tasks), Workers: workers, Manager: g.manager})
 	tickets := []*Ticket{g.hold(t, q, plug)}
 	for _, task := range tasks {
 		tk, err := q.Enqueue(context.Background(), task, time.Time{})
@@ -94,12 +112,13 @@ func heldLine(t *testing.T, m *dynamic.Manager, plug nfv.Task, tasks []nfv.Task)
 	if _, err := tickets[0].Wait(context.Background()); err != nil {
 		t.Fatalf("plug: %v", err)
 	}
+	settled(q)
 	<-g.parked
 	return q, g, tickets
 }
 
 // TestQueueSpeculation forces the two extremes of solving ahead. Four
-// tickets ride one batch with a solver each, and every solve is parked
+// tickets ride one drain with a solver each, and every solve is parked
 // until all four hold their snapshot, so the three behind the head are
 // all solved ahead, at the version the head was solved at. In the
 // stale script every task installs an instance nobody has yet: the
@@ -137,7 +156,7 @@ func TestQueueSpeculation(t *testing.T) {
 					}
 				}
 			}
-			q, g, tickets := heldLine(t, mQ, specTask(n), tasks)
+			q, g, tickets := heldLine(t, mQ, n, specTask(n), tasks)
 			reg := obs.NewRegistry()
 			q.Instrument(reg)
 			before := len(ring.Snapshot())
@@ -191,15 +210,15 @@ func TestQueueSpeculation(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForHelper parks both solvers of a two-ticket batch
-// mid-solve — the dispatcher on the head, a helper on the ticket behind
-// it — and requires Manager.Drain to wait for both: the shutdown
+// TestDrainWaitsForHelper parks both solvers of a two-ticket line
+// mid-solve — one on the head, one on the ticket behind it — and
+// requires Manager.Drain to wait for both: the shutdown
 // snapshot must not be cut while an admission is anywhere between its
 // first half and its commit, so when Drain returns both are committed.
 func TestDrainWaitsForHelper(t *testing.T) {
 	park := newParkSolves(2)
 	m := dynamic.NewManager(specNet(t), core.Options{Observer: park})
-	q, g, tickets := heldLine(t, m, specTask(4), []nfv.Task{specTask(0), specTask(1)})
+	q, g, tickets := heldLine(t, m, 2, specTask(4), []nfv.Task{specTask(0), specTask(1)})
 	park.armed.Store(true)
 	g.open()
 	<-park.full
@@ -227,6 +246,6 @@ func TestDrainWaitsForHelper(t *testing.T) {
 	}
 	closeQueue(t, q)
 	if st := q.Stats(); st.Speculated != 1 || st.Stale != 1 {
-		t.Errorf("stats %+v: the helper's solve ran ahead of a head that deploys", st)
+		t.Errorf("stats %+v: the second solve ran ahead of a head that deploys", st)
 	}
 }

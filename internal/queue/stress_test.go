@@ -63,7 +63,7 @@ func stress(t *testing.T, workers int) {
 	var bg sync.WaitGroup
 
 	// Link flapper: fail and restore one edge via the Rebase path, so
-	// snapshot generations move under the dispatcher.
+	// snapshot generations move under the solvers.
 	st := faults.NewState(net)
 	edge := net.Graph().Edge(0)
 	bg.Add(1)

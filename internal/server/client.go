@@ -17,7 +17,10 @@ import (
 )
 
 // Client is a typed HTTP client for the sftserve API, usable by other
-// controllers or test harnesses.
+// controllers or test harnesses. A call always consumes its response
+// before it returns, so the connection goes back to the transport's
+// idle pool: a caller that makes its calls one after another holds one
+// connection for as long as it lives.
 type Client struct {
 	base  string
 	http  *http.Client
@@ -37,7 +40,9 @@ func NewClient(base string, httpClient *http.Client) *Client {
 // RetryPolicy bounds the client's automatic retries. Only idempotent
 // requests (GET, DELETE) are retried, and only on connection errors or
 // 5xx responses: a failed POST may have reached the server, so
-// repeating it could double-solve or double-admit.
+// repeating it could double-solve or double-admit. A DELETE whose
+// retry answers 404 has succeeded: an earlier attempt removed the
+// resource and lost its response.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (1 = no retries).
 	MaxAttempts int
@@ -137,14 +142,28 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("client: encode: %w", err)
 		}
 	}
+	read := func(body io.Reader) error {
+		if out == nil {
+			return nil
+		}
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return fmt.Errorf("client: decode: %w", err)
+		}
+		return nil
+	}
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := c.attempt(ctx, method, path, blob, out)
+		resp, err := c.attempt(ctx, method, path, blob, read)
 		if err == nil {
+			return nil
+		}
+		if attempt > 1 && method == http.MethodDelete && IsNotFound(err) {
+			// An earlier attempt may have committed and lost its response;
+			// either way the resource is gone, which is what was asked.
 			return nil
 		}
 		lastErr = err
@@ -157,10 +176,18 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 }
 
-// attempt performs one round-trip. The returned response is non-nil
-// only on HTTP-level errors (for retry classification); its body is
-// already closed.
-func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, out any) (*http.Response, error) {
+// drainLimit bounds what a call reads of a response beyond what it
+// needed (a JSON document's trailing newline, a body nobody asked for)
+// so that the transport can reuse the connection: it does so only when
+// the body was read to its end. A body with more left than this costs
+// the bound and then the connection, never a stall.
+const drainLimit = 64 << 10
+
+// attempt performs one round-trip and hands the body of a 2xx response
+// to read. The returned response is non-nil only on HTTP-level errors
+// (for retry classification). On every exit what is left of the body,
+// up to drainLimit, is consumed before it closes.
+func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, read func(io.Reader) error) (*http.Response, error) {
 	var body io.Reader
 	if blob != nil {
 		body = bytes.NewReader(blob)
@@ -176,7 +203,10 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit) // best effort: the call's outcome is already decided
+		resp.Body.Close()
+	}()
 	if resp.StatusCode/100 != 2 {
 		var eb errorBody
 		msg := resp.Status
@@ -185,13 +215,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 		}
 		return resp, &APIError{Status: resp.StatusCode, Message: msg}
 	}
-	if out == nil {
-		return nil, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return nil, fmt.Errorf("client: decode: %w", err)
-	}
-	return nil, nil
+	return nil, read(resp.Body)
 }
 
 // Health checks the liveness endpoint.
@@ -223,25 +247,12 @@ func (c *Client) Render(ctx context.Context, req SolveRequest) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: encode: %w", err)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/render", bytes.NewReader(blob))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		return nil, &APIError{Status: resp.StatusCode, Message: msg}
-	}
-	return io.ReadAll(resp.Body)
+	var svg []byte
+	_, err = c.attempt(ctx, http.MethodPost, "/v1/render", blob, func(body io.Reader) (err error) {
+		svg, err = io.ReadAll(body)
+		return err
+	})
+	return svg, err
 }
 
 // Admit creates a session on the server's network.

@@ -3,12 +3,15 @@ package server
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sftree/internal/core"
+	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
 
@@ -154,5 +157,50 @@ func TestBackoffRespectsRetryAfterCap(t *testing.T) {
 		if d < 0 || d > p.MaxDelay {
 			t.Fatalf("attempt %d: backoff %v outside [0, %v]", n, d, p.MaxDelay)
 		}
+	}
+}
+
+// TestClientRetriedReleaseThatCommitted loses the response of a release
+// the server carried out: the retry finds the session gone, which is
+// what the caller asked for, so the call succeeds. A 404 on a first
+// attempt is still the caller's mistake.
+func TestClientRetriedReleaseThatCommitted(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	net, err := netgen.Generate(netgen.PaperConfig(25, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(net, core.Options{})
+	var dropped atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodDelete || dropped.Swap(true) {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		// Commit, then hang up instead of answering.
+		srv.ServeHTTP(httptest.NewRecorder(), r)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Errorf("hijack: %v", err)
+			return
+		}
+		conn.Close()
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, nil).WithRetry(fastRetry(3))
+	ctx := context.Background()
+
+	sess, err := c.Admit(ctx, nfv.Task{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}})
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	if err := c.Release(ctx, sess.ID); err != nil {
+		t.Fatalf("release whose first response was lost: %v", err)
+	}
+	if n := srv.Manager().Active(); n != 0 {
+		t.Fatalf("%d sessions live after the release", n)
+	}
+	if err := c.Release(ctx, sess.ID); !IsNotFound(err) {
+		t.Fatalf("release of an unknown session, first attempt: err = %v, want 404", err)
 	}
 }

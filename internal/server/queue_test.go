@@ -9,8 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,30 +21,41 @@ import (
 	"sftree/internal/nfv"
 )
 
-// solverHold is a Config.Observer that parks the admission dispatcher
-// inside a solve: once armed, the next solver event announces itself
-// on parked and blocks until open. Requests posted meanwhile queue up
-// behind the busy solver, so tests assemble queue states by event
-// instead of by timer.
+// solverHold is a Config.Observer that parks every solver of the
+// admission queue inside a solve: the first solvers solves announce
+// themselves on parked as they start and block until open. The server
+// gives its queue one solver per processor, so with that many solves
+// held, requests posted meanwhile queue up behind busy solvers and
+// tests assemble queue states by event instead of by timer.
 type solverHold struct {
-	mu     sync.Mutex
-	armed  bool
-	parked chan struct{}
-	resume chan struct{}
+	solvers int
+	left    atomic.Int32 // solves still to park
+	parked  chan struct{}
+	resume  chan struct{}
 }
 
 func newSolverHold() *solverHold {
-	return &solverHold{armed: true, parked: make(chan struct{}), resume: make(chan struct{})}
+	n := runtime.GOMAXPROCS(0)
+	h := &solverHold{solvers: n, parked: make(chan struct{}, n), resume: make(chan struct{})}
+	h.left.Store(int32(n))
+	return h
 }
 
-func (h *solverHold) OnEvent(core.Event) {
-	h.mu.Lock()
-	first := h.armed
-	h.armed = false
-	h.mu.Unlock()
-	if first {
-		close(h.parked)
-		<-h.resume
+func (h *solverHold) OnEvent(e core.Event) {
+	if e.Kind != core.EventStage1Start || h.left.Add(-1) < 0 {
+		return
+	}
+	h.parked <- struct{}{}
+	<-h.resume
+}
+
+// awaitParked returns once one more solve is parked.
+func (h *solverHold) awaitParked(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-h.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never reached a solver", what)
 	}
 }
 
@@ -87,17 +99,25 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// holdQueue posts a plug admission and returns once the dispatcher is
-// parked inside its solve, with the queue empty behind it.
-func holdQueue(t *testing.T, h *solverHold, url string, blob []byte) <-chan *http.Response {
+// holdQueue posts n plug admissions, one at a time, and returns once n
+// more solvers are parked inside their solves, with the queue empty
+// behind them.
+func holdQueue(t *testing.T, h *solverHold, n int, url string, blob []byte) []<-chan *http.Response {
 	t.Helper()
-	plug := postAsync(url, blob)
-	select {
-	case <-h.parked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("plug admission never reached the solver")
+	plugs := make([]<-chan *http.Response, n)
+	for i := range plugs {
+		plugs[i] = postAsync(url, blob)
+		h.awaitParked(t, "plug admission")
 	}
-	return plug
+	return plugs
+}
+
+// wantPlugs checks that every plug was admitted.
+func wantPlugs(t *testing.T, plugs []<-chan *http.Response) {
+	t.Helper()
+	for _, plug := range plugs {
+		wantStatus(t, "plug", plug, http.StatusCreated)
+	}
 }
 
 // newQueuedServer boots a session server in queued-admission mode and
@@ -242,8 +262,8 @@ func TestQueuedAdmitRejection(t *testing.T) {
 	}
 }
 
-// TestQueuedAdmitOverflow forces the bounded queue full behind a busy
-// solver and asserts the 429 envelope carries Retry-After.
+// TestQueuedAdmitOverflow forces the bounded queue full behind busy
+// solvers and asserts the 429 envelope carries Retry-After.
 func TestQueuedAdmitOverflow(t *testing.T) {
 	h := newSolverHold()
 	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 1, Observer: h})
@@ -253,9 +273,9 @@ func TestQueuedAdmitOverflow(t *testing.T) {
 	}
 	url := ts.URL + "/v1/sessions"
 
-	// One admission occupies the solver, the next fills the single
-	// slot, the third finds the queue full.
-	plug := holdQueue(t, h, url, blob)
+	// One admission occupies each solver, the next fills the single
+	// slot, the one after finds the queue full.
+	plugs := holdQueue(t, h, h.solvers, url, blob)
 	queued := postAsync(url, blob)
 	waitFor(t, "the second request to reach the queue", func() bool { return srv.Queue().Stats().Depth == 1 })
 
@@ -296,11 +316,11 @@ func TestQueuedAdmitOverflow(t *testing.T) {
 	}
 
 	h.open()
-	wantStatus(t, "plug", plug, http.StatusCreated)
+	wantPlugs(t, plugs)
 	wantStatus(t, "queued request", queued, http.StatusCreated)
 }
 
-// TestQueuedAdmitExpires queues a 1 ms deadline behind a busy solver
+// TestQueuedAdmitExpires queues a 1 ms deadline behind busy solvers
 // and lets it pass: the ticket must expire in-queue and answer 429
 // with Retry-After, never reaching a solver.
 func TestQueuedAdmitExpires(t *testing.T) {
@@ -310,7 +330,7 @@ func TestQueuedAdmitExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plug := holdQueue(t, h, ts.URL+"/v1/sessions", blob)
+	plugs := holdQueue(t, h, h.solvers, ts.URL+"/v1/sessions", blob)
 
 	late := postAsync(ts.URL+"/v1/sessions?timeout_ms=1", blob)
 	waitFor(t, "the deadlined request to reach the queue", func() bool { return srv.Queue().Stats().Depth == 1 })
@@ -323,9 +343,9 @@ func TestQueuedAdmitExpires(t *testing.T) {
 	if resp := wantStatus(t, "expired request", late, http.StatusTooManyRequests); resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	wantStatus(t, "plug", plug, http.StatusCreated)
-	if st := srv.Queue().Stats(); st.Expired != 1 || st.Admitted != 1 {
-		t.Errorf("queue stats = %+v, want 1 expired, 1 admitted", st)
+	wantPlugs(t, plugs)
+	if st := srv.Queue().Stats(); st.Expired != 1 || int(st.Admitted) != len(plugs) {
+		t.Errorf("queue stats = %+v, want 1 expired, %d admitted", st, len(plugs))
 	}
 }
 
@@ -357,14 +377,12 @@ func TestQueuedAdmitClientGone(t *testing.T) {
 		return done
 	}
 
-	// The first client leaves mid-solve, the second while still queued.
+	// The first client leaves mid-solve, the second while still queued
+	// behind it and the plugs that keep the other solvers busy.
 	solvingCtx, leaveSolving := context.WithCancel(context.Background())
 	solving := post(solvingCtx)
-	select {
-	case <-h.parked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("first admission never reached the solver")
-	}
+	h.awaitParked(t, "first admission")
+	plugs := holdQueue(t, h, h.solvers-1, url, blob)
 	queuedCtx, leaveQueued := context.WithCancel(context.Background())
 	queued := post(queuedCtx)
 	waitFor(t, "the second request to reach the queue", func() bool { return srv.Queue().Stats().Depth == 1 })
@@ -380,15 +398,16 @@ func TestQueuedAdmitClientGone(t *testing.T) {
 	gone := srv.Registry().Counter("http_responses_total|POST /v1/sessions|5xx")
 	waitFor(t, "the server to see both clients gone", func() bool { return gone.Value() == 2 })
 	h.open()
+	wantPlugs(t, plugs)
 	waitFor(t, "both tickets to resolve", func() bool {
 		st := srv.Queue().Stats()
-		return st.Depth == 0 && st.Admitted+st.Canceled == 2
+		return st.Depth == 0 && int(st.Admitted+st.Canceled) == 2+len(plugs)
 	})
 	if st := srv.Queue().Stats(); st.Canceled != 2 {
 		t.Errorf("queue stats = %+v, want both tickets canceled", st)
 	}
-	if n := srv.Manager().Active(); n != 0 {
-		t.Errorf("%d sessions left that nobody holds", n)
+	if n := srv.Manager().Active(); n != len(plugs) {
+		t.Errorf("%d sessions live, want the %d plugs: the others nobody holds", n, len(plugs))
 	}
 	if err := srv.Manager().VerifyRefs(); err != nil {
 		t.Error(err)

@@ -80,13 +80,13 @@ type Config struct {
 	Manager *dynamic.Manager
 	// QueueDepth, when positive, routes POST /v1/sessions through the
 	// bounded async admission queue instead of solving inline: requests
-	// enqueue with their deadline, a dispatcher takes whatever queued
-	// up behind the previous solve as one batch grouped by chain
-	// signature, and overflow answers 429 with Retry-After. Zero keeps
-	// the inline path.
+	// enqueue with their deadline, one solver per processor works the
+	// line they form — whatever queued up behind busy solvers joins it
+	// grouped by chain signature — and overflow answers 429 with
+	// Retry-After. Zero keeps the inline path.
 	QueueDepth int
-	// Deprecated: BatchWindow is ignored; the queue dispatches the
-	// moment its solver is free.
+	// Deprecated: BatchWindow is ignored; a ticket is taken the moment
+	// a solver is free.
 	BatchWindow time.Duration
 }
 
@@ -275,8 +275,21 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// The two response bodies that never vary, as writeJSON encodes them.
+var (
+	healthBody   = []byte(`{"status":"ok"}` + "\n")
+	releasedBody = []byte(`{"status":"released"}` + "\n")
+)
+
+// writeConstant answers 200 with a precomputed JSON body.
+func writeConstant(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // headers are sent; nothing left to do on error
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeConstant(w, healthBody)
 }
 
 // handleReady reports readiness, distinct from liveness: whether the
@@ -635,5 +648,5 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
+	writeConstant(w, releasedBody)
 }

@@ -225,15 +225,15 @@ func (r *crashRunner) exec(op crashOp) error {
 // tickets at the moment of a kill.
 type parked struct {
 	q       *queue.Queue
-	plug    *queue.Ticket // in the dispatcher's hands, waiting for a manager
+	plug    *queue.Ticket // in a solver's hands, waiting for a manager
 	tickets []*queue.Ticket
-	die     chan struct{} // closed when the kill takes the dispatcher down
+	die     chan struct{} // closed when the kill takes the solvers down
 }
 
 // parkTasks fills a bounded queue in front of the crashing manager
 // with tasks that are still undispatched when the kill fires. The
-// dispatcher is wedged the way a busy solver wedges it: a plug ticket
-// is in its hands and its manager lookup does not return until the
+// queue is wedged inside a drain: a plug ticket is in a solver's
+// hands and its manager lookup does not return until the
 // process dies, so everything enqueued behind it is accepted but
 // nothing about it is durable. abandon audits the aftermath.
 func parkTasks(r *crashRunner, cfg CrashConfig, op, n int) (*parked, error) {
@@ -277,7 +277,7 @@ func parkTasks(r *crashRunner, cfg CrashConfig, op, n int) (*parked, error) {
 
 // abandon closes the dead queue with an already-expired drain budget
 // and audits the never-lose-a-task contract across the crash: every
-// parked ticket terminates with ErrClosed, the plug the dispatcher
+// parked ticket terminates with ErrClosed, the plug the solver
 // held finds no manager, and the queue's books say exactly that — the
 // WAL saw none of these tasks, so any session the restore resurrects
 // for them surfaces as a phantom in compareRuns.

@@ -9,10 +9,11 @@
 #   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget only (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
-#                       # (equivalence battery: batched admissions at
-#                       # 1, 2 and 4 solvers bit-identical to
-#                       # serialized same-order admits; forced-stale
-#                       # and forced-hit speculation scripts; stress
+#                       # (equivalence battery: idle, held and trickle
+#                       # scripts at 1, 2 and 4 solvers bit-identical
+#                       # to serialized same-order admits; forced-stale
+#                       # and forced-hit speculation scripts; the
+#                       # open-line and mid-line Close tests; stress
 #                       # test mixing enqueue, release, Rebase and WAL
 #                       # checkpoints; fuzz seeds; dispatch-rule
 #                       # tests), plus the manager's AdmitCtx tests
@@ -28,7 +29,8 @@
 #                       # on /debug/traces, and no >10% sustained-adm/s
 #                       # regression at BENCH_load.json's top rate point
 #   ./tools.sh obs      # obs smoke only: build cmds, boot sftserve,
-#                       # assert /healthz /readyz /metrics respond
+#                       # assert /healthz /readyz /metrics respond and
+#                       # /metrics counts the connections that took
 #   ./tools.sh chaos    # resilience gate only: replay a seeded fault
 #                       # schedule, assert survivors re-validate
 #   ./tools.sh recover  # durability gate only: a seeded op script runs
@@ -51,7 +53,8 @@ cd "$(dirname "$0")"
 
 # obs_smoke builds every command, boots sftserve on an ephemeral port
 # with -debug, and asserts the health, readiness and metrics endpoints
-# answer. Uses only the Go toolchain — no curl dependency.
+# answer and that the probes' own connections were counted. Uses only
+# the Go toolchain — no curl dependency.
 obs_smoke() {
 	echo "==> go build ./cmd/..."
 	tmpdir=$(mktemp -d)
@@ -83,6 +86,13 @@ obs_smoke() {
 		}
 		echo "    GET $path ok"
 	done
+	opened=$("$tmpdir/sftcheck" -url "http://$addr/metrics" -print |
+		sed -n 's/.*"http_connections_opened_total": *\([0-9][0-9]*\).*/\1/p' | head -n1)
+	if [ "${opened:-0}" -lt 1 ]; then
+		echo "obs smoke: /metrics shows no http_connections_opened_total after the probes" >&2
+		exit 1
+	fi
+	echo "    http_connections_opened_total = $opened"
 
 	kill "$srv_pid"
 	wait "$srv_pid" 2>/dev/null || true
@@ -133,18 +143,20 @@ recover_gate() {
 
 # queue_gate proves the batched admission queue keeps the serialized
 # semantics: the equivalence battery replays fixed-seed arrival
-# scripts through the queue (enqueued idle and behind a held batch,
-# plus a 32-ticket backlog cut into one batch or two) and through
+# scripts through the queue (enqueued idle, behind a held drain, and
+# as a trickle that is drained mid-line, plus a 32-ticket backlog cut
+# into one drain or two) and through
 # serialized AdmitCtx calls in the queue's recorded dispatch order and
 # requires bit-identical sessions, refcounts and accounting; the stress
 # test races enqueues against releases, Rebase fault flaps and WAL
 # checkpoints; the fuzz seeds pin the never-lose-a-task contract and
-# the Stats conservation identity; the work-conservation, per-ticket
-# completion and orphan tests pin the dispatch rules. Every ordering
-# property is held at 1, 2 and 4 solvers per batch, and the package
-# runs at -cpu 1 and -cpu 4: one processor interleaves the solvers of a
-# line at its blocking points only, four let them truly overlap. The
-# queue package assembles every batch by hook, never by sleeping, so it
+# the Stats conservation identity; the work-conservation, open-line,
+# per-ticket completion, mid-line Close and orphan tests pin the
+# dispatch rules. Every ordering property is held at 1, 2 and 4
+# solvers, and the package runs at -cpu 1 and -cpu 4: one processor
+# interleaves the solvers of a line at their blocking points only, four
+# let them truly overlap. The
+# queue package assembles every line by hook, never by sleeping, so it
 # repeats under -race; the server's queued-admission tests and the
 # manager's own AdmitCtx tests (the one admission routine, whose two
 # halves the queue calls) and its Drain test ride along.
@@ -167,9 +179,13 @@ queue_gate() {
 # chain search in internal/mod stays a column pass (no heap, no
 # shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra);
 # internal/core's non-test files call no state.cost() (a solve prices
-# once) and msa.go sorts its candidates without sort.Slice.
+# once) and msa.go sorts its candidates without sort.Slice; the only
+# goroutines internal/queue starts are the solvers in New (no per-batch
+# runBatch, no go func); and internal/server/client.go closes a
+# response body in exactly one place, behind the bounded drain that
+# lets the connection be reused.
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -196,6 +212,15 @@ retired_guard() {
 	fi
 	if grep -n 'sort\.Slice' internal/core/msa.go; then
 		echo "retired guard: internal/core/msa.go sorts through reflection again" >&2
+		exit 1
+	fi
+	if grep -nE 'runBatch|go func' $(ls internal/queue/*.go | grep -v _test.go); then
+		echo "retired guard: internal/queue builds a line per batch or spawns per-batch goroutines again (since PR 25 its only goroutines are the Workers solvers New starts)" >&2
+		exit 1
+	fi
+	if [ "$(grep -c 'Body\.Close()' internal/server/client.go)" != 1 ] ||
+		! grep -B1 'Body\.Close()' internal/server/client.go | grep -q 'io\.CopyN(io\.Discard, resp\.Body, drainLimit)'; then
+		echo "retired guard: internal/server/client.go must close a response body in exactly one place, right after the bounded drain (an unread body costs a TCP connection per call)" >&2
 		exit 1
 	fi
 }
