@@ -71,6 +71,10 @@ func (m *Manager) appendRecord(rec *wal.Record) error {
 	if m.wal == nil {
 		return nil
 	}
+	var t0 time.Time
+	if m.met != nil {
+		t0 = time.Now()
+	}
 	if _, err := m.wal.Append(rec); err != nil {
 		m.walAppendErrors++
 		if m.met != nil {
@@ -81,6 +85,7 @@ func (m *Manager) appendRecord(rec *wal.Record) error {
 	m.walRecords++
 	if m.met != nil {
 		m.met.walRecords.Inc()
+		m.met.walAppendMS.ObserveDuration(time.Since(t0))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"sftree/internal/core"
 	"sftree/internal/faults"
 	"sftree/internal/nfv"
+	"sftree/internal/obs"
 	"sftree/internal/wal"
 )
 
@@ -117,6 +118,34 @@ func TestRestoreRoundTripFromRecordsOnly(t *testing.T) {
 	// The restored network carries the surviving instance.
 	if m2.LiveInstances() != 1 || rep.RefsDeployed != 1 {
 		t.Fatalf("instances=%d deployed=%d", m2.LiveInstances(), rep.RefsDeployed)
+	}
+}
+
+// TestWALAppendHistogram holds wal_append_ms to one sample per record
+// that reached the log: an instrumented durable manager times every
+// successful append, and a refused one leaves no sample.
+func TestWALAppendHistogram(t *testing.T) {
+	l, _ := openWAL(t, t.TempDir())
+	reg := obs.NewRegistry()
+	m := NewManager(lineNet(t, 2), core.Options{}).AttachWAL(l).Instrument(reg)
+	task := nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}
+	s1, err := m.Admit(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Admit(task); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release(s1.ID); err != nil {
+		t.Fatal(err)
+	}
+	l.Crash()
+	if _, err := m.Admit(task); !errors.Is(err, ErrWAL) {
+		t.Fatalf("admit on a crashed log: %v", err)
+	}
+	records := reg.Counter("wal_records_total").Value()
+	if got := reg.Histogram("wal_append_ms", obs.LatencyBuckets).Count(); got != records || records != 3 {
+		t.Fatalf("wal_append_ms holds %d samples for %d records, want 3 and 3", got, records)
 	}
 }
 

@@ -166,8 +166,10 @@ type managerMetrics struct {
 	coalescedSolves                *obs.Counter
 	live, liveInstances, degraded  *obs.Gauge
 	solveMS, repairCostDelta       *obs.Histogram
-	// Durability counters (see AttachWAL / Checkpoint).
+	// Durability counters (see AttachWAL / Checkpoint), and the time
+	// one successful append — write plus sync — holds m.mu.
 	walRecords, walAppendErrors *obs.Counter
+	walAppendMS                 *obs.Histogram
 	snapshots                   *obs.Counter
 	walDirty                    *obs.Gauge
 }
@@ -208,8 +210,10 @@ func (m *Manager) CloneNetwork() *nfv.Network {
 // sessions_live and instances_live gauges, the session_solve_ms
 // per-admission latency histogram, and the optimistic-admission
 // counters admit_commit_conflicts_total, admit_retries_total and
-// admit_serialized_fallbacks_total. It returns the manager for
-// chaining; an uninstrumented manager pays nothing.
+// admit_serialized_fallbacks_total, and wal_append_ms, the write and
+// sync of one committed record as the manager sees it, under its lock
+// (what tells a slow disk from a slow solve). It returns the manager
+// for chaining; an uninstrumented manager pays nothing.
 func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -230,6 +234,7 @@ func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 		repairCostDelta:     reg.Histogram("repair_cost_delta", nil),
 		walRecords:          reg.Counter("wal_records_total"),
 		walAppendErrors:     reg.Counter("wal_append_errors_total"),
+		walAppendMS:         reg.Histogram("wal_append_ms", obs.LatencyBuckets),
 		snapshots:           reg.Counter("snapshots_written_total"),
 		walDirty:            reg.Gauge("wal_checkpoint_dirty"),
 	}

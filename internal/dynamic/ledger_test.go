@@ -25,9 +25,9 @@ const shadowSeeds = 200
 // previous one, decoded from the bytes the WAL's encoder put on disk.
 // The log stays open and nothing is restored; the files are only read.
 type logTail struct {
-	dir     string
-	segment string // segment the cursor is in ("" before the first drain)
-	offset  int    // bytes of it already consumed
+	dir      string
+	segment  string // segment the cursor is in ("" before the first drain)
+	consumed int    // frames of it already returned
 }
 
 func (lt *logTail) drain(t *testing.T) []wal.Record {
@@ -43,20 +43,25 @@ func (lt *logTail) drain(t *testing.T) []wal.Record {
 			continue // folded into a snapshot and not pruned yet
 		}
 		if name > lt.segment {
-			lt.segment, lt.offset = name, 0
+			lt.segment, lt.consumed = name, 0
 		}
 		blob, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn, err := wal.ReplayBytes(blob[lt.offset:], true, func(r *wal.Record) error {
-			out = append(out, *r)
+		// The active segment is preallocated past its records, so the
+		// cursor counts the frames read; the file's length says nothing.
+		frames := 0
+		torn, err := wal.ReplayBytes(blob, true, func(r *wal.Record) error {
+			if frames++; frames > lt.consumed {
+				out = append(out, *r)
+			}
 			return nil
 		})
 		if err != nil || torn {
-			t.Fatalf("reading back %s from offset %d: torn=%v err=%v", name, lt.offset, torn, err)
+			t.Fatalf("reading back %s past frame %d: torn=%v err=%v", name, lt.consumed, torn, err)
 		}
-		lt.offset = len(blob)
+		lt.consumed = frames
 	}
 	return out
 }

@@ -40,6 +40,12 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(v[:len(v)-5], false)
 	// A single corrupt header claiming an enormous payload.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, false)
+	// What a crashed log's preallocation leaves behind, after records
+	// and on its own: the end of the log when final, corrupt otherwise.
+	for _, last := range []bool{true, false} {
+		f.Add(append(validLog(), make([]byte, 64)...), last)
+		f.Add(make([]byte, 64), last)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, lastSegment bool) {
 		var replayed []Record
@@ -47,6 +53,19 @@ func FuzzWALReplay(f *testing.F) {
 			replayed = append(replayed, *r)
 			return nil
 		})
+		// Zero tail: a clean end when last, ErrCorrupt otherwise.
+		if body := bytes.TrimRight(data, "\x00"); len(body) < len(data) && (len(body) == 0 || bytes.Equal(body, validLog())) {
+			want := 0
+			if len(body) > 0 {
+				want = 3
+			}
+			if lastSegment && (err != nil || torn || len(replayed) != want) {
+				t.Fatalf("zero tail in the last segment: %d records, torn=%v, err=%v", len(replayed), torn, err)
+			}
+			if !lastSegment && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("zero tail in a non-final segment: err=%v, want ErrCorrupt", err)
+			}
+		}
 		if err != nil {
 			// The only legal failure is typed corruption.
 			if !errors.Is(err, ErrCorrupt) {

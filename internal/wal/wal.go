@@ -24,11 +24,21 @@
 // to treat it as corruption. Corruption anywhere else is a typed
 // ErrCorrupt — never a panic, never silently wrong state.
 //
-// Sync discipline is configurable: SyncAlways fsyncs after every
-// append (a committed admission survives SIGKILL the moment the
-// client is acked), SyncInterval batches fsyncs on a timer, SyncNone
-// leaves durability to the OS page cache. Snapshots are always
-// written to a temp file, fsynced, atomically renamed, and the
+// The active segment is preallocated: the log keeps it fallocated a
+// chunk past its tail and writes each frame at the tail offset, so a
+// commit moves no file size and its sync is the device flush alone.
+// What lies past the tail reads as zeros, which adds one rule to the
+// format: in the last segment an all-zero frame header ends the log
+// (the writer never emits an empty payload). That is not a tear; like
+// one, recovery cuts it off before a newer segment exists, and Close
+// and WriteSnapshot trim it before the segment stops being the last,
+// so a non-final segment never carries a zero tail.
+//
+// Sync discipline is configurable: SyncAlways syncs after every
+// append (a committed admission survives SIGKILL and power loss the
+// moment the client is acked), SyncInterval batches syncs on a timer,
+// SyncNone leaves durability to the OS page cache. Snapshots are
+// always written to a temp file, fsynced, atomically renamed, and the
 // directory fsynced, regardless of policy.
 package wal
 
@@ -67,6 +77,16 @@ const MaxRecordBytes = 16 << 20
 // frameHeaderSize is the fixed per-frame overhead: 4 bytes payload
 // length + 4 bytes CRC32C.
 const frameHeaderSize = 8
+
+// reserveChunk is how far past the frame being written a reservation
+// extends the active segment: one size-changing sync per chunk of
+// records instead of one per record, and at most this much disk held
+// past the tail of an open log.
+const reserveChunk = 1 << 20
+
+// preallocate is fallocate; a variable so a test can hand Append a
+// full disk.
+var preallocate = fallocate
 
 // castagnoli is the CRC32C table (the polynomial used by iSCSI, ext4
 // and most storage WALs; hardware-accelerated on amd64/arm64).
@@ -246,13 +266,16 @@ type Log struct {
 	dir string
 	cfg Config
 
-	mu      sync.Mutex
-	f       *os.File
-	buf     []byte // frame staging buffer, reused across appends
-	nextSeq uint64
-	closed  bool
-	dirty   bool // bytes written since the last fsync
-	stats   LogStats
+	mu       sync.Mutex
+	f        *os.File
+	off      int64  // tail of the active segment: where the next frame goes
+	reserved int64  // end of the active segment's preallocated region
+	growOnly bool   // the filesystem refuses fallocate: appends grow the file
+	buf      []byte // frame staging buffer, reused across appends
+	nextSeq  uint64
+	closed   bool
+	dirty    bool // bytes written since the last sync
+	stats    LogStats
 
 	stopSync chan struct{} // interval-sync goroutine shutdown
 	syncDone chan struct{}
@@ -301,7 +324,7 @@ func (l *Log) syncLoop() {
 		case <-t.C:
 			l.mu.Lock()
 			if !l.closed && l.dirty {
-				if err := l.f.Sync(); err != nil {
+				if err := datasync(l.f); err != nil {
 					l.poisonLocked()
 				} else {
 					l.dirty = false
@@ -335,16 +358,61 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return n, true
 }
 
-// openSegmentLocked creates the active segment starting at seq.
+// openSegmentLocked creates the active segment starting at seq; the
+// tail is the end of the file (recovery has already cut a same-named
+// leftover back to its last frame).
 func (l *Log) openSegmentLocked(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(seq)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(seq)), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
-	l.f = f
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("wal: open segment: %w", err)
+	}
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return err
+	}
+	l.f, l.off, l.reserved = f, end, end
 	l.dirty = false
-	return syncDir(l.dir)
+	return nil
+}
+
+// reserveLocked makes sure the next n bytes at the tail lie inside the
+// preallocated region, extending it one chunk past them when they do
+// not. It writes nothing: a full disk is refused here, before any byte
+// of the frame exists. On a filesystem without fallocate it does
+// nothing, for good.
+func (l *Log) reserveLocked(n int) error {
+	end := l.off + int64(n)
+	if l.growOnly || end <= l.reserved {
+		return nil
+	}
+	err := preallocate(l.f, l.off, end+reserveChunk-l.off)
+	if errors.Is(err, errors.ErrUnsupported) {
+		l.growOnly = true
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	l.reserved = end + reserveChunk
+	return nil
+}
+
+// trimLocked cuts the preallocated region past the tail off the active
+// segment and fsyncs it, new size included. It runs before the segment
+// can stop being the last one.
+func (l *Log) trimLocked() error {
+	if l.reserved > l.off {
+		if err := l.f.Truncate(l.off); err != nil {
+			return err
+		}
+		l.reserved = l.off
+	}
+	return l.f.Sync()
 }
 
 // frame appends one framed payload to dst and returns the result.
@@ -357,9 +425,10 @@ func frame(dst, payload []byte) []byte {
 }
 
 // Append assigns the record its sequence number, frames it, writes it
-// to the active segment and applies the sync policy. It returns the
-// assigned sequence number. The record is durable on return under
-// SyncAlways.
+// at the tail of the active segment and applies the sync policy. It
+// returns the assigned sequence number. The record is durable on
+// return under SyncAlways. A reservation the disk refuses fails the
+// append with nothing written and the log still open.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -375,19 +444,23 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds cap %d", len(payload), MaxRecordBytes)
 	}
 	l.buf = frame(l.buf[:0], payload)
-	if _, err := l.f.Write(l.buf); err != nil {
-		// A short write (ENOSPC, dead disk) may have left a partial
+	if err := l.reserveLocked(len(l.buf)); err != nil {
+		return 0, fmt.Errorf("wal: reserve: %w", err)
+	}
+	if _, err := l.f.WriteAt(l.buf, l.off); err != nil {
+		// A short write (dead disk) may have left a partial
 		// frame in the active segment. Accepting further appends would
 		// stack acked records behind the tear, and replay — which stops
 		// at the first torn frame — would silently discard them all.
 		l.poisonLocked()
 		return 0, fmt.Errorf("wal: append: %w (log poisoned)", err)
 	}
+	l.off += int64(len(l.buf))
 	l.dirty = true
 	if l.cfg.Policy == SyncAlways {
-		if err := l.f.Sync(); err != nil {
+		if err := datasync(l.f); err != nil {
 			l.poisonLocked()
-			return 0, fmt.Errorf("wal: fsync: %w (log poisoned)", err)
+			return 0, fmt.Errorf("wal: sync: %w (log poisoned)", err)
 		}
 		l.dirty = false
 		l.stats.Syncs++
@@ -397,14 +470,14 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// Sync forces an fsync of the active segment.
+// Sync forces a sync of the active segment.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := datasync(l.f); err != nil {
 		l.poisonLocked()
 		return err
 	}
@@ -470,8 +543,9 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 
 	// 1. Make the active segment durable: the snapshot claims to fold
 	// every record up to Seq, so those records must not be lost to a
-	// crash that survives the rename below.
-	if err := l.f.Sync(); err != nil {
+	// crash that survives the rename below. The segment is about to
+	// stop being the last one, so its zero tail goes first.
+	if err := l.trimLocked(); err != nil {
 		l.poisonLocked()
 		return fmt.Errorf("wal: fsync before snapshot: %w (log poisoned)", err)
 	}
@@ -511,8 +585,7 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	// the snapshot, so the old one becomes prunable.
 	old := l.f
 	if err := l.openSegmentLocked(l.nextSeq); err != nil {
-		l.f = old // keep appending to the old segment; never lose the log
-		return err
+		return err // keep appending to the old segment; never lose the log
 	}
 	old.Close()
 	l.stats.Snapshots++
@@ -562,13 +635,14 @@ func (l *Log) stopSyncLoop() {
 	})
 }
 
-// Close flushes, fsyncs and closes the log.
+// Close trims the active segment to its records, fsyncs and closes
+// the log.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	var err error
 	if !l.closed {
 		l.closed = true
-		err = l.f.Sync()
+		err = l.trimLocked()
 		if cerr := l.f.Close(); err == nil {
 			err = cerr
 		}
@@ -607,7 +681,7 @@ func (l *Log) CrashTorn() {
 		l.closed = true
 		payload, _ := json.Marshal(&Record{Seq: l.nextSeq, Type: "torn-by-crash-injection"})
 		l.buf = frame(l.buf[:0], payload)
-		l.f.Write(l.buf[:len(l.buf)-len(payload)/2]) // best-effort: the fd dies either way
+		l.f.WriteAt(l.buf[:len(l.buf)-len(payload)/2], l.off) // best-effort: the fd dies either way
 		l.f.Close()
 	}
 	l.mu.Unlock()
@@ -694,7 +768,11 @@ func recoverDir(dir string) (*Recovery, uint64, error) {
 		}
 		last := i == len(segs)-1
 		path := filepath.Join(dir, seg.name)
-		valid, torn, err := replaySegment(path, last, func(r *Record) error {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return nil, 0, fmt.Errorf("wal: segment %s: %w", seg.name, err)
+		}
+		valid, torn, err := replayBytes(blob, last, func(r *Record) error {
 			if haveSnap && r.Seq <= snapSeq {
 				return nil // already folded into the snapshot
 			}
@@ -709,16 +787,17 @@ func recoverDir(dir string) (*Recovery, uint64, error) {
 			return nil, 0, fmt.Errorf("wal: segment %s: %w", seg.name, err)
 		}
 		rec.Segments++
-		if torn {
-			rec.TornTail = true
-			// Remove the tolerated tear from disk, durably. Without this
-			// the partial frame would sit in a non-final segment once
-			// Open rotates to a fresh one, and the NEXT recovery (before
-			// a snapshot folds this segment away) would have to treat it
-			// as ErrCorrupt — refusing to start with all committed
-			// records stranded behind it.
+		rec.TornTail = rec.TornTail || torn
+		if valid < len(blob) {
+			// Remove the tolerated tail — a tear, or the zeros of a
+			// crashed log's preallocation — from disk, durably. Without
+			// this it would sit in a non-final segment once Open rotates
+			// to a fresh one, and the NEXT recovery (before a snapshot
+			// folds this segment away) would have to treat it as
+			// ErrCorrupt — refusing to start with all committed records
+			// stranded behind it.
 			if terr := truncateTail(path, int64(valid)); terr != nil {
-				return nil, 0, fmt.Errorf("wal: truncate torn tail of %s: %w", seg.name, terr)
+				return nil, 0, fmt.Errorf("wal: truncate tail of %s: %w", seg.name, terr)
 			}
 		}
 	}
@@ -793,21 +872,26 @@ func readFrame(b []byte) (payload, rest []byte, err error) {
 // ReplayBytes scans one segment image from memory, invoking fn per
 // decoded record. It reports whether the scan ended in a tolerated
 // torn tail (lastSegment true) and returns ErrCorrupt-wrapped errors
-// for everything a torn write cannot explain. The fuzz target drives
-// it directly.
+// for everything a torn write cannot explain. In the last segment an
+// all-zero frame header is the end of the log, not a tear. The fuzz
+// target drives it directly.
 func ReplayBytes(b []byte, lastSegment bool, fn func(*Record) error) (torn bool, err error) {
 	_, torn, err = replayBytes(b, lastSegment, fn)
 	return torn, err
 }
 
 // replayBytes is ReplayBytes plus the length of the valid prefix in
-// bytes — the boundary recovery truncates a torn last segment back to.
+// bytes — the boundary recovery truncates the last segment back to
+// when a tear or a zero tail follows it.
 func replayBytes(b []byte, lastSegment bool, fn func(*Record) error) (validLen int, torn bool, err error) {
 	total := len(b)
 	var prevSeq uint64
 	var havePrev bool
 	for len(b) > 0 {
 		valid := total - len(b)
+		if lastSegment && zeroHeader(b) {
+			return valid, false, nil // preallocated, never written: the log ends here
+		}
 		payload, rest, err := readFrame(b)
 		if err != nil {
 			if errors.Is(err, errTorn) {
@@ -841,14 +925,15 @@ func replayBytes(b []byte, lastSegment bool, fn func(*Record) error) (validLen i
 	return total, false, nil
 }
 
-// replaySegment streams one segment file through replayBytes.
-func replaySegment(path string, lastSegment bool, fn func(*Record) error) (validLen int, torn bool, err error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, false, nil
+// zeroHeader reports whether b opens with an all-zero frame header,
+// or is what is left of one at the very end of the allocation. No
+// frame starts that way: a payload is never empty, so its length
+// field is never zero.
+func zeroHeader(b []byte) bool {
+	for _, c := range b[:min(len(b), frameHeaderSize)] {
+		if c != 0 {
+			return false
 		}
-		return 0, false, err
 	}
-	return replayBytes(blob, lastSegment, fn)
+	return true
 }

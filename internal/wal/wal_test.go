@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -310,6 +311,205 @@ func TestTornTailTruncatedBeforeSecondCrash(t *testing.T) {
 	}
 	if len(rec3.Records) != 4 {
 		t.Fatalf("second restart recovered %d records, want 4", len(rec3.Records))
+	}
+}
+
+// lastSegment returns the path of the newest segment in dir.
+func lastSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, _, err := scanDir(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("scanDir: segs=%v err=%v", segs, err)
+	}
+	return filepath.Join(dir, segs[len(segs)-1].name)
+}
+
+// TestPowerLossKeepsEveryAckedRecord is the crash the process-kill
+// tests cannot stage: the page cache is gone, so what follows the last
+// synced frame is whatever the device happened to have. Each tail
+// shape is written over a copy of a crashed log; recovery must return
+// exactly the acked records, and must leave a directory a second crash
+// can recover from — the tail is cut before the next segment exists.
+func TestPowerLossKeepsEveryAckedRecord(t *testing.T) {
+	const acked = 5
+	src := t.TempDir()
+	l, _ := openFresh(t, src, Config{Policy: SyncAlways})
+	for i := int64(0); i < acked; i++ {
+		if _, err := l.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Crash()
+	image, err := os.ReadFile(lastSegment(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int(l.off) // every byte before it was synced and acked
+	zeros := func(n int) []byte { return make([]byte, n) }
+	// The frame the power loss caught in flight: three pages long, so
+	// some of its pages can land without the one holding its header.
+	big := testRecord(acked)
+	big.Seq = acked + 1
+	for i := 0; i < 1500; i++ {
+		big.Uses = append(big.Uses, [2]int{i, i})
+	}
+	payload, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := frame(nil, payload)
+	if len(next) < 3*4096 || end+len(next) > len(image) {
+		t.Fatalf("in-flight frame of %d bytes does not span three pages inside the %d-byte allocation", len(next), len(image))
+	}
+	headless := append([]byte(nil), next...)
+	clear(headless[:4096]) // its first page never reached the device
+
+	for _, tc := range []struct {
+		name string
+		tail []byte
+		torn bool
+	}{
+		{"zeros to the end of the allocation", zeros(len(image) - end), false},
+		{"first half of the next frame", append(next[:len(next)/2:len(next)/2], zeros(len(image)-end-len(next)/2)...), true},
+		{"later pages without the header page", append(headless, zeros(len(image)-end-len(next))...), false},
+		{"cut at the acked offset", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+				t.Fatal(err)
+			}
+			seg := lastSegment(t, dir)
+			if err := os.WriteFile(seg, append(image[:end:end], tc.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l2, rec, err := Open(dir, Config{Policy: SyncAlways})
+			if err != nil {
+				t.Fatalf("Open after power loss: %v", err)
+			}
+			if len(rec.Records) != acked || rec.TornTail != tc.torn {
+				t.Fatalf("recovered %d records, torn=%v; want %d, torn=%v", len(rec.Records), rec.TornTail, acked, tc.torn)
+			}
+			if info, err := os.Stat(seg); err != nil || info.Size() != int64(end) {
+				t.Fatalf("segment not cut back to the acked offset %d: %v, %v", end, info, err)
+			}
+			// Second crash, before any snapshot folds the old segment away.
+			if _, err := l2.Append(testRecord(acked)); err != nil {
+				t.Fatal(err)
+			}
+			l2.Crash()
+			l3, rec3, err := Open(dir, Config{})
+			if err != nil {
+				t.Fatalf("Open after the second crash: %v", err)
+			}
+			defer l3.Close()
+			if len(rec3.Records) != acked+1 || rec3.TornTail {
+				t.Fatalf("second restart recovered %d records, torn=%v; want %d clean", len(rec3.Records), rec3.TornTail, acked+1)
+			}
+		})
+	}
+}
+
+// TestAppendInsideReservationMovesNoFileSize pins what makes the
+// per-commit sync data-only: once a chunk is reserved, appends land
+// inside it and the file keeps its size; Close cuts the file back to
+// the records, so the segment a later Open leaves behind has no tail.
+func TestAppendInsideReservationMovesNoFileSize(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openFresh(t, dir, Config{})
+	seg := lastSegment(t, dir)
+	size := func() int64 {
+		info, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	if _, err := l.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	if l.growOnly {
+		t.Skip("no fallocate on this filesystem: appends grow the file")
+	}
+	reserved := size()
+	if reserved != l.reserved || reserved < reserveChunk {
+		t.Fatalf("file is %d bytes after the first append, reservation ends at %d", reserved, l.reserved)
+	}
+	for i := int64(1); i < 50; i++ {
+		if _, err := l.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := size(); got != reserved {
+			t.Fatalf("append %d moved the file size %d -> %d", i, reserved, got)
+		}
+	}
+	records := l.off
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != records {
+		t.Fatalf("closed segment is %d bytes, its records %d", got, records)
+	}
+}
+
+// TestRefusedReservationLeavesLogOpen hands Append a full disk: the
+// refusal comes from the reservation, before a byte of the frame is
+// written, so the log is not poisoned and the next append — space
+// freed — takes the same sequence number and replays.
+func TestRefusedReservationLeavesLogOpen(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openFresh(t, dir, Config{})
+	if _, err := l.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Rotate, so the next append has to reserve.
+	if err := l.WriteSnapshot(&Snapshot{NextID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	errFull := errors.New("no space left on device")
+	preallocate = func(*os.File, int64, int64) error { return errFull }
+	defer func() { preallocate = fallocate }()
+	if _, err := l.Append(testRecord(1)); !errors.Is(err, errFull) {
+		t.Fatalf("append on a full disk: err=%v, want the reservation's error", err)
+	}
+	if info, err := os.Stat(lastSegment(t, dir)); err != nil || info.Size() != 0 {
+		t.Fatalf("refused frame left bytes on disk: %v, %v", info, err)
+	}
+	preallocate = fallocate
+	seq, err := l.Append(testRecord(2))
+	if err != nil || seq != 2 {
+		t.Fatalf("append after space freed: seq=%d err=%v, want 2", seq, err)
+	}
+	l.Crash()
+
+	l2, rec := openFresh(t, dir, Config{})
+	defer l2.Close()
+	if len(rec.Records) != 1 || rec.Records[0].Seq != 2 || rec.Records[0].Session != 2 {
+		t.Fatalf("replay after a refused append: %+v", rec.Records)
+	}
+}
+
+// TestNoFallocateGrowsTheFile runs the log the way a filesystem (or a
+// platform) without fallocate leaves it: nothing is reserved, appends
+// extend the file, and crash recovery is the same.
+func TestNoFallocateGrowsTheFile(t *testing.T) {
+	preallocate = func(*os.File, int64, int64) error { return errors.ErrUnsupported }
+	defer func() { preallocate = fallocate }()
+	dir := t.TempDir()
+	l, _ := openFresh(t, dir, Config{})
+	for i := int64(0); i < 3; i++ {
+		if _, err := l.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, err := os.Stat(lastSegment(t, dir)); err != nil || info.Size() != l.off || !l.growOnly {
+		t.Fatalf("file of %d record bytes: %v, %v (growOnly=%v)", l.off, info, err, l.growOnly)
+	}
+	l.CrashTorn()
+	l2, rec := openFresh(t, dir, Config{})
+	defer l2.Close()
+	if len(rec.Records) != 3 || !rec.TornTail {
+		t.Fatalf("recovered %d records, torn=%v; want 3 and the tear", len(rec.Records), rec.TornTail)
 	}
 }
 

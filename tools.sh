@@ -6,7 +6,7 @@
 # it exits non-zero on the first failure.
 #
 #   ./tools.sh          # vet + gofmt + retired guard + bench module + solve allocation budget + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget only (skip the race run and smoke)
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
 #                       # (equivalence battery: idle, held and trickle
@@ -39,7 +39,9 @@
 #                       # section), each followed by a WAL restore; fails
 #                       # on any lost committed session, oracle
 #                       # divergence or conformance violation. Also runs
-#                       # the crash-harness tests under -race.
+#                       # the crash-harness tests and the WAL's
+#                       # power-loss test (what a lost page cache leaves
+#                       # past the last synced frame) under -race.
 #   ./tools.sh conformance [seed]
 #                       # differential gate only: bounded stratified
 #                       # corpus under -race, cross-checking every
@@ -132,12 +134,16 @@ conformance_gate() {
 # keep every committed session, match the oracle bit-for-bit in
 # sessions, refcounts and accounting, and pass CheckLive/Recount. The
 # race-enabled harness tests cover the same paths with the in-tree
-# assertions.
+# assertions. All of those are process kills, which keep every byte
+# written; the WAL's power-loss test overwrites what follows the last
+# synced frame with each tail a lost page cache can leave.
 recover_gate() {
 	echo "==> recover gate: sftchaos -crash 2 -nodes 30 -sessions 12 -ops 30 -faults 5 -seed 7"
 	go run ./cmd/sftchaos -crash 2 -nodes 30 -sessions 12 -ops 30 -faults 5 -seed 7
 	echo "==> recover gate: crash-harness tests (race)"
 	go test -race -count=1 -run 'TestRunCrash' ./internal/sim
+	echo "==> recover gate: power loss past the last synced frame (race)"
+	go test -race -count=1 -run 'TestPowerLossKeepsEveryAckedRecord' ./internal/wal
 	echo "OK (recover gate)"
 }
 
@@ -183,9 +189,13 @@ queue_gate() {
 # goroutines internal/queue starts are the solvers in New (no per-batch
 # runBatch, no go func); and internal/server/client.go closes a
 # response body in exactly one place, behind the bounded drain that
-# lets the connection be reused.
+# lets the connection be reused; and internal/wal opens no segment
+# with O_APPEND (a commit that moves the file size pays a journal
+# commit on top of the device flush) and its per-commit paths — Append,
+# syncLoop, Sync — reach the disk through datasync alone (WriteSnapshot,
+# Close and truncateTail change sizes or names and keep the full fsync).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -221,6 +231,16 @@ retired_guard() {
 	if [ "$(grep -c 'Body\.Close()' internal/server/client.go)" != 1 ] ||
 		! grep -B1 'Body\.Close()' internal/server/client.go | grep -q 'io\.CopyN(io\.Discard, resp\.Body, drainLimit)'; then
 		echo "retired guard: internal/server/client.go must close a response body in exactly one place, right after the bounded drain (an unread body costs a TCP connection per call)" >&2
+		exit 1
+	fi
+	if grep -n 'O_APPEND' $(ls internal/wal/*.go | grep -v _test.go); then
+		echo "retired guard: internal/wal appends through O_APPEND again (every commit then moves the file size and its sync is a metadata transaction; since PR 26 frames are written at the tail of a preallocated segment)" >&2
+		exit 1
+	fi
+	commit_paths=$(awk '/^func \(l \*Log\) (Append|syncLoop|Sync)\(/,/^}/' internal/wal/wal.go)
+	if [ "$(echo "$commit_paths" | grep -c 'datasync(l\.f)')" != 3 ] ||
+		echo "$commit_paths" | grep -nE '\.Sync\(\)|\.Write\(|\.Truncate\('; then
+		echo "retired guard: Append, syncLoop and Sync in internal/wal/wal.go must each sync through datasync(l.f) and nothing else (no full fsync, no size change on the commit path)" >&2
 		exit 1
 	fi
 }
@@ -304,6 +324,13 @@ echo "==> bench module: go vet ./... && go test ./..."
 # run below skips it and this is where it runs uncached.
 echo "==> solve allocation budget: TestSolveAllocBudget"
 go test -count=1 -run 'TestSolveAllocBudget' ./internal/core
+
+# internal/wal picks its sync and preallocation calls by platform; the
+# non-Linux file is never compiled by anything above. Standard library
+# only, so this works offline.
+echo "==> wal fallback: GOOS=darwin go build ./internal/wal ./cmd/sftserve && GOOS=windows go vet ./internal/wal"
+GOOS=darwin go build ./internal/wal ./cmd/sftserve
+GOOS=windows go vet ./internal/wal
 
 if [ "${1:-}" = "quick" ]; then
 	echo "OK (quick)"
