@@ -190,11 +190,11 @@ func burstPool(tb testing.TB) (*nfv.Network, []nfv.Task) {
 	return net, tasks
 }
 
-func benchSolvePool(b *testing.B, net *nfv.Network, tasks []nfv.Task) {
+func benchSolvePool(b *testing.B, net *nfv.Network, tasks []nfv.Task, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(net, tasks[i%len(tasks)], Options{}); err != nil {
+		if _, err := Solve(net, tasks[i%len(tasks)], opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,10 +202,22 @@ func benchSolvePool(b *testing.B, net *nfv.Network, tasks []nfv.Task) {
 
 func BenchmarkSolvePoolPaper(b *testing.B) {
 	net, tasks := paperPool(b)
-	benchSolvePool(b, net, tasks)
+	benchSolvePool(b, net, tasks, Options{})
 }
 
+// BenchmarkSolvePoolBurst solves the burst pool without a scaffold
+// cache: every solve builds its own overlay, chain solution and
+// candidate table.
 func BenchmarkSolvePoolBurst(b *testing.B) {
 	net, tasks := burstPool(b)
-	benchSolvePool(b, net, tasks)
+	benchSolvePool(b, net, tasks, Options{})
+}
+
+// BenchmarkSolvePoolBurstScaffolded solves it the way burst_shared
+// does, through one mod.Cache as dynamic.Manager holds it: the network
+// version never moves here, so all but the first solve from each of the
+// four origins find overlay, chain solution and table in place.
+func BenchmarkSolvePoolBurstScaffolded(b *testing.B) {
+	net, tasks := burstPool(b)
+	benchSolvePool(b, net, tasks, Options{Scaffolds: mod.NewCache()})
 }

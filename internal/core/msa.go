@@ -48,16 +48,19 @@ type Options struct {
 	// trade-off is more trial evaluations. Incompatible with
 	// LocalAcceptance (which has no global gate) — ignored there.
 	AggressiveOPA bool
-	// Scaffolds, when non-nil, memoizes the stage-one MOD overlay keyed
-	// by (source, chain signature, graph generation, deployment epoch):
-	// same-signature solves against the same network version skip the
-	// overlay construction and, because an overlay keeps its solved SFC
-	// (mod.Network.SolveSFC runs once per overlay), the chain search
-	// over it. Because the key pins the exact version, results are
-	// bit-identical to building fresh. A cached scaffold holds the
-	// solution's kS distance/predecessor pairs, 12 B each — at most 256
-	// entries, so ≈4.3 MB at S = 200, k = 7 — until the next version
-	// change evicts the lot. The dynamic manager shares one cache across
+	// Scaffolds, when non-nil, memoizes per (source, chain signature,
+	// graph generation, deployment epoch) everything stage one derives
+	// without looking at a destination: the MOD overlay, the chain search
+	// over it (mod.Network.SolveSFC runs once per overlay) and the
+	// candidate table read off that (mod.Network.Candidates: the last
+	// hosts in sweep order, each with the verdict, last host and price of
+	// its capacity-repaired chain). A same-signature solve against the
+	// same network version then starts at the Steiner trees. Because the
+	// key pins the exact version, results are bit-identical to building
+	// fresh. A cached entry holds the solution's kS distance/predecessor
+	// pairs, 12 B each, and S table rows of 16 B — at most 256 entries, so
+	// ≈4.3 MB + 0.8 MB at S = 200, k = 7 — until the next version change
+	// evicts the lot. The dynamic manager shares one cache across
 	// concurrent admissions.
 	Scaffolds *mod.Cache
 	// Observer, when non-nil, receives structured phase events from
@@ -115,7 +118,10 @@ type StageStats struct {
 // runMSA implements Algorithm 2: embed the SFC via the expanded MOD
 // network, repair capacity violations, and connect the last VNF host
 // to all destinations with a Steiner tree, trying every candidate
-// host and keeping the cheapest feasible combination.
+// host and keeping the cheapest feasible combination. Everything up to
+// the tree is the overlay's candidate table (chainTable), built by the
+// first solve to use the overlay; the loop below is the part that
+// looks at the destinations.
 func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state, *StageStats, error) {
 	if err := task.Validate(net); err != nil {
 		return nil, nil, err
@@ -133,34 +139,26 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	}
 	t1 := opts.now()
 	opts.emit(Event{Kind: EventOverlayBuilt, Duration: t1.Sub(t0), Scaffold: opts.Scaffolds != nil})
-	sol := overlay.SolveSFC()
+	sw := newSweeper(net, task, overlay, opts.steiner(), sc)
+	rows := overlay.Candidates(sw.chainTable)
 	t2 := opts.now()
-	relaxed, rows := sol.Rows()
-	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRows: rows})
-	metric := net.Metric()
-
-	// Candidates in ascending chain cost, the keys read off the SFC
-	// solution once.
-	candidates := sc.cands[:0]
-	for _, v := range net.ServerList() {
-		candidates = append(candidates, candidate{chainCost: sol.CostTo(v), node: v})
+	relaxed, finite := sw.sol.Rows()
+	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRows: finite})
+	if sw.algo == SteinerKMB {
+		sw.kmb = steiner.NewSweep(net.Graph(), sw.metric, task.Destinations)
+		defer sw.kmb.Close()
 	}
-	sc.cands = candidates
-	sortCandidates(candidates)
 
-	sw := newSweeper(net, task, overlay, sol, metric, opts.steiner(), sc)
-	defer sw.close()
-
-	// The sweep: candidates in sorted order, a strict < on total cost
-	// picks the winner, and the Steiner tree is materialised and
-	// stateFromSolution run only for improving candidates (a failure
-	// there skips the candidate without touching the running best).
+	// The sweep: rows in table order, a strict < on total cost picks the
+	// winner, and the chain, the Steiner tree and stateFromSolution are
+	// materialised only for improving candidates (a failure there skips
+	// the candidate without touching the running best).
 	var (
 		bestState *state
 		bestCost  = graph.Inf
 		stats     StageStats
 	)
-	for _, c := range candidates {
+	for _, c := range rows {
 		// Anytime semantics: once a feasible solution is in hand, an
 		// expired deadline stops the sweep; without one it keeps going,
 		// so the solve fails only when no candidate is feasible.
@@ -168,23 +166,32 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 			stats.EarlyStop = true
 			break
 		}
-		r := sw.eval(c.node)
-		if r.tried {
-			stats.CandidatesTried++
-		}
-		if !r.ok || r.total >= bestCost {
+		if c.Last == mod.NoChain {
 			continue
 		}
-		last := r.hosts[len(r.hosts)-1]
+		stats.CandidatesTried++
+		if c.Last == mod.NoRoom {
+			continue
+		}
+		last := int(c.Last)
+		treeCost, err := sw.treeCost(last)
+		if err != nil {
+			continue // some destination unreachable from this host
+		}
+		total := c.Cost + treeCost
+		if total >= bestCost {
+			continue
+		}
 		tree, err := sw.tree(last)
 		if err != nil {
 			continue
 		}
-		st, err := stateFromSolution(net, task, r.hosts, tree, sc) // copies r.hosts
+		hosts, _ := sw.chain(int(c.Node))                        // the row says it repairs
+		st, err := stateFromSolution(net, task, hosts, tree, sc) // copies hosts
 		if err != nil {
 			continue
 		}
-		bestCost = r.total
+		bestCost = total
 		bestState = st
 		stats.LastHost = last
 	}
@@ -199,42 +206,24 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	return bestState, &stats, nil
 }
 
-// candidate is one last-VNF host with its sort key, the cost of the
-// cheapest chain ending there.
-type candidate struct {
-	chainCost float64
-	node      int
-}
-
 // sortCandidates orders c by ascending chain cost. The comparator
 // looks at the cost alone — no tie-break, which would reorder equal
 // keys: it is the strict < the reflection-based sort this replaced was
 // given, and the two are one pdqsort, so the permutation is the one
 // the sweep has always seen (TestCandidateOrderMatchesSortSlice).
-func sortCandidates(c []candidate) {
-	slices.SortFunc(c, func(a, b candidate) int {
+func sortCandidates(c []mod.Candidate) {
+	slices.SortFunc(c, func(a, b mod.Candidate) int {
 		switch {
-		case a.chainCost < b.chainCost:
+		case a.Cost < b.Cost:
 			return -1
-		case b.chainCost < a.chainCost:
+		case b.Cost < a.Cost:
 			return 1
 		}
 		return 0
 	})
 }
 
-// candResult is one candidate last-host's evaluation, computed
-// without reference to the running best. It prices the Steiner tree
-// without holding it: the sweep rebuilds the tree of the few
-// candidates that improve on the running best.
-type candResult struct {
-	tried bool  // counted by StageStats.CandidatesTried
-	ok    bool  // chain repaired and Steiner tree priced
-	hosts []int // the scratch's buffer: valid until the next eval
-	total float64
-}
-
-// sweeper evaluates candidate last-hosts for one solve. It only reads
+// sweeper holds what one solve's stage one works with. It only reads
 // the network, overlay, SFC solution and warm metric; what it owns is
 // the scratch that makes a candidate cheap: the KMB sweep over the
 // task's destinations, and in the solve's scratch the free-capacity
@@ -247,24 +236,13 @@ type sweeper struct {
 	sol     *mod.SFCSolution
 	metric  *graph.Metric
 	algo    SteinerAlgo
-	kmb     *steiner.Sweep // nil unless algo is SteinerKMB
+	kmb     *steiner.Sweep // nil unless algo is SteinerKMB and the sweep has begun
 	sc      *scratch
 }
 
-func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, sol *mod.SFCSolution, metric *graph.Metric, algo SteinerAlgo, sc *scratch) *sweeper {
-	sw := &sweeper{net: net, task: task, overlay: overlay, sol: sol, metric: metric, algo: algo, sc: sc}
+func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, algo SteinerAlgo, sc *scratch) *sweeper {
 	sc.fillFree(net)
-	if algo == SteinerKMB {
-		sw.kmb = steiner.NewSweep(net.Graph(), metric, task.Destinations)
-	}
-	return sw
-}
-
-// close releases the KMB sweep's workspace.
-func (sw *sweeper) close() {
-	if sw.kmb != nil {
-		sw.kmb.Close()
-	}
+	return &sweeper{net: net, task: task, overlay: overlay, sol: overlay.SolveSFC(), metric: net.Metric(), algo: algo, sc: sc}
 }
 
 // generalTrees reports how many of this sweeper's KMB trees needed
@@ -276,28 +254,43 @@ func (sw *sweeper) generalTrees() int64 {
 	return sw.kmb.Counters().GeneralTrees
 }
 
-// eval prices candidate last-host w: decode the overlay's optimal
-// chain ending at w, repair capacity, and price the Steiner tree
-// connecting the (possibly relocated) last host to every destination.
-func (sw *sweeper) eval(w int) candResult {
-	var r candResult
-	hosts := sw.sol.AppendHostsTo(sw.sc.hosts[:0], w)
+// chain is the chain stage one embeds for candidate last-host w: the
+// overlay's optimal chain ending at w, capacity repaired, in the
+// scratch's buffer (valid until the next call). It is nil when no
+// chain ends at w, and ok reports whether the repair found room.
+func (sw *sweeper) chain(w int) (hosts []int, ok bool) {
+	hosts = sw.sol.AppendHostsTo(sw.sc.hosts[:0], w)
 	sw.sc.hosts = hosts
 	if len(hosts) == 0 {
-		return r
+		return nil, false
 	}
-	r.tried = true
-	if !repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.sc.free) {
-		return r
+	return hosts, repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.sc.free)
+}
+
+// chainTable builds the overlay's candidate table (mod.Candidates):
+// every server in ascending order of the cost of the optimal chain
+// ending there, each with the verdict, last host and price of that
+// chain once repaired. Source, chain and network version decide all of
+// it, so whichever solve builds it, the rows are the same.
+func (sw *sweeper) chainTable() []mod.Candidate {
+	servers := sw.net.ServerList()
+	rows := make([]mod.Candidate, len(servers))
+	for i, v := range servers {
+		rows[i] = mod.Candidate{Cost: sw.sol.CostTo(v), Node: int32(v)}
 	}
-	treeCost, err := sw.treeCost(hosts[len(hosts)-1])
-	if err != nil {
-		return r // some destination unreachable from this host
+	sortCandidates(rows)
+	for i := range rows {
+		c := &rows[i]
+		switch hosts, ok := sw.chain(int(c.Node)); {
+		case hosts == nil:
+			c.Last = mod.NoChain
+		case !ok:
+			c.Last = mod.NoRoom
+		default:
+			c.Last, c.Cost = int32(hosts[len(hosts)-1]), sw.overlay.ChainCost(hosts)
+		}
 	}
-	r.ok = true
-	r.hosts = hosts
-	r.total = sw.overlay.ChainCost(hosts) + treeCost
-	return r
+	return rows
 }
 
 // treeCost is the cost of tree(root).

@@ -51,12 +51,15 @@ const (
 	// EventOverlayBuilt reports that the MOD overlay is in hand;
 	// carries Duration and Scaffold.
 	EventOverlayBuilt
-	// EventSFCSolved closes the chain search over the overlay; carries
-	// Duration, SFCRowsRelaxed and SFCRows.
+	// EventSFCSolved closes the chain work that no destination changes:
+	// the chain search over the overlay and the candidate table built
+	// from it (order, decode, capacity repair, chain price). It is done
+	// once per overlay, so Duration is near zero on a scaffold hit;
+	// carries Duration, SFCRowsRelaxed and SFCRows.
 	EventSFCSolved
-	// EventSweepEnd closes the candidate last-host sweep (sort,
-	// per-candidate repair and Steiner tree, reduction); carries
-	// Candidates, GeneralTrees and Duration.
+	// EventSweepEnd closes this task's candidate last-host sweep (one
+	// Steiner tree priced per table row, the improving ones
+	// materialised); carries Candidates, GeneralTrees and Duration.
 	EventSweepEnd
 )
 
@@ -122,7 +125,8 @@ type Event struct {
 	// SFCRowsRelaxed and SFCRows say how much of the overlay the chain
 	// search behind an EventSFCSolved read: predecessor rows relaxed, of
 	// rows with a finite distance (see mod.SFCStats). A scaffold hit
-	// reports the cached solution's counts with a Duration near zero.
+	// reports the cached solution's counts with a Duration near zero
+	// (the candidate table is cached with it).
 	SFCRowsRelaxed, SFCRows int
 	// Moves counts accepted moves (pass-end and stage-2-end events).
 	Moves int

@@ -15,9 +15,7 @@ type scratch struct {
 	// free is repairCapacity's free-capacity vector, meaningful at
 	// server indices once fillFree has run.
 	free []float64
-	// cands is the stage-one candidate list, hosts the chain of the
-	// candidate under evaluation.
-	cands []candidate
+	// hosts is the chain of the stage-one candidate being decoded.
 	hosts []int
 	// treePaths' workspace. Between calls every head entry is -1 and
 	// every parent entry is unseen; a call restores the entries it

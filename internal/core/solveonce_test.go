@@ -269,20 +269,19 @@ func TestEmbeddingSegmentsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestCandidateOrderMatchesSortSlice: the sweep's candidate order is
+// TestCandidateOrderMatchesSortSlice: the candidate table's order is
 // the permutation sort.Slice gave under a strict < on the chain cost —
 // ties included, since the order of equal-cost candidates decides
 // which of two equal totals the sweep keeps.
 func TestCandidateOrderMatchesSortSlice(t *testing.T) {
-	check := func(name string, servers []int, costTo func(v int) float64, got []candidate) {
+	check := func(name string, servers []int, costTo func(v int) float64, got []mod.Candidate) {
 		t.Helper()
-		want := make([]candidate, len(servers))
-		for i, v := range servers {
-			want[i] = candidate{chainCost: costTo(v), node: v}
-		}
-		sort.Slice(want, func(a, b int) bool { return want[a].chainCost < want[b].chainCost })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: order differs from sort.Slice:\n%v\n%v", name, got, want)
+		want := append([]int(nil), servers...)
+		sort.Slice(want, func(a, b int) bool { return costTo(want[a]) < costTo(want[b]) })
+		for i, v := range want {
+			if int(got[i].Node) != v {
+				t.Fatalf("%s: row %d is candidate %d, sort.Slice puts %d there", name, i, got[i].Node, v)
+			}
 		}
 	}
 	ties := 0
@@ -295,14 +294,13 @@ func TestCandidateOrderMatchesSortSlice(t *testing.T) {
 				t.Fatal(err)
 			}
 			sol := overlay.SolveSFC()
-			got := make([]candidate, len(servers))
-			for i, v := range servers {
-				got[i] = candidate{chainCost: sol.CostTo(v), node: v}
+			got := overlay.Candidates(newSweeper(net, task, overlay, SteinerKMB, getScratch(net.NumNodes())).chainTable)
+			if len(got) != len(servers) {
+				t.Fatalf("%d rows for %d servers", len(got), len(servers))
 			}
-			sortCandidates(got)
 			check(fmt.Sprintf("%d nodes, task %d", net.NumNodes(), i), servers, sol.CostTo, got)
 			for j := 1; j < len(got); j++ {
-				if got[j].chainCost == got[j-1].chainCost {
+				if sol.CostTo(int(got[j].Node)) == sol.CostTo(int(got[j-1].Node)) {
 					ties++
 				}
 			}
@@ -320,9 +318,9 @@ func TestCandidateOrderMatchesSortSlice(t *testing.T) {
 			for v := range cost {
 				cost[v] = float64(rng.Intn(keys))
 			}
-			got := make([]candidate, n)
+			got := make([]mod.Candidate, n)
 			for i, v := range servers {
-				got[i] = candidate{chainCost: cost[v], node: v}
+				got[i] = mod.Candidate{Cost: cost[v], Node: int32(v)}
 			}
 			sortCandidates(got)
 			check("synthetic", servers, func(v int) float64 { return cost[v] }, got)

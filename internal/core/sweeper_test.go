@@ -1,8 +1,14 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"sftree/internal/graph"
@@ -56,70 +62,240 @@ func fractionalInstance(rng *rand.Rand, n, k, nd int) (*nfv.Network, nfv.Task) {
 	return net, task
 }
 
-// A sweeper shares its free-capacity vector and its KMB sweep across
-// candidates. Every evaluation must equal the one-shot formulation —
-// RepairChainHosts on a fresh vector, steiner.KMB on a fresh workspace
-// — whatever ran before it, and must hand the vector back exactly as
-// the network reports it.
+// diffTable holds the candidate table a solve of task builds to the
+// per-candidate formulation it replaced: the servers in the order
+// sort.Slice gives under a strict < on the optimal chain's cost, each
+// decoded (HostsTo), repaired on a fresh free vector (RepairChainHosts)
+// and priced (ChainCost). Then, visiting the rows in a random order,
+// each twice, it holds what the sweep derives per row — the chain of an
+// improving candidate, the KMB sweep's price and tree — to the one-shot
+// calls, whatever ran before, and requires the shared free vector back
+// exactly as the network reports it. It returns how many repairs moved
+// the last VNF off its candidate and how many found no room.
+func diffTable(t *testing.T, rng *rand.Rand, net *nfv.Network, task nfv.Task) (movedLast, noRoom int) {
+	t.Helper()
+	overlay, err := mod.Build(net, task.Source, task.Chain)
+	if err != nil {
+		return 0, 0 // no server reachable
+	}
+	sol, metric, servers := overlay.SolveSFC(), net.Metric(), net.ServerList()
+	sw := newSweeper(net, task, overlay, SteinerKMB, getScratch(net.NumNodes()))
+	freeIntact := func(after string) {
+		t.Helper()
+		for _, v := range servers {
+			if sw.sc.free[v] != net.FreeCapacity(v) {
+				t.Fatalf("after %s free[%d] = %v, network says %v", after, v, sw.sc.free[v], net.FreeCapacity(v))
+			}
+		}
+	}
+	rows := overlay.Candidates(sw.chainTable)
+	freeIntact("the table build")
+	sw.kmb = steiner.NewSweep(net.Graph(), metric, task.Destinations)
+	defer sw.kmb.Close()
+
+	order := append([]int(nil), servers...)
+	sort.Slice(order, func(a, b int) bool { return sol.CostTo(order[a]) < sol.CostTo(order[b]) })
+	if len(rows) != len(order) {
+		t.Fatalf("%d rows for %d servers", len(rows), len(order))
+	}
+	oneShot := make([][]int, len(rows)) // the repaired chain per row, nil without one
+	for i, w := range order {
+		row := rows[i]
+		if int(row.Node) != w {
+			t.Fatalf("row %d is candidate %d, sort.Slice puts %d there", i, row.Node, w)
+		}
+		chain := sol.HostsTo(w)
+		if chain == nil {
+			if row.Last != mod.NoChain {
+				t.Fatalf("unreachable candidate %d: row %+v", w, row)
+			}
+			continue
+		}
+		hosts, ok := RepairChainHosts(net, task, chain)
+		if !ok {
+			noRoom++
+			if row.Last != mod.NoRoom {
+				t.Fatalf("candidate %d: one-shot repair fails, row %+v", w, row)
+			}
+			continue
+		}
+		last := hosts[len(hosts)-1]
+		if last != w {
+			movedLast++
+		}
+		if int(row.Last) != last || row.Cost != overlay.ChainCost(hosts) {
+			t.Fatalf("candidate %d: row %+v, one-shot chain %v costs %v", w, row, hosts, overlay.ChainCost(hosts))
+		}
+		oneShot[i] = hosts
+	}
+
+	for _, i := range append(rng.Perm(len(rows)), rng.Perm(len(rows))...) {
+		row := rows[i]
+		hosts, ok := sw.chain(int(row.Node))
+		freeIntact("a chain")
+		if ok != (row.Last >= 0) || (hosts == nil) != (row.Last == mod.NoChain) || ok && !slices.Equal(hosts, oneShot[i]) {
+			t.Fatalf("candidate %d: chain %v (%v), row %+v, one-shot %v", row.Node, hosts, ok, row, oneShot[i])
+		}
+		if !ok {
+			continue
+		}
+		last := int(row.Last)
+		tree, err := steiner.KMB(net.Graph(), metric, append([]int{last}, task.Destinations...))
+		cost, costErr := sw.treeCost(last)
+		if (err == nil) != (costErr == nil) || err == nil && cost != tree.Cost {
+			t.Fatalf("candidate %d: sweep prices %v (%v), KMB %v (%v)", row.Node, cost, costErr, tree.Cost, err)
+		}
+		if err != nil {
+			continue
+		}
+		if again, err := sw.tree(last); err != nil || !slices.Equal(again.Edges, tree.Edges) || again.Cost != tree.Cost {
+			t.Fatalf("candidate %d: tree %+v (%v), one-shot %+v", row.Node, again, err, tree)
+		}
+	}
+	return movedLast, noRoom
+}
+
+// Every table row, and everything the sweep derives from one, equals
+// the one-shot formulation on instances tight enough that repairs
+// relocate VNFs — the last one included, which moves the Steiner root
+// off the candidate — and that some candidates fit nowhere; instances
+// with pre-deployed VNFs, whose hosts a repair reuses for free.
 func TestSweeperMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	relocated, infeasible := 0, 0
+	movedLast, noRoom := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		net, task := fractionalInstance(rng, 8+rng.Intn(20), 2+rng.Intn(4), 1+rng.Intn(5))
-		overlay, err := mod.Build(net, task.Source, task.Chain)
-		if err != nil {
-			continue // no server reachable
-		}
-		sol, metric := overlay.SolveSFC(), net.Metric()
-		sw := newSweeper(net, task, overlay, sol, metric, SteinerKMB, getScratch(net.NumNodes()))
-		servers := net.ServerList()
-		order := append(rng.Perm(len(servers)), rng.Perm(len(servers))...) // every candidate twice
-		for _, i := range order {
-			w := servers[i]
-			got := sw.eval(w)
-			for _, v := range servers {
-				if sw.sc.free[v] != net.FreeCapacity(v) {
-					t.Fatalf("trial %d: after candidate %d free[%d] = %v, network says %v", trial, w, v, sw.sc.free[v], net.FreeCapacity(v))
-				}
-			}
-			chain := sol.HostsTo(w)
-			if chain == nil {
-				if got.tried || got.ok {
-					t.Fatalf("trial %d: unreachable candidate %d evaluated: %+v", trial, w, got)
-				}
-				continue
-			}
-			hosts, ok := RepairChainHosts(net, task, chain)
-			if !ok {
-				infeasible++
-				if !got.tried || got.ok {
-					t.Fatalf("trial %d candidate %d: one-shot repair fails, sweeper says %+v", trial, w, got)
-				}
-				continue
-			}
-			if !slices.Equal(hosts, chain) {
-				relocated++
-			}
-			last := hosts[len(hosts)-1]
-			tree, err := steiner.KMB(net.Graph(), metric, append([]int{last}, task.Destinations...))
-			if (err == nil) != got.ok {
-				t.Fatalf("trial %d candidate %d: KMB error %v, sweeper ok %v", trial, w, err, got.ok)
-			}
-			if err != nil {
-				continue
-			}
-			if !slices.Equal(got.hosts, hosts) || got.total != overlay.ChainCost(hosts)+tree.Cost {
-				t.Fatalf("trial %d candidate %d: hosts %v total %v, one-shot %v total %v",
-					trial, w, got.hosts, got.total, hosts, overlay.ChainCost(hosts)+tree.Cost)
-			}
-			if again, err := sw.tree(last); err != nil || !slices.Equal(again.Edges, tree.Edges) || again.Cost != tree.Cost {
-				t.Fatalf("trial %d candidate %d: tree %+v (%v), one-shot %+v", trial, w, again, err, tree)
-			}
-		}
-		sw.close()
+		m, n := diffTable(t, rng, net, task)
+		movedLast, noRoom = movedLast+m, noRoom+n
 	}
-	if relocated == 0 || infeasible == 0 {
-		t.Errorf("instances too loose to test repair: %d relocations, %d infeasible candidates", relocated, infeasible)
+	if movedLast == 0 || noRoom == 0 {
+		t.Errorf("instances too loose to test repair: %d relocated last hosts, %d infeasible candidates", movedLast, noRoom)
+	}
+}
+
+// The same on what the gates solve: every checked-in conformance
+// instance from every source, and tasks of the benchmark's two pools.
+func TestChainTableDifferentialCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	paths, err := filepath.Glob("../conformance/testdata/corpus/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 8 {
+		t.Fatalf("corpus holds only %d instances, want >= 8", len(paths))
+	}
+	for _, p := range paths {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc nfv.InstanceDoc
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		task := doc.Task
+		for src := 0; src < doc.Network.NumNodes(); src++ {
+			task.Source = src
+			diffTable(t, rng, doc.Network, task)
+		}
+	}
+	for _, pool := range []func(testing.TB) (*nfv.Network, []nfv.Task){paperPool, burstPool} {
+		net, tasks := pool(t)
+		for _, task := range tasks[:12] {
+			diffTable(t, rng, net, task)
+		}
+	}
+}
+
+// Concurrent solves through one scaffold cache — one chain from four
+// origins, as burst_shared sends them — share an overlay per origin and
+// the table on it: one of them builds the rows, nobody builds them
+// again, they are the rows an uncached solve builds, and every result
+// equals the uncached solve of the same task bit for bit.
+func TestConcurrentSolvesShareOneTable(t *testing.T) {
+	net, tasks := burstPool(t)
+	tasks = tasks[:32]
+	want := make([]*Result, len(tasks))
+	for i, task := range tasks {
+		var err error
+		if want[i], err = Solve(net, task, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache := mod.NewCache()
+	got, errs := make([]*Result, len(tasks)), make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Solve(net, tasks[i], Options{Scaffolds: cache})
+		}()
+	}
+	wg.Wait()
+	for i := range tasks {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("task %d: shared-scaffold solve %+v (%v), uncached %+v", i, got[i], errs[i], want[i])
+		}
+	}
+	origins := map[int]bool{}
+	for _, task := range tasks {
+		if origins[task.Source] {
+			continue
+		}
+		origins[task.Source] = true
+		shared, err := cache.Get(net, task.Source, task.Chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := shared.Candidates(func() []mod.Candidate {
+			t.Errorf("origin %d: the shared overlay had no table after its solves", task.Source)
+			return nil
+		})
+		fresh, err := mod.Build(net, task.Source, task.Chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone := newSweeper(net, task, fresh, SteinerKMB, getScratch(net.NumNodes())).chainTable(); !slices.Equal(rows, alone) {
+			t.Errorf("origin %d: shared table differs from an uncached solve's:\n%v\n%v", task.Source, rows, alone)
+		}
+	}
+	if len(origins) < 2 {
+		t.Errorf("%d origins among the tasks, want several sharing the cache", len(origins))
+	}
+}
+
+// observerFunc adapts a function to Observer.
+type observerFunc func(Event)
+
+func (f observerFunc) OnEvent(e Event) { f(e) }
+
+// The table build is chain work, timed as such: when a solve reports
+// sfc_solved the overlay already carries its table, so what sweep_end
+// times is the task's own sweep and the three sub-phases still tile
+// stage one.
+func TestTableIsBuiltBeforeSFCSolved(t *testing.T) {
+	net, tasks := burstPool(t)
+	task, cache, solved := tasks[0], mod.NewCache(), 0
+	opts := Options{Scaffolds: cache, Observer: observerFunc(func(e Event) {
+		if e.Kind != EventSFCSolved {
+			return
+		}
+		solved++
+		overlay, err := cache.Get(net, task.Source, task.Chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlay.Candidates(func() []mod.Candidate {
+			t.Error("sfc_solved emitted before the candidate table was built")
+			return nil
+		})
+	})}
+	if _, err := Solve(net, task, opts); err != nil {
+		t.Fatal(err)
+	}
+	if solved != 1 {
+		t.Fatalf("%d sfc_solved events, want 1", solved)
 	}
 }
 

@@ -104,6 +104,9 @@ type Manager struct {
 
 	nextID   SessionID
 	sessions map[SessionID]*Session
+	// degraded counts the sessions with Degraded set, kept by the ledger
+	// writers so that no commit walks m.sessions for it.
+	degraded int
 	// refs counts live sessions per dynamically deployed instance.
 	// Instances pre-deployed at construction time are permanent and
 	// never appear here.
@@ -262,13 +265,7 @@ func (m *Manager) observe() {
 	}
 	m.met.live.Set(int64(len(m.sessions)))
 	m.met.liveInstances.Set(int64(len(m.refs)))
-	var deg int64
-	for _, sess := range m.sessions {
-		if sess.Degraded {
-			deg++
-		}
-	}
-	m.met.degraded.Set(deg)
+	m.met.degraded.Set(int64(m.degraded))
 }
 
 // snapshot is one admission's read view: an immutable clone of the

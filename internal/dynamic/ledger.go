@@ -28,10 +28,11 @@ type applied struct {
 }
 
 // apply folds one lifecycle record into the ledger. It is the only
-// writer of m.sessions, m.refs, m.nextID, the admitted accounting and
-// each session's uses, Degraded and Lost. It never reads or touches
-// the network, takes no decision the record does not carry, and on an
-// error has changed nothing. Callers hold m.mu.
+// writer of m.sessions, m.refs, m.nextID, the admitted accounting,
+// each session's uses, Degraded and Lost, and m.degraded with them. It
+// never reads or touches the network, takes no decision the record
+// does not carry, and on an error has changed nothing. Callers hold
+// m.mu.
 func (m *Manager) apply(r *wal.Record) (applied, error) {
 	var out applied
 	switch r.Type {
@@ -65,6 +66,9 @@ func (m *Manager) apply(r *wal.Record) (applied, error) {
 			return out, fmt.Errorf("release of unknown session %d", r.Session)
 		}
 		delete(m.sessions, sess.ID)
+		if sess.Degraded {
+			m.degraded--
+		}
 		out.sess = sess
 		for _, k := range sess.uses {
 			if m.unref(k) {
@@ -119,6 +123,12 @@ func (m *Manager) apply(r *wal.Record) (applied, error) {
 		sess.uses = r.Uses
 		sess.Result.Embedding = r.Embedding
 		sess.Result.FinalCost = r.FinalCost
+		if sess.Degraded {
+			m.degraded--
+		}
+		if r.Degraded {
+			m.degraded++
+		}
 		sess.Degraded = r.Degraded
 		sess.Lost = r.Lost
 
@@ -163,6 +173,9 @@ func (m *Manager) loadSnapshotState(snap *wal.Snapshot) error {
 			Degraded: ss.Degraded,
 			Lost:     ss.Lost,
 			uses:     ss.Uses,
+		}
+		if ss.Degraded {
+			m.degraded++
 		}
 	}
 	for _, rc := range snap.Refs {

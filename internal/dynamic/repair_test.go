@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sftree/internal/core"
@@ -10,6 +11,7 @@ import (
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
+	"sftree/internal/wal"
 )
 
 // repairNet builds the 5-node repair fixture:
@@ -314,4 +316,108 @@ func TestRepairManySessionsOnGeneratedNetwork(t *testing.T) {
 	if m.Active() != 0 || m.LiveInstances() != 0 {
 		t.Fatalf("post-teardown active=%d instances=%d", m.Active(), m.LiveInstances())
 	}
+}
+
+// TestDegradedGaugeMatchesRecount: sessions_degraded is kept by the
+// ledger writers, not recounted per commit. Through a seeded chaos
+// script — faults that degrade sessions and heal them, releases of
+// degraded and healthy sessions, fresh admissions, a checkpoint and a
+// restore from it — the gauge and the manager's count must equal a
+// walk over the sessions after every commit.
+func TestDegradedGaugeMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	base, err := netgen.Generate(netgen.PaperConfig(40, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, _ := openWAL(t, dir)
+	reg := obs.NewRegistry()
+	m := NewManager(base.Clone(), core.Options{}).Instrument(reg).AttachWAL(l)
+	seen, checkpointed := 0, false
+	check := func(m *Manager, reg *obs.Registry, after string) {
+		t.Helper()
+		recount := 0
+		for _, sess := range m.Sessions() {
+			if sess.Degraded {
+				recount++
+			}
+		}
+		seen = max(seen, recount)
+		if got := reg.Gauge("sessions_degraded").Value(); got != int64(recount) || m.degraded != recount {
+			t.Fatalf("after %s: sessions_degraded = %d, manager counts %d, %d sessions are degraded", after, got, m.degraded, recount)
+		}
+	}
+	admit := func(m *Manager) {
+		t.Helper()
+		task, err := netgen.GenerateTask(base, rng, 3, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Admit(task) // a rejection on the degraded topology commits nothing
+	}
+	for m.Active() < 14 {
+		admit(m)
+	}
+	check(m, reg, "the admissions")
+	sched, err := faults.Generate(base, faults.DefaultGenConfig(16), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := faults.NewReplayer(base, sched)
+	for step := 0; !r.Done(); step++ {
+		_, degraded, err := r.Step(m.Network())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Rebase(degraded)
+		check(m, reg, "a rebase")
+		if m.degraded > 0 && !checkpointed {
+			// The snapshot a restore will load holds a degraded session.
+			if _, err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			checkpointed = true
+		}
+		live := m.Sessions()
+		victim := live[rng.Intn(len(live))]
+		for _, sess := range live {
+			if sess.Degraded && step%2 == 0 {
+				victim = sess // every other step, a degraded one if there is any
+			}
+		}
+		if err := m.Release(victim.ID); err != nil {
+			t.Fatal(err)
+		}
+		check(m, reg, "a release")
+		admit(m)
+		check(m, reg, "an admission")
+	}
+	if seen == 0 || !checkpointed {
+		t.Fatal("the script degraded no session: the test checks nothing")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restored from the checkpoint and the records behind it, onto the
+	// topology the script ended on.
+	l2, rec := openWAL(t, dir)
+	defer l2.Close()
+	m2, _, err := Restore(m.Network().Clone(), l2, rec, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(rec.Snapshot.Sessions, func(ss wal.SessionState) bool { return ss.Degraded }) {
+		t.Fatal("the snapshot holds no degraded session: loading one is not covered")
+	}
+	reg2 := obs.NewRegistry()
+	m2.Instrument(reg2)
+	admit(m2)
+	for _, sess := range m2.Sessions()[:3] {
+		if err := m2.Release(sess.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(m2, reg2, "a restore")
 }

@@ -39,7 +39,8 @@ var (
 // of the metric closure or one of the k*S virtual-arc setup costs, so
 // only the latter are stored and SolveSFC reads the arcs it needs on
 // the fly. A Network is immutable after Build and safe to share; its
-// solution is computed on first demand and shared with it.
+// solution and its candidate table are computed on first demand and
+// shared with it.
 type Network struct {
 	chain   nfv.SFC
 	source  int
@@ -50,6 +51,9 @@ type Network struct {
 
 	solveOnce sync.Once
 	sol       *SFCSolution
+
+	candOnce sync.Once
+	cands    []Candidate
 }
 
 // Build constructs the expanded MOD network. Setup costs reflect
@@ -235,6 +239,43 @@ func (m *Network) solveSFC() *SFCSolution {
 		}
 	}
 	return sol
+}
+
+// Candidate is one row of a Network's candidate table: a last-VNF host
+// and what stage one makes of the chain ending there before it looks
+// at a destination.
+type Candidate struct {
+	// Cost is the price of the chain embedded for this candidate:
+	// ChainCost of the optimal chain ending at Node after the solver's
+	// capacity adjustment. Meaningful when Last >= 0.
+	Cost float64
+	// Node is the candidate, the last host of the overlay's optimal
+	// chain (AppendHostsTo(Node)).
+	Node int32
+	// Last is the last VNF's host after the adjustment, which may have
+	// moved it off Node; NoChain or NoRoom when there is no chain to
+	// connect the destinations to.
+	Last int32
+}
+
+// The Candidate.Last values of a row without a chain.
+const (
+	// NoChain: no chain ends at Node (not a reachable server). Such a
+	// row is not a candidate stage one tries.
+	NoChain int32 = -1 - iota
+	// NoRoom: some VNF of the chain fits nowhere.
+	NoRoom
+)
+
+// Candidates returns the overlay's candidate table, calling build for
+// it on first use: later calls, and concurrent ones, share the rows
+// read-only, so an overlay served from a Cache carries them with it
+// (16 B per server). The rows are a function of (source, chain,
+// network version) like the overlay itself; every caller must pass a
+// build that derives them from nothing else.
+func (m *Network) Candidates(build func() []Candidate) []Candidate {
+	m.candOnce.Do(func() { m.cands = build() })
+	return m.cands
 }
 
 // CostTo returns the minimum cost (setup + links) of embedding the

@@ -98,8 +98,10 @@ func TakahashiMatsuyama(g *graph.Graph, m *graph.Metric, root int, terminals []i
 			return Tree{}, fmt.Errorf("%w: %d from root %d", ErrUnreachable, a, root)
 		}
 	}
-	ws.growTerms(len(terminals))
-	attached := ws.tIn // by terminal index
+	if cap(ws.attached) < len(terminals) {
+		ws.attached = make([]bool, len(terminals))
+	}
+	attached := ws.attached[:len(terminals)] // by terminal index
 	clear(attached)
 	attached[0] = true
 	ws.bumpNodes(g.NumNodes()) // marks the nodes of the growing tree

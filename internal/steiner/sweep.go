@@ -96,7 +96,6 @@ func (s *Sweep) init(g *graph.Graph, m *graph.Metric, dests []int) {
 	for i := range ws.slot {
 		ws.slot[i] = -1
 	}
-	ws.growTerms(td)
 	ws.arena = ws.arena[:0]
 	if cap(ws.bits) < s.ew+s.nw {
 		ws.bits = make([]uint64, s.ew+s.nw)
@@ -202,38 +201,47 @@ func (s *Sweep) expand(root int) (isTree bool, err error) {
 
 	// 1. Prim. The root joins first; each later round picks the open
 	// terminal nearest the tree and, in the same pass that relaxes the
-	// others against it, finds the next pick.
-	inTree, bestD, bestFrom := ws.tIn, ws.tDist, ws.tFrom
-	next := -1
+	// others against it and closes its slot, finds the next pick. The
+	// open terminals stay packed in ascending index order, so a strict <
+	// keeps the lowest index among equals.
+	open := ws.open[:0]
+	next, nearest := 0, graph.Inf // the pick's position in open and its distance
 	for i, d := range s.dests {
-		inTree[i] = i == rootAt
-		if inTree[i] {
+		if i == rootAt {
 			continue
 		}
-		bestD[i], bestFrom[i] = rootRow[d], int32(rootAt)
-		if next == -1 || bestD[i] < bestD[next] {
-			next = i
+		if rootRow[d] < nearest {
+			next, nearest = len(open), rootRow[d]
 		}
+		open = append(open, openTerm{dist: rootRow[d], at: int32(i), from: int32(rootAt)})
 	}
 	closure := ws.pairs[:0] // (from, to) indices into dests
-	for next != -1 {
-		pick := next
-		inTree[pick] = true
-		closure = append(closure, [2]int32{bestFrom[pick], int32(pick)})
-		row := ws.dd[pick*td : (pick+1)*td]
-		next = -1
-		for i, d := range row {
-			if inTree[i] {
-				continue
+	for len(open) > 0 {
+		pick, at := next, open[next].at
+		closure = append(closure, [2]int32{open[pick].from, at})
+		row := ws.dd[int(at)*td : (int(at)+1)*td]
+		next, nearest = 0, graph.Inf
+		for p := range open[:pick] {
+			o := &open[p]
+			if d := row[o.at]; d < o.dist {
+				o.dist, o.from = d, at
 			}
-			if d < bestD[i] {
-				bestD[i], bestFrom[i] = d, int32(pick)
-			}
-			if next == -1 || bestD[i] < bestD[next] {
-				next = i
+			if o.dist < nearest {
+				next, nearest = p, o.dist
 			}
 		}
+		for p, o := range open[pick+1:] {
+			if d := row[o.at]; d < o.dist {
+				o.dist, o.from = d, at
+			}
+			open[pick+p] = o
+			if o.dist < nearest {
+				next, nearest = pick+p, o.dist
+			}
+		}
+		open = open[:len(open)-1]
 	}
+	ws.open = open[:0]
 	ws.pairs = closure
 
 	// 2. Expand the closure edges into one edge bitset and one node

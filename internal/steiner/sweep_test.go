@@ -3,6 +3,7 @@ package steiner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,20 +15,21 @@ import (
 // before Sweep: Prim over the metric closure, expansion along the
 // metric's shortest paths, Kruskal over the expansion, leaf pruning —
 // one root at a time, nothing shared, nothing skipped. It is the
-// oracle for every sweep.
-func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
+// oracle for every sweep, and returns its closure edges beside the
+// tree: (from, to) node pairs in the order Prim picked them.
+func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, [][2]int, error) {
 	ws := getWS()
 	defer putWS(ws)
 	terminals = ws.dedup(terminals, g.NumNodes())
 	switch len(terminals) {
 	case 0:
-		return Tree{}, ErrNoTerminals
+		return Tree{}, nil, ErrNoTerminals
 	case 1:
-		return Tree{}, nil
+		return Tree{}, nil, nil
 	}
 	for _, a := range terminals[1:] {
 		if m.Dist[terminals[0]][a] == graph.Inf {
-			return Tree{}, fmt.Errorf("%w: %d and %d", ErrUnreachable, terminals[0], a)
+			return Tree{}, nil, fmt.Errorf("%w: %d and %d", ErrUnreachable, terminals[0], a)
 		}
 	}
 
@@ -50,7 +52,7 @@ func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error
 		}
 		inTree[pick] = true
 		if bestFrom[pick] >= 0 {
-			closure = append(closure, [2]int{bestFrom[pick], pick})
+			closure = append(closure, [2]int{terminals[bestFrom[pick]], terminals[pick]})
 		}
 		for i := 0; i < t; i++ {
 			if !inTree[i] {
@@ -65,7 +67,7 @@ func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error
 	ws.bumpEdges(g.NumEdges())
 	badU, badV := -1, -1
 	for _, ce := range closure {
-		m.EachHop(terminals[ce[0]], terminals[ce[1]], func(x, y int) {
+		m.EachHop(ce[0], ce[1], func(x, y int) {
 			id, ok := cheapestEdgeBetween(g, x, y)
 			if !ok {
 				badU, badV = x, y
@@ -75,11 +77,25 @@ func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error
 		})
 	}
 	if badU != -1 {
-		return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
+		return Tree{}, nil, fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
 	}
 
 	// 3. MST of the expansion subgraph; 4. prune non-terminal leaves.
-	return treeFromEdges(g, ws.prune(g, ws.mstOfCollected(g), terminals)), nil
+	return treeFromEdges(g, ws.prune(g, ws.mstOfCollected(g), terminals)), closure, nil
+}
+
+// closureOf reads the closure edges of the sweep's last expansion for
+// root as (from, to) node pairs.
+func closureOf(s *Sweep, root int) [][2]int {
+	var out [][2]int
+	for _, ce := range s.ws.pairs {
+		from := root
+		if ce[0] != fromRoot {
+			from = s.dests[ce[0]]
+		}
+		out = append(out, [2]int{from, s.dests[ce[1]]})
+	}
+	return out
 }
 
 // errClass sorts errors into the classes callers tell apart.
@@ -98,15 +114,16 @@ func errClass(err error) string {
 
 // diffSweep holds one sweep over dests, and KMB itself, to the oracle
 // for every node as root: same edges in the same order, Cost ==, same
-// error class. It returns how many of the sweep's trees took the
-// general branch.
+// error class, and — whenever Prim ran — the same closure edges in the
+// same pick order with the same orientation. It returns how many of
+// the sweep's trees took the general branch.
 func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) int64 {
 	t.Helper()
 	s := NewSweep(g, m, dests)
 	defer s.Close()
 	for root := 0; root < g.NumNodes(); root++ {
 		terminals := append([]int{root}, dests...)
-		want, wantErr := referenceKMB(g, m, terminals)
+		want, closure, wantErr := referenceKMB(g, m, terminals)
 		check := func(what string, got Tree, err error) {
 			t.Helper()
 			if errClass(err) != errClass(wantErr) {
@@ -117,10 +134,21 @@ func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) int64
 					what, root, dests, got.Edges, got.Cost, want.Edges, want.Cost)
 			}
 		}
+		checkClosure := func(what string) {
+			t.Helper()
+			if closure == nil {
+				return // Prim did not run: the sweep's pairs are a previous root's
+			}
+			if got := closureOf(s, root); !slices.Equal(got, closure) {
+				t.Fatalf("%s root %d dests %v: closure edges %v, oracle %v", what, root, dests, got, closure)
+			}
+		}
 		got, err := s.Tree(root)
 		check("Sweep.Tree", got, err)
+		checkClosure("Sweep.Tree")
 		cost, err := s.Cost(root)
 		check("Sweep.Cost", Tree{Edges: want.Edges, Cost: cost}, err)
+		checkClosure("Sweep.Cost")
 		got, err = KMB(g, m, terminals)
 		check("KMB", got, err)
 	}
@@ -225,6 +253,42 @@ func TestSweepDifferentialLattices(t *testing.T) {
 	}
 }
 
+// skew makes m bitwise asymmetric: every finite distance from a lower
+// to a higher node goes up by one ulp, so reading a closure distance
+// in the other orientation changes which terminal Prim picks.
+func skew(m *graph.Metric) *graph.Metric {
+	for u, row := range m.Dist {
+		for v := u + 1; v < len(row); v++ {
+			if row[v] != graph.Inf {
+				row[v] = math.Nextafter(row[v], graph.Inf)
+			}
+		}
+	}
+	return m
+}
+
+// Prim's order where every compare is a tie or an ulp apart: a
+// unit-weight lattice with duplicate destinations, every node — the
+// destinations included — as root, on the metric as built and skewed.
+func TestSweepDifferentialPickOrder(t *testing.T) {
+	g := unitGrid(5, 5)
+	dests := []int{12, 0, 24, 12, 4, 20, 0, 7, 17, 24}
+	for _, apsp := range apspBuilders {
+		diffSweep(t, g, apsp.build(g), dests)
+		diffSweep(t, g, skew(apsp.build(g)), dests)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(20)
+		g := randomGraphWithCosts(rng, n, rng.Intn(2*n), costModes[trial%len(costModes)])
+		d := make([]int, 2+rng.Intn(8))
+		for i := range d {
+			d[i] = rng.Intn(n)
+		}
+		diffSweep(t, g, skew(g.APSPAuto()), d)
+	}
+}
+
 func TestSweepDifferentialEdgeCases(t *testing.T) {
 	path := graph.New(5)
 	for v := 1; v < 5; v++ {
@@ -319,6 +383,15 @@ func FuzzSweepDifferential(f *testing.F) {
 	f.Add(uint8(6), false, []byte{0, 1, 0, 1, 2, 1, 3, 4, 0}, []byte{2, 4, 0}, uint8(0))
 	f.Add(uint8(5), true, []byte{}, []byte{4, 4, 0, 0}, uint8(1))
 	f.Add(uint8(3), true, []byte{}, []byte{}, uint8(2))
+	// TestSweepDifferentialPickOrder's lattice, duplicates and all, as
+	// built and (bit 7 of the metric byte) skewed.
+	var lattice []byte
+	for _, e := range unitGrid(5, 5).Edges() {
+		lattice = append(lattice, byte(e.U), byte(e.V), 0)
+	}
+	pickOrder := []byte{12, 0, 24, 12, 4, 20, 0, 7, 17, 24}
+	f.Add(uint8(25), false, lattice, pickOrder, uint8(1))
+	f.Add(uint8(25), false, lattice, pickOrder, uint8(0x80|2))
 	f.Fuzz(func(t *testing.T, n uint8, spine bool, edges, dests []byte, apsp uint8) {
 		if n == 0 || n > 48 || len(edges) > 3*96 || len(dests) > 12 {
 			t.Skip()
@@ -328,7 +401,11 @@ func FuzzSweepDifferential(f *testing.F) {
 		for i, b := range dests {
 			d[i] = int(b) % int(n)
 		}
-		diffSweep(t, g, apspBuilders[int(apsp)%len(apspBuilders)].build(g), d)
+		m := apspBuilders[int(apsp&0x7f)%len(apspBuilders)].build(g)
+		if apsp&0x80 != 0 {
+			skew(m)
+		}
+		diffSweep(t, g, m, d)
 	})
 }
 

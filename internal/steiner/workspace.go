@@ -41,12 +41,13 @@ type workspace struct {
 	// treeNodes lists the growing tree's nodes in joining order
 	// (Takahashi-Matsuyama).
 	treeNodes []int
-	// Terminal-sized buffers.
-	terms []int
-	tDist []float64
-	tFrom []int32
-	tIn   []bool
-	pairs [][2]int32
+	// Terminal-sized buffers: the deduplicated terminals, the ones
+	// Takahashi-Matsuyama has attached, and Prim's (see Sweep.expand)
+	// open terminals and closure edges.
+	terms    []int
+	attached []bool
+	open     []openTerm
+	pairs    [][2]int32
 	// Bridge matrices (Mehlhorn), t*t flattened.
 	bridgeW []float64
 	bridgeE []int32
@@ -132,16 +133,11 @@ func (ws *workspace) dedup(terminals []int, n int) []int {
 	return out
 }
 
-// growTerms sizes the terminal-indexed Prim buffers.
-func (ws *workspace) growTerms(t int) {
-	if cap(ws.tDist) < t {
-		ws.tDist = make([]float64, t)
-		ws.tFrom = make([]int32, t)
-		ws.tIn = make([]bool, t)
-	}
-	ws.tDist = ws.tDist[:t]
-	ws.tFrom = ws.tFrom[:t]
-	ws.tIn = ws.tIn[:t]
+// openTerm is a terminal Prim has not reached yet: its index, its
+// distance to the nearest tree terminal and that terminal's index.
+type openTerm struct {
+	dist     float64
+	at, from int32
 }
 
 // mstOfCollected runs Kruskal over ws.edges (in place), keeping the

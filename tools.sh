@@ -193,9 +193,13 @@ queue_gate() {
 # with O_APPEND (a commit that moves the file size pays a journal
 # commit on top of the device flush) and its per-commit paths — Append,
 # syncLoop, Sync — reach the disk through datasync alone (WriteSnapshot,
-# Close and truncateTail change sizes or names and keep the full fsync).
+# Close and truncateTail change sizes or names and keep the full fsync);
+# runMSA's candidate loop calls no repairCapacity, AppendHostsTo or
+# sortCandidates and asks for a chain only once a row has beaten the
+# running best (the rest is the overlay's candidate table); and
+# internal/steiner/sweep.go holds no tIn/inTree membership scan.
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -235,6 +239,20 @@ retired_guard() {
 	fi
 	if grep -n 'O_APPEND' $(ls internal/wal/*.go | grep -v _test.go); then
 		echo "retired guard: internal/wal appends through O_APPEND again (every commit then moves the file size and its sync is a metadata transaction; since PR 26 frames are written at the tail of a preallocated segment)" >&2
+		exit 1
+	fi
+	# runMSA's candidate loop, and the part of it every row runs (up to
+	# the test against the running best).
+	sweep_loop=$(awk '/^func runMSA\(/,/^}/' internal/core/msa.go | awk '/for _, c := range rows/,0')
+	per_row=$(echo "$sweep_loop" | awk '{print} /total >= bestCost/{exit}')
+	if [ -z "$sweep_loop" ] || ! echo "$per_row" | grep -q 'total >= bestCost' ||
+		echo "$sweep_loop" | grep -nE 'repairCapacity|AppendHostsTo|sortCandidates' ||
+		echo "$per_row" | grep -nE 'sw\.chain\('; then
+		echo "retired guard: runMSA's candidate loop derives a chain per row again (since PR 28 order, decode, repair and chain price come from the overlay's candidate table, built once per scaffold; the loop re-derives the hosts of improving candidates only)" >&2
+		exit 1
+	fi
+	if grep -nE '\btIn\b|inTree' internal/steiner/sweep.go; then
+		echo "retired guard: internal/steiner/sweep.go scans closed terminals again (since PR 28 Prim keeps the open ones packed)" >&2
 		exit 1
 	fi
 	commit_paths=$(awk '/^func \(l \*Log\) (Append|syncLoop|Sync)\(/,/^}/' internal/wal/wal.go)
