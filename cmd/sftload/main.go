@@ -15,22 +15,24 @@
 // per-down-set APSP cache.
 //
 // By default sftload serves its own in-process sftserve (httptest) on
-// a generated network; -url points it at a live server instead, in
-// which case -nodes/-seed must match the server's so sampled tasks
-// reference valid node IDs.
+// a generated network — the same queued server sftserve runs; -url
+// points it at a live server instead, in which case -nodes/-seed must
+// match the server's so sampled tasks reference valid node IDs. A "!"
+// mix marker ("6x4!") pins a term to one concrete chain, so all of its
+// arrivals share a chain signature — the shape the admission queue's
+// signature coalescing batches.
 //
 // Output: one table row per offered rate (sustained admissions/sec,
 // p50/p95/p99/p999 scheduled-start latency, rejection rate, an
-// explicit saturated verdict) plus a machine-readable BENCH_load.json
-// via -out. The default rate ladder deliberately ends past the
-// server's saturation point so the artifact charts the overload
-// regime, not just the comfortable one. -check turns the run into a
-// smoke gate: it fails unless admissions happened, nothing was
+// explicit saturated verdict) plus a machine-readable JSON artifact
+// via -out, whose points also carry the wait/solve latency split the
+// admission responses report. The default rate ladder deliberately
+// ends past the server's saturation point so the artifact charts the
+// overload regime, not just the comfortable one. -check turns the run
+// into a smoke gate: it fails unless admissions happened, nothing was
 // dropped at an unsaturated point, /metrics shows warm metric-cache
 // and APSP-cache hit rates, and /debug/traces carries a
-// request-ID-stamped admission trace. -gate compares the run against
-// a checked-in BENCH_load.json and fails if sustained adm/s at the
-// baseline's top rate point dropped more than 10%.
+// request-ID-stamped admission trace.
 //
 // -restart turns the run into a durability drill: the in-process
 // manager logs every commit to a write-ahead log, is killed
@@ -39,28 +41,15 @@
 // and is recovered from disk and hot-swapped back into the server.
 // The run fails unless every acked admission survives the recovery;
 // the affected rate point records restarted/restore_ms/lost_committed
-// in BENCH_load.json, and -check additionally bounds the p99 blip.
-//
-// -queue-depth serves the in-process server through the batched
-// admission queue (sftserve's default serving path); admitted points
-// then record the wait/solve latency split the queued AdmitResponse
-// reports. A "!" mix marker ("6x4!") pins a term to one concrete
-// chain, so all of its arrivals share a chain signature — the shape
-// the queue's signature coalescing batches. -gate-speedup turns the
-// baseline gate into the queue speedup check (best unsaturated adm/s
-// ≥ factor × the baseline's top), and -queue-speedup is a
-// self-contained A/B diagnostic that drives identical plans at an
-// inline and a queued server.
+// in the artifact, and -check additionally bounds the p99 blip.
 //
 // Usage:
 //
-//	sftload -rates 4,16,64 -duration 5s -out BENCH_load.json
+//	sftload -rates 4,16,64 -duration 5s -out load.json
 //	sftload -url http://host:8080 -nodes 50 -seed 1 -rates 32
 //	sftload -rates 24 -duration 5s -faults 2 -check
-//	sftload -rates 512 -duration 5s -gate BENCH_load.json
 //	sftload -rates 16 -duration 4s -restart 2s -check
-//	sftload -queue-depth 1024 -mix '6x4!' -rates 768 -gate BENCH_load.json -gate-speedup 1.5
-//	sftload -queue-speedup 0.9 -duration 4s
+//	sftload -mix '6x4!' -rates 768 -duration 4s
 package main
 
 import (
@@ -214,9 +203,8 @@ const (
 )
 
 // sample is one completed admission measurement. waitMs/solveMs split
-// the queued path's latency: time parked in the admission queue vs
-// the task's own solve-and-commit slot (both zero on the inline path,
-// which reports no split).
+// an admission's latency as the server reports it: time parked in the
+// admission queue vs the task's own solve-and-commit slot.
 type sample struct {
 	measured bool
 	out      outcome
@@ -317,10 +305,10 @@ type point struct {
 	// on unsaturated ones.
 	Saturated bool           `json:"saturated"`
 	Latency   latencySummary `json:"latency"`
-	// Wait and Solve split the queued path's admission latency: Wait is
-	// the time tickets spent parked in the admission queue before their
-	// solve slot, Solve the per-task solve-and-commit time. Present only
-	// when the server runs the batched admission queue.
+	// Wait and Solve split the admission latency: Wait is the time
+	// tickets spent parked in the admission queue before their solve
+	// slot, Solve the per-task solve-and-commit time. Present when the
+	// point admitted anything.
 	Wait  *latencySummary `json:"wait,omitempty"`
 	Solve *latencySummary `json:"solve,omitempty"`
 	// Restarted marks the point during which -restart killed and
@@ -332,7 +320,7 @@ type point struct {
 	LostCommitted int     `json:"lost_committed,omitempty"`
 }
 
-// loadDoc is the BENCH_load.json artifact.
+// loadDoc is the -out artifact.
 type loadDoc struct {
 	Schema    string    `json:"schema"`
 	Generated time.Time `json:"generated"`
@@ -346,9 +334,6 @@ type loadDoc struct {
 		WarmupSec   float64 `json:"warmup_sec"`
 		HoldSec     float64 `json:"hold_sec"`
 		Faults      int     `json:"faults"`
-		// QueueDepth records the in-process server's admission-queue
-		// depth; zero means inline admission.
-		QueueDepth int `json:"queue_depth,omitempty"`
 	} `json:"config"`
 	Points []point `json:"points"`
 	// Metrics excerpts the server's /metrics floats (cache hit rates,
@@ -393,13 +378,11 @@ type world struct {
 
 func (w *world) close() {
 	if w.srv != nil {
-		if q := w.srv.Queue(); q != nil {
-			// Drain queued admissions first so no handler is left blocked
-			// on a ticket when the listener closes.
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			_ = q.Close(ctx)
-			cancel()
-		}
+		// Drain queued admissions first so no handler is left blocked on
+		// a ticket when the listener closes.
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		_ = w.srv.Queue().Close(ctx)
+		cancel()
 	}
 	if w.ts != nil {
 		w.ts.Close()
@@ -547,13 +530,9 @@ func run(args []string, stdout io.Writer) error {
 		mixStr   = fs.String("mix", "2x2:2,4x3:2,8x5:1", "chain-signature mix: destsxchain[:weight] terms")
 		faultsN  = fs.Int("faults", 2, "link flap+Rebase cycles per rate point (in-process mode only)")
 		drain    = fs.Duration("drain", 10*time.Second, "post-window wait for in-flight admissions before counting them dropped")
-		out      = fs.String("out", "", "write the BENCH_load.json artifact here")
+		out      = fs.String("out", "", "write the JSON artifact here")
 		check    = fs.Bool("check", false, "smoke-gate mode: fail unless admissions, zero unsaturated drops, warm cache hit rates and a request-ID trace are observed")
-		gate     = fs.String("gate", "", "regression-gate mode: fail if sustained adm/s at this baseline BENCH_load.json's top rate point dropped more than 10%")
 		restart  = fs.Duration("restart", 0, "kill and WAL-restore the in-process manager this long into the first rate point (0 disables; in-process mode only)")
-		qdepth   = fs.Int("queue-depth", 0, "run the in-process server's batched admission queue at this depth (0 = inline admission)")
-		speedup  = fs.Float64("queue-speedup", 0, "dual-run diagnostic gate: queued server must sustain this multiple of the inline server's adm/s at an overloaded shared-signature point, with no regression at the mixed point (0 disables)")
-		gateSpee = fs.Float64("gate-speedup", 0, "with -gate: require this run's best unsaturated adm/s to reach this multiple of the baseline's top unsaturated adm/s (0 = same-rate no-regression check)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -578,23 +557,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if *speedup > 0 {
-		if *url != "" {
-			return errors.New("-queue-speedup needs the in-process servers; it cannot A/B a remote one")
-		}
-		return runQueueSpeedup(network, *seed,
-			*duration, *warmup, *drain, *hold, *qdepth, *speedup, stdout)
-	}
-
 	w := &world{url: *url}
 	if *url == "" {
 		reg := obs.NewRegistry()
 		quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-		cfg := server.Config{
-			Registry:   reg,
-			Logger:     quiet,
-			QueueDepth: *qdepth,
-		}
+		cfg := server.Config{Registry: reg, Logger: quiet}
 		if *restart > 0 {
 			// Durable-restart mode: the manager logs every commit to a
 			// WAL (fsync per append, the crash-safe policy) so the
@@ -673,7 +640,6 @@ func run(args []string, stdout io.Writer) error {
 	doc.Config.WarmupSec = warmup.Seconds()
 	doc.Config.HoldSec = hold.Seconds()
 	doc.Config.Faults = *faultsN
-	doc.Config.QueueDepth = *qdepth
 
 	fmt.Fprintf(stdout, "%10s %9s %9s %6s %5s %9s %8s %8s %8s %8s %7s %4s\n",
 		"rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p50ms", "p95ms", "p99ms", "p999ms", "rej%", "sat")
@@ -779,216 +745,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *check {
-		if err := checkGate(doc, snap, snapErr, trace, traceErr, *faultsN > 0 && w.canFlap, restartPt, stdout); err != nil {
-			return err
-		}
+		return checkGate(doc, snap, snapErr, trace, traceErr, *faultsN > 0 && w.canFlap, restartPt, stdout)
 	}
-	if *gate != "" {
-		return gateThroughput(*gate, doc, *gateSpee, stdout)
-	}
-	return nil
-}
-
-// newSelfWorld boots one in-process server for the A/B speedup gate.
-func newSelfWorld(network *nfv.Network, qdepth int) *world {
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	reg := obs.NewRegistry()
-	srv := server.NewWith(network, core.Options{}, server.Config{
-		Registry:   reg,
-		Logger:     quiet,
-		QueueDepth: qdepth,
-	})
-	w := &world{srv: srv, reg: reg, mgr: srv.Manager()}
-	w.ts = httptest.NewServer(srv)
-	w.url = w.ts.URL
-	transport := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
-	w.client = server.NewClient(w.url, &http.Client{Transport: transport, Timeout: 30 * time.Second})
-	return w
-}
-
-// Speedup-gate workload shape: the shared-signature point offers one
-// fixed chain far past saturation (where signature coalescing pays),
-// the mixed point offers the default mixed-signature curve at a
-// comfortably unsaturated rate (where the queue must not cost
-// anything).
-const (
-	speedupSharedMix  = "6x4!"
-	speedupSharedRate = 2048.0
-	speedupMixedMix   = "2x2:2,4x3:2,8x5:1"
-	speedupMixedRate  = 128.0
-	// speedupMixedTolerance is the fraction of the inline server's
-	// mixed-point adm/s the queued server must retain.
-	speedupMixedTolerance = 0.90
-)
-
-// runQueueSpeedup is the A/B admission-queue gate: two in-process
-// servers on clones of the same network — one admitting inline, one
-// behind the batched queue — are driven with identical pre-generated
-// plans. The queued server must sustain at least `factor` times the
-// inline adm/s at the overloaded shared-signature point and at least
-// speedupMixedTolerance of it at the unsaturated mixed point.
-func runQueueSpeedup(network *nfv.Network, seed int64, duration, warmup, drain, hold time.Duration, qdepth int, factor float64, stdout io.Writer) error {
-	if qdepth <= 0 {
-		qdepth = 1024
-	}
-	sharedMix, err := parseMix(speedupSharedMix)
-	if err != nil {
-		return err
-	}
-	mixedMix, err := parseMix(speedupMixedMix)
-	if err != nil {
-		return err
-	}
-	// Both variants replay the exact same arrival schedules.
-	sharedPlan, err := makePlan(network, rand.New(rand.NewSource(seed+501)), speedupSharedRate, warmup, duration, sharedMix, hold)
-	if err != nil {
-		return err
-	}
-	mixedPlan, err := makePlan(network, rand.New(rand.NewSource(seed+502)), speedupMixedRate, warmup, duration, mixedMix, hold)
-	if err != nil {
-		return err
-	}
-
-	ctx := context.Background()
-	type variant struct {
-		name          string
-		depth         int
-		shared, mixed point
-	}
-	variants := []*variant{
-		{name: "inline", depth: 0},
-		{name: "queued", depth: qdepth},
-	}
-	fmt.Fprintf(stdout, "%8s %8s %10s %9s %9s %6s %5s %9s %8s %4s\n",
-		"server", "point", "rate/s", "admitted", "rejected", "errs", "drop", "adm/s", "p99ms", "sat")
-	for _, v := range variants {
-		w := newSelfWorld(network.Clone(), v.depth)
-		relCtx, relCancel := context.WithCancel(ctx)
-		var relWG sync.WaitGroup
-		run := func(plan []arrival, rate float64, label string) (point, error) {
-			pt, err := runPoint(ctx, w, plan, rate, warmup, duration, 0, drain, relCtx, &relWG)
-			if err != nil {
-				return pt, err
-			}
-			sat := ""
-			if pt.Saturated {
-				sat = "yes"
-			}
-			fmt.Fprintf(stdout, "%8s %8s %10.1f %9d %9d %6d %5d %9.1f %8.2f %4s\n",
-				v.name, label, pt.OfferedRate, pt.Admitted, pt.Rejected, pt.Errors, pt.Dropped,
-				pt.AdmitsPerSec, pt.Latency.P99, sat)
-			return pt, nil
-		}
-		v.shared, err = run(sharedPlan, speedupSharedRate, "shared")
-		if err == nil {
-			v.mixed, err = run(mixedPlan, speedupMixedRate, "mixed")
-		}
-		relCancel()
-		relWG.Wait()
-		w.close()
-		if err != nil {
-			return err
-		}
-	}
-
-	inline, queued := variants[0], variants[1]
-	if inline.shared.Admitted == 0 || inline.mixed.Admitted == 0 {
-		return errors.New("queue speedup gate: inline baseline admitted nothing; comparison is vacuous")
-	}
-	ratio := queued.shared.AdmitsPerSec / inline.shared.AdmitsPerSec
-	if ratio < factor {
-		return fmt.Errorf("queue speedup gate failed: shared-signature point %.1f adm/s queued vs %.1f inline (%.2fx < %.2fx)",
-			queued.shared.AdmitsPerSec, inline.shared.AdmitsPerSec, ratio, factor)
-	}
-	if queued.mixed.AdmitsPerSec < speedupMixedTolerance*inline.mixed.AdmitsPerSec {
-		return fmt.Errorf("queue speedup gate failed: mixed point regressed to %.1f adm/s queued vs %.1f inline (floor %.0f%%)",
-			queued.mixed.AdmitsPerSec, inline.mixed.AdmitsPerSec, 100*speedupMixedTolerance)
-	}
-	fmt.Fprintf(stdout, "queue speedup gate OK: %.2fx at the shared-signature point (%.1f vs %.1f adm/s), mixed point %.1f vs %.1f adm/s\n",
-		ratio, queued.shared.AdmitsPerSec, inline.shared.AdmitsPerSec,
-		queued.mixed.AdmitsPerSec, inline.mixed.AdmitsPerSec)
-	return nil
-}
-
-// loadGateTolerance is the fraction of the baseline's sustained
-// admission throughput this run must reach at the baseline's top
-// offered rate for gateThroughput to pass.
-const loadGateTolerance = 0.90
-
-// gateThroughput compares this run against a checked-in baseline
-// artifact. With speedupFactor zero it is a no-regression check: the
-// point at the baseline's highest *unsaturated* offered rate
-// (saturated points measure queueing through the drain, not
-// sustainable throughput) must sustain at least loadGateTolerance of
-// the baseline's adm/s, and the run must include a point at that
-// exact offered rate (pass matching -rates) or the comparison is
-// vacuous and fails loudly. With speedupFactor > 0 it is the
-// admission-queue speedup gate instead: this run's best unsaturated
-// point — typically a shared-signature mix the queue coalesces — must
-// sustain at least that multiple of the baseline's top unsaturated
-// adm/s.
-func gateThroughput(path string, doc *loadDoc, speedupFactor float64, stdout io.Writer) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("load throughput gate: %w", err)
-	}
-	var base loadDoc
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("load throughput gate: parse %s: %w", path, err)
-	}
-	var top *point
-	for i := range base.Points {
-		pt := &base.Points[i]
-		if pt.Saturated {
-			continue
-		}
-		if top == nil || pt.OfferedRate > top.OfferedRate {
-			top = pt
-		}
-	}
-	if top == nil {
-		return fmt.Errorf("load throughput gate: %s has no unsaturated rate point", path)
-	}
-	if speedupFactor > 0 {
-		var best *point
-		for i := range doc.Points {
-			pt := &doc.Points[i]
-			if pt.Saturated {
-				continue
-			}
-			if best == nil || pt.AdmitsPerSec > best.AdmitsPerSec {
-				best = pt
-			}
-		}
-		if best == nil {
-			return errors.New("queue speedup gate: every point in this run saturated; offer a sustainable rate")
-		}
-		floor := speedupFactor * top.AdmitsPerSec
-		if best.AdmitsPerSec < floor {
-			return fmt.Errorf("queue speedup gate failed: %.1f adm/s at %.0f/s, below %.1f (%.2fx of baseline %.1f)",
-				best.AdmitsPerSec, best.OfferedRate, floor, speedupFactor, top.AdmitsPerSec)
-		}
-		fmt.Fprintf(stdout, "queue speedup gate OK: %.1f adm/s sustained at %.0f/s, %.2fx the baseline's %.1f (floor %.1f)\n",
-			best.AdmitsPerSec, best.OfferedRate, best.AdmitsPerSec/top.AdmitsPerSec, top.AdmitsPerSec, floor)
-		return nil
-	}
-	var cur *point
-	for i := range doc.Points {
-		if doc.Points[i].OfferedRate == top.OfferedRate {
-			cur = &doc.Points[i]
-			break
-		}
-	}
-	if cur == nil {
-		return fmt.Errorf("load throughput gate: this run has no %.0f/s point to compare against %s", top.OfferedRate, path)
-	}
-	floor := loadGateTolerance * top.AdmitsPerSec
-	if cur.AdmitsPerSec < floor {
-		return fmt.Errorf("load throughput gate failed: %.1f adm/s at %.0f/s, below %.1f (%.0f%% of baseline %.1f)",
-			cur.AdmitsPerSec, top.OfferedRate, floor, 100*loadGateTolerance, top.AdmitsPerSec)
-	}
-	fmt.Fprintf(stdout, "load throughput gate OK: %.1f adm/s at %.0f/s (baseline %.1f, floor %.1f)\n",
-		cur.AdmitsPerSec, top.OfferedRate, top.AdmitsPerSec, floor)
 	return nil
 }
 
@@ -1082,11 +840,8 @@ func runPoint(ctx context.Context, w *world, plan []arrival, rate float64, warmu
 		case outAdmitted:
 			pt.Admitted++
 			lats = append(lats, s.latMs)
-			if s.solveMs > 0 {
-				// The queued path reports the wait/solve split.
-				waits = append(waits, s.waitMs)
-				solves = append(solves, s.solveMs)
-			}
+			waits = append(waits, s.waitMs)
+			solves = append(solves, s.solveMs)
 		case outRejected:
 			pt.Rejected++
 		default:

@@ -115,14 +115,15 @@ func TestExactQuantiles(t *testing.T) {
 }
 
 // TestLoadRunEndToEnd runs the full harness against its in-process
-// server with the -check gate on: a short fixed-seed window with one
-// fault flap must admit sessions, drop nothing, surface both cache
-// hit rates, emit the artifact, and capture a request-ID trace.
+// (queued) server with the -check gate on: a short fixed-seed window
+// with one fault flap must admit sessions, drop nothing, surface both
+// cache hit rates and the wait/solve split, emit the artifact, and
+// capture a request-ID trace.
 func TestLoadRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load window too long for -short")
 	}
-	outPath := filepath.Join(t.TempDir(), "BENCH_load.json")
+	outPath := filepath.Join(t.TempDir(), "load.json")
 	var buf bytes.Buffer
 	args := []string{
 		"-nodes", "30", "-seed", "5",
@@ -155,6 +156,9 @@ func TestLoadRunEndToEnd(t *testing.T) {
 	if pt.Latency.P50 <= 0 || pt.Latency.P999 < pt.Latency.P50 {
 		t.Errorf("latency summary malformed: %+v", pt.Latency)
 	}
+	if pt.Wait == nil || pt.Solve == nil || pt.Solve.P50 <= 0 {
+		t.Errorf("point lacks the queue's wait/solve split: wait %+v solve %+v", pt.Wait, pt.Solve)
+	}
 	if doc.Metrics["metric_cache_hit_rate"] <= 0 {
 		t.Errorf("metric_cache_hit_rate = %v in artifact", doc.Metrics["metric_cache_hit_rate"])
 	}
@@ -170,7 +174,7 @@ func TestLoadRunRestartDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load window too long for -short")
 	}
-	outPath := filepath.Join(t.TempDir(), "BENCH_load.json")
+	outPath := filepath.Join(t.TempDir(), "load.json")
 	var buf bytes.Buffer
 	args := []string{
 		"-nodes", "25", "-seed", "9",

@@ -145,7 +145,7 @@ func run(ctx context.Context, args []string) error {
 		drain     = fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget")
 		solveMax  = fs.Duration("solve-timeout", 0, "ceiling on any one solve/admission; the solver returns its best embedding so far at the deadline (0 = unbounded)")
 		sample    = fs.Duration("sample-interval", 5*time.Second, "Go-runtime sampler period feeding /metrics (goroutines, heap, GC pauses); 0 disables")
-		queueDep  = fs.Int("queue-depth", 256, "bounded admission queue depth for POST /v1/sessions; overflow answers 429 with Retry-After; 0 solves inline")
+		queueDep  = fs.Int("queue-depth", 256, "bounded admission queue depth for POST /v1/sessions (at least 1); overflow answers 429 with Retry-After")
 		walDir    = fs.String("wal-dir", "", "write-ahead-log directory for durable admission state; empty disables durability")
 		snapEvery = fs.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a compacted snapshot; 0 disables periodic snapshots")
 		fsyncPol  = fs.String("fsync", "always", "WAL fsync policy: always (fsync per commit), interval (batched), none (OS-buffered)")
@@ -153,6 +153,12 @@ func run(ctx context.Context, args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *queueDep < 1 {
+		// Every admission goes through the queue, and zero would quietly
+		// take queue.New's default: refuse it rather than pick a depth
+		// the operator did not ask for.
+		return fmt.Errorf("-queue-depth %d: the admission queue needs a depth of at least 1", *queueDep)
 	}
 
 	var network *sftree.Network

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,6 +19,18 @@ import (
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-nope"}); err == nil {
 		t.Error("unknown flag accepted")
+	}
+}
+
+// TestRunRejectsQueueDepthBelowOne: every admission goes through the
+// queue, so a depth that cannot hold a ticket is refused at flag parse
+// instead of being reinterpreted.
+func TestRunRejectsQueueDepthBelowOne(t *testing.T) {
+	for _, depth := range []string{"0", "-3"} {
+		err := run(context.Background(), []string{"-queue-depth", depth, "-listen", "127.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), "-queue-depth") {
+			t.Errorf("-queue-depth %s: err = %v, want a -queue-depth error", depth, err)
+		}
 	}
 }
 

@@ -54,7 +54,9 @@ func TestClientHoldsOneConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, opened := countingServer(t, New(netw, core.Options{}))
+	srv := New(netw, core.Options{})
+	closeQueue(t, srv)
+	c, opened := countingServer(t, srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

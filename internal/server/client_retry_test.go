@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"sftree/internal/core"
-	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
 
@@ -165,12 +163,9 @@ func TestBackoffRespectsRetryAfterCap(t *testing.T) {
 // what the caller asked for, so the call succeeds. A 404 on a first
 // attempt is still the caller's mistake.
 func TestClientRetriedReleaseThatCommitted(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	net, err := netgen.Generate(netgen.PaperConfig(25, 2), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, _ := sessionNetwork(t)
 	srv := New(net, core.Options{})
+	closeQueue(t, srv)
 	var dropped atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodDelete || dropped.Swap(true) {

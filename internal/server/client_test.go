@@ -10,7 +10,8 @@ import (
 )
 
 func TestClientAgainstServer(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	c := NewClient(ts.URL, nil)
 	ctx := context.Background()
 
@@ -63,7 +64,7 @@ func TestClientAgainstServer(t *testing.T) {
 }
 
 func TestClientErrorMapping(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	c := NewClient(ts.URL, nil)
 	ctx := context.Background()
 
@@ -84,7 +85,7 @@ func TestClientErrorMapping(t *testing.T) {
 }
 
 func TestClientContextCancellation(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	c := NewClient(ts.URL, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

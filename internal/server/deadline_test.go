@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"sftree/internal/core"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
@@ -26,7 +24,7 @@ func TestSolveTimeoutMSReturnsValidEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	doc := nfv.InstanceDoc{Network: net, Task: task}
 
 	start := time.Now()
@@ -57,9 +55,7 @@ func TestSolveTimeoutMSReturnsValidEmbedding(t *testing.T) {
 // TestServerSolveTimeoutCeiling: the server-wide ceiling applies even
 // when the request asks for more (or nothing).
 func TestServerSolveTimeoutCeiling(t *testing.T) {
-	srv := NewWith(nil, core.Options{}, Config{SolveTimeout: time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	_, ts := newTestServer(t, nil, Config{SolveTimeout: time.Millisecond})
 
 	rng := rand.New(rand.NewSource(22))
 	net, err := netgen.Generate(netgen.PaperConfig(60, 2), rng)
@@ -97,7 +93,8 @@ func TestServerSolveTimeoutCeiling(t *testing.T) {
 // TestAdmitTimeoutQueryParam: admissions accept ?timeout_ms= and reject
 // garbage values.
 func TestAdmitTimeoutQueryParam(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	task := nfv.Task{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}}
 	resp := postJSON(t, ts.URL+"/v1/sessions?timeout_ms=500", task)
 	if resp.StatusCode != http.StatusCreated {

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -17,7 +15,6 @@ import (
 
 	"sftree/internal/core"
 	"sftree/internal/graph"
-	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
 
@@ -120,35 +117,9 @@ func wantPlugs(t *testing.T, plugs []<-chan *http.Response) {
 	}
 }
 
-// newQueuedServer boots a session server in queued-admission mode and
-// returns the Server (for queue introspection), its test listener and
-// a feasible task on its network.
-func newQueuedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, nfv.Task) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(10))
-	net, err := netgen.Generate(netgen.PaperConfig(25, 2), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := netgen.GenerateTask(net, rng, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWith(net, core.Options{}, cfg)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if q := srv.Queue(); q != nil {
-			_ = q.Close(ctx)
-		}
-	})
-	return srv, ts, task
-}
-
 func TestQueuedAdmitSucceeds(t *testing.T) {
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8})
+	net, task := sessionNetwork(t)
+	srv, ts := newTestServer(t, net, Config{QueueDepth: 8})
 	resp := postJSON(t, ts.URL+"/v1/sessions", task)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -158,7 +129,7 @@ func TestQueuedAdmitSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ar.SolveMS <= 0 {
-		t.Errorf("solve_ms = %v, want > 0 on the queued path", ar.SolveMS)
+		t.Errorf("solve_ms = %v, want > 0", ar.SolveMS)
 	}
 	if ar.WaitMS < 0 {
 		t.Errorf("wait_ms = %v, want >= 0", ar.WaitMS)
@@ -187,7 +158,8 @@ func TestQueuedAdmitSucceeds(t *testing.T) {
 // before any enqueue), malformed tasks 400, infeasible tasks 409 —
 // all wrapped in the JSON error envelope.
 func TestQueuedAdmitErrors(t *testing.T) {
-	_, ts, task := newQueuedServer(t, Config{QueueDepth: 8})
+	net, task := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{QueueDepth: 8})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +196,7 @@ func TestQueuedAdmitErrors(t *testing.T) {
 // TestQueuedAdmitRejection posts a well-formed task to a network with
 // zero server capacity: the task passes validation, reaches the
 // solver through the queue, and the rejection must surface as 409
-// with the JSON error envelope, exactly like the inline path.
+// with the JSON error envelope.
 func TestQueuedAdmitRejection(t *testing.T) {
 	g := graph.New(4)
 	for v := 1; v < 4; v++ {
@@ -239,14 +211,7 @@ func TestQueuedAdmitRejection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewWith(net, core.Options{}, Config{QueueDepth: 8})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Queue().Close(ctx)
-	})
+	srv, ts := newTestServer(t, net, Config{QueueDepth: 8})
 
 	task := nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}
 	resp := postJSON(t, ts.URL+"/v1/sessions", task)
@@ -266,7 +231,8 @@ func TestQueuedAdmitRejection(t *testing.T) {
 // solvers and asserts the 429 envelope carries Retry-After.
 func TestQueuedAdmitOverflow(t *testing.T) {
 	h := newSolverHold()
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 1, Observer: h})
+	net, task := sessionNetwork(t)
+	srv, ts := newTestServer(t, net, Config{QueueDepth: 1, Observer: h})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +291,8 @@ func TestQueuedAdmitOverflow(t *testing.T) {
 // with Retry-After, never reaching a solver.
 func TestQueuedAdmitExpires(t *testing.T) {
 	h := newSolverHold()
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8, Observer: h})
+	net, task := sessionNetwork(t)
+	srv, ts := newTestServer(t, net, Config{QueueDepth: 8, Observer: h})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +321,8 @@ func TestQueuedAdmitExpires(t *testing.T) {
 // request ends 503-side and no session is left that nobody holds.
 func TestQueuedAdmitClientGone(t *testing.T) {
 	h := newSolverHold()
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8, Observer: h})
+	net, task := sessionNetwork(t)
+	srv, ts := newTestServer(t, net, Config{QueueDepth: 8, Observer: h})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +385,8 @@ func TestQueuedAdmitClientGone(t *testing.T) {
 // TestQueuedAdmitDraining closes the queue (the shutdown sequence's
 // queue-drain step) and asserts new admissions answer 503.
 func TestQueuedAdmitDraining(t *testing.T) {
-	srv, ts, task := newQueuedServer(t, Config{QueueDepth: 8})
+	net, task := sessionNetwork(t)
+	srv, ts := newTestServer(t, net, Config{QueueDepth: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Queue().Close(ctx); err != nil {

@@ -78,12 +78,11 @@ type Config struct {
 	// server instruments and traces it; net must be the manager's
 	// network.
 	Manager *dynamic.Manager
-	// QueueDepth, when positive, routes POST /v1/sessions through the
-	// bounded async admission queue instead of solving inline: requests
-	// enqueue with their deadline, one solver per processor works the
-	// line they form — whatever queued up behind busy solvers joins it
-	// grouped by chain signature — and overflow answers 429 with
-	// Retry-After. Zero keeps the inline path.
+	// QueueDepth bounds the admission queue behind POST /v1/sessions:
+	// requests enqueue with their deadline, one solver per processor
+	// works the line they form — whatever queued up behind busy solvers
+	// joins it grouped by chain signature — and overflow answers 429
+	// with Retry-After. Zero takes queue.New's default depth.
 	QueueDepth int
 	// Deprecated: BatchWindow is ignored; a ticket is taken the moment
 	// a solver is free.
@@ -105,8 +104,8 @@ type Server struct {
 	traces  *obs.TraceBuffer
 	opts    core.Options // base solver options, observer attached
 	timeout time.Duration
-	// q, when non-nil, is the async admission pipeline behind POST
-	// /v1/sessions (see Config.QueueDepth).
+	// q is the admission queue behind POST /v1/sessions, nil on a
+	// stateless server (see Config.QueueDepth).
 	q *queue.Queue
 }
 
@@ -139,7 +138,7 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	} else if net != nil {
 		s.mgr = dynamic.NewManager(net, opts).Instrument(reg).Trace(traces)
 	}
-	if cfg.QueueDepth > 0 && s.mgr != nil {
+	if s.mgr != nil {
 		// The provider indirects through Manager() so the queue keeps
 		// working across the restart harness's hot swap.
 		s.q = queue.New(queue.Config{
@@ -174,7 +173,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) Traces() *obs.TraceBuffer { return s.traces }
 
 // Manager exposes the dynamic session manager backing the stateful
-// API, nil for stateless servers. In-process harnesses (cmd/sftload's
+// API, nil for stateless servers. The admission queue reaches the
+// manager through it, and in-process harnesses (cmd/sftload's
 // self-serve mode) use it to drive fault rebases against the same
 // network the HTTP admissions run on.
 func (s *Server) Manager() *dynamic.Manager {
@@ -183,9 +183,9 @@ func (s *Server) Manager() *dynamic.Manager {
 	return s.mgr
 }
 
-// Queue exposes the async admission pipeline, nil when the server
-// solves inline (Config.QueueDepth == 0). The process's shutdown
-// sequence closes it between the HTTP drain and Manager.Drain.
+// Queue exposes the admission queue, nil for stateless servers. Its
+// solvers run until it is closed: the process's shutdown sequence
+// closes it between the HTTP drain and Manager.Drain.
 func (s *Server) Queue() *queue.Queue { return s.q }
 
 // SetManager swaps the session manager backing the stateful API — the
@@ -253,12 +253,12 @@ type AdmitResponse struct {
 	// the session holds the best feasible embedding found by then.
 	EarlyStop bool `json:"early_stop,omitempty"`
 	// WaitMS is the time the request spent queued before its solve
-	// started; zero on the inline (unqueued) path. SolveMS runs from
-	// there to its commit, which for a ticket solved ahead of its turn
-	// includes waiting for that turn — clients can split saturation-born
-	// queueing delay from what the request's own batch cost.
-	WaitMS  float64 `json:"wait_ms,omitempty"`
-	SolveMS float64 `json:"solve_ms,omitempty"`
+	// started. SolveMS runs from there to its commit, which for a ticket
+	// solved ahead of its turn includes waiting for that turn — clients
+	// can split saturation-born queueing delay from what the request's
+	// own batch cost.
+	WaitMS  float64 `json:"wait_ms"`
+	SolveMS float64 `json:"solve_ms"`
 }
 
 type errorBody struct {
@@ -314,8 +314,8 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		resp["queue_depth"] = qs.Depth
 		resp["queue_capacity"] = qs.Capacity
 		if qs.Saturated {
-			// A full queue answers 429 until a batch drains: surface it
-			// to probes so load balancers shift traffic away.
+			// A full queue answers 429 until a free solver drains it:
+			// surface it to probes so load balancers shift traffic away.
 			resp["status"] = "degraded"
 			resp["queue_saturated"] = true
 		}
@@ -505,9 +505,16 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
+// handleAdmit enqueues the task with its deadline (timeout_ms capped
+// by the server ceiling, converted to an absolute instant) and blocks
+// on the ticket. Overflow and in-queue expiry answer 429 with
+// Retry-After; a closed queue, a missing manager or a refused WAL
+// append answer 503 (drain in progress / mid-restart / dead disk). The
+// request context rides the ticket, so a client that leaves is never
+// left holding a session: the queue drops its ticket unsolved, or
+// releases the session if the commit had already landed.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	mgr := s.Manager()
-	if mgr == nil {
+	if s.Manager() == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("server started without a network"))
 		return
 	}
@@ -530,55 +537,6 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		timeoutMS = ms
 	}
-	if s.q != nil {
-		s.admitQueued(w, r, task, timeoutMS)
-		return
-	}
-	ctx, cancel := s.solveContext(r, timeoutMS)
-	defer cancel()
-	sess, err := mgr.AdmitCtx(ctx, task)
-	if err != nil {
-		writeError(w, admitStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, AdmitResponse{
-		ID:        sess.ID,
-		Cost:      sess.Result.FinalCost,
-		EarlyStop: sess.Result.EarlyStop,
-	})
-}
-
-// admitStatus maps an admission error to its HTTP status: malformed
-// tasks 400, a write-ahead log that refused the commit 503 (the disk,
-// not the network, is out of room — retrying elsewhere can help),
-// capacity rejections 409.
-func admitStatus(err error) int {
-	switch {
-	case errors.Is(err, nfv.ErrInvalidTask):
-		return http.StatusBadRequest
-	case errors.Is(err, dynamic.ErrWAL):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusConflict
-}
-
-// retryAfter is the back-off hint attached to 429 responses (queue
-// overflow or a deadline that expired before a solve slot opened):
-// both mean a backlog stands behind the solver, and a full queue of
-// sub-millisecond solves drains well inside one second, so that is a
-// conservative "the queue has turned over" bound.
-const retryAfter = "1"
-
-// admitQueued is the queued admission path: the request enqueues with
-// its deadline (timeout_ms capped by the server ceiling, converted to
-// an absolute instant) and blocks on the ticket. Overflow and
-// in-queue expiry answer 429 with Retry-After; a closed queue, a
-// missing manager or a refused WAL append answer 503 (drain in
-// progress / mid-restart / dead disk). The
-// request context rides the ticket, so a client that leaves is never
-// left holding a session: the queue drops its ticket unsolved, or
-// releases the session if the commit had already landed.
-func (s *Server) admitQueued(w http.ResponseWriter, r *http.Request, task nfv.Task, timeoutMS int64) {
 	var deadline time.Time
 	if limit := s.solveLimit(timeoutMS); limit > 0 {
 		deadline = time.Now().Add(limit)
@@ -616,6 +574,27 @@ func (s *Server) admitQueued(w http.ResponseWriter, r *http.Request, task nfv.Ta
 		SolveMS:   float64(tk.SolveDuration()) / float64(time.Millisecond),
 	})
 }
+
+// admitStatus maps an admission error to its HTTP status: malformed
+// tasks 400, a write-ahead log that refused the commit 503 (the disk,
+// not the network, is out of room — retrying elsewhere can help),
+// capacity rejections 409.
+func admitStatus(err error) int {
+	switch {
+	case errors.Is(err, nfv.ErrInvalidTask):
+		return http.StatusBadRequest
+	case errors.Is(err, dynamic.ErrWAL):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusConflict
+}
+
+// retryAfter is the back-off hint attached to 429 responses (queue
+// overflow or a deadline that expired before a solve slot opened):
+// both mean a backlog stands behind the solver, and a full queue of
+// sub-millisecond solves drains well inside one second, so that is a
+// conservative "the queue has turned over" bound.
+const retryAfter = "1"
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, _ *http.Request) {
 	mgr := s.Manager()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"sftree/internal/core"
 	"sftree/internal/netgen"
@@ -30,20 +32,43 @@ func testInstance(t *testing.T) nfv.InstanceDoc {
 	return nfv.InstanceDoc{Network: net, Task: task}
 }
 
-func newTestServer(t *testing.T, withNet bool) *httptest.Server {
+// sessionNetwork generates the 25-node network the session tests run
+// on, and a feasible task on it.
+func sessionNetwork(t *testing.T) (*nfv.Network, nfv.Task) {
 	t.Helper()
-	var net *nfv.Network
-	if withNet {
-		rng := rand.New(rand.NewSource(10))
-		var err error
-		net, err = netgen.Generate(netgen.PaperConfig(25, 2), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+	rng := rand.New(rand.NewSource(10))
+	net, err := netgen.Generate(netgen.PaperConfig(25, 2), rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(net, core.Options{}))
+	task, err := netgen.GenerateTask(net, rng, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, task
+}
+
+// newTestServer serves net (nil: the stateless endpoints only) under
+// cfg on a test listener, both shut down when the test ends.
+func newTestServer(t *testing.T, net *nfv.Network, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := NewWith(net, core.Options{}, cfg)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts
+	closeQueue(t, srv)
+	return srv, ts
+}
+
+// closeQueue stops srv's admission solvers when the test ends, so no
+// test leaves one goroutine per processor running behind it.
+func closeQueue(t *testing.T, srv *Server) {
+	t.Cleanup(func() {
+		if q := srv.Queue(); q != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_ = q.Close(ctx)
+		}
+	})
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -61,7 +86,7 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 func TestHealthz(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +98,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestSolveEndpointAlgorithms(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	doc := testInstance(t)
 	for _, algo := range []string{"", "msa", "msa1", "sca", "rsa", "onenode", "bks"} {
 		t.Run("algo="+algo, func(t *testing.T) {
@@ -97,7 +122,7 @@ func TestSolveEndpointAlgorithms(t *testing.T) {
 }
 
 func TestSolveEndpointErrors(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	doc := testInstance(t)
 
 	resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: doc, Algorithm: "nope"})
@@ -123,7 +148,7 @@ func TestSolveEndpointErrors(t *testing.T) {
 }
 
 func TestValidateEndpoint(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	doc := testInstance(t)
 	res, err := core.Solve(doc.Network, doc.Task, core.Options{})
 	if err != nil {
@@ -153,7 +178,7 @@ func TestValidateEndpoint(t *testing.T) {
 }
 
 func TestRenderEndpoint(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	doc := testInstance(t)
 	resp := postJSON(t, ts.URL+"/v1/render", SolveRequest{Instance: doc})
 	if resp.StatusCode != http.StatusOK {
@@ -172,7 +197,8 @@ func TestRenderEndpoint(t *testing.T) {
 }
 
 func TestSessionLifecycleOverHTTP(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	task := nfv.Task{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}}
 
 	resp := postJSON(t, ts.URL+"/v1/sessions", task)
@@ -242,8 +268,10 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 }
 
 func TestReadyz(t *testing.T) {
-	for _, withNet := range []bool{false, true} {
-		ts := newTestServer(t, withNet)
+	net, _ := sessionNetwork(t)
+	for _, served := range []*nfv.Network{nil, net} {
+		withNet := served != nil
+		_, ts := newTestServer(t, served, Config{})
 		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +294,7 @@ func TestReadyz(t *testing.T) {
 }
 
 func TestErrorEnvelopes(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 
 	// Malformed body: 400 with {"error": ...}.
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader("{nope"))
@@ -318,9 +346,7 @@ func assertErrorEnvelope(t *testing.T, resp *http.Response, wantStatus int) {
 // phase timings through the attached observer.
 func TestSolveFeedsMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := NewWith(nil, core.Options{}, Config{Registry: reg})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	srv, ts := newTestServer(t, nil, Config{Registry: reg})
 	if srv.Registry() != reg {
 		t.Fatal("Registry() does not return the wired registry")
 	}
@@ -367,7 +393,8 @@ func TestSolveFeedsMetrics(t *testing.T) {
 // TestSessionMetrics: admissions and releases show up in the manager's
 // instrumented counters and gauges.
 func TestSessionMetrics(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	task := nfv.Task{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}}
 
 	resp := postJSON(t, ts.URL+"/v1/sessions", task)
@@ -422,7 +449,7 @@ func TestSessionMetrics(t *testing.T) {
 }
 
 func TestSessionsWithoutNetwork(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	resp := postJSON(t, ts.URL+"/v1/sessions", nfv.Task{Source: 0, Destinations: []int{1}, Chain: nfv.SFC{0}})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Errorf("status = %d, want 501", resp.StatusCode)

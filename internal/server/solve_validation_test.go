@@ -12,7 +12,7 @@ import (
 // solve requests: every rejection must come back as a JSON error
 // envelope with the right status, never a 500 or a hung solve.
 func TestSolveBodyValidation(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	good := testInstance(t)
 
 	mutate := func(f func(doc *nfv.InstanceDoc)) nfv.InstanceDoc {
@@ -89,7 +89,8 @@ func TestSolveBodyValidation(t *testing.T) {
 // TestAdmitTimeoutValidation covers the session API's query-parameter
 // flavor of the same contract.
 func TestAdmitTimeoutValidation(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	task := nfv.Task{Source: 0, Destinations: []int{1, 2}, Chain: nfv.SFC{0}}
 	for _, bad := range []string{"-5", "abc", fmt.Sprint(maxTimeoutMS + 1)} {
 		t.Run("timeout_ms="+bad, func(t *testing.T) {

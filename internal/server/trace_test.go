@@ -34,7 +34,8 @@ func getTraces(t *testing.T, base string) []obs.Trace {
 // of /debug/traces attached to the solver span tree that admission
 // produced.
 func TestRequestIDPropagatesToTrace(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	doc := testInstance(t)
 
 	// Admission with a caller-chosen request ID.
@@ -79,7 +80,7 @@ func TestRequestIDPropagatesToTrace(t *testing.T) {
 // ring too, with server-generated request IDs when the caller sent
 // none.
 func TestStatelessSolveTraced(t *testing.T) {
-	ts := newTestServer(t, false)
+	_, ts := newTestServer(t, nil, Config{})
 	doc := testInstance(t)
 	resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: doc})
 	if resp.StatusCode != http.StatusOK {
@@ -104,7 +105,8 @@ func TestStatelessSolveTraced(t *testing.T) {
 // TestMetricsExposesCacheFloats: the /metrics snapshot must carry the
 // cache hit-rate and pool reuse callback gauges.
 func TestMetricsExposesCacheFloats(t *testing.T) {
-	ts := newTestServer(t, true)
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
 	doc := testInstance(t)
 	if resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: doc}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d", resp.StatusCode)

@@ -22,12 +22,14 @@
 #                       # shared-snapshot race) and the queued HTTP
 #                       # admission tests
 #   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
-#                       # run against an in-process sftserve, asserting
-#                       # non-zero admissions, zero dropped measurements
-#                       # at unsaturated points, live cache hit-rate
-#                       # floats on /metrics, a request-ID-stamped trace
-#                       # on /debug/traces, and no >10% sustained-adm/s
-#                       # regression at BENCH_load.json's top rate point
+#                       # runs against an in-process (queued) sftserve,
+#                       # asserting non-zero admissions, zero dropped
+#                       # measurements at unsaturated points, live cache
+#                       # hit-rate floats on /metrics and a
+#                       # request-ID-stamped trace on /debug/traces; the
+#                       # second run kills and WAL-restores the manager
+#                       # under that traffic and requires zero lost and
+#                       # zero phantom sessions
 #   ./tools.sh obs      # obs smoke only: build cmds, boot sftserve,
 #                       # assert /healthz /readyz /metrics respond and
 #                       # /metrics counts the connections that took
@@ -179,9 +181,11 @@ queue_gate() {
 # m.refs and m.sessions; the admission routines apply replaced, the
 # solver options that selected a second code path, the micro-
 # benchmark stack that measured them, the pooled-heap hook of the
-# MOD overlay's old Dijkstra and the server's pass-through of the
-# queue's worker count stay gone from every .go file, bench/
-# included; the stage-one sweep stays one goroutine's loop; and the
+# MOD overlay's old Dijkstra, the server's pass-through of the
+# queue's worker count and sftload's baseline and A/B throughput gates
+# stay gone from every .go file, bench/ included; internal/server's
+# non-test files call no AdmitCtx (POST /v1/sessions has one way in,
+# the queue); the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
 # shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra);
 # internal/core's non-test files call no state.cost() (a solve prices
@@ -199,17 +203,21 @@ queue_gate() {
 # running best (the rest is the overlay's candidate table); and
 # internal/steiner/sweep.go holds no tIn/inTree membership scan.
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
+		exit 1
+	fi
+	if grep -n 'AdmitCtx' $(ls internal/server/*.go | grep -v _test.go); then
+		echo "retired guard: internal/server admits around the queue again (POST /v1/sessions has one admission path: the queue)" >&2
 		exit 1
 	fi
 	if grep -nE 'go func|WaitGroup|atomic\.' internal/core/msa.go; then
@@ -268,22 +276,17 @@ retired_guard() {
 # must be admitted, no measurement may be dropped at an unsaturated
 # point, /metrics must show non-zero metric-cache and APSP-cache hit
 # rates, and /debug/traces must hold an admission trace stamped with
-# its request ID. A second run re-measures the checked-in
-# BENCH_load.json's top rate point (same network and seed as the
-# baseline) and fails if sustained adm/s dropped more than 10% —
-# regenerate the baseline after an intentional change with:
-#   go run ./cmd/sftload -out BENCH_load.json
-# The third run is the admission-queue speedup gate: a queued server
-# at a shared-signature mix (one fixed chain, so the backlog that forms
-# behind the solver at this rate rides shared snapshots) must sustain
-# ≥1.5x the baseline's top unsaturated adm/s without itself saturating.
+# its request ID. The second run is the live-traffic crash drill: one
+# second in, the in-process manager's WAL dies without a flush, the
+# manager is restored from disk and swapped back in under the queue,
+# and the run fails on any acked session lost or any session no
+# client was acked for. Both runs assert behaviour, not throughput,
+# so neither needs the machine to itself.
 load_gate() {
-	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check (queued)"
-	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -queue-depth 256 -check
-	echo "==> load throughput gate: top BENCH_load.json rate point, -10% tolerance"
-	go run ./cmd/sftload -nodes 50 -seed 1 -rates 512 -duration 5s -warmup 1s -hold 2s -faults 2 -queue-depth 256 -gate BENCH_load.json
-	echo "==> queue speedup gate: shared-signature mix, 1.5x baseline floor"
-	go run ./cmd/sftload -nodes 50 -seed 1 -mix '6x4!' -rates 768 -duration 4s -warmup 1s -hold 2s -queue-depth 1024 -gate BENCH_load.json -gate-speedup 1.5
+	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check"
+	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -check
+	echo "==> load gate: sftload -rates 25 -duration 3s -restart 1s -check (crash drill)"
+	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 0 -restart 1s -check
 	echo "OK (load gate)"
 }
 
