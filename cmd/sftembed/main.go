@@ -6,7 +6,7 @@
 //
 //	sftgen -nodes 40 > inst.json
 //	sftembed -in inst.json                 # two-stage algorithm (default)
-//	sftembed -in inst.json -algo sca       # baselines: sca, rsa
+//	sftembed -in inst.json -algo sca       # baselines: sca, rsa, onenode
 //	sftembed -in inst.json -algo bks       # best-known reference
 //	sftembed -in inst.json -algo ilp       # exact ILP (small instances!)
 package main
@@ -33,7 +33,7 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sftembed", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "", "instance JSON file (required)")
-		algo    = fs.String("algo", "msa", "algorithm: msa, msa1 (stage one only), sca, rsa, bks, ilp")
+		algo    = fs.String("algo", "msa", "algorithm: msa, msa1 (stage one only), sca, rsa, onenode, bks, ilp")
 		seed    = fs.Int64("seed", 1, "seed for the rsa baseline")
 		tm      = fs.Bool("tm", false, "use Takahashi-Matsuyama instead of KMB for Steiner trees")
 		timeout = fs.Duration("timeout", time.Minute, "wall-time budget for -algo ilp")
@@ -85,6 +85,12 @@ func run(args []string, w io.Writer) error {
 		emb = res.Embedding
 	case "rsa":
 		res, err := sftree.SolveRSA(doc.Network, doc.Task, *seed, opts)
+		if err != nil {
+			return err
+		}
+		emb = res.Embedding
+	case "onenode":
+		res, err := sftree.SolveOneNode(doc.Network, doc.Task, opts)
 		if err != nil {
 			return err
 		}

@@ -35,7 +35,7 @@ func writeInstance(t *testing.T) string {
 
 func TestRunAlgorithms(t *testing.T) {
 	path := writeInstance(t)
-	for _, algo := range []string{"msa", "msa1", "sca", "rsa", "bks"} {
+	for _, algo := range []string{"msa", "msa1", "sca", "rsa", "onenode", "bks"} {
 		t.Run(algo, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := run([]string{"-in", path, "-algo", algo}, &buf); err != nil {

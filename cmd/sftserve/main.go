@@ -1,7 +1,9 @@
-// Command sftserve runs the HTTP solving service: stateless /v1/solve,
-// /v1/validate and /v1/render endpoints plus a stateful /v1/sessions
-// API backed by the dynamic session manager — the shape in which an
-// SDN controller would consume this library.
+// Command sftserve runs the HTTP solving service: stateless /v1/solve
+// (MSA+OPA, or stage one alone) and /v1/validate endpoints plus a
+// stateful /v1/sessions API backed by the dynamic session manager — the
+// shape in which an SDN controller would consume this library. The
+// comparison algorithms and rendering are offline tools (sftembed,
+// sftbench), not part of the controller.
 //
 // Observability is built in: every request gets an X-Request-ID and a
 // structured access log line, GET /metrics serves the JSON metrics
@@ -41,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -49,9 +52,10 @@ import (
 	"syscall"
 	"time"
 
-	"sftree"
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
+	"sftree/internal/netgen"
+	"sftree/internal/nfv"
 	"sftree/internal/obs"
 	"sftree/internal/server"
 	"sftree/internal/wal"
@@ -160,8 +164,13 @@ func run(ctx context.Context, args []string) error {
 		// the operator did not ask for.
 		return fmt.Errorf("-queue-depth %d: the admission queue needs a depth of at least 1", *queueDep)
 	}
+	if *stateless && *walDir != "" {
+		// A stateless server has no sessions to log: refuse rather than
+		// serve without the durability the operator asked for.
+		return fmt.Errorf("-stateless with -wal-dir %s: a stateless server keeps no session state to log", *walDir)
+	}
 
-	var network *sftree.Network
+	var network *nfv.Network
 	switch {
 	case *stateless:
 		// nil network: session endpoints answer 501.
@@ -170,14 +179,14 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		var doc sftree.InstanceDoc
+		var doc nfv.InstanceDoc
 		if err := json.Unmarshal(blob, &doc); err != nil {
 			return fmt.Errorf("parse %s: %w", *netFile, err)
 		}
 		network = doc.Network
 	default:
 		var err error
-		network, err = sftree.GenerateNetwork(sftree.DefaultGenConfig(*nodes, 2), *seed)
+		network, err = netgen.Generate(netgen.PaperConfig(*nodes, 2), rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			return err
 		}
@@ -195,7 +204,7 @@ func run(ctx context.Context, args []string) error {
 		mgr    *dynamic.Manager
 		walLog *wal.Log
 	)
-	if *walDir != "" && network != nil {
+	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsyncPol)
 		if err != nil {
 			return err

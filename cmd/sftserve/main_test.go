@@ -34,6 +34,16 @@ func TestRunRejectsQueueDepthBelowOne(t *testing.T) {
 	}
 }
 
+// TestRunRejectsStatelessWithWAL: a stateless server has no session
+// state, so asking it for a write-ahead log is refused instead of
+// serving without one.
+func TestRunRejectsStatelessWithWAL(t *testing.T) {
+	err := run(context.Background(), []string{"-stateless", "-wal-dir", t.TempDir(), "-listen", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "-stateless") || !strings.Contains(err.Error(), "-wal-dir") {
+		t.Errorf("-stateless -wal-dir: err = %v, want an error naming both flags", err)
+	}
+}
+
 func TestRunRejectsMissingNetworkFile(t *testing.T) {
 	if err := run(context.Background(), []string{"-network", "/does/not/exist.json", "-listen", "127.0.0.1:0"}); err == nil {
 		t.Error("missing network file accepted")

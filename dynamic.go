@@ -20,7 +20,7 @@ type (
 	// SessionStats snapshots a manager's counters.
 	SessionStats = dynamic.Stats
 	// TraceStats aggregates a workload-trace replay.
-	TraceStats = dynamic.TraceStats
+	TraceStats = trace.TraceStats
 
 	// TraceConfig controls workload-trace generation.
 	TraceConfig = trace.Config
@@ -60,5 +60,5 @@ func SummarizeTrace(events []TraceEvent) TraceSummary { return trace.Summarize(e
 
 // RunTrace replays a timeline through the manager.
 func RunTrace(m *SessionManager, events []TraceEvent) (*TraceStats, error) {
-	return dynamic.RunTrace(m, events)
+	return trace.RunTrace(m, events)
 }

@@ -49,7 +49,7 @@ func TraceStudy(cfg Config) (*Figure, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tracestudy: %w", err)
 			}
-			stats, err := dynamic.RunTrace(dynamic.NewManager(net, core.Options{}), events)
+			stats, err := trace.RunTrace(dynamic.NewManager(net, core.Options{}), events)
 			if err != nil {
 				return nil, fmt.Errorf("tracestudy: %w", err)
 			}

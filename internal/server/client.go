@@ -142,22 +142,13 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("client: encode: %w", err)
 		}
 	}
-	read := func(body io.Reader) error {
-		if out == nil {
-			return nil
-		}
-		if err := json.NewDecoder(body).Decode(out); err != nil {
-			return fmt.Errorf("client: decode: %w", err)
-		}
-		return nil
-	}
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := c.attempt(ctx, method, path, blob, read)
+		resp, err := c.attempt(ctx, method, path, blob, out)
 		if err == nil {
 			return nil
 		}
@@ -183,11 +174,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // the bound and then the connection, never a stall.
 const drainLimit = 64 << 10
 
-// attempt performs one round-trip and hands the body of a 2xx response
-// to read. The returned response is non-nil only on HTTP-level errors
-// (for retry classification). On every exit what is left of the body,
-// up to drainLimit, is consumed before it closes.
-func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, read func(io.Reader) error) (*http.Response, error) {
+// attempt performs one round-trip and decodes the body of a 2xx
+// response into out (skipped when out is nil). The returned response is
+// non-nil only on HTTP-level errors (for retry classification). On
+// every exit what is left of the body, up to drainLimit, is consumed
+// before it closes.
+func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, out any) (*http.Response, error) {
 	var body io.Reader
 	if blob != nil {
 		body = bytes.NewReader(blob)
@@ -215,7 +207,13 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 		}
 		return resp, &APIError{Status: resp.StatusCode, Message: msg}
 	}
-	return nil, read(resp.Body)
+	if out == nil {
+		return nil, nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return nil, fmt.Errorf("client: decode: %w", err)
+	}
+	return nil, nil
 }
 
 // Health checks the liveness endpoint.
@@ -239,20 +237,6 @@ func (c *Client) Validate(ctx context.Context, req ValidateRequest) (*ValidateRe
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Render solves and returns the SVG bytes.
-func (c *Client) Render(ctx context.Context, req SolveRequest) ([]byte, error) {
-	blob, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode: %w", err)
-	}
-	var svg []byte
-	_, err = c.attempt(ctx, http.MethodPost, "/v1/render", blob, func(body io.Reader) (err error) {
-		svg, err = io.ReadAll(body)
-		return err
-	})
-	return svg, err
 }
 
 // Admit creates a session on the server's network.

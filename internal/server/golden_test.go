@@ -32,7 +32,8 @@ func maskTimings(t *testing.T, body string) string {
 // TestResponseBytes pins what the hot endpoints put on the wire, byte
 // for byte: the constant bodies are written precomputed, and a client
 // that hashed or diffed responses must not see the difference. An
-// admit body carries the queue's wait/solve split after id and cost.
+// admit body carries the queue's wait/solve split after id and cost. A
+// retired route answers the fallback's JSON 404.
 func TestResponseBytes(t *testing.T) {
 	net, _ := sessionNetwork(t)
 	_, ts := newTestServer(t, net, Config{})
@@ -50,6 +51,7 @@ func TestResponseBytes(t *testing.T) {
 		{"POST", "/v1/sessions", task, 201, "{\"id\":0,\"cost\":365.4001926632203,\"wait_ms\":T,\"solve_ms\":T}\n"},
 		{"DELETE", "/v1/sessions/0", nil, 200, "{\"status\":\"released\"}\n"},
 		{"DELETE", "/v1/sessions/0", nil, 404, "{\"error\":\"dynamic: unknown session: 0\"}\n"},
+		{"POST", "/v1/render", nil, 404, "{\"error\":\"no route for POST /v1/render\"}\n"},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(tc.body))
 		if err != nil {

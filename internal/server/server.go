@@ -1,17 +1,19 @@
-// Package server exposes the solver suite over HTTP, the way an SDN
+// Package server exposes the solver over HTTP, the way an SDN
 // controller would consume it (the paper's setting is centralized
 // computation in an SDN control plane). It offers stateless solving
-// and rendering endpoints that carry the full instance in the request,
-// plus a stateful session API backed by the dynamic manager on the
-// network the server was started with.
+// and validation endpoints that carry the full instance in the
+// request, plus a stateful session API backed by the dynamic manager
+// on the network the server was started with. It solves with MSA+OPA
+// (or stage one alone) and nothing else: the comparison algorithms and
+// rendering run offline (cmd/sftembed, cmd/sftbench), so none of them
+// is linked into the controller.
 //
 //	GET    /healthz               liveness probe
 //	GET    /readyz                readiness probe (network + session API state)
 //	GET    /metrics               JSON metrics snapshot (counters/gauges/floats/histograms)
 //	GET    /debug/traces          recent request-scoped solver span trees (bounded ring)
-//	POST   /v1/solve              {instance, algorithm?, seed?} -> embedding + costs
+//	POST   /v1/solve              {instance, algorithm?, timeout_ms?} -> embedding + costs
 //	POST   /v1/validate           {instance, embedding} -> verdict + replay
-//	POST   /v1/render             {instance, algorithm?} -> image/svg+xml
 //	POST   /v1/sessions           task -> admitted session (server network)
 //	GET    /v1/sessions           manager statistics
 //	DELETE /v1/sessions/{id}      release a session
@@ -29,21 +31,17 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"sftree/internal/baseline"
 	"sftree/internal/conformance"
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
-	"sftree/internal/exact"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
 	"sftree/internal/queue"
-	"sftree/internal/viz"
 )
 
 // MaxBodyBytes caps request bodies.
@@ -153,7 +151,6 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	s.mux.Handle("GET /debug/traces", traces.Handler())
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/validate", s.handleValidate)
-	s.mux.HandleFunc("POST /v1/render", s.handleRender)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleAdmit)
 	s.mux.HandleFunc("GET /v1/sessions", s.handleSessionStats)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleRelease)
@@ -207,11 +204,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 var _ http.Handler = (*Server)(nil)
 
-// SolveRequest is the body of POST /v1/solve and /v1/render.
+// SolveRequest is the body of POST /v1/solve.
 type SolveRequest struct {
-	Instance  nfv.InstanceDoc `json:"instance"`
-	Algorithm string          `json:"algorithm,omitempty"` // msa (default), msa1, sca, rsa, bks
-	Seed      int64           `json:"seed,omitempty"`      // rsa only
+	Instance nfv.InstanceDoc `json:"instance"`
+	// Algorithm is msa (the default: stage one, then OPA) or msa1
+	// (stage one only); anything else answers 422.
+	Algorithm string `json:"algorithm,omitempty"`
 	// TimeoutMS asks for a solve deadline in milliseconds. The solver
 	// stops optimizing at the deadline and returns its best feasible
 	// embedding so far (EarlyStop in the response). Capped by the
@@ -373,10 +371,9 @@ func (s *Server) solveContext(r *http.Request, timeoutMS int64) (context.Context
 
 // runAlgorithm dispatches one stateless solve under the server's base
 // options (observer included, so every solve feeds /metrics). ctx
-// bounds the solve; the two-stage solver stops at the deadline with
-// its best feasible embedding (baselines run to completion). extra,
-// when non-nil, additionally observes this request's solver events
-// (the per-request trace recorder).
+// bounds the solve; the solver stops at the deadline with its best
+// feasible embedding. extra, when non-nil, additionally observes this
+// request's solver events (the per-request trace recorder).
 func (s *Server) runAlgorithm(ctx context.Context, req *SolveRequest, extra core.Observer) (*core.Result, error) {
 	net, task := req.Instance.Network, req.Instance.Task
 	if net == nil {
@@ -390,18 +387,6 @@ func (s *Server) runAlgorithm(ctx context.Context, req *SolveRequest, extra core
 		return core.Solve(net, task, opts)
 	case "msa1":
 		return core.SolveStageOne(net, task, opts)
-	case "sca":
-		return baseline.SCA(net, task, opts)
-	case "rsa":
-		return baseline.RSA(net, task, rand.New(rand.NewSource(req.Seed)), opts)
-	case "onenode":
-		return baseline.OneNode(net, task, opts)
-	case "bks":
-		res, err := exact.BestKnown(net, task)
-		if err != nil {
-			return nil, err
-		}
-		return res.Result, nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}
@@ -475,34 +460,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		resp.Delivered = len(req.Embedding.Task.Destinations)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := checkTimeoutMS(req.TimeoutMS); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.solveContext(r, req.TimeoutMS)
-	defer cancel()
-	rec, finish := s.traces.StartTrace("render", obs.RequestID(r.Context()))
-	res, err := s.runAlgorithm(ctx, &req, rec)
-	finish(res, err)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	blob, err := viz.RenderSVG(req.Instance.Network, res.Embedding, viz.Options{Title: "sftserve"})
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	w.Header().Set("Content-Type", "image/svg+xml")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
 }
 
 // handleAdmit enqueues the task with its deadline (timeout_ms capped

@@ -76,9 +76,8 @@ func TestRequestIDPropagatesToTrace(t *testing.T) {
 	}
 }
 
-// TestStatelessSolveTraced: /v1/solve and /v1/render runs land in the
-// ring too, with server-generated request IDs when the caller sent
-// none.
+// TestStatelessSolveTraced: /v1/solve runs land in the ring too, with
+// server-generated request IDs when the caller sent none.
 func TestStatelessSolveTraced(t *testing.T) {
 	_, ts := newTestServer(t, nil, Config{})
 	doc := testInstance(t)

@@ -200,10 +200,16 @@ queue_gate() {
 # Close and truncateTail change sizes or names and keep the full fsync);
 # runMSA's candidate loop calls no repairCapacity, AppendHostsTo or
 # sortCandidates and asks for a chain only once a row has beaten the
-# running best (the rest is the overlay's candidate table); and
-# internal/steiner/sweep.go holds no tIn/inTree membership scan.
+# running best (the rest is the overlay's candidate table);
+# internal/steiner/sweep.go holds no tIn/inTree membership scan; and
+# the serving binary links only what a controller runs: cmd/sftserve
+# depends on at most 15 internal packages, none of them the root
+# facade, the exact/ILP stack (lp, ilp, sftilp, exact), the comparison
+# baselines, the offline harnesses (sim, forest, topology, trace,
+# metrics) or the renderer (viz), and no non-test internal/server file
+# registers POST /v1/render (sftembed -svg renders offline).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -267,6 +273,17 @@ retired_guard() {
 	if [ "$(echo "$commit_paths" | grep -c 'datasync(l\.f)')" != 3 ] ||
 		echo "$commit_paths" | grep -nE '\.Sync\(\)|\.Write\(|\.Truncate\('; then
 		echo "retired guard: Append, syncLoop and Sync in internal/wal/wal.go must each sync through datasync(l.f) and nothing else (no full fsync, no size change on the commit path)" >&2
+		exit 1
+	fi
+	serve_deps=$(go list -deps ./cmd/sftserve)
+	offline=$(echo "$serve_deps" | grep -xE 'sftree|sftree/internal/(lp|ilp|sftilp|sim|forest|topology|viz|metrics|trace|baseline|exact)' || true)
+	internal=$(echo "$serve_deps" | grep -c '^sftree/internal/' || true)
+	if [ -n "$offline" ] || [ "$internal" -gt 15 ]; then
+		echo "retired guard: cmd/sftserve links offline code again ($internal internal packages, at most 15; offline: $(echo $offline))" >&2
+		exit 1
+	fi
+	if grep -n '/v1/render' $(ls internal/server/*.go | grep -v _test.go); then
+		echo "retired guard: internal/server serves /v1/render again (sftembed -svg renders offline)" >&2
 		exit 1
 	fi
 }
