@@ -104,9 +104,10 @@ func run(args []string, w io.Writer) error {
 
 // eventLine mirrors the JSONL wire schema of internal/obs. It lists
 // the full current field set; streams written before the request_id /
-// warm / rung / scaffold / general_trees / sfc_rows additions simply
-// decode those to their zero values, and unknown future fields are ignored — the
-// stream stays parseable in both directions.
+// warm / rung / scaffold / general_trees / bound_skips / sfc_rows
+// additions simply decode those to their zero values, and unknown
+// future fields are ignored — the stream stays parseable in both
+// directions.
 type eventLine struct {
 	Kind       string `json:"kind"`
 	Pass       int    `json:"pass"`
@@ -119,6 +120,9 @@ type eventLine struct {
 	// GeneralTrees rides on sweep_end: KMB trees that needed Kruskal
 	// and pruning because the closure expansion held a cycle.
 	GeneralTrees int `json:"general_trees"`
+	// BoundSkips rides on sweep_end: candidates left unpriced because
+	// the tree lower bound ruled them out.
+	BoundSkips int `json:"bound_skips"`
 	// SFCRowsRelaxed and SFCRows ride on sfc_solved: predecessor rows
 	// the chain search relaxed, of rows with a finite distance.
 	SFCRowsRelaxed int `json:"sfc_rows_relaxed"`
@@ -140,7 +144,7 @@ func parseJSONL(path string, w io.Writer) error {
 	durations := map[string]time.Duration{}
 	requests := map[string]int{}
 	rungs := map[string]int{}
-	warmBuilds, coldBuilds, scaffolded, generalTrees, lines, badLines := 0, 0, 0, 0, 0, 0
+	warmBuilds, coldBuilds, scaffolded, generalTrees, boundSkips, lines, badLines := 0, 0, 0, 0, 0, 0, 0
 	rowsRelaxed, rows := 0, 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -174,6 +178,7 @@ func parseJSONL(path string, w io.Writer) error {
 			scaffolded++
 		}
 		generalTrees += ev.GeneralTrees
+		boundSkips += ev.BoundSkips
 		rowsRelaxed += ev.SFCRowsRelaxed
 		rows += ev.SFCRows
 	}
@@ -204,11 +209,11 @@ func parseJSONL(path string, w io.Writer) error {
 	fmt.Fprintf(w, "solves: %d (%d warm metric, %d cold)\n",
 		kinds["stage2_end"], warmBuilds, coldBuilds)
 	if n := kinds["overlay_built"]; n > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees)\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound)\n",
 			durations["stage1_end"].Round(time.Microsecond),
 			durations["overlay_built"].Round(time.Microsecond), scaffolded, n,
 			durations["sfc_solved"].Round(time.Microsecond), rowsRelaxed, rows,
-			durations["sweep_end"].Round(time.Microsecond), generalTrees)
+			durations["sweep_end"].Round(time.Microsecond), generalTrees, boundSkips)
 	}
 	if len(requests) > 0 {
 		fmt.Fprintf(w, "request-scoped events: %d distinct request IDs\n", len(requests))
@@ -257,7 +262,7 @@ func summarizeTraces(base string, w io.Writer) error {
 	warm, withID, early, failed := 0, 0, 0, 0
 	ahead, stale := 0, 0 // admissions the queue solved ahead of their turn; those solved again
 	var stage1 time.Duration
-	generalTrees, rowsRelaxed, rows := 0, 0, 0
+	generalTrees, boundSkips, rowsRelaxed, rows := 0, 0, 0, 0
 	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
 	slowest := doc.Traces[0]
 	for _, t := range doc.Traces {
@@ -269,6 +274,7 @@ func summarizeTraces(base string, w io.Writer) error {
 			for _, c := range s.Children {
 				split[c.Name] += time.Duration(c.DurationNs)
 				generalTrees += int(c.Attrs["general_trees"])
+				boundSkips += int(c.Attrs["bound_skips"])
 				rowsRelaxed += int(c.Attrs["rows_relaxed"])
 				rows += int(c.Attrs["rows"])
 			}
@@ -321,10 +327,10 @@ func summarizeTraces(base string, w io.Writer) error {
 		fmt.Fprintf(w, "solved ahead of their turn %d/%d admissions, %d stale and solved again\n", ahead, ops["admit"], stale)
 	}
 	if stage1 > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees)\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound)\n",
 			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
 			split["sfc_dijkstra"].Round(time.Microsecond), rowsRelaxed, rows,
-			split["candidate_sweep"].Round(time.Microsecond), generalTrees)
+			split["candidate_sweep"].Round(time.Microsecond), generalTrees, boundSkips)
 	}
 	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v speculative=%v stale=%v request_id=%s\n",
 		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.Speculative, slowest.Stale, slowest.RequestID)

@@ -79,7 +79,7 @@ func TestParseJSONL(t *testing.T) {
 		`{"kind":"overlay_built","duration_ns":1000,"scaffold":true}`,
 		`{"kind":"sfc_solved","duration_ns":300000}`, // written before the row counts
 		`{"kind":"sfc_solved","duration_ns":40000,"sfc_rows_relaxed":48,"sfc_rows":800}`,
-		`{"kind":"sweep_end","candidates":6,"duration_ns":450000,"general_trees":2}`,
+		`{"kind":"sweep_end","candidates":6,"duration_ns":450000,"general_trees":2,"bound_skips":3}`,
 		// Garbage must be skipped, not fatal.
 		`not json`,
 		``,
@@ -96,7 +96,7 @@ func TestParseJSONL(t *testing.T) {
 		"11 events",
 		"1 unparseable lines skipped",
 		"solves: 3 (1 warm metric, 1 cold)",
-		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc search 340µs (48 of 800 predecessor rows), candidate sweep 450µs (2 general-branch KMB trees)",
+		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc search 340µs (48 of 800 predecessor rows), candidate sweep 450µs (2 general-branch KMB trees, 3 candidates skipped by the bound)",
 		"2 distinct request IDs",
 		"repair rung patch: 1 events",
 	} {
@@ -125,7 +125,7 @@ func TestSummarizeTraces(t *testing.T) {
 		Spans: []*obs.Span{{Name: "stage1", DurationNs: 1500e3, Children: []*obs.Span{
 			{Name: "overlay", DurationNs: 10e3},
 			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows": 200}},
-			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1}},
+			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1, "bound_skips": 4}},
 		}}}})
 	buf.Add(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true})
 	buf.Add(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true})
@@ -147,7 +147,7 @@ func TestSummarizeTraces(t *testing.T) {
 		"request-ID stamped 2/5",
 		"failures 1",
 		"solved ahead of their turn 2/3 admissions, 1 stale and solved again",
-		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows), candidate sweep 1ms (1 general-branch KMB trees)",
+		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows), candidate sweep 1ms (1 general-branch KMB trees, 4 candidates skipped by the bound)",
 		"slowest: op=repair dur=5ms warm=false speculative=false stale=false",
 	} {
 		if !strings.Contains(got, want) {

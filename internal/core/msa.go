@@ -152,12 +152,19 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	// The sweep: rows in table order, a strict < on total cost picks the
 	// winner, and the chain, the Steiner tree and stateFromSolution are
 	// materialised only for improving candidates (a failure there skips
-	// the candidate without touching the running best).
+	// the candidate without touching the running best). A row whose
+	// repaired chain price plus the tree lower bound already reaches the
+	// best is one that test would reject, so it is not priced.
 	var (
 		bestState *state
 		bestCost  = graph.Inf
 		stats     StageStats
+		lb        float64
+		skips     int
 	)
+	if sw.kmb != nil {
+		lb = sw.kmb.LowerBound() * (1 - boundSlack)
+	}
 	for _, c := range rows {
 		// Anytime semantics: once a feasible solution is in hand, an
 		// expired deadline stops the sweep; without one it keeps going,
@@ -171,6 +178,10 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 		}
 		stats.CandidatesTried++
 		if c.Last == mod.NoRoom {
+			continue
+		}
+		if c.Cost+lb >= bestCost {
+			skips++
 			continue
 		}
 		last := int(c.Last)
@@ -201,10 +212,16 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	stats.Stage1Cost = bestCost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2),
-			GeneralTrees: int(sw.generalTrees())})
+			GeneralTrees: int(sw.generalTrees()), BoundSkips: skips})
 	}
 	return bestState, &stats, nil
 }
+
+// boundSlack shrinks the tree lower bound by a relative margin far
+// above the rounding that separates a Dist-based bound from an edge-sum
+// tree price (≈1e-13 at a few hundred terms), so the skip never rejects
+// a row the price itself would have let through.
+const boundSlack = 1e-9
 
 // sortCandidates orders c by ascending chain cost. The comparator
 // looks at the cost alone — no tie-break, which would reorder equal

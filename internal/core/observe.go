@@ -58,8 +58,9 @@ const (
 	// carries Duration, SFCRowsRelaxed and SFCRows.
 	EventSFCSolved
 	// EventSweepEnd closes this task's candidate last-host sweep (one
-	// Steiner tree priced per table row, the improving ones
-	// materialised); carries Candidates, GeneralTrees and Duration.
+	// Steiner tree priced per table row the tree lower bound does not
+	// rule out, the improving ones materialised); carries Candidates, GeneralTrees, BoundSkips and
+	// Duration.
 	EventSweepEnd
 )
 
@@ -122,6 +123,11 @@ type Event struct {
 	// Kruskal and pruning (see steiner.Sweep); zero on almost every
 	// topology, and always zero for the other Steiner routines.
 	GeneralTrees int
+	// BoundSkips is how many of the sweep's candidates were not priced
+	// because their chain price plus the KMB tree lower bound (see
+	// steiner.Sweep.LowerBound) already reached the best total; always
+	// zero for the other Steiner routines.
+	BoundSkips int
 	// SFCRowsRelaxed and SFCRows say how much of the overlay the chain
 	// search behind an EventSFCSolved read: predecessor rows relaxed, of
 	// rows with a finite distance (see mod.SFCStats). A scaffold hit

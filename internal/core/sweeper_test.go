@@ -70,13 +70,15 @@ func fractionalInstance(rng *rand.Rand, n, k, nd int) (*nfv.Network, nfv.Task) {
 // each twice, it holds what the sweep derives per row — the chain of an
 // improving candidate, the KMB sweep's price and tree — to the one-shot
 // calls, whatever ran before, and requires the shared free vector back
-// exactly as the network reports it. It returns how many repairs moved
-// the last VNF off its candidate and how many found no room.
-func diffTable(t *testing.T, rng *rand.Rand, net *nfv.Network, task nfv.Task) (movedLast, noRoom int) {
+// exactly as the network reports it. Last, it holds runMSA to
+// exhaustiveMSA on the same rows: same winner, price, count of
+// candidates tried and embedding, however many rows the tree lower
+// bound kept it from pricing.
+func diffTable(t *testing.T, rng *rand.Rand, net *nfv.Network, task nfv.Task) (c tableCounts) {
 	t.Helper()
 	overlay, err := mod.Build(net, task.Source, task.Chain)
 	if err != nil {
-		return 0, 0 // no server reachable
+		return c // no server reachable
 	}
 	sol, metric, servers := overlay.SolveSFC(), net.Metric(), net.ServerList()
 	sw := newSweeper(net, task, overlay, SteinerKMB, getScratch(net.NumNodes()))
@@ -113,7 +115,7 @@ func diffTable(t *testing.T, rng *rand.Rand, net *nfv.Network, task nfv.Task) (m
 		}
 		hosts, ok := RepairChainHosts(net, task, chain)
 		if !ok {
-			noRoom++
+			c.noRoom++
 			if row.Last != mod.NoRoom {
 				t.Fatalf("candidate %d: one-shot repair fails, row %+v", w, row)
 			}
@@ -121,7 +123,7 @@ func diffTable(t *testing.T, rng *rand.Rand, net *nfv.Network, task nfv.Task) (m
 		}
 		last := hosts[len(hosts)-1]
 		if last != w {
-			movedLast++
+			c.movedLast++
 		}
 		if int(row.Last) != last || row.Cost != overlay.ChainCost(hosts) {
 			t.Fatalf("candidate %d: row %+v, one-shot chain %v costs %v", w, row, hosts, overlay.ChainCost(hosts))
@@ -152,7 +154,81 @@ func diffTable(t *testing.T, rng *rand.Rand, net *nfv.Network, task nfv.Task) (m
 			t.Fatalf("candidate %d: tree %+v (%v), one-shot %+v", row.Node, again, err, tree)
 		}
 	}
-	return movedLast, noRoom
+
+	want, wantEmb, priced := exhaustiveMSA(t, net, task, rows, sw)
+	skips := -1
+	sc := getScratch(net.NumNodes())
+	defer scratchPool.Put(sc)
+	st, got, err := runMSA(net, task, Options{Observer: observerFunc(func(e Event) {
+		if e.Kind == EventSweepEnd {
+			skips = e.BoundSkips
+		}
+	})}, sc)
+	if (err == nil) != (want != nil) {
+		t.Fatalf("source %d: runMSA %+v (%v), exhaustive sweep %+v", task.Source, got, err, want)
+	}
+	if err != nil {
+		return c
+	}
+	emb, err := st.embedding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want || !reflect.DeepEqual(emb, wantEmb) {
+		t.Fatalf("source %d: runMSA %+v embeds\n%v\nexhaustive sweep %+v embeds\n%v", task.Source, got, emb, want, wantEmb)
+	}
+	c.priced, c.skipped = priced, skips
+	return c
+}
+
+// tableCounts is what diffTable saw: repairs that moved the last VNF
+// off its candidate and repairs that found no room; rows the
+// exhaustive sweep priced and rows runMSA's bound skipped.
+type tableCounts struct{ movedLast, noRoom, priced, skipped int }
+
+// exhaustiveMSA is runMSA's sweep as it ran before the tree lower
+// bound: every row with a repaired chain priced by a one-shot KMB
+// call, the strict < on the total picking the winner. It returns the
+// winner's stats (nil when no row is feasible), its stage-one
+// embedding and how many rows it priced.
+func exhaustiveMSA(t *testing.T, net *nfv.Network, task nfv.Task, rows []mod.Candidate, sw *sweeper) (*StageStats, *nfv.Embedding, int) {
+	t.Helper()
+	var (
+		best     *state
+		bestCost = graph.Inf
+		stats    StageStats
+		priced   int
+	)
+	for _, c := range rows {
+		if c.Last == mod.NoChain {
+			continue
+		}
+		stats.CandidatesTried++
+		if c.Last == mod.NoRoom {
+			continue
+		}
+		priced++
+		last := int(c.Last)
+		tree, err := steiner.KMB(net.Graph(), net.Metric(), append([]int{last}, task.Destinations...))
+		if err != nil || c.Cost+tree.Cost >= bestCost {
+			continue
+		}
+		hosts, _ := sw.chain(int(c.Node))
+		st, err := stateFromSolution(net, task, hosts, tree, sw.sc)
+		if err != nil {
+			continue
+		}
+		best, bestCost, stats.LastHost = st, c.Cost+tree.Cost, last
+	}
+	if best == nil {
+		return nil, nil, priced
+	}
+	stats.Stage1Cost = bestCost
+	emb, err := best.embedding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &stats, emb, priced
 }
 
 // Every table row, and everything the sweep derives from one, equals
@@ -165,8 +241,8 @@ func TestSweeperMatchesOneShot(t *testing.T) {
 	movedLast, noRoom := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		net, task := fractionalInstance(rng, 8+rng.Intn(20), 2+rng.Intn(4), 1+rng.Intn(5))
-		m, n := diffTable(t, rng, net, task)
-		movedLast, noRoom = movedLast+m, noRoom+n
+		c := diffTable(t, rng, net, task)
+		movedLast, noRoom = movedLast+c.movedLast, noRoom+c.noRoom
 	}
 	if movedLast == 0 || noRoom == 0 {
 		t.Errorf("instances too loose to test repair: %d relocated last hosts, %d infeasible candidates", movedLast, noRoom)
@@ -175,6 +251,8 @@ func TestSweeperMatchesOneShot(t *testing.T) {
 
 // The same on what the gates solve: every checked-in conformance
 // instance from every source, and tasks of the benchmark's two pools.
+// On solve_paper's pool the tree lower bound must spare a good share
+// of the KMB trees, or the winner's equality above proves nothing.
 func TestChainTableDifferentialCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	paths, err := filepath.Glob("../conformance/testdata/corpus/*.json")
@@ -199,10 +277,17 @@ func TestChainTableDifferentialCorpus(t *testing.T) {
 			diffTable(t, rng, doc.Network, task)
 		}
 	}
-	for _, pool := range []func(testing.TB) (*nfv.Network, []nfv.Task){paperPool, burstPool} {
+	for i, pool := range []func(testing.TB) (*nfv.Network, []nfv.Task){paperPool, burstPool} {
 		net, tasks := pool(t)
+		priced, skipped := 0, 0
 		for _, task := range tasks[:12] {
-			diffTable(t, rng, net, task)
+			c := diffTable(t, rng, net, task)
+			priced, skipped = priced+c.priced, skipped+c.skipped
+		}
+		share := float64(skipped) / float64(priced)
+		t.Logf("pool %d: the bound skips %d of %d KMB trees (%.1f%%)", i, skipped, priced, 100*share)
+		if i == 0 && share < 0.30 {
+			t.Errorf("the bound skips %.1f%% of the paper pool's KMB trees, want >= 30%%", 100*share)
 		}
 	}
 }
@@ -309,7 +394,8 @@ func (l *eventLog) OnEvent(e Event) { *l = append(*l, e) }
 // tie-breaks route 0 -> 6 and 6 -> 8 around opposite sides of the
 // diamond. The servers are node 0 and the far end of the tail, so
 // every candidate's tree holds the cycle; the solve must say so in its
-// sweep_end event and still return the valid embedding.
+// sweep_end event, with the candidate the tree lower bound rules out,
+// and still return the valid embedding.
 func TestSolveReportsGeneralBranchTrees(t *testing.T) {
 	g := graph.New(70)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {6, 5}, {6, 4}, {3, 7}, {7, 8}} {
@@ -337,14 +423,16 @@ func TestSolveReportsGeneralBranchTrees(t *testing.T) {
 	if res.FinalCost != 1+3+2+2 { // 1 -> 0, then 0 -> 3, 3 -> 6 and 3 -> 8; setup is free
 		t.Errorf("cost %v, want 8", res.FinalCost)
 	}
-	general := -1
+	general, skips := -1, -1
 	for _, e := range log {
 		if e.Kind == EventSweepEnd {
-			general = e.GeneralTrees
+			general, skips = e.GeneralTrees, e.BoundSkips
 		}
 	}
-	// Both candidates priced, the winner built.
-	if general != 3 {
-		t.Errorf("sweep_end reports %d general-branch trees, want 3", general)
+	// Server 0 priced and built as the winner (1 + 7). Server 69 is not
+	// priced: its chain costs 62 and no tree spans {6, 8} for less than
+	// d(6, 8) = 4, so 62 + 4 cannot beat 8.
+	if general != 2 || skips != 1 {
+		t.Errorf("sweep_end reports %d general-branch trees and %d bound skips, want 2 and 1", general, skips)
 	}
 }

@@ -176,7 +176,8 @@ func (r *SpanRecorder) Spans() []*Span {
 				Attrs: map[string]float64{"rows_relaxed": float64(e.SFCRowsRelaxed), "rows": float64(e.SFCRows)}})
 		case core.EventSweepEnd:
 			stage1Parts = append(stage1Parts, &Span{Name: "candidate_sweep", DurationNs: e.Duration.Nanoseconds(),
-				Attrs: map[string]float64{"candidates": float64(e.Candidates), "general_trees": float64(e.GeneralTrees)}})
+				Attrs: map[string]float64{"candidates": float64(e.Candidates), "general_trees": float64(e.GeneralTrees),
+					"bound_skips": float64(e.BoundSkips)}})
 		case core.EventStage1End:
 			roots = append(roots, &Span{Name: "stage1", DurationNs: e.Duration.Nanoseconds(),
 				Attrs:    map[string]float64{"cost": e.Cost, "candidates": float64(e.Candidates)},
@@ -216,10 +217,11 @@ func (r *SpanRecorder) Spans() []*Span {
 }
 
 // lineEvent is the JSON-lines wire form of a solver event. The
-// request_id, warm, rung, scaffold, general_trees and sfc_rows fields
-// are additions over the original (PR 2) schema; they are omitted when
-// empty, so old consumers keep parsing new streams and new consumers
-// treat their absence as the zero value when reading old streams.
+// request_id, warm, rung, scaffold, general_trees, bound_skips and
+// sfc_rows fields are additions over the original (PR 2) schema; they
+// are omitted when empty, so old consumers keep parsing new streams and
+// new consumers treat their absence as the zero value when reading old
+// streams.
 type lineEvent struct {
 	Kind       string  `json:"kind"`
 	Pass       int     `json:"pass,omitempty"`
@@ -248,6 +250,9 @@ type lineEvent struct {
 	// GeneralTrees counts a sweep_end event's KMB trees that were not
 	// trees after the closure expansion and needed Kruskal and pruning.
 	GeneralTrees int `json:"general_trees,omitempty"`
+	// BoundSkips counts a sweep_end event's candidates left unpriced
+	// because the tree lower bound ruled them out.
+	BoundSkips int `json:"bound_skips,omitempty"`
 	// SFCRowsRelaxed and SFCRows are an sfc_solved event's predecessor
 	// rows relaxed, of rows with a finite distance.
 	SFCRowsRelaxed int `json:"sfc_rows_relaxed,omitempty"`
@@ -282,7 +287,7 @@ func (o *JSONLObserver) emit(e core.Event, requestID, rung string) {
 		Candidates: e.Candidates, Moves: e.Moves,
 		DurationNs: e.Duration.Nanoseconds(),
 		RequestID:  requestID, Warm: e.Warm, Rung: rung,
-		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees,
+		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees, BoundSkips: e.BoundSkips,
 		SFCRowsRelaxed: e.SFCRowsRelaxed, SFCRows: e.SFCRows,
 	})
 }

@@ -153,6 +153,51 @@ func (s *Sweep) Cost(root int) (float64, error) {
 	return cost, nil
 }
 
+// LowerBound is a price that no tree spanning D undercuts, whatever
+// its root: the weight of the minimum spanning tree of D's metric
+// closure divided by the Steiner ratio 2(1-1/|D|) (a Steiner tree's
+// doubled Euler tour, shortcut to D and less its longest stretch, is a
+// spanning path of the closure). Each closure edge is read as the
+// smaller of its two orientations. It is 0 when D has fewer than two
+// distinct nodes and +Inf when some pair of them is disconnected.
+// Every Cost(root) is such a tree, so none is below it but for float
+// rounding, which callers leave a slack for.
+func (s *Sweep) LowerBound() float64 {
+	ws, td := s.ws, len(s.dests)
+	if td < 2 {
+		return 0
+	}
+	// Prim from dests[0] over the open terminals, as in expand; the
+	// pick is swapped out, since order does not change the weight.
+	open := ws.open[:0]
+	for i := 1; i < td; i++ {
+		open = append(open, openTerm{dist: graph.Inf, at: int32(i)})
+	}
+	at, mst := 0, 0.0
+	for len(open) > 0 {
+		next, nearest := 0, graph.Inf
+		for p := range open {
+			o := &open[p]
+			if d := min(ws.dd[at*td+int(o.at)], ws.dd[int(o.at)*td+at]); d < o.dist {
+				o.dist = d
+			}
+			if o.dist < nearest {
+				next, nearest = p, o.dist
+			}
+		}
+		if nearest == graph.Inf {
+			mst = graph.Inf
+			break
+		}
+		mst += nearest
+		at = int(open[next].at)
+		open[next] = open[len(open)-1]
+		open = open[:len(open)-1]
+	}
+	ws.open = open[:0]
+	return mst / (2 * (1 - 1/float64(td)))
+}
+
 // build runs KMB for one root and returns the tree's edge ids in
 // ascending order, in workspace storage valid until the next call.
 func (s *Sweep) build(root int) ([]int, error) {

@@ -329,6 +329,122 @@ func TestSweepDifferentialEdgeCases(t *testing.T) {
 	}
 }
 
+// boundTolerance is the relative rounding a bound may show over a
+// tree it equals in exact arithmetic: with two destinations and the
+// root one of them, the bound is the metric distance, summed along the
+// path, and the tree its edges, summed in id order.
+const boundTolerance = 1e-12
+
+// checkLowerBound holds a sweep's LowerBound over dests to what it
+// promises: 0 below two distinct destinations, +Inf exactly when two
+// of them are disconnected, and otherwise no more than the tree of any
+// root. It returns the largest bound-to-tree ratio seen.
+func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) (worst float64) {
+	t.Helper()
+	s := NewSweep(g, m, dests)
+	defer s.Close()
+	lb := s.LowerBound()
+	distinct := map[int]bool{}
+	split := false
+	for _, a := range dests {
+		distinct[a] = true
+		for _, b := range dests {
+			split = split || m.Dist[a][b] == graph.Inf
+		}
+	}
+	switch {
+	case len(distinct) < 2:
+		if lb != 0 {
+			t.Fatalf("dests %v: bound %v, want 0", dests, lb)
+		}
+	case split:
+		if !math.IsInf(lb, 1) {
+			t.Fatalf("disconnected dests %v: bound %v, want +Inf", dests, lb)
+		}
+		return 0
+	case lb <= 0 || math.IsInf(lb, 0) || math.IsNaN(lb):
+		t.Fatalf("dests %v: bound %v, want finite and positive", dests, lb)
+	}
+	for root := 0; root < g.NumNodes(); root++ {
+		cost, err := s.Cost(root)
+		if err != nil {
+			continue // root cannot reach D; there is no tree to bound
+		}
+		if lb > cost*(1+boundTolerance) {
+			t.Fatalf("root %d dests %v: bound %v above the tree's cost %v", root, dests, lb, cost)
+		}
+		if cost > 0 {
+			worst = max(worst, lb/cost)
+		}
+	}
+	return worst
+}
+
+// LowerBound never exceeds a tree it bounds, on the instances the
+// differential tests sweep: random graphs under every cost mode and
+// metric builder, lattices, and the edge cases (no destination, one,
+// duplicates, roots inside D, destinations in separate components).
+func TestSweepLowerBound(t *testing.T) {
+	worst := 0.0
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 330; trial++ {
+		n := 2 + rng.Intn(28)
+		g := randomGraphWithCosts(rng, n, rng.Intn(2*n), costModes[trial%len(costModes)])
+		dests := make([]int, 1+rng.Intn(8))
+		for i := range dests {
+			dests[i] = rng.Intn(n)
+		}
+		for _, apsp := range apspBuilders {
+			worst = max(worst, checkLowerBound(t, g, apsp.build(g), dests))
+		}
+	}
+	for _, g := range []*graph.Graph{unitGrid(4, 4), unitGrid(6, 6), unitGrid(3, 9), hypercube(3), hypercube(5)} {
+		for _, apsp := range apspBuilders {
+			m := apsp.build(g)
+			for trial := 0; trial < 6; trial++ {
+				worst = max(worst, checkLowerBound(t, g, m, rng.Perm(g.NumNodes())[:2+rng.Intn(7)]))
+			}
+			worst = max(worst, checkLowerBound(t, g, skew(apsp.build(g)), []int{0, g.NumNodes() - 1, 0, 1}))
+		}
+	}
+	path := graph.New(5)
+	for v := 1; v < 5; v++ {
+		path.MustAddEdge(v-1, v, 1)
+	}
+	split := graph.New(6) // two components: 0-1-2 and 3-4, node 5 alone
+	split.MustAddEdge(0, 1, 1)
+	split.MustAddEdge(1, 2, 2)
+	split.MustAddEdge(3, 4, 1)
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		dests []int
+	}{
+		{"no destinations", path, nil},
+		{"one destination", path, []int{3}},
+		{"one destination twice", path, []int{3, 3}},
+		{"duplicates", path, []int{4, 0, 4, 0, 2, 2}},
+		{"every node", path, []int{0, 1, 2, 3, 4}},
+		{"one component", split, []int{0, 2}},
+		{"two components", split, []int{1, 4}},
+		{"isolated destination", split, []int{5, 0}},
+	} {
+		for _, apsp := range apspBuilders {
+			t.Run(tc.name+"/"+apsp.name, func(t *testing.T) {
+				checkLowerBound(t, tc.g, apsp.build(tc.g), tc.dests)
+			})
+		}
+	}
+	// Two destinations on a path: the bound is their distance, which
+	// the tree rooted at either one costs exactly.
+	s := NewSweep(path, path.FloydWarshall(), []int{0, 4})
+	defer s.Close()
+	if lb := s.LowerBound(); lb != 4 {
+		t.Errorf("path 0..4: bound %v, want 4", lb)
+	}
+	t.Logf("largest bound-to-tree ratio %.3f", worst)
+}
+
 // The tree test must be allowed to fail: on this instance the
 // expansion for root 0 holds a cycle, and the sweep has to notice and
 // fall back to Kruskal and pruning.
@@ -406,6 +522,7 @@ func FuzzSweepDifferential(f *testing.F) {
 			skew(m)
 		}
 		diffSweep(t, g, m, d)
+		checkLowerBound(t, g, m, d)
 	})
 }
 
