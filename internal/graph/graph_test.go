@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,7 +164,7 @@ func TestAllDijkstraMatchesFloydWarshall(t *testing.T) {
 
 // TestAllDijkstraParallelByteIdentical pins the contract that the
 // worker-pool APSP is indistinguishable from the serial one — same
-// distances AND same tie-breaks (next hops) — including on graphs with
+// distances AND same tie-breaks (first arcs) — including on graphs with
 // unreachable components, parallel edges, and zero-cost ties.
 func TestAllDijkstraParallelByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -238,6 +239,116 @@ func TestAPSPAutoMatchesFloydWarshall(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMetricFirstArcs pins what a metric hop names, under all three
+// APSP builders, on graphs with parallel edges (equal and unequal
+// costs, inserted in both orders) and zero, −0 and +Inf costs: each
+// EachEdge hop carries the cheapest edge joining its two nodes, the
+// lowest id among equals — which is what CSR.Arc picks — EachEdge
+// visits Path's nodes in order, every walk ends (two Dijkstra rows that
+// break a zero-cost tie differently must not hand it back and forth),
+// and an unreachable pair reports false.
+func TestMetricFirstArcs(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	type edge struct {
+		u, v int
+		cost float64
+	}
+	fixed := [][]edge{
+		// Parallel edges, the cheaper one inserted second, then first.
+		{{0, 1, 2}, {0, 1, 1}, {1, 2, 1}, {2, 1, 3}},
+		// Equal parallel edges inserted as u-v and as v-u.
+		{{0, 1, 1}, {1, 0, 1}, {2, 1, 1}, {1, 2, 1}, {0, 2, 2}},
+		// Zero-cost ties: −0 before +0, +0 before −0, and a zero path
+		// beside a unit edge.
+		{{0, 1, negZero}, {0, 1, 0}, {2, 1, 0}, {1, 2, negZero}, {0, 2, 0}, {2, 3, 1}, {3, 2, negZero}},
+		// +Inf edges: the only edge of 0-1 (unreachable), before and
+		// after a finite parallel edge.
+		{{0, 1, inf}, {1, 2, inf}, {1, 2, 1}, {2, 3, 5}, {3, 2, inf}, {3, 4, 0}},
+	}
+	var graphs []*Graph
+	for _, es := range fixed {
+		g := New(5)
+		for _, e := range es {
+			g.MustAddEdge(e.u, e.v, e.cost)
+		}
+		graphs = append(graphs, g)
+	}
+	rng := rand.New(rand.NewSource(29))
+	costs := []float64{0, negZero, 1, 2, inf}
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(20)
+		g := New(n)
+		for i := 0; i < 3*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			g.MustAddEdge(u, v, costs[rng.Intn(len(costs))])
+			if rng.Intn(3) == 0 { // a parallel edge, either orientation
+				g.MustAddEdge(v, u, costs[rng.Intn(len(costs))])
+			}
+		}
+		graphs = append(graphs, g)
+	}
+	builders := []struct {
+		name  string
+		build func(*Graph) *Metric
+	}{
+		{"FloydWarshall", (*Graph).FloydWarshall},
+		{"AllDijkstra", (*Graph).AllDijkstra},
+		{"AllDijkstraParallel", (*Graph).AllDijkstraParallel},
+	}
+	unreachable := 0
+	for gi, g := range graphs {
+		c, edges := g.CSR(), g.Edges()
+		for _, b := range builders {
+			m := b.build(g)
+			for u := 0; u < g.NumNodes(); u++ {
+				for v := 0; v < g.NumNodes(); v++ {
+					nodes, ids := []int{u}, []int(nil)
+					ok := m.EachEdge(u, v, func(to, id int) {
+						if len(ids) == g.NumNodes() {
+							t.Fatalf("graph %d %s: walk %d->%d loops: %v", gi, b.name, u, v, nodes)
+						}
+						nodes = append(nodes, to)
+						ids = append(ids, id)
+					})
+					p := m.Path(u, v)
+					if !ok {
+						if p != nil || len(ids) != 0 || m.Dist[u][v] != Inf {
+							t.Fatalf("graph %d %s: EachEdge(%d,%d) false after %d hops, path %v, dist %v", gi, b.name, u, v, len(ids), p, m.Dist[u][v])
+						}
+						unreachable++
+						continue
+					}
+					if !slices.Equal(nodes, p) {
+						t.Fatalf("graph %d %s: EachEdge(%d,%d) visited %v, path %v", gi, b.name, u, v, nodes, p)
+					}
+					for i, id := range ids {
+						x, y := p[i], p[i+1]
+						if want := int(c.EdgeID[c.Arc(x, y)]); id != want {
+							t.Fatalf("graph %d %s: hop %d-%d of %d->%d names edge %d, CSR.Arc names %d", gi, b.name, x, y, u, v, id, want)
+						}
+						e := g.Edge(id)
+						if (e.U != x || e.V != y) && (e.U != y || e.V != x) {
+							t.Fatalf("graph %d %s: hop %d-%d names edge %d = %+v", gi, b.name, x, y, id, e)
+						}
+						for j, f := range edges {
+							parallel := (f.U == x && f.V == y) || (f.U == y && f.V == x)
+							if parallel && (f.Cost < e.Cost || f.Cost == e.Cost && j < id) {
+								t.Fatalf("graph %d %s: hop %d-%d names edge %d (cost %v), edge %d (cost %v) should win", gi, b.name, x, y, id, e.Cost, j, f.Cost)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no unreachable pair came up; the instances no longer cover it")
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 )
 
 // spScratch is the reusable per-run arena of a shortest-path
-// computation: the Dijkstra heap plus parent and chain buffers whose
-// contents never outlive one call. Arenas are recycled through a
-// sync.Pool, so steady-state solves stop allocating them; buffers are
-// grown to fit and fully reinitialized by each user, never trusted to
-// carry state between runs.
+// computation: the Dijkstra heap plus parent, zero-hop and chain
+// buffers whose contents never outlive one call. Arenas are recycled
+// through a sync.Pool, so steady-state solves stop allocating them;
+// buffers are grown to fit and fully reinitialized by each user, never
+// trusted to carry state between runs.
 //
 // Lifecycle rules (also documented in ALGORITHM.md):
 //   - acquire with getScratch, release with putScratch, always on the
@@ -22,6 +22,7 @@ import (
 type spScratch struct {
 	heap   NodeHeap
 	parent []int
+	zeros  []int32
 	chain  []int
 }
 

@@ -40,19 +40,33 @@ func (g *Graph) Dijkstra(src int) *ShortestPathTree {
 	dist := make([]float64, c.N)
 	parent := make([]int, c.N)
 	sc := getScratch(0)
-	csrDijkstra(c, src, dist, parent, &sc.heap)
+	csrDijkstra(c, src, dist, parent, sc)
 	putScratch(sc)
 	return &ShortestPathTree{Src: src, Dist: dist, Parent: parent}
 }
 
 // csrDijkstra is the shared Dijkstra core: it fills dist and parent
-// (both length c.N) for the given source, reusing the caller's heap.
-func csrDijkstra(c *CSR, src int, dist []float64, parent []int, h *NodeHeap) {
+// (both length c.N) for the given source, reusing the scratch arena's
+// heap and zero-hop counts.
+//
+// Among shortest paths a node keeps one with the fewest zero-cost
+// edges, re-queued whenever a tie lowers that count. Every metric walk
+// then lowers (distance, zero-cost edges) to its target at each hop,
+// so it ends; rows that broke a zero-cost tie each their own way could
+// hand a walk back and forth forever. Without zero-cost edges every
+// count is 0, the tie never fires and the parents are plain Dijkstra's.
+func csrDijkstra(c *CSR, src int, dist []float64, parent []int, sc *spScratch) {
+	if cap(sc.zeros) < c.N {
+		sc.zeros = make([]int32, c.N)
+	}
+	zeros := sc.zeros[:c.N]
 	for i := range dist {
 		dist[i] = Inf
 		parent[i] = -1
+		zeros[i] = 0
 	}
 	dist[src] = 0
+	h := &sc.heap
 	h.Reset(c.N)
 	h.Push(src, 0)
 	for h.Len() > 0 {
@@ -60,11 +74,21 @@ func csrDijkstra(c *CSR, src int, dist []float64, parent []int, h *NodeHeap) {
 		if du > dist[u] {
 			continue
 		}
+		zu := zeros[u]
 		for p, end := c.Start[u], c.Start[u+1]; p < end; p++ {
 			v := int(c.To[p])
-			if nd := du + c.Cost[p]; nd < dist[v] {
+			nd := du + c.Cost[p]
+			if nd > dist[v] {
+				continue
+			}
+			z := zu
+			if c.Cost[p] == 0 {
+				z++
+			}
+			if nd < dist[v] || z < zeros[v] {
 				dist[v] = nd
 				parent[v] = u
+				zeros[v] = z
 				h.Push(v, nd)
 			}
 		}
@@ -72,13 +96,19 @@ func csrDijkstra(c *CSR, src int, dist []float64, parent []int, h *NodeHeap) {
 }
 
 // Metric holds all-pairs shortest-path distances plus enough routing
-// state to reconstruct one shortest path per pair.
+// state to reconstruct one shortest path per pair. The routing state
+// is one arc per pair: the CSR position of the first arc on the path,
+// so a walk reads the next node and the edge that carries the hop in
+// one load each, and scans no adjacency list. That arc is always the
+// cheapest one joining its two nodes, the earliest (lowest edge id) on
+// ties — CSR.Arc's pick.
 type Metric struct {
 	Dist [][]float64
-	next [][]int32 // next[u][v] = first hop on a shortest u->v path, -1 if none
+	csr  *CSR
+	next [][]int32 // next[u][v] = CSR position of the first arc on a shortest u->v path, -1 if u == v or none
 }
 
-// metricSlabs allocates the n*n distance and first-hop matrices as
+// metricSlabs allocates the n*n distance and first-arc matrices as
 // two contiguous slabs sliced into rows: one allocation each instead
 // of n, and row-major locality for the sweeps that walk them.
 func metricSlabs(n int) ([][]float64, [][]int32) {
@@ -95,22 +125,24 @@ func metricSlabs(n int) ([][]float64, [][]int32) {
 
 // FloydWarshall computes all-pairs shortest paths in O(V^3).
 func (g *Graph) FloydWarshall() *Metric {
-	n := len(g.adj)
+	c := g.CSR()
+	n := c.N
 	dist, next := metricSlabs(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dist[i][j] = Inf
-			next[i][j] = -1
+		di, ni := dist[i], next[i]
+		for j := range di {
+			di[j] = Inf
+			ni[j] = -1
 		}
-		dist[i][i] = 0
-		next[i][i] = int32(i)
-	}
-	for _, e := range g.edges {
-		if e.Cost < dist[e.U][e.V] {
-			dist[e.U][e.V] = e.Cost
-			dist[e.V][e.U] = e.Cost
-			next[e.U][e.V] = int32(e.V)
-			next[e.V][e.U] = int32(e.U)
+		di[i] = 0
+		// Each neighbour starts at its cheapest arc, the earliest on
+		// ties: a row lists its arcs in edge-id order, so that is the
+		// lowest-id cheapest edge, as CSR.Arc picks.
+		for p, end := c.Start[i], c.Start[i+1]; p < end; p++ {
+			if j := c.To[p]; c.Cost[p] < di[j] {
+				di[j] = c.Cost[p]
+				ni[j] = p
+			}
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -131,7 +163,7 @@ func (g *Graph) FloydWarshall() *Metric {
 			}
 		}
 	}
-	return &Metric{Dist: dist, next: next}
+	return &Metric{Dist: dist, csr: c, next: next}
 }
 
 // AllDijkstra computes the same Metric as FloydWarshall using one
@@ -146,34 +178,34 @@ func (g *Graph) AllDijkstra() *Metric {
 		apspRow(c, s, dist[s], next[s], sc)
 	}
 	putScratch(sc)
-	return &Metric{Dist: dist, next: next}
+	return &Metric{Dist: dist, csr: c, next: next}
 }
 
 // apspRow computes one row of the all-pairs metric into dist and nx
-// (both length c.N): distances from s plus the first hop towards
-// every reachable node. First hops are filled in a single
-// amortized-O(V) pass: a node inherits the first hop of its Dijkstra
-// parent, so each parent chain is resolved once and memoized. The
-// Dijkstra parents and chain storage live in the scratch arena.
+// (both length c.N): distances from s plus the first arc towards
+// every reachable node. First arcs are filled in a single
+// amortized-O(V) pass: a direct child x of s gets CSR.Arc(s, x), and
+// every other node inherits the first arc of its Dijkstra parent, so
+// each parent chain is resolved once and memoized. The Dijkstra
+// parents and chain storage live in the scratch arena.
 func apspRow(c *CSR, s int, dist []float64, nx []int32, sc *spScratch) {
 	n := c.N
 	parent := sc.parent[:n]
-	csrDijkstra(c, s, dist, parent, &sc.heap)
+	csrDijkstra(c, s, dist, parent, sc)
 	for v := range nx {
 		nx[v] = -1
 	}
-	nx[s] = int32(s)
 	for v := 0; v < n; v++ {
 		if v == s || dist[v] == Inf || nx[v] != -1 {
 			continue
 		}
-		// Walk up the parent chain until a node with a known first hop
-		// (or a direct child of s), then fill the chain with that hop.
+		// Walk up the parent chain until a node with a known first arc
+		// (or a direct child of s), then fill the chain with that arc.
 		chain := sc.chain[:0]
 		x := v
 		for nx[x] == -1 {
 			if parent[x] == s {
-				nx[x] = int32(x)
+				nx[x] = c.Arc(s, x)
 				break
 			}
 			chain = append(chain, x)
@@ -221,7 +253,7 @@ func (g *Graph) AllDijkstraParallel() *Metric {
 		}()
 	}
 	wg.Wait()
-	return &Metric{Dist: dist, next: next}
+	return &Metric{Dist: dist, csr: c, next: next}
 }
 
 // apspDenseCutoff is the density divisor above which APSPAuto prefers
@@ -256,23 +288,40 @@ func (m *Metric) Path(u, v int) []int {
 	}
 	path := []int{u}
 	for u != v {
-		u = int(m.next[u][v])
+		u = int(m.csr.To[m.next[u][v]])
 		path = append(path, u)
 	}
 	return path
 }
 
 // EachHop visits every consecutive hop on one shortest u->v path in
-// order, without materializing the path. It reports whether v is
-// reachable from u; Path(u, u) has no hops and reports true.
+// order — the hops of Path(u, v) — without materializing the path. It
+// reports whether v is reachable from u; a path from u to u has no
+// hops and reports true.
 func (m *Metric) EachHop(u, v int, fn func(from, to int)) bool {
 	if m.Dist[u][v] == Inf {
 		return false
 	}
 	for u != v {
-		w := int(m.next[u][v])
+		w := int(m.csr.To[m.next[u][v]])
 		fn(u, w)
 		u = w
+	}
+	return true
+}
+
+// EachEdge is EachHop that names the edge under each hop instead of
+// its near end: fn gets the hop's far node and the id of the edge that
+// carries it — the cheapest edge joining the two nodes, the lowest id
+// among equals, which is what CSR.Arc picks.
+func (m *Metric) EachEdge(u, v int, fn func(to, edge int)) bool {
+	if m.Dist[u][v] == Inf {
+		return false
+	}
+	for u != v {
+		a := m.next[u][v]
+		u = int(m.csr.To[a])
+		fn(u, int(m.csr.EdgeID[a]))
 	}
 	return true
 }

@@ -113,16 +113,7 @@ func DreyfusWagner(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, erro
 			// base: nothing to add
 		case 1:
 			u := int(ch.arg)
-			if u != f.v {
-				path := m.Path(u, f.v)
-				for i := 1; i < len(path); i++ {
-					id, ok := cheapestEdgeBetween(g, path[i-1], path[i])
-					if !ok {
-						return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", path[i-1], path[i])
-					}
-					edgeSet[id] = true
-				}
-			}
+			m.EachEdge(u, f.v, func(_, id int) { edgeSet[id] = true })
 			stack = append(stack, frame{mask: f.mask, v: u})
 		case 2:
 			sub := int(ch.arg)

@@ -122,7 +122,6 @@ func Mehlhorn(g *graph.Graph, terminals []int) (Tree, error) {
 	uf.Reset(t)
 	ws.bumpEdges(g.NumEdges())
 	joined := 1
-	badU, badV := -1, -1
 	for _, cand := range cands {
 		if !uf.Union(int(cand[0]), int(cand[1])) {
 			continue
@@ -134,17 +133,9 @@ func Mehlhorn(g *graph.Graph, terminals []int) (Tree, error) {
 		ws.markEdge(id)
 		for _, start := range [2]int{e.U, e.V} {
 			for x := start; parent[x] != -1; x = parent[x] {
-				hop, ok := cheapestEdgeBetween(g, x, parent[x])
-				if !ok {
-					badU, badV = x, parent[x]
-					break
-				}
-				ws.markEdge(hop)
+				ws.markEdge(int(c.EdgeID[c.Arc(x, parent[x])]))
 			}
 		}
-	}
-	if badU != -1 {
-		return Tree{}, fmt.Errorf("steiner: voronoi path uses non-edge %d-%d", badU, badV)
 	}
 	if joined < t {
 		return Tree{}, fmt.Errorf("%w: voronoi forest disconnected", ErrUnreachable)

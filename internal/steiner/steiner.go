@@ -127,21 +127,12 @@ func TakahashiMatsuyama(g *graph.Graph, m *graph.Metric, root int, terminals []i
 			return Tree{}, ErrUnreachable
 		}
 		attached[bestIdx] = true
-		badU, badV := -1, -1
-		m.EachHop(bestAttach, terminals[bestIdx], func(x, y int) {
-			id, ok := cheapestEdgeBetween(g, x, y)
-			if !ok {
-				badU, badV = x, y
-				return
-			}
+		m.EachEdge(bestAttach, terminals[bestIdx], func(y, id int) {
 			ws.markEdge(id)
 			if ws.markNode(y) {
 				treeNodes = append(treeNodes, y)
 			}
 		})
-		if badU != -1 {
-			return Tree{}, fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
-		}
 	}
 	ws.treeNodes = treeNodes
 	// The union of attach paths can in rare cases contain a cycle; take
@@ -157,19 +148,6 @@ func Prune(g *graph.Graph, edgeIDs []int, terminals []int) []int {
 	defer putWS(ws)
 	ids := append([]int(nil), edgeIDs...)
 	return ws.prune(g, ids, terminals)
-}
-
-// cheapestEdgeBetween returns the index of the cheapest edge joining u
-// and v.
-func cheapestEdgeBetween(g *graph.Graph, u, v int) (int, bool) {
-	best, found := -1, false
-	bestCost := graph.Inf
-	for _, a := range g.Neighbors(u) {
-		if a.To == v && a.Cost < bestCost {
-			best, bestCost, found = a.Edge, a.Cost, true
-		}
-	}
-	return best, found
 }
 
 // mstOfEdgeSubset runs Kruskal restricted to the given edge indices.

@@ -2,6 +2,7 @@ package steiner
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -25,7 +26,7 @@ type Sweep struct {
 	m  *graph.Metric
 	ws *workspace
 	// dests is D deduplicated in first-seen order (td of them). The
-	// workspace holds the rest: dd[i*td+j] = m.Dist[dests[i]][dests[j]]
+	// workspace holds the rest: dd[i*td+j] = key(m.Dist[dests[i]][dests[j]])
 	// (orientation kept: Dist is not bitwise symmetric), and
 	// slot[i*td+j], the arena offset of the memoised shortest path
 	// dests[i] -> dests[j] as ew words of edge ids then nw words of
@@ -82,7 +83,7 @@ func (s *Sweep) init(g *graph.Graph, m *graph.Metric, dests []int) {
 		ew: (g.NumEdges() + 63) / 64, nw: (g.NumNodes() + 63) / 64}
 	td := len(s.dests)
 	if cap(ws.dd) < td*td {
-		ws.dd = make([]float64, td*td)
+		ws.dd = make([]uint64, td*td)
 		ws.slot = make([]int32, td*td)
 	}
 	ws.dd, ws.slot = ws.dd[:td*td], ws.slot[:td*td]
@@ -90,7 +91,7 @@ func (s *Sweep) init(g *graph.Graph, m *graph.Metric, dests []int) {
 		from := m.Dist[a]
 		row := ws.dd[i*td : (i+1)*td]
 		for j, b := range s.dests {
-			row[j] = from[b]
+			row[j] = key(from[b])
 		}
 	}
 	for i := range ws.slot {
@@ -167,29 +168,30 @@ func (s *Sweep) LowerBound() float64 {
 	if td < 2 {
 		return 0
 	}
-	// Prim from dests[0] over the open terminals, as in expand; the
-	// pick is swapped out, since order does not change the weight.
+	// Prim from dests[0] over the open terminals, on the keys expand
+	// reads; the pick is swapped out, since order does not change the
+	// weight.
 	open := ws.open[:0]
 	for i := 1; i < td; i++ {
-		open = append(open, openTerm{dist: graph.Inf, at: int32(i)})
+		open = append(open, openSlot{key: infKey, at: int32(i)})
 	}
 	at, mst := 0, 0.0
 	for len(open) > 0 {
-		next, nearest := 0, graph.Inf
+		next, nearest := 0, uint64(infKey)
 		for p := range open {
 			o := &open[p]
-			if d := min(ws.dd[at*td+int(o.at)], ws.dd[int(o.at)*td+at]); d < o.dist {
-				o.dist = d
+			if d := min(ws.dd[at*td+int(o.at)], ws.dd[int(o.at)*td+at]); d < o.key {
+				o.key = d
 			}
-			if o.dist < nearest {
-				next, nearest = p, o.dist
+			if o.key < nearest {
+				next, nearest = p, o.key
 			}
 		}
-		if nearest == graph.Inf {
+		if nearest == infKey {
 			mst = graph.Inf
 			break
 		}
-		mst += nearest
+		mst += math.Float64frombits(nearest)
 		at = int(open[next].at)
 		open[next] = open[len(open)-1]
 		open = open[:len(open)-1]
@@ -244,44 +246,45 @@ func (s *Sweep) expand(root int) (isTree bool, err error) {
 	}
 	s.stats.Trees++
 
-	// 1. Prim. The root joins first; each later round picks the open
-	// terminal nearest the tree and, in the same pass that relaxes the
-	// others against it and closes its slot, finds the next pick. The
-	// open terminals stay packed in ascending index order, so a strict <
-	// keeps the lowest index among equals.
+	// 1. Prim, on keys (see key). The root joins first; each later
+	// round picks the open terminal nearest the tree and, in the same
+	// pass that relaxes the others against it and closes its slot, finds
+	// the next pick. The open terminals stay packed in ascending index
+	// order, so a strict < keeps the lowest index among equals.
 	open := ws.open[:0]
-	next, nearest := 0, graph.Inf // the pick's position in open and its distance
+	next, nearest := 0, uint64(infKey) // the pick's position in open and its key
 	for i, d := range s.dests {
 		if i == rootAt {
 			continue
 		}
-		if rootRow[d] < nearest {
-			next, nearest = len(open), rootRow[d]
+		k := key(rootRow[d])
+		if k < nearest {
+			next, nearest = len(open), k
 		}
-		open = append(open, openTerm{dist: rootRow[d], at: int32(i), from: int32(rootAt)})
+		open = append(open, openSlot{key: k, at: int32(i), from: int32(rootAt)})
 	}
 	closure := ws.pairs[:0] // (from, to) indices into dests
 	for len(open) > 0 {
 		pick, at := next, open[next].at
 		closure = append(closure, [2]int32{open[pick].from, at})
 		row := ws.dd[int(at)*td : (int(at)+1)*td]
-		next, nearest = 0, graph.Inf
-		for p := range open[:pick] {
-			o := &open[p]
-			if d := row[o.at]; d < o.dist {
-				o.dist, o.from = d, at
+		next, nearest = 0, infKey
+		for p, o := range open[:pick] {
+			if d := row[o.at]; d < o.key {
+				o.key, o.from = d, at
 			}
-			if o.dist < nearest {
-				next, nearest = p, o.dist
+			open[p] = o
+			if o.key < nearest {
+				next, nearest = p, o.key
 			}
 		}
 		for p, o := range open[pick+1:] {
-			if d := row[o.at]; d < o.dist {
-				o.dist, o.from = d, at
+			if d := row[o.at]; d < o.key {
+				o.key, o.from = d, at
 			}
 			open[pick+p] = o
-			if o.dist < nearest {
-				next, nearest = pick+p, o.dist
+			if o.key < nearest {
+				next, nearest = pick+p, o.key
 			}
 		}
 		open = open[:len(open)-1]
@@ -294,15 +297,10 @@ func (s *Sweep) expand(root int) (isTree bool, err error) {
 	eb, nb := ws.bits[:s.ew], ws.bits[s.ew:]
 	for _, ce := range closure {
 		if ce[0] == fromRoot {
-			if err := s.walk(root, s.dests[ce[1]], eb, nb); err != nil {
-				return false, err
-			}
+			s.walk(root, s.dests[ce[1]], eb, nb)
 			continue
 		}
-		off, err := s.path(int(ce[0]), int(ce[1]))
-		if err != nil {
-			return false, err
-		}
+		off := s.path(int(ce[0]), int(ce[1]))
 		for i, w := range ws.arena[off : off+len(ws.bits)] {
 			ws.bits[i] |= w // edge words then node words, as in the memo
 		}
@@ -343,42 +341,29 @@ func (s *Sweep) general(root int) []int {
 
 // path returns the arena offset of the memoised shortest path
 // dests[i] -> dests[j], walking and storing it on first use.
-func (s *Sweep) path(i, j int) (int, error) {
+func (s *Sweep) path(i, j int) int {
 	ws := s.ws
 	at := i*len(s.dests) + j
 	if off := ws.slot[at]; off >= 0 {
 		s.stats.MemoHits++
-		return int(off), nil
+		return int(off)
 	}
 	off := len(ws.arena)
 	ws.arena = append(ws.arena, make([]uint64, s.ew+s.nw)...)
 	p := ws.arena[off:]
-	if err := s.walk(s.dests[i], s.dests[j], p[:s.ew], p[s.ew:]); err != nil {
-		ws.arena = ws.arena[:off]
-		return 0, err
-	}
+	s.walk(s.dests[i], s.dests[j], p[:s.ew], p[s.ew:])
 	ws.slot[at] = int32(off)
 	s.stats.MemoFills++
-	return off, nil
+	return off
 }
 
 // walk sets the bits of the metric's shortest path u -> v: every node
-// on it in nb, and per hop the cheapest edge joining the two nodes in
-// eb.
-func (s *Sweep) walk(u, v int, eb, nb []uint64) error {
+// on it in nb, and per hop the edge under the metric's first arc — the
+// cheapest joining the two nodes — in eb.
+func (s *Sweep) walk(u, v int, eb, nb []uint64) {
 	nb[u>>6] |= 1 << (u & 63)
-	badU, badV := -1, -1
-	s.m.EachHop(u, v, func(x, y int) {
-		id, ok := cheapestEdgeBetween(s.g, x, y)
-		if !ok {
-			badU, badV = x, y
-			return
-		}
+	s.m.EachEdge(u, v, func(to, id int) {
 		eb[id>>6] |= 1 << (id & 63)
-		nb[y>>6] |= 1 << (y & 63)
+		nb[to>>6] |= 1 << (to & 63)
 	})
-	if badU != -1 {
-		return fmt.Errorf("steiner: metric path uses non-edge %d-%d", badU, badV)
-	}
-	return nil
 }

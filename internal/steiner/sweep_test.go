@@ -84,6 +84,20 @@ func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, [][2]
 	return treeFromEdges(g, ws.prune(g, ws.mstOfCollected(g), terminals)), closure, nil
 }
 
+// cheapestEdgeBetween returns the index of the cheapest edge joining u
+// and v, the earliest on ties, by scanning u's neighbours: the oracle
+// finds each hop's edge itself rather than reading the metric's arcs.
+func cheapestEdgeBetween(g *graph.Graph, u, v int) (int, bool) {
+	best, found := -1, false
+	bestCost := graph.Inf
+	for _, a := range g.Neighbors(u) {
+		if a.To == v && a.Cost < bestCost {
+			best, bestCost, found = a.Edge, a.Cost, true
+		}
+	}
+	return best, found
+}
+
 // closureOf reads the closure edges of the sweep's last expansion for
 // root as (from, to) node pairs.
 func closureOf(s *Sweep, root int) [][2]int {
@@ -166,12 +180,14 @@ var apspBuilders = []struct {
 	{"APSPAuto", (*graph.Graph).APSPAuto},
 }
 
-// costModes draw edge costs: floats (ties rare), all ones and {1,2}
-// (ties everywhere).
+// costModes draw edge costs: floats (ties rare), all ones, {1,2}
+// (ties everywhere) and {0,1}, where zero-length closure edges and
+// their ties hold Prim's keys to the float compares they replace.
 var costModes = []func(*rand.Rand) float64{
 	func(rng *rand.Rand) float64 { return 1 + rng.Float64()*9 },
 	func(*rand.Rand) float64 { return 1 },
 	func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(2)) },
+	func(rng *rand.Rand) float64 { return float64(rng.Intn(2)) },
 }
 
 func randomGraphWithCosts(rng *rand.Rand, n, extra int, cost func(*rand.Rand) float64) *graph.Graph {
@@ -362,8 +378,13 @@ func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int)
 			t.Fatalf("disconnected dests %v: bound %v, want +Inf", dests, lb)
 		}
 		return 0
-	case lb <= 0 || math.IsInf(lb, 0) || math.IsNaN(lb):
-		t.Fatalf("dests %v: bound %v, want finite and positive", dests, lb)
+	case lb < 0 || math.IsInf(lb, 0) || math.IsNaN(lb):
+		t.Fatalf("dests %v: bound %v, want finite and non-negative", dests, lb)
+	case lb == 0:
+		// Only zero-cost paths join D, so the tree rooted in D is free.
+		if cost, err := s.Cost(dests[0]); err != nil || cost != 0 {
+			t.Fatalf("dests %v: bound 0, tree rooted at %d costs %v (%v)", dests, dests[0], cost, err)
+		}
 	}
 	for root := 0; root < g.NumNodes(); root++ {
 		cost, err := s.Cost(root)
@@ -466,8 +487,9 @@ func TestSweepGeneralBranch(t *testing.T) {
 
 // fuzzGraph decodes a graph from fuzz bytes: n nodes on a spanning
 // path (so most roots reach most destinations), then one extra edge
-// per byte triple. Bit 7 of the cost byte picks a fractional cost,
-// otherwise costs are 1 or 2 and ties are everywhere.
+// per byte triple. Bit 7 of the cost byte picks a fractional cost, bit
+// 6 a zero cost (−0 when bit 0 is set too), otherwise costs are 1 or 2
+// and ties are everywhere.
 func fuzzGraph(n int, spine bool, edges []byte) *graph.Graph {
 	g := graph.New(n)
 	if spine {
@@ -481,8 +503,11 @@ func fuzzGraph(n int, spine bool, edges []byte) *graph.Graph {
 			continue
 		}
 		cost := float64(1 + c&1)
-		if c&0x80 != 0 {
+		switch {
+		case c&0x80 != 0:
 			cost = 1 + float64(c&0x7f)/16
+		case c&0x40 != 0:
+			cost = math.Copysign(0, -float64(c&1))
 		}
 		g.MustAddEdge(u, v, cost)
 	}
@@ -508,6 +533,19 @@ func FuzzSweepDifferential(f *testing.F) {
 	pickOrder := []byte{12, 0, 24, 12, 4, 20, 0, 7, 17, 24}
 	f.Add(uint8(25), false, lattice, pickOrder, uint8(1))
 	f.Add(uint8(25), false, lattice, pickOrder, uint8(0x80|2))
+	// Zero and −0 costs: a spine with free shortcuts and a −0 edge
+	// parallel to a +0 one, so closure distances tie at 0 in both signs;
+	// then a lattice whose rows cost nothing, under AllDijkstra.
+	f.Add(uint8(10), true, []byte{0, 5, 0x40, 5, 0, 0x41, 2, 7, 0x41, 3, 8, 0x40, 1, 9, 0x41, 6, 4, 0x40}, []byte{9, 0, 7, 4, 9}, uint8(0))
+	var zeroRows []byte
+	for _, e := range unitGrid(4, 4).Edges() {
+		c := byte(0)
+		if e.V == e.U+1 {
+			c = 0x40 | byte(e.U&1)
+		}
+		zeroRows = append(zeroRows, byte(e.U), byte(e.V), c)
+	}
+	f.Add(uint8(16), false, zeroRows, []byte{15, 0, 5, 10, 3, 12}, uint8(1))
 	f.Fuzz(func(t *testing.T, n uint8, spine bool, edges, dests []byte, apsp uint8) {
 		if n == 0 || n > 48 || len(edges) > 3*96 || len(dests) > 12 {
 			t.Skip()

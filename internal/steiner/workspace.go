@@ -46,16 +46,16 @@ type workspace struct {
 	// open terminals and closure edges.
 	terms    []int
 	attached []bool
-	open     []openTerm
+	open     []openSlot
 	pairs    [][2]int32
 	// Bridge matrices (Mehlhorn), t*t flattened.
 	bridgeW []float64
 	bridgeE []int32
-	// Sweep state (see Sweep): the D*D distance block and path-memo
-	// slots, the memo arena, the current root's edge and node bitsets;
-	// rootTerms is a [root]+D terminal list (the sweep's general
-	// branch, Takahashi-Matsuyama).
-	dd        []float64
+	// Sweep state (see Sweep): the D*D distance block as Prim keys and
+	// the path-memo slots, the memo arena, the current root's edge and
+	// node bitsets; rootTerms is a [root]+D terminal list (the sweep's
+	// general branch, Takahashi-Matsuyama).
+	dd        []uint64
 	slot      []int32
 	arena     []uint64
 	bits      []uint64
@@ -133,12 +133,24 @@ func (ws *workspace) dedup(terminals []int, n int) []int {
 	return out
 }
 
-// openTerm is a terminal Prim has not reached yet: its index, its
-// distance to the nearest tree terminal and that terminal's index.
-type openTerm struct {
-	dist     float64
+// openSlot is a terminal Prim has not reached yet: the key of its
+// distance to the nearest tree terminal, its index and that terminal's
+// index.
+type openSlot struct {
+	key      uint64
 	at, from int32
 }
+
+// key is a distance as Prim compares it: its IEEE bit pattern with the
+// sign bit cleared, which folds −0 into +0. Metric distances are never
+// negative (AddEdge refuses negative and NaN costs), and non-negative
+// doubles, +Inf included, order exactly as their bit patterns do, so a
+// < between keys answers as the < between the distances did — and
+// compiles to a conditional move where the float compare branched.
+func key(d float64) uint64 { return math.Float64bits(d) &^ (1 << 63) }
+
+// infKey is key(+Inf), the key of an unreachable pair.
+const infKey = 0x7ff0000000000000
 
 // mstOfCollected runs Kruskal over ws.edges (in place), keeping the
 // edges of a minimum spanning forest. Ties are broken by edge id, so

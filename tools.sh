@@ -201,7 +201,9 @@ queue_gate() {
 # runMSA's candidate loop calls no repairCapacity, AppendHostsTo or
 # sortCandidates and asks for a chain only once a row has beaten the
 # running best (the rest is the overlay's candidate table);
-# internal/steiner/sweep.go holds no tIn/inTree membership scan; and
+# internal/steiner/sweep.go holds no tIn/inTree membership scan; no
+# non-test .go file scans a neighbour list for a metric hop
+# (cheapestEdgeBetween) or keys Prim on floats (openTerm); and
 # the serving binary links only what a controller runs: cmd/sftserve
 # depends on at most 15 internal packages, none of them the root
 # facade, the exact/ILP stack (lp, ilp, sftilp, exact), the comparison
@@ -209,7 +211,7 @@ queue_gate() {
 # metrics) or the renderer (viz), and no non-test internal/server file
 # registers POST /v1/render (sftembed -svg renders offline).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -267,6 +269,10 @@ retired_guard() {
 	fi
 	if grep -nE '\btIn\b|inTree' internal/steiner/sweep.go; then
 		echo "retired guard: internal/steiner/sweep.go scans closed terminals again (since PR 28 Prim keeps the open ones packed)" >&2
+		exit 1
+	fi
+	if grep -rnwE 'cheapestEdgeBetween|openTerm' --include='*.go' --exclude='*_test.go' .; then
+		echo "retired guard: a metric hop is found by a neighbour scan, or Prim keys on floats, again (a hop is graph.Metric's first arc, read through EachEdge or CSR.Arc, and Prim compares key bits)" >&2
 		exit 1
 	fi
 	commit_paths=$(awk '/^func \(l \*Log\) (Append|syncLoop|Sync)\(/,/^}/' internal/wal/wal.go)
