@@ -103,11 +103,12 @@ func run(args []string, w io.Writer) error {
 }
 
 // eventLine mirrors the JSONL wire schema of internal/obs. It lists
-// the full current field set; streams written before the request_id /
-// warm / rung / scaffold / general_trees / bound_skips / sfc_rows
-// additions simply decode those to their zero values, and unknown
-// future fields are ignored — the stream stays parseable in both
-// directions.
+// every field a stream has carried, including request_id and rung,
+// which only scoped streams (no longer written) held; streams without
+// the request_id / warm / rung / scaffold / general_trees / bound_skips
+// / sfc_rows fields simply decode those to their zero values, and
+// unknown future fields are ignored — the stream stays parseable in
+// both directions.
 type eventLine struct {
 	Kind       string `json:"kind"`
 	Pass       int    `json:"pass"`

@@ -51,13 +51,16 @@ func BenchmarkTwoStage250LongChain(b *testing.B) {
 	}
 }
 
-// opaBenchState builds a stage-one state on a mid-size instance so the
-// stage-two benchmarks measure only the OPA machinery.
+// opaBenchState builds a priced stage-one state on a mid-size instance
+// so the stage-two benchmarks measure only the OPA machinery.
 func opaBenchState(b *testing.B, n, k, nd int) (*nfv.Network, nfv.Task, *state) {
 	b.Helper()
 	net, task := benchInstance(b, n, k, nd)
 	st, _, err := runMSA(net, task, Options{}, getScratch(net.NumNodes()))
 	if err != nil {
+		b.Fatal(err)
+	}
+	if st.price, err = st.cost(); err != nil {
 		b.Fatal(err)
 	}
 	return net, task, st
@@ -76,9 +79,9 @@ func BenchmarkOPAPass(b *testing.B) {
 	}
 }
 
-// deltaBenchMove picks one feasible last-level re-homing move on the
-// benchmark instance; st must carry its ledger.
-func deltaBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (connGroup, int) {
+// trialBenchMove picks one feasible last-level re-homing move on the
+// benchmark instance.
+func trialBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (connGroup, int) {
 	b.Helper()
 	metric := net.Metric()
 	k := task.K()
@@ -88,6 +91,7 @@ func deltaBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (c
 	}
 	grp := groups[0]
 	cur := st.row(grp.members[0])[k]
+	st.listPlaced()
 	for _, u := range net.Servers() {
 		if u != cur && st.canHost(task.Chain[k-1], u) && metric.Dist[grp.node][u] != graph.Inf {
 			return grp, u
@@ -97,22 +101,27 @@ func deltaBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (c
 	return connGroup{}, -1
 }
 
-// BenchmarkStateDeltaCost measures one incremental move evaluation:
-// apply against the ledger, read the new total, revert.
-func BenchmarkStateDeltaCost(b *testing.B) {
+// trialSink keeps BenchmarkTrialMove's pricing from being optimised
+// away.
+var trialSink float64
+
+// BenchmarkTrialMove measures what stage two pays per proposed move:
+// apply it, materialise and price the embedding, undo it.
+func BenchmarkTrialMove(b *testing.B) {
 	net, task, st := opaBenchState(b, 100, 5, 10)
-	st.ensureLedger()
-	grp, e := deltaBenchMove(b, net, task, st)
+	grp, e := trialBenchMove(b, net, task, st)
 	metric := net.Metric()
 	k := task.K()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jr := st.applyMoveInc(k, grp, e, metric)
-		if _, err := st.totalCost(); err != nil {
+		st.applyMove(k, grp, e, metric)
+		emb, err := st.embedding()
+		if err != nil {
 			b.Fatal(err)
 		}
-		st.revert(jr)
+		trialSink = net.Cost(emb).Total
+		st.undoMove()
 	}
 }
 

@@ -4,17 +4,22 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"sftree/internal/netgen"
 )
 
-// Property: the incremental ledger and the naive full recomputation
-// price the same states identically, across randomized topologies,
-// chains, and arbitrary (even non-improving, non-OPA) move sequences.
-// Reverting a move must restore the ledger's totals bit-for-bit.
+// Property: stage two's in-place trial (applyMove, then undoMove if the
+// move is refused) walks through the same states as the reference
+// engine's clone-and-apply, across randomized topologies, chains and
+// arbitrary (even non-improving, non-OPA) move sequences. The price kept
+// across accepted moves is a from-scratch pricing of the reference state
+// to the bit, the placed list answers as the naive derivations do, and
+// an undone move restores serve, tail and price exactly.
 func TestQuickIncrementalMatchesNaive(t *testing.T) {
+	kept, undone := 0, 0
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, task := randomInstance(rng, 8+rng.Intn(15), 1+rng.Intn(4), 1+rng.Intn(5))
@@ -22,21 +27,18 @@ func TestQuickIncrementalMatchesNaive(t *testing.T) {
 		if err != nil {
 			return errors.Is(err, ErrNoFeasible)
 		}
-		st.ensureLedger()
-		metric := net.Metric()
-		k := task.K()
-		servers := net.Servers()
+		if st.price, err = st.cost(); err != nil {
+			return false
+		}
+		st.listPlaced()
+		ref := st.clone()
+		metric, k, servers := net.Metric(), task.K(), net.ServerList()
 		for step := 0; step < 12; step++ {
-			// canHost and instanceSetupCost must agree with the naive
-			// derivation at every intermediate state.
-			f := task.Chain[rng.Intn(k)]
-			v := rng.Intn(net.NumNodes())
+			f, v := task.Chain[rng.Intn(k)], rng.Intn(net.NumNodes())
 			if st.canHost(f, v) != st.canHostNaive(f, v) || st.instanceSetupCost(f, v) != st.instanceSetupCostNaive(f, v) {
 				return false
 			}
 
-			// A random (not necessarily improving or even sensible)
-			// group move: the engines must agree regardless.
 			j := 1 + rng.Intn(k)
 			var members []int
 			for di := range task.Destinations {
@@ -50,54 +52,77 @@ func TestQuickIncrementalMatchesNaive(t *testing.T) {
 			grp := connGroup{node: rng.Intn(net.NumNodes()), members: members}
 			e := servers[rng.Intn(len(servers))]
 
-			before, errBefore := st.totalCost()
-			jr := st.applyMoveInc(j, grp, e, metric)
-			incCost, incErr := st.totalCost()
-			naiveCost, naiveErr := st.cost()
-			if (incErr == nil) != (naiveErr == nil) {
+			before := st.clone()
+			before.tail = slices.Clone(st.tail)
+			st.applyMove(j, grp, e, metric)
+			trial := ref.clone()
+			trial.applyMove(j, grp, e, metric)
+			if !sameAssignment(st, trial) {
 				return false
 			}
-			if incErr == nil {
-				if math.IsInf(naiveCost, 1) != math.IsInf(incCost, 1) {
-					return false
-				}
-				if !math.IsInf(incCost, 1) && math.Abs(incCost-naiveCost) > 1e-6 {
-					return false
-				}
+			price, errInc := st.cost()
+			refPrice, errRef := trial.cost()
+			if (errInc == nil) != (errRef == nil) || errInc == nil && math.Float64bits(price) != math.Float64bits(refPrice) {
+				return false
 			}
-			if rng.Intn(2) == 0 {
-				st.revert(jr)
-				after, errAfter := st.totalCost()
-				if (errAfter == nil) != (errBefore == nil) {
-					return false
+			if errInc != nil || rng.Intn(2) == 0 {
+				st.undoMove()
+				if !sameState(st, before) {
+					return false // undo must be exact, not approximate
 				}
-				if errAfter == nil && after != before {
-					return false // revert must be exact, not approximate
-				}
+				undone++
+				continue
+			}
+			st.price, trial.price = price, refPrice
+			st.listPlaced()
+			ref = trial
+			kept++
+			if fresh, err := ref.cost(); err != nil || math.Float64bits(fresh) != math.Float64bits(st.price) {
+				return false
 			}
 		}
-		return true
+		return sameAssignment(st, ref)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	t.Logf("%d moves kept, %d undone", kept, undone)
+	if kept < 300 || undone < 300 {
+		t.Error("thin coverage: want at least 300 moves kept and 300 undone")
 	}
 }
 
-// Property: the full two-stage solve is observationally identical under
-// the incremental engine and the naive clone-and-recost reference, for
-// every stage-two configuration.
+// sameAssignment reports whether a and b serve every destination from
+// the same nodes along tails with the same contents.
+func sameAssignment(a, b *state) bool {
+	if !slices.Equal(a.serve, b.serve) || len(a.tail) != len(b.tail) {
+		return false
+	}
+	for di := range a.tail {
+		if !slices.Equal(a.tail[di], b.tail[di]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: the full two-stage solve is identical under runOPAPass and
+// the clone-and-recost reference, for every stage-two configuration:
+// both price through nfv.Cost, so the final costs agree to the bit.
 func TestQuickSolveMatchesReferenceEngine(t *testing.T) {
 	prop := func(seed int64, mode uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, task := randomInstance(rng, 8+rng.Intn(14), 1+rng.Intn(3), 1+rng.Intn(4))
 		opts := Options{}
-		switch mode % 4 {
+		switch mode % 5 {
 		case 1:
 			opts.AggressiveOPA = true
 		case 2:
 			opts.MaxOPAPasses = 3
 		case 3:
 			opts.LocalAcceptance = true
+		case 4:
+			opts.MaxOPAPasses, opts.AggressiveOPA = 4, true
 		}
 		fast, errFast := Solve(net, task, opts)
 		slowMoves, slowCost, errSlow := solveNaive(net, task, opts)
@@ -107,12 +132,9 @@ func TestQuickSolveMatchesReferenceEngine(t *testing.T) {
 		if errFast != nil {
 			return errors.Is(errFast, ErrNoFeasible) && errors.Is(errSlow, ErrNoFeasible)
 		}
-		if fast.MovesAccepted != slowMoves {
-			return false
-		}
-		return math.Abs(fast.FinalCost-slowCost) < 1e-6
+		return fast.MovesAccepted == slowMoves && math.Float64bits(fast.FinalCost) == math.Float64bits(slowCost)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }
@@ -130,8 +152,8 @@ func moveEvents(log eventLog) []Event {
 	return out
 }
 
-// TestEngineEventParity: the incremental and reference stage-two
-// engines must emit the same move sequence on the same instance.
+// TestEngineEventParity: runOPAPass and the reference stage-two engine
+// must emit the same move events on the same instance, costs included.
 func TestEngineEventParity(t *testing.T) {
 	net, err := netgen.Generate(netgen.PaperConfig(60, 2), rand.New(rand.NewSource(11)))
 	if err != nil {
@@ -155,10 +177,10 @@ func TestEngineEventParity(t *testing.T) {
 		}
 		a, b := moveEvents(fast), moveEvents(slow)
 		if len(a) != len(b) || opts.AggressiveOPA && len(a) == 0 {
-			t.Fatalf("aggressive %v: %d incremental move events, %d reference", opts.AggressiveOPA, len(a), len(b))
+			t.Fatalf("aggressive %v: %d move events, %d from the reference", opts.AggressiveOPA, len(a), len(b))
 		}
 		for i := range a {
-			if a[i].Kind != b[i].Kind || a[i].Level != b[i].Level || a[i].From != b[i].From || a[i].To != b[i].To {
+			if a[i] != b[i] {
 				t.Errorf("aggressive %v: move %d differs: %+v vs %+v", opts.AggressiveOPA, i, a[i], b[i])
 			}
 		}

@@ -5,10 +5,11 @@ import (
 	"sftree/internal/nfv"
 )
 
-// This file is the pre-ledger stage-two engine, kept as the reference
-// the incremental engine (ledger.go, runOPAPass) is asserted against
-// in equivalence_test.go. It never touches a ledger: every question is
-// answered by re-deriving it from the serving assignment.
+// This file is the clone-and-recost stage-two engine, kept as the
+// reference runOPAPass is asserted against in equivalence_test.go. It
+// never undoes a move or keeps a placed list: every trial runs on a
+// clone, and every question is answered by re-deriving it from the
+// serving assignment.
 
 // solveNaive is Solve with the reference engine in stage two: stage
 // one via runMSA, then runOPAPassNaive in runOPA's pass loop. It
@@ -141,43 +142,8 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 	return moves, nil
 }
 
-// applyMove re-homes the group's members onto a new level-j instance
-// at node e. For the last level the explicit tails are rewritten (the
-// new route runs e -> connection node -> old downstream suffix); for
-// inner levels only the serving assignment changes, and the walk
-// segments follow metric paths automatically.
-func (s *state) applyMove(j int, grp connGroup, e int, metric *graph.Metric) {
-	k := s.task.K()
-	for _, di := range grp.members {
-		s.row(di)[j] = e
-	}
-	if j != k {
-		return
-	}
-	head := metric.Path(e, grp.node)
-	for _, di := range grp.members {
-		old := s.tail[di]
-		idx := -1
-		for i, v := range old {
-			if v == grp.node {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			// Member does not route through the connection node (should
-			// not happen; keep a safe fallback route).
-			s.tail[di] = metric.Path(e, s.task.Destinations[di])
-			continue
-		}
-		nt := append([]int(nil), head...)
-		nt = append(nt, old[idx+1:]...)
-		s.tail[di] = nt
-	}
-}
-
 func (s *state) clone() *state {
-	c := &state{net: s.net, task: s.task, w: s.w, sc: s.sc,
+	c := &state{net: s.net, task: s.task, w: s.w, sc: s.sc, price: s.price,
 		serve: append([]int(nil), s.serve...),
 		tail:  make([][]int, len(s.tail)),
 	}
@@ -188,9 +154,9 @@ func (s *state) clone() *state {
 }
 
 // cost evaluates the paper's objective for the current state from
-// scratch: materialise, then price. Production prices a solve once
-// (stageOne) and again only after an accepted move (stageTwo); the
-// reference engine and the tests price wherever they like.
+// scratch: materialise, then price. Production prices in stageOne,
+// optimize and once per stage-two trial move; the reference engine and
+// the tests price wherever they like.
 func (s *state) cost() (float64, error) {
 	e, err := s.embedding()
 	if err != nil {

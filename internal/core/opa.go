@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -45,26 +44,13 @@ func runOPA(s *state, opts Options) (int, bool, error) {
 // cut the pass short. The pass number is only for the optional
 // Observer's events.
 //
-// Cost evaluation is incremental: the state's ledger (see ledger.go)
-// tracks the objective under each trial move, and a rejected move is
-// reverted through its journal. The clone-and-recost reference it is
-// asserted against lives in naive_test.go. The ledger is attached at
-// the first move that passes the local gate — under the paper's rule
-// most solves propose none and never build one; until then nothing has
-// moved, and the placed-instance list answers canHost.
+// A trial move is priced the way a solve is: applyMove, materialise
+// the embedding, nfv.Cost. A rejected move is undone (undoMove); an
+// accepted one becomes the state's price and placed list.
 func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 	k := s.task.K()
 	metric := s.net.Metric()
-	var curCost float64 // read off the ledger once there is one
-	var err error
-	if s.led != nil {
-		if curCost, err = s.totalCost(); err != nil {
-			return 0, false, err
-		}
-	} else {
-		s.placed = s.appendPlaced(s.sc.insts[:0])
-		s.sc.insts = s.placed
-	}
+	s.listPlaced()
 
 	// Connection groups for the level-k round: per independent
 	// root-to-leaf path of the stage-one Steiner tree, the destination
@@ -72,9 +58,6 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 	aggressive := opts.AggressiveOPA && !opts.LocalAcceptance
 	groups := s.initialConnectionGroups(aggressive)
 	moves := 0
-	if DebugOPA {
-		fmt.Printf("  [opa] %d initial groups (of %d dests)\n", len(groups), len(s.task.Destinations))
-	}
 
 	for j := k; j >= 1; j-- {
 		if opts.ctxErr() != nil {
@@ -113,10 +96,6 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 					bestE, bestScore = u, score
 				}
 			}
-			if DebugOPA {
-				fmt.Printf("  [opa] level %d conn %d (|grp|=%d): cur=%d curScore=%.1f bestE=%d bestScore=%.1f\n",
-					j, grp.node, len(grp.members), cur, curScore, bestE, bestScore)
-			}
 			if bestE == -1 {
 				continue
 			}
@@ -126,50 +105,29 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 				continue
 			}
 
-			if s.led == nil {
-				if curCost, err = s.totalCost(); err != nil { // attaches the ledger
-					return moves, false, err
-				}
+			ev := Event{Kind: EventMoveProposed, Pass: passNo, Level: j, Conn: grp.node,
+				From: cur, To: bestE, Group: len(grp.members), CostBefore: s.price}
+			opts.emit(ev)
+			s.applyMove(j, grp, bestE, metric)
+			var trialCost float64
+			emb, err := s.embedding()
+			if err == nil {
+				trialCost = s.net.Cost(emb).Total
 			}
-			if opts.Observer != nil {
-				opts.emit(Event{Kind: EventMoveProposed, Pass: passNo, Level: j,
-					Conn: grp.node, From: cur, To: bestE, Group: len(grp.members), CostBefore: curCost})
-			}
-			jr := s.applyMoveInc(j, grp, bestE, metric)
-			if opts.LocalAcceptance {
-				moves++
-				nextConn = append(nextConn, bestE)
-				c, err := s.totalCost()
-				s.releaseJournal(jr)
-				if err != nil {
-					return moves, false, err
-				}
-				if opts.Observer != nil {
-					opts.emit(Event{Kind: EventMoveAccepted, Pass: passNo, Level: j,
-						Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-						CostBefore: curCost, CostAfter: c})
-				}
-				curCost = c
+			ev.CostAfter = trialCost
+			if !opts.LocalAcceptance && (err != nil || trialCost >= s.price-costEps) {
+				s.undoMove()
+				ev.Kind = EventMoveRejected
+				opts.emit(ev)
 				continue
 			}
-			trialCost, err := s.totalCost()
-			if err != nil || trialCost >= curCost-costEps {
-				s.revert(jr)
-				s.releaseJournal(jr)
-				if opts.Observer != nil {
-					opts.emit(Event{Kind: EventMoveRejected, Pass: passNo, Level: j,
-						Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-						CostBefore: curCost, CostAfter: trialCost})
-				}
-				continue
+			if err != nil {
+				return moves, false, err
 			}
-			if opts.Observer != nil {
-				opts.emit(Event{Kind: EventMoveAccepted, Pass: passNo, Level: j,
-					Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-					CostBefore: curCost, CostAfter: trialCost})
-			}
-			s.releaseJournal(jr)
-			curCost = trialCost
+			ev.Kind = EventMoveAccepted
+			opts.emit(ev)
+			s.price = trialCost
+			s.listPlaced()
 			moves++
 			nextConn = append(nextConn, bestE)
 		}
@@ -311,7 +269,3 @@ func (s *state) instanceSetupCost(f, u int) float64 {
 	}
 	return s.net.SetupCost(f, u)
 }
-
-// DebugOPA, when set, prints stage-two group and candidate diagnostics
-// to stdout. Test-and-tooling aid only.
-var DebugOPA bool

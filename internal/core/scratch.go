@@ -24,7 +24,7 @@ type scratch struct {
 	to, next           []int32 // two arcs per tree edge
 	stack              []int32
 	// insts backs state.placed, stage two's view of the placed
-	// instances while no ledger is attached.
+	// instances.
 	insts []nfv.Instance
 	// initialConnectionGroups' sets: destination nodes, connection
 	// nodes already grouped, and the arcs under the embedded SFC.

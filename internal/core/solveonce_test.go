@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,15 +16,15 @@ import (
 )
 
 // Tests of the solve that does each thing once: one embedding and one
-// pricing unless stage two accepts a move, no ledger until a move is
-// proposed, flat storage for what a solve returns.
+// pricing unless stage two proposes a move, exact undo of a rejected
+// one, flat storage for what a solve returns.
 
 // TestRejectedMovesLeaveEmbeddingUntouched is the argument behind
 // pricing once. Under AggressiveOPA the generated instance proposes
 // moves and the global gate refuses every one; each was applied to the
-// state and reverted through its journal. The embedding built before
-// stage two must be the one built after, and the cost Solve reports —
-// priced before stage two ran — the cost of the final state.
+// state and undone. The embedding built before stage two must be the
+// one built after, and the cost Solve reports — priced before stage two
+// ran — the cost of the final state.
 func TestRejectedMovesLeaveEmbeddingUntouched(t *testing.T) {
 	net, task := generated60(t)
 	var log eventLog
@@ -36,6 +37,7 @@ func TestRejectedMovesLeaveEmbeddingUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.price = net.Cost(before).Total
 	moves, _, err := runOPA(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +50,6 @@ func TestRejectedMovesLeaveEmbeddingUntouched(t *testing.T) {
 	}
 	if proposed == 0 || moves != 0 {
 		t.Fatalf("%d moves proposed, %d accepted; the test wants some proposed and none accepted", proposed, moves)
-	}
-	if st.led == nil {
-		t.Fatal("moves were proposed but no ledger was attached")
 	}
 	after, err := st.embedding()
 	if err != nil {
@@ -75,47 +74,54 @@ func TestRejectedMovesLeaveEmbeddingUntouched(t *testing.T) {
 	}
 }
 
-// hostViewsAgree compares, for every chain VNF and every node, what
-// the placed-instance list answers before a ledger exists with what a
-// ledger built from the same assignment answers — including the
-// reserved demand, which must be the same float, not a near one.
-func hostViewsAgree(t *testing.T, st *state, what string) {
+// hostViewAgrees checks, for every chain VNF and every node, that the
+// placed list answers canHost and instanceSetupCost as the naive
+// derivations do, and that the demand it reserves is the naive sum to
+// the bit.
+func hostViewAgrees(t *testing.T, st *state, what string) {
 	t.Helper()
-	list, led := st.clone(), st.clone()
-	list.placed = list.appendPlaced(nil)
-	led.ensureLedger()
+	used := st.usedCapacity()
 	for _, f := range st.task.Chain {
 		for v := 0; v < st.net.NumNodes(); v++ {
-			if list.canHost(f, v) != led.canHost(f, v) || list.instanceSetupCost(f, v) != led.instanceSetupCost(f, v) {
+			if st.canHost(f, v) != st.canHostNaive(f, v) || st.instanceSetupCost(f, v) != st.instanceSetupCostNaive(f, v) {
 				t.Fatalf("%s: vnf %d node %d: canHost %v/%v setup %v/%v", what, f, v,
-					list.canHost(f, v), led.canHost(f, v), list.instanceSetupCost(f, v), led.instanceSetupCost(f, v))
+					st.canHost(f, v), st.canHostNaive(f, v), st.instanceSetupCost(f, v), st.instanceSetupCostNaive(f, v))
 			}
-			// A ledger that lived through moves keeps running sums; its
-			// verdicts must still be the fresh ones.
-			if st.led != nil && (st.canHost(f, v) != list.canHost(f, v) || st.instanceSetupCost(f, v) != list.instanceSetupCost(f, v)) {
-				t.Fatalf("%s: vnf %d node %d: the moved ledger disagrees with the list", what, f, v)
-			}
-			if !st.net.IsServer(v) || st.net.IsDeployed(f, v) {
-				continue // settled before either view is asked
-			}
-			lp, lu := list.hosted(f, v)
-			gp, gu := led.hosted(f, v)
-			if lp != gp || math.Float64bits(lu) != math.Float64bits(gu) {
-				t.Fatalf("%s: vnf %d node %d: list says placed %v used %v, ledger %v %v", what, f, v, lp, lu, gp, gu)
+			if _, u := st.hosted(f, v); math.Float64bits(u) != math.Float64bits(used[v]) {
+				t.Fatalf("%s: vnf %d node %d: placed list reserves %v, naive sum %v", what, f, v, u, used[v])
 			}
 		}
 	}
 }
 
-// TestHostViewMatchesLedger: stage two reads canHost and
-// instanceSetupCost off the placed-instance list until its first
-// proposed move and off the ledger afterwards. The two must agree on
-// every state either can meet: stage-one states, states after applied
-// moves, and assignments with a different chain per destination on
-// servers with fractional, nearly exhausted capacity.
+// sameState reports whether a and b hold the same serve entries, the
+// same tail slices (header for header, not only equal contents) and the
+// same price bits.
+func sameState(a, b *state) bool {
+	if !slices.Equal(a.serve, b.serve) || len(a.tail) != len(b.tail) || math.Float64bits(a.price) != math.Float64bits(b.price) {
+		return false
+	}
+	for di := range a.tail {
+		x, y := a.tail[di], b.tail[di]
+		if len(x) != len(y) || cap(x) != cap(y) || len(x) > 0 && &x[0] != &y[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHostViewMatchesLedger: the placed list is stage two's only
+// instance view, and the naive derivations are its ledger. The test
+// drives the state through random group moves with applyMove, keeping
+// some (priced and listed, as runOPAPass does) and undoing the rest.
+// After every step the placed list must answer as the naive derivations
+// do, and an undone move must leave serve, tail and price exactly as
+// they were. Hand-made assignments with a different chain per
+// destination on servers with fractional, nearly exhausted capacity get
+// the same host-view check.
 func TestHostViewMatchesLedger(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	stageOne, moved, multi, tight := 0, 0, 0, 0
+	stageOne, kept, undone, multi, tight := 0, 0, 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
 		var net *nfv.Network
 		var task nfv.Task
@@ -128,11 +134,14 @@ func TestHostViewMatchesLedger(t *testing.T) {
 		if err != nil {
 			continue // no feasible stage-one solution on this draw
 		}
-		hostViewsAgree(t, st, "stage one")
+		if st.price, err = st.cost(); err != nil {
+			t.Fatal(err)
+		}
+		st.listPlaced()
+		hostViewAgrees(t, st, "stage one")
 		stageOne++
 		chain := append([]int(nil), st.row(0)[1:]...)
 
-		// Random group moves through the ledger, some reverted.
 		metric, k, servers := net.Metric(), task.K(), net.ServerList()
 		for step := 0; step < 6; step++ {
 			var members []int
@@ -145,12 +154,22 @@ func TestHostViewMatchesLedger(t *testing.T) {
 				continue
 			}
 			grp := connGroup{node: task.Destinations[members[0]], members: members}
-			jr := st.applyMoveInc(1+rng.Intn(k), grp, servers[rng.Intn(len(servers))], metric)
-			if rng.Intn(3) == 0 {
-				st.revert(jr)
+			before := st.clone()
+			before.tail = slices.Clone(st.tail) // the headers, not copies of the tails
+			st.applyMove(1+rng.Intn(k), grp, servers[rng.Intn(len(servers))], metric)
+			price, err := st.cost()
+			if err != nil || rng.Intn(3) == 0 {
+				st.undoMove()
+				if !sameState(st, before) {
+					t.Fatalf("trial %d step %d: undoMove did not restore the state", trial, step)
+				}
+				undone++
+			} else {
+				st.price = price
+				st.listPlaced()
+				kept++
 			}
-			hostViewsAgree(t, st, "after moves")
-			moved++
+			hostViewAgrees(t, st, "after moves")
 		}
 
 		// A hand-made assignment: from the stage-one chain everywhere,
@@ -163,7 +182,7 @@ func TestHostViewMatchesLedger(t *testing.T) {
 		}
 		for di := range task.Destinations {
 			for j := 1; j <= k; j++ {
-				hand.placed = hand.appendPlaced(hand.placed[:0])
+				hand.listPlaced()
 				var fits []int
 				for _, v := range servers {
 					if hand.canHost(task.Chain[j-1], v) {
@@ -172,7 +191,8 @@ func TestHostViewMatchesLedger(t *testing.T) {
 				}
 				hand.row(di)[j] = fits[rng.Intn(len(fits))] // never empty: the current host fits
 			}
-			hostViewsAgree(t, hand, "hand-made")
+			hand.listPlaced()
+			hostViewAgrees(t, hand, "hand-made")
 			multi++
 		}
 		for _, v := range servers {
@@ -181,8 +201,9 @@ func TestHostViewMatchesLedger(t *testing.T) {
 			}
 		}
 	}
-	if stageOne < 50 || moved < 200 || multi < 100 || tight < 50 {
-		t.Errorf("thin coverage: %d stage-one states, %d moved, %d hand-made, %d nearly full servers", stageOne, moved, multi, tight)
+	t.Logf("%d stage-one states, %d moves kept, %d undone, %d hand-made, %d nearly full servers", stageOne, kept, undone, multi, tight)
+	if stageOne < 50 || kept < 300 || undone < 150 || multi < 100 || tight < 50 {
+		t.Error("thin coverage: want at least 50 stage-one states, 300 moves kept, 150 undone, 100 hand-made, 50 nearly full servers")
 	}
 }
 

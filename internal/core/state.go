@@ -10,7 +10,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"sftree/internal/graph"
 	"sftree/internal/nfv"
 )
 
@@ -38,15 +40,24 @@ type state struct {
 	// tail[di] is the node path from row(di)[k] to the destination,
 	// inclusive of both endpoints.
 	tail [][]int
-	// led is the incremental cost engine (see ledger.go), attached at
-	// stage two's first proposed move. It always reflects serve/tail
-	// exactly; any mutation outside applyMoveInc must rebuild it.
-	led *ledger
-	// placed is what answers canHost and instanceSetupCost until then:
-	// the new instances in first-subscription order, listed by
-	// runOPAPass. Without a ledger nothing moves, so it stays exact.
+	// price is the nfv.Cost of the embedding serve and tail materialise
+	// to: set by whoever priced them (stageOne, optimize) and by every
+	// accepted stage-two move.
+	price float64
+	// placed answers canHost and instanceSetupCost: the new instances in
+	// first-subscription order, listed by runOPAPass and again after
+	// every accepted move.
 	placed []nfv.Instance
-	sc     *scratch
+	// undo is what the last applyMove overwrote, for undoMove.
+	undo []overwrite
+	sc   *scratch
+}
+
+// overwrite is one destination's state before a move: its level-j
+// server and its tail.
+type overwrite struct {
+	di, j, node int
+	tail        []int
 }
 
 func newState(net *nfv.Network, task nfv.Task, sc *scratch) *state {
@@ -80,9 +91,8 @@ func (s *state) repeatsSegment(di, j int) bool {
 // appendPlaced appends the in-use new instances to dst: one per
 // distinct (vnf, node) pair that some destination is routed through
 // and that is not pre-deployed, in first-subscription order
-// (destination-major, then level) — the order the ledger reserves
-// their capacity in. Orphaned instances (no subscribers) vanish
-// automatically.
+// (destination-major, then level). Orphaned instances (no subscribers)
+// vanish automatically.
 func (s *state) appendPlaced(dst []nfv.Instance) []nfv.Instance {
 	for di := range s.task.Destinations {
 		row := s.row(di)
@@ -114,15 +124,16 @@ func placedAt(insts []nfv.Instance, f, v int) bool {
 	return false
 }
 
+// listPlaced rebuilds placed from the current assignment.
+func (s *state) listPlaced() {
+	s.placed = s.appendPlaced(s.sc.insts[:0])
+	s.sc.insts = s.placed
+}
+
 // hosted reports whether the state has placed a new instance of f on
-// v, and the demand its new instances reserve there. The ledger's
-// counters answer in O(1) once attached; before that the placed list
-// does, adding the demands in the order ensureLedger would, so both
-// give canHost the same float.
+// v, and the demand its new instances reserve there, added in placed
+// order.
 func (s *state) hosted(f, v int) (bool, float64) {
-	if led := s.led; led != nil {
-		return led.instRef[f*led.n+v] > 0, led.usedCap[v]
-	}
 	found, used := false, 0.0
 	for _, in := range s.placed {
 		if in.Node != v {
@@ -155,6 +166,50 @@ func (s *state) canHost(f, v int) bool {
 		return false
 	}
 	return s.net.FreeCapacity(v)-used+1e-9 >= vnf.Demand
+}
+
+// applyMove re-homes the group's members onto a new level-j instance
+// at node e, recording what it overwrites for undoMove. For the last
+// level the explicit tails are rewritten (the new route runs e ->
+// connection node -> old downstream suffix); for inner levels only the
+// serving assignment changes, and the walk segments follow metric
+// paths automatically.
+func (s *state) applyMove(j int, grp connGroup, e int, metric *graph.Metric) {
+	s.undo = s.undo[:0]
+	for _, di := range grp.members {
+		row := s.row(di)
+		s.undo = append(s.undo, overwrite{di: di, j: j, node: row[j], tail: s.tail[di]})
+		row[j] = e
+	}
+	if j != s.task.K() {
+		return
+	}
+	head := metric.Path(e, grp.node)
+	for _, di := range grp.members {
+		old := s.tail[di]
+		idx := slices.Index(old, grp.node)
+		if idx == -1 {
+			// Member does not route through the connection node (should
+			// not happen; keep a safe fallback route).
+			s.tail[di] = metric.Path(e, s.task.Destinations[di])
+			continue
+		}
+		nt := make([]int, 0, len(head)+len(old)-idx-1)
+		nt = append(nt, head...)
+		s.tail[di] = append(nt, old[idx+1:]...)
+	}
+}
+
+// undoMove writes back what the last applyMove overwrote, newest
+// first. That restores the state exactly: a tail is only ever
+// replaced, never written in place, so the recorded slice still holds
+// the old route.
+func (s *state) undoMove() {
+	for i := len(s.undo) - 1; i >= 0; i-- {
+		u := s.undo[i]
+		s.row(u.di)[u.j] = u.node
+		s.tail[u.di] = u.tail
+	}
 }
 
 // embedding materializes the state into an nfv.Embedding: chain

@@ -79,6 +79,7 @@ func stageOne(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*stat
 		return nil, nil, err
 	}
 	cost := net.Cost(emb).Total
+	st.price = cost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventStage1End, Cost: cost,
 			Candidates: stats.CandidatesTried, Duration: time.Since(t1)})
@@ -94,8 +95,8 @@ func stageOne(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*stat
 }
 
 // stageTwo runs OPA on st, whose embedding and price res carries, and
-// updates res. Only an accepted move re-materialises and re-prices: a
-// rejected one is reverted through its journal, which puts back the
+// updates res. Only an accepted move re-materialises, and st.price is
+// already its cost: a rejected move is undone, which puts back the
 // serve entries and the old tail slices, so a stage two that accepts
 // nothing leaves the very state res.Embedding was built from.
 func stageTwo(st *state, res *Result, opts Options) error {
@@ -109,7 +110,7 @@ func stageTwo(st *state, res *Result, opts Options) error {
 		if res.Embedding, err = st.embedding(); err != nil {
 			return err
 		}
-		res.FinalCost = st.net.Cost(res.Embedding).Total
+		res.FinalCost = st.price
 	}
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventStage2End, Cost: res.FinalCost, Moves: moves, Duration: time.Since(t2)})
@@ -166,6 +167,7 @@ func optimize(net *nfv.Network, task nfv.Task, hosts []int, tails [][]int, opts 
 		return nil, err
 	}
 	cost := net.Cost(emb).Total
+	st.price = cost
 	res := &Result{Embedding: emb, Stage1Cost: cost, FinalCost: cost, LastHost: hosts[len(hosts)-1]}
 	if err := stageTwo(st, res, opts); err != nil {
 		return nil, err

@@ -218,9 +218,6 @@ func (s *State) Apply(ev Event) error {
 // LinkIsDown reports whether the link {u,v} is currently failed.
 func (s *State) LinkIsDown(u, v int) bool { return s.downLinks[canonLink(u, v)] }
 
-// NodeIsDown reports whether the node is currently crashed.
-func (s *State) NodeIsDown(v int) bool { return s.downNodes[v] }
-
 // DownLinks returns the number of currently failed links.
 func (s *State) DownLinks() int { return len(s.downLinks) }
 

@@ -68,17 +68,6 @@ func (g *Graph) MSTPrim(root int) ([]int, float64) {
 	return picked, total
 }
 
-// InducedSubgraph returns a new graph over the same node-ID space
-// containing only the given edge indices.
-func (g *Graph) InducedSubgraph(edgeIDs []int) *Graph {
-	sub := New(len(g.adj))
-	for _, id := range edgeIDs {
-		e := g.edges[id]
-		sub.MustAddEdge(e.U, e.V, e.Cost)
-	}
-	return sub
-}
-
 // IsTreeSpanning reports whether the edge set forms a tree (acyclic,
 // connected over its endpoints) that touches every node in nodes.
 func (g *Graph) IsTreeSpanning(edgeIDs []int, nodes []int) bool {

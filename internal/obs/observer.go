@@ -216,12 +216,11 @@ func (r *SpanRecorder) Spans() []*Span {
 	return roots
 }
 
-// lineEvent is the JSON-lines wire form of a solver event. The
-// request_id, warm, rung, scaffold, general_trees, bound_skips and
-// sfc_rows fields are additions over the original (PR 2) schema; they
-// are omitted when empty, so old consumers keep parsing new streams and
-// new consumers treat their absence as the zero value when reading old
-// streams.
+// lineEvent is the JSON-lines wire form of a solver event. The warm,
+// scaffold, general_trees, bound_skips and sfc_rows fields are
+// additions over the original schema; they are omitted when empty, so
+// old consumers keep parsing new streams and new consumers treat their
+// absence as the zero value when reading old streams.
 type lineEvent struct {
 	Kind       string  `json:"kind"`
 	Pass       int     `json:"pass,omitempty"`
@@ -236,14 +235,8 @@ type lineEvent struct {
 	Candidates int     `json:"candidates,omitempty"`
 	Moves      int     `json:"moves,omitempty"`
 	DurationNs int64   `json:"duration_ns,omitempty"`
-	// RequestID scopes the event to the originating HTTP request
-	// (scoped streams only — see JSONLObserver.WithScope).
-	RequestID string `json:"request_id,omitempty"`
 	// Warm marks an apsp_build event served from the metric cache.
 	Warm bool `json:"warm,omitempty"`
-	// Rung names the repair-ladder rung a repair-scoped solve ran under
-	// ("patch", "reembed").
-	Rung string `json:"rung,omitempty"`
 	// Scaffold marks an overlay_built event whose overlay came through
 	// the scaffold cache.
 	Scaffold bool `json:"scaffold,omitempty"`
@@ -274,10 +267,6 @@ func NewJSONLObserver(w io.Writer) *JSONLObserver {
 
 // OnEvent implements core.Observer.
 func (o *JSONLObserver) OnEvent(e core.Event) {
-	o.emit(e, "", "")
-}
-
-func (o *JSONLObserver) emit(e core.Event, requestID, rung string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	_ = o.enc.Encode(lineEvent{
@@ -285,28 +274,11 @@ func (o *JSONLObserver) emit(e core.Event, requestID, rung string) {
 		Conn: e.Conn, From: e.From, To: e.To, Group: e.Group,
 		CostBefore: e.CostBefore, CostAfter: e.CostAfter, Cost: e.Cost,
 		Candidates: e.Candidates, Moves: e.Moves,
-		DurationNs: e.Duration.Nanoseconds(),
-		RequestID:  requestID, Warm: e.Warm, Rung: rung,
+		DurationNs: e.Duration.Nanoseconds(), Warm: e.Warm,
 		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees, BoundSkips: e.BoundSkips,
 		SFCRowsRelaxed: e.SFCRowsRelaxed, SFCRows: e.SFCRows,
 	})
 }
-
-// WithScope returns an observer emitting onto the same stream with
-// every line stamped with the originating request ID and (for repair
-// solves) the repair-ladder rung. Scoped views share the underlying
-// encoder mutex, so scoped and unscoped writers may interleave safely.
-func (o *JSONLObserver) WithScope(requestID, rung string) core.Observer {
-	return &scopedJSONL{o: o, requestID: requestID, rung: rung}
-}
-
-type scopedJSONL struct {
-	o               *JSONLObserver
-	requestID, rung string
-}
-
-// OnEvent implements core.Observer.
-func (s *scopedJSONL) OnEvent(e core.Event) { s.o.emit(e, s.requestID, s.rung) }
 
 // metricsObserver bridges solver events into registry metrics, the
 // wiring behind the server's /metrics solver section.

@@ -71,7 +71,6 @@ func TestRegisterCacheStats(t *testing.T) {
 		"sfc_rows_relaxed_total", "sfc_rows_total",
 		"kmb_trees_total", "kmb_general_branch_total", "kmb_path_memo_hit_rate",
 		"sp_pool_gets", "sp_pool_news", "sp_pool_reuse_rate",
-		"journal_pool_gets", "journal_pool_news", "journal_pool_reuse_rate",
 	} {
 		if _, ok := snap.Floats[name]; !ok {
 			t.Errorf("float %s not registered", name)

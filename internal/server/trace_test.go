@@ -121,16 +121,14 @@ func TestMetricsExposesCacheFloats(t *testing.T) {
 	}
 	for _, name := range []string{
 		"metric_cache_hit_rate", "apsp_cache_hit_rate",
-		"sp_pool_reuse_rate", "journal_pool_reuse_rate",
+		"sp_pool_reuse_rate",
 	} {
 		if _, ok := snap.Floats[name]; !ok {
 			t.Errorf("/metrics floats missing %s", name)
 		}
 	}
 	// The solve above called Network.Metric at least once, so the
-	// metric-cache counters must be live. (Journal/scratch pool gets
-	// stay zero on instances too small to propose moves; their exact
-	// accounting is covered in internal/obs.)
+	// metric-cache counters must be live.
 	if snap.Floats["metric_cache_hits"]+snap.Floats["metric_cache_misses"] <= 0 {
 		t.Error("metric cache counters not live after a solve")
 	}

@@ -498,18 +498,6 @@ func (l *Log) poisonLocked() {
 	l.f.Close()
 }
 
-// LastSeq returns the sequence number of the most recently appended
-// record, or the snapshot seq if nothing was appended yet; zero on a
-// fresh log.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.nextSeq == 0 {
-		return 0
-	}
-	return l.nextSeq - 1
-}
-
 // Stats returns the log's activity counters.
 func (l *Log) Stats() LogStats {
 	l.mu.Lock()

@@ -189,7 +189,10 @@ queue_gate() {
 # chain search in internal/mod stays a column pass (no heap, no
 # shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra);
 # internal/core's non-test files call no state.cost() (a solve prices
-# once) and msa.go sorts its candidates without sort.Slice; the only
+# once, and stage two once per trial move), hold no second cost engine
+# (ensureLedger, applyMoveInc, releaseJournal, jrFree) and no DebugOPA
+# switch, and internal/obs's no journal_pool_ gauge; msa.go sorts its
+# candidates without sort.Slice; the only
 # goroutines internal/queue starts are the solvers in New (no per-batch
 # runBatch, no go func); and internal/server/client.go closes a
 # response body in exactly one place, behind the bounded drain that
@@ -211,7 +214,7 @@ queue_gate() {
 # metrics) or the renderer (viz), and no non-test internal/server file
 # registers POST /v1/render (sftembed -svg renders offline).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -237,7 +240,15 @@ retired_guard() {
 		exit 1
 	fi
 	if grep -nE '\.cost\(\)' $(ls internal/core/*.go | grep -v _test.go); then
-		echo "retired guard: internal/core prices a state through state.cost again (test-only since PR 22: a solve prices in stageOne, and in stageTwo after an accepted move)" >&2
+		echo "retired guard: internal/core prices a state through state.cost again (it is test-only: a solve prices in stageOne, and stage two once per trial move, each visibly at its call site)" >&2
+		exit 1
+	fi
+	if grep -nE 'ensureLedger|applyMoveInc|releaseJournal|jrFree|DebugOPA' $(ls internal/core/*.go | grep -v _test.go); then
+		echo "retired guard: internal/core keeps a second cost engine or a debug switch again (a stage-two trial move is priced by nfv.Cost on its embedding and undone by writing back what applyMove overwrote)" >&2
+		exit 1
+	fi
+	if grep -n 'journal_pool_' $(ls internal/obs/*.go | grep -v _test.go); then
+		echo "retired guard: internal/obs exports move-journal pool gauges again (there is no journal pool)" >&2
 		exit 1
 	fi
 	if grep -n 'sort\.Slice' internal/core/msa.go; then
