@@ -106,7 +106,8 @@ func run(args []string, w io.Writer) error {
 // every field a stream has carried, including request_id and rung,
 // which only scoped streams (no longer written) held; streams without
 // the request_id / warm / rung / scaffold / general_trees / bound_skips
-// / sfc_rows fields simply decode those to their zero values, and
+// / repeat_roots / sfc_rows fields simply decode those to their zero
+// values, and
 // unknown future fields are ignored — the stream stays parseable in
 // both directions.
 type eventLine struct {
@@ -124,10 +125,16 @@ type eventLine struct {
 	// BoundSkips rides on sweep_end: candidates left unpriced because
 	// the tree lower bound ruled them out.
 	BoundSkips int `json:"bound_skips"`
-	// SFCRowsRelaxed and SFCRows ride on sfc_solved: predecessor rows
-	// the chain search relaxed, of rows with a finite distance.
-	SFCRowsRelaxed int `json:"sfc_rows_relaxed"`
-	SFCRows        int `json:"sfc_rows"`
+	// RepeatRoots rides on sweep_end: candidates whose last host an
+	// earlier candidate had already priced a tree for.
+	RepeatRoots int `json:"repeat_roots"`
+	// SFCRowsRelaxed, SFCRowsDominated and SFCRows ride on sfc_solved:
+	// predecessor rows the chain search relaxed, rows it skipped because
+	// a relaxed row already undercut them, of rows with a finite
+	// distance.
+	SFCRowsRelaxed   int `json:"sfc_rows_relaxed"`
+	SFCRowsDominated int `json:"sfc_rows_dominated"`
+	SFCRows          int `json:"sfc_rows"`
 }
 
 // parseJSONL summarizes a solver-event JSONL stream: per-kind counts,
@@ -145,8 +152,8 @@ func parseJSONL(path string, w io.Writer) error {
 	durations := map[string]time.Duration{}
 	requests := map[string]int{}
 	rungs := map[string]int{}
-	warmBuilds, coldBuilds, scaffolded, generalTrees, boundSkips, lines, badLines := 0, 0, 0, 0, 0, 0, 0
-	rowsRelaxed, rows := 0, 0
+	warmBuilds, coldBuilds, scaffolded, generalTrees, boundSkips, repeatRoots, lines, badLines := 0, 0, 0, 0, 0, 0, 0, 0
+	rowsRelaxed, rowsDominated, rows := 0, 0, 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -180,7 +187,9 @@ func parseJSONL(path string, w io.Writer) error {
 		}
 		generalTrees += ev.GeneralTrees
 		boundSkips += ev.BoundSkips
+		repeatRoots += ev.RepeatRoots
 		rowsRelaxed += ev.SFCRowsRelaxed
+		rowsDominated += ev.SFCRowsDominated
 		rows += ev.SFCRows
 	}
 	if err := sc.Err(); err != nil {
@@ -210,11 +219,11 @@ func parseJSONL(path string, w io.Writer) error {
 	fmt.Fprintf(w, "solves: %d (%d warm metric, %d cold)\n",
 		kinds["stage2_end"], warmBuilds, coldBuilds)
 	if n := kinds["overlay_built"]; n > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound)\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc search %s (%d of %d predecessor rows, %d dominated), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound, %d repeated roots)\n",
 			durations["stage1_end"].Round(time.Microsecond),
 			durations["overlay_built"].Round(time.Microsecond), scaffolded, n,
-			durations["sfc_solved"].Round(time.Microsecond), rowsRelaxed, rows,
-			durations["sweep_end"].Round(time.Microsecond), generalTrees, boundSkips)
+			durations["sfc_solved"].Round(time.Microsecond), rowsRelaxed, rows, rowsDominated,
+			durations["sweep_end"].Round(time.Microsecond), generalTrees, boundSkips, repeatRoots)
 	}
 	if len(requests) > 0 {
 		fmt.Fprintf(w, "request-scoped events: %d distinct request IDs\n", len(requests))
@@ -263,7 +272,7 @@ func summarizeTraces(base string, w io.Writer) error {
 	warm, withID, early, failed := 0, 0, 0, 0
 	ahead, stale := 0, 0 // admissions the queue solved ahead of their turn; those solved again
 	var stage1 time.Duration
-	generalTrees, boundSkips, rowsRelaxed, rows := 0, 0, 0, 0
+	generalTrees, boundSkips, repeatRoots, rowsRelaxed, rowsDominated, rows := 0, 0, 0, 0, 0, 0
 	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
 	slowest := doc.Traces[0]
 	for _, t := range doc.Traces {
@@ -276,7 +285,9 @@ func summarizeTraces(base string, w io.Writer) error {
 				split[c.Name] += time.Duration(c.DurationNs)
 				generalTrees += int(c.Attrs["general_trees"])
 				boundSkips += int(c.Attrs["bound_skips"])
+				repeatRoots += int(c.Attrs["repeat_roots"])
 				rowsRelaxed += int(c.Attrs["rows_relaxed"])
+				rowsDominated += int(c.Attrs["rows_dominated"])
 				rows += int(c.Attrs["rows"])
 			}
 		}
@@ -328,10 +339,10 @@ func summarizeTraces(base string, w io.Writer) error {
 		fmt.Fprintf(w, "solved ahead of their turn %d/%d admissions, %d stale and solved again\n", ahead, ops["admit"], stale)
 	}
 	if stage1 > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound)\n",
+		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows, %d dominated), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound, %d repeated roots)\n",
 			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
-			split["sfc_dijkstra"].Round(time.Microsecond), rowsRelaxed, rows,
-			split["candidate_sweep"].Round(time.Microsecond), generalTrees, boundSkips)
+			split["sfc_dijkstra"].Round(time.Microsecond), rowsRelaxed, rows, rowsDominated,
+			split["candidate_sweep"].Round(time.Microsecond), generalTrees, boundSkips, repeatRoots)
 	}
 	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v speculative=%v stale=%v request_id=%s\n",
 		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.Speculative, slowest.Stale, slowest.RequestID)

@@ -77,9 +77,10 @@ func TestParseJSONL(t *testing.T) {
 		// Stage-one sub-phase lines, one overlay from the scaffold cache.
 		`{"kind":"overlay_built","duration_ns":20000}`,
 		`{"kind":"overlay_built","duration_ns":1000,"scaffold":true}`,
-		`{"kind":"sfc_solved","duration_ns":300000}`, // written before the row counts
-		`{"kind":"sfc_solved","duration_ns":40000,"sfc_rows_relaxed":48,"sfc_rows":800}`,
-		`{"kind":"sweep_end","candidates":6,"duration_ns":450000,"general_trees":2,"bound_skips":3}`,
+		`{"kind":"sfc_solved","duration_ns":300000}`,                                     // written before the row counts
+		`{"kind":"sfc_solved","duration_ns":40000,"sfc_rows_relaxed":48,"sfc_rows":800}`, // written before the dominated count
+		`{"kind":"sfc_solved","duration_ns":10000,"sfc_rows_relaxed":20,"sfc_rows_dominated":15,"sfc_rows":200}`,
+		`{"kind":"sweep_end","candidates":6,"duration_ns":450000,"general_trees":2,"bound_skips":3,"repeat_roots":1}`,
 		// Garbage must be skipped, not fatal.
 		`not json`,
 		``,
@@ -93,10 +94,10 @@ func TestParseJSONL(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"11 events",
+		"12 events",
 		"1 unparseable lines skipped",
 		"solves: 3 (1 warm metric, 1 cold)",
-		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc search 340µs (48 of 800 predecessor rows), candidate sweep 450µs (2 general-branch KMB trees, 3 candidates skipped by the bound)",
+		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc search 350µs (68 of 1000 predecessor rows, 15 dominated), candidate sweep 450µs (2 general-branch KMB trees, 3 candidates skipped by the bound, 1 repeated roots)",
 		"2 distinct request IDs",
 		"repair rung patch: 1 events",
 	} {
@@ -124,8 +125,8 @@ func TestSummarizeTraces(t *testing.T) {
 	buf.Add(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6,
 		Spans: []*obs.Span{{Name: "stage1", DurationNs: 1500e3, Children: []*obs.Span{
 			{Name: "overlay", DurationNs: 10e3},
-			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows": 200}},
-			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1, "bound_skips": 4}},
+			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows_dominated": 7, "rows": 200}},
+			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1, "bound_skips": 4, "repeat_roots": 2}},
 		}}}})
 	buf.Add(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true})
 	buf.Add(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true})
@@ -147,7 +148,7 @@ func TestSummarizeTraces(t *testing.T) {
 		"request-ID stamped 2/5",
 		"failures 1",
 		"solved ahead of their turn 2/3 admissions, 1 stale and solved again",
-		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows), candidate sweep 1ms (1 general-branch KMB trees, 4 candidates skipped by the bound)",
+		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows, 7 dominated), candidate sweep 1ms (1 general-branch KMB trees, 4 candidates skipped by the bound, 2 repeated roots)",
 		"slowest: op=repair dur=5ms warm=false speculative=false stale=false",
 	} {
 		if !strings.Contains(got, want) {

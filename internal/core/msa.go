@@ -142,8 +142,8 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	sw := newSweeper(net, task, overlay, opts.steiner(), sc)
 	rows := overlay.Candidates(sw.chainTable)
 	t2 := opts.now()
-	relaxed, finite := sw.sol.Rows()
-	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRows: finite})
+	relaxed, dominated, finite := sw.sol.Rows()
+	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRowsDominated: dominated, SFCRows: finite})
 	if sw.algo == SteinerKMB {
 		sw.kmb = steiner.NewSweep(net.Graph(), sw.metric, task.Destinations)
 		defer sw.kmb.Close()
@@ -154,7 +154,8 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	// materialised only for improving candidates (a failure there skips
 	// the candidate without touching the running best). A row whose
 	// repaired chain price plus the tree lower bound already reaches the
-	// best is one that test would reject, so it is not priced.
+	// best is one that test would reject, so it is not priced; a root
+	// another row repaired onto is priced once (treeCost).
 	var (
 		bestState *state
 		bestCost  = graph.Inf
@@ -212,7 +213,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	stats.Stage1Cost = bestCost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2),
-			GeneralTrees: int(sw.generalTrees()), BoundSkips: skips})
+			GeneralTrees: int(sw.generalTrees()), BoundSkips: skips, RepeatRoots: sc.roots.repeats})
 	}
 	return bestState, &stats, nil
 }
@@ -244,8 +245,8 @@ func sortCandidates(c []mod.Candidate) {
 // the network, overlay, SFC solution and warm metric; what it owns is
 // the scratch that makes a candidate cheap: the KMB sweep over the
 // task's destinations, and in the solve's scratch the free-capacity
-// vector and the chain buffer, all set up once instead of per
-// candidate.
+// vector, the chain buffer and the memos of relocation scans and tree
+// prices, all set up once instead of per candidate.
 type sweeper struct {
 	net     *nfv.Network
 	task    nfv.Task
@@ -259,6 +260,8 @@ type sweeper struct {
 
 func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, algo SteinerAlgo, sc *scratch) *sweeper {
 	sc.fillFree(net)
+	sc.roots.reset(net.NumNodes())
+	sc.relocs.reset()
 	return &sweeper{net: net, task: task, overlay: overlay, sol: overlay.SolveSFC(), metric: net.Metric(), algo: algo, sc: sc}
 }
 
@@ -281,7 +284,7 @@ func (sw *sweeper) chain(w int) (hosts []int, ok bool) {
 	if len(hosts) == 0 {
 		return nil, false
 	}
-	return hosts, repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.sc.free)
+	return hosts, repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.sc.free, &sw.sc.relocs)
 }
 
 // chainTable builds the overlay's candidate table (mod.Candidates):
@@ -310,14 +313,39 @@ func (sw *sweeper) chainTable() []mod.Candidate {
 	return rows
 }
 
-// treeCost is the cost of tree(root).
+// treeCost is the cost of tree(root), priced once per root and solve:
+// capacity repair moves several rows onto one last host, and a repeat
+// is answered from the scratch's memo, unreachable destinations
+// included.
 func (sw *sweeper) treeCost(root int) (float64, error) {
-	if sw.kmb != nil {
-		return sw.kmb.Cost(root)
+	memo := &sw.sc.roots
+	if memo.priced.has(root) {
+		memo.repeats++
+		if c := memo.cost[root]; c != graph.Inf {
+			return c, nil
+		}
+		return 0, errUnreachableRoot
 	}
-	tree, err := sw.tree(root)
-	return tree.Cost, err
+	var cost float64
+	var err error
+	if sw.kmb != nil {
+		cost, err = sw.kmb.Cost(root)
+	} else {
+		var tree steiner.Tree
+		tree, err = sw.tree(root)
+		cost = tree.Cost
+	}
+	memo.priced.add(root)
+	memo.cost[root] = cost
+	if err != nil {
+		memo.cost[root] = graph.Inf
+	}
+	return cost, err
 }
+
+// errUnreachableRoot is treeCost's answer for a root whose tree an
+// earlier call found no way to build.
+var errUnreachableRoot = fmt.Errorf("%w from a root priced before", steiner.ErrUnreachable)
 
 // tree connects root to the task's destinations with the solve's
 // Steiner routine.
@@ -366,7 +394,7 @@ func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool
 	sc := getScratch(net.NumNodes())
 	sc.fillFree(net)
 	out := append([]int(nil), hosts...)
-	ok := repairCapacity(net, net.Metric(), task, out, sc.free)
+	ok := repairCapacity(net, net.Metric(), task, out, sc.free, nil)
 	scratchPool.Put(sc)
 	if !ok {
 		return nil, false
@@ -393,9 +421,11 @@ func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]i
 // scratch.fillFree) and does again on return: the walk decrements only
 // entries of hosts it settles on, and those are re-read from the
 // network on the way out — never restored by adding the demand back,
-// which drifts by an ulp.
-func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []int, free []float64) bool {
-	ok := repairInPlace(net, metric, task, out, free)
+// which drifts by an ulp. memo, when not nil, serves repeated
+// relocation scans (see relocMemo); it must have been reset since net
+// last changed.
+func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []int, free []float64, memo *relocMemo) bool {
+	ok := repairInPlace(net, metric, task, out, free, memo)
 	for _, h := range out {
 		if net.IsServer(h) {
 			free[h] = net.FreeCapacity(h)
@@ -406,9 +436,8 @@ func repairCapacity(net *nfv.Network, metric *graph.Metric, task nfv.Task, out [
 
 // repairInPlace is repairCapacity's walk: it rewrites out and leaves
 // free decremented at the hosts it settled on.
-func repairInPlace(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []int, free []float64) bool {
+func repairInPlace(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []int, free []float64, memo *relocMemo) bool {
 	k := len(out)
-	servers := net.ServerList()
 	for j := 0; j < k; j++ {
 		f := task.Chain[j]
 		h := out[j]
@@ -428,24 +457,14 @@ func repairInPlace(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []
 		}
 		// Relocate: choose the node minimizing link cost to both chain
 		// neighbours plus setup cost, among nodes that can host f.
-		prev := task.Source
+		r := relocation{pos: int32(j), prev: int32(task.Source), next: -1}
 		if j > 0 {
-			prev = out[j-1]
+			r.prev = int32(out[j-1])
 		}
-		best, bestCost := -1, graph.Inf
-		for _, u := range servers {
-			reuse := net.IsDeployed(f, u)
-			if !reuse && free[u]+1e-9 < vnf.Demand {
-				continue
-			}
-			c := metric.Dist[prev][u] + net.SetupCost(f, u)
-			if j+1 < k {
-				c += metric.Dist[u][out[j+1]]
-			}
-			if c < bestCost {
-				best, bestCost = u, c
-			}
+		if j+1 < k {
+			r.next = int32(out[j+1])
 		}
+		best := memo.host(net, metric, r, f, vnf.Demand, free)
 		if best == -1 {
 			return false
 		}
@@ -455,6 +474,86 @@ func repairInPlace(net *nfv.Network, metric *graph.Metric, task nfv.Task, out []
 		}
 	}
 	return true
+}
+
+// relocation is one relocation scan's question — chain position pos
+// between hosts prev and next (-1 past the last position) — and, in a
+// relocMemo, its answer host.
+type relocation struct{ pos, prev, next, host int32 }
+
+// relocate is the relocation scan: the first server, in ServerList
+// order, of least dist(prev, u) + setup(f, u) + dist(u, next) among
+// those that can host f with free room (nil: the network's own free
+// capacity), or -1 when none can.
+func relocate(net *nfv.Network, metric *graph.Metric, r relocation, f int, demand float64, free []float64) int {
+	best, bestCost := -1, graph.Inf
+	for _, u := range net.ServerList() {
+		var room float64
+		if free != nil {
+			room = free[u]
+		} else {
+			room = net.FreeCapacity(u)
+		}
+		if !net.IsDeployed(f, u) && room+1e-9 < demand {
+			continue
+		}
+		c := metric.Dist[r.prev][u] + net.SetupCost(f, u)
+		if r.next >= 0 {
+			c += metric.Dist[u][r.next]
+		}
+		if c < bestCost {
+			best, bestCost = u, c
+		}
+	}
+	return best
+}
+
+// maxRelocations bounds a relocMemo; a solve asks a handful of
+// distinct questions, and past the bound it scans.
+const maxRelocations = 32
+
+// relocMemo remembers each relocation scan's answer against the
+// network's own free capacity, for one solve. A chain walk asks with
+// its own reservations taken off that capacity, and reservations only
+// remove hosts: an answer that still has room is the first minimum of
+// the smaller set too, and one that has not is scanned again
+// (ALGORITHM.md, the capacity adjustment). The nil memo always scans.
+type relocMemo struct {
+	asked []relocation
+	// scans counts relocation scans run, hits questions answered from
+	// the memo, and fallbacks answers that had no room left.
+	scans, hits, fallbacks int
+}
+
+func (m *relocMemo) reset() {
+	m.asked = m.asked[:0]
+	m.scans, m.hits, m.fallbacks = 0, 0, 0
+}
+
+// host answers relocation r for VNF f of the given demand under free.
+func (m *relocMemo) host(net *nfv.Network, metric *graph.Metric, r relocation, f int, demand float64, free []float64) int {
+	if m == nil {
+		return relocate(net, metric, r, f, demand, free)
+	}
+	i := slices.IndexFunc(m.asked, func(q relocation) bool { return q.pos == r.pos && q.prev == r.prev && q.next == r.next })
+	switch {
+	case i >= 0:
+		m.hits++
+		r.host = m.asked[i].host
+	case len(m.asked) < maxRelocations:
+		m.scans++
+		r.host = int32(relocate(net, metric, r, f, demand, nil))
+		m.asked = append(m.asked, r)
+	default:
+		m.scans++
+		return relocate(net, metric, r, f, demand, free)
+	}
+	if h := int(r.host); h < 0 || net.IsDeployed(f, h) || free[h]+1e-9 >= demand {
+		return h
+	}
+	m.fallbacks++
+	m.scans++
+	return relocate(net, metric, r, f, demand, free)
 }
 
 // stateFromSolution assembles the stage-one state: every destination

@@ -55,12 +55,12 @@ const (
 	// the chain search over the overlay and the candidate table built
 	// from it (order, decode, capacity repair, chain price). It is done
 	// once per overlay, so Duration is near zero on a scaffold hit;
-	// carries Duration, SFCRowsRelaxed and SFCRows.
+	// carries Duration, SFCRowsRelaxed, SFCRowsDominated and SFCRows.
 	EventSFCSolved
 	// EventSweepEnd closes this task's candidate last-host sweep (one
 	// Steiner tree priced per table row the tree lower bound does not
-	// rule out, the improving ones materialised); carries Candidates, GeneralTrees, BoundSkips and
-	// Duration.
+	// rule out, the improving ones materialised); carries Candidates,
+	// GeneralTrees, BoundSkips, RepeatRoots and Duration.
 	EventSweepEnd
 )
 
@@ -128,12 +128,17 @@ type Event struct {
 	// steiner.Sweep.LowerBound) already reached the best total; always
 	// zero for the other Steiner routines.
 	BoundSkips int
-	// SFCRowsRelaxed and SFCRows say how much of the overlay the chain
-	// search behind an EventSFCSolved read: predecessor rows relaxed, of
-	// rows with a finite distance (see mod.SFCStats). A scaffold hit
-	// reports the cached solution's counts with a Duration near zero
-	// (the candidate table is cached with it).
-	SFCRowsRelaxed, SFCRows int
+	// RepeatRoots is how many of the sweep's priced candidates had a
+	// last host an earlier row of the same solve had already priced, and
+	// were answered from the memo instead of a new tree.
+	RepeatRoots int
+	// SFCRowsRelaxed, SFCRowsDominated and SFCRows say how much of the
+	// overlay the chain search behind an EventSFCSolved read: predecessor
+	// rows relaxed, rows skipped because a relaxed row already undercut
+	// them, and rows with a finite distance (see mod.SFCStats). A
+	// scaffold hit reports the cached solution's counts with a Duration
+	// near zero (the candidate table is cached with it).
+	SFCRowsRelaxed, SFCRowsDominated, SFCRows int
 	// Moves counts accepted moves (pass-end and stage-2-end events).
 	Moves int
 	// Duration is the wall time of the closed phase (end events).

@@ -32,6 +32,24 @@ type scratch struct {
 	// embedding's staging area: every segment path end to end, and
 	// where each starts.
 	hops, offs []int
+	// roots memoises the stage-one sweep's tree prices, and relocs the
+	// capacity repair's relocation scans, for one solve.
+	roots  rootPrices
+	relocs relocMemo
+}
+
+// rootPrices is sweeper.treeCost's memo: the roots priced this solve,
+// their prices (+Inf for a root some destination is unreachable from)
+// and how many calls it answered.
+type rootPrices struct {
+	priced  marks
+	cost    []float64 // node-indexed
+	repeats int
+}
+
+func (p *rootPrices) reset(n int) {
+	p.priced.reset(n)
+	p.repeats = 0
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -41,6 +59,7 @@ func getScratch(n int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if len(sc.head) < n {
 		sc.free = make([]float64, n)
+		sc.roots.cost = make([]float64, n)
 		sc.head = make([]int32, n)
 		sc.tail = make([]int32, n)
 		sc.parent = make([]int32, n)

@@ -3,6 +3,7 @@ package mod
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -388,16 +389,105 @@ func requireBoundExact(t testing.TB, m *Network) *SFCSolution {
 		t.Fatalf("source %d chain %v: pruned pass (out %v, pred %v), unpruned (out %v, pred %v)",
 			m.source, m.chain, sol.out, sol.pred, out, pred)
 	}
-	if sol.rowsRelaxed > sol.rowsFinite {
-		t.Fatalf("source %d chain %v: relaxed %d of %d finite rows", m.source, m.chain, sol.rowsRelaxed, sol.rowsFinite)
+	if sol.rowsRelaxed+sol.rowsDominated > sol.rowsFinite {
+		t.Fatalf("source %d chain %v: relaxed %d and skipped %d of %d finite rows",
+			m.source, m.chain, sol.rowsRelaxed, sol.rowsDominated, sol.rowsFinite)
 	}
 	return sol
 }
 
+// adversarialDocs are four instances built against the column pass's
+// shortcuts, as documents so the fuzzer starts from them too:
+//   - torus: unit links and setup costs from {0, 1, 2}, so rows tie
+//     bit for bit and a dominated row is often one tied with its
+//     undercutter;
+//   - deployed: every chain VNF already runs at the source, so the
+//     source's row has out = 0 in every column and the slack's relative
+//     term vanishes;
+//   - orders: links nine orders of magnitude apart, where rounding
+//     makes a row some relaxed row undercuts the only way to a far
+//     row, which only the slack's absolute term covers;
+//   - split: servers in two components plus an isolated one, so some
+//     rows stay at +Inf and the stopping bound never fires.
+func adversarialDocs(t testing.TB) map[string][]byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(83))
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs := map[string][]byte{}
+	add := func(name string, net *nfv.Network, source int, chain nfv.SFC, dest int) {
+		blob, err := json.Marshal(nfv.InstanceDoc{Network: net,
+			Task: nfv.Task{Source: source, Destinations: []int{dest}, Chain: chain}})
+		must(err)
+		docs[name] = blob
+	}
+
+	const side = 5
+	g := graph.New(side * side)
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			g.MustAddEdge(x*side+y, x*side+(y+1)%side, 1)
+			g.MustAddEdge(x*side+y, ((x+1)%side)*side+y, 1)
+		}
+	}
+	torus := nfv.NewNetwork(g, nfv.DefaultCatalog()[:5])
+	for v := 0; v < g.NumNodes(); v++ {
+		must(torus.SetServer(v, 5))
+		for f := 0; f < torus.CatalogSize(); f++ {
+			must(torus.SetSetupCost(f, v, float64(rng.Intn(3))))
+		}
+	}
+	add("torus", torus, 0, nfv.SFC{0, 1, 2, 3, 4}, 12)
+
+	deployed := buildNet(rng, 24, 20, 5)
+	for f := 0; f < 5; f++ {
+		must(deployed.Deploy(f, 7))
+	}
+	add("deployed", deployed, 7, nfv.SFC{0, 1, 2, 3, 4}, 19)
+
+	// Source 0 hosts l_1 for σ, its neighbour 1 for nothing, and node
+	// 2 hangs off the source by a link H = 1024, nine orders above the
+	// short link δ. With u the spacing of floats near H, δ = (k+0.51)u
+	// and σ = (2k+1.22)u: row 1 (out δ) reaches row 0 for 2δ, just
+	// under σ, and reaches node 2 for H+(2k+2)u after two roundings up,
+	// while row 0 reaches it for H+(2k+1)u. Row 0 is no slower by the
+	// triangle inequality and faster in floats, so only the slack's
+	// absolute term keeps it relaxed.
+	u, k := math.Ldexp(1, -42), 4.5e6
+	g = graph.New(3)
+	g.MustAddEdge(0, 1, (k+0.51)*u)
+	g.MustAddEdge(0, 2, 1024)
+	orders := nfv.NewNetwork(g, nfv.DefaultCatalog()[:2])
+	for v, c := range []float64{(2*k + 1.22) * u, 0, 1} {
+		must(orders.SetServer(v, 5))
+		must(orders.SetSetupCost(0, v, c))
+	}
+	add("orders", orders, 0, nfv.SFC{0, 1}, 2)
+
+	g = graph.New(9)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {4, 5}, {5, 6}} {
+		g.MustAddEdge(e[0], e[1], 1+rng.Float64())
+	}
+	split := nfv.NewNetwork(g, nfv.DefaultCatalog()[:4])
+	for _, v := range []int{1, 2, 3, 5, 6, 7} {
+		must(split.SetServer(v, 3))
+		for f := 0; f < 4; f++ {
+			must(split.SetSetupCost(f, v, 1+rng.Float64()))
+		}
+	}
+	add("split", split, 0, nfv.SFC{0, 1, 2, 3}, 3)
+	return docs
+}
+
 // TestColumnBoundIsExact: stopping a column once the next predecessor's
-// out is no smaller than the largest tentative in changes nothing.
+// out is no smaller than the largest tentative in, and skipping a row a
+// relaxed row already undercuts, change nothing.
 func TestColumnBoundIsExact(t *testing.T) {
-	relaxed, finite := 0, 0
+	relaxed, dominated, finite := 0, 0, 0
 	check := func(net *nfv.Network, source int, chain nfv.SFC) *SFCSolution {
 		t.Helper()
 		m, err := Build(net, source, chain)
@@ -408,7 +498,7 @@ func TestColumnBoundIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		sol := requireBoundExact(t, m)
-		relaxed, finite = relaxed+sol.rowsRelaxed, finite+sol.rowsFinite
+		relaxed, dominated, finite = relaxed+sol.rowsRelaxed, dominated+sol.rowsDominated, finite+sol.rowsFinite
 		return sol
 	}
 	visit := func(net *nfv.Network, source int, chain nfv.SFC) { check(net, source, chain) }
@@ -417,15 +507,28 @@ func TestColumnBoundIsExact(t *testing.T) {
 	}
 	generatedCases(t, visit)
 	tiesCases(t, visit)
-	if relaxed == 0 || relaxed >= finite {
-		t.Errorf("the bound never fired: %d of %d rows relaxed", relaxed, finite)
+	if relaxed == 0 || relaxed+dominated >= finite {
+		t.Errorf("the bound never fired: %d of %d rows relaxed, %d skipped", relaxed, finite, dominated)
 	}
+	for name, blob := range adversarialDocs(t) {
+		before := dominated
+		corpusCases(t, blob, visit)
+		if dominated == before && name != "orders" { // orders is built to have no row to skip
+			t.Errorf("%s: no row was skipped as dominated", name)
+		}
+	}
+	if dominated == 0 {
+		t.Errorf("no row was skipped as dominated (%d relaxed of %d)", relaxed, finite)
+	}
+	t.Logf("%d rows relaxed and %d skipped as dominated, of %d finite", relaxed, dominated, finite)
 
 	// A row no other row reaches keeps in = +Inf, so the largest
-	// tentative in is +Inf and the bound must never fire.
+	// tentative in is +Inf and the bound must never fire: every finite
+	// row is relaxed or skipped as dominated.
 	unreachableCases(t, func(net *nfv.Network, source int, chain nfv.SFC) {
-		if sol := check(net, source, chain); sol != nil && sol.rowsRelaxed != sol.rowsFinite {
-			t.Fatalf("source %d chain %v: relaxed %d of %d finite rows with a row at +Inf", source, chain, sol.rowsRelaxed, sol.rowsFinite)
+		if sol := check(net, source, chain); sol != nil && sol.rowsRelaxed+sol.rowsDominated != sol.rowsFinite {
+			t.Fatalf("source %d chain %v: relaxed %d and skipped %d of %d finite rows with a row at +Inf",
+				source, chain, sol.rowsRelaxed, sol.rowsDominated, sol.rowsFinite)
 		}
 	})
 
@@ -464,9 +567,12 @@ func TestColumnBoundIsExact(t *testing.T) {
 
 // FuzzOverlayDifferential runs the same comparison on arbitrary
 // instance documents, seeded like the harness's FuzzDifferential with
-// the checked-in corpus.
+// the checked-in corpus, and with adversarialDocs.
 func FuzzOverlayDifferential(f *testing.F) {
 	for _, blob := range corpusDocs(f) {
+		f.Add(blob)
+	}
+	for _, blob := range adversarialDocs(f) {
 		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

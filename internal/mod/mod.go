@@ -140,25 +140,28 @@ type SFCSolution struct {
 	m    *Network
 	out  []float64 // cost of the cheapest embedding of l_1..l_j with l_j on that row; +Inf if there is none
 	pred []int32   // the row hosting l_{j-1} in that embedding; -1 in column 1 and on rows nothing reaches
-	// Predecessor rows the search relaxed, and rows with a finite out it
-	// could have, summed over columns 1..k-1.
-	rowsRelaxed, rowsFinite int
+	// Predecessor rows the search relaxed, rows it skipped as dominated
+	// (see dominated), and rows with a finite out it could have relaxed,
+	// summed over columns 1..k-1.
+	rowsRelaxed, rowsDominated, rowsFinite int
 }
 
 // Chain-search traffic of every solution computed in the process.
-var sfcRowsRelaxed, sfcRowsFinite atomic.Int64
+var sfcRowsRelaxed, sfcRowsDominated, sfcRowsFinite atomic.Int64
 
 // SFCStats reports how much of their overlays the process's chain
-// searches read: predecessor rows relaxed, out of the rows with a
-// finite distance. The S*S arc block between two columns is read one
-// predecessor row at a time, so relaxed/total is also the share of
-// inter-column arcs read.
-func SFCStats() (relaxed, total int64) {
-	return sfcRowsRelaxed.Load(), sfcRowsFinite.Load()
+// searches read: predecessor rows relaxed, rows skipped because a
+// relaxed row already undercut them, and rows with a finite distance.
+// The S*S arc block between two columns is read one relaxed row at a
+// time, so relaxed/total is also the share of inter-column arcs read.
+func SFCStats() (relaxed, dominated, total int64) {
+	return sfcRowsRelaxed.Load(), sfcRowsDominated.Load(), sfcRowsFinite.Load()
 }
 
 // Rows reports this solution's share of SFCStats.
-func (s *SFCSolution) Rows() (relaxed, total int) { return s.rowsRelaxed, s.rowsFinite }
+func (s *SFCSolution) Rows() (relaxed, dominated, total int) {
+	return s.rowsRelaxed, s.rowsDominated, s.rowsFinite
+}
 
 // SolveSFC computes shortest-path distances from the source to every
 // "out" node of the expanded overlay, column by column:
@@ -183,10 +186,29 @@ func (m *Network) SolveSFC() *SFCSolution {
 	m.solveOnce.Do(func() {
 		m.sol = m.solveSFC()
 		sfcRowsRelaxed.Add(int64(m.sol.rowsRelaxed))
+		sfcRowsDominated.Add(int64(m.sol.rowsDominated))
 		sfcRowsFinite.Add(int64(m.sol.rowsFinite))
 	})
 	return m.sol
 }
+
+// dominanceSlack is the relative margin by which a row's tentative in
+// must undercut its own out before the column pass skips the row. It
+// is far above the rounding a metric entry and a sum of two carry
+// (≈1e-13 at a few hundred hops), so a skipped row is one a relaxation
+// could not have let win (ALGORITHM.md, "A dominated row is not
+// taken").
+const dominanceSlack = 1e-9
+
+// dominated reports that a row whose out is du, and which some relaxed
+// row already reaches for in, is undercut by more than the slack: by
+// the triangle inequality that relaxed row then reaches every row for
+// less than du plus the link from this one, so relaxing it can win no
+// strict <. margin is the slack's absolute term (see solveSFC).
+func dominated(in, du, margin float64) bool { return in < du-dominanceSlack*du-margin }
+
+// shortlists pools the column pass's predecessor lists.
+var shortlists = sync.Pool{New: func() any { return new([]int32) }}
 
 // solveSFC is the column pass behind SolveSFC.
 func (m *Network) solveSFC() *SFCSolution {
@@ -196,49 +218,96 @@ func (m *Network) solveSFC() *SFCSolution {
 		sol.out[i], sol.pred[i] = graph.Inf, -1
 	}
 	from := m.metric.Dist[m.source]
+	far := 0.0 // the distance to the farthest server the source reaches
 	for r, v := range m.servers {
 		sol.out[r] = from[v] + m.setup[r]
+		if d := from[v]; d != graph.Inf && d > far {
+			far = d
+		}
 	}
-	todo := make([]float64, s) // column j's out, +Inf once a row has been relaxed from
+	// A row with a finite out is a server the source reaches, so no link
+	// the slack guards is longer than 2*far.
+	margin := 2 * dominanceSlack * far
+	buf := shortlists.Get().(*[]int32)
 	for j := 1; j < k; j++ {
+		out := sol.out[(j-1)*s : j*s]
 		in, pred := sol.out[j*s:(j+1)*s], sol.pred[j*s:(j+1)*s]
-		next := 0 // the row to relax from next: the lowest holding todo's minimum
-		for r, d := range sol.out[(j-1)*s : j*s] {
-			todo[r] = d
+		first := 0 // the lowest row holding out's minimum
+		for r, d := range out {
 			if d != graph.Inf {
 				sol.rowsFinite++
 			}
-			if d < todo[next] {
-				next = r
+			if d < out[first] {
+				first = r
 			}
+		}
+		if out[first] == graph.Inf {
+			continue
 		}
 		// Predecessors in ascending (out, row) order. Metric entries are
 		// >= 0, so once the next out is no smaller than the largest
-		// tentative in, neither it nor any later row can win a strict <;
-		// that is also where the rows run out, the next out being +Inf.
-		for worst := graph.Inf; todo[next] < worst; {
-			a, du := next, todo[next]
-			todo[a] = graph.Inf
-			sol.rowsRelaxed++
-			from, worst = m.metric.Dist[m.servers[a]], 0
-			for r, v := range m.servers {
-				d := in[r]
-				if nd := du + from[v]; nd < d {
-					d, in[r], pred[r] = nd, nd, int32(a)
-				}
-				if d > worst {
-					worst = d
-				}
-				if todo[r] < todo[next] { // the argmin rides along
-					next = r
-				}
+		// tentative in, neither it nor any later row can win a strict <.
+		// That largest in only falls, so every row the pass can still
+		// take is on a shortlist drawn once the first is relaxed: the rows
+		// below it, less those already dominated (in only falls, so they
+		// stay dominated).
+		worst := m.relax(first, out[first], in, pred)
+		sol.rowsRelaxed++
+		short := (*buf)[:0]
+		for a, d := range out {
+			switch {
+			case d >= worst || a == first:
+			case dominated(in[a], d, margin):
+				sol.rowsDominated++
+			default:
+				short = append(short, int32(a))
 			}
 		}
+		slices.SortFunc(short, func(a, b int32) int {
+			switch {
+			case out[a] < out[b]:
+				return -1
+			case out[b] < out[a]:
+				return 1
+			}
+			return int(a - b)
+		})
+		for _, a := range short {
+			du := out[a]
+			if du >= worst {
+				break
+			}
+			if dominated(in[a], du, margin) {
+				sol.rowsDominated++
+				continue
+			}
+			worst = m.relax(int(a), du, in, pred)
+			sol.rowsRelaxed++
+		}
+		*buf = short
 		for r, c := range m.setup[j*s : (j+1)*s] {
 			in[r] += c
 		}
 	}
+	shortlists.Put(buf)
 	return sol
+}
+
+// relax takes row a, whose out is du, as a predecessor for every row
+// of the next column's in it undercuts, and returns the largest
+// tentative in left.
+func (m *Network) relax(a int, du float64, in []float64, pred []int32) (worst float64) {
+	from := m.metric.Dist[m.servers[a]]
+	for r, v := range m.servers {
+		d := in[r]
+		if nd := du + from[v]; nd < d {
+			d, in[r], pred[r] = nd, nd, int32(a)
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
 }
 
 // Candidate is one row of a Network's candidate table: a last-VNF host

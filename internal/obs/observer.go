@@ -173,11 +173,12 @@ func (r *SpanRecorder) Spans() []*Span {
 			// The span keeps the name older trace files carry; it times
 			// the column pass over the overlay.
 			stage1Parts = append(stage1Parts, &Span{Name: "sfc_dijkstra", DurationNs: e.Duration.Nanoseconds(),
-				Attrs: map[string]float64{"rows_relaxed": float64(e.SFCRowsRelaxed), "rows": float64(e.SFCRows)}})
+				Attrs: map[string]float64{"rows_relaxed": float64(e.SFCRowsRelaxed),
+					"rows_dominated": float64(e.SFCRowsDominated), "rows": float64(e.SFCRows)}})
 		case core.EventSweepEnd:
 			stage1Parts = append(stage1Parts, &Span{Name: "candidate_sweep", DurationNs: e.Duration.Nanoseconds(),
 				Attrs: map[string]float64{"candidates": float64(e.Candidates), "general_trees": float64(e.GeneralTrees),
-					"bound_skips": float64(e.BoundSkips)}})
+					"bound_skips": float64(e.BoundSkips), "repeat_roots": float64(e.RepeatRoots)}})
 		case core.EventStage1End:
 			roots = append(roots, &Span{Name: "stage1", DurationNs: e.Duration.Nanoseconds(),
 				Attrs:    map[string]float64{"cost": e.Cost, "candidates": float64(e.Candidates)},
@@ -217,10 +218,10 @@ func (r *SpanRecorder) Spans() []*Span {
 }
 
 // lineEvent is the JSON-lines wire form of a solver event. The warm,
-// scaffold, general_trees, bound_skips and sfc_rows fields are
-// additions over the original schema; they are omitted when empty, so
-// old consumers keep parsing new streams and new consumers treat their
-// absence as the zero value when reading old streams.
+// scaffold, general_trees, bound_skips, repeat_roots and sfc_rows
+// fields are additions over the original schema; they are omitted when
+// empty, so old consumers keep parsing new streams and new consumers
+// treat their absence as the zero value when reading old streams.
 type lineEvent struct {
 	Kind       string  `json:"kind"`
 	Pass       int     `json:"pass,omitempty"`
@@ -246,10 +247,15 @@ type lineEvent struct {
 	// BoundSkips counts a sweep_end event's candidates left unpriced
 	// because the tree lower bound ruled them out.
 	BoundSkips int `json:"bound_skips,omitempty"`
-	// SFCRowsRelaxed and SFCRows are an sfc_solved event's predecessor
-	// rows relaxed, of rows with a finite distance.
-	SFCRowsRelaxed int `json:"sfc_rows_relaxed,omitempty"`
-	SFCRows        int `json:"sfc_rows,omitempty"`
+	// RepeatRoots counts a sweep_end event's candidates whose tree
+	// price an earlier candidate with the same last host had paid.
+	RepeatRoots int `json:"repeat_roots,omitempty"`
+	// SFCRowsRelaxed, SFCRowsDominated and SFCRows are an sfc_solved
+	// event's predecessor rows relaxed, rows skipped because a relaxed
+	// row already undercut them, and rows with a finite distance.
+	SFCRowsRelaxed   int `json:"sfc_rows_relaxed,omitempty"`
+	SFCRowsDominated int `json:"sfc_rows_dominated,omitempty"`
+	SFCRows          int `json:"sfc_rows,omitempty"`
 }
 
 // JSONLObserver streams every solver event as one JSON object per
@@ -276,7 +282,8 @@ func (o *JSONLObserver) OnEvent(e core.Event) {
 		Candidates: e.Candidates, Moves: e.Moves,
 		DurationNs: e.Duration.Nanoseconds(), Warm: e.Warm,
 		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees, BoundSkips: e.BoundSkips,
-		SFCRowsRelaxed: e.SFCRowsRelaxed, SFCRows: e.SFCRows,
+		RepeatRoots: e.RepeatRoots, SFCRowsRelaxed: e.SFCRowsRelaxed,
+		SFCRowsDominated: e.SFCRowsDominated, SFCRows: e.SFCRows,
 	})
 }
 

@@ -195,8 +195,8 @@ func TestStageOneSplit(t *testing.T) {
 				if e.Kind == core.EventOverlayBuilt && e.Scaffold != (scaffolds != nil) {
 					t.Errorf("overlay_built scaffold = %v with cache %v", e.Scaffold, scaffolds != nil)
 				}
-				if e.Kind == core.EventSFCSolved && (e.SFCRowsRelaxed <= 0 || e.SFCRowsRelaxed > e.SFCRows) {
-					t.Errorf("sfc_solved read %d of %d predecessor rows", e.SFCRowsRelaxed, e.SFCRows)
+				if e.Kind == core.EventSFCSolved && (e.SFCRowsRelaxed <= 0 || e.SFCRowsRelaxed+e.SFCRowsDominated > e.SFCRows) {
+					t.Errorf("sfc_solved relaxed %d and skipped %d of %d predecessor rows", e.SFCRowsRelaxed, e.SFCRowsDominated, e.SFCRows)
 				}
 				if e.Kind == core.EventSweepEnd && e.Candidates != res.CandidatesTried {
 					t.Errorf("sweep_end candidates = %d, result %d", e.Candidates, res.CandidatesTried)
@@ -217,8 +217,13 @@ func TestStageOneSplit(t *testing.T) {
 			if s.Name == "stage1" {
 				for _, c := range s.Children {
 					names = append(names, c.Name)
-					if c.Name == "sfc_dijkstra" && (c.Attrs["rows_relaxed"] <= 0 || c.Attrs["rows"] < c.Attrs["rows_relaxed"]) {
+					_, dominated := c.Attrs["rows_dominated"]
+					if c.Name == "sfc_dijkstra" && (!dominated || c.Attrs["rows_relaxed"] <= 0 ||
+						c.Attrs["rows"] < c.Attrs["rows_relaxed"]+c.Attrs["rows_dominated"]) {
 						t.Errorf("sfc_dijkstra span attrs = %v", c.Attrs)
+					}
+					if _, repeats := c.Attrs["repeat_roots"]; c.Name == "candidate_sweep" && !repeats {
+						t.Errorf("candidate_sweep span attrs = %v", c.Attrs)
 					}
 				}
 			}

@@ -23,9 +23,10 @@ import (
 //	scaffold_cache_hits / scaffold_cache_misses / scaffold_cache_hit_rate
 //	    mod.Cache signature-keyed MOD-overlay scaffolds (stage-one
 //	    construction skipped on same-signature, same-version solves)
-//	sfc_rows_relaxed_total / sfc_rows_total
-//	    mod.SolveSFC: predecessor rows the chain searches relaxed, of
-//	    the rows with a finite distance; their ratio is the share of
+//	sfc_rows_relaxed_total / sfc_rows_dominated_total / sfc_rows_total
+//	    mod.SolveSFC: predecessor rows the chain searches relaxed, rows
+//	    they skipped because a relaxed row already undercut them, and
+//	    the rows with a finite distance; relaxed/total is the share of
 //	    the overlays' inter-column arcs that was read
 //	kmb_trees_total / kmb_general_branch_total / kmb_path_memo_hit_rate
 //	    steiner.Sweep: KMB trees built, how many of them were not
@@ -62,8 +63,9 @@ func RegisterCacheStats(reg *Registry) {
 		h, m := mod.CacheStats()
 		return ratio(h, h+m)
 	})
-	reg.GaugeFunc("sfc_rows_relaxed_total", func() float64 { r, _ := mod.SFCStats(); return float64(r) })
-	reg.GaugeFunc("sfc_rows_total", func() float64 { _, n := mod.SFCStats(); return float64(n) })
+	reg.GaugeFunc("sfc_rows_relaxed_total", func() float64 { r, _, _ := mod.SFCStats(); return float64(r) })
+	reg.GaugeFunc("sfc_rows_dominated_total", func() float64 { _, d, _ := mod.SFCStats(); return float64(d) })
+	reg.GaugeFunc("sfc_rows_total", func() float64 { _, _, n := mod.SFCStats(); return float64(n) })
 	reg.GaugeFunc("kmb_trees_total", func() float64 { return float64(steiner.SweepStats().Trees) })
 	reg.GaugeFunc("kmb_general_branch_total", func() float64 { return float64(steiner.SweepStats().GeneralTrees) })
 	reg.GaugeFunc("kmb_path_memo_hit_rate", func() float64 {

@@ -68,7 +68,7 @@ func TestRegisterCacheStats(t *testing.T) {
 	for _, name := range []string{
 		"metric_cache_hits", "metric_cache_misses", "metric_cache_hit_rate",
 		"apsp_cache_hits", "apsp_cache_misses", "apsp_cache_hit_rate",
-		"sfc_rows_relaxed_total", "sfc_rows_total",
+		"sfc_rows_relaxed_total", "sfc_rows_dominated_total", "sfc_rows_total",
 		"kmb_trees_total", "kmb_general_branch_total", "kmb_path_memo_hit_rate",
 		"sp_pool_gets", "sp_pool_news", "sp_pool_reuse_rate",
 	} {
@@ -119,11 +119,12 @@ func TestRegisterCacheStats(t *testing.T) {
 	if solved["kmb_trees_total"] <= final["kmb_trees_total"] {
 		t.Error("KMB trees of a solve not counted")
 	}
-	// The chain search read some of the overlay's rows and never more
-	// than the rows it had.
+	// The chain search read some of the overlay's rows, and relaxed and
+	// skipped no more than the rows it had.
 	relaxed := solved["sfc_rows_relaxed_total"] - final["sfc_rows_relaxed_total"]
-	if rows := solved["sfc_rows_total"] - final["sfc_rows_total"]; relaxed <= 0 || relaxed > rows {
-		t.Errorf("a solve moved sfc_rows_relaxed_total by %v and sfc_rows_total by %v", relaxed, rows)
+	dominated := solved["sfc_rows_dominated_total"] - final["sfc_rows_dominated_total"]
+	if rows := solved["sfc_rows_total"] - final["sfc_rows_total"]; relaxed <= 0 || dominated < 0 || relaxed+dominated > rows {
+		t.Errorf("a solve moved sfc_rows_relaxed_total by %v, sfc_rows_dominated_total by %v and sfc_rows_total by %v", relaxed, dominated, rows)
 	}
 	if r := solved["kmb_path_memo_hit_rate"]; r <= 0.5 || r > 1 {
 		t.Errorf("kmb_path_memo_hit_rate = %v after a solve, want in (0.5, 1]", r)

@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve allocation budget + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve allocation budget and digest + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget and digest + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
 #                       # (equivalence battery: idle, held and trickle
@@ -187,7 +187,8 @@ queue_gate() {
 # non-test files call no AdmitCtx (POST /v1/sessions has one way in,
 # the queue); the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
-# shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra);
+# shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra —
+# and predecessors come from a sorted shortlist, not a heap);
 # internal/core's non-test files call no state.cost() (a solve prices
 # once, and stage two once per trial move), hold no second cost engine
 # (ensureLedger, applyMoveInc, releaseJournal, jrFree) and no DebugOPA
@@ -235,8 +236,8 @@ retired_guard() {
 		echo "retired guard: internal/core/msa.go fans out again" >&2
 		exit 1
 	fi
-	if grep -nE 'NodeHeap|ShortestPathTree' $(ls internal/mod/*.go | grep -v _test.go); then
-		echo "retired guard: internal/mod runs a heap Dijkstra again" >&2
+	if grep -nE 'NodeHeap|ShortestPathTree|container/heap|heapify|siftDown' $(ls internal/mod/*.go | grep -v _test.go); then
+		echo "retired guard: internal/mod runs a heap again (the column pass takes predecessors from a sorted shortlist; a heap measured slower)" >&2
 		exit 1
 	fi
 	if grep -nE '\.cost\(\)' $(ls internal/core/*.go | grep -v _test.go); then
@@ -375,10 +376,12 @@ echo "==> bench module: go vet ./... && go test ./..."
 
 # The allocation budget of a default solve (at most 100 on the
 # benchmark's two solver-bound shapes) is what holds the flat embedding
-# and the per-solve scratch in place; it is a plain test, so the race
-# run below skips it and this is where it runs uncached.
-echo "==> solve allocation budget: TestSolveAllocBudget"
-go test -count=1 -run 'TestSolveAllocBudget' ./internal/core
+# and the per-solve scratch in place, and the solve digest is what holds
+# every embedding, price bit and stage-one host in place while the
+# solver is made faster; both are plain tests that skip themselves under
+# -race, so this is where they run uncached.
+echo "==> solve allocation budget and digest: TestSolveAllocBudget, TestSolveDigest"
+go test -count=1 -run 'TestSolveAllocBudget|TestSolveDigest' ./internal/core
 
 # internal/wal picks its sync and preallocation calls by platform; the
 # non-Linux file is never compiled by anything above. Standard library
