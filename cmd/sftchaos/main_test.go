@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -23,28 +22,43 @@ func TestRunGateSucceeds(t *testing.T) {
 	}
 }
 
-func TestGenScheduleRoundTrips(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-nodes", "30", "-seed", "3", "-gen-schedule", "5"}, &out); err != nil {
+// TestEmitScriptRoundTrips: a script printed by -emit-script and run
+// through -script reports byte for byte what the generating run
+// reports, crashes included.
+func TestEmitScriptRoundTrips(t *testing.T) {
+	args := []string{"-nodes", "30", "-sessions", "8", "-ops", "10", "-faults", "5", "-crash", "2", "-seed", "3"}
+	var script, direct, replayed bytes.Buffer
+	if err := run(append(args, "-emit-script"), &script); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sched.json")
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "script.json")
+	if err := os.WriteFile(path, script.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var rep bytes.Buffer
-	err := run([]string{"-nodes", "30", "-sessions", "8", "-seed", "3", "-schedule", path}, &rep)
-	if err != nil {
-		t.Fatalf("replaying generated schedule: %v\n%s", err, rep.String())
+	if err := run(args, &direct); err != nil {
+		t.Fatalf("generated script: %v\n%s", err, direct.String())
 	}
-	if !strings.Contains(rep.String(), `"events_applied": 5`) {
-		t.Fatalf("report: %s", rep.String())
+	if err := run([]string{"-script", path}, &replayed); err != nil {
+		t.Fatalf("replaying the emitted script: %v\n%s", err, replayed.String())
+	}
+	if !bytes.Equal(direct.Bytes(), replayed.Bytes()) {
+		t.Fatalf("reports differ:\n%s\n%s", direct.String(), replayed.String())
+	}
+	if !bytes.Contains(direct.Bytes(), []byte(`"mid_commit": true`)) {
+		t.Fatalf("no mid-commit crash fired:\n%s", direct.String())
 	}
 }
 
 func TestBadScheduleFileFails(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-schedule", "/nonexistent.json"}, &out); err == nil {
-		t.Fatal("missing schedule file accepted")
+	if err := run([]string{"-script", "/nonexistent.json"}, &out); err == nil {
+		t.Fatal("missing script file accepted")
+	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(`{"nodes": 30, "ops": [{"op": "release", "mid_commit": true}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-script", path}, &out); err == nil {
+		t.Fatal("mid-commit crash on a release accepted")
 	}
 }

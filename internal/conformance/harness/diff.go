@@ -16,6 +16,7 @@ import (
 	"sftree/internal/ilp"
 	"sftree/internal/nfv"
 	"sftree/internal/sftilp"
+	"sftree/internal/sim"
 )
 
 // RunConfig parameterizes one differential run. Everything is seeded:
@@ -352,48 +353,43 @@ func runCase(cfg RunConfig, c *Case, rep *Report, sr *StratumReport) {
 	}
 }
 
-// runFaulted replays a seeded fault schedule against the admitted case
-// through the dynamic manager, validating every surviving session
-// through the shared validator after each event — the repair path of
-// the differential contract.
+// faultKinds maps the script runner's per-op checks onto violation
+// kinds.
+var faultKinds = map[string]string{
+	"live": "invalid-embedding", "refs": "invalid-embedding",
+	"broken": "still-broken", "replay": "replay-error",
+}
+
+// runFaulted runs the script [admit the case's task, seeded faults…]
+// on the case's network, which checks every surviving session after
+// every op — the repair path of the differential contract. The faults
+// are drawn on the network as the admission leaves it, so instance
+// kills can hit the instances the session deployed.
 func runFaulted(cfg RunConfig, c *Case, rep *Report, fail func(solver, kind, format string, a ...any)) {
-	base := c.Net.Clone()
-	mgr := dynamic.NewManager(base, core.Options{})
-	if _, err := mgr.Admit(c.Task); err != nil {
+	admitted := c.Net.Clone()
+	if _, err := dynamic.NewManager(admitted, core.Options{}).Admit(c.Task); err != nil {
 		fail("repair", "solve-error", "admission failed on a solvable case: %v", err)
 		return
 	}
 	rng := rand.New(rand.NewSource(c.Seed ^ 0xfa17))
-	sched, err := faults.Generate(base, faults.DefaultGenConfig(cfg.FaultEvents), rng)
+	events, err := faults.Generate(admitted, faults.DefaultGenConfig(cfg.FaultEvents), rng)
 	if err != nil {
 		fail("repair", "schedule-error", "%v", err)
 		return
 	}
+	task := c.Task
+	script := &sim.Script{Nodes: c.Net.NumNodes(), Seed: c.Seed, Ops: []sim.Op{{Op: sim.OpAdmit, Task: &task}}}
+	for i := range events {
+		script.Ops = append(script.Ops, sim.Op{Op: sim.OpFault, Event: &events[i]})
+	}
+	out, err := script.Run(c.Net.Clone(), "")
+	if err != nil {
+		fail("repair", "replay-error", "%v", err)
+		return
+	}
 	rep.FaultedRuns++
-	replayer := faults.NewReplayer(base, sched)
-	for !replayer.Done() {
-		ev, degraded, err := replayer.Step(mgr.Network())
-		if err != nil {
-			fail("repair", "replay-error", "%v", err)
-			return
-		}
-		mgr.Rebase(degraded)
-		net := mgr.Network()
-		for _, sess := range mgr.Sessions() {
-			if sess.Degraded {
-				continue
-			}
-			emb := sess.Result.Embedding
-			rep.RepairChecks++
-			if err := conformance.CheckLive(net, emb); err != nil {
-				fail("repair", "invalid-embedding", "after %v: %v", ev, err)
-				continue
-			}
-			for di := range emb.Walks {
-				if conformance.WalkBroken(net, emb, di) {
-					fail("repair", "still-broken", "after %v: walk %d traverses failed elements", ev, di)
-				}
-			}
-		}
+	rep.RepairChecks += out.Checks
+	for _, f := range out.ValidationErrors {
+		fail("repair", faultKinds[f.Check], "%v", f)
 	}
 }

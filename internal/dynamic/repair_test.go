@@ -285,13 +285,16 @@ func TestRepairManySessionsOnGeneratedNetwork(t *testing.T) {
 	if admitted < 12 {
 		t.Fatalf("only %d sessions admitted", admitted)
 	}
-	sched, err := faults.Generate(base, faults.DefaultGenConfig(10), rand.New(rand.NewSource(3)))
+	events, err := faults.Generate(base, faults.DefaultGenConfig(10), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := faults.NewReplayer(base, sched)
-	for !r.Done() {
-		_, degraded, err := r.Step(m.Network())
+	st := faults.NewState(base)
+	for _, ev := range events {
+		if err := st.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		degraded, err := st.Materialize(m.Network())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,13 +363,16 @@ func TestDegradedGaugeMatchesRecount(t *testing.T) {
 		admit(m)
 	}
 	check(m, reg, "the admissions")
-	sched, err := faults.Generate(base, faults.DefaultGenConfig(16), rand.New(rand.NewSource(3)))
+	events, err := faults.Generate(base, faults.DefaultGenConfig(16), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := faults.NewReplayer(base, sched)
-	for step := 0; !r.Done(); step++ {
-		_, degraded, err := r.Step(m.Network())
+	st := faults.NewState(base)
+	for step, ev := range events {
+		if err := st.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		degraded, err := st.Materialize(m.Network())
 		if err != nil {
 			t.Fatal(err)
 		}

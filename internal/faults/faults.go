@@ -8,10 +8,10 @@
 // The model is deterministic and replayable: a State accumulates fault
 // events and materializes the *degraded* network they imply — a fresh
 // nfv.Network over the surviving topology, carrying over the current
-// deployment state minus whatever died. Schedules of events are
-// seeded, serializable to JSON scenario files, and driven by a
-// Replayer (see schedule.go), so a chaos run is reproducible bit for
-// bit from its seed.
+// deployment state minus whatever died. Generate draws seeded
+// schedules of events (see schedule.go) and events encode to JSON, so
+// the op scripts that carry them (internal/sim) replay bit for bit from
+// their seed.
 package faults
 
 import (

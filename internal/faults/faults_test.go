@@ -1,9 +1,10 @@
 package faults
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sftree/internal/graph"
@@ -145,30 +146,27 @@ func TestApplyRejectsBadEvents(t *testing.T) {
 	}
 }
 
+// TestScheduleRoundTrip: a schedule's events survive a JSON round trip
+// (kinds encode by name), and an unknown kind is refused.
 func TestScheduleRoundTrip(t *testing.T) {
-	sched := &Schedule{Seed: 42, Events: []Event{
+	events := []Event{
 		{Kind: LinkDown, U: 1, V: 3},
 		{Kind: InstanceDown, VNF: 0, Node: 1},
 		{Kind: LinkUp, U: 1, V: 3},
-	}}
-	var buf bytes.Buffer
-	if err := sched.Save(&buf); err != nil {
-		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	b, err := json.Marshal(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seed != 42 || len(got.Events) != 3 {
-		t.Fatalf("round trip lost data: %+v", got)
+	var got []Event
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
 	}
-	for i := range sched.Events {
-		if got.Events[i] != sched.Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got.Events[i], sched.Events[i])
-		}
+	if !slices.Equal(got, events) {
+		t.Fatalf("round trip changed the events: %+v != %+v", got, events)
 	}
-	if _, err := Load(bytes.NewReader([]byte(`{"events":[{"kind":"meteor"}]}`))); err == nil {
-		t.Fatal("unknown kind accepted")
+	if err := json.Unmarshal([]byte(`[{"kind":"meteor"}]`), &got); !errors.Is(err, ErrBadEvent) {
+		t.Fatalf("unknown kind: err=%v, want ErrBadEvent", err)
 	}
 }
 
@@ -186,17 +184,17 @@ func TestGenerateIsSeededAndValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Events) != 40 || len(b.Events) != 40 {
-		t.Fatalf("lengths %d, %d", len(a.Events), len(b.Events))
+	if len(a) != 40 || len(b) != 40 {
+		t.Fatalf("lengths %d, %d", len(a), len(b))
 	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("same seed diverged at event %d: %+v vs %+v", i, a.Events[i], b.Events[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at event %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 	// Every generated event must apply cleanly.
 	st := NewState(net)
-	for _, ev := range a.Events {
+	for _, ev := range a {
 		if err := st.Apply(ev); err != nil {
 			t.Fatalf("generated event %v invalid: %v", ev, err)
 		}
@@ -206,31 +204,35 @@ func TestGenerateIsSeededAndValid(t *testing.T) {
 	}
 }
 
+// replay applies events one by one, materializing the degraded network
+// after each and carrying deployments over from the previous one, the
+// way a manager's substrate follows a fault schedule.
+func replay(t *testing.T, base *nfv.Network, events []Event) (*State, *nfv.Network) {
+	t.Helper()
+	st, cur := NewState(base), base
+	for i, ev := range events {
+		if err := st.Apply(ev); err != nil {
+			t.Fatalf("event %d (%v): %v", i, ev, err)
+		}
+		var err error
+		if cur, err = st.Materialize(cur); err != nil {
+			t.Fatalf("event %d (%v): materialize: %v", i, ev, err)
+		}
+	}
+	return st, cur
+}
+
 func TestReplayerSteps(t *testing.T) {
 	base := testNet(t)
-	sched := &Schedule{Events: []Event{
+	st, cur := replay(t, base, []Event{
 		{Kind: LinkDown, U: 1, V: 3},
 		{Kind: LinkDown, U: 2, V: 3},
 		{Kind: LinkUp, U: 1, V: 3},
-	}}
-	r := NewReplayer(base, sched)
-	cur := base
-	steps := 0
-	for !r.Done() {
-		ev, net, err := r.Step(cur)
-		if err != nil {
-			t.Fatalf("step %d (%v): %v", steps, ev, err)
-		}
-		cur = net
-		steps++
+	})
+	if st.DownLinks() != 1 {
+		t.Fatalf("down links = %d, want 1", st.DownLinks())
 	}
-	if steps != 3 || r.Remaining() != 0 {
-		t.Fatalf("steps=%d remaining=%d", steps, r.Remaining())
-	}
-	if r.State().DownLinks() != 1 {
-		t.Fatalf("down links = %d, want 1", r.State().DownLinks())
-	}
-	if _, _, err := r.Step(cur); err == nil {
-		t.Fatal("stepping an exhausted replayer succeeded")
+	if cur.Graph().NumEdges() != base.Graph().NumEdges()-1 {
+		t.Fatalf("degraded network has %d edges, want %d", cur.Graph().NumEdges(), base.Graph().NumEdges()-1)
 	}
 }

@@ -1,45 +1,11 @@
 package faults
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"sftree/internal/nfv"
 )
-
-// ErrBadSchedule reports an unparsable or inconsistent scenario file.
-var ErrBadSchedule = errors.New("faults: invalid schedule")
-
-// Schedule is an ordered fault scenario. Scenario files are plain JSON
-// ({"seed": ..., "events": [{"kind": "link_down", "u": 3, "v": 7},
-// ...]}), so they can be written by hand, generated seeded, or
-// captured from production and replayed.
-type Schedule struct {
-	// Seed records the generator seed for provenance (0 for
-	// hand-written scenarios).
-	Seed int64 `json:"seed,omitempty"`
-	// Events apply in order.
-	Events []Event `json:"events"`
-}
-
-// Save writes the schedule as indented JSON.
-func (s *Schedule) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// Load parses a JSON scenario file.
-func Load(r io.Reader) (*Schedule, error) {
-	var s Schedule
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSchedule, err)
-	}
-	return &s, nil
-}
 
 // GenConfig tunes seeded schedule generation. Weights select the fault
 // kind per event; a recovery event (link/node up) is drawn with
@@ -55,10 +21,6 @@ type GenConfig struct {
 	// RecoverProb is the chance an event heals an existing fault
 	// instead of injecting a new one (when anything is down).
 	RecoverProb float64
-	// MaxDownLinks and MaxDownNodes cap concurrent damage; a new fault
-	// drawn past the cap becomes a recovery instead. Zero means a
-	// tenth of the element count (at least one).
-	MaxDownLinks, MaxDownNodes int
 }
 
 // DefaultGenConfig returns a link-heavy mix: 70% link faults, 15% node
@@ -77,23 +39,18 @@ func DefaultGenConfig(events int) GenConfig {
 // events name real links, node events name real nodes, instance kills
 // prefer instances deployed in the base network. All randomness flows
 // through rng, so schedules are reproducible from the seed.
-func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) (*Schedule, error) {
+func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) ([]Event, error) {
 	if cfg.Events <= 0 {
-		return nil, fmt.Errorf("%w: %d events", ErrBadSchedule, cfg.Events)
+		return nil, fmt.Errorf("faults: generate %d events", cfg.Events)
 	}
 	edges := net.Graph().Edges()
 	servers := net.Servers()
 	if len(edges) == 0 || len(servers) == 0 {
-		return nil, fmt.Errorf("%w: network has %d edges, %d servers", ErrBadSchedule, len(edges), len(servers))
+		return nil, fmt.Errorf("faults: generate on a network with %d edges, %d servers", len(edges), len(servers))
 	}
-	maxLinks := cfg.MaxDownLinks
-	if maxLinks <= 0 {
-		maxLinks = max(1, len(edges)/10)
-	}
-	maxNodes := cfg.MaxDownNodes
-	if maxNodes <= 0 {
-		maxNodes = max(1, net.NumNodes()/10)
-	}
+	// Concurrent damage is capped at a tenth of the links and of the
+	// nodes (at least one each); a fault drawn past its cap is redrawn.
+	maxLinks, maxNodes := max(1, len(edges)/10), max(1, net.NumNodes()/10)
 	wl, wn, wi := cfg.LinkWeight, cfg.NodeWeight, cfg.InstanceWeight
 	if wl+wn+wi <= 0 {
 		wl = 1
@@ -108,7 +65,7 @@ func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) (*Schedule, error
 		}
 	}
 
-	sched := &Schedule{Events: make([]Event, 0, cfg.Events)}
+	events := make([]Event, 0, cfg.Events)
 	// Down-sets are kept as slices (plus membership maps) so recovery
 	// picks are deterministic under the injected rng; map iteration
 	// order would break same-seed reproducibility.
@@ -117,7 +74,7 @@ func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) (*Schedule, error
 	var downLinks [][2]int
 	var downNodes []int
 
-	for len(sched.Events) < cfg.Events {
+	for len(events) < cfg.Events {
 		somethingDown := len(downLinks)+len(downNodes) > 0
 		if somethingDown && rng.Float64() < cfg.RecoverProb {
 			if len(downLinks) > 0 && (len(downNodes) == 0 || rng.Intn(2) == 0) {
@@ -126,14 +83,14 @@ func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) (*Schedule, error
 				downLinks[i] = downLinks[len(downLinks)-1]
 				downLinks = downLinks[:len(downLinks)-1]
 				delete(linkDown, l)
-				sched.Events = append(sched.Events, Event{Kind: LinkUp, U: l[0], V: l[1]})
+				events = append(events, Event{Kind: LinkUp, U: l[0], V: l[1]})
 			} else {
 				i := rng.Intn(len(downNodes))
 				v := downNodes[i]
 				downNodes[i] = downNodes[len(downNodes)-1]
 				downNodes = downNodes[:len(downNodes)-1]
 				delete(nodeDown, v)
-				sched.Events = append(sched.Events, Event{Kind: NodeUp, Node: v})
+				events = append(events, Event{Kind: NodeUp, Node: v})
 			}
 			continue
 		}
@@ -149,7 +106,7 @@ func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) (*Schedule, error
 			}
 			linkDown[key] = true
 			downLinks = append(downLinks, key)
-			sched.Events = append(sched.Events, Event{Kind: LinkDown, U: key[0], V: key[1]})
+			events = append(events, Event{Kind: LinkDown, U: key[0], V: key[1]})
 		case r < wl+wn:
 			if len(downNodes) >= maxNodes {
 				continue
@@ -160,51 +117,14 @@ func Generate(net *nfv.Network, cfg GenConfig, rng *rand.Rand) (*Schedule, error
 			}
 			nodeDown[v] = true
 			downNodes = append(downNodes, v)
-			sched.Events = append(sched.Events, Event{Kind: NodeDown, Node: v})
+			events = append(events, Event{Kind: NodeDown, Node: v})
 		default:
 			if len(deployed) == 0 {
 				continue
 			}
 			kv := deployed[rng.Intn(len(deployed))]
-			sched.Events = append(sched.Events, Event{Kind: InstanceDown, VNF: kv[0], Node: kv[1]})
+			events = append(events, Event{Kind: InstanceDown, VNF: kv[0], Node: kv[1]})
 		}
 	}
-	return sched, nil
-}
-
-// Replayer steps a schedule through a State, materializing the
-// degraded network after every event.
-type Replayer struct {
-	state  *State
-	events []Event
-	next   int
-}
-
-// NewReplayer prepares a replay of sched against the base network.
-func NewReplayer(base *nfv.Network, sched *Schedule) *Replayer {
-	return &Replayer{state: NewState(base), events: sched.Events}
-}
-
-// State exposes the accumulated fault state (for queries and reports).
-func (r *Replayer) State() *State { return r.state }
-
-// Done reports whether every event has been replayed.
-func (r *Replayer) Done() bool { return r.next >= len(r.events) }
-
-// Remaining returns the number of unapplied events.
-func (r *Replayer) Remaining() int { return len(r.events) - r.next }
-
-// Step applies the next event and materializes the degraded network,
-// carrying deployments over from deployFrom (see State.Materialize).
-func (r *Replayer) Step(deployFrom *nfv.Network) (Event, *nfv.Network, error) {
-	if r.Done() {
-		return Event{}, nil, fmt.Errorf("%w: schedule exhausted", ErrBadSchedule)
-	}
-	ev := r.events[r.next]
-	r.next++
-	if err := r.state.Apply(ev); err != nil {
-		return ev, nil, err
-	}
-	net, err := r.state.Materialize(deployFrom)
-	return ev, net, err
+	return events, nil
 }

@@ -33,17 +33,20 @@
 #   ./tools.sh obs      # obs smoke only: build cmds, boot sftserve,
 #                       # assert /healthz /readyz /metrics respond and
 #                       # /metrics counts the connections that took
-#   ./tools.sh chaos    # resilience gate only: replay a seeded fault
-#                       # schedule, assert survivors re-validate
-#   ./tools.sh recover  # durability gate only: a seeded op script runs
-#                       # once untouched and once with SIGKILL-equivalent
-#                       # crashes (one inside the commit critical
-#                       # section), each followed by a WAL restore; fails
-#                       # on any lost committed session, oracle
-#                       # divergence or conformance violation. Also runs
-#                       # the crash-harness tests and the WAL's
-#                       # power-loss test (what a lost page cache leaves
-#                       # past the last synced frame) under -race.
+#   ./tools.sh chaos    # resilience gate only: a seeded op script of
+#                       # admits and faults through the repair path,
+#                       # every surviving session re-validated after
+#                       # every op
+#   ./tools.sh recover  # durability gate only: the same kind of op
+#                       # script with SIGKILL-equivalent crashes (one
+#                       # inside the commit critical section), each
+#                       # followed by a WAL restore, stepped in lockstep
+#                       # with a never-crashed oracle; fails on any lost
+#                       # committed session, oracle divergence or check
+#                       # failure after any op. Also runs the script
+#                       # runner's crash tests and the WAL's power-loss
+#                       # test (what a lost page cache leaves past the
+#                       # last synced frame) under -race.
 #   ./tools.sh conformance [seed]
 #                       # differential gate only: bounded stratified
 #                       # corpus under -race, cross-checking every
@@ -54,6 +57,24 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+# run_matching FLAGS PATTERN PKG... runs go test FLAGS -run PATTERN over
+# the packages, after failing if PATTERN selects no test in one of them:
+# go test passes a -run that matches nothing ("[no tests to run]"), so a
+# renamed test would otherwise drop out of its gate unnoticed.
+run_matching() {
+	flags=$1 pattern=$2
+	shift 2
+	for pkg in "$@"; do
+		listed=$(go test -list "$pattern" "$pkg")
+		if ! echo "$listed" | grep -qE '^(Test|Fuzz|Example)'; then
+			echo "tools.sh: -run '$pattern' selects no test in $pkg" >&2
+			exit 1
+		fi
+	done
+	# shellcheck disable=SC2086 # flags is a word list
+	go test $flags -run "$pattern" "$@"
+}
 
 # obs_smoke builds every command, boots sftserve on an ephemeral port
 # with -debug, and asserts the health, readiness and metrics endpoints
@@ -104,10 +125,10 @@ obs_smoke() {
 	echo "OK (obs smoke)"
 }
 
-# chaos_gate replays the seeded acceptance schedule (20 faults over 30
-# live sessions) through the repair path. sftchaos exits non-zero when
-# any non-degraded session fails validation after a fault, or when
-# repairs never reuse a surviving instance.
+# chaos_gate runs the seeded acceptance script (30 admits, then 20
+# faults) through the repair path. sftchaos exits non-zero when any
+# non-degraded session fails a check after any op, or when repairs
+# never reuse a surviving instance.
 chaos_gate() {
 	echo "==> chaos gate: sftchaos -nodes 40 -sessions 30 -faults 20 -seed 7"
 	go run ./cmd/sftchaos -nodes 40 -sessions 30 -faults 20 -seed 7
@@ -126,26 +147,27 @@ conformance_gate() {
 	echo "OK (conformance gate, seed $seed)"
 }
 
-# recover_gate is the crash-injection durability gate: the same seeded
-# script of admissions, releases and faults runs as a never-crashed
-# oracle and as a crash run with restores from the write-ahead log —
-# a torn crash (partial frame at the active tail) immediately
-# re-crashed on the next op (the double-crash window: the tear must
-# not survive the first recovery on disk), plus one mid-commit
-# (between WAL append and in-memory apply). The restored run must
+# recover_gate is the crash-injection durability gate: one seeded
+# script of admissions, releases, faults, checkpoints and crashes steps
+# a never-crashed oracle and a WAL-backed crash run in lockstep — a
+# torn crash (partial frame at the active tail) crashed again one op
+# later (the double-crash window: the tear must not survive the first
+# recovery on disk), plus one mid-commit crash (between WAL append and
+# in-memory apply) that must fire. After every op the crash run must
 # keep every committed session, match the oracle bit-for-bit in
-# sessions, refcounts and accounting, and pass CheckLive/Recount. The
-# race-enabled harness tests cover the same paths with the in-tree
-# assertions. All of those are process kills, which keep every byte
-# written; the WAL's power-loss test overwrites what follows the last
-# synced frame with each tail a lost page cache can leave.
+# sessions, refcounts and accounting, and pass CheckLive, the walk
+# check, the flow replay and VerifyRefs. The race-enabled runner tests
+# cover the same paths with the in-tree assertions, the gate's shape
+# at ten seeds included. All of those are process kills, which keep
+# every byte written; the WAL's power-loss test overwrites what follows
+# the last synced frame with each tail a lost page cache can leave.
 recover_gate() {
 	echo "==> recover gate: sftchaos -crash 2 -nodes 30 -sessions 12 -ops 30 -faults 5 -seed 7"
 	go run ./cmd/sftchaos -crash 2 -nodes 30 -sessions 12 -ops 30 -faults 5 -seed 7
-	echo "==> recover gate: crash-harness tests (race)"
-	go test -race -count=1 -run 'TestRunCrash' ./internal/sim
+	echo "==> recover gate: script runner crash tests (race)"
+	run_matching '-race -count=1' 'TestCrash|TestConsecutiveCrashes|TestRecoverGate' ./internal/sim
 	echo "==> recover gate: power loss past the last synced frame (race)"
-	go test -race -count=1 -run 'TestPowerLossKeepsEveryAckedRecord' ./internal/wal
+	run_matching '-race -count=1' 'TestPowerLossKeepsEveryAckedRecord' ./internal/wal
 	echo "OK (recover gate)"
 }
 
@@ -171,7 +193,7 @@ recover_gate() {
 queue_gate() {
 	echo "==> queue gate: queue package x5 at -cpu 1,4 + AdmitCtx + queued-admission HTTP tests (race)"
 	go test -race -count=5 -cpu 1,4 ./internal/queue
-	go test -race -count=1 -run 'TestAdmitCtx|TestDrainWaits|TestQueuedAdmit' ./internal/dynamic ./internal/server
+	run_matching '-race -count=1' 'TestAdmitCtx|TestDrainWaits|TestQueuedAdmit' ./internal/dynamic ./internal/server
 	echo "OK (queue gate)"
 }
 
@@ -182,8 +204,10 @@ queue_gate() {
 # solver options that selected a second code path, the micro-
 # benchmark stack that measured them, the pooled-heap hook of the
 # MOD overlay's old Dijkstra, the server's pass-through of the
-# queue's worker count and sftload's baseline and A/B throughput gates
-# stay gone from every .go file, bench/ included; internal/server's
+# queue's worker count, sftload's baseline and A/B throughput gates,
+# and the fault and crash loops one op script replaced (RunChaos,
+# RunCrash, their configs, faults' Replayer and scenario loader) stay
+# gone from every .go file, bench/ included; internal/server's
 # non-test files call no AdmitCtx (POST /v1/sessions has one way in,
 # the queue); the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
@@ -215,14 +239,14 @@ queue_gate() {
 # metrics) or the renderer (viz), and no non-test internal/server file
 # registers POST /v1/render (sftembed -svg renders offline).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
@@ -381,7 +405,7 @@ echo "==> bench module: go vet ./... && go test ./..."
 # solver is made faster; both are plain tests that skip themselves under
 # -race, so this is where they run uncached.
 echo "==> solve allocation budget and digest: TestSolveAllocBudget, TestSolveDigest"
-go test -count=1 -run 'TestSolveAllocBudget|TestSolveDigest' ./internal/core
+run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest' ./internal/core
 
 # internal/wal picks its sync and preallocation calls by platform; the
 # non-Linux file is never compiled by anything above. Standard library
