@@ -30,7 +30,10 @@
 // -snapshot-interval, and a restart replays the log — the process
 // comes back with every committed session, its refcount ledger and
 // its accounting intact, cross-checked against the conformance
-// validator before serving. Recovery counters (replayed records,
+// validator before serving. -fsync always (the default) syncs each
+// record on the commit path, before the client is acked; -fsync none
+// leaves the records to the OS page cache, which survives a process
+// kill but not an OS crash. Recovery counters (replayed records,
 // replay duration, torn-tail detection, unplaceable instances) are
 // published in /metrics. On graceful shutdown the server drains
 // in-flight admissions, writes a final snapshot and closes the log.
@@ -152,8 +155,7 @@ func run(ctx context.Context, args []string) error {
 		queueDep  = fs.Int("queue-depth", 256, "bounded admission queue depth for POST /v1/sessions (at least 1); overflow answers 429 with Retry-After")
 		walDir    = fs.String("wal-dir", "", "write-ahead-log directory for durable admission state; empty disables durability")
 		snapEvery = fs.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a compacted snapshot; 0 disables periodic snapshots")
-		fsyncPol  = fs.String("fsync", "always", "WAL fsync policy: always (fsync per commit), interval (batched), none (OS-buffered)")
-		fsyncIvl  = fs.Duration("fsync-interval", 100*time.Millisecond, "batching period for -fsync interval")
+		fsyncPol  = fs.String("fsync", "always", "WAL fsync policy: always (fsync per commit) or none (OS-buffered)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -209,7 +211,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		l, rec, err := wal.Open(*walDir, wal.Config{Policy: policy, Interval: *fsyncIvl})
+		l, rec, err := wal.Open(*walDir, wal.Config{Policy: policy})
 		if err != nil {
 			return fmt.Errorf("open wal %s: %w", *walDir, err)
 		}

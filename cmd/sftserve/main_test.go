@@ -34,6 +34,16 @@ func TestRunRejectsQueueDepthBelowOne(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFsyncInterval: a WAL record is synced on the commit
+// path or not at all, so the retired batched policy is refused with an
+// error naming the two that exist.
+func TestRunRejectsFsyncInterval(t *testing.T) {
+	err := run(context.Background(), []string{"-wal-dir", t.TempDir(), "-fsync", "interval", "-listen", "127.0.0.1:0", "-nodes", "10"})
+	if err == nil || !strings.Contains(err.Error(), "always") || !strings.Contains(err.Error(), "none") {
+		t.Errorf("-fsync interval: err = %v, want an error naming always and none", err)
+	}
+}
+
 // TestRunRejectsStatelessWithWAL: a stateless server has no session
 // state, so asking it for a write-ahead log is refused instead of
 // serving without one.

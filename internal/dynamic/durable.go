@@ -40,13 +40,6 @@ func (m *Manager) AttachWAL(w *wal.Log) *Manager {
 	return m
 }
 
-// WAL returns the attached log (nil when the manager is not durable).
-func (m *Manager) WAL() *wal.Log {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wal
-}
-
 // SetCrashHook installs a test-only hook invoked at named crash
 // points inside the commit critical sections — most importantly
 // "admit:post-wal", between the WAL append and the in-memory commit.
@@ -369,7 +362,6 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 func (m *Manager) crossCheck(rep *RecoverReport) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	derived := make(map[[2]int]int, len(m.refs))
 	ids := make([]SessionID, 0, len(m.sessions))
 	for id := range m.sessions {
 		ids = append(ids, id)
@@ -377,9 +369,6 @@ func (m *Manager) crossCheck(rep *RecoverReport) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		sess := m.sessions[id]
-		for _, k := range sess.uses {
-			derived[k]++
-		}
 		if sess.Degraded {
 			continue
 		}
@@ -391,16 +380,7 @@ func (m *Manager) crossCheck(rep *RecoverReport) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("session %d: recount: %v", id, err))
 		}
 	}
-	if len(derived) != len(m.refs) {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"refcount ledger has %d instances, sessions reference %d", len(m.refs), len(derived)))
-	}
-	for k, want := range derived {
-		if got := m.refs[k]; got != want {
-			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"refcount mismatch for vnf=%d node=%d: ledger %d, derived %d", k[0], k[1], got, want))
-		}
-	}
+	rep.Errors = append(rep.Errors, m.refMismatches()...)
 }
 
 // recountLive re-derives a live embedding's cost breakdown: like
@@ -434,21 +414,32 @@ func recountLive(net *nfv.Network, e *nfv.Embedding) (conformance.Breakdown, err
 func (m *Manager) VerifyRefs() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if errs := m.refMismatches(); len(errs) > 0 {
+		return errors.New("dynamic: " + errs[0])
+	}
+	return nil
+}
+
+// refMismatches re-derives the refcount ledger from the live sessions'
+// usage lists and describes every way the ledger disagrees with it;
+// callers hold m.mu.
+func (m *Manager) refMismatches() []string {
 	derived := make(map[[2]int]int, len(m.refs))
 	for _, sess := range m.sessions {
 		for _, k := range sess.uses {
 			derived[k]++
 		}
 	}
+	var errs []string
 	if len(derived) != len(m.refs) {
-		return fmt.Errorf("dynamic: refcount ledger has %d instances, sessions reference %d",
-			len(m.refs), len(derived))
+		errs = append(errs, fmt.Sprintf(
+			"refcount ledger has %d instances, sessions reference %d", len(m.refs), len(derived)))
 	}
 	for k, want := range derived {
 		if got := m.refs[k]; got != want {
-			return fmt.Errorf("dynamic: refcount mismatch for vnf=%d node=%d: ledger %d, derived %d",
-				k[0], k[1], got, want)
+			errs = append(errs, fmt.Sprintf(
+				"refcount mismatch for vnf=%d node=%d: ledger %d, derived %d", k[0], k[1], got, want))
 		}
 	}
-	return nil
+	return errs
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"sftree/internal/core"
@@ -373,6 +375,40 @@ func TestCheckpointWithoutWAL(t *testing.T) {
 	m := NewManager(lineNet(t, 2), core.Options{})
 	if _, err := m.Checkpoint(); err != ErrNoWAL {
 		t.Fatalf("Checkpoint without WAL: %v", err)
+	}
+}
+
+// TestRefMismatchesReported: a ledger that disagrees with the sessions'
+// usage lists is reported by VerifyRefs and by Restore's cross-check,
+// which both read it through refMismatches.
+func TestRefMismatchesReported(t *testing.T) {
+	m := NewManager(lineNet(t, 2), core.Options{})
+	if _, err := m.Admit(nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.refs) == 0 {
+		t.Fatal("fixture session deployed nothing")
+	}
+	var key [2]int
+	for k := range m.refs {
+		key = k
+	}
+	for _, tc := range []struct {
+		want    string
+		corrupt func()
+	}{
+		{"refcount mismatch", func() { m.refs[key]++ }},
+		{"refcount ledger has", func() { m.refs[[2]int{key[0], key[1] + 1}] = 1 }},
+	} {
+		tc.corrupt()
+		if err := m.VerifyRefs(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("VerifyRefs = %v, want an error containing %q", err, tc.want)
+		}
+		var rep RecoverReport
+		m.crossCheck(&rep)
+		if !slices.ContainsFunc(rep.Errors, func(e string) bool { return strings.Contains(e, tc.want) }) {
+			t.Errorf("crossCheck errors = %q, want one containing %q", rep.Errors, tc.want)
+		}
 	}
 }
 

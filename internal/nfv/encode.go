@@ -2,6 +2,7 @@ package nfv
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"sftree/internal/graph"
@@ -10,6 +11,17 @@ import (
 // maxDecodedNodes bounds instance documents so hostile or corrupt
 // input cannot trigger unbounded allocations in the decoder.
 const maxDecodedNodes = 1_000_000
+
+// maxDecodedCells bounds catalog size × node count in an instance
+// document. A network keeps a deployment flag and a setup cost per
+// (VNF, node) pair, so this caps what NewNetwork allocates for them at
+// about 38 MB, however short the document describing it is.
+const maxDecodedCells = 1 << 22
+
+// ErrTooLarge reports an instance document describing a network larger
+// than the decoder builds: more than maxDecodedNodes nodes, or more
+// than maxDecodedCells (VNF, node) pairs.
+var ErrTooLarge = errors.New("nfv: instance too large")
 
 // edgeJSON serializes one undirected edge.
 type edgeJSON struct {
@@ -96,9 +108,15 @@ func (doc *InstanceDoc) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("nfv: unmarshal instance: %w", err)
 	}
-	if raw.Network.Nodes < 0 || raw.Network.Nodes > maxDecodedNodes {
-		return fmt.Errorf("nfv: unmarshal instance: node count %d outside [0, %d]",
-			raw.Network.Nodes, maxDecodedNodes)
+	nodes, vnfs := raw.Network.Nodes, len(raw.Network.Catalog)
+	if nodes < 0 {
+		return fmt.Errorf("nfv: unmarshal instance: negative node count %d", nodes)
+	}
+	if nodes > maxDecodedNodes {
+		return fmt.Errorf("%w: %d nodes, at most %d", ErrTooLarge, nodes, maxDecodedNodes)
+	}
+	if vnfs > 0 && nodes > maxDecodedCells/vnfs {
+		return fmt.Errorf("%w: %d VNFs × %d nodes, at most %d pairs", ErrTooLarge, vnfs, nodes, maxDecodedCells)
 	}
 	g := graph.New(raw.Network.Nodes)
 	for _, e := range raw.Network.Edges {

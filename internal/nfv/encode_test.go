@@ -2,6 +2,10 @@ package nfv
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sftree/internal/graph"
@@ -76,5 +80,40 @@ func TestInstanceDocUnmarshalBadEdge(t *testing.T) {
 	var doc InstanceDoc
 	if err := json.Unmarshal([]byte(blob), &doc); err == nil {
 		t.Error("out-of-range edge accepted")
+	}
+}
+
+// oversizedDoc is a few-kB instance document describing a network of
+// maxDecodedNodes nodes and vnfs empty catalog entries.
+func oversizedDoc(vnfs int) []byte {
+	catalog := strings.TrimSuffix(strings.Repeat("{},", vnfs), ",")
+	return []byte(fmt.Sprintf(`{"network":{"nodes":%d,"edges":[],"catalog":[%s],"servers":[]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
+		maxDecodedNodes, catalog))
+}
+
+// TestInstanceDocRefusesOversizedCatalog: a short document must not
+// make the decoder allocate a deployment flag and a setup cost for
+// every (VNF, node) pair it names before anything checks them.
+func TestInstanceDocRefusesOversizedCatalog(t *testing.T) {
+	// Eight VNFs over a million nodes: ≈100 MB if the decoder built the
+	// network, so a lost bound fails here without exhausting memory.
+	blob := oversizedDoc(8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var doc InstanceDoc
+	err := json.Unmarshal(blob, &doc)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("%d-byte document of 8 VNFs × %d nodes: err = %v, want ErrTooLarge", len(blob), maxDecodedNodes, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("refusing the document allocated %d bytes, want at most 1 MiB", got)
+	}
+	// The same shape with a thousand VNFs would ask for ≈9 GB.
+	if err := json.Unmarshal(oversizedDoc(1000), &doc); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("1000 VNFs × %d nodes: err = %v, want ErrTooLarge", maxDecodedNodes, err)
+	}
+	if err := json.Unmarshal([]byte(`{"network":{"nodes":1000001,"catalog":[]}}`), &doc); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("too many nodes: err = %v, want ErrTooLarge", err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"sftree/internal/nfv"
 )
 
-// solverHold is a Config.Observer that parks every solver of the
+// solverHold is a core.Options observer that parks every solver of the
 // admission queue inside a solve: the first solvers solves announce
 // themselves on parked as they start and block until open. The server
 // gives its queue one solver per processor, so with that many solves
@@ -232,7 +232,7 @@ func TestQueuedAdmitRejection(t *testing.T) {
 func TestQueuedAdmitOverflow(t *testing.T) {
 	h := newSolverHold()
 	net, task := sessionNetwork(t)
-	srv, ts := newTestServer(t, net, Config{QueueDepth: 1, Observer: h})
+	srv, ts := newTestServerOpts(t, net, core.Options{Observer: h}, Config{QueueDepth: 1})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestQueuedAdmitOverflow(t *testing.T) {
 func TestQueuedAdmitExpires(t *testing.T) {
 	h := newSolverHold()
 	net, task := sessionNetwork(t)
-	srv, ts := newTestServer(t, net, Config{QueueDepth: 8, Observer: h})
+	srv, ts := newTestServerOpts(t, net, core.Options{Observer: h}, Config{QueueDepth: 8})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestQueuedAdmitExpires(t *testing.T) {
 func TestQueuedAdmitClientGone(t *testing.T) {
 	h := newSolverHold()
 	net, task := sessionNetwork(t)
-	srv, ts := newTestServer(t, net, Config{QueueDepth: 8, Observer: h})
+	srv, ts := newTestServerOpts(t, net, core.Options{Observer: h}, Config{QueueDepth: 8})
 	blob, err := json.Marshal(task)
 	if err != nil {
 		t.Fatal(err)

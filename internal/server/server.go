@@ -54,10 +54,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Logger emits structured access logs; nil disables them.
 	Logger *slog.Logger
-	// Observer, when set, additionally receives every solver phase
-	// event (on top of the registry bridge) — e.g. a JSON-lines
-	// streamer for request tracing.
-	Observer core.Observer
 	// SolveTimeout caps how long any one solve or admission may run.
 	// The solver has anytime semantics: on expiry it returns the best
 	// feasible embedding found so far with EarlyStop set, so a timeout
@@ -65,11 +61,6 @@ type Config struct {
 	// ask for a shorter deadline (timeout_ms); they cannot exceed this
 	// ceiling. Zero means no server-side cap.
 	SolveTimeout time.Duration
-	// Traces receives one request-scoped span tree per solve, admission
-	// and fault-repair run, served back at GET /debug/traces; nil
-	// creates a private ring of obs.DefaultTraceCap traces (reachable
-	// via Server.Traces).
-	Traces *obs.TraceBuffer
 	// Manager, when set, backs the stateful session API instead of a
 	// freshly constructed one — the WAL-restore boot path builds the
 	// manager first (rehydrated from disk) and hands it over. The
@@ -115,6 +106,8 @@ func New(net *nfv.Network, opts core.Options) *Server {
 }
 
 // NewWith builds a server with explicit observability wiring.
+// opts.Observer, when set, receives every solver phase event on top of
+// the registry bridge.
 func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	reg := cfg.Registry
 	if reg == nil {
@@ -124,11 +117,11 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	// callback gauges per server is idempotent (same names, same
 	// sources), so every registry scraping this server sees them.
 	obs.RegisterCacheStats(reg)
-	traces := cfg.Traces
-	if traces == nil {
-		traces = obs.NewTraceBuffer(0)
-	}
-	opts.Observer = obs.Tee(opts.Observer, cfg.Observer, obs.NewMetricsObserver(reg))
+	// Every solve, admission and fault-repair run leaves one
+	// request-scoped span tree in a ring of obs.DefaultTraceCap traces,
+	// served at GET /debug/traces (and reachable via Server.Traces).
+	traces := obs.NewTraceBuffer(0)
+	opts.Observer = obs.Tee(opts.Observer, obs.NewMetricsObserver(reg))
 	s := &Server{mux: http.NewServeMux(), net: net, reg: reg, traces: traces,
 		opts: opts, timeout: cfg.SolveTimeout}
 	if cfg.Manager != nil {

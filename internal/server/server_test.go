@@ -52,7 +52,13 @@ func sessionNetwork(t *testing.T) (*nfv.Network, nfv.Task) {
 // cfg on a test listener, both shut down when the test ends.
 func newTestServer(t *testing.T, net *nfv.Network, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewWith(net, core.Options{}, cfg)
+	return newTestServerOpts(t, net, core.Options{}, cfg)
+}
+
+// newTestServerOpts is newTestServer with explicit solver options.
+func newTestServerOpts(t *testing.T, net *nfv.Network, opts core.Options, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := NewWith(net, opts, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	closeQueue(t, srv)

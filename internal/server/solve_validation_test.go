@@ -1,8 +1,10 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"sftree/internal/nfv"
@@ -108,4 +110,21 @@ func TestAdmitTimeoutValidation(t *testing.T) {
 			nfv.Task{Source: 0, Destinations: []int{1}, Chain: nfv.SFC{99}})
 		assertErrorEnvelope(t, resp, http.StatusBadRequest)
 	})
+}
+
+// TestOversizedInstanceIsBadRequest: a few-kB body describing a
+// million-node network with a large catalog is refused by the decoder
+// as a 400, before anything allocates per (VNF, node) pair.
+func TestOversizedInstanceIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, nil, Config{})
+	instance := fmt.Sprintf(`{"network":{"nodes":1000000,"edges":[],"catalog":[%s],"servers":[]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
+		strings.TrimSuffix(strings.Repeat("{},", 8), ","))
+	for path, body := range map[string]string{
+		"/v1/solve":    `{"instance":` + instance + `}`,
+		"/v1/validate": `{"instance":` + instance + `,"embedding":null}`,
+	} {
+		t.Run(path, func(t *testing.T) {
+			assertErrorEnvelope(t, postJSON(t, ts.URL+path, json.RawMessage(body)), http.StatusBadRequest)
+		})
+	}
 }

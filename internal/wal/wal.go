@@ -34,12 +34,12 @@
 // and WriteSnapshot trim it before the segment stops being the last,
 // so a non-final segment never carries a zero tail.
 //
-// Sync discipline is configurable: SyncAlways syncs after every
-// append (a committed admission survives SIGKILL and power loss the
-// moment the client is acked), SyncInterval batches syncs on a timer,
-// SyncNone leaves durability to the OS page cache. Snapshots are
-// always written to a temp file, fsynced, atomically renamed, and the
-// directory fsynced, regardless of policy.
+// A record is synced on the commit path or not at all: SyncAlways
+// syncs inside every Append (a committed admission survives SIGKILL
+// and power loss the moment the client is acked), SyncNone leaves
+// durability to the OS page cache. An open log starts no goroutine.
+// Snapshots are always written to a temp file, fsynced, atomically
+// renamed, and the directory fsynced, regardless of policy.
 package wal
 
 import (
@@ -66,7 +66,8 @@ var (
 	// cannot explain it. Replay stops at the corruption; everything
 	// before it is a clean prefix.
 	ErrCorrupt = errors.New("wal: corrupt record")
-	// ErrClosed reports an append or sync on a closed (or crashed) log.
+	// ErrClosed reports an append or snapshot on a closed (or crashed)
+	// log.
 	ErrClosed = errors.New("wal: log closed")
 )
 
@@ -99,10 +100,6 @@ const (
 	// SyncAlways fsyncs after every append: a record is durable before
 	// Append returns.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval flushes on every append and fsyncs on a background
-	// timer (Config.Interval); a crash can lose the records of the
-	// last interval.
-	SyncInterval
 	// SyncNone flushes to the OS on every append but never fsyncs
 	// explicitly; a process kill loses nothing, an OS crash may.
 	SyncNone
@@ -113,12 +110,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or none)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or none)", s)
 }
 
 // RecordType tags one lifecycle record.
@@ -220,18 +215,16 @@ type Snapshot struct {
 // snapshotSchema versions the snapshot document.
 const snapshotSchema = "sftwal/v1"
 
+// keepSnapshots bounds retained snapshot files: the newest is the
+// restore source, the previous one the fallback if the newest turns
+// out corrupt.
+const keepSnapshots = 2
+
 // Config parameterizes an opened log.
 type Config struct {
 	// Policy selects the fsync discipline; the zero value is
 	// SyncAlways (the safe default).
 	Policy SyncPolicy
-	// Interval is the background fsync period for SyncInterval
-	// (default 100ms).
-	Interval time.Duration
-	// KeepSnapshots bounds retained snapshot files (default 2; the
-	// newest is the restore source, the previous one the fallback if
-	// the newest turns out corrupt).
-	KeepSnapshots int
 }
 
 // Recovery is what Open found on disk: the newest valid snapshot (nil
@@ -243,8 +236,6 @@ type Recovery struct {
 	// checksum-failing frame — the signature of a crash mid-append.
 	// The torn record was discarded; everything before it replayed.
 	TornTail bool
-	// Segments is the number of segment files scanned.
-	Segments int
 }
 
 // Empty reports a fresh directory: nothing to restore.
@@ -274,12 +265,7 @@ type Log struct {
 	buf      []byte // frame staging buffer, reused across appends
 	nextSeq  uint64
 	closed   bool
-	dirty    bool // bytes written since the last sync
 	stats    LogStats
-
-	stopSync chan struct{} // interval-sync goroutine shutdown
-	syncDone chan struct{}
-	stopOnce sync.Once
 }
 
 // Open opens (creating if necessary) the log directory, recovers the
@@ -287,12 +273,6 @@ type Log struct {
 // returned Recovery holds the newest valid snapshot plus the replay
 // tail; pass it to dynamic.Restore to rehydrate a manager.
 func Open(dir string, cfg Config) (*Log, *Recovery, error) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
-	}
-	if cfg.KeepSnapshots <= 0 {
-		cfg.KeepSnapshots = 2
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
@@ -304,36 +284,7 @@ func Open(dir string, cfg Config) (*Log, *Recovery, error) {
 	if err := l.openSegmentLocked(nextSeq); err != nil {
 		return nil, nil, err
 	}
-	if cfg.Policy == SyncInterval {
-		l.stopSync = make(chan struct{})
-		l.syncDone = make(chan struct{})
-		go l.syncLoop()
-	}
 	return l, rec, nil
-}
-
-// syncLoop drives the background fsync for SyncInterval.
-func (l *Log) syncLoop() {
-	defer close(l.syncDone)
-	t := time.NewTicker(l.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopSync:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.dirty {
-				if err := datasync(l.f); err != nil {
-					l.poisonLocked()
-				} else {
-					l.dirty = false
-					l.stats.Syncs++
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
 }
 
 // segmentName returns the file name of the segment whose first record
@@ -376,7 +327,6 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 		return err
 	}
 	l.f, l.off, l.reserved = f, end, end
-	l.dirty = false
 	return nil
 }
 
@@ -456,13 +406,11 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: append: %w (log poisoned)", err)
 	}
 	l.off += int64(len(l.buf))
-	l.dirty = true
 	if l.cfg.Policy == SyncAlways {
 		if err := datasync(l.f); err != nil {
 			l.poisonLocked()
 			return 0, fmt.Errorf("wal: sync: %w (log poisoned)", err)
 		}
-		l.dirty = false
 		l.stats.Syncs++
 	}
 	l.nextSeq++
@@ -470,29 +418,12 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// Sync forces a sync of the active segment.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := datasync(l.f); err != nil {
-		l.poisonLocked()
-		return err
-	}
-	l.dirty = false
-	l.stats.Syncs++
-	return nil
-}
-
 // poisonLocked marks the log permanently failed after a write or
 // fsync error of unknown extent: the on-disk tail may hold a partial
 // frame, and after a failed fsync the kernel may have dropped dirty
 // pages while clearing the error, so a later "successful" fsync would
-// lie. Every subsequent Append/Sync fails with ErrClosed — disk and
-// memory part ways loudly, never silently. Callers hold l.mu; an
-// interval-sync goroutine, if any, is reaped by the next Close/Crash.
+// lie. Every subsequent Append fails with ErrClosed — disk and memory
+// part ways loudly, never silently. Callers hold l.mu.
 func (l *Log) poisonLocked() {
 	l.closed = true
 	l.f.Close()
@@ -504,9 +435,6 @@ func (l *Log) Stats() LogStats {
 	defer l.mu.Unlock()
 	return l.stats
 }
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
 
 // WriteSnapshot persists a compacted state document folding every
 // record appended so far, rotates the active segment, and prunes
@@ -537,7 +465,6 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 		l.poisonLocked()
 		return fmt.Errorf("wal: fsync before snapshot: %w (log poisoned)", err)
 	}
-	l.dirty = false
 	l.stats.Syncs++
 
 	// 2. Atomic snapshot write.
@@ -590,7 +517,7 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 // the two on disk.
 func (l *Log) pruneLocked(snapSeq uint64) {
 	segs, snaps, _ := scanDir(l.dir)
-	if extra := len(snaps) - l.cfg.KeepSnapshots; extra > 0 {
+	if extra := len(snaps) - keepSnapshots; extra > 0 {
 		for _, sn := range snaps[:extra] {
 			os.Remove(filepath.Join(l.dir, sn.name))
 		}
@@ -610,33 +537,19 @@ func (l *Log) pruneLocked(snapSeq uint64) {
 	}
 }
 
-// stopSyncLoop reaps the interval-sync goroutine, exactly once, even
-// when the log was already closed by a poison or an earlier
-// Close/Crash. Callers must not hold l.mu (the loop takes it).
-func (l *Log) stopSyncLoop() {
-	if l.stopSync == nil {
-		return
-	}
-	l.stopOnce.Do(func() {
-		close(l.stopSync)
-		<-l.syncDone
-	})
-}
-
 // Close trims the active segment to its records, fsyncs and closes
 // the log.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	var err error
-	if !l.closed {
-		l.closed = true
-		err = l.trimLocked()
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
 	}
-	l.mu.Unlock()
-	l.stopSyncLoop()
+	l.closed = true
+	err := l.trimLocked()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
@@ -646,12 +559,11 @@ func (l *Log) Close() error {
 // never writes.
 func (l *Log) Crash() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if !l.closed {
 		l.closed = true
 		l.f.Close()
 	}
-	l.mu.Unlock()
-	l.stopSyncLoop()
 }
 
 // CrashTorn simulates a SIGKILL that caught an append mid-write: a
@@ -665,6 +577,7 @@ func (l *Log) Crash() {
 // repeated crash/restart cycles.
 func (l *Log) CrashTorn() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if !l.closed {
 		l.closed = true
 		payload, _ := json.Marshal(&Record{Seq: l.nextSeq, Type: "torn-by-crash-injection"})
@@ -672,8 +585,6 @@ func (l *Log) CrashTorn() {
 		l.f.WriteAt(l.buf[:len(l.buf)-len(payload)/2], l.off) // best-effort: the fd dies either way
 		l.f.Close()
 	}
-	l.mu.Unlock()
-	l.stopSyncLoop()
 }
 
 // syncDir fsyncs a directory so renames and creates within it are
@@ -774,7 +685,6 @@ func recoverDir(dir string) (*Recovery, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("wal: segment %s: %w", seg.name, err)
 		}
-		rec.Segments++
 		rec.TornTail = rec.TornTail || torn
 		if valid < len(blob) {
 			// Remove the tolerated tail — a tear, or the zeros of a

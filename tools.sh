@@ -223,9 +223,12 @@ queue_gate() {
 # response body in exactly one place, behind the bounded drain that
 # lets the connection be reused; and internal/wal opens no segment
 # with O_APPEND (a commit that moves the file size pays a journal
-# commit on top of the device flush) and its per-commit paths — Append,
-# syncLoop, Sync — reach the disk through datasync alone (WriteSnapshot,
-# Close and truncateTail change sizes or names and keep the full fsync);
+# commit on top of the device flush), its one commit path — Append —
+# syncs exactly once, through datasync, and writes only at the tail
+# (WriteSnapshot, Close and truncateTail change sizes or names and keep
+# the full fsync), and it syncs on the commit path or not at all: no
+# interval policy, no sync goroutine, no go statement in its non-test
+# files, no snapshot-retention knob;
 # runMSA's candidate loop calls no repairCapacity, AppendHostsTo or
 # sortCandidates and asks for a chain only once a row has beaten the
 # running best (the rest is the overlay's candidate table);
@@ -239,14 +242,14 @@ queue_gate() {
 # metrics) or the renderer (viz), and no non-test internal/server file
 # registers POST /v1/render (sftembed -svg renders offline).
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND and no per-commit fsync in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
@@ -311,10 +314,14 @@ retired_guard() {
 		echo "retired guard: a metric hop is found by a neighbour scan, or Prim keys on floats, again (a hop is graph.Metric's first arc, read through EachEdge or CSR.Arc, and Prim compares key bits)" >&2
 		exit 1
 	fi
-	commit_paths=$(awk '/^func \(l \*Log\) (Append|syncLoop|Sync)\(/,/^}/' internal/wal/wal.go)
-	if [ "$(echo "$commit_paths" | grep -c 'datasync(l\.f)')" != 3 ] ||
-		echo "$commit_paths" | grep -nE '\.Sync\(\)|\.Write\(|\.Truncate\('; then
-		echo "retired guard: Append, syncLoop and Sync in internal/wal/wal.go must each sync through datasync(l.f) and nothing else (no full fsync, no size change on the commit path)" >&2
+	commit_path=$(awk '/^func \(l \*Log\) Append\(/,/^}/' internal/wal/wal.go)
+	if [ "$(echo "$commit_path" | grep -c 'datasync(l\.f)')" != 1 ] ||
+		echo "$commit_path" | grep -nE '\.Sync\(\)|\.Write\(|\.Truncate\('; then
+		echo "retired guard: Append in internal/wal/wal.go must sync exactly once, through datasync(l.f), and nothing else (no full fsync, no size change on the commit path)" >&2
+		exit 1
+	fi
+	if grep -nE '^[[:space:]]*go[[:space:]]' $(ls internal/wal/*.go | grep -v _test.go); then
+		echo "retired guard: internal/wal starts a goroutine again (a record is synced on the commit path or not at all; group commit belongs to the caller that acks)" >&2
 		exit 1
 	fi
 	serve_deps=$(go list -deps ./cmd/sftserve)
