@@ -122,16 +122,16 @@ func TestParseJSONLEmpty(t *testing.T) {
 // the consumer reads ops, rungs, warm ratio and request IDs back out.
 func TestSummarizeTraces(t *testing.T) {
 	buf := obs.NewTraceBuffer(8)
-	buf.Add(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6,
+	buf.Record(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6,
 		Spans: []*obs.Span{{Name: "stage1", DurationNs: 1500e3, Children: []*obs.Span{
 			{Name: "overlay", DurationNs: 10e3},
 			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows_dominated": 7, "rows": 200}},
 			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1, "bound_skips": 4, "repeat_roots": 2}},
-		}}}})
-	buf.Add(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true})
-	buf.Add(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true})
-	buf.Add(obs.Trace{Op: "repair", Rung: "patch", Session: 3, DurationNs: 5e6})
-	buf.Add(obs.Trace{Op: "solve", RequestID: "req-a", Err: "rejected", Session: -1, DurationNs: 1e6})
+		}}}}, nil)
+	buf.Record(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true}, nil)
+	buf.Record(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true}, nil)
+	buf.Record(obs.Trace{Op: "repair", Rung: "patch", Session: 3, DurationNs: 5e6}, nil)
+	buf.Record(obs.Trace{Op: "solve", RequestID: "req-a", Err: "rejected", Session: -1, DurationNs: 1e6}, nil)
 	ts := httptest.NewServer(http.StripPrefix("/debug/traces", buf.Handler()))
 	defer ts.Close()
 

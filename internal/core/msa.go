@@ -137,6 +137,9 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: stage one: %w", err)
 	}
+	// Nothing the solve returns points into the overlay: the state copies
+	// the hosts it takes from it.
+	defer overlay.Release()
 	t1 := opts.now()
 	opts.emit(Event{Kind: EventOverlayBuilt, Duration: t1.Sub(t0), Scaffold: opts.Scaffolds != nil})
 	sw := newSweeper(net, task, overlay, opts.steiner(), sc)
@@ -287,16 +290,14 @@ func (sw *sweeper) chain(w int) (hosts []int, ok bool) {
 	return hosts, repairCapacity(sw.net, sw.metric, sw.task, hosts, sw.sc.free, &sw.sc.relocs)
 }
 
-// chainTable builds the overlay's candidate table (mod.Candidates):
-// every server in ascending order of the cost of the optimal chain
+// chainTable appends the overlay's candidate table (mod.Candidates) to
+// rows: every server in ascending order of the cost of the optimal chain
 // ending there, each with the verdict, last host and price of that
 // chain once repaired. Source, chain and network version decide all of
 // it, so whichever solve builds it, the rows are the same.
-func (sw *sweeper) chainTable() []mod.Candidate {
-	servers := sw.net.ServerList()
-	rows := make([]mod.Candidate, len(servers))
-	for i, v := range servers {
-		rows[i] = mod.Candidate{Cost: sw.sol.CostTo(v), Node: int32(v)}
+func (sw *sweeper) chainTable(rows []mod.Candidate) []mod.Candidate {
+	for _, v := range sw.net.ServerList() {
+		rows = append(rows, mod.Candidate{Cost: sw.sol.CostTo(v), Node: int32(v)})
 	}
 	sortCandidates(rows)
 	for i := range rows {
@@ -407,8 +408,15 @@ func RepairChainHosts(net *nfv.Network, task nfv.Task, hosts []int) ([]int, bool
 func TailsFromEdges(net *nfv.Network, root int, dests []int, edges []int) ([][]int, error) {
 	sc := getScratch(net.NumNodes())
 	paths, err := treePaths(net.Graph(), steiner.Tree{Edges: edges}, root, dests, sc)
+	var out [][]int // out of the scratch
+	if err == nil {
+		out = make([][]int, len(paths))
+		for i, p := range paths {
+			out[i] = slices.Clone(p)
+		}
+	}
 	scratchPool.Put(sc)
-	return paths, err
+	return out, err
 }
 
 // repairCapacity walks the chain hosts in out in order, reserving
@@ -575,7 +583,9 @@ func stateFromSolution(net *nfv.Network, task nfv.Task, hosts []int, tree steine
 // treePaths returns, for each destination, the unique path from root
 // to it along the tree's edges. The paths lie end to end in one
 // array, each cut to its own capacity so that appending to one copies
-// it instead of running into the next.
+// it instead of running into the next. Both live in the scratch
+// (paths, pathNodes) and are valid until the next call, which
+// overwrites them only when it succeeds.
 func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int, sc *scratch) ([][]int, error) {
 	if cap(sc.to) < 2*len(tree.Edges) {
 		sc.to = make([]int32, 0, 2*len(tree.Edges))
@@ -630,8 +640,9 @@ func treePaths(g *graph.Graph, tree steiner.Tree, root int, dests []int, sc *scr
 		}
 	}
 	if err == nil {
-		out = make([][]int, len(dests))
-		nodes := make([]int, total)
+		out = resize(sc.paths, len(dests))
+		nodes := resize(sc.pathNodes, total)
+		sc.paths, sc.pathNodes = out, nodes
 		for i := len(dests) - 1; i >= 0; i-- { // each path is written leaf to root
 			end := total
 			for x := int32(dests[i]); x != -1; x = parent[x] {

@@ -112,7 +112,7 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 			var trialCost float64
 			emb, err := s.embedding()
 			if err == nil {
-				trialCost = s.net.Cost(emb).Total
+				trialCost = s.sc.price(s.net, emb)
 			}
 			ev.CostAfter = trialCost
 			if !opts.LocalAcceptance && (err != nil || trialCost >= s.price-costEps) {

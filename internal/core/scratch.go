@@ -36,6 +36,31 @@ type scratch struct {
 	// capacity repair's relocation scans, for one solve.
 	roots  rootPrices
 	relocs relocMemo
+	// st is the solve's state (newState); serve and tails back it, and
+	// paths and pathNodes back the tails treePaths reads off a tree.
+	// None of it reaches a Result: embedding copies what it returns.
+	st        state
+	serve     []int
+	tails     [][]int
+	paths     [][]int
+	pathNodes []int
+	// seen is nfv.Cost's (stage, edge) bitmap (price).
+	seen []uint64
+}
+
+// price is nfv.Cost on the scratch's bitmap.
+func (sc *scratch) price(net *nfv.Network, e *nfv.Embedding) float64 {
+	var bd nfv.CostBreakdown
+	bd, sc.seen = net.CostWith(e, sc.seen)
+	return bd.Total
+}
+
+// resize returns buf with length n, reallocated only when too short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // rootPrices is sweeper.treeCost's memo: the roots priced this solve,

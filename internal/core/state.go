@@ -60,16 +60,23 @@ type overwrite struct {
 	tail        []int
 }
 
+// newState returns the solve's state, in the scratch: a solve holds
+// one at a time, and stage one's next improving candidate overwrites
+// the running best only once it has been built.
 func newState(net *nfv.Network, task nfv.Task, sc *scratch) *state {
-	w := task.K() + 1
-	s := &state{
+	w, n := task.K()+1, len(task.Destinations)
+	s := &sc.st
+	*s = state{
 		net:   net,
 		task:  task,
-		serve: make([]int, len(task.Destinations)*w),
+		serve: resize(sc.serve, n*w),
 		w:     w,
-		tail:  make([][]int, len(task.Destinations)),
+		tail:  resize(sc.tails, n),
+		undo:  s.undo[:0],
 		sc:    sc,
 	}
+	sc.serve, sc.tails = s.serve, s.tail
+	clear(s.tail)
 	for di := range task.Destinations {
 		s.serve[di*w] = task.Source
 	}

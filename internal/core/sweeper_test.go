@@ -435,7 +435,7 @@ func TestConcurrentSolvesShareOneTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := shared.Candidates(func() []mod.Candidate {
+		rows := shared.Candidates(func([]mod.Candidate) []mod.Candidate {
 			t.Errorf("origin %d: the shared overlay had no table after its solves", task.Source)
 			return nil
 		})
@@ -443,7 +443,7 @@ func TestConcurrentSolvesShareOneTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if alone := newSweeper(net, task, fresh, SteinerKMB, getScratch(net.NumNodes())).chainTable(); !slices.Equal(rows, alone) {
+		if alone := newSweeper(net, task, fresh, SteinerKMB, getScratch(net.NumNodes())).chainTable(nil); !slices.Equal(rows, alone) {
 			t.Errorf("origin %d: shared table differs from an uncached solve's:\n%v\n%v", task.Source, rows, alone)
 		}
 	}
@@ -473,10 +473,11 @@ func TestTableIsBuiltBeforeSFCSolved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		overlay.Candidates(func() []mod.Candidate {
+		overlay.Candidates(func([]mod.Candidate) []mod.Candidate {
 			t.Error("sfc_solved emitted before the candidate table was built")
 			return nil
 		})
+		overlay.Release()
 	})}
 	if _, err := Solve(net, task, opts); err != nil {
 		t.Fatal(err)

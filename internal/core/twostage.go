@@ -78,7 +78,7 @@ func stageOne(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*stat
 	if err != nil {
 		return nil, nil, err
 	}
-	cost := net.Cost(emb).Total
+	cost := sc.price(net, emb)
 	st.price = cost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventStage1End, Cost: cost,
@@ -166,7 +166,7 @@ func optimize(net *nfv.Network, task nfv.Task, hosts []int, tails [][]int, opts 
 	if err != nil {
 		return nil, err
 	}
-	cost := net.Cost(emb).Total
+	cost := sc.price(net, emb)
 	st.price = cost
 	res := &Result{Embedding: emb, Stage1Cost: cost, FinalCost: cost, LastHost: hosts[len(hosts)-1]}
 	if err := stageTwo(st, res, opts); err != nil {

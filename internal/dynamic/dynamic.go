@@ -376,7 +376,7 @@ type Attempt struct {
 	sess    *Session
 	res     *core.Result
 	err     error
-	rec     *obs.SpanRecorder
+	rec     *obs.SpanRecorder // pooled; finishAdmit releases it
 	tracing *obs.TraceBuffer
 	retries int
 	// start is when the round in hand began and busy what the first
@@ -420,9 +420,12 @@ func (a *Attempt) solve(locked bool) {
 	opts := a.snap.opts
 	opts.Ctx = a.ctx
 	opts.Scaffolds = m.scaffolds
-	a.tracing, a.rec = a.snap.trace, nil
+	a.tracing = a.snap.trace
 	if a.tracing != nil {
-		a.rec = &obs.SpanRecorder{}
+		if a.rec == nil {
+			a.rec = obs.AcquireRecorder()
+		}
+		a.rec.Reset() // a round's trace is that round's solve
 		opts.Observer = obs.Tee(opts.Observer, a.rec)
 	}
 	a.res, a.err = core.Solve(a.snap.net, a.task, opts)
@@ -473,9 +476,16 @@ func (m *Manager) finishAdmit(a *Attempt, took time.Duration) {
 	if m.met != nil {
 		m.met.solveMS.ObserveDuration(took)
 	}
-	if a.tracing == nil {
-		return
+	if a.tracing != nil {
+		a.tracing.Record(admitTrace(a, took), a.rec)
 	}
+	a.rec.Release()
+	a.rec = nil
+}
+
+// admitTrace is the trace of a settled admission, less the solver
+// events the ring copies from the attempt's recorder.
+func admitTrace(a *Attempt, took time.Duration) obs.Trace {
 	t := obs.Trace{
 		Op:          "admit",
 		RequestID:   obs.RequestID(a.ctx),
@@ -486,10 +496,6 @@ func (m *Manager) finishAdmit(a *Attempt, took time.Duration) {
 		Start:       a.start,
 		DurationNs:  took.Nanoseconds(),
 	}
-	if a.rec != nil {
-		t.Warm = a.rec.Breakdown().Warm
-		t.Spans = a.rec.Spans()
-	}
 	if a.sess != nil {
 		t.Session = int(a.sess.ID)
 	}
@@ -499,7 +505,7 @@ func (m *Manager) finishAdmit(a *Attempt, took time.Duration) {
 	if a.err != nil {
 		t.Err = a.err.Error()
 	}
-	a.tracing.Add(t)
+	return t
 }
 
 // settle is the short serialized phase of a round; callers hold m.mu.

@@ -222,7 +222,7 @@ func (m *Manager) repairSolve(rung string, id SessionID, task nfv.Task) (*core.R
 	if m.trace == nil {
 		return core.Solve(m.net, task, opts)
 	}
-	rec := &obs.SpanRecorder{}
+	rec := obs.AcquireRecorder()
 	opts.Observer = obs.Tee(opts.Observer, rec)
 	start := time.Now()
 	res, err := core.Solve(m.net, task, opts)
@@ -232,8 +232,6 @@ func (m *Manager) repairSolve(rung string, id SessionID, task nfv.Task) (*core.R
 		Session:    int(id),
 		Start:      start,
 		DurationNs: time.Since(start).Nanoseconds(),
-		Warm:       rec.Breakdown().Warm,
-		Spans:      rec.Spans(),
 	}
 	if res != nil {
 		t.EarlyStop = res.EarlyStop
@@ -241,7 +239,8 @@ func (m *Manager) repairSolve(rung string, id SessionID, task nfv.Task) (*core.R
 	if err != nil {
 		t.Err = err.Error()
 	}
-	m.trace.Add(t)
+	m.trace.Record(t, rec)
+	rec.Release()
 	return res, err
 }
 

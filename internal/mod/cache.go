@@ -40,10 +40,23 @@ type cacheKey struct {
 
 // cacheEntry is a singleflight slot: the first caller builds, every
 // concurrent same-key caller waits on the Once and shares the result.
+// refs counts the cache's own reference, held until the entry is
+// evicted, plus one per Get not yet released; the last one out
+// recycles the overlay. Every reference is taken under the cache lock,
+// before the build, and dropped only after it, so the overlay is never
+// recycled while a build or a holder is still at it.
 type cacheEntry struct {
 	once sync.Once
 	m    *Network
 	err  error
+	refs atomic.Int32
+}
+
+// release drops one reference.
+func (e *cacheEntry) release() {
+	if e.refs.Add(-1) == 0 && e.m != nil {
+		e.m.recycle()
+	}
 }
 
 // Scaffold-cache traffic counters, process-global across all caches
@@ -72,6 +85,12 @@ const maxCacheEntries = 256
 // current one) at a time. Safe for concurrent use; concurrent requests
 // for the same key share one build (singleflight).
 //
+// Entries are reference-counted. Get hands its caller a reference,
+// which Network.Release returns; dropping an entry drops only the
+// cache's own. An overlay held across an eviction therefore stays
+// intact for its holder, and its buffers go back to Build's pool when
+// the last holder releases it.
+//
 // Graph generations and deployment epochs are per-network counters, so
 // the key also carries the network's process-unique incarnation id: a
 // rebased manager feeding the cache a freshly materialized network can
@@ -94,7 +113,8 @@ func NewCache() *Cache {
 // Get returns the expanded MOD network for (net, source, chain),
 // building and memoizing it on first use. net must be at rest for the
 // duration of the call (the dynamic manager passes immutable
-// snapshots); the returned overlay is shared and strictly read-only.
+// snapshots); the returned overlay is shared and strictly read-only,
+// and the caller releases it once done (Network.Release).
 func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 	key := cacheKey{
 		source: source,
@@ -107,25 +127,44 @@ func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, erro
 	if key.id != c.id || key.gen != c.gen || key.epoch != c.epoch {
 		// The network moved on; every scaffold built against an older
 		// version is dead weight (a version triple never repeats).
-		clear(c.entries)
+		c.dropAll()
 		c.id, c.gen, c.epoch = key.id, key.gen, key.epoch
 	}
 	e, ok := c.entries[key]
 	if !ok {
 		if len(c.entries) >= maxCacheEntries {
-			clear(c.entries)
+			c.dropAll()
 		}
 		e = &cacheEntry{}
+		e.refs.Store(1) // the cache's own
 		c.entries[key] = e
 	}
+	e.refs.Add(1)
 	c.mu.Unlock()
 	if ok {
 		scaffoldHits.Add(1)
 	} else {
 		scaffoldMisses.Add(1)
 	}
-	e.once.Do(func() { e.m, e.err = Build(net, source, chain) })
-	return e.m, e.err
+	e.once.Do(func() {
+		if e.m, e.err = Build(net, source, chain); e.m != nil {
+			e.m.entry = e
+		}
+	})
+	if e.err != nil {
+		e.release()
+		return nil, e.err
+	}
+	return e.m, nil
+}
+
+// dropAll empties the cache, dropping its reference to every entry;
+// callers hold c.mu.
+func (c *Cache) dropAll() {
+	for _, e := range c.entries {
+		e.release()
+	}
+	clear(c.entries)
 }
 
 // Purge drops every cached scaffold. Call it when the underlying
@@ -134,6 +173,6 @@ func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, erro
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.entries)
+	c.dropAll()
 	c.id, c.gen, c.epoch = 0, 0, 0
 }

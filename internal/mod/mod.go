@@ -41,20 +41,42 @@ var (
 // the fly. A Network is immutable after Build and safe to share; its
 // solution and its candidate table are computed on first demand and
 // shared with it.
+//
+// Build and Cache.Get each hand out one reference, which Release hands
+// back. When the last one goes, the setup block, the solution's arrays
+// and the candidate rows return to a pool for the next Build; an
+// overlay nobody releases is simply left to the garbage collector.
 type Network struct {
 	chain   nfv.SFC
 	source  int
 	servers []int         // physical IDs of candidate host nodes, ascending; shared with the nfv.Network
-	rowOf   []int32       // node -> row index, -1 for non-servers
+	rowOf   []int32       // node -> row index, -1 for non-servers; shared with the nfv.Network
 	metric  *graph.Metric // the closure of the network Build saw
 	setup   []float64     // [(j-1)*S+row]: weight of column j's in->out arc at row
 
 	solveOnce sync.Once
-	sol       *SFCSolution
+	sol       SFCSolution
 
 	candOnce sync.Once
 	cands    []Candidate
+
+	// entry is the cache slot that owns this overlay, nil for one Build
+	// handed out directly.
+	entry *cacheEntry
 }
+
+// overlays recycles released Networks with their buffers; overlayGets
+// counts the overlays Build handed out, overlayNews those the pool
+// could not supply.
+var (
+	overlays                 sync.Pool
+	overlayGets, overlayNews atomic.Int64
+)
+
+// PoolStats reports how many overlays Build has handed out and how
+// many of them it had to allocate rather than take, buffers and all,
+// from a released one.
+func PoolStats() (gets, news int64) { return overlayGets.Load(), overlayNews.Load() }
 
 // Build constructs the expanded MOD network. Setup costs reflect
 // deployment state: pre-deployed chain VNFs cost zero (§IV-D).
@@ -79,20 +101,22 @@ func Build(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 		return nil, ErrSourceUnreachable
 	}
 
+	overlayGets.Add(1)
+	m, _ := overlays.Get().(*Network)
+	if m == nil {
+		overlayNews.Add(1)
+		m = new(Network)
+	}
 	s := len(servers)
-	m := &Network{
-		chain:   append(nfv.SFC(nil), chain...),
+	*m = Network{
+		chain:   append(m.chain[:0], chain...),
 		source:  source,
 		servers: servers,
-		rowOf:   make([]int32, net.NumNodes()),
+		rowOf:   net.ServerRows(),
 		metric:  metric,
-		setup:   make([]float64, len(chain)*s),
-	}
-	for v := range m.rowOf {
-		m.rowOf[v] = -1
-	}
-	for r, v := range servers {
-		m.rowOf[v] = int32(r)
+		setup:   resize(m.setup, len(chain)*s),
+		sol:     SFCSolution{out: m.sol.out, pred: m.sol.pred},
+		cands:   m.cands[:0],
 	}
 	for j, f := range chain {
 		col := m.setup[j*s : (j+1)*s]
@@ -101,6 +125,30 @@ func Build(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 		}
 	}
 	return m, nil
+}
+
+// resize returns buf with length n, reallocated only when too short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Release hands back one reference (see Network). The caller must not
+// touch the overlay, its SFCSolution or its candidate rows afterwards.
+func (m *Network) Release() {
+	if m.entry != nil {
+		m.entry.release()
+		return
+	}
+	m.recycle()
+}
+
+// recycle returns m's buffers to the pool once no reference is left.
+func (m *Network) recycle() {
+	m.servers, m.rowOf, m.metric, m.entry = nil, nil, nil, nil
+	overlays.Put(m)
 }
 
 // Chain returns the SFC the overlay was built for.
@@ -184,12 +232,12 @@ func (s *SFCSolution) Rows() (relaxed, dominated, total int) {
 // carries its solved SFC with it.
 func (m *Network) SolveSFC() *SFCSolution {
 	m.solveOnce.Do(func() {
-		m.sol = m.solveSFC()
+		m.solveSFC()
 		sfcRowsRelaxed.Add(int64(m.sol.rowsRelaxed))
 		sfcRowsDominated.Add(int64(m.sol.rowsDominated))
 		sfcRowsFinite.Add(int64(m.sol.rowsFinite))
 	})
-	return m.sol
+	return &m.sol
 }
 
 // dominanceSlack is the relative margin by which a row's tentative in
@@ -210,10 +258,11 @@ func dominated(in, du, margin float64) bool { return in < du-dominanceSlack*du-m
 // shortlists pools the column pass's predecessor lists.
 var shortlists = sync.Pool{New: func() any { return new([]int32) }}
 
-// solveSFC is the column pass behind SolveSFC.
-func (m *Network) solveSFC() *SFCSolution {
+// solveSFC is the column pass behind SolveSFC, into m.sol.
+func (m *Network) solveSFC() {
 	s, k := len(m.servers), len(m.chain)
-	sol := &SFCSolution{m: m, out: make([]float64, k*s), pred: make([]int32, k*s)}
+	sol := &m.sol
+	sol.m, sol.out, sol.pred = m, resize(sol.out, k*s), resize(sol.pred, k*s)
 	for i := range sol.pred {
 		sol.out[i], sol.pred[i] = graph.Inf, -1
 	}
@@ -290,7 +339,6 @@ func (m *Network) solveSFC() *SFCSolution {
 		}
 	}
 	shortlists.Put(buf)
-	return sol
 }
 
 // relax takes row a, whose out is du, as a predecessor for every row
@@ -339,11 +387,13 @@ const (
 // Candidates returns the overlay's candidate table, calling build for
 // it on first use: later calls, and concurrent ones, share the rows
 // read-only, so an overlay served from a Cache carries them with it
-// (16 B per server). The rows are a function of (source, chain,
-// network version) like the overlay itself; every caller must pass a
-// build that derives them from nothing else.
-func (m *Network) Candidates(build func() []Candidate) []Candidate {
-	m.candOnce.Do(func() { m.cands = build() })
+// (16 B per server). build appends the rows to the empty slice it is
+// given, whose array a released overlay left behind. The rows are a
+// function of (source, chain, network version) like the overlay
+// itself; every caller must pass a build that derives them from
+// nothing else.
+func (m *Network) Candidates(build func(rows []Candidate) []Candidate) []Candidate {
+	m.candOnce.Do(func() { m.cands = build(m.cands[:0]) })
 	return m.cands
 }
 

@@ -73,6 +73,14 @@ type CostBreakdown struct {
 // (stage, directed edge) pair across all walks. It does not check
 // feasibility; pair it with Validate.
 func (net *Network) Cost(e *Embedding) CostBreakdown {
+	bd, _ := net.CostWith(e, nil)
+	return bd
+}
+
+// CostWith is Cost marking its (stage, edge) pairs in seen, which it
+// reuses when large enough; it returns seen, grown if it had to be, for
+// the next call. Solvers that price many embeddings keep one.
+func (net *Network) CostWith(e *Embedding, seen []uint64) (CostBreakdown, []uint64) {
 	var bd CostBreakdown
 	for i, inst := range e.NewInstances {
 		if !placedBefore(e.NewInstances[:i], inst.VNF, inst.Node) {
@@ -87,7 +95,7 @@ func (net *Network) Cost(e *Embedding) CostBreakdown {
 	words := (csr.NumArcs() + 63) / 64
 	var levelBuf [16]int
 	levels := levelBuf[:0]
-	seen := make([]uint64, 0, (e.Task.K()+1)*words)
+	seen = seen[:0]
 	for _, w := range e.Walks {
 		for _, seg := range w {
 			if len(seg.Path) < 2 {
@@ -106,7 +114,7 @@ func (net *Network) Cost(e *Embedding) CostBreakdown {
 					// Mirror Validate's verdict by pricing non-edges at +Inf.
 					bd.Link = math.Inf(1)
 					bd.Total = math.Inf(1)
-					return bd
+					return bd, seen
 				}
 				if bit := uint64(1) << (arc & 63); row[arc>>6]&bit == 0 {
 					row[arc>>6] |= bit
@@ -116,7 +124,7 @@ func (net *Network) Cost(e *Embedding) CostBreakdown {
 		}
 	}
 	bd.Total = bd.Setup + bd.Link
-	return bd
+	return bd, seen
 }
 
 // placedBefore reports whether insts lists an instance of f on node v.
@@ -184,7 +192,7 @@ func (net *Network) Validate(e *Embedding) error {
 				first = false // summed at the node's first instance
 				break
 			}
-			add += net.catalog[in.VNF].Demand
+			add += net.tab.catalog[in.VNF].Demand
 		}
 		if first && net.UsedCapacity(v)+add > net.Capacity(v)+1e-9 {
 			return fmt.Errorf("%w: constraint (1d): node %d capacity %v exceeded (used %v + new %v)",
@@ -246,7 +254,7 @@ func (net *Network) Validate(e *Embedding) error {
 func (net *Network) ValidateDeployed(e *Embedding) error {
 	scratch := net
 	for _, inst := range e.NewInstances {
-		if inst.VNF < 0 || inst.VNF >= len(net.catalog) {
+		if inst.VNF < 0 || inst.VNF >= net.CatalogSize() {
 			break // Validate reports the malformed instance itself
 		}
 		if net.IsDeployed(inst.VNF, inst.Node) {

@@ -30,21 +30,22 @@ func (net *Network) SetLinkCapacity(u, v, copies int) error {
 	if copies < 0 {
 		return fmt.Errorf("nfv: negative link capacity %d", copies)
 	}
-	if net.linkCap == nil {
-		net.linkCap = make(map[[2]int]int)
+	t := net.own()
+	if t.linkCap == nil {
+		t.linkCap = make(map[[2]int]int)
 	}
 	key := canonPair(u, v)
 	if copies == 0 {
-		delete(net.linkCap, key)
+		delete(t.linkCap, key)
 		return nil
 	}
-	net.linkCap[key] = copies
+	t.linkCap[key] = copies
 	return nil
 }
 
 // LinkCapacity returns the copy bound of link {u,v}; 0 means unlimited.
 func (net *Network) LinkCapacity(u, v int) int {
-	return net.linkCap[canonPair(u, v)]
+	return net.tab.linkCap[canonPair(u, v)]
 }
 
 // LinkViolations returns every link whose configured copy bound the
@@ -52,7 +53,7 @@ func (net *Network) LinkCapacity(u, v int) int {
 // counted exactly like the cost oracle prices them: one per distinct
 // (stage, direction) pair.
 func (net *Network) LinkViolations(e *Embedding) []LinkViolation {
-	if len(net.linkCap) == 0 {
+	if len(net.tab.linkCap) == 0 {
 		return nil
 	}
 	type stageArc struct{ level, u, v int }
@@ -71,7 +72,7 @@ func (net *Network) LinkViolations(e *Embedding) []LinkViolation {
 		}
 	}
 	var out []LinkViolation
-	for pair, bound := range net.linkCap {
+	for pair, bound := range net.tab.linkCap {
 		if c := copies[pair]; c > bound {
 			out = append(out, LinkViolation{U: pair[0], V: pair[1], Copies: c, Capacity: bound})
 		}

@@ -10,7 +10,9 @@ package nfv
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"sftree/internal/graph"
@@ -50,21 +52,19 @@ type Point struct {
 // state. Build it, then treat it as immutable while solving; Metric()
 // caches all-pairs shortest paths on first use.
 type Network struct {
-	g        *graph.Graph
-	coords   []Point
-	isServer []bool
-	capacity []float64
-	catalog  []VNF
-	deployed [][]bool    // [vnf][node]
-	setup    [][]float64 // [vnf][node]
+	g *graph.Graph
+	// tab is the configuration: servers, capacities, catalog, setup
+	// costs, coordinates and link bounds. Clones share it (see tables).
+	tab *tables
+	// deployed holds one bit per (vnf, node) pair, at vnf*n+node.
+	deployed []uint64
 	// used[v] caches recountUsed(v), so UsedCapacity is one read.
 	// Deploy and Undeploy recompute the touched node's entry instead
 	// of adding or subtracting the demand: a running float total can
 	// differ from the catalog-order sum in the last bit, and capacity
 	// comparisons (and so embeddings) must not depend on the order in
 	// which instances came and went.
-	used    []float64
-	linkCap map[[2]int]int
+	used []float64
 	// metric is the cached all-pairs closure, stamped with the graph
 	// generation it was computed at so topology mutations invalidate
 	// it instead of silently serving stale distances. metricFn, when
@@ -74,8 +74,6 @@ type Network struct {
 	metric    *graph.Metric
 	metricGen uint64
 	metricFn  func() *graph.Metric
-	// servers caches ServerList; SetServer invalidates it.
-	servers []int
 	// epoch counts deployment-state changes (Deploy/Undeploy). Together
 	// with the graph generation it versions the network for optimistic
 	// concurrency: two networks with the same graph, the same epoch and
@@ -95,6 +93,33 @@ type Network struct {
 	id uint64
 }
 
+// tables is the part of a network that does not change as sessions
+// come and go. A network and its clones share one block copy-on-write:
+// Clone marks the block shared, and a setter on a network whose block
+// is shared copies it first (own), so neither side ever sees the
+// other's later changes. The flag is atomic because several goroutines
+// may clone one snapshot at once; a block is written only by the one
+// network that owns it unshared.
+type tables struct {
+	shared   atomic.Bool
+	coords   []Point
+	isServer []bool
+	capacity []float64
+	catalog  []VNF
+	setup    []float64 // [vnf*n+node]
+	linkCap  map[[2]int]int
+	// index caches ServerList and ServerRows: built on first use by
+	// whichever reader gets there, dropped by SetServer.
+	index atomic.Pointer[serverIndex]
+}
+
+// serverIndex is the server list in ascending order and, per node, its
+// position in that list (-1 for a switch).
+type serverIndex struct {
+	list []int
+	rows []int32
+}
+
 // netIDs mints process-unique network incarnation IDs.
 var netIDs atomic.Uint64
 
@@ -106,22 +131,55 @@ func newGraphLike(g *graph.Graph) *graph.Graph { return graph.New(g.NumNodes()) 
 // types. The graph must not be mutated afterwards.
 func NewNetwork(g *graph.Graph, catalog []VNF) *Network {
 	n := g.NumNodes()
-	net := &Network{
-		g:        g,
-		isServer: make([]bool, n),
-		capacity: make([]float64, n),
-		catalog:  make([]VNF, len(catalog)),
-		deployed: make([][]bool, len(catalog)),
-		setup:    make([][]float64, len(catalog)),
+	return &Network{
+		g: g,
+		tab: &tables{
+			isServer: make([]bool, n),
+			capacity: make([]float64, n),
+			catalog:  append([]VNF(nil), catalog...),
+			setup:    make([]float64, len(catalog)*n),
+		},
+		deployed: make([]uint64, (len(catalog)*n+63)/64),
 		used:     make([]float64, n),
 		id:       netIDs.Add(1),
 	}
-	copy(net.catalog, catalog)
-	for f := range catalog {
-		net.deployed[f] = make([]bool, n)
-		net.setup[f] = make([]float64, n)
+}
+
+// own returns net's configuration for writing, copying it first when
+// a clone shares it.
+func (net *Network) own() *tables {
+	t := net.tab
+	if !t.shared.Load() {
+		return t
 	}
-	return net
+	c := &tables{
+		coords:   slices.Clone(t.coords),
+		isServer: slices.Clone(t.isServer),
+		capacity: slices.Clone(t.capacity),
+		catalog:  slices.Clone(t.catalog),
+		setup:    slices.Clone(t.setup),
+		linkCap:  maps.Clone(t.linkCap),
+	}
+	c.index.Store(t.index.Load())
+	net.tab = c
+	return c
+}
+
+// cell is (f, v)'s position in the flat catalog × nodes tables. The
+// node-indexed read panics on a node out of range, as indexing a
+// per-VNF row of nodes did, rather than answer for another VNF's cell;
+// it reads configuration, never the deployment state a commit writes,
+// so setup-cost readers do not race with Deploy.
+func (net *Network) cell(f, v int) int {
+	nodes := net.tab.isServer
+	_ = nodes[v]
+	return f*len(nodes) + v
+}
+
+// bit locates the deployment bit of (f, v).
+func (net *Network) bit(f, v int) (word int, mask uint64) {
+	i := net.cell(f, v)
+	return i >> 6, 1 << (i & 63)
 }
 
 // Graph returns the underlying graph. Callers must not mutate it.
@@ -132,37 +190,32 @@ func (net *Network) NumNodes() int { return net.g.NumNodes() }
 
 // Catalog returns a copy of the VNF catalog.
 func (net *Network) Catalog() []VNF {
-	out := make([]VNF, len(net.catalog))
-	copy(out, net.catalog)
-	return out
+	return append([]VNF(nil), net.tab.catalog...)
 }
 
 // CatalogSize returns the number of VNF types.
-func (net *Network) CatalogSize() int { return len(net.catalog) }
+func (net *Network) CatalogSize() int { return len(net.tab.catalog) }
 
 // VNF returns the catalog entry for id.
 func (net *Network) VNF(id int) (VNF, error) {
-	if id < 0 || id >= len(net.catalog) {
+	if id < 0 || id >= len(net.tab.catalog) {
 		return VNF{}, fmt.Errorf("%w: id %d", ErrUnknownVNF, id)
 	}
-	return net.catalog[id], nil
+	return net.tab.catalog[id], nil
 }
 
 // SetCoords stores node coordinates (used only for reporting; costs
 // are fixed at edge-creation time).
 func (net *Network) SetCoords(coords []Point) {
-	net.coords = make([]Point, len(coords))
-	copy(net.coords, coords)
+	net.own().coords = append([]Point(nil), coords...)
 }
 
 // Coords returns the node coordinates, or nil if unset.
 func (net *Network) Coords() []Point {
-	if net.coords == nil {
+	if net.tab.coords == nil {
 		return nil
 	}
-	out := make([]Point, len(net.coords))
-	copy(out, net.coords)
-	return out
+	return append([]Point(nil), net.tab.coords...)
 }
 
 // SetServer marks node v as a server with the given deployment capacity.
@@ -173,19 +226,20 @@ func (net *Network) SetServer(v int, capacity float64) error {
 	if capacity < 0 {
 		return fmt.Errorf("nfv: negative capacity %v for node %d", capacity, v)
 	}
-	net.isServer[v] = true
-	net.capacity[v] = capacity
-	net.servers = nil // invalidate the cached server list
+	t := net.own()
+	t.isServer[v] = true
+	t.capacity[v] = capacity
+	t.index.Store(nil) // invalidate the cached server list
 	return nil
 }
 
 // IsServer reports whether v can host VNF instances.
 func (net *Network) IsServer(v int) bool {
-	return v >= 0 && v < len(net.isServer) && net.isServer[v]
+	return v >= 0 && v < len(net.tab.isServer) && net.tab.isServer[v]
 }
 
 // Capacity returns node v's total deployment capacity.
-func (net *Network) Capacity(v int) float64 { return net.capacity[v] }
+func (net *Network) Capacity(v int) float64 { return net.tab.capacity[v] }
 
 // Servers returns the IDs of all server nodes. The returned slice is
 // a copy and may be modified freely; hot loops that only iterate
@@ -199,23 +253,38 @@ func (net *Network) Servers() []int {
 }
 
 // ServerList returns the server node IDs in ascending order. The
-// slice is cached and shared: callers must treat it as read-only (use
-// Servers for a mutable copy). It is rebuilt after SetServer.
-func (net *Network) ServerList() []int {
-	if net.servers == nil {
-		for v, ok := range net.isServer {
-			if ok {
-				net.servers = append(net.servers, v)
-			}
+// slice is cached and shared with clones: callers must treat it as
+// read-only (use Servers for a mutable copy). It is rebuilt after
+// SetServer.
+func (net *Network) ServerList() []int { return net.servers().list }
+
+// ServerRows maps every node to its position in ServerList, -1 for a
+// switch. Cached and shared like ServerList; read-only.
+func (net *Network) ServerRows() []int32 { return net.servers().rows }
+
+// servers returns the cached server index, building it on first use.
+// Concurrent first uses may each build one; they are equal.
+func (net *Network) servers() *serverIndex {
+	t := net.tab
+	if idx := t.index.Load(); idx != nil {
+		return idx
+	}
+	idx := &serverIndex{rows: make([]int32, len(t.isServer))}
+	for v, ok := range t.isServer {
+		idx.rows[v] = -1
+		if ok {
+			idx.rows[v] = int32(len(idx.list))
+			idx.list = append(idx.list, v)
 		}
 	}
-	return net.servers
+	t.index.Store(idx)
+	return idx
 }
 
 // SetSetupCost sets the cost gamma of deploying a new instance of VNF f
 // on node v; +Inf means v cannot host f.
 func (net *Network) SetSetupCost(f, v int, cost float64) error {
-	if f < 0 || f >= len(net.catalog) {
+	if f < 0 || f >= len(net.tab.catalog) {
 		return fmt.Errorf("%w: id %d", ErrUnknownVNF, f)
 	}
 	if v < 0 || v >= net.g.NumNodes() {
@@ -224,38 +293,42 @@ func (net *Network) SetSetupCost(f, v int, cost float64) error {
 	if cost < 0 || math.IsNaN(cost) {
 		return fmt.Errorf("nfv: negative setup cost %v", cost)
 	}
-	net.setup[f][v] = cost
+	net.own().setup[net.cell(f, v)] = cost
 	return nil
 }
 
 // SetupCost returns the cost of deploying a new instance of f on v;
 // zero when an instance is already deployed there (paper §IV-D).
 func (net *Network) SetupCost(f, v int) float64 {
-	if net.deployed[f][v] {
+	i := net.cell(f, v)
+	if net.deployed[i>>6]&(1<<(i&63)) != 0 {
 		return 0
 	}
-	return net.setup[f][v]
+	return net.tab.setup[i]
 }
 
 // RawSetupCost returns the configured setup cost ignoring deployment.
-func (net *Network) RawSetupCost(f, v int) float64 { return net.setup[f][v] }
+func (net *Network) RawSetupCost(f, v int) float64 {
+	return net.tab.setup[net.cell(f, v)]
+}
 
 // Deploy records a pre-deployed instance of f on v, consuming capacity.
 func (net *Network) Deploy(f, v int) error {
-	if f < 0 || f >= len(net.catalog) {
+	if f < 0 || f >= len(net.tab.catalog) {
 		return fmt.Errorf("%w: id %d", ErrUnknownVNF, f)
 	}
 	if !net.IsServer(v) {
 		return fmt.Errorf("%w: node %d", ErrNotServer, v)
 	}
-	if net.deployed[f][v] {
+	if net.IsDeployed(f, v) {
 		return fmt.Errorf("%w: vnf %d node %d", ErrAlreadyDeployed, f, v)
 	}
-	if net.UsedCapacity(v)+net.catalog[f].Demand > net.capacity[v]+1e-9 {
+	if demand := net.tab.catalog[f].Demand; net.UsedCapacity(v)+demand > net.Capacity(v)+1e-9 {
 		return fmt.Errorf("%w: node %d used %v + %v > cap %v",
-			ErrCapacityExceeded, v, net.UsedCapacity(v), net.catalog[f].Demand, net.capacity[v])
+			ErrCapacityExceeded, v, net.UsedCapacity(v), demand, net.Capacity(v))
 	}
-	net.deployed[f][v] = true
+	w, mask := net.bit(f, v)
+	net.deployed[w] |= mask
 	net.used[v] = net.recountUsed(v)
 	net.epoch++
 	return nil
@@ -264,13 +337,14 @@ func (net *Network) Deploy(f, v int) error {
 // Undeploy removes a deployed instance of f from v, freeing its
 // capacity. It is the teardown half of dynamic session management.
 func (net *Network) Undeploy(f, v int) error {
-	if f < 0 || f >= len(net.catalog) {
+	if f < 0 || f >= len(net.tab.catalog) {
 		return fmt.Errorf("%w: id %d", ErrUnknownVNF, f)
 	}
-	if v < 0 || v >= net.g.NumNodes() || !net.deployed[f][v] {
+	if v < 0 || v >= net.g.NumNodes() || !net.IsDeployed(f, v) {
 		return fmt.Errorf("nfv: no instance of VNF %d on node %d to undeploy", f, v)
 	}
-	net.deployed[f][v] = false
+	w, mask := net.bit(f, v)
+	net.deployed[w] &^= mask
 	net.used[v] = net.recountUsed(v)
 	net.epoch++
 	return nil
@@ -295,7 +369,10 @@ func (net *Network) BumpDeployEpoch() { net.epoch++ }
 func (net *Network) IncarnationID() uint64 { return net.id }
 
 // IsDeployed reports whether an instance of f already runs on v.
-func (net *Network) IsDeployed(f, v int) bool { return net.deployed[f][v] }
+func (net *Network) IsDeployed(f, v int) bool {
+	w, mask := net.bit(f, v)
+	return net.deployed[w]&mask != 0
+}
 
 // UsedCapacity returns the resource units consumed on v by
 // pre-deployed instances.
@@ -305,9 +382,9 @@ func (net *Network) UsedCapacity(v int) float64 { return net.used[v] }
 // catalog order, the definition the used vector caches.
 func (net *Network) recountUsed(v int) float64 {
 	var used float64
-	for f := range net.catalog {
-		if net.deployed[f][v] {
-			used += net.catalog[f].Demand
+	for f, vnf := range net.tab.catalog {
+		if net.IsDeployed(f, v) {
+			used += vnf.Demand
 		}
 	}
 	return used
@@ -316,7 +393,7 @@ func (net *Network) recountUsed(v int) float64 {
 // FreeCapacity returns the resource units still available on v for new
 // instances.
 func (net *Network) FreeCapacity(v int) float64 {
-	return net.capacity[v] - net.UsedCapacity(v)
+	return net.Capacity(v) - net.UsedCapacity(v)
 }
 
 // Metric returns the cached all-pairs shortest-path metric, computing
@@ -359,36 +436,24 @@ func (net *Network) SetMetricSupplier(fn func() *graph.Metric) {
 	net.metric = nil
 }
 
-// Clone returns a deep copy of the network sharing nothing with the
-// original except the immutable graph and metric.
+// Clone returns a network that behaves as a deep copy. It copies the
+// deployment state (one bit per (VNF, node) pair and the per-node used
+// capacity) and shares the rest: the immutable graph, the metric, and
+// the configuration tables, copy-on-write (see tables). Cloning one
+// network from several goroutines at once is safe.
 func (net *Network) Clone() *Network {
-	c := &Network{
+	if t := net.tab; !t.shared.Load() {
+		t.shared.Store(true)
+	}
+	return &Network{
 		g:         net.g,
-		isServer:  append([]bool(nil), net.isServer...),
-		capacity:  append([]float64(nil), net.capacity...),
-		catalog:   append([]VNF(nil), net.catalog...),
-		deployed:  make([][]bool, len(net.deployed)),
-		setup:     make([][]float64, len(net.setup)),
-		used:      append([]float64(nil), net.used...),
+		tab:       net.tab,
+		deployed:  slices.Clone(net.deployed),
+		used:      slices.Clone(net.used),
 		metric:    net.metric,
 		metricGen: net.metricGen,
 		metricFn:  net.metricFn,
-		servers:   net.servers, // shared read-only; SetServer replaces, never mutates
 		epoch:     net.epoch,
 		id:        net.id,
 	}
-	if net.coords != nil {
-		c.coords = append([]Point(nil), net.coords...)
-	}
-	if net.linkCap != nil {
-		c.linkCap = make(map[[2]int]int, len(net.linkCap))
-		for k, v := range net.linkCap {
-			c.linkCap[k] = v
-		}
-	}
-	for f := range net.deployed {
-		c.deployed[f] = append([]bool(nil), net.deployed[f]...)
-		c.setup[f] = append([]float64(nil), net.setup[f]...)
-	}
-	return c
 }

@@ -27,30 +27,51 @@ func (t Task) Validate(net *Network) error {
 	if len(t.Destinations) == 0 {
 		return fmt.Errorf("%w: no destinations", ErrInvalidTask)
 	}
-	seenDest := make(map[int]bool, len(t.Destinations))
+	var buf [8]uint64
+	seenDest := bitsFor(buf[:], n)
 	for _, d := range t.Destinations {
 		if d < 0 || d >= n {
 			return fmt.Errorf("%w: destination %d out of range", ErrInvalidTask, d)
 		}
-		if seenDest[d] {
+		if !seenDest.add(d) {
 			return fmt.Errorf("%w: duplicate destination %d", ErrInvalidTask, d)
 		}
-		seenDest[d] = true
 	}
 	if len(t.Chain) == 0 {
 		return fmt.Errorf("%w: empty SFC", ErrInvalidTask)
 	}
-	seenVNF := make(map[int]bool, len(t.Chain))
+	seenVNF := bitsFor(buf[:], net.CatalogSize())
 	for _, f := range t.Chain {
 		if f < 0 || f >= net.CatalogSize() {
 			return fmt.Errorf("%w: %w id %d", ErrInvalidTask, ErrUnknownVNF, f)
 		}
-		if seenVNF[f] {
+		if !seenVNF.add(f) {
 			return fmt.Errorf("%w: VNF %d repeated in chain", ErrInvalidTask, f)
 		}
-		seenVNF[f] = true
 	}
 	return nil
+}
+
+// bits is a set over [0, n).
+type bits []uint64
+
+// bitsFor returns an empty set over [0, n), in buf when it is large
+// enough.
+func bitsFor(buf []uint64, n int) bits {
+	words := (n + 63) / 64
+	if words > len(buf) {
+		return make(bits, words)
+	}
+	clear(buf[:words])
+	return buf[:words]
+}
+
+// add inserts i and reports whether it was absent.
+func (b bits) add(i int) bool {
+	w, mask := i>>6, uint64(1)<<(i&63)
+	had := b[w]&mask != 0
+	b[w] |= mask
+	return !had
 }
 
 // K returns the chain length.

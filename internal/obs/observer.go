@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"sftree/internal/core"
 )
@@ -43,14 +44,51 @@ func (r *SpanRecorder) Events() []core.Event {
 	return append([]core.Event(nil), r.events...)
 }
 
-// Reset discards everything recorded so far.
+// Reset discards everything recorded so far, keeping the buffer.
 func (r *SpanRecorder) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.events = nil
+	r.events = r.events[:0]
 	r.mu.Unlock()
+}
+
+// recorders recycles SpanRecorders between traced runs; recorderGets
+// and recorderNews count what AcquireRecorder handed out and how much
+// of that the pool could not supply.
+var (
+	recorders                  sync.Pool
+	recorderGets, recorderNews atomic.Int64
+)
+
+// AcquireRecorder returns an empty recorder, reusing a released one
+// and its event buffer when the pool has one. Hand it back with
+// Release once nothing reads it any more; TraceBuffer.Record copies
+// what it keeps.
+func AcquireRecorder() *SpanRecorder {
+	recorderGets.Add(1)
+	if r, _ := recorders.Get().(*SpanRecorder); r != nil {
+		return r
+	}
+	recorderNews.Add(1)
+	return &SpanRecorder{}
+}
+
+// Release empties r and returns it to AcquireRecorder's pool. The
+// caller must not use r afterwards. A nil r is a no-op.
+func (r *SpanRecorder) Release() {
+	if r == nil {
+		return
+	}
+	r.Reset()
+	recorders.Put(r)
+}
+
+// RecorderPoolStats reports how many recorders AcquireRecorder handed
+// out and how many of those it had to allocate.
+func RecorderPoolStats() (gets, news int64) {
+	return recorderGets.Load(), recorderNews.Load()
 }
 
 // Breakdown aggregates one solve's events into a phase timing
@@ -88,8 +126,13 @@ func (r *SpanRecorder) Breakdown() Breakdown {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return breakdownOf(r.events)
+}
+
+// breakdownOf folds events into per-phase totals (see Breakdown).
+func breakdownOf(events []core.Event) Breakdown {
 	var b Breakdown
-	for _, e := range r.events {
+	for _, e := range events {
 		switch e.Kind {
 		case core.EventAPSPBuild:
 			b.APSPBuildNs += e.Duration.Nanoseconds()
@@ -140,6 +183,11 @@ func (r *SpanRecorder) Spans() []*Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return spansOf(r.events)
+}
+
+// spansOf rebuilds the span tree of one solve's events (see Spans).
+func spansOf(events []core.Event) []*Span {
 	var roots []*Span
 	var stage2, pass *Span
 	var stage1Parts []*Span // closed sub-phases awaiting their stage1_end
@@ -153,7 +201,7 @@ func (r *SpanRecorder) Spans() []*Span {
 			roots = append(roots, s)
 		}
 	}
-	for _, e := range r.events {
+	for _, e := range events {
 		switch e.Kind {
 		case core.EventAPSPBuild:
 			warm := 0.0

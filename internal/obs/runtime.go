@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"sftree/internal/faults"
@@ -35,16 +36,18 @@ import (
 //	    destination path lookups the per-solve memo served
 //	sp_pool_gets / sp_pool_news / sp_pool_reuse_rate
 //	    graph shortest-path scratch arenas (sync.Pool)
+//	scaffold_pool_gets / scaffold_pool_news / scaffold_pool_reuse_rate
+//	    mod.Build: overlays handed out, and how many came with the
+//	    buffers of a released one (setup block, chain-search arrays,
+//	    candidate rows)
+//	trace_recorder_pool_gets / trace_recorder_pool_news /
+//	trace_recorder_pool_reuse_rate
+//	    AcquireRecorder: the span recorders of traced admissions and
+//	    repairs, and how many reused a released recorder's buffer
 //
 // Hit and reuse rates are fractions in [0,1]; they read 0 until the
 // first lookup.
 func RegisterCacheStats(reg *Registry) {
-	ratio := func(hit, total int64) float64 {
-		if total == 0 {
-			return 0
-		}
-		return float64(hit) / float64(total)
-	}
 	reg.GaugeFunc("metric_cache_hits", func() float64 { h, _ := nfv.MetricCacheStats(); return float64(h) })
 	reg.GaugeFunc("metric_cache_misses", func() float64 { _, m := nfv.MetricCacheStats(); return float64(m) })
 	reg.GaugeFunc("metric_cache_hit_rate", func() float64 {
@@ -72,12 +75,61 @@ func RegisterCacheStats(reg *Registry) {
 		c := steiner.SweepStats()
 		return ratio(c.MemoHits, c.MemoHits+c.MemoFills)
 	})
-	reg.GaugeFunc("sp_pool_gets", func() float64 { g, _ := graph.PoolStats(); return float64(g) })
-	reg.GaugeFunc("sp_pool_news", func() float64 { _, n := graph.PoolStats(); return float64(n) })
-	reg.GaugeFunc("sp_pool_reuse_rate", func() float64 {
-		g, n := graph.PoolStats()
+	RegisterPool(reg, "sp_pool", graph.PoolStats)
+	RegisterPool(reg, "scaffold_pool", mod.PoolStats)
+	RegisterPool(reg, "trace_recorder_pool", RecorderPoolStats)
+}
+
+// ratio is hit/total, 0 before the first lookup.
+func ratio(hit, total int64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(hit) / float64(total)
+}
+
+// RegisterPool exposes a pool's traffic as the callback gauges
+// name_gets, name_news and name_reuse_rate: stats reports how many
+// gets the pool served and how many of them it had to allocate.
+func RegisterPool(reg *Registry, name string, stats func() (gets, news int64)) {
+	reg.GaugeFunc(name+"_gets", func() float64 { g, _ := stats(); return float64(g) })
+	reg.GaugeFunc(name+"_news", func() float64 { _, n := stats(); return float64(n) })
+	reg.GaugeFunc(name+"_reuse_rate", func() float64 {
+		g, n := stats()
 		return ratio(g-n, g)
 	})
+}
+
+// runtimeCounters are the runtime/metrics samples RegisterRuntimeStats
+// exposes, by gauge name.
+var runtimeCounters = map[string]string{
+	"runtime_gc_cpu_seconds_total": "/cpu/classes/gc/total:cpu-seconds",
+	"runtime_alloc_bytes_total":    "/gc/heap/allocs:bytes",
+	"runtime_gc_cycles_total":      "/gc/cycles/total:gc-cycles",
+}
+
+// RegisterRuntimeStats exposes the Go runtime's cumulative garbage
+// collector cost as callback gauges, read from runtime/metrics at
+// every scrape: runtime_gc_cpu_seconds_total (the runtime's estimate
+// of CPU time spent collecting, updated as cycles complete),
+// runtime_alloc_bytes_total (bytes ever allocated on the heap) and
+// runtime_gc_cycles_total (completed cycles). Their rates are what an
+// allocation change moves: bytes per request, and the cycles and CPU
+// that buys.
+func RegisterRuntimeStats(reg *Registry) {
+	for gauge, name := range runtimeCounters {
+		reg.GaugeFunc(gauge, func() float64 {
+			sample := []metrics.Sample{{Name: name}}
+			metrics.Read(sample)
+			switch v := sample[0].Value; v.Kind() {
+			case metrics.KindUint64:
+				return float64(v.Uint64())
+			case metrics.KindFloat64:
+				return v.Float64()
+			}
+			return 0
+		})
+	}
 }
 
 // StartRuntimeSampler launches the periodic Go-runtime sampler:

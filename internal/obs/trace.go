@@ -56,13 +56,38 @@ type Trace struct {
 // TraceBuffer is a bounded ring of recent traces: writers never block
 // and never grow memory past the capacity — when full, the oldest
 // trace is dropped and counted. Safe for concurrent use.
+//
+// A trace recorded with its solver events (Record) keeps them raw, in
+// a buffer its ring slot reuses from one trace to the next; the span
+// tree is built from them only when the ring is read (Snapshot, the
+// /debug/traces handler). So a traced run leaves nothing for the
+// garbage collector once the ring has come round, and a read returns
+// the same trees the recorder would have built.
 type TraceBuffer struct {
 	mu      sync.Mutex
-	buf     []Trace
+	buf     []traceSlot
 	next    int // ring write cursor
 	full    bool
 	added   int64
 	dropped int64
+}
+
+// traceSlot is one ring entry: the trace, and for a Recorded one the
+// solver events its Warm flag and Spans are built from.
+type traceSlot struct {
+	t      Trace
+	raw    bool
+	events []core.Event
+}
+
+// trace returns the slot's trace with its spans built.
+func (s *traceSlot) trace() Trace {
+	t := s.t
+	if s.raw {
+		t.Warm = breakdownOf(s.events).Warm
+		t.Spans = spansOf(s.events)
+	}
+	return t
 }
 
 // DefaultTraceCap is the ring capacity NewTraceBuffer(0) uses.
@@ -74,22 +99,32 @@ func NewTraceBuffer(capacity int) *TraceBuffer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &TraceBuffer{buf: make([]Trace, capacity)}
+	return &TraceBuffer{buf: make([]traceSlot, capacity)}
 }
 
-// Add appends one trace, evicting the oldest when the ring is full.
-func (b *TraceBuffer) Add(t Trace) {
+// Record appends one trace, evicting the oldest when the ring is full.
+// With a recorder, the trace's Warm flag and span tree are those of
+// rec's events, which are copied into the slot, so rec may be reset or
+// released once Record returns; with a nil rec the trace is kept as
+// given.
+func (b *TraceBuffer) Record(t Trace, rec *SpanRecorder) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.full {
 		b.dropped++
 	}
-	b.buf[b.next] = t
+	s := &b.buf[b.next]
 	b.next = (b.next + 1) % len(b.buf)
 	if b.next == 0 && !b.full {
 		b.full = true
 	}
 	b.added++
+	s.t, s.raw, s.events = t, rec != nil, s.events[:0]
+	if rec != nil {
+		rec.mu.Lock()
+		s.events = append(s.events, rec.events...)
+		rec.mu.Unlock()
+	}
 }
 
 // Len reports how many traces the ring currently holds.
@@ -110,16 +145,21 @@ func (b *TraceBuffer) Stats() (added, dropped int64) {
 	return b.added, b.dropped
 }
 
-// Snapshot returns the buffered traces oldest-first.
+// Snapshot returns the buffered traces oldest-first, building the span
+// trees of Recorded ones.
 func (b *TraceBuffer) Snapshot() []Trace {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.full {
-		return append([]Trace(nil), b.buf[:b.next]...)
+	var out []Trace
+	if b.full {
+		out = make([]Trace, 0, len(b.buf))
+		for i := b.next; i < len(b.buf); i++ {
+			out = append(out, b.buf[i].trace())
+		}
 	}
-	out := make([]Trace, 0, len(b.buf))
-	out = append(out, b.buf[b.next:]...)
-	out = append(out, b.buf[:b.next]...)
+	for i := 0; i < b.next; i++ {
+		out = append(out, b.buf[i].trace())
+	}
 	return out
 }
 
@@ -172,8 +212,6 @@ func (b *TraceBuffer) StartTrace(op, requestID string) (*SpanRecorder, func(res 
 			Session:    -1,
 			Start:      start,
 			DurationNs: time.Since(start).Nanoseconds(),
-			Warm:       rec.Breakdown().Warm,
-			Spans:      rec.Spans(),
 		}
 		if res != nil {
 			t.EarlyStop = res.EarlyStop
@@ -181,6 +219,6 @@ func (b *TraceBuffer) StartTrace(op, requestID string) (*SpanRecorder, func(res 
 		if err != nil {
 			t.Err = err.Error()
 		}
-		b.Add(t)
+		b.Record(t, rec)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sftree/internal/core"
+	"sftree/internal/nfv"
 )
 
 func TestTraceBufferRing(t *testing.T) {
@@ -16,7 +17,7 @@ func TestTraceBufferRing(t *testing.T) {
 		t.Fatalf("fresh ring Len = %d", b.Len())
 	}
 	for i := 0; i < 5; i++ {
-		b.Add(Trace{Op: "solve", RequestID: fmt.Sprintf("r%d", i)})
+		b.Record(Trace{Op: "solve", RequestID: fmt.Sprintf("r%d", i)}, nil)
 	}
 	if b.Len() != 3 {
 		t.Errorf("Len = %d, want capacity 3", b.Len())
@@ -40,7 +41,7 @@ func TestTraceBufferRing(t *testing.T) {
 func TestTraceBufferDefaultCap(t *testing.T) {
 	b := NewTraceBuffer(0)
 	for i := 0; i < DefaultTraceCap+10; i++ {
-		b.Add(Trace{Op: "solve"})
+		b.Record(Trace{Op: "solve"}, nil)
 	}
 	if b.Len() != DefaultTraceCap {
 		t.Errorf("Len = %d, want %d", b.Len(), DefaultTraceCap)
@@ -49,7 +50,7 @@ func TestTraceBufferDefaultCap(t *testing.T) {
 
 func TestTraceBufferHandler(t *testing.T) {
 	b := NewTraceBuffer(4)
-	b.Add(Trace{Op: "admit", RequestID: "abc", Session: -1, Warm: true})
+	b.Record(Trace{Op: "admit", RequestID: "abc", Session: -1, Warm: true}, nil)
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()
 
@@ -134,5 +135,42 @@ func TestStartTraceRecordsOutcome(t *testing.T) {
 	}
 	if bad.Err != "no capacity" || bad.Op != "admit" {
 		t.Errorf("failure trace = %+v", bad)
+	}
+}
+
+// TestRecordedTraceJSON: a trace recorded with its events serves the
+// JSON a trace built from the same recorder up front would, Warm flag
+// and span tree included, and keeps it after the recorder is released
+// and reused for another solve.
+func TestRecordedTraceJSON(t *testing.T) {
+	net, task := obsInstance(t)
+	rec := AcquireRecorder()
+	if _, err := core.Solve(net, task, core.Options{Observer: rec, MaxOPAPasses: 4}); err != nil {
+		t.Fatal(err)
+	}
+	tr := Trace{Op: "admit", RequestID: "req-1", Session: 3, DurationNs: 7}
+	built := tr
+	built.Warm, built.Spans = rec.Breakdown().Warm, rec.Spans()
+	want, err := json.Marshal(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewTraceBuffer(2)
+	ring.Record(tr, rec)
+	rec.Release()
+	again := AcquireRecorder()
+	if _, err := core.Solve(net, nfv.Task{Source: task.Source, Destinations: task.Destinations[:2], Chain: task.Chain[:1]}, core.Options{Observer: again}); err != nil {
+		t.Fatal(err)
+	}
+	again.Release()
+	got, err := json.Marshal(ring.Snapshot()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("recorded trace serves\n%s\nwant\n%s", got, want)
+	}
+	if len(built.Spans) == 0 {
+		t.Error("the solve recorded no spans")
 	}
 }

@@ -1,0 +1,111 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"runtime"
+	"strings"
+	"testing"
+
+	"sftree/internal/core"
+	"sftree/internal/nfv"
+	"sftree/internal/obs"
+)
+
+// TestTrailingDataRefused: a request body is one JSON document. Data
+// after it — a second document, garbage — is a malformed body and
+// answers 400 on every route that reads one, and a refused admission
+// admits nothing. Whitespace after the document is fine.
+func TestTrailingDataRefused(t *testing.T) {
+	net, task := sessionNetwork(t)
+	srv, ts := newTestServer(t, net, Config{})
+	doc := testInstance(t)
+	res, err := core.Solve(doc.Network, doc.Task, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(v any) string {
+		blob, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	taskDoc := encode(task)
+	post := func(path, body string) *http.Response {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	for _, tc := range []struct{ path, doc string }{
+		{"/v1/sessions", taskDoc},
+		{"/v1/solve", encode(SolveRequest{Instance: doc})},
+		{"/v1/validate", encode(ValidateRequest{Instance: doc, Embedding: res.Embedding})},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			for _, trailer := range []string{taskDoc + "trailing-garbage", "{}", "x", "]"} {
+				assertErrorEnvelope(t, post(tc.path, tc.doc+trailer), http.StatusBadRequest)
+			}
+			want := http.StatusOK
+			if tc.path == "/v1/sessions" {
+				want = http.StatusCreated
+			}
+			if resp := post(tc.path, tc.doc+" \n\t\r\n"); resp.StatusCode != want {
+				t.Errorf("document plus whitespace: status %d, want %d", resp.StatusCode, want)
+			}
+		})
+	}
+	if st := srv.Manager().Stats(); st.Admitted != 1 || st.Rejected != 0 {
+		t.Errorf("manager admitted %d and rejected %d, want only the whitespace-trailed admission", st.Admitted, st.Rejected)
+	}
+}
+
+// TestRuntimeAndPoolGauges reads the garbage collector's cumulative
+// cost and every recycling pool's reuse rate from a live server's
+// /metrics after a run of admissions and releases.
+func TestRuntimeAndPoolGauges(t *testing.T) {
+	net, _ := sessionNetwork(t)
+	_, ts := newTestServer(t, net, Config{})
+	client := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	tasks := []nfv.Task{
+		{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}},
+		{Source: 3, Destinations: []int{7, 11, 14}, Chain: nfv.SFC{2, 4, 1}},
+	}
+	for i := 0; i < 20; i++ {
+		resp, err := client.Admit(ctx, tasks[i%len(tasks)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Release(ctx, resp.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"runtime_alloc_bytes_total", "runtime_gc_cycles_total", "runtime_gc_cpu_seconds_total"} {
+		if v, ok := snap.Floats[name]; !ok || v <= 0 {
+			t.Errorf("%s = %v (present %v), want > 0 after a collection", name, v, ok)
+		}
+	}
+	for _, pool := range []string{"scaffold_pool", "trace_recorder_pool", "http_body_pool"} {
+		gets, rate := snap.Floats[pool+"_gets"], snap.Floats[pool+"_reuse_rate"]
+		if gets < 20 || rate <= 0 || rate > 1 {
+			t.Errorf("%s: %v gets, reuse rate %v; want at least 20 gets and a rate in (0, 1]", pool, gets, rate)
+		}
+	}
+}

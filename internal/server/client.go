@@ -210,7 +210,12 @@ func (c *Client) attempt(ctx context.Context, method, path string, blob []byte, 
 	if out == nil {
 		return nil, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	buf := bodies.get()
+	defer bodies.put(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, fmt.Errorf("client: read: %w", err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		return nil, fmt.Errorf("client: decode: %w", err)
 	}
 	return nil, nil

@@ -25,6 +25,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,6 +35,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sftree/internal/conformance"
@@ -117,6 +119,8 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	// callback gauges per server is idempotent (same names, same
 	// sources), so every registry scraping this server sees them.
 	obs.RegisterCacheStats(reg)
+	obs.RegisterPool(reg, "http_body_pool", bodies.stats)
+	obs.RegisterRuntimeStats(reg)
 	// Every solve, admission and fault-repair run leaves one
 	// request-scoped span tree in a ring of obs.DefaultTraceCap traces,
 	// served at GET /debug/traces (and reachable via Server.Traces).
@@ -385,9 +389,20 @@ func (s *Server) runAlgorithm(ctx context.Context, req *SolveRequest, extra core
 	}
 }
 
+// decodeBody reads the whole body into a pooled buffer and decodes it
+// as one JSON document into dst: anything but whitespace after the
+// document is a 400, like any other malformed body, and a body past
+// MaxBodyBytes a 413. It answers the error itself and reports whether
+// the handler may go on. Decoding copies everything it keeps, so the
+// buffer is free again on return.
 func decodeBody[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
+	buf := bodies.get()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), dst)
+	}
+	bodies.put(buf)
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -398,6 +413,43 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
 	}
 	return true
 }
+
+// bodies recycles the buffers request bodies, and the response bodies
+// Client decodes, are read into.
+var bodies bufferPool
+
+// maxPooledBody is the largest buffer bodies keeps: an instance document
+// can run to MaxBodyBytes, and one such request must not pin that much
+// for the life of the process.
+const maxPooledBody = 64 << 10
+
+// bufferPool is a sync.Pool of bytes.Buffers that counts how often a
+// get found one to reuse.
+type bufferPool struct {
+	pool       sync.Pool
+	gets, news atomic.Int64
+}
+
+func (p *bufferPool) get() *bytes.Buffer {
+	p.gets.Add(1)
+	if b, _ := p.pool.Get().(*bytes.Buffer); b != nil {
+		return b
+	}
+	p.news.Add(1)
+	return new(bytes.Buffer)
+}
+
+func (p *bufferPool) put(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBody {
+		return
+	}
+	b.Reset()
+	p.pool.Put(b)
+}
+
+// stats reports how many buffers get handed out and how many of them it
+// had to allocate.
+func (p *bufferPool) stats() (gets, news int64) { return p.gets.Load(), p.news.Load() }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
@@ -475,7 +527,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	// Admissions carry the deadline as ?timeout_ms= (the body is the
 	// bare task); the server ceiling applies either way.
 	var timeoutMS int64
-	if q := r.URL.Query().Get("timeout_ms"); q != "" {
+	if q := queryParam(r, "timeout_ms"); q != "" {
 		ms, err := strconv.ParseInt(q, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", q))
@@ -523,6 +575,15 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		WaitMS:    float64(tk.WaitDuration()) / float64(time.Millisecond),
 		SolveMS:   float64(tk.SolveDuration()) / float64(time.Millisecond),
 	})
+}
+
+// queryParam is r.URL.Query().Get(key) without parsing a query string
+// that is not there, which most requests do not carry.
+func queryParam(r *http.Request, key string) string {
+	if r.URL.RawQuery == "" {
+		return ""
+	}
+	return r.URL.Query().Get(key)
 }
 
 // admitStatus maps an admission error to its HTTP status: malformed

@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve allocation budget and digest + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve allocation budget and digest + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission and clone allocation budgets and the solve digest + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission and clone allocation budgets and the solve digest + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
 #                       # (equivalence battery: idle, held and trickle
@@ -240,9 +240,12 @@ queue_gate() {
 # facade, the exact/ILP stack (lp, ilp, sftilp, exact), the comparison
 # baselines, the offline harnesses (sim, forest, topology, trace,
 # metrics) or the renderer (viz), and no non-test internal/server file
-# registers POST /v1/render (sftembed -svg renders offline).
+# registers POST /v1/render (sftembed -svg renders offline); and no
+# non-test .go file outside bench/ tunes the garbage collector
+# (debug.SetGCPercent, debug.SetMemoryLimit, GOGC, GOMEMLIMIT): what
+# the collector costs is cut by allocating less, not by a knob.
 retired_guard() {
-	echo "==> retired guard: one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -335,6 +338,10 @@ retired_guard() {
 		echo "retired guard: internal/server serves /v1/render again (sftembed -svg renders offline)" >&2
 		exit 1
 	fi
+	if grep -rnE 'debug\.SetGCPercent|debug\.SetMemoryLimit|GOGC|GOMEMLIMIT' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+		echo "retired guard: a non-test .go file tunes the garbage collector (a throughput gain must come from allocating less)" >&2
+		exit 1
+	fi
 }
 
 # load_gate drives the open-loop load harness for a short fixed-seed
@@ -405,14 +412,19 @@ retired_guard
 echo "==> bench module: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 
-# The allocation budget of a default solve (at most 100 on the
+# The allocation budget of a default solve (at most 30 on the
 # benchmark's two solver-bound shapes) is what holds the flat embedding
 # and the per-solve scratch in place, and the solve digest is what holds
 # every embedding, price bit and stage-one host in place while the
-# solver is made faster; both are plain tests that skip themselves under
+# solver is made faster. The admission budget (a traced manager's admit
+# and release on serve_mixed's network and mix: at most 10 kB in 45
+# objects) and the clone budget (at most 4 allocations) hold the shared
+# configuration tables, the recycled scaffolds and the recycled trace
+# recorders in place. All are plain tests that skip themselves under
 # -race, so this is where they run uncached.
-echo "==> solve allocation budget and digest: TestSolveAllocBudget, TestSolveDigest"
+echo "==> allocation budgets and solve digest: TestSolveAllocBudget, TestSolveDigest, TestAdmitAllocBudget, TestCloneAllocs"
 run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest' ./internal/core
+run_matching -count=1 'TestAdmitAllocBudget|TestCloneAllocs' ./internal/dynamic ./internal/nfv
 
 # internal/wal picks its sync and preallocation calls by platform; the
 # non-Linux file is never compiled by anything above. Standard library
@@ -428,6 +440,12 @@ fi
 
 echo "==> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
+
+# Clones share their configuration tables copy-on-write and are taken
+# from several goroutines at once; the isolation test ran above, and
+# runs here by name so that a rename cannot drop it from the race run.
+echo "==> clone isolation under -race: TestCloneIsolation"
+run_matching '-race -count=1' 'TestCloneIsolation' ./internal/nfv
 
 # The seed corpora already ran above as plain tests; ten seconds of
 # mutation on top holds the KMB sweep to its textbook oracle on graphs
