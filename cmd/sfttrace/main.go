@@ -3,22 +3,17 @@
 // replays it through the session manager, reporting acceptance ratio,
 // per-session cost, and peak instance footprint.
 //
-// It is also the consumer side of the solver's telemetry streams:
-// -parse summarizes a JSONL event stream (sftembed -trace output,
-// including request-ID/warm/rung-stamped lines from scoped streams;
-// older streams without those fields parse identically), and -traces
-// pulls and summarizes a server's /debug/traces ring.
+// It is also the consumer side of the solver's telemetry: -traces
+// pulls a server's /debug/traces ring and summarizes its span trees.
 //
 // Usage:
 //
 //	sfttrace -nodes 60 -sessions 200 -rate 2 -hold 8
 //	sfttrace -palmetto -sessions 100
-//	sfttrace -parse events.jsonl
 //	sfttrace -traces http://localhost:8080
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,14 +44,10 @@ func run(args []string, w io.Writer) error {
 		hold     = fs.Float64("hold", 10, "mean session holding time")
 		seed     = fs.Int64("seed", 1, "random seed")
 		mu       = fs.Float64("mu", 2, "setup cost multiplier")
-		parse    = fs.String("parse", "", "summarize a JSONL solver-event stream instead of running a workload")
 		traces   = fs.String("traces", "", "pull and summarize /debug/traces from this server base URL")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *parse != "" {
-		return parseJSONL(*parse, w)
 	}
 	if *traces != "" {
 		return summarizeTraces(*traces, w)
@@ -99,145 +90,6 @@ func run(args []string, w io.Writer) error {
 	final := m.Stats()
 	fmt.Fprintf(w, "final state: %d active sessions, cumulative admitted cost %.1f\n",
 		final.Active, final.AdmittedCost)
-	return nil
-}
-
-// eventLine mirrors the JSONL wire schema of internal/obs. It lists
-// every field a stream has carried, including request_id and rung,
-// which only scoped streams (no longer written) held; streams without
-// the request_id / warm / rung / scaffold / general_trees / bound_skips
-// / repeat_roots / sfc_rows fields simply decode those to their zero
-// values, and
-// unknown future fields are ignored — the stream stays parseable in
-// both directions.
-type eventLine struct {
-	Kind       string `json:"kind"`
-	Pass       int    `json:"pass"`
-	Moves      int    `json:"moves"`
-	DurationNs int64  `json:"duration_ns"`
-	RequestID  string `json:"request_id"`
-	Warm       bool   `json:"warm"`
-	Rung       string `json:"rung"`
-	Scaffold   bool   `json:"scaffold"`
-	// GeneralTrees rides on sweep_end: KMB trees that needed Kruskal
-	// and pruning because the closure expansion held a cycle.
-	GeneralTrees int `json:"general_trees"`
-	// BoundSkips rides on sweep_end: candidates left unpriced because
-	// the tree lower bound ruled them out.
-	BoundSkips int `json:"bound_skips"`
-	// RepeatRoots rides on sweep_end: candidates whose last host an
-	// earlier candidate had already priced a tree for.
-	RepeatRoots int `json:"repeat_roots"`
-	// SFCRowsRelaxed, SFCRowsDominated and SFCRows ride on sfc_solved:
-	// predecessor rows the chain search relaxed, rows it skipped because
-	// a relaxed row already undercut them, of rows with a finite
-	// distance.
-	SFCRowsRelaxed   int `json:"sfc_rows_relaxed"`
-	SFCRowsDominated int `json:"sfc_rows_dominated"`
-	SFCRows          int `json:"sfc_rows"`
-}
-
-// parseJSONL summarizes a solver-event JSONL stream: per-kind counts,
-// phase time totals, warm/cold solve split, the stage-one split into
-// overlay, SFC chain search and candidate sweep, and — when the stream was
-// scoped — the distinct request IDs and repair rungs seen.
-func parseJSONL(path string, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	kinds := map[string]int{}
-	durations := map[string]time.Duration{}
-	requests := map[string]int{}
-	rungs := map[string]int{}
-	warmBuilds, coldBuilds, scaffolded, generalTrees, boundSkips, repeatRoots, lines, badLines := 0, 0, 0, 0, 0, 0, 0, 0
-	rowsRelaxed, rowsDominated, rows := 0, 0, 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev eventLine
-		if err := json.Unmarshal(line, &ev); err != nil || ev.Kind == "" {
-			badLines++
-			continue
-		}
-		lines++
-		kinds[ev.Kind]++
-		durations[ev.Kind] += time.Duration(ev.DurationNs)
-		if ev.RequestID != "" {
-			requests[ev.RequestID]++
-		}
-		if ev.Rung != "" {
-			rungs[ev.Rung]++
-		}
-		if ev.Kind == "apsp_build" {
-			if ev.Warm {
-				warmBuilds++
-			} else {
-				coldBuilds++
-			}
-		}
-		if ev.Kind == "overlay_built" && ev.Scaffold {
-			scaffolded++
-		}
-		generalTrees += ev.GeneralTrees
-		boundSkips += ev.BoundSkips
-		repeatRoots += ev.RepeatRoots
-		rowsRelaxed += ev.SFCRowsRelaxed
-		rowsDominated += ev.SFCRowsDominated
-		rows += ev.SFCRows
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if lines == 0 {
-		return fmt.Errorf("%s: no parseable events (%d bad lines)", path, badLines)
-	}
-
-	fmt.Fprintf(w, "%s: %d events", path, lines)
-	if badLines > 0 {
-		fmt.Fprintf(w, " (%d unparseable lines skipped)", badLines)
-	}
-	fmt.Fprintln(w)
-	names := make([]string, 0, len(kinds))
-	for k := range kinds {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if d := durations[k]; d > 0 {
-			fmt.Fprintf(w, "  %-14s %6d  total %s\n", k, kinds[k], d.Round(time.Microsecond))
-		} else {
-			fmt.Fprintf(w, "  %-14s %6d\n", k, kinds[k])
-		}
-	}
-	fmt.Fprintf(w, "solves: %d (%d warm metric, %d cold)\n",
-		kinds["stage2_end"], warmBuilds, coldBuilds)
-	if n := kinds["overlay_built"]; n > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s (%d/%d via scaffold cache), sfc search %s (%d of %d predecessor rows, %d dominated), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound, %d repeated roots)\n",
-			durations["stage1_end"].Round(time.Microsecond),
-			durations["overlay_built"].Round(time.Microsecond), scaffolded, n,
-			durations["sfc_solved"].Round(time.Microsecond), rowsRelaxed, rows, rowsDominated,
-			durations["sweep_end"].Round(time.Microsecond), generalTrees, boundSkips, repeatRoots)
-	}
-	if len(requests) > 0 {
-		fmt.Fprintf(w, "request-scoped events: %d distinct request IDs\n", len(requests))
-	}
-	if len(rungs) > 0 {
-		rn := make([]string, 0, len(rungs))
-		for r := range rungs {
-			rn = append(rn, r)
-		}
-		sort.Strings(rn)
-		for _, r := range rn {
-			fmt.Fprintf(w, "repair rung %s: %d events\n", r, rungs[r])
-		}
-	}
 	return nil
 }
 

@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -56,65 +53,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("same seed produced different trace results")
-	}
-}
-
-// TestParseJSONL feeds a mixed stream: PR 2-era lines (no request_id /
-// warm / rung fields) and current scoped lines. Both must parse; the
-// summary must surface the new attributes without choking on the old.
-func TestParseJSONL(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.jsonl")
-	lines := []string{
-		// Old-schema lines: field set as emitted before the scoped stream.
-		`{"kind":"apsp_build","duration_ns":1200000}`,
-		`{"kind":"stage1_end","cost":42.5,"candidates":6,"duration_ns":800000}`,
-		`{"kind":"stage2_end","cost":40.1,"moves":3,"duration_ns":500000}`,
-		// Current-schema lines with the request/warm/rung additions.
-		`{"kind":"apsp_build","warm":true,"request_id":"req-1"}`,
-		`{"kind":"stage2_end","cost":39.0,"request_id":"req-1","duration_ns":300000}`,
-		`{"kind":"stage2_end","cost":44.0,"request_id":"req-2","rung":"patch"}`,
-		// Stage-one sub-phase lines, one overlay from the scaffold cache.
-		`{"kind":"overlay_built","duration_ns":20000}`,
-		`{"kind":"overlay_built","duration_ns":1000,"scaffold":true}`,
-		`{"kind":"sfc_solved","duration_ns":300000}`,                                     // written before the row counts
-		`{"kind":"sfc_solved","duration_ns":40000,"sfc_rows_relaxed":48,"sfc_rows":800}`, // written before the dominated count
-		`{"kind":"sfc_solved","duration_ns":10000,"sfc_rows_relaxed":20,"sfc_rows_dominated":15,"sfc_rows":200}`,
-		`{"kind":"sweep_end","candidates":6,"duration_ns":450000,"general_trees":2,"bound_skips":3,"repeat_roots":1}`,
-		// Garbage must be skipped, not fatal.
-		`not json`,
-		``,
-	}
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-parse", path}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"12 events",
-		"1 unparseable lines skipped",
-		"solves: 3 (1 warm metric, 1 cold)",
-		"stage one 800µs: overlay 21µs (1/2 via scaffold cache), sfc search 350µs (68 of 1000 predecessor rows, 15 dominated), candidate sweep 450µs (2 general-branch KMB trees, 3 candidates skipped by the bound, 1 repeated roots)",
-		"2 distinct request IDs",
-		"repair rung patch: 1 events",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in output:\n%s", want, out)
-		}
-	}
-}
-
-func TestParseJSONLEmpty(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.jsonl")
-	if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-parse", path}, io.Discard); err == nil {
-		t.Error("stream with no parseable events accepted")
 	}
 }
 

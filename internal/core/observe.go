@@ -9,8 +9,9 @@ import "time"
 // proposals/acceptances/rejections with cost deltas, and the APSP
 // (metric closure) build time. A nil Observer costs a single pointer
 // check per emission site, so the hot path is unaffected when tracing
-// is off; internal/obs provides ready-made consumers (span recorder,
-// JSON-lines streamer, metrics-registry bridge).
+// is off; internal/obs provides ready-made consumers (the span
+// recorder, whose span tree is the one wire form of these events, and
+// the metrics-registry bridge).
 
 // EventKind classifies solver-phase events.
 type EventKind int
@@ -64,7 +65,7 @@ const (
 	EventSweepEnd
 )
 
-// String names the kind for logs and JSON streams.
+// String names the kind; move spans are named by it.
 func (k EventKind) String() string {
 	switch k {
 	case EventAPSPBuild:

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -69,62 +68,4 @@ func ReductionPct(base, ours float64) float64 {
 		return 0
 	}
 	return 100 * (base - ours) / base
-}
-
-// Distribution stores observations for quantile queries (unlike
-// Sample, which is streaming and constant-space).
-type Distribution struct {
-	vals   []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (d *Distribution) Add(x float64) {
-	d.vals = append(d.vals, x)
-	d.sorted = false
-}
-
-// N returns the observation count.
-func (d *Distribution) N() int { return len(d.vals) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (d *Distribution) Mean() float64 {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range d.vals {
-		sum += v
-	}
-	return sum / float64(len(d.vals))
-}
-
-// Quantile returns the q-quantile (q in [0,1]) with linear
-// interpolation between order statistics. Degenerate inputs are safe:
-// an empty distribution yields 0, a single observation yields itself
-// for every q, out-of-range q clamps to the extremes, and a NaN q is
-// treated as 0 (never an index panic).
-func (d *Distribution) Quantile(q float64) float64 {
-	n := len(d.vals)
-	if n == 0 {
-		return 0
-	}
-	if !d.sorted {
-		sort.Float64s(d.vals)
-		d.sorted = true
-	}
-	switch {
-	case q <= 0 || math.IsNaN(q):
-		return d.vals[0]
-	case q >= 1:
-		return d.vals[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return d.vals[lo]
-	}
-	frac := pos - float64(lo)
-	return d.vals[lo]*(1-frac) + d.vals[hi]*frac
 }

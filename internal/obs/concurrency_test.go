@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,11 +65,15 @@ func TestConcurrentObserverFanout(t *testing.T) {
 	// twice across the Tee.
 	var sumProposed, sumAccepted, sumRejected, sumPasses int64
 	for i, rec := range recs {
-		b := rec.Breakdown()
-		sumProposed += int64(b.MovesProposed)
-		sumAccepted += int64(b.MovesAccepted)
-		sumRejected += int64(b.MovesRejected)
-		sumPasses += int64(b.OPAPasses)
+		spans := rec.Spans()
+		sumProposed += int64(len(named(spans, "move_proposed")))
+		sumAccepted += int64(len(named(spans, "move_accepted")))
+		sumRejected += int64(len(named(spans, "move_rejected")))
+		walk(spans, func(s *Span) {
+			if strings.HasPrefix(s.Name, "opa_pass_") {
+				sumPasses++
+			}
+		})
 		ends := 0
 		for _, e := range rec.Events() {
 			if e.Kind == core.EventStage2End {

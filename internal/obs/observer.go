@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -11,9 +9,10 @@ import (
 )
 
 // SpanRecorder is a core.Observer that keeps every event in arrival
-// order, for tests, traces and post-hoc aggregation. Safe for
-// concurrent use, though interleaved events from parallel solves make
-// the span tree ambiguous — use one recorder per solve for trees.
+// order. Spans rebuilds them into the span tree, the one form solver
+// telemetry is read in (TraceBuffer, /debug/traces, sfttrace -traces).
+// Safe for concurrent use, though interleaved events from parallel
+// solves make the span tree ambiguous — use one recorder per solve.
 //
 // A nil *SpanRecorder is a valid no-op observer: every method tolerates
 // a nil receiver, so TraceBuffer.StartTrace on a nil ring can hand back
@@ -91,79 +90,6 @@ func RecorderPoolStats() (gets, news int64) {
 	return recorderGets.Load(), recorderNews.Load()
 }
 
-// Breakdown aggregates one solve's events into a phase timing
-// summary: where stage-2 time goes and what the move funnel looked
-// like. OverlayNs, SFCSolveNs and SweepNs
-// split Stage1Ns from inside the solver: obtaining the MOD overlay,
-// the chain search over it, and the candidate last-host sweep.
-type Breakdown struct {
-	APSPBuildNs   int64   `json:"apsp_build_ns"`
-	Stage1Ns      int64   `json:"stage1_ns"`
-	OverlayNs     int64   `json:"overlay_ns"`
-	SFCSolveNs    int64   `json:"sfc_solve_ns"`
-	SweepNs       int64   `json:"sweep_ns"`
-	Stage2Ns      int64   `json:"stage2_ns"`
-	OPAPasses     int     `json:"opa_passes"`
-	MovesProposed int     `json:"moves_proposed"`
-	MovesAccepted int     `json:"moves_accepted"`
-	MovesRejected int     `json:"moves_rejected"`
-	Stage1Cost    float64 `json:"stage1_cost"`
-	FinalCost     float64 `json:"final_cost"`
-	// Warm reports that the solve's metric lookup was served by the
-	// generation-valid cache (core.Event.Warm on the APSP event) — the
-	// explicit warm/cold label, rather than the apsp_build_ns==0
-	// convention. With several solves folded in, true means at least
-	// one was warm.
-	Warm bool `json:"warm"`
-}
-
-// Breakdown folds the recorded events into per-phase totals. With
-// several solves recorded, durations and move counts accumulate and
-// the costs reflect the last solve.
-func (r *SpanRecorder) Breakdown() Breakdown {
-	if r == nil {
-		return Breakdown{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return breakdownOf(r.events)
-}
-
-// breakdownOf folds events into per-phase totals (see Breakdown).
-func breakdownOf(events []core.Event) Breakdown {
-	var b Breakdown
-	for _, e := range events {
-		switch e.Kind {
-		case core.EventAPSPBuild:
-			b.APSPBuildNs += e.Duration.Nanoseconds()
-			if e.Warm {
-				b.Warm = true
-			}
-		case core.EventStage1End:
-			b.Stage1Ns += e.Duration.Nanoseconds()
-			b.Stage1Cost = e.Cost
-		case core.EventOverlayBuilt:
-			b.OverlayNs += e.Duration.Nanoseconds()
-		case core.EventSFCSolved:
-			b.SFCSolveNs += e.Duration.Nanoseconds()
-		case core.EventSweepEnd:
-			b.SweepNs += e.Duration.Nanoseconds()
-		case core.EventStage2End:
-			b.Stage2Ns += e.Duration.Nanoseconds()
-			b.FinalCost = e.Cost
-		case core.EventOPAPassEnd:
-			b.OPAPasses++
-		case core.EventMoveProposed:
-			b.MovesProposed++
-		case core.EventMoveAccepted:
-			b.MovesAccepted++
-		case core.EventMoveRejected:
-			b.MovesRejected++
-		}
-	}
-	return b
-}
-
 // Span is one node of the in-memory phase tree: a named phase with its
 // wall time, numeric attributes and nested children.
 type Span struct {
@@ -176,7 +102,8 @@ type Span struct {
 // Spans rebuilds the span tree of the recorded solve: stage spans at
 // the top, the overlay / SFC chain search / candidate sweep split under
 // stage 1, one span per OPA pass under stage 2, move events as leaf
-// spans under their pass.
+// spans under their pass. Every core.Event field lands on some span:
+// as its duration, an attribute, or the pass number in its name.
 func (r *SpanRecorder) Spans() []*Span {
 	if r == nil {
 		return nil
@@ -257,82 +184,12 @@ func spansOf(events []core.Event) []*Span {
 		case core.EventMoveProposed, core.EventMoveAccepted, core.EventMoveRejected:
 			add(&Span{Name: e.Kind.String(), Attrs: map[string]float64{
 				"level": float64(e.Level), "conn": float64(e.Conn),
-				"from": float64(e.From), "to": float64(e.To),
+				"from": float64(e.From), "to": float64(e.To), "group": float64(e.Group),
 				"cost_before": e.CostBefore, "cost_after": e.CostAfter,
 			}})
 		}
 	}
 	return roots
-}
-
-// lineEvent is the JSON-lines wire form of a solver event. The warm,
-// scaffold, general_trees, bound_skips, repeat_roots and sfc_rows
-// fields are additions over the original schema; they are omitted when
-// empty, so old consumers keep parsing new streams and new consumers
-// treat their absence as the zero value when reading old streams.
-type lineEvent struct {
-	Kind       string  `json:"kind"`
-	Pass       int     `json:"pass,omitempty"`
-	Level      int     `json:"level,omitempty"`
-	Conn       int     `json:"conn,omitempty"`
-	From       int     `json:"from,omitempty"`
-	To         int     `json:"to,omitempty"`
-	Group      int     `json:"group,omitempty"`
-	CostBefore float64 `json:"cost_before,omitempty"`
-	CostAfter  float64 `json:"cost_after,omitempty"`
-	Cost       float64 `json:"cost,omitempty"`
-	Candidates int     `json:"candidates,omitempty"`
-	Moves      int     `json:"moves,omitempty"`
-	DurationNs int64   `json:"duration_ns,omitempty"`
-	// Warm marks an apsp_build event served from the metric cache.
-	Warm bool `json:"warm,omitempty"`
-	// Scaffold marks an overlay_built event whose overlay came through
-	// the scaffold cache.
-	Scaffold bool `json:"scaffold,omitempty"`
-	// GeneralTrees counts a sweep_end event's KMB trees that were not
-	// trees after the closure expansion and needed Kruskal and pruning.
-	GeneralTrees int `json:"general_trees,omitempty"`
-	// BoundSkips counts a sweep_end event's candidates left unpriced
-	// because the tree lower bound ruled them out.
-	BoundSkips int `json:"bound_skips,omitempty"`
-	// RepeatRoots counts a sweep_end event's candidates whose tree
-	// price an earlier candidate with the same last host had paid.
-	RepeatRoots int `json:"repeat_roots,omitempty"`
-	// SFCRowsRelaxed, SFCRowsDominated and SFCRows are an sfc_solved
-	// event's predecessor rows relaxed, rows skipped because a relaxed
-	// row already undercut them, and rows with a finite distance.
-	SFCRowsRelaxed   int `json:"sfc_rows_relaxed,omitempty"`
-	SFCRowsDominated int `json:"sfc_rows_dominated,omitempty"`
-	SFCRows          int `json:"sfc_rows,omitempty"`
-}
-
-// JSONLObserver streams every solver event as one JSON object per
-// line, the standard shape for log shippers. Writes serialize on an
-// internal mutex, so one observer may serve concurrent solves.
-type JSONLObserver struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONLObserver streams events to w.
-func NewJSONLObserver(w io.Writer) *JSONLObserver {
-	return &JSONLObserver{enc: json.NewEncoder(w)}
-}
-
-// OnEvent implements core.Observer.
-func (o *JSONLObserver) OnEvent(e core.Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	_ = o.enc.Encode(lineEvent{
-		Kind: e.Kind.String(), Pass: e.Pass, Level: e.Level,
-		Conn: e.Conn, From: e.From, To: e.To, Group: e.Group,
-		CostBefore: e.CostBefore, CostAfter: e.CostAfter, Cost: e.Cost,
-		Candidates: e.Candidates, Moves: e.Moves,
-		DurationNs: e.Duration.Nanoseconds(), Warm: e.Warm,
-		Scaffold: e.Scaffold, GeneralTrees: e.GeneralTrees, BoundSkips: e.BoundSkips,
-		RepeatRoots: e.RepeatRoots, SFCRowsRelaxed: e.SFCRowsRelaxed,
-		SFCRowsDominated: e.SFCRowsDominated, SFCRows: e.SFCRows,
-	})
 }
 
 // metricsObserver bridges solver events into registry metrics, the

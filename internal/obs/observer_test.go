@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,39 +123,58 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
+// TestBreakdownAndSpans: a solve's phase breakdown is read off its span
+// tree: stage wall times and costs, one span per OPA pass, the move
+// funnel, and the warm flag of the metric lookup.
 func TestBreakdownAndSpans(t *testing.T) {
 	net, task := obsInstance(t)
-	rec := &SpanRecorder{}
-	res, err := core.Solve(net, task, core.Options{Observer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := rec.Breakdown()
-	if b.Stage1Ns <= 0 || b.Stage2Ns <= 0 || b.OPAPasses < 1 {
-		t.Errorf("breakdown = %+v", b)
-	}
-	if b.Stage1Cost != res.Stage1Cost || b.FinalCost != res.FinalCost {
-		t.Errorf("breakdown costs %v/%v, result %v/%v", b.Stage1Cost, b.FinalCost, res.Stage1Cost, res.FinalCost)
-	}
-	if b.MovesAccepted != res.MovesAccepted {
-		t.Errorf("breakdown moves = %d, want %d", b.MovesAccepted, res.MovesAccepted)
-	}
-
-	spans := rec.Spans()
-	var stage2 *Span
-	for _, s := range spans {
-		if s.Name == "stage2" {
-			stage2 = s
+	net.SetMetricSupplier(nil) // drop the cached closure: the first solve builds it, the second reuses it
+	for i, wantWarm := range []float64{0, 1} {
+		rec := &SpanRecorder{}
+		// The paper's rule proposes no move on this instance; the
+		// aggressive one does, so the funnel below is not empty.
+		res, err := core.Solve(net, task, core.Options{Observer: rec, AggressiveOPA: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if stage2 == nil {
-		t.Fatalf("no stage2 span in %d roots", len(spans))
-	}
-	if len(stage2.Children) == 0 || !strings.HasPrefix(stage2.Children[0].Name, "opa_pass_") {
-		t.Errorf("stage2 children = %+v", stage2.Children)
-	}
-	if stage2.DurationNs <= 0 {
-		t.Errorf("stage2 span has no duration")
+		spans := rec.Spans()
+		var roots []string
+		for _, s := range spans {
+			roots = append(roots, s.Name)
+		}
+		if !reflect.DeepEqual(roots, []string{"apsp_build", "stage1", "stage2"}) {
+			t.Fatalf("solve %d: root spans %v", i, roots)
+		}
+		apsp, stage1, stage2 := spans[0], spans[1], spans[2]
+		if apsp.Attrs["warm"] != wantWarm || (wantWarm == 0) != (apsp.DurationNs > 0) {
+			t.Errorf("solve %d: apsp_build span %d ns warm %v, want warm %v", i, apsp.DurationNs, apsp.Attrs["warm"], wantWarm)
+		}
+		if stage1.DurationNs <= 0 || stage1.Attrs["cost"] != res.Stage1Cost || stage1.Attrs["candidates"] != float64(res.CandidatesTried) {
+			t.Errorf("solve %d: stage1 span %d ns %v, result cost %v over %d candidates", i, stage1.DurationNs, stage1.Attrs, res.Stage1Cost, res.CandidatesTried)
+		}
+		if stage2.DurationNs <= 0 || stage2.Attrs["cost"] != res.FinalCost || stage2.Attrs["moves"] != float64(res.MovesAccepted) {
+			t.Errorf("solve %d: stage2 span %d ns %v, result cost %v after %d moves", i, stage2.DurationNs, stage2.Attrs, res.FinalCost, res.MovesAccepted)
+		}
+		var passMoves float64
+		for j, p := range stage2.Children {
+			if p.Name != fmt.Sprintf("opa_pass_%d", j+1) {
+				t.Errorf("solve %d: stage2 child %d is %q", i, j, p.Name)
+			}
+			passMoves += p.Attrs["moves"]
+		}
+		if len(stage2.Children) == 0 || passMoves != float64(res.MovesAccepted) {
+			t.Errorf("solve %d: %d passes accepted %v moves, result %d", i, len(stage2.Children), passMoves, res.MovesAccepted)
+		}
+		proposed, accepted, rejected := named(spans, "move_proposed"), named(spans, "move_accepted"), named(spans, "move_rejected")
+		if len(proposed) == 0 || len(proposed) != len(accepted)+len(rejected) || len(accepted) != res.MovesAccepted {
+			t.Errorf("solve %d: move funnel %d proposed, %d accepted, %d rejected; result %d accepted",
+				i, len(proposed), len(accepted), len(rejected), res.MovesAccepted)
+		}
+		for _, m := range accepted {
+			if m.Attrs["cost_after"] >= m.Attrs["cost_before"] {
+				t.Errorf("solve %d: accepted move did not improve: %v", i, m.Attrs)
+			}
+		}
 	}
 }
 
@@ -166,10 +186,13 @@ func TestBreakdownAndSpans(t *testing.T) {
 func TestStageOneSplit(t *testing.T) {
 	net, task := obsInstance(t)
 	for _, scaffolds := range []*mod.Cache{nil, mod.NewCache()} {
+		wantScaffold := 0.0
+		if scaffolds != nil {
+			wantScaffold = 1
+		}
 		rec := &SpanRecorder{}
 		reg := NewRegistry()
-		var buf bytes.Buffer
-		opts := core.Options{Observer: Tee(rec, NewMetricsObserver(reg), NewJSONLObserver(&buf)), Scaffolds: scaffolds}
+		opts := core.Options{Observer: Tee(rec, NewMetricsObserver(reg)), Scaffolds: scaffolds}
 		res, err := core.Solve(net, task, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -208,15 +231,19 @@ func TestStageOneSplit(t *testing.T) {
 			t.Fatalf("sub-phase events %v, want %v", order, want)
 		}
 
-		b := rec.Breakdown()
-		if b.SFCSolveNs <= 0 || b.SweepNs <= 0 || b.OverlayNs+b.SFCSolveNs+b.SweepNs > b.Stage1Ns {
-			t.Errorf("breakdown split %d+%d+%d ns of stage one %d ns", b.OverlayNs, b.SFCSolveNs, b.SweepNs, b.Stage1Ns)
-		}
 		var names []string
 		for _, s := range rec.Spans() {
 			if s.Name == "stage1" {
+				var split int64
 				for _, c := range s.Children {
 					names = append(names, c.Name)
+					split += c.DurationNs
+					if c.Name != "overlay" && c.DurationNs <= 0 {
+						t.Errorf("%s span has no duration", c.Name)
+					}
+					if c.Name == "overlay" && c.Attrs["scaffold"] != wantScaffold {
+						t.Errorf("overlay span scaffold = %v with cache %v", c.Attrs["scaffold"], scaffolds != nil)
+					}
 					_, dominated := c.Attrs["rows_dominated"]
 					if c.Name == "sfc_dijkstra" && (!dominated || c.Attrs["rows_relaxed"] <= 0 ||
 						c.Attrs["rows"] < c.Attrs["rows_relaxed"]+c.Attrs["rows_dominated"]) {
@@ -225,6 +252,9 @@ func TestStageOneSplit(t *testing.T) {
 					if _, repeats := c.Attrs["repeat_roots"]; c.Name == "candidate_sweep" && !repeats {
 						t.Errorf("candidate_sweep span attrs = %v", c.Attrs)
 					}
+				}
+				if split > s.DurationNs {
+					t.Errorf("stage1 children total %d ns of the stage's %d ns", split, s.DurationNs)
 				}
 			}
 		}
@@ -236,40 +266,209 @@ func TestStageOneSplit(t *testing.T) {
 				t.Errorf("%s count = %d, want 1", h, got)
 			}
 		}
-		if got := strings.Contains(buf.String(), `"kind":"overlay_built"`) &&
-			strings.Contains(buf.String(), `"scaffold":true`) == (scaffolds != nil); !got {
-			t.Errorf("JSONL stream lacks the overlay_built line or its scaffold flag:\n%s", buf.String())
+	}
+}
+
+// eventHomes says where spansOf puts each field of each event kind, as
+// "span.key": key is an attribute, duration_ns, or pass (the N of an
+// opa_pass_N span's name). Two fields are copies the tree holds once: a
+// stage2_start carries the stage-one cost the stage1 span holds, and a
+// move event the number of the pass span it sits under.
+var eventHomes = map[core.EventKind]map[string]string{
+	core.EventAPSPBuild:    {"Duration": "apsp_build.duration_ns", "Warm": "apsp_build.warm"},
+	core.EventStage1Start:  {},
+	core.EventOverlayBuilt: {"Duration": "overlay.duration_ns", "Scaffold": "overlay.scaffold"},
+	core.EventSFCSolved: {"Duration": "sfc_dijkstra.duration_ns", "SFCRowsRelaxed": "sfc_dijkstra.rows_relaxed",
+		"SFCRowsDominated": "sfc_dijkstra.rows_dominated", "SFCRows": "sfc_dijkstra.rows"},
+	core.EventSweepEnd: {"Duration": "candidate_sweep.duration_ns", "Candidates": "candidate_sweep.candidates",
+		"GeneralTrees": "candidate_sweep.general_trees", "BoundSkips": "candidate_sweep.bound_skips",
+		"RepeatRoots": "candidate_sweep.repeat_roots"},
+	core.EventStage1End:    {"Duration": "stage1.duration_ns", "Cost": "stage1.cost", "Candidates": "stage1.candidates"},
+	core.EventStage2Start:  {"Cost": "stage1.cost"},
+	core.EventOPAPassStart: {"Pass": "opa_pass.pass"},
+	core.EventMoveProposed: moveHomes("move_proposed"),
+	core.EventMoveAccepted: moveHomes("move_accepted"),
+	core.EventMoveRejected: moveHomes("move_rejected"),
+	core.EventOPAPassEnd:   {"Pass": "opa_pass.pass", "Duration": "opa_pass.duration_ns", "Moves": "opa_pass.moves"},
+	core.EventStage2End:    {"Duration": "stage2.duration_ns", "Cost": "stage2.cost", "Moves": "stage2.moves"},
+}
+
+// moveHomes is eventHomes' entry for the move kind whose spans are
+// called name.
+func moveHomes(name string) map[string]string {
+	homes := map[string]string{"Pass": "opa_pass.pass"}
+	for field, key := range map[string]string{"Level": "level", "Conn": "conn", "From": "from", "To": "to",
+		"Group": "group", "CostBefore": "cost_before", "CostAfter": "cost_after"} {
+		homes[field] = name + "." + key
+	}
+	return homes
+}
+
+// walk calls f on every span of the tree, parents before children.
+func walk(spans []*Span, f func(*Span)) {
+	for _, s := range spans {
+		f(s)
+		walk(s.Children, f)
+	}
+}
+
+// named returns the tree's spans called name, in tree order.
+func named(spans []*Span, name string) []*Span {
+	var out []*Span
+	walk(spans, func(s *Span) {
+		if s.Name == name {
+			out = append(out, s)
 		}
-		if !strings.Contains(buf.String(), `"sfc_rows_relaxed":`) || !strings.Contains(buf.String(), `"sfc_rows":`) {
-			t.Errorf("JSONL stream lacks the sfc_solved row counts:\n%s", buf.String())
+	})
+	return out
+}
+
+// carries reports whether some span of the tree holds want at home.
+func carries(spans []*Span, home string, want float64) bool {
+	name, key, _ := strings.Cut(home, ".")
+	found := false
+	walk(spans, func(s *Span) {
+		pass, isPass := strings.CutPrefix(s.Name, "opa_pass_")
+		if s.Name != name && !(name == "opa_pass" && isPass) {
+			return
+		}
+		got := s.Attrs[key]
+		switch key {
+		case "duration_ns":
+			got = float64(s.DurationNs)
+		case "pass":
+			n, _ := strconv.Atoi(pass)
+			got = float64(n)
+		}
+		found = found || got == want
+	})
+	return found
+}
+
+// checkCarried fails for every non-zero field of events that has no
+// home for its kind, or whose value the span tree built from events
+// does not hold there.
+func checkCarried(t *testing.T, label string, events []core.Event) {
+	t.Helper()
+	spans := spansOf(events)
+	for i, e := range events {
+		homes, ok := eventHomes[e.Kind]
+		if !ok {
+			t.Errorf("%s: event %d: kind %v has no entry", label, i, e.Kind)
+			continue
+		}
+		v := reflect.ValueOf(e)
+		for j := 0; j < v.NumField(); j++ {
+			field, f := v.Type().Field(j).Name, v.Field(j)
+			if field == "Kind" || f.IsZero() {
+				continue
+			}
+			home, ok := homes[field]
+			if !ok {
+				t.Errorf("%s: event %d (%v): %s = %v has no span home", label, i, e.Kind, field, f)
+				continue
+			}
+			want := 1.0 // a set flag
+			switch f.Kind() {
+			case reflect.Float64:
+				want = f.Float()
+			case reflect.Int, reflect.Int64: // counts, and time.Duration in ns
+				want = float64(f.Int())
+			}
+			if !carries(spans, home, want) {
+				t.Errorf("%s: event %d (%v): %s = %v missing from span %s", label, i, e.Kind, field, f, home)
+			}
 		}
 	}
 }
 
-func TestJSONLObserver(t *testing.T) {
+// everyField is one solve's events two OPA passes deep, each field with
+// a home set to a value no other field shares (flags to true), except
+// the copies the solver makes: stage2_start repeats stage one's cost,
+// and a pass or move event carries its pass's number.
+func everyField() []core.Event {
+	kinds := []core.EventKind{core.EventAPSPBuild, core.EventStage1Start, core.EventOverlayBuilt,
+		core.EventSFCSolved, core.EventSweepEnd, core.EventStage1End, core.EventStage2Start,
+		core.EventOPAPassStart, core.EventMoveProposed, core.EventMoveAccepted, core.EventOPAPassEnd,
+		core.EventOPAPassStart, core.EventMoveProposed, core.EventMoveRejected, core.EventOPAPassEnd,
+		core.EventStage2End}
+	var events []core.Event
+	next, pass, stage1Cost := int64(100), 0, 0.0
+	for _, k := range kinds {
+		e := core.Event{Kind: k}
+		v := reflect.ValueOf(&e).Elem()
+		fields := make([]string, 0, len(eventHomes[k]))
+		for field := range eventHomes[k] {
+			fields = append(fields, field)
+		}
+		sort.Strings(fields)
+		for _, field := range fields {
+			next++
+			switch f := v.FieldByName(field); f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Float64:
+				f.SetFloat(float64(next) + 0.25)
+			default:
+				f.SetInt(next)
+			}
+		}
+		switch k {
+		case core.EventStage1End:
+			stage1Cost = e.Cost
+		case core.EventStage2Start:
+			e.Cost = stage1Cost
+		case core.EventOPAPassStart:
+			pass++
+		}
+		if e.Pass != 0 {
+			e.Pass = pass
+		}
+		events = append(events, e)
+	}
+	return events
+}
+
+// TestSpansCarryEveryEventField: the span tree is the one derived form
+// of the solver's events, so every core.Event field must reach it.
+// Every kind and every field needs an entry in eventHomes, and every
+// non-zero field of a synthetic stream that sets them all, and of real
+// solves, must be found at its home.
+func TestSpansCarryEveryEventField(t *testing.T) {
+	homed := map[string]bool{}
+	for k := core.EventAPSPBuild; k.String() != "unknown"; k++ {
+		homes, ok := eventHomes[k]
+		if !ok {
+			t.Errorf("event kind %v has no entry in eventHomes", k)
+		}
+		for field := range homes {
+			homed[field] = true
+		}
+	}
+	typ := reflect.TypeOf(core.Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		if field := typ.Field(i).Name; field != "Kind" && !homed[field] {
+			t.Errorf("core.Event.%s has no span home", field)
+		}
+	}
+	for field := range homed {
+		if _, ok := typ.FieldByName(field); !ok {
+			t.Errorf("eventHomes names %s, which core.Event lacks", field)
+		}
+	}
+
+	checkCarried(t, "every field", everyField())
 	net, task := obsInstance(t)
-	var buf bytes.Buffer
-	if _, err := core.Solve(net, task, core.Options{Observer: NewJSONLObserver(&buf)}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 5 {
-		t.Fatalf("only %d lines", len(lines))
-	}
-	kinds := make(map[string]bool)
-	for i, ln := range lines {
-		var ev struct {
-			Kind string `json:"kind"`
+	for label, opts := range map[string]core.Options{
+		"aggressive solve": {AggressiveOPA: true},
+		"scaffolded solve": {Scaffolds: mod.NewCache()},
+	} {
+		rec := &SpanRecorder{}
+		opts.Observer = rec
+		if _, err := core.Solve(net, task, opts); err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
-			t.Fatalf("line %d is not JSON: %v (%q)", i, err, ln)
-		}
-		kinds[ev.Kind] = true
-	}
-	for _, want := range []string{"apsp_build", "stage1_end", "stage2_end"} {
-		if !kinds[want] {
-			t.Errorf("no %q line in stream", want)
-		}
+		checkCarried(t, label, rec.Events())
 	}
 }
 

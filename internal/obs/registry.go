@@ -1,8 +1,8 @@
 // Package obs is the observability layer for the serving stack: a
 // stdlib-only registry of named counters, gauges and fixed-bucket
 // latency histograms (atomic hot path, JSON and expvar export),
-// consumers for the solver's structured phase events (span recorder,
-// JSON-lines streamer, metrics bridge), and HTTP middleware adding
+// consumers for the solver's structured phase events (span recorder
+// and trace ring, metrics bridge), and HTTP middleware adding
 // request IDs, structured access logs and per-route metrics.
 package obs
 

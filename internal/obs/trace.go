@@ -84,7 +84,9 @@ type traceSlot struct {
 func (s *traceSlot) trace() Trace {
 	t := s.t
 	if s.raw {
-		t.Warm = breakdownOf(s.events).Warm
+		for _, e := range s.events {
+			t.Warm = t.Warm || e.Kind == core.EventAPSPBuild && e.Warm
+		}
 		t.Spans = spansOf(s.events)
 	}
 	return t
@@ -150,6 +152,11 @@ func (b *TraceBuffer) Stats() (added, dropped int64) {
 func (b *TraceBuffer) Snapshot() []Trace {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot with b.mu held.
+func (b *TraceBuffer) snapshotLocked() []Trace {
 	var out []Trace
 	if b.full {
 		out = make([]Trace, 0, len(b.buf))
@@ -172,7 +179,8 @@ type traceDoc struct {
 }
 
 // Handler serves the ring's contents as indented JSON, oldest trace
-// first (GET/HEAD only).
+// first (GET/HEAD only). The totals and the traces are read under one
+// lock, so added - dropped is always the number of traces served.
 func (b *TraceBuffer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
@@ -180,8 +188,9 @@ func (b *TraceBuffer) Handler() http.Handler {
 			http.Error(w, `{"error":"method not allowed"}`, http.StatusMethodNotAllowed)
 			return
 		}
-		added, dropped := b.Stats()
-		doc := traceDoc{Capacity: cap(b.buf), Added: added, Dropped: dropped, Traces: b.Snapshot()}
+		b.mu.Lock()
+		doc := traceDoc{Capacity: cap(b.buf), Added: b.added, Dropped: b.dropped, Traces: b.snapshotLocked()}
+		b.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -106,9 +106,6 @@ func TestStartTraceNilBuffer(t *testing.T) {
 	if got := rec.Events(); got != nil {
 		t.Errorf("nil recorder recorded %v", got)
 	}
-	if b := rec.Breakdown(); b != (Breakdown{}) {
-		t.Errorf("nil recorder breakdown = %+v", b)
-	}
 	if s := rec.Spans(); s != nil {
 		t.Errorf("nil recorder spans = %v", s)
 	}
@@ -150,7 +147,8 @@ func TestRecordedTraceJSON(t *testing.T) {
 	}
 	tr := Trace{Op: "admit", RequestID: "req-1", Session: 3, DurationNs: 7}
 	built := tr
-	built.Warm, built.Spans = rec.Breakdown().Warm, rec.Spans()
+	built.Spans = rec.Spans()
+	built.Warm = built.Spans[0].Name == "apsp_build" && built.Spans[0].Attrs["warm"] == 1
 	want, err := json.Marshal(built)
 	if err != nil {
 		t.Fatal(err)
@@ -172,5 +170,48 @@ func TestRecordedTraceJSON(t *testing.T) {
 	}
 	if len(built.Spans) == 0 {
 		t.Error("the solve recorded no spans")
+	}
+}
+
+// TestTraceHandlerConsistentWhileFilling scrapes /debug/traces while
+// another goroutine fills the ring: every document must count exactly
+// the traces it serves. The writer records without pause, each record
+// copying a long event log under the ring's lock, so a scrape contends
+// for that lock on every acquisition until the ring is full (from then
+// on added - dropped is the capacity either way).
+func TestTraceHandlerConsistentWhileFilling(t *testing.T) {
+	const rounds, capacity, events = 8, 64, 2000
+	rec := &SpanRecorder{}
+	for i := 0; i < events; i++ {
+		rec.OnEvent(core.Event{Kind: core.EventStage1Start}) // copied by Record, no span built
+	}
+	scrapes := 0
+	for r := 0; r < rounds; r++ {
+		b := NewTraceBuffer(capacity)
+		h := b.Handler()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < capacity; i++ {
+				b.Record(Trace{Op: "admit"}, rec)
+			}
+		}()
+		for filling := true; filling; scrapes++ {
+			select {
+			case <-done:
+				filling = false
+			default:
+			}
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+			var doc traceDoc
+			if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Added-doc.Dropped != int64(len(doc.Traces)) {
+				t.Fatalf("round %d, scrape %d: added %d - dropped %d, but %d traces served",
+					r, scrapes, doc.Added, doc.Dropped, len(doc.Traces))
+			}
+		}
 	}
 }

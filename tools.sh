@@ -243,9 +243,14 @@ queue_gate() {
 # registers POST /v1/render (sftembed -svg renders offline); and no
 # non-test .go file outside bench/ tunes the garbage collector
 # (debug.SetGCPercent, debug.SetMemoryLimit, GOGC, GOMEMLIMIT): what
-# the collector costs is cut by allocating less, not by a knob.
+# the collector costs is cut by allocating less, not by a knob; and
+# solver telemetry has one derived form, the span tree: no .go file
+# streams or reads JSON lines (JSONLObserver, lineEvent, eventLine,
+# parseJSONL) or folds events into a second summary (breakdownOf),
+# internal/obs declares no Breakdown type, and cmd/sfttrace has no
+# "parse" flag.
 retired_guard() {
-	echo "==> retired guard: no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -340,6 +345,11 @@ retired_guard() {
 	fi
 	if grep -rnE 'debug\.SetGCPercent|debug\.SetMemoryLimit|GOGC|GOMEMLIMIT' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
 		echo "retired guard: a non-test .go file tunes the garbage collector (a throughput gain must come from allocating less)" >&2
+		exit 1
+	fi
+	if grep -rnE 'JSONLObserver|lineEvent|eventLine|parseJSONL|breakdownOf' --include='*.go' . ||
+		grep -n 'type Breakdown' internal/obs/*.go || grep -n '"parse"' cmd/sfttrace/*.go; then
+		echo "retired guard: solver events have a second wire form again (a JSON-lines stream, its sfttrace -parse reader or an obs.Breakdown summary); every consumer reads the span tree spansOf builds" >&2
 		exit 1
 	fi
 }
