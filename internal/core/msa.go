@@ -20,9 +20,6 @@ const (
 	SteinerKMB SteinerAlgo = iota + 1
 	// SteinerTM is the Takahashi-Matsuyama path-growing heuristic.
 	SteinerTM
-	// SteinerMehlhorn is Mehlhorn's Voronoi-region 2-approximation,
-	// cheaper per call than KMB on large sparse networks.
-	SteinerMehlhorn
 )
 
 // Options tunes the two-stage algorithm. The zero value picks the
@@ -376,15 +373,10 @@ func BuildTails(net *nfv.Network, root int, dests []int, algo SteinerAlgo) ([][]
 // buildSteiner connects root to all destinations with the selected
 // Steiner routine.
 func buildSteiner(net *nfv.Network, metric *graph.Metric, root int, dests []int, algo SteinerAlgo) (steiner.Tree, error) {
-	terminals := append([]int{root}, dests...)
-	switch algo {
-	case SteinerTM:
+	if algo == SteinerTM {
 		return steiner.TakahashiMatsuyama(net.Graph(), metric, root, dests)
-	case SteinerMehlhorn:
-		return steiner.Mehlhorn(net.Graph(), terminals)
-	default:
-		return steiner.KMB(net.Graph(), metric, terminals)
 	}
+	return steiner.KMB(net.Graph(), metric, append([]int{root}, dests...))
 }
 
 // RepairChainHosts exposes the stage-one capacity-repair rule so that

@@ -6,10 +6,11 @@
 //     oracle used to cross-check the ILP path.
 //   - BestKnown sweeps every candidate last-VNF host with the *exact*
 //     SFC cost (MOD shortest path) and the *exact* Steiner tree cost
-//     (all-roots Dreyfus-Wagner), refines the winner with the shared
-//     stage-two optimizer, and returns the cheapest of that and the
-//     two-stage heuristics. It upper-bounds the optimum, so approximation
-//     ratios reported against it are conservative.
+//     (one Dreyfus-Wagner table over the destinations, read at each
+//     host), refines the winner with the shared stage-two optimizer,
+//     and returns the cheapest of that and the two-stage heuristics.
+//     It upper-bounds the optimum, so approximation ratios reported
+//     against it are conservative.
 package exact
 
 import (
@@ -154,11 +155,7 @@ func BestKnown(net *nfv.Network, task nfv.Task) (*BestKnownResult, error) {
 	}
 	out := &BestKnownResult{Result: best}
 
-	if len(task.Destinations) > steiner.MaxExactTerminals-1 {
-		return out, nil
-	}
-	metric := net.Metric()
-	steinerCosts, err := steiner.CostsWithExtraRoot(net.Graph(), metric, task.Destinations)
+	table, err := steiner.NewDWTable(net.Graph(), net.Metric(), task.Destinations)
 	if err != nil {
 		return out, nil // fall back to the heuristic reference
 	}
@@ -184,7 +181,7 @@ func BestKnown(net *nfv.Network, task nfv.Task) (*BestKnownResult, error) {
 			continue
 		}
 		last := hosts[len(hosts)-1]
-		total := overlay.ChainCost(hosts) + steinerCosts[last]
+		total := overlay.ChainCost(hosts) + table.Cost(last)
 		if total < bestTotal {
 			bestHost, bestTotal = last, total
 			bestHosts = hosts
@@ -193,7 +190,7 @@ func BestKnown(net *nfv.Network, task nfv.Task) (*BestKnownResult, error) {
 	if bestHost == -1 {
 		return out, nil
 	}
-	tree, err := steiner.DreyfusWagner(net.Graph(), metric, append([]int{bestHost}, task.Destinations...))
+	tree, err := table.Tree(bestHost)
 	if err != nil {
 		return out, nil
 	}

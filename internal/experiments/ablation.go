@@ -63,14 +63,13 @@ func solveWith(opts core.Options) solverFn {
 // AblationSteiner compares the stage-one Steiner routine: KMB (the
 // paper's choice via [3]) against Takahashi-Matsuyama.
 func AblationSteiner(cfg Config) (*Figure, error) {
-	return runVariants("ablation-steiner", "Stage-one Steiner routine: KMB vs Takahashi-Matsuyama vs Mehlhorn",
+	return runVariants("ablation-steiner", "Stage-one Steiner routine: KMB vs Takahashi-Matsuyama",
 		[]int{50, 100, 150}, func(n int) int { return n / 5 }, 5,
 		map[string]solverFn{
-			"MSA-KMB":      solveWith(core.Options{Steiner: core.SteinerKMB}),
-			"MSA-TM":       solveWith(core.Options{Steiner: core.SteinerTM}),
-			"MSA-Mehlhorn": solveWith(core.Options{Steiner: core.SteinerMehlhorn}),
+			"MSA-KMB": solveWith(core.Options{Steiner: core.SteinerKMB}),
+			"MSA-TM":  solveWith(core.Options{Steiner: core.SteinerTM}),
 		},
-		[]string{"MSA-KMB", "MSA-TM", "MSA-Mehlhorn"}, cfg)
+		[]string{"MSA-KMB", "MSA-TM"}, cfg)
 }
 
 // AblationOPA compares stage-two acceptance rules: recomputed global

@@ -59,12 +59,12 @@ func BenchmarkDreyfusWagner45Nodes10Terminals(b *testing.B) {
 	}
 }
 
-func BenchmarkCostsWithExtraRoot45Nodes12Terminals(b *testing.B) {
+func BenchmarkDWTable45Nodes12Terminals(b *testing.B) {
 	g, m, terms := benchSetup(b, 45, 60, 12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CostsWithExtraRoot(g, m, terms); err != nil {
+		if _, err := NewDWTable(g, m, terms); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,129 +2,160 @@ package steiner
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sftree/internal/graph"
 )
 
-// MaxExactTerminals caps the Dreyfus-Wagner terminal count; the DP is
-// exponential (3^t) in the number of terminals.
+// MaxExactTerminals caps the terminals of an exact tree; the DP is
+// exponential (3^t) in their number. A DWTable over D reads trees over
+// D plus one node, so D holds at most MaxExactTerminals-1 of them.
 const MaxExactTerminals = 16
 
-// DreyfusWagner computes an exact minimum Steiner tree over the given
-// terminals using the Dreyfus-Wagner dynamic program, O(3^t * n +
-// 2^t * n^2). It returns ErrTooManyTerminals beyond MaxExactTerminals.
-func DreyfusWagner(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
+// DWTable is the Dreyfus-Wagner dynamic program over a terminal set D,
+// O(3^|D| * n + 2^|D| * n^2), run once: for every node v it holds the
+// exact cost of a minimum Steiner tree spanning D plus v, and how to
+// rebuild one. That answers "what does it cost to hang the whole
+// destination set off host v" for every candidate host at once, which
+// the best-known reference solver sweeps.
+type DWTable struct {
+	g     *graph.Graph
+	m     *graph.Metric
+	terms []int
+	n     int
+	full  int // the mask of every terminal
+	// cost[mask*n+v] is the cheapest tree spanning the D-subset mask
+	// plus v; how[mask*n+v] is the step that reached it.
+	cost []float64
+	how  []step
+}
+
+// step is how the DP reached a (mask, v) entry: v is mask's single
+// terminal (leaf), a shortest path from v to the tree at node arg
+// (extend), or the trees over arg and mask^arg, both at v (merge).
+type step struct {
+	kind int8
+	arg  int32
+}
+
+const (
+	leaf int8 = iota
+	extend
+	merge
+)
+
+// NewDWTable runs the Dreyfus-Wagner DP over terminals. It returns
+// ErrTooManyTerminals beyond MaxExactTerminals-1 terminals and
+// ErrUnreachable when the terminals are not mutually reachable.
+func NewDWTable(g *graph.Graph, m *graph.Metric, terminals []int) (*DWTable, error) {
 	terminals = dedupTerminals(terminals)
 	switch {
 	case len(terminals) == 0:
-		return Tree{}, ErrNoTerminals
-	case len(terminals) == 1:
-		return Tree{}, nil
-	case len(terminals) > MaxExactTerminals:
-		return Tree{}, fmt.Errorf("%w: %d > %d", ErrTooManyTerminals, len(terminals), MaxExactTerminals)
+		return nil, ErrNoTerminals
+	case len(terminals) > MaxExactTerminals-1:
+		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyTerminals, len(terminals), MaxExactTerminals-1)
 	}
-	root := terminals[0]
 	for _, a := range terminals[1:] {
-		if m.Dist[root][a] == graph.Inf {
-			return Tree{}, fmt.Errorf("%w: %d and %d", ErrUnreachable, root, a)
+		if m.Dist[terminals[0]][a] == graph.Inf {
+			return nil, fmt.Errorf("%w: %d and %d", ErrUnreachable, terminals[0], a)
 		}
 	}
-
-	rest := terminals[1:] // DP is over subsets of these, rooted at terminals[0]
-	t := len(rest)
 	n := g.NumNodes()
-	full := 1 << t
-
-	// dp[mask][v]: cost of cheapest tree spanning rest-subset mask plus v.
-	dp := make([][]float64, full)
-	// choice[mask][v] encodes reconstruction:
-	//   kind 0: leaf base case (mask has one bit, v == that terminal; no action)
-	//   kind 1: extend — tree at u, plus shortest path u..v (store u)
-	//   kind 2: merge — dp[sub][v] + dp[mask^sub][v] (store sub)
-	type choiceT struct {
-		kind int8
-		arg  int32
-	}
-	choice := make([][]choiceT, full)
-	for mask := 1; mask < full; mask++ {
-		dp[mask] = make([]float64, n)
-		choice[mask] = make([]choiceT, n)
-		for v := 0; v < n; v++ {
-			dp[mask][v] = graph.Inf
-		}
-	}
-	for i, term := range rest {
-		mask := 1 << i
-		for v := 0; v < n; v++ {
-			dp[mask][v] = m.Dist[term][v]
-			choice[mask][v] = choiceT{kind: 1, arg: int32(term)}
-		}
-		dp[mask][term] = 0
-		choice[mask][term] = choiceT{kind: 0}
-	}
-
-	for mask := 1; mask < full; mask++ {
+	full := 1<<len(terminals) - 1
+	t := &DWTable{g: g, m: m, terms: terminals, n: n, full: full, cost: make([]float64, (full+1)*n), how: make([]step, (full+1)*n)}
+	for mask := 1; mask <= full; mask++ {
+		row, how := t.cost[mask*n:(mask+1)*n], t.how[mask*n:(mask+1)*n]
 		if mask&(mask-1) == 0 {
-			continue // singleton handled above
+			term := terminals[bits.TrailingZeros(uint(mask))]
+			copy(row, m.Dist[term])
+			for v := range how {
+				how[v] = step{extend, int32(term)}
+			}
+			row[term], how[term] = 0, step{leaf, 0}
+			continue
 		}
-		// Merge step.
+		for v := range row {
+			row[v] = graph.Inf
+		}
+		// Merge: split mask into two halves meeting at v, each once.
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 			other := mask ^ sub
 			if sub > other {
-				continue // each partition once
+				continue
 			}
-			ds, do := dp[sub], dp[other]
-			for v := 0; v < n; v++ {
-				if c := ds[v] + do[v]; c < dp[mask][v] {
-					dp[mask][v] = c
-					choice[mask][v] = choiceT{kind: 2, arg: int32(sub)}
+			ds, do := t.cost[sub*n:(sub+1)*n], t.cost[other*n:(other+1)*n]
+			for v := range row {
+				if c := ds[v] + do[v]; c < row[v] {
+					row[v], how[v] = c, step{merge, int32(sub)}
 				}
 			}
 		}
-		// Extend step: dp[mask][v] = min_u dp[mask][u] + d(u,v).
-		// A full O(n^2) relaxation (correct because d is a metric).
-		row := dp[mask]
-		for v := 0; v < n; v++ {
+		// Extend: row[v] = min_u row[u] + d(u,v). One pass suffices
+		// because d is a metric: an entry it lowers never lowers another.
+		for v := range row {
 			for u := 0; u < n; u++ {
 				if u == v || row[u] == graph.Inf {
 					continue
 				}
 				if c := row[u] + m.Dist[u][v]; c < row[v] {
-					row[v] = c
-					choice[mask][v] = choiceT{kind: 1, arg: int32(u)}
+					row[v], how[v] = c, step{extend, int32(u)}
 				}
 			}
 		}
 	}
+	return t, nil
+}
 
-	// Reconstruct edges.
-	edgeSet := make(map[int]bool)
-	type frame struct {
-		mask int
-		v    int
+// Cost is the exact cost of a minimum Steiner tree spanning the
+// table's terminals plus v; graph.Inf when v cannot reach them.
+func (t *DWTable) Cost(v int) float64 {
+	return t.cost[t.full*t.n+v]
+}
+
+// Tree rebuilds a minimum Steiner tree spanning the table's terminals
+// plus v, at cost Cost(v).
+func (t *DWTable) Tree(v int) (Tree, error) {
+	if t.Cost(v) == graph.Inf {
+		return Tree{}, fmt.Errorf("%w: %d", ErrUnreachable, v)
 	}
-	stack := []frame{{mask: full - 1, v: root}}
+	ws := getWS()
+	defer putWS(ws)
+	ws.bumpEdges(t.g.NumEdges())
+	type frame struct{ mask, v int }
+	stack := []frame{{t.full, v}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		ch := choice[f.mask][f.v]
-		switch ch.kind {
-		case 0:
-			// base: nothing to add
-		case 1:
-			u := int(ch.arg)
-			m.EachEdge(u, f.v, func(_, id int) { edgeSet[id] = true })
-			stack = append(stack, frame{mask: f.mask, v: u})
-		case 2:
-			sub := int(ch.arg)
-			stack = append(stack, frame{mask: sub, v: f.v}, frame{mask: f.mask ^ sub, v: f.v})
+		switch s := t.how[f.mask*t.n+f.v]; s.kind {
+		case extend:
+			u := int(s.arg)
+			t.m.EachEdge(u, f.v, func(_, id int) { ws.markEdge(id) })
+			stack = append(stack, frame{f.mask, u})
+		case merge:
+			sub := int(s.arg)
+			stack = append(stack, frame{sub, f.v}, frame{f.mask ^ sub, f.v})
 		}
 	}
-	edges := make([]int, 0, len(edgeSet))
-	for id := range edgeSet {
-		edges = append(edges, id)
+	// The union of the rebuilt paths costs at most Cost(v) (overlaps
+	// only remove cost) and spans the terminals, hence it is optimal.
+	ws.rootTerms = append(append(ws.rootTerms[:0], v), t.terms...)
+	return treeFromEdges(t.g, ws.prune(t.g, ws.mstOfCollected(t.g), ws.rootTerms)), nil
+}
+
+// DreyfusWagner computes an exact minimum Steiner tree over the given
+// terminals: the DWTable over terminals[1:], read at terminals[0]. It
+// returns ErrTooManyTerminals beyond MaxExactTerminals.
+func DreyfusWagner(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
+	terminals = dedupTerminals(terminals)
+	switch len(terminals) {
+	case 0:
+		return Tree{}, ErrNoTerminals
+	case 1:
+		return Tree{}, nil
 	}
-	// The reconstructed edge union costs at most the DP optimum (path
-	// overlap only removes cost) and is feasible, hence it is optimal.
-	return treeFromEdges(g, Prune(g, mstOfEdgeSubset(g, edges), terminals)), nil
+	t, err := NewDWTable(g, m, terminals[1:])
+	if err != nil {
+		return Tree{}, err
+	}
+	return t.Tree(terminals[0])
 }

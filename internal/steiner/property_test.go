@@ -1,10 +1,14 @@
 package steiner
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"sftree/internal/graph"
 )
 
 // Property: a Steiner tree over a superset of terminals costs at least
@@ -65,10 +69,10 @@ func TestQuickHeuristicsSandwiched(t *testing.T) {
 	}
 }
 
-// Property: CostsWithExtraRoot at a terminal equals the plain exact
-// Steiner cost over the terminals, and at any node v it is at most the
-// terminal cost plus v's distance to the nearest terminal... more
-// precisely: dp[v] <= dp[t*] + dist(t*, v) for every terminal t*.
+// Property: the table over D read at a terminal equals the plain exact
+// Steiner cost over D; at any node v it is at most that cost plus v's
+// distance to a terminal, and it equals an independent exact solve
+// over D plus v.
 func TestQuickAllRootsConsistent(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -76,7 +80,7 @@ func TestQuickAllRootsConsistent(t *testing.T) {
 		m := g.FloydWarshall()
 		k := 2 + rng.Intn(3)
 		terms := rng.Perm(g.NumNodes())[:k]
-		costs, err := CostsWithExtraRoot(g, m, terms)
+		table, err := NewDWTable(g, m, terms)
 		if err != nil {
 			return false
 		}
@@ -84,23 +88,21 @@ func TestQuickAllRootsConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// At a terminal the extra root is free.
+		// At a terminal the extra node is free.
 		for _, v := range terms {
-			if math.Abs(costs[v]-exact.Cost) > 1e-9 {
+			if math.Abs(table.Cost(v)-exact.Cost) > 1e-9 {
 				return false
 			}
 		}
-		// Hanging any node off the tree is bounded by attach-via-terminal,
-		// and cross-checked against an independent exact solve.
 		for v := 0; v < g.NumNodes(); v++ {
-			if costs[v] > exact.Cost+m.Dist[terms[0]][v]+1e-9 {
+			if table.Cost(v) > exact.Cost+m.Dist[terms[0]][v]+1e-9 {
 				return false
 			}
 			withV, err := DreyfusWagner(g, m, append(append([]int{}, terms...), v))
 			if err != nil {
 				return false
 			}
-			if math.Abs(costs[v]-withV.Cost) > 1e-9 {
+			if math.Abs(table.Cost(v)-withV.Cost) > 1e-9 {
 				return false
 			}
 		}
@@ -108,6 +110,52 @@ func TestQuickAllRootsConsistent(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the table over D rebuilds, at every node v — terminals
+// included — a tree that spans D plus v and costs Cost(v).
+func TestQuickDWTableTreesSpan(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomConnectedGraph(rng, 6+rng.Intn(8), 12)
+		m := g.FloydWarshall()
+		terms := rng.Perm(g.NumNodes())[:1+rng.Intn(4)]
+		table, err := NewDWTable(g, m, terms)
+		if err != nil {
+			return false
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			spans := terms // D plus v, each node once
+			if !slices.Contains(terms, v) {
+				spans = append([]int{v}, terms...)
+			}
+			tree, err := table.Tree(v)
+			if err != nil || !g.IsTreeSpanning(tree.Edges, spans) {
+				return false
+			}
+			if math.Abs(tree.Cost-table.Cost(v)) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	// A node that cannot reach D has no tree, and D must be connected.
+	g := graph.New(3)
+	g.MustAddEdge(0, 1, 1)
+	m := g.FloydWarshall()
+	table, err := NewDWTable(g, m, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := table.Tree(2); table.Cost(2) != graph.Inf || !errors.Is(err, ErrUnreachable) {
+		t.Errorf("isolated node: cost %v, err %v; want +Inf and ErrUnreachable", table.Cost(2), err)
+	}
+	if _, err := NewDWTable(g, m, []int{0, 2}); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("disconnected terminals: got %v, want ErrUnreachable", err)
 	}
 }
 

@@ -2,14 +2,13 @@
 // weighted graphs: the Kou-Markowsky-Berman (KMB) 2-approximation used
 // by the paper's stage-one algorithm, the Takahashi-Matsuyama
 // path-growing heuristic (ablation alternative), and the exact
-// Dreyfus-Wagner dynamic program used as an optimality oracle on small
-// terminal sets.
+// Dreyfus-Wagner dynamic program, one table per terminal set, used as
+// an optimality oracle on small terminal sets.
 package steiner
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sftree/internal/graph"
 )
@@ -148,24 +147,6 @@ func Prune(g *graph.Graph, edgeIDs []int, terminals []int) []int {
 	defer putWS(ws)
 	ids := append([]int(nil), edgeIDs...)
 	return ws.prune(g, ids, terminals)
-}
-
-// mstOfEdgeSubset runs Kruskal restricted to the given edge indices.
-func mstOfEdgeSubset(g *graph.Graph, edgeIDs []int) []int {
-	ids := make([]int, len(edgeIDs))
-	copy(ids, edgeIDs)
-	sort.Slice(ids, func(a, b int) bool {
-		return g.Edge(ids[a]).Cost < g.Edge(ids[b]).Cost
-	})
-	uf := graph.NewUnionFind(g.NumNodes())
-	var picked []int
-	for _, id := range ids {
-		e := g.Edge(id)
-		if uf.Union(e.U, e.V) {
-			picked = append(picked, id)
-		}
-	}
-	return picked
 }
 
 // treeFromEdges copies the edge ids into a fresh Tree: callers hand

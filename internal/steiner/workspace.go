@@ -31,12 +31,7 @@ type workspace struct {
 	alive []bool
 	// deg holds node degrees during pruning; always restored to zero.
 	deg []int32
-	// Multi-source Dijkstra state (Mehlhorn).
-	dist   []float64
-	parent []int
-	region []int32
-	heap   graph.NodeHeap
-	// uf serves both Kruskal over nodes and the terminal-region MST.
+	// uf serves Kruskal over the collected edges.
 	uf graph.UnionFind
 	// treeNodes lists the growing tree's nodes in joining order
 	// (Takahashi-Matsuyama).
@@ -48,13 +43,10 @@ type workspace struct {
 	attached []bool
 	open     []openSlot
 	pairs    [][2]int32
-	// Bridge matrices (Mehlhorn), t*t flattened.
-	bridgeW []float64
-	bridgeE []int32
 	// Sweep state (see Sweep): the D*D distance block as Prim keys and
 	// the path-memo slots, the memo arena, the current root's edge and
 	// node bitsets; rootTerms is a [root]+D terminal list (the sweep's
-	// general branch, Takahashi-Matsuyama).
+	// general branch, Takahashi-Matsuyama, DWTable.Tree).
 	dd        []uint64
 	slot      []int32
 	arena     []uint64

@@ -84,9 +84,8 @@ type (
 
 // Steiner routine selectors for Options.Steiner.
 const (
-	SteinerKMB      = core.SteinerKMB
-	SteinerTM       = core.SteinerTM
-	SteinerMehlhorn = core.SteinerMehlhorn
+	SteinerKMB = core.SteinerKMB
+	SteinerTM  = core.SteinerTM
 )
 
 // DefaultCatalog returns the built-in 30-entry VNF catalog.

@@ -197,6 +197,26 @@ queue_gate() {
 	echo "OK (queue gate)"
 }
 
+# fuzz_smoke TARGET PKG fuzzes TARGET for 10 s and fails when the last
+# progress line counts fewer than 10 000 execs. Minimising a new input
+# is capped at 100 runs: Go's default allows 60 s per input, and a
+# target whose interesting inputs are large (FuzzOverlayDifferential's
+# grow from pretty-printed JSON seeds) then spends the whole window
+# minimising, 17 execs in 11 s.
+fuzz_smoke() {
+	echo "==> fuzz smoke: $1, 10s"
+	out=$(go test -run '^$' -fuzz "$1" -fuzztime 10s -fuzzminimizetime 100x "$2" 2>&1) || {
+		echo "$out" >&2
+		exit 1
+	}
+	echo "$out"
+	execs=$(echo "$out" | grep -oE 'fuzz: elapsed: [^,]*, execs: [0-9]+' | tail -n 1 | sed -E 's/.*execs: //')
+	if [ "${execs:-0}" -lt 10000 ]; then
+		echo "tools.sh: fuzz smoke $1 ran ${execs:-no} execs in 10 s, fewer than 10000" >&2
+		exit 1
+	fi
+}
+
 # retired_guard keeps what earlier PRs removed removed, by construction
 # rather than by review: among internal/dynamic's non-test files only
 # ledger.go (apply, loadSnapshotState) may assign to or delete from
@@ -205,9 +225,12 @@ queue_gate() {
 # benchmark stack that measured them, the pooled-heap hook of the
 # MOD overlay's old Dijkstra, the server's pass-through of the
 # queue's worker count, sftload's baseline and A/B throughput gates,
-# and the fault and crash loops one op script replaced (RunChaos,
-# RunCrash, their configs, faults' Replayer and scenario loader) stay
-# gone from every .go file, bench/ included; internal/server's
+# the fault and crash loops one op script replaced (RunChaos,
+# RunCrash, their configs, faults' Replayer and scenario loader), and
+# the second copies of the Steiner algorithms (Mehlhorn's routine, its
+# SteinerMehlhorn selector, and CostsWithExtraRoot, a second
+# Dreyfus-Wagner DP beside DWTable) stay gone from every .go file,
+# bench/ included; internal/server's
 # non-test files call no AdmitCtx (POST /v1/sessions has one way in,
 # the queue); the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
@@ -250,14 +273,14 @@ queue_gate() {
 # internal/obs declares no Breakdown type, and cmd/sfttrace has no
 # "parse" flag.
 retired_guard() {
-	echo "==> retired guard: one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one implementation per Steiner algorithm, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
@@ -460,13 +483,11 @@ run_matching '-race -count=1' 'TestCloneIsolation' ./internal/nfv
 # The seed corpora already ran above as plain tests; ten seconds of
 # mutation on top holds the KMB sweep to its textbook oracle on graphs
 # nobody wrote down.
-echo "==> fuzz smoke: FuzzSweepDifferential, 10s"
-go test -run '^$' -fuzz FuzzSweepDifferential -fuzztime 10s ./internal/steiner
+fuzz_smoke FuzzSweepDifferential ./internal/steiner
 
 # Likewise the column pass over the MOD overlay, against the stored-arc
 # Dijkstra oracle and its own unpruned form.
-echo "==> fuzz smoke: FuzzOverlayDifferential, 10s"
-go test -run '^$' -fuzz FuzzOverlayDifferential -fuzztime 10s ./internal/mod
+fuzz_smoke FuzzOverlayDifferential ./internal/mod
 
 chaos_gate
 
