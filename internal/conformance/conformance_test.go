@@ -275,7 +275,7 @@ func TestStageMonotoneOnHeuristicFamily(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := core.Solve(net, task, core.Options{MaxOPAPasses: 3}); err == nil {
+		if res, err := core.Solve(net, task, core.Options{}); err == nil {
 			if err := CheckStageMonotone(res.Embedding); err != nil {
 				t.Fatalf("trial %d: two-stage violates Theorem 4 structure: %v\ncounts=%v",
 					trial, err, StageCounts(res.Embedding))

@@ -201,10 +201,10 @@ func runCase(cfg RunConfig, c *Case, rep *Report, sr *StratumReport) {
 	} else {
 		fail("msa1", "solve-error", "stage one failed where full solve succeeded: %v", err)
 	}
-	if r, err := core.Solve(net, task, core.Options{MaxOPAPasses: 4, AggressiveOPA: true}); err == nil {
-		runs = append(runs, solverRun{"msa-deep", r.FinalCost, r.Embedding, true})
+	if r, err := core.Solve(net, task, core.Options{AggressiveOPA: true}); err == nil {
+		runs = append(runs, solverRun{"msa-aggressive", r.FinalCost, r.Embedding, true})
 		if !leq(r.FinalCost, two.FinalCost) {
-			fail("msa-deep", "ordering", "extra OPA passes worsened cost: %v > %v", r.FinalCost, two.FinalCost)
+			fail("msa-aggressive", "ordering", "aggressive OPA worsened cost: %v > %v", r.FinalCost, two.FinalCost)
 		}
 	}
 	if r, err := baseline.SCA(net, task, core.Options{}); err == nil {

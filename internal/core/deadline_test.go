@@ -23,7 +23,7 @@ func TestExpiredContextReturnsPromptly(t *testing.T) {
 	net, task := workedExample(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Solve(net, task, Options{Ctx: ctx, MaxOPAPasses: 10})
+	res, err := Solve(net, task, Options{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeadlineAnytimeOnGeneratedInstance(t *testing.T) {
 	net, task := generated60(t)
 	for _, timeout := range []time.Duration{time.Nanosecond, 500 * time.Microsecond, time.Second} {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		res, err := Solve(net, task, Options{Ctx: ctx, MaxOPAPasses: 8})
+		res, err := Solve(net, task, Options{Ctx: ctx})
 		cancel()
 		if err != nil {
 			t.Fatalf("timeout %v: %v", timeout, err)
@@ -156,7 +156,7 @@ func (c *pollCtx) Err() error {
 // happens only in front of a candidate left unevaluated.
 func TestAnytimeSweepByPollCount(t *testing.T) {
 	net, task := generated60(t)
-	want, err := Solve(net, task, Options{MaxOPAPasses: 8})
+	want, err := Solve(net, task, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAnytimeSweepByPollCount(t *testing.T) {
 		// The full solve spends what stage one leaves on stage two's
 		// pass and level boundaries.
 		ctx = newPollCtx(budget)
-		res, err := Solve(net, task, Options{Ctx: ctx, MaxOPAPasses: 8})
+		res, err := Solve(net, task, Options{Ctx: ctx})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}

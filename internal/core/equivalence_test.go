@@ -110,20 +110,10 @@ func sameAssignment(a, b *state) bool {
 // the clone-and-recost reference, for every stage-two configuration:
 // both price through nfv.Cost, so the final costs agree to the bit.
 func TestQuickSolveMatchesReferenceEngine(t *testing.T) {
-	prop := func(seed int64, mode uint8) bool {
+	prop := func(seed int64, aggressive bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, task := randomInstance(rng, 8+rng.Intn(14), 1+rng.Intn(3), 1+rng.Intn(4))
-		opts := Options{}
-		switch mode % 5 {
-		case 1:
-			opts.AggressiveOPA = true
-		case 2:
-			opts.MaxOPAPasses = 3
-		case 3:
-			opts.LocalAcceptance = true
-		case 4:
-			opts.MaxOPAPasses, opts.AggressiveOPA = 4, true
-		}
+		opts := Options{AggressiveOPA: aggressive}
 		fast, errFast := Solve(net, task, opts)
 		slowMoves, slowCost, errSlow := solveNaive(net, task, opts)
 		if (errFast == nil) != (errSlow == nil) {

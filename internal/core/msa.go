@@ -28,22 +28,13 @@ const (
 type Options struct {
 	// Steiner selects the stage-one Steiner routine (default KMB).
 	Steiner SteinerAlgo
-	// LocalAcceptance makes stage two accept moves on the paper's
-	// local rule alone instead of verifying the recomputed global
-	// cost (ablation). Capacity feasibility is still enforced.
-	LocalAcceptance bool
-	// MaxOPAPasses repeats the whole stage-two sweep (levels k..1)
-	// until a pass accepts no move or the budget is exhausted,
-	// implementing the paper's "repeat the above procedures until one
-	// VNF cannot be deployed on multiple nodes". Zero means one pass.
-	MaxOPAPasses int
 	// AggressiveOPA is an extension beyond the paper: stage two also
 	// considers dependent root-to-leaf paths (the paper discards them)
 	// and probes the best candidate host even when the local rule is
 	// not strictly satisfied. Every move is still gated on the
 	// recomputed global cost, so the result can only improve; the
-	// trade-off is more trial evaluations. Incompatible with
-	// LocalAcceptance (which has no global gate) — ignored there.
+	// trade-off is more trial evaluations. It changes which moves a
+	// pass proposes, not when stage two ends (see runOPA).
 	AggressiveOPA bool
 	// Scaffolds, when non-nil, memoizes per (source, chain signature,
 	// graph generation, deployment epoch) everything stage one derives
@@ -86,13 +77,6 @@ func (o Options) ctxErr() error {
 	default:
 		return nil
 	}
-}
-
-func (o Options) opaPasses() int {
-	if o.MaxOPAPasses <= 0 {
-		return 1
-	}
-	return o.MaxOPAPasses
 }
 
 func (o Options) steiner() SteinerAlgo {

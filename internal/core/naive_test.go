@@ -20,8 +20,8 @@ func solveNaive(net *nfv.Network, task nfv.Task, opts Options) (int, float64, er
 		return 0, 0, err
 	}
 	total := 0
-	for i := 0; i < opts.opaPasses(); i++ {
-		moves, err := runOPAPassNaive(st, opts, i+1)
+	for pass := 1; ; pass++ {
+		moves, err := runOPAPassNaive(st, opts, pass)
 		total += moves
 		if err != nil {
 			return total, 0, err
@@ -46,8 +46,7 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 		return 0, err
 	}
 
-	aggressive := opts.AggressiveOPA && !opts.LocalAcceptance
-	groups := s.initialConnectionGroups(aggressive)
+	groups := s.initialConnectionGroups(opts.AggressiveOPA)
 	moves := 0
 
 	for j := k; j >= 1; j-- {
@@ -89,7 +88,7 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 			if bestE == -1 {
 				continue
 			}
-			if !aggressive && bestScore >= curScore-costEps {
+			if !opts.AggressiveOPA && bestScore >= curScore-costEps {
 				continue
 			}
 
@@ -99,22 +98,6 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 			}
 			trial := s.clone()
 			trial.applyMove(j, grp, bestE, metric)
-			if opts.LocalAcceptance {
-				*s = *trial
-				moves++
-				nextConn = append(nextConn, bestE)
-				c, err := s.cost()
-				if err != nil {
-					return moves, err
-				}
-				if opts.Observer != nil {
-					opts.emit(Event{Kind: EventMoveAccepted, Pass: passNo, Level: j,
-						Conn: grp.node, From: cur, To: bestE, Group: len(grp.members),
-						CostBefore: curCost, CostAfter: c})
-				}
-				curCost = c
-				continue
-			}
 			trialCost, err := trial.cost()
 			if err != nil || trialCost >= curCost-costEps {
 				if opts.Observer != nil {

@@ -43,8 +43,7 @@ const (
 	// the local rule: level, connection node, current and candidate
 	// hosts, group size and the global cost before the trial.
 	EventMoveProposed
-	// EventMoveAccepted reports a committed move; CostAfter < CostBefore
-	// (except under LocalAcceptance, which skips the global gate).
+	// EventMoveAccepted reports a committed move; CostAfter < CostBefore.
 	EventMoveAccepted
 	// EventMoveRejected reports a reverted move; CostAfter is the trial
 	// cost the global gate refused.

@@ -9,37 +9,39 @@ import (
 
 const costEps = 1e-9
 
-// runOPA repeats runOPAPass up to Options.MaxOPAPasses times, stopping
-// early once a pass accepts nothing. The boolean reports a deadline
-// stop: the context on Options expired and the sweep ended with the
-// state as-is (every prefix of accepted moves is a valid solution, so
-// stopping between passes or levels loses nothing but optimization).
+// runOPA repeats runOPAPass until a pass accepts nothing — the
+// paper's "repeat the above procedures until one VNF cannot be
+// deployed on multiple nodes" (Alg. 3). That ends: every accepted move
+// passes the global gate and lowers s.price, which is never negative,
+// by more than costEps, so a solve accepts fewer than
+// Stage1Cost/costEps moves. The boolean reports a deadline stop: the
+// context on Options expired and the sweep ended with the state as-is
+// (every prefix of accepted moves is a valid solution, so stopping
+// between passes or levels loses nothing but optimization).
 func runOPA(s *state, opts Options) (int, bool, error) {
 	total := 0
-	for i := 0; i < opts.opaPasses(); i++ {
+	for pass := 1; ; pass++ {
 		if opts.ctxErr() != nil {
 			return total, true, nil
 		}
 		t0 := opts.now()
-		opts.emit(Event{Kind: EventOPAPassStart, Pass: i + 1})
-		moves, stopped, err := runOPAPass(s, opts, i+1)
+		opts.emit(Event{Kind: EventOPAPassStart, Pass: pass})
+		moves, stopped, err := runOPAPass(s, opts, pass)
 		total += moves
 		if opts.Observer != nil {
-			opts.emit(Event{Kind: EventOPAPassEnd, Pass: i + 1, Moves: moves, Duration: time.Since(t0)})
+			opts.emit(Event{Kind: EventOPAPassEnd, Pass: pass, Moves: moves, Duration: time.Since(t0)})
 		}
 		if err != nil || stopped || moves == 0 {
 			return total, stopped, err
 		}
 	}
-	return total, false, nil
 }
 
 // runOPAPass implements Algorithm 3: starting from the stage-one state,
 // add new VNF instances in inverted chain order (Theorem 4) wherever a
 // connection node can be re-homed more cheaply. Move candidates follow
 // the paper's local rule c(x,E) + c(E,pred) + gamma < c(x,cur); moves
-// are accepted only if the recomputed global cost strictly drops
-// (unless Options.LocalAcceptance asks for the paper's raw rule).
+// are accepted only if the recomputed global cost strictly drops.
 // It returns the number of accepted moves and whether a deadline poll
 // cut the pass short. The pass number is only for the optional
 // Observer's events.
@@ -55,8 +57,7 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 	// Connection groups for the level-k round: per independent
 	// root-to-leaf path of the stage-one Steiner tree, the destination
 	// nearest the root, together with every destination downstream.
-	aggressive := opts.AggressiveOPA && !opts.LocalAcceptance
-	groups := s.initialConnectionGroups(aggressive)
+	groups := s.initialConnectionGroups(opts.AggressiveOPA)
 	moves := 0
 
 	for j := k; j >= 1; j-- {
@@ -101,7 +102,7 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 			}
 			// The paper's local gate; aggressive mode defers entirely to
 			// the global acceptance check below.
-			if !aggressive && bestScore >= curScore-costEps {
+			if !opts.AggressiveOPA && bestScore >= curScore-costEps {
 				continue
 			}
 
@@ -115,14 +116,11 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 				trialCost = s.sc.price(s.net, emb)
 			}
 			ev.CostAfter = trialCost
-			if !opts.LocalAcceptance && (err != nil || trialCost >= s.price-costEps) {
+			if err != nil || trialCost >= s.price-costEps {
 				s.undoMove()
 				ev.Kind = EventMoveRejected
 				opts.emit(ev)
 				continue
-			}
-			if err != nil {
-				return moves, false, err
 			}
 			ev.Kind = EventMoveAccepted
 			opts.emit(ev)

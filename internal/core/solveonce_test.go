@@ -248,7 +248,7 @@ func TestSolveAllocBudget(t *testing.T) {
 // Clone must be the same value, and the JSON form must round-trip.
 func TestEmbeddingSegmentsDoNotAlias(t *testing.T) {
 	net, tasks := burstPool(t)
-	for _, opts := range []Options{{}, {AggressiveOPA: true, MaxOPAPasses: 3}} {
+	for _, opts := range []Options{{}, {AggressiveOPA: true}} {
 		for _, task := range tasks[:8] {
 			res, err := Solve(net, task, opts)
 			if err != nil {
@@ -373,7 +373,7 @@ func (c *cancelAtPassEnd) OnEvent(e Event) {
 // and cut nothing short; one that expires at any poll did.
 func TestEarlyStopOnlyWhenCutShort(t *testing.T) {
 	net, task := generated60(t)
-	for _, opts := range []Options{{}, {AggressiveOPA: true, MaxOPAPasses: 3}} {
+	for _, opts := range []Options{{}, {AggressiveOPA: true}} {
 		var log eventLog
 		observed := opts
 		observed.Observer = &log
@@ -414,7 +414,7 @@ func TestEarlyStopOnlyWhenCutShort(t *testing.T) {
 			t.Fatalf("%+v: a deadline that never expires changed the result", opts)
 		}
 		polls := full.open
-		if opts.MaxOPAPasses == 0 {
+		if !opts.AggressiveOPA {
 			// One pass that proposes nothing stops after level k (Theorem 4).
 			if all := len(net.ServerList()); polls != (all-1)+1+1 {
 				t.Errorf("unbounded default solve polled the deadline %d times, want %d", polls, all+1)

@@ -216,23 +216,6 @@ func TestSolveWithTakahashiMatsuyama(t *testing.T) {
 	}
 }
 
-func TestSolveLocalAcceptanceStillValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 15; trial++ {
-		net, task := randomInstance(rng, 10+rng.Intn(8), 1+rng.Intn(3), 1+rng.Intn(4))
-		res, err := Solve(net, task, Options{LocalAcceptance: true})
-		if errors.Is(err, ErrNoFeasible) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := net.Validate(res.Embedding); err != nil {
-			t.Fatalf("trial %d: invalid embedding under local acceptance: %v", trial, err)
-		}
-	}
-}
-
 func TestSolveTightCapacityForcesRelocation(t *testing.T) {
 	// Line S=0 - A=1 - B=2 - d=3; chain (f1,f2); A can host only one
 	// instance and f1's setup is far cheaper on A. The repair step must

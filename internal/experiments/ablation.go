@@ -72,9 +72,8 @@ func AblationSteiner(cfg Config) (*Figure, error) {
 		[]string{"MSA-KMB", "MSA-TM"}, cfg)
 }
 
-// AblationOPA compares stage-two acceptance rules: recomputed global
-// cost (this implementation's default), the paper's raw local rule,
-// and no stage two at all.
+// AblationOPA compares stage two (local rule proposes, recomputed
+// global cost accepts) with no stage two at all.
 func AblationOPA(cfg Config) (*Figure, error) {
 	stageOne := func(net *nfv.Network, task nfv.Task) (float64, error) {
 		res, err := core.SolveStageOne(net, task, core.Options{})
@@ -83,14 +82,13 @@ func AblationOPA(cfg Config) (*Figure, error) {
 		}
 		return res.FinalCost, nil
 	}
-	return runVariants("ablation-opa", "Stage-two acceptance: global recompute vs local rule vs none",
+	return runVariants("ablation-opa", "Stage-two acceptance: global recompute vs none",
 		[]int{50, 100, 150}, func(n int) int { return n / 5 }, 5,
 		map[string]solverFn{
 			"GlobalAccept": solveWith(core.Options{}),
-			"LocalAccept":  solveWith(core.Options{LocalAcceptance: true}),
 			"StageOneOnly": stageOne,
 		},
-		[]string{"GlobalAccept", "LocalAccept", "StageOneOnly"}, cfg)
+		[]string{"GlobalAccept", "StageOneOnly"}, cfg)
 }
 
 // AblationAPSP compares the all-pairs shortest-path backends feeding

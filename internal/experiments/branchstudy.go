@@ -27,7 +27,8 @@ const (
 // instances with dense pre-deployments, the random baseline's
 // stage-one cost and what (a) the paper's OPA and (b) this
 // repository's aggressive OPA extension (dependent paths kept, global
-// acceptance) recover from it, with MSA as the reference line.
+// acceptance) recover from it, with MSA as the reference line. Both run
+// stage two as a solve does: passes repeat until one accepts nothing.
 func BranchStudy(cfg Config) (*Figure, error) {
 	cfg = cfg.normalized()
 	fig := &Figure{
@@ -56,15 +57,14 @@ func BranchStudy(cfg Config) (*Figure, error) {
 			// Identical RSA randomness for both OPA variants.
 			rsaSeed := cfg.Seed*97 + int64(trial)
 			start := time.Now()
-			paper, err := baseline.RSA(net, task, rand.New(rand.NewSource(rsaSeed)),
-				core.Options{MaxOPAPasses: 3})
+			paper, err := baseline.RSA(net, task, rand.New(rand.NewSource(rsaSeed)), core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("branchstudy: %w", err)
 			}
 			paperTime := time.Since(start)
 			start = time.Now()
 			aggro, err := baseline.RSA(net, task, rand.New(rand.NewSource(rsaSeed)),
-				core.Options{MaxOPAPasses: 3, AggressiveOPA: true})
+				core.Options{AggressiveOPA: true})
 			if err != nil {
 				return nil, fmt.Errorf("branchstudy: %w", err)
 			}

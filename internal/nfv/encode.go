@@ -8,9 +8,11 @@ import (
 	"sftree/internal/graph"
 )
 
-// maxDecodedNodes bounds instance documents so hostile or corrupt
-// input cannot trigger unbounded allocations in the decoder.
-const maxDecodedNodes = 1_000_000
+// maxMetricBytes bounds the node count n of an instance document by
+// the metric a solve on it builds: n² distances (8 B) and n² first-arc
+// positions (4 B), 12 B per node pair. 192 MiB admits n ≤ 4 096; a
+// short document naming a million nodes would otherwise ask for 12 TB.
+const maxMetricBytes = 192 << 20
 
 // maxDecodedCells bounds catalog size × node count in an instance
 // document. A network keeps a deployment flag and a setup cost per
@@ -19,8 +21,8 @@ const maxDecodedNodes = 1_000_000
 const maxDecodedCells = 1 << 22
 
 // ErrTooLarge reports an instance document describing a network larger
-// than the decoder builds: more than maxDecodedNodes nodes, or more
-// than maxDecodedCells (VNF, node) pairs.
+// than the decoder builds: a metric past maxMetricBytes, or more than
+// maxDecodedCells (VNF, node) pairs.
 var ErrTooLarge = errors.New("nfv: instance too large")
 
 // edgeJSON serializes one undirected edge.
@@ -112,8 +114,8 @@ func (doc *InstanceDoc) UnmarshalJSON(data []byte) error {
 	if nodes < 0 {
 		return fmt.Errorf("nfv: unmarshal instance: negative node count %d", nodes)
 	}
-	if nodes > maxDecodedNodes {
-		return fmt.Errorf("%w: %d nodes, at most %d", ErrTooLarge, nodes, maxDecodedNodes)
+	if nodes > 0 && nodes > maxMetricBytes/12/nodes {
+		return fmt.Errorf("%w: %d nodes, more than a %d-byte metric holds", ErrTooLarge, nodes, maxMetricBytes)
 	}
 	if vnfs > 0 && nodes > maxDecodedCells/vnfs {
 		return fmt.Errorf("%w: %d VNFs × %d nodes, at most %d pairs", ErrTooLarge, vnfs, nodes, maxDecodedCells)

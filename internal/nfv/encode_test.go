@@ -83,37 +83,65 @@ func TestInstanceDocUnmarshalBadEdge(t *testing.T) {
 	}
 }
 
+// maxNodes is the node count maxMetricBytes admits: 12 B × 4 096² is
+// 192 MiB.
+const maxNodes = 4096
+
 // oversizedDoc is a few-kB instance document describing a network of
-// maxDecodedNodes nodes and vnfs empty catalog entries.
-func oversizedDoc(vnfs int) []byte {
+// nodes nodes and vnfs empty catalog entries.
+func oversizedDoc(nodes, vnfs int) []byte {
 	catalog := strings.TrimSuffix(strings.Repeat("{},", vnfs), ",")
 	return []byte(fmt.Sprintf(`{"network":{"nodes":%d,"edges":[],"catalog":[%s],"servers":[]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
-		maxDecodedNodes, catalog))
+		nodes, catalog))
 }
 
 // TestInstanceDocRefusesOversizedCatalog: a short document must not
 // make the decoder allocate a deployment flag and a setup cost for
 // every (VNF, node) pair it names before anything checks them.
 func TestInstanceDocRefusesOversizedCatalog(t *testing.T) {
-	// Eight VNFs over a million nodes: ≈100 MB if the decoder built the
-	// network, so a lost bound fails here without exhausting memory.
-	blob := oversizedDoc(8)
+	// 1 025 VNFs over 4 096 nodes: one pair past maxDecodedCells'
+	// column, ≈38 MB if the decoder built the network, so a lost bound
+	// fails here without exhausting memory.
+	blob := oversizedDoc(maxNodes, maxDecodedCells/maxNodes+1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var doc InstanceDoc
 	err := json.Unmarshal(blob, &doc)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("%d-byte document of 8 VNFs × %d nodes: err = %v, want ErrTooLarge", len(blob), maxDecodedNodes, err)
+		t.Fatalf("%d-byte document of %d VNFs × %d nodes: err = %v, want ErrTooLarge", len(blob), maxDecodedCells/maxNodes+1, maxNodes, err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("refusing the document allocated %d bytes, want at most 1 MiB", got)
 	}
-	// The same shape with a thousand VNFs would ask for ≈9 GB.
-	if err := json.Unmarshal(oversizedDoc(1000), &doc); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("1000 VNFs × %d nodes: err = %v, want ErrTooLarge", maxDecodedNodes, err)
+	// The same shape with ten thousand VNFs would ask for ≈370 MB.
+	if err := json.Unmarshal(oversizedDoc(maxNodes, 10_000), &doc); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("10 000 VNFs × %d nodes: err = %v, want ErrTooLarge", maxNodes, err)
 	}
 	if err := json.Unmarshal([]byte(`{"network":{"nodes":1000001,"catalog":[]}}`), &doc); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("too many nodes: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestInstanceDocRefusesOversizedMetric: the node bound is the one the
+// metric budget implies. A document one node past it is refused before
+// anything is built, however few VNFs it names — at a million nodes its
+// solve would ask graph.metricSlabs for 12 TB — and one at the bound
+// decodes.
+func TestInstanceDocRefusesOversizedMetric(t *testing.T) {
+	if 12*maxNodes*maxNodes > maxMetricBytes || 12*(maxNodes+1)*(maxNodes+1) <= maxMetricBytes {
+		t.Fatalf("maxNodes %d is not the node count a %d-byte metric admits", maxNodes, maxMetricBytes)
+	}
+	var doc InstanceDoc
+	if err := json.Unmarshal(oversizedDoc(maxNodes, 1), &doc); err != nil {
+		t.Fatalf("%d nodes: %v", maxNodes, err)
+	}
+	if doc.Network.NumNodes() != maxNodes {
+		t.Fatalf("decoded %d nodes, want %d", doc.Network.NumNodes(), maxNodes)
+	}
+	for _, nodes := range []int{maxNodes + 1, 1_000_000} {
+		if err := json.Unmarshal(oversizedDoc(nodes, 1), &doc); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%d nodes, one VNF: err = %v, want ErrTooLarge", nodes, err)
+		}
 	}
 }

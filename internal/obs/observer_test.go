@@ -39,7 +39,7 @@ func obsInstance(t testing.TB) (*nfv.Network, nfv.Task) {
 func TestEventOrdering(t *testing.T) {
 	net, task := obsInstance(t)
 	rec := &SpanRecorder{}
-	res, err := core.Solve(net, task, core.Options{Observer: rec, MaxOPAPasses: 4})
+	res, err := core.Solve(net, task, core.Options{Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestStartTraceRecordsOutcome(t *testing.T) {
 func TestRecordedTraceJSON(t *testing.T) {
 	net, task := obsInstance(t)
 	rec := AcquireRecorder()
-	if _, err := core.Solve(net, task, core.Options{Observer: rec, MaxOPAPasses: 4}); err != nil {
+	if _, err := core.Solve(net, task, core.Options{Observer: rec}); err != nil {
 		t.Fatal(err)
 	}
 	tr := Trace{Op: "admit", RequestID: "req-1", Session: 3, DurationNs: 7}

@@ -392,7 +392,8 @@ func (s *Server) runAlgorithm(ctx context.Context, req *SolveRequest, extra core
 // decodeBody reads the whole body into a pooled buffer and decodes it
 // as one JSON document into dst: anything but whitespace after the
 // document is a 400, like any other malformed body, and a body past
-// MaxBodyBytes a 413. It answers the error itself and reports whether
+// MaxBodyBytes or an instance past nfv's size bounds (nfv.ErrTooLarge)
+// a 413. It answers the error itself and reports whether
 // the handler may go on. Decoding copies everything it keeps, so the
 // buffer is free again on return.
 func decodeBody[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
@@ -405,7 +406,7 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		if errors.As(err, &tooLarge) || errors.Is(err, nfv.ErrTooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeError(w, status, fmt.Errorf("decode request: %w", err))

@@ -314,6 +314,18 @@ func TestErrorEnvelopes(t *testing.T) {
 	defer resp.Body.Close()
 	assertErrorEnvelope(t, resp, http.StatusRequestEntityTooLarge)
 
+	// A short body naming one node more than nfv's metric budget admits
+	// (4 096 nodes at 12 B a pair in 192 MiB): 413 before anything is built.
+	bound := strings.NewReader(`{"instance":{"network":{"nodes":4097,"edges":[{"u":0,"v":1,"cost":1}],` +
+		`"catalog":[{"id":0,"name":"f","demand":1}],"servers":[{"node":0,"capacity":1}]},` +
+		`"task":{"source":0,"destinations":[1],"chain":[0]}}}`)
+	resp, err = http.Post(ts.URL+"/v1/solve", "application/json", bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	assertErrorEnvelope(t, resp, http.StatusRequestEntityTooLarge)
+
 	// Unknown route: JSON 404, not net/http's text page.
 	resp, err = http.Get(ts.URL + "/no/such/route")
 	if err != nil {

@@ -114,7 +114,8 @@ func TestAdmitTimeoutValidation(t *testing.T) {
 
 // TestOversizedInstanceIsBadRequest: a few-kB body describing a
 // million-node network with a large catalog is refused by the decoder
-// as a 400, before anything allocates per (VNF, node) pair.
+// before anything allocates per (VNF, node) pair, as the client error
+// nfv.ErrTooLarge maps to: 413.
 func TestOversizedInstanceIsBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, nil, Config{})
 	instance := fmt.Sprintf(`{"network":{"nodes":1000000,"edges":[],"catalog":[%s],"servers":[]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
@@ -124,7 +125,7 @@ func TestOversizedInstanceIsBadRequest(t *testing.T) {
 		"/v1/validate": `{"instance":` + instance + `,"embedding":null}`,
 	} {
 		t.Run(path, func(t *testing.T) {
-			assertErrorEnvelope(t, postJSON(t, ts.URL+path, json.RawMessage(body)), http.StatusBadRequest)
+			assertErrorEnvelope(t, postJSON(t, ts.URL+path, json.RawMessage(body)), http.StatusRequestEntityTooLarge)
 		})
 	}
 }
