@@ -66,26 +66,3 @@ func TestSolveForestThroughFacade(t *testing.T) {
 		t.Errorf("forest %v more expensive than isolated %v", res.TotalCost, isolated)
 	}
 }
-
-func TestCapacityAwareThroughFacade(t *testing.T) {
-	catalog := []VNF{{ID: 0, Name: "f0", Demand: 1}, {ID: 1, Name: "f1", Demand: 1}}
-	net, err := NewNetworkBuilder(5, catalog).
-		AddLink(0, 1, 1).AddLink(1, 2, 1).AddLink(1, 3, 2).AddLink(3, 2, 2).AddLink(2, 4, 1).
-		SetServer(1, 2).SetServer(2, 2).SetServer(3, 2).
-		SetSetupCost(0, 1, 50).SetSetupCost(0, 2, 50).SetSetupCost(0, 3, 50).
-		SetSetupCost(1, 1, 50).SetSetupCost(1, 2, 50).SetSetupCost(1, 3, 50).
-		Deploy(0, 2).Deploy(1, 1).
-		SetLinkCapacity(1, 2, 1).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := Task{Source: 0, Destinations: []int{4}, Chain: SFC{0, 1}}
-	res, err := SolveCapacityAware(net, task, Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := net.LinkViolations(res.Embedding); len(v) != 0 {
-		t.Errorf("violations remain: %v", v)
-	}
-}

@@ -57,6 +57,10 @@ func TestFacadeDefaultCatalogAndCoords(t *testing.T) {
 	if len(coords) != 2 || coords[1].X != 3 {
 		t.Fatalf("coords = %v", coords)
 	}
+	// A coordinate per node or none: renderers index coords by node.
+	if _, err := NewNetworkBuilder(3, cat).SetCoords([]Point{{X: 0, Y: 0}}).Build(); err == nil {
+		t.Error("one coordinate for three nodes accepted")
+	}
 }
 
 func TestFacadeRenderDOT(t *testing.T) {

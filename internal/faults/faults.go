@@ -238,10 +238,6 @@ func (s *State) Materialize(deployFrom *nfv.Network) (*nfv.Network, error) {
 			deployFrom.NumNodes(), s.base.NumNodes())
 	}
 	g := graph.New(s.base.NumNodes())
-	type bound struct {
-		u, v, copies int
-	}
-	var bounds []bound
 	for _, e := range s.base.Graph().Edges() {
 		if s.downLinks[canonLink(e.U, e.V)] || s.downNodes[e.U] || s.downNodes[e.V] {
 			continue
@@ -249,14 +245,13 @@ func (s *State) Materialize(deployFrom *nfv.Network) (*nfv.Network, error) {
 		if _, err := g.AddEdge(e.U, e.V, e.Cost); err != nil {
 			return nil, fmt.Errorf("faults: rebuild: %w", err)
 		}
-		if c := s.base.LinkCapacity(e.U, e.V); c > 0 {
-			bounds = append(bounds, bound{e.U, e.V, c})
-		}
 	}
 
 	net := nfv.NewNetwork(g, s.base.Catalog())
 	if coords := s.base.Coords(); coords != nil {
-		net.SetCoords(coords)
+		if err := net.SetCoords(coords); err != nil {
+			return nil, err
+		}
 	}
 	for _, v := range s.base.Servers() {
 		if s.downNodes[v] {
@@ -269,11 +264,6 @@ func (s *State) Materialize(deployFrom *nfv.Network) (*nfv.Network, error) {
 			if err := net.SetSetupCost(f, v, s.base.RawSetupCost(f, v)); err != nil {
 				return nil, err
 			}
-		}
-	}
-	for _, b := range bounds {
-		if err := net.SetLinkCapacity(b.u, b.v, b.copies); err != nil {
-			return nil, err
 		}
 	}
 

@@ -236,3 +236,55 @@ func TestReplayerSteps(t *testing.T) {
 		t.Fatalf("degraded network has %d edges, want %d", cur.Graph().NumEdges(), base.Graph().NumEdges()-1)
 	}
 }
+
+// TestMaterializeCopiesConfiguration: with no fault applied, a
+// materialization answers every configuration query the way its base
+// network does — topology, servers, capacities, raw setup costs,
+// coordinates, catalog — and holds deployFrom's deployments, not the
+// base's.
+func TestMaterializeCopiesConfiguration(t *testing.T) {
+	base, err := netgen.Generate(netgen.PaperConfig(30, 2), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := base.Clone()
+	added := false
+	for _, v := range from.Servers() {
+		for f := 0; f < from.CatalogSize() && !added; f++ {
+			added = !from.IsDeployed(f, v) && from.Deploy(f, v) == nil
+		}
+	}
+	if !added {
+		t.Fatal("no free server to deploy on")
+	}
+	net, err := NewState(base).Materialize(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(net.Graph().Edges(), base.Graph().Edges()) {
+		t.Error("edges differ")
+	}
+	if !slices.Equal(net.Catalog(), base.Catalog()) {
+		t.Error("catalog differs")
+	}
+	if c := net.Coords(); c == nil || !slices.Equal(c, base.Coords()) {
+		t.Errorf("coords = %v, want %v", c, base.Coords())
+	}
+	if !slices.Equal(net.Servers(), base.Servers()) {
+		t.Errorf("servers = %v, want %v", net.Servers(), base.Servers())
+	}
+	for v := 0; v < base.NumNodes(); v++ {
+		if net.Capacity(v) != base.Capacity(v) || net.UsedCapacity(v) != from.UsedCapacity(v) {
+			t.Errorf("node %d: capacity %v used %v, want %v used %v",
+				v, net.Capacity(v), net.UsedCapacity(v), base.Capacity(v), from.UsedCapacity(v))
+		}
+		for f := 0; f < base.CatalogSize(); f++ {
+			if net.RawSetupCost(f, v) != base.RawSetupCost(f, v) {
+				t.Errorf("setup cost (%d,%d) = %v, want %v", f, v, net.RawSetupCost(f, v), base.RawSetupCost(f, v))
+			}
+			if net.IsDeployed(f, v) != from.IsDeployed(f, v) {
+				t.Errorf("deployed (%d,%d) = %v, want %v", f, v, net.IsDeployed(f, v), from.IsDeployed(f, v))
+			}
+		}
+	}
+}

@@ -129,7 +129,9 @@ func Materialize(g *graph.Graph, coords []nfv.Point, cfg Config, rng *rand.Rand)
 		catalog = catalog[:cfg.CatalogSize]
 	}
 	net := nfv.NewNetwork(g, catalog)
-	net.SetCoords(coords)
+	if err := net.SetCoords(coords); err != nil {
+		return nil, err
+	}
 
 	n := g.NumNodes()
 	numServers := int(math.Round(cfg.ServerFraction * float64(n)))

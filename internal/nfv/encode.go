@@ -128,7 +128,9 @@ func (doc *InstanceDoc) UnmarshalJSON(data []byte) error {
 	}
 	net := NewNetwork(g, raw.Network.Catalog)
 	if raw.Network.Coords != nil {
-		net.SetCoords(raw.Network.Coords)
+		if err := net.SetCoords(raw.Network.Coords); err != nil {
+			return fmt.Errorf("nfv: unmarshal coords: %w", err)
+		}
 	}
 	for _, s := range raw.Network.Servers {
 		if err := net.SetServer(s.Node, s.Capacity); err != nil {

@@ -17,7 +17,9 @@ func TestInstanceDocRoundTrip(t *testing.T) {
 	g.MustAddEdge(1, 2, 2.5)
 	g.MustAddEdge(2, 3, 3.5)
 	net := NewNetwork(g, DefaultCatalog())
-	net.SetCoords([]Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 2}})
+	if err := net.SetCoords([]Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 2}}); err != nil {
+		t.Fatal(err)
+	}
 	for v := 1; v < 4; v++ {
 		if err := net.SetServer(v, 3); err != nil {
 			t.Fatal(err)
@@ -75,11 +77,19 @@ func TestInstanceDocMarshalNilNetwork(t *testing.T) {
 	}
 }
 
+// TestInstanceDocUnmarshalBadEdge: a document whose edges or
+// coordinates do not fit its node count is refused at decode, before a
+// renderer indexes coordinates by node.
 func TestInstanceDocUnmarshalBadEdge(t *testing.T) {
-	blob := `{"network":{"nodes":2,"edges":[{"u":0,"v":5,"cost":1}],"catalog":[],"servers":[]},"task":{"source":0,"destinations":[1],"chain":[0]}}`
-	var doc InstanceDoc
-	if err := json.Unmarshal([]byte(blob), &doc); err == nil {
-		t.Error("out-of-range edge accepted")
+	for name, blob := range map[string]string{
+		"out-of-range edge": `{"network":{"nodes":2,"edges":[{"u":0,"v":5,"cost":1}],"catalog":[],"servers":[]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
+		"short coords":      `{"network":{"nodes":3,"edges":[{"u":0,"v":1,"cost":1}],"catalog":[],"servers":[],"coords":[{"x":0,"y":0}]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
+		"long coords":       `{"network":{"nodes":1,"edges":[],"catalog":[],"servers":[],"coords":[{"x":0,"y":0},{"x":1,"y":1}]},"task":{"source":0,"destinations":[1],"chain":[0]}}`,
+	} {
+		var doc InstanceDoc
+		if err := json.Unmarshal([]byte(blob), &doc); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

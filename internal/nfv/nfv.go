@@ -10,7 +10,6 @@ package nfv
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -54,7 +53,7 @@ type Point struct {
 type Network struct {
 	g *graph.Graph
 	// tab is the configuration: servers, capacities, catalog, setup
-	// costs, coordinates and link bounds. Clones share it (see tables).
+	// costs and coordinates. Clones share it (see tables).
 	tab *tables
 	// deployed holds one bit per (vnf, node) pair, at vnf*n+node.
 	deployed []uint64
@@ -107,7 +106,6 @@ type tables struct {
 	capacity []float64
 	catalog  []VNF
 	setup    []float64 // [vnf*n+node]
-	linkCap  map[[2]int]int
 	// index caches ServerList and ServerRows: built on first use by
 	// whichever reader gets there, dropped by SetServer.
 	index atomic.Pointer[serverIndex]
@@ -122,9 +120,6 @@ type serverIndex struct {
 
 // netIDs mints process-unique network incarnation IDs.
 var netIDs atomic.Uint64
-
-// newGraphLike returns an empty graph with the same node count.
-func newGraphLike(g *graph.Graph) *graph.Graph { return graph.New(g.NumNodes()) }
 
 // NewNetwork wraps a finished graph with NFV metadata. All nodes start
 // as switches (non-servers); the catalog fixes the universe of VNF
@@ -158,7 +153,6 @@ func (net *Network) own() *tables {
 		capacity: slices.Clone(t.capacity),
 		catalog:  slices.Clone(t.catalog),
 		setup:    slices.Clone(t.setup),
-		linkCap:  maps.Clone(t.linkCap),
 	}
 	c.index.Store(t.index.Load())
 	net.tab = c
@@ -204,10 +198,14 @@ func (net *Network) VNF(id int) (VNF, error) {
 	return net.tab.catalog[id], nil
 }
 
-// SetCoords stores node coordinates (used only for reporting; costs
-// are fixed at edge-creation time).
-func (net *Network) SetCoords(coords []Point) {
+// SetCoords stores node coordinates, one per node (used only for
+// reporting; costs are fixed at edge-creation time).
+func (net *Network) SetCoords(coords []Point) error {
+	if len(coords) != net.NumNodes() {
+		return fmt.Errorf("nfv: %d coordinates for %d nodes", len(coords), net.NumNodes())
+	}
 	net.own().coords = append([]Point(nil), coords...)
+	return nil
 }
 
 // Coords returns the node coordinates, or nil if unset.

@@ -3,6 +3,7 @@ package nfv
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"sftree/internal/graph"
@@ -481,5 +482,56 @@ func TestMetricCached(t *testing.T) {
 	}
 	if m1.Dist[0][3] != 3 {
 		t.Errorf("dist 0-3 = %v, want 3", m1.Dist[0][3])
+	}
+}
+
+// capNet builds a 4-node line with servers on 1,2.
+func capNet(t *testing.T) *Network {
+	t.Helper()
+	g := graph.New(4)
+	for v := 1; v < 4; v++ {
+		g.MustAddEdge(v-1, v, float64(v))
+	}
+	net := NewNetwork(g, []VNF{{ID: 0, Name: "f0", Demand: 1}})
+	for _, v := range []int{1, 2} {
+		if err := net.SetServer(v, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetSetupCost(0, v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return net
+}
+
+// outAndBack builds an embedding whose flow crosses edge 1-2 twice
+// (stage 0 out to the instance at 2, stage 1 back towards dest 1).
+func outAndBack() *Embedding {
+	return &Embedding{
+		Task:         Task{Source: 0, Destinations: []int{1}, Chain: SFC{0}},
+		NewInstances: []Instance{{VNF: 0, Node: 2, Level: 1}},
+		Walks: []Walk{{
+			{Level: 0, Path: []int{0, 1, 2}},
+			{Level: 1, Path: []int{2, 1}},
+		}},
+	}
+}
+
+func TestEmbeddingString(t *testing.T) {
+	e := outAndBack()
+	s := e.String()
+	for _, want := range []string{"source=0", "new instance: vnf=0 level=1 node=2", "dest 1:", "[L0 [0 1 2]]"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() missing %q:\n%s", want, s)
+		}
+	}
+}
+
+func TestCostOnNonEdgeIsInfinite(t *testing.T) {
+	net := capNet(t)
+	e := outAndBack()
+	e.Walks[0][0].Path = []int{0, 2} // not an edge
+	if bd := net.Cost(e); !math.IsInf(bd.Total, 1) {
+		t.Errorf("cost over non-edge = %v, want +Inf", bd.Total)
 	}
 }

@@ -113,7 +113,9 @@ func TestRenderDegenerateCoords(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	net := nfv.NewNetwork(g, nfv.DefaultCatalog())
-	net.SetCoords([]nfv.Point{{X: 5, Y: 5}, {X: 5, Y: 5}, {X: 5, Y: 5}})
+	if err := net.SetCoords([]nfv.Point{{X: 5, Y: 5}, {X: 5, Y: 5}, {X: 5, Y: 5}}); err != nil {
+		t.Fatal(err)
+	}
 	blob, err := RenderSVG(net, nil, Options{})
 	if err != nil {
 		t.Fatal(err)

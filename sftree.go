@@ -209,17 +209,6 @@ func SolveBestKnown(net *Network, task Task) (*Result, error) {
 	return res.Result, nil
 }
 
-// LinkViolation reports one overloaded link (see SolveCapacityAware).
-type LinkViolation = nfv.LinkViolation
-
-// SolveCapacityAware extends the two-stage algorithm with per-link
-// copy bounds (set via Network.SetLinkCapacity or the builder): it
-// iterates a penalty method that reroutes around overloaded links.
-// maxRounds of 0 uses the default budget.
-func SolveCapacityAware(net *Network, task Task, opts Options, maxRounds int) (*Result, error) {
-	return core.SolveCapacityAware(net, task, opts, maxRounds)
-}
-
 // Replay drives an embedding through the flow-level simulator,
 // re-deriving its cost from observed transmissions and reporting
 // per-edge load.
@@ -259,8 +248,7 @@ type NetworkBuilder struct {
 		f, v int
 		cost float64
 	}
-	deploys  []struct{ f, v int }
-	linkCaps []struct{ u, v, copies int }
+	deploys []struct{ f, v int }
 }
 
 // NewNetworkBuilder starts a builder for a network with the given node
@@ -305,13 +293,6 @@ func (b *NetworkBuilder) Deploy(f, v int) *NetworkBuilder {
 	return b
 }
 
-// SetLinkCapacity bounds the flow copies link {u,v} may carry
-// (capacity-aware solving only; 0 means unlimited).
-func (b *NetworkBuilder) SetLinkCapacity(u, v, copies int) *NetworkBuilder {
-	b.linkCaps = append(b.linkCaps, struct{ u, v, copies int }{u, v, copies})
-	return b
-}
-
 // SetCoords attaches node coordinates (optional, for reporting).
 func (b *NetworkBuilder) SetCoords(coords []Point) *NetworkBuilder {
 	b.coords = append([]Point(nil), coords...)
@@ -321,6 +302,9 @@ func (b *NetworkBuilder) SetCoords(coords []Point) *NetworkBuilder {
 // Build materializes the network, returning the first error hit while
 // applying the recorded operations.
 func (b *NetworkBuilder) Build() (*Network, error) {
+	if b.nodes < 0 {
+		return nil, fmt.Errorf("sftree: negative node count %d", b.nodes)
+	}
 	g := graph.New(b.nodes)
 	for _, l := range b.links {
 		if _, err := g.AddEdge(l.u, l.v, l.cost); err != nil {
@@ -329,7 +313,9 @@ func (b *NetworkBuilder) Build() (*Network, error) {
 	}
 	net := nfv.NewNetwork(g, b.catalog)
 	if b.coords != nil {
-		net.SetCoords(b.coords)
+		if err := net.SetCoords(b.coords); err != nil {
+			return nil, fmt.Errorf("sftree: %w", err)
+		}
 	}
 	for _, s := range b.servers {
 		if err := net.SetServer(s.v, s.cap); err != nil {
@@ -344,11 +330,6 @@ func (b *NetworkBuilder) Build() (*Network, error) {
 	for _, d := range b.deploys {
 		if err := net.Deploy(d.f, d.v); err != nil {
 			return nil, fmt.Errorf("sftree: deploy (%d,%d): %w", d.f, d.v, err)
-		}
-	}
-	for _, lc := range b.linkCaps {
-		if err := net.SetLinkCapacity(lc.u, lc.v, lc.copies); err != nil {
-			return nil, fmt.Errorf("sftree: link capacity %d-%d: %w", lc.u, lc.v, err)
 		}
 	}
 	return net, nil

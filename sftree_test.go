@@ -147,6 +147,9 @@ func TestBuilderErrorsSurfaceAtBuild(t *testing.T) {
 	if _, err := NewNetworkBuilder(2, nil).AddLink(0, 1, 1).Deploy(0, 1).Build(); err == nil {
 		t.Error("deploy on switch accepted")
 	}
+	if _, err := NewNetworkBuilder(-1, nil).Build(); err == nil {
+		t.Error("negative node count accepted")
+	}
 }
 
 func TestInstanceDocJSONThroughFacade(t *testing.T) {

@@ -232,7 +232,11 @@ fuzz_smoke() {
 # Dreyfus-Wagner DP beside DWTable) and stage two's second rule and
 # pass cap (LocalAcceptance, MaxOPAPasses, opaPasses: stage two
 # repeats until a pass accepts nothing, each move through the global
-# gate) stay gone from every .go file, bench/ included; internal/server's
+# gate) and the link copy-bound model with its penalty re-solve loop
+# (SolveCapacityAware, ReweightedCopy, LinkViolation, LinkCapacity,
+# ErrLinkCapacity, DefaultCapacityRounds, linkCap: core.Solve is the
+# one solve entry point) stay gone from every .go file, bench/
+# included; internal/server's
 # non-test files call no AdmitCtx (POST /v1/sessions has one way in,
 # the queue); the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
@@ -275,14 +279,14 @@ fuzz_smoke() {
 # internal/obs declares no Breakdown type, and cmd/sfttrace has no
 # "parse" flag.
 retired_guard() {
-	echo "==> retired guard: one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot|LocalAcceptance|MaxOPAPasses|opaPasses' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot|LocalAcceptance|MaxOPAPasses|opaPasses|SolveCapacityAware|ReweightedCopy|LinkViolation|LinkCapacity|ErrLinkCapacity|DefaultCapacityRounds|linkCap' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
