@@ -30,7 +30,8 @@ func TestParseMix(t *testing.T) {
 	if want := []sig{{6, 4, 3, true}, {2, 2, 1, false}}; !reflect.DeepEqual(fixed, want) {
 		t.Errorf("fixed mix = %+v, want %+v", fixed, want)
 	}
-	for _, bad := range []string{"", "2y3", "0x3", "2x3:-1", "ax3"} {
+	for _, bad := range []string{"", "2y3", "0x3", "2x3:-1", "ax3",
+		"2x3:NaN", "2x3:Inf", "2x3:+Inf", "2x3:-Inf", "2x3:1e308,4x4:1e308"} {
 		if _, err := parseMix(bad); err == nil {
 			t.Errorf("mix %q accepted", bad)
 		}
@@ -116,9 +117,9 @@ func TestExactQuantiles(t *testing.T) {
 
 // TestLoadRunEndToEnd runs the full harness against its in-process
 // (queued) server with the -check gate on: a short fixed-seed window
-// with one fault flap must admit sessions, drop nothing, surface both
-// cache hit rates and the wait/solve split, emit the artifact, and
-// capture a request-ID trace.
+// must admit sessions, drop nothing, surface the metric-cache hit rate
+// and the wait/solve split, emit the artifact, and capture a
+// request-ID trace.
 func TestLoadRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load window too long for -short")
@@ -128,7 +129,7 @@ func TestLoadRunEndToEnd(t *testing.T) {
 	args := []string{
 		"-nodes", "30", "-seed", "5",
 		"-rates", "25", "-duration", "1200ms", "-warmup", "300ms",
-		"-hold", "500ms", "-faults", "1",
+		"-hold", "500ms",
 		"-out", outPath, "-check",
 	}
 	if err := run(args, &buf); err != nil {
@@ -167,52 +168,6 @@ func TestLoadRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLoadRunRestartDrill kills and WAL-restores the in-process
-// manager mid-window and requires the audit to prove zero
-// committed-session loss, with the restart fields in the artifact.
-func TestLoadRunRestartDrill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load window too long for -short")
-	}
-	outPath := filepath.Join(t.TempDir(), "load.json")
-	var buf bytes.Buffer
-	args := []string{
-		"-nodes", "25", "-seed", "9",
-		"-rates", "12", "-duration", "1500ms", "-warmup", "300ms",
-		"-hold", "600ms", "-faults", "0",
-		"-restart", "800ms",
-		"-out", outPath, "-check",
-	}
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "restart audit:") || !strings.Contains(buf.String(), " 0 lost, 0 phantom") {
-		t.Errorf("audit verdict missing or dirty:\n%s", buf.String())
-	}
-
-	blob, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc loadDoc
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Points) != 1 {
-		t.Fatalf("artifact = %+v", doc)
-	}
-	pt := doc.Points[0]
-	if !pt.Restarted || pt.LostCommitted != 0 {
-		t.Errorf("restart point = %+v, want restarted with zero loss", pt)
-	}
-	if pt.RestoreMs < 0 {
-		t.Errorf("restore duration %v", pt.RestoreMs)
-	}
-	if pt.Admitted == 0 {
-		t.Error("no admissions measured across the restart")
-	}
-}
-
 func TestLoadRunBadFlags(t *testing.T) {
 	if err := run([]string{"-rates", "0"}, &bytes.Buffer{}); err == nil {
 		t.Error("zero rate accepted")
@@ -223,7 +178,16 @@ func TestLoadRunBadFlags(t *testing.T) {
 	if err := run([]string{"-nope"}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	if err := run([]string{"-url", "http://127.0.0.1:1", "-restart", "1s"}, &bytes.Buffer{}); err == nil {
-		t.Error("-restart against a remote server accepted")
+	// Refused at parse time: a plan step that rounds to zero or
+	// converts a NaN never advances, and an empty window divides
+	// admissions per second into NaN or negative rates.
+	for _, args := range [][]string{
+		{"-rates", "Inf"}, {"-rates", "NaN"}, {"-rates", "1e12"},
+		{"-duration", "0"}, {"-duration", "-1s"},
+		{"-warmup", "-1s"}, {"-hold", "-1s"}, {"-drain", "-1s"},
+	} {
+		if err := run(args, &bytes.Buffer{}); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

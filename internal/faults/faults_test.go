@@ -69,6 +69,23 @@ func TestLinkDownUpMaterialize(t *testing.T) {
 	if healed.Graph().NumEdges() != base.Graph().NumEdges() {
 		t.Fatalf("healed network has %d edges, want %d", healed.Graph().NumEdges(), base.Graph().NumEdges())
 	}
+	// The same down-set again is served from the per-down-set APSP
+	// cache: one hit, no miss, and the very closure built the first time.
+	first := degraded.Metric()
+	if err := st.Apply(Event{Kind: LinkDown, U: 1, V: 3}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := st.Materialize(healed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := CacheStats()
+	if again.Metric() != first {
+		t.Error("repeated down-set rebuilt its metric closure")
+	}
+	if h, m := CacheStats(); h != hits+1 || m != misses {
+		t.Errorf("cache traffic: %d hits and %d misses, want 1 and 0", h-hits, m-misses)
+	}
 }
 
 func TestNodeCrashKillsInstancesAndLinks(t *testing.T) {

@@ -71,8 +71,8 @@ var (
 	// ErrClosed rejects enqueues after Close, and fails tickets still
 	// queued when the drain budget runs out.
 	ErrClosed = errors.New("queue: closed")
-	// ErrUnavailable fails tickets dispatched while no manager is
-	// installed (stateless server, mid-swap restart window).
+	// ErrUnavailable fails tickets whose drain found no manager (the
+	// Manager provider returned nil).
 	ErrUnavailable = errors.New("queue: no session manager")
 )
 
@@ -88,9 +88,10 @@ type Config struct {
 	// Workers is the number of solvers, and so bounds how many tickets
 	// solve at once. Default GOMAXPROCS.
 	Workers int
-	// Manager supplies the admission manager once per drain of pending;
-	// indirection keeps the queue correct across the restart harness's
-	// hot swap. A nil return fails the drained tickets with
+	// Manager supplies the admission manager once per drain of pending.
+	// The server hands over a fixed one; a provider that blocks and then
+	// returns nil is how the crash op of a sim.Script wedges a queue in
+	// mid-drain. A nil return fails the drained tickets with
 	// ErrUnavailable.
 	Manager func() *dynamic.Manager
 	// Now is the clock; tests and the fuzz harness pin it. Default
@@ -551,8 +552,8 @@ func plan(batch []*Ticket, now time.Time) (groups [][]*Ticket, late, gone []*Tic
 
 // extend plans one drain of pending, answers the tickets no solve is
 // owed to, and appends the rest to the line. The caller holds q.drain
-// and neither of the other locks: the manager provider may block (the
-// restart window, a test gate) and Enqueue must not wait for it.
+// and neither of the other locks: the manager provider may block (a
+// wedged crash run, a test gate) and Enqueue must not wait for it.
 func (q *Queue) extend(batch []*Ticket) {
 	groups, late, gone := plan(batch, q.cfg.Now())
 	for _, t := range late {

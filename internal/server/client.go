@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -94,12 +95,19 @@ func (p RetryPolicy) backoff(n int, resp *http.Response) time.Duration {
 			}
 		}
 	}
-	d := p.BaseDelay << (n - 1)
+	d, limit := p.BaseDelay, p.MaxDelay
 	if d <= 0 {
 		return 0
 	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	// The doubling saturates at the cap instead of shifting past it:
+	// BaseDelay << 63 wraps to zero and a zero sleep is a tight loop.
+	if shift := n - 1; shift >= 63 || d > limit>>shift {
+		d = limit
+	} else {
+		d <<= shift
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }

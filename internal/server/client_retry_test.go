@@ -149,11 +149,17 @@ func TestBackoffRespectsRetryAfterCap(t *testing.T) {
 	if d := p.backoff(1, resp); d != 10*time.Millisecond {
 		t.Fatalf("Retry-After not capped: %v", d)
 	}
-	// Exponential growth stays within [d/2, d] and under the cap.
-	for n := 1; n <= 8; n++ {
-		d := p.backoff(n, nil)
-		if d < 0 || d > p.MaxDelay {
-			t.Fatalf("attempt %d: backoff %v outside [0, %v]", n, d, p.MaxDelay)
+	// Exponential growth stays within [d/2, d] for d the doubled base
+	// capped at MaxDelay, however many attempts failed: the doubling
+	// saturates instead of wrapping to a zero sleep.
+	for n := 1; n <= 64; n++ {
+		want := p.BaseDelay
+		for i := 1; i < n && want < p.MaxDelay; i++ {
+			want *= 2
+		}
+		want = min(want, p.MaxDelay)
+		if d := p.backoff(n, nil); d < want/2 || d > want {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", n, d, want/2, want)
 		}
 	}
 }

@@ -83,13 +83,9 @@ type Config struct {
 // Server is the HTTP facade. Create it with New or NewWith; it
 // implements http.Handler.
 type Server struct {
-	mux *http.ServeMux
-	h   http.Handler // mux wrapped in the obs middleware
-	// mgrMu guards mgr: the restart harness swaps in a freshly
-	// restored manager while requests are in flight (SetManager), so
-	// every handler takes one consistent reference per request.
-	mgrMu   sync.RWMutex
-	mgr     *dynamic.Manager
+	mux     *http.ServeMux
+	h       http.Handler     // mux wrapped in the obs middleware
+	mgr     *dynamic.Manager // fixed at construction, nil when stateless
 	net     *nfv.Network
 	reg     *obs.Registry
 	traces  *obs.TraceBuffer
@@ -134,8 +130,6 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 		s.mgr = dynamic.NewManager(net, opts).Instrument(reg).Trace(traces)
 	}
 	if s.mgr != nil {
-		// The provider indirects through Manager() so the queue keeps
-		// working across the restart harness's hot swap.
 		s.q = queue.New(queue.Config{
 			Depth:       cfg.QueueDepth,
 			BatchWindow: cfg.BatchWindow,
@@ -167,31 +161,15 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) Traces() *obs.TraceBuffer { return s.traces }
 
 // Manager exposes the dynamic session manager backing the stateful
-// API, nil for stateless servers. The admission queue reaches the
-// manager through it, and in-process harnesses (cmd/sftload's
-// self-serve mode) use it to drive fault rebases against the same
-// network the HTTP admissions run on.
-func (s *Server) Manager() *dynamic.Manager {
-	s.mgrMu.RLock()
-	defer s.mgrMu.RUnlock()
-	return s.mgr
-}
+// API, nil for stateless servers. It is fixed at construction: the
+// admission queue reaches the manager through it, and the process
+// drains and checkpoints it at shutdown.
+func (s *Server) Manager() *dynamic.Manager { return s.mgr }
 
 // Queue exposes the admission queue, nil for stateless servers. Its
 // solvers run until it is closed: the process's shutdown sequence
 // closes it between the HTTP drain and Manager.Drain.
 func (s *Server) Queue() *queue.Queue { return s.q }
-
-// SetManager swaps the session manager backing the stateful API — the
-// crash-restart harness kills the old manager's WAL and installs the
-// one Restore rehydrated from disk. In-flight requests finish against
-// the manager they already hold; new requests see the replacement.
-// The caller instruments the new manager before the swap.
-func (s *Server) SetManager(m *dynamic.Manager) {
-	s.mgrMu.Lock()
-	defer s.mgrMu.Unlock()
-	s.mgr = m
-}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -294,11 +272,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // yet healed — degrades the reported status (still HTTP 200: the
 // instance keeps serving, but operators and probes see it).
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	mgr := s.Manager()
-	resp := map[string]any{"status": "ready", "sessions_api": mgr != nil}
-	if mgr != nil {
-		resp["active_sessions"] = mgr.Active()
-		if st := mgr.Stats(); st.WALAppendErrors > 0 || st.CheckpointDirty {
+	resp := map[string]any{"status": "ready", "sessions_api": s.mgr != nil}
+	if s.mgr != nil {
+		resp["active_sessions"] = s.mgr.Active()
+		if st := s.mgr.Stats(); st.WALAppendErrors > 0 || st.CheckpointDirty {
 			resp["status"] = "degraded"
 			resp["wal_append_errors"] = st.WALAppendErrors
 			resp["wal_checkpoint_dirty"] = st.CheckpointDirty
@@ -511,13 +488,13 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 // handleAdmit enqueues the task with its deadline (timeout_ms capped
 // by the server ceiling, converted to an absolute instant) and blocks
 // on the ticket. Overflow and in-queue expiry answer 429 with
-// Retry-After; a closed queue, a missing manager or a refused WAL
-// append answer 503 (drain in progress / mid-restart / dead disk). The
-// request context rides the ticket, so a client that leaves is never
-// left holding a session: the queue drops its ticket unsolved, or
-// releases the session if the commit had already landed.
+// Retry-After; a closed queue or a refused WAL append answer 503
+// (drain in progress / dead disk). The request context rides the
+// ticket, so a client that leaves is never left holding a session: the
+// queue drops its ticket unsolved, or releases the session if the
+// commit had already landed.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	if s.Manager() == nil {
+	if s.mgr == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("server started without a network"))
 		return
 	}
@@ -609,17 +586,15 @@ func admitStatus(err error) int {
 const retryAfter = "1"
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, _ *http.Request) {
-	mgr := s.Manager()
-	if mgr == nil {
+	if s.mgr == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("server started without a network"))
 		return
 	}
-	writeJSON(w, http.StatusOK, mgr.Stats())
+	writeJSON(w, http.StatusOK, s.mgr.Stats())
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	mgr := s.Manager()
-	if mgr == nil {
+	if s.mgr == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("server started without a network"))
 		return
 	}
@@ -628,7 +603,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad session id: %w", err))
 		return
 	}
-	if err := mgr.Release(dynamic.SessionID(id)); err != nil {
+	if err := s.mgr.Release(dynamic.SessionID(id)); err != nil {
 		status := http.StatusInternalServerError
 		switch {
 		case errors.Is(err, dynamic.ErrUnknownSession):

@@ -1,13 +1,21 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
+	"sftree/internal/netgen"
+	"sftree/internal/nfv"
 	"sftree/internal/wal"
 )
 
@@ -94,4 +102,136 @@ func TestDeadWALAnswers503(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// TestCrashUnderConcurrentAdmissions kills the write-ahead log of a
+// serving manager while eight clients admit over HTTP, and releases
+// every third acked session. The kill fires right after the 40th
+// acked admission, counted, not timed, so other admissions and
+// releases are in flight around it. Recovery onto a fresh copy of the
+// base network must hold exactly what the clients were told: every
+// acked session that was not acked released, and nothing else.
+func TestCrashUnderConcurrentAdmissions(t *testing.T) {
+	const clients, perClient, crashAt = 8, 16, 40
+	net, _ := sessionNetwork(t)
+	base := net.Clone()
+	rng := rand.New(rand.NewSource(3))
+	tasks := make([][]nfv.Task, clients)
+	for c := range tasks {
+		for range perClient {
+			task, err := netgen.GenerateTask(net, rng, 2+rng.Intn(2), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks[c] = append(tasks[c], task)
+		}
+	}
+	dir := t.TempDir()
+	log, _, err := wal.Open(dir, wal.Config{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := dynamic.NewManager(net, core.Options{}).AttachWAL(log)
+	srv, ts := newTestServer(t, net, Config{Manager: mgr})
+	client := NewClient(ts.URL, nil)
+	ctx := context.Background()
+
+	var (
+		acks    atomic.Int64
+		crashed atomic.Bool
+		mu      sync.Mutex
+		acked   = make(map[dynamic.SessionID]bool)
+		freed   = make(map[dynamic.SessionID]bool)
+		wg      sync.WaitGroup
+	)
+	// unavailable reports the 503 a dead log answers; before the crash
+	// it is a failure like any other.
+	unavailable := func(err error) bool {
+		var apiErr *APIError
+		return crashed.Load() && errors.As(err, &apiErr) && apiErr.Status == http.StatusServiceUnavailable
+	}
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, task := range tasks[c] {
+				resp, err := client.Admit(ctx, task)
+				var apiErr *APIError
+				switch {
+				case err == nil:
+				case errors.As(err, &apiErr) && apiErr.Status == http.StatusConflict:
+					continue
+				case unavailable(err):
+					return
+				default:
+					t.Errorf("admit: %v", err)
+					return
+				}
+				mu.Lock()
+				acked[resp.ID] = true
+				mu.Unlock()
+				n := acks.Add(1)
+				if n == crashAt {
+					crashed.Store(true)
+					log.Crash()
+				}
+				if n%3 != 0 {
+					continue
+				}
+				switch err := client.Release(ctx, resp.ID); {
+				case err == nil:
+					mu.Lock()
+					freed[resp.ID] = true
+					mu.Unlock()
+				case unavailable(err):
+					return
+				default:
+					t.Errorf("release %d: %v", resp.ID, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !crashed.Load() {
+		t.Fatalf("only %d admissions acked, the crash needs %d", acks.Load(), crashAt)
+	}
+
+	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := srv.Queue().Close(dctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Drain(dctx); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := wal.Open(dir, wal.Config{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	restored, rep, err := dynamic.Restore(base, l2, rec, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Errors) != 0 {
+		t.Errorf("restore errors: %v", rep.Errors)
+	}
+	live := make(map[dynamic.SessionID]bool)
+	for _, s := range restored.Sessions() {
+		live[s.ID] = true
+		if !acked[s.ID] {
+			t.Errorf("session %d is live but was never acked", s.ID)
+		}
+	}
+	for id := range acked {
+		if !freed[id] && !live[id] {
+			t.Errorf("acked session %d was lost", id)
+		}
+		if freed[id] && live[id] {
+			t.Errorf("session %d was acked released but is live", id)
+		}
+	}
+	t.Logf("%d acked, %d released, %d live, %d records replayed",
+		len(acked), len(freed), len(live), rep.ReplayedRecords)
 }

@@ -21,15 +21,12 @@
 #                       # coalescing, deadline, lock-holding fallback,
 #                       # shared-snapshot race) and the queued HTTP
 #                       # admission tests
-#   ./tools.sh load     # load gate only: fixed-seed open-loop sftload
-#                       # runs against an in-process (queued) sftserve,
-#                       # asserting non-zero admissions, zero dropped
-#                       # measurements at unsaturated points, live cache
-#                       # hit-rate floats on /metrics and a
-#                       # request-ID-stamped trace on /debug/traces; the
-#                       # second run kills and WAL-restores the manager
-#                       # under that traffic and requires zero lost and
-#                       # zero phantom sessions
+#   ./tools.sh load     # load gate only: one fixed-seed open-loop
+#                       # sftload run against an in-process (queued)
+#                       # sftserve, asserting non-zero admissions, zero
+#                       # dropped measurements at unsaturated points, a
+#                       # live metric-cache hit rate on /metrics and a
+#                       # request-ID-stamped trace on /debug/traces
 #   ./tools.sh obs      # obs smoke only: build cmds, boot sftserve,
 #                       # assert /healthz /readyz /metrics respond and
 #                       # /metrics counts the connections that took
@@ -44,9 +41,10 @@
 #                       # with a never-crashed oracle; fails on any lost
 #                       # committed session, oracle divergence or check
 #                       # failure after any op. Also runs the script
-#                       # runner's crash tests and the WAL's power-loss
+#                       # runner's crash tests, the WAL's power-loss
 #                       # test (what a lost page cache leaves past the
-#                       # last synced frame) under -race.
+#                       # last synced frame) and the server's crash
+#                       # under concurrent HTTP admissions under -race.
 #   ./tools.sh conformance [seed]
 #                       # differential gate only: bounded stratified
 #                       # corpus under -race, cross-checking every
@@ -160,7 +158,10 @@ conformance_gate() {
 # cover the same paths with the in-tree assertions, the gate's shape
 # at ten seeds included. All of those are process kills, which keep
 # every byte written; the WAL's power-loss test overwrites what follows
-# the last synced frame with each tail a lost page cache can leave.
+# the last synced frame with each tail a lost page cache can leave. The
+# server's crash test kills the log after the 40th acked HTTP admission
+# of eight concurrent clients and requires the restore to hold every
+# acked, unreleased session and nothing else.
 recover_gate() {
 	echo "==> recover gate: sftchaos -crash 2 -nodes 30 -sessions 12 -ops 30 -faults 5 -seed 7"
 	go run ./cmd/sftchaos -crash 2 -nodes 30 -sessions 12 -ops 30 -faults 5 -seed 7
@@ -168,6 +169,8 @@ recover_gate() {
 	run_matching '-race -count=1' 'TestCrash|TestConsecutiveCrashes|TestRecoverGate' ./internal/sim
 	echo "==> recover gate: power loss past the last synced frame (race)"
 	run_matching '-race -count=1' 'TestPowerLossKeepsEveryAckedRecord' ./internal/wal
+	echo "==> recover gate: crash under concurrent HTTP admissions (race)"
+	run_matching '-race -count=3' 'TestCrashUnderConcurrentAdmissions' ./internal/server
 	echo "OK (recover gate)"
 }
 
@@ -277,16 +280,20 @@ fuzz_smoke() {
 # streams or reads JSON lines (JSONLObserver, lineEvent, eventLine,
 # parseJSONL) or folds events into a second summary (breakdownOf),
 # internal/obs declares no Breakdown type, and cmd/sfttrace has no
-# "parse" flag.
+# "parse" flag; and the load generator only talks HTTP: cmd/sftload
+# imports neither internal/wal nor internal/faults (both stay among its
+# transitive deps, through the in-process server) and has no "restart"
+# or "faults" flag, and the server's manager is fixed at construction
+# (no SetManager hot swap, no mgrMu, no flapper or commit audit).
 retired_guard() {
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot|LocalAcceptance|MaxOPAPasses|opaPasses|SolveCapacityAware|ReweightedCopy|LinkViolation|LinkCapacity|ErrLinkCapacity|DefaultCapacityRounds|linkCap' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot|LocalAcceptance|MaxOPAPasses|opaPasses|SolveCapacityAware|ReweightedCopy|LinkViolation|LinkCapacity|ErrLinkCapacity|DefaultCapacityRounds|linkCap|SetManager|mgrMu|pickFlapEdge|auditCommitted' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
@@ -381,24 +388,22 @@ retired_guard() {
 		echo "retired guard: solver events have a second wire form again (a JSON-lines stream, its sfttrace -parse reader or an obs.Breakdown summary); every consumer reads the span tree spansOf builds" >&2
 		exit 1
 	fi
+	if go list -f '{{join .Imports "\n"}}' ./cmd/sftload | grep -xE 'sftree/internal/(wal|faults)' ||
+		grep -nE '"(restart|faults)"' cmd/sftload/*.go; then
+		echo "retired guard: cmd/sftload reaches past HTTP again (a WAL, a fault state, or a -restart / -faults flag); crashes under load are internal/server's TestCrashUnderConcurrentAdmissions" >&2
+		exit 1
+	fi
 }
 
 # load_gate drives the open-loop load harness for a short fixed-seed
-# run with one fault flap and the -check assertions on: sessions
-# must be admitted, no measurement may be dropped at an unsaturated
-# point, /metrics must show non-zero metric-cache and APSP-cache hit
-# rates, and /debug/traces must hold an admission trace stamped with
-# its request ID. The second run is the live-traffic crash drill: one
-# second in, the in-process manager's WAL dies without a flush, the
-# manager is restored from disk and swapped back in under the queue,
-# and the run fails on any acked session lost or any session no
-# client was acked for. Both runs assert behaviour, not throughput,
-# so neither needs the machine to itself.
+# run with the -check assertions on: sessions must be admitted, no
+# measurement may be dropped at an unsaturated point, /metrics must
+# show a non-zero metric-cache hit rate, and /debug/traces must hold an
+# admission trace stamped with its request ID. The run asserts
+# behaviour, not throughput, so it does not need the machine to itself.
 load_gate() {
-	echo "==> load gate: sftload -rates 25 -duration 3s -faults 2 -check"
-	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 2 -check
-	echo "==> load gate: sftload -rates 25 -duration 3s -restart 1s -check (crash drill)"
-	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -faults 0 -restart 1s -check
+	echo "==> load gate: sftload -rates 25 -duration 3s -check"
+	go run ./cmd/sftload -nodes 30 -seed 5 -rates 25 -duration 3s -warmup 1s -hold 1s -check
 	echo "OK (load gate)"
 }
 
