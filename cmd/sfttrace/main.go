@@ -125,6 +125,7 @@ func summarizeTraces(base string, w io.Writer) error {
 	ahead, stale := 0, 0 // admissions the queue solved ahead of their turn; those solved again
 	var stage1 time.Duration
 	generalTrees, boundSkips, repeatRoots, rowsRelaxed, rowsDominated, rows := 0, 0, 0, 0, 0, 0
+	treeBound, sweeps := 0.0, 0         // the sweeps' last-stage tree bounds, summed, and how many
 	split := map[string]time.Duration{} // stage-one sub-phase totals by span name
 	slowest := doc.Traces[0]
 	for _, t := range doc.Traces {
@@ -137,6 +138,10 @@ func summarizeTraces(base string, w io.Writer) error {
 				split[c.Name] += time.Duration(c.DurationNs)
 				generalTrees += int(c.Attrs["general_trees"])
 				boundSkips += int(c.Attrs["bound_skips"])
+				if c.Name == "candidate_sweep" {
+					treeBound += c.Attrs["tree_bound"]
+					sweeps++
+				}
 				repeatRoots += int(c.Attrs["repeat_roots"])
 				rowsRelaxed += int(c.Attrs["rows_relaxed"])
 				rowsDominated += int(c.Attrs["rows_dominated"])
@@ -191,10 +196,14 @@ func summarizeTraces(base string, w io.Writer) error {
 		fmt.Fprintf(w, "solved ahead of their turn %d/%d admissions, %d stale and solved again\n", ahead, ops["admit"], stale)
 	}
 	if stage1 > 0 {
-		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows, %d dominated), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound, %d repeated roots)\n",
+		meanBound := 0.0
+		if sweeps > 0 {
+			meanBound = treeBound / float64(sweeps)
+		}
+		fmt.Fprintf(w, "stage one %s: overlay %s, sfc search %s (%d of %d predecessor rows, %d dominated), candidate sweep %s (%d general-branch KMB trees, %d candidates skipped by the bound, last-stage tree bound %.4g on average, %d repeated roots)\n",
 			stage1.Round(time.Microsecond), split["overlay"].Round(time.Microsecond),
 			split["sfc_dijkstra"].Round(time.Microsecond), rowsRelaxed, rows, rowsDominated,
-			split["candidate_sweep"].Round(time.Microsecond), generalTrees, boundSkips, repeatRoots)
+			split["candidate_sweep"].Round(time.Microsecond), generalTrees, boundSkips, meanBound, repeatRoots)
 	}
 	fmt.Fprintf(w, "slowest: op=%s dur=%s warm=%v speculative=%v stale=%v request_id=%s\n",
 		slowest.Op, time.Duration(slowest.DurationNs).Round(time.Microsecond), slowest.Warm, slowest.Speculative, slowest.Stale, slowest.RequestID)

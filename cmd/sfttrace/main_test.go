@@ -64,7 +64,7 @@ func TestSummarizeTraces(t *testing.T) {
 		Spans: []*obs.Span{{Name: "stage1", DurationNs: 1500e3, Children: []*obs.Span{
 			{Name: "overlay", DurationNs: 10e3},
 			{Name: "sfc_dijkstra", DurationNs: 400e3, Attrs: map[string]float64{"rows_relaxed": 12, "rows_dominated": 7, "rows": 200}},
-			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1, "bound_skips": 4, "repeat_roots": 2}},
+			{Name: "candidate_sweep", DurationNs: 1000e3, Attrs: map[string]float64{"candidates": 6, "general_trees": 1, "bound_skips": 4, "tree_bound": 12.5, "repeat_roots": 2}},
 		}}}}, nil)
 	buf.Record(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true}, nil)
 	buf.Record(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true}, nil)
@@ -86,7 +86,7 @@ func TestSummarizeTraces(t *testing.T) {
 		"request-ID stamped 2/5",
 		"failures 1",
 		"solved ahead of their turn 2/3 admissions, 1 stale and solved again",
-		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows, 7 dominated), candidate sweep 1ms (1 general-branch KMB trees, 4 candidates skipped by the bound, 2 repeated roots)",
+		"stage one 1.5ms: overlay 10µs, sfc search 400µs (12 of 200 predecessor rows, 7 dominated), candidate sweep 1ms (1 general-branch KMB trees, 4 candidates skipped by the bound, last-stage tree bound 12.5 on average, 2 repeated roots)",
 		"slowest: op=repair dur=5ms warm=false speculative=false stale=false",
 	} {
 		if !strings.Contains(got, want) {

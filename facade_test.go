@@ -1,6 +1,7 @@
 package sftree
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,10 @@ func TestFacadeDefaultCatalogAndCoords(t *testing.T) {
 	coords := net.Coords()
 	if len(coords) != 2 || coords[1].X != 3 {
 		t.Fatalf("coords = %v", coords)
+	}
+	// A link of infinite cost is refused, not stored half-present.
+	if _, err := NewNetworkBuilder(2, cat).AddLink(0, 1, math.Inf(1)).Build(); err == nil {
+		t.Error("a link of cost +Inf accepted")
 	}
 	// A coordinate per node or none: renderers index coords by node.
 	if _, err := NewNetworkBuilder(3, cat).SetCoords([]Point{{X: 0, Y: 0}}).Build(); err == nil {

@@ -197,7 +197,7 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	stats.Stage1Cost = bestCost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventSweepEnd, Candidates: stats.CandidatesTried, Duration: time.Since(t2),
-			GeneralTrees: int(sw.generalTrees()), BoundSkips: skips, RepeatRoots: sc.roots.repeats})
+			GeneralTrees: int(sw.generalTrees()), BoundSkips: skips, TreeBound: lb, RepeatRoots: sc.roots.repeats})
 	}
 	return bestState, &stats, nil
 }

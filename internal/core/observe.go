@@ -60,7 +60,7 @@ const (
 	// EventSweepEnd closes this task's candidate last-host sweep (one
 	// Steiner tree priced per table row the tree lower bound does not
 	// rule out, the improving ones materialised); carries Candidates,
-	// GeneralTrees, BoundSkips, RepeatRoots and Duration.
+	// GeneralTrees, BoundSkips, TreeBound, RepeatRoots and Duration.
 	EventSweepEnd
 )
 
@@ -128,6 +128,12 @@ type Event struct {
 	// steiner.Sweep.LowerBound) already reached the best total; always
 	// zero for the other Steiner routines.
 	BoundSkips int
+	// TreeBound is the tree lower bound those skips used (see
+	// steiner.Sweep.LowerBound, less its rounding slack): no tree
+	// spanning the destinations costs less. It bounds the last stage's
+	// tree, not the service function tree; zero for the other Steiner
+	// routines.
+	TreeBound float64
 	// RepeatRoots is how many of the sweep's priced candidates had a
 	// last host an earlier row of the same solve had already priced, and
 	// were answered from the memo instead of a new tree.

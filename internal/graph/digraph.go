@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DiArc is one outgoing arc of a directed graph.
 type DiArc struct {
@@ -29,12 +26,13 @@ func (g *Digraph) NumNodes() int { return len(g.out) }
 // NumArcs returns the number of directed arcs.
 func (g *Digraph) NumArcs() int { return g.arcs }
 
-// AddArc inserts a directed arc u->v with the given cost.
+// AddArc inserts a directed arc u->v with the given cost, which must be
+// finite and non-negative.
 func (g *Digraph) AddArc(u, v int, cost float64) error {
 	if u < 0 || u >= len(g.out) || v < 0 || v >= len(g.out) {
 		return fmt.Errorf("%w: %d->%d with %d nodes", ErrNodeOutOfRange, u, v, len(g.out))
 	}
-	if cost < 0 || math.IsNaN(cost) {
+	if !finiteCost(cost) {
 		return fmt.Errorf("%w: %d->%d cost %v", ErrNegativeCost, u, v, cost)
 	}
 	g.out[u] = append(g.out[u], DiArc{To: v, Cost: cost})

@@ -14,6 +14,11 @@ func TestDigraphAddArcValidation(t *testing.T) {
 	if err := g.AddArc(0, 1, -1); !errors.Is(err, ErrNegativeCost) {
 		t.Errorf("negative: got %v", err)
 	}
+	for _, c := range []float64{math.NaN(), math.Inf(1)} {
+		if err := g.AddArc(0, 1, c); !errors.Is(err, ErrNegativeCost) {
+			t.Errorf("cost %v: got %v", c, err)
+		}
+	}
 	if err := g.AddArc(0, 1, 2); err != nil {
 		t.Errorf("valid arc: got %v", err)
 	}

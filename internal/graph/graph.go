@@ -21,8 +21,9 @@ var Inf = math.Inf(1)
 var (
 	// ErrNodeOutOfRange reports a node identifier outside [0, N).
 	ErrNodeOutOfRange = errors.New("graph: node out of range")
-	// ErrNegativeCost reports an attempt to add an edge with negative cost.
-	ErrNegativeCost = errors.New("graph: negative edge cost")
+	// ErrNegativeCost reports an attempt to add an edge whose cost is
+	// negative or not finite (NaN or +Inf).
+	ErrNegativeCost = errors.New("graph: negative or non-finite edge cost")
 	// ErrSelfLoop reports an attempt to add a self-loop edge.
 	ErrSelfLoop = errors.New("graph: self loop")
 )
@@ -86,9 +87,10 @@ func (g *Graph) Edges() []Edge {
 // Edge returns the edge with the given index.
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
-// AddEdge inserts an undirected edge {u,v} with the given cost and
-// returns its edge index. Parallel edges are permitted (the cheapest one
-// wins during shortest-path computations automatically).
+// AddEdge inserts an undirected edge {u,v} with the given cost, which
+// must be finite and non-negative, and returns its edge index. Parallel
+// edges are permitted (the cheapest one wins during shortest-path
+// computations automatically).
 func (g *Graph) AddEdge(u, v int, cost float64) (int, error) {
 	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
 		return 0, fmt.Errorf("%w: {%d,%d} with %d nodes", ErrNodeOutOfRange, u, v, len(g.adj))
@@ -96,7 +98,7 @@ func (g *Graph) AddEdge(u, v int, cost float64) (int, error) {
 	if u == v {
 		return 0, fmt.Errorf("%w: node %d", ErrSelfLoop, u)
 	}
-	if cost < 0 || math.IsNaN(cost) {
+	if !finiteCost(cost) {
 		return 0, fmt.Errorf("%w: {%d,%d} cost %v", ErrNegativeCost, u, v, cost)
 	}
 	id := len(g.edges)
@@ -106,6 +108,12 @@ func (g *Graph) AddEdge(u, v int, cost float64) (int, error) {
 	g.gen++
 	return id, nil
 }
+
+// finiteCost reports whether cost is a valid edge or arc cost: a
+// finite non-negative number. An edge of cost +Inf would be listed by
+// Edges and counted by Connected while every shortest path treats it
+// as absent, so it is refused with the negative and NaN costs.
+func finiteCost(cost float64) bool { return cost >= 0 && !math.IsInf(cost, 1) }
 
 // MustAddEdge is AddEdge for statically known-good inputs (topology
 // tables, tests). It panics on error, which per the style guide is

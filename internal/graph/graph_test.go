@@ -44,8 +44,30 @@ func TestAddEdgeValidation(t *testing.T) {
 	if _, err := g.AddEdge(0, 1, math.NaN()); !errors.Is(err, ErrNegativeCost) {
 		t.Errorf("NaN cost: got %v, want ErrNegativeCost", err)
 	}
+	if _, err := g.AddEdge(0, 1, math.Inf(1)); !errors.Is(err, ErrNegativeCost) {
+		t.Errorf("+Inf cost: got %v, want ErrNegativeCost", err)
+	}
 	if g.NumEdges() != 0 {
 		t.Errorf("invalid edges must not be stored, have %d", g.NumEdges())
+	}
+}
+
+// An edge of cost +Inf used to be stored: listed by Edges and counted
+// by Connected and TotalCost, yet absent from HasEdge, the CSR and the
+// metric. Refused, it is absent from all of them.
+func TestInfiniteEdgeIsAbsentEverywhere(t *testing.T) {
+	g := New(2)
+	if _, err := g.AddEdge(0, 1, math.Inf(1)); err == nil {
+		t.Fatal("+Inf edge accepted")
+	}
+	if g.Connected() {
+		t.Error("Connected reports true without an edge")
+	}
+	if len(g.Edges()) != 0 || g.TotalCost() != 0 {
+		t.Errorf("Edges %v, TotalCost %v: want none and 0", g.Edges(), g.TotalCost())
+	}
+	if _, ok := g.HasEdge(0, 1); ok || g.CSR().Arc(0, 1) != -1 || g.FloydWarshall().Dist[0][1] != Inf {
+		t.Error("the refused edge is visible to HasEdge, the CSR or the metric")
 	}
 }
 
@@ -244,14 +266,14 @@ func TestAPSPAutoMatchesFloydWarshall(t *testing.T) {
 
 // TestMetricFirstArcs pins what a metric hop names, under all three
 // APSP builders, on graphs with parallel edges (equal and unequal
-// costs, inserted in both orders) and zero, −0 and +Inf costs: each
+// costs, inserted in both orders) and zero and −0 costs: each
 // EachEdge hop carries the cheapest edge joining its two nodes, the
 // lowest id among equals — which is what CSR.Arc picks — EachEdge
 // visits Path's nodes in order, every walk ends (two Dijkstra rows that
 // break a zero-cost tie differently must not hand it back and forth),
 // and an unreachable pair reports false.
 func TestMetricFirstArcs(t *testing.T) {
-	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	negZero := math.Copysign(0, -1)
 	type edge struct {
 		u, v int
 		cost float64
@@ -264,9 +286,9 @@ func TestMetricFirstArcs(t *testing.T) {
 		// Zero-cost ties: −0 before +0, +0 before −0, and a zero path
 		// beside a unit edge.
 		{{0, 1, negZero}, {0, 1, 0}, {2, 1, 0}, {1, 2, negZero}, {0, 2, 0}, {2, 3, 1}, {3, 2, negZero}},
-		// +Inf edges: the only edge of 0-1 (unreachable), before and
-		// after a finite parallel edge.
-		{{0, 1, inf}, {1, 2, inf}, {1, 2, 1}, {2, 3, 5}, {3, 2, inf}, {3, 4, 0}},
+		// Node 0 without an edge (unreachable); AddEdge refuses the
+		// +Inf edges this case once held.
+		{{1, 2, 1}, {2, 3, 5}, {3, 4, 0}},
 	}
 	var graphs []*Graph
 	for _, es := range fixed {
@@ -277,7 +299,7 @@ func TestMetricFirstArcs(t *testing.T) {
 		graphs = append(graphs, g)
 	}
 	rng := rand.New(rand.NewSource(29))
-	costs := []float64{0, negZero, 1, 2, inf}
+	costs := []float64{0, negZero, 1, 2}
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(20)
 		g := New(n)

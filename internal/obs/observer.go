@@ -153,7 +153,7 @@ func spansOf(events []core.Event) []*Span {
 		case core.EventSweepEnd:
 			stage1Parts = append(stage1Parts, &Span{Name: "candidate_sweep", DurationNs: e.Duration.Nanoseconds(),
 				Attrs: map[string]float64{"candidates": float64(e.Candidates), "general_trees": float64(e.GeneralTrees),
-					"bound_skips": float64(e.BoundSkips), "repeat_roots": float64(e.RepeatRoots)}})
+					"bound_skips": float64(e.BoundSkips), "tree_bound": e.TreeBound, "repeat_roots": float64(e.RepeatRoots)}})
 		case core.EventStage1End:
 			roots = append(roots, &Span{Name: "stage1", DurationNs: e.Duration.Nanoseconds(),
 				Attrs:    map[string]float64{"cost": e.Cost, "candidates": float64(e.Candidates)},

@@ -282,7 +282,7 @@ var eventHomes = map[core.EventKind]map[string]string{
 		"SFCRowsDominated": "sfc_dijkstra.rows_dominated", "SFCRows": "sfc_dijkstra.rows"},
 	core.EventSweepEnd: {"Duration": "candidate_sweep.duration_ns", "Candidates": "candidate_sweep.candidates",
 		"GeneralTrees": "candidate_sweep.general_trees", "BoundSkips": "candidate_sweep.bound_skips",
-		"RepeatRoots": "candidate_sweep.repeat_roots"},
+		"TreeBound": "candidate_sweep.tree_bound", "RepeatRoots": "candidate_sweep.repeat_roots"},
 	core.EventStage1End:    {"Duration": "stage1.duration_ns", "Cost": "stage1.cost", "Candidates": "stage1.candidates"},
 	core.EventStage2Start:  {"Cost": "stage1.cost"},
 	core.EventOPAPassStart: {"Pass": "opa_pass.pass"},

@@ -155,15 +155,32 @@ func (s *Sweep) Cost(root int) (float64, error) {
 }
 
 // LowerBound is a price that no tree spanning D undercuts, whatever
-// its root: the weight of the minimum spanning tree of D's metric
+// its root. Every Cost(root) is such a tree, so none is below it but
+// for float rounding, which callers leave a slack for. It is 0 when D
+// has fewer than two distinct nodes and +Inf when some pair of them is
+// disconnected. Two destinations are bounded by their distance, three
+// by the exact optimum (star), more by the larger of spanBound and a
+// dual solution of the bidirected cut relaxation (moats). It bounds a
+// tree over D alone, not a service function tree, whose chain may share
+// the tree's edges.
+func (s *Sweep) LowerBound() float64 {
+	lb := s.spanBound()
+	switch {
+	case len(s.dests) < 3 || lb == 0 || lb == graph.Inf:
+		return lb // at 0, a tree of zero cost spans D
+	case len(s.dests) == 3:
+		return max(lb, s.star())
+	}
+	return max(lb, s.moats())
+}
+
+// spanBound is the weight of the minimum spanning tree of D's metric
 // closure divided by the Steiner ratio 2(1-1/|D|) (a Steiner tree's
 // doubled Euler tour, shortcut to D and less its longest stretch, is a
 // spanning path of the closure). Each closure edge is read as the
-// smaller of its two orientations. It is 0 when D has fewer than two
-// distinct nodes and +Inf when some pair of them is disconnected.
-// Every Cost(root) is such a tree, so none is below it but for float
-// rounding, which callers leave a slack for.
-func (s *Sweep) LowerBound() float64 {
+// smaller of its two orientations. It is 0 below two distinct
+// destinations and +Inf when some pair of them is disconnected.
+func (s *Sweep) spanBound() float64 {
 	ws, td := s.ws, len(s.dests)
 	if td < 2 {
 		return 0
@@ -198,6 +215,19 @@ func (s *Sweep) LowerBound() float64 {
 	}
 	ws.open = open[:0]
 	return mst / (2 * (1 - 1/float64(td)))
+}
+
+// star is the cost of a minimum tree spanning three terminals a, b, c:
+// such a tree has at most one node of degree three, so it is the
+// cheapest union of shortest paths from a, b and c to one node v (v one
+// of them when the tree is a path), min over v of the three distances.
+func (s *Sweep) star() float64 {
+	a, b, c := s.m.Dist[s.dests[0]], s.m.Dist[s.dests[1]], s.m.Dist[s.dests[2]]
+	best := graph.Inf
+	for v, d := range a {
+		best = min(best, d+b[v]+c[v])
+	}
+	return best
 }
 
 // build runs KMB for one root and returns the tree's edge ids in

@@ -353,8 +353,11 @@ const boundTolerance = 1e-12
 
 // checkLowerBound holds a sweep's LowerBound over dests to what it
 // promises: 0 below two distinct destinations, +Inf exactly when two
-// of them are disconnected, and otherwise no more than the tree of any
-// root. It returns the largest bound-to-tree ratio seen.
+// of them are disconnected, never below the spanning-tree bound it
+// improves on, and otherwise no more than the tree of any root. On
+// graphs of at most exactNodes nodes it also holds it to the exact
+// optimum over D: never above it, and equal to it for two or three
+// destinations. It returns the largest bound-to-tree ratio seen.
 func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) (worst float64) {
 	t.Helper()
 	s := NewSweep(g, m, dests)
@@ -386,6 +389,24 @@ func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int)
 			t.Fatalf("dests %v: bound 0, tree rooted at %d costs %v (%v)", dests, dests[0], cost, err)
 		}
 	}
+	if span := s.spanBound(); lb < span {
+		t.Fatalf("dests %v: bound %v below the spanning-tree bound %v", dests, lb, span)
+	}
+	if len(distinct) >= 2 && g.NumNodes() <= exactNodes {
+		dw, err := NewDWTable(g, m, dests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// skew moves a distance by an ulp, and the optimum read off it
+		// with it, so equality is within one ulp too.
+		opt := dw.Cost(dests[0])
+		if lb > math.Nextafter(opt, graph.Inf)*(1+boundTolerance) {
+			t.Fatalf("dests %v: bound %v above the optimum %v", dests, lb, opt)
+		}
+		if len(distinct) <= 3 && lb < math.Nextafter(opt, 0)*(1-boundTolerance) {
+			t.Fatalf("dests %v: bound %v, want the optimum %v", dests, lb, opt)
+		}
+	}
 	for root := 0; root < g.NumNodes(); root++ {
 		cost, err := s.Cost(root)
 		if err != nil {
@@ -400,6 +421,10 @@ func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int)
 	}
 	return worst
 }
+
+// exactNodes is the largest graph checkLowerBound compares with the
+// Dreyfus-Wagner optimum.
+const exactNodes = 12
 
 // LowerBound never exceeds a tree it bounds, on the instances the
 // differential tests sweep: random graphs under every cost mode and
@@ -464,6 +489,73 @@ func TestSweepLowerBound(t *testing.T) {
 		t.Errorf("path 0..4: bound %v, want 4", lb)
 	}
 	t.Logf("largest bound-to-tree ratio %.3f", worst)
+}
+
+// On graphs small enough for the exact optimum, the bound never
+// exceeds it and meets it at two and three destinations, under every
+// cost mode and metric builder, skewed or not.
+func TestSweepLowerBoundExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	sum, n4 := 0.0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 4 + rng.Intn(exactNodes-3)
+		g := randomGraphWithCosts(rng, n, rng.Intn(2*n), costModes[trial%len(costModes)])
+		dests := rng.Perm(n)[:2+rng.Intn(min(n, 9)-1)]
+		for _, apsp := range apspBuilders {
+			m := apsp.build(g)
+			if trial%5 == 0 {
+				skew(m)
+			}
+			checkLowerBound(t, g, m, dests)
+			if len(dests) < 4 {
+				continue
+			}
+			dw, err := NewDWTable(g, m, dests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt := dw.Cost(dests[0]); opt > 0 {
+				s := NewSweep(g, m, dests)
+				sum, n4 = sum+s.LowerBound()/opt, n4+1
+				s.Close()
+			}
+		}
+	}
+	t.Logf("mean bound-to-optimum ratio at four or more destinations %.3f over %d sets", sum/float64(n4), n4)
+}
+
+// Two instances where the moats reach the optimum, 4, and the
+// Steiner-ratio bound does not. On the path 0-1-2-3-4 with D = {0, 1,
+// 3, 4}, the moats of 1, 3 and 4 each grow 1 (1 then stops at the
+// root 0, and 3 and 4 merge), and the merged moat grows 1 more until it
+// reaches 1's: the ratio bound reads 4/1.5. On a spider whose centre
+// and four legs are all in D, rooted at a leg, the moats of the centre
+// and the other three legs each grow 1, when the centre's reaches the
+// root and the legs' reach the centre: the ratio bound reads 4/1.6.
+func TestSweepLowerBoundMoats(t *testing.T) {
+	path := graph.New(5)
+	for v := 1; v < 5; v++ {
+		path.MustAddEdge(v-1, v, 1)
+	}
+	spider := graph.New(5)
+	for leg := 1; leg < 5; leg++ {
+		spider.MustAddEdge(0, leg, 1)
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		dests []int
+		span  float64
+	}{
+		{"path", path, []int{0, 1, 3, 4}, 4 / 1.5},
+		{"spider", spider, []int{1, 2, 3, 4, 0}, 4 / 1.6},
+	} {
+		s := NewSweep(tc.g, tc.g.FloydWarshall(), tc.dests)
+		if span, lb := s.spanBound(), s.LowerBound(); span != tc.span || lb != 4 {
+			t.Errorf("%s: spanning-tree bound %v and bound %v, want %v and 4", tc.name, span, lb, tc.span)
+		}
+		s.Close()
+	}
 }
 
 // The tree test must be allowed to fail: on this instance the

@@ -52,6 +52,8 @@ type workspace struct {
 	arena     []uint64
 	bits      []uint64
 	rootTerms []int
+	// moats is the lower bound's state (see Sweep.moats).
+	moats moatState
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
@@ -135,7 +137,7 @@ type openSlot struct {
 
 // key is a distance as Prim compares it: its IEEE bit pattern with the
 // sign bit cleared, which folds −0 into +0. Metric distances are never
-// negative (AddEdge refuses negative and NaN costs), and non-negative
+// negative (AddEdge refuses negative and non-finite costs), and non-negative
 // doubles, +Inf included, order exactly as their bit patterns do, so a
 // < between keys answers as the < between the distances did — and
 // compiles to a conditional move where the float compare branched.
