@@ -37,19 +37,23 @@ type Options struct {
 	// pass proposes, not when stage two ends (see runOPA).
 	AggressiveOPA bool
 	// Scaffolds, when non-nil, memoizes per (source, chain signature,
-	// graph generation, deployment epoch) everything stage one derives
-	// without looking at a destination: the MOD overlay, the chain search
-	// over it (mod.Network.SolveSFC runs once per overlay) and the
-	// candidate table read off that (mod.Network.Candidates: the last
-	// hosts in sweep order, each with the verdict, last host and price of
-	// its capacity-repaired chain). A same-signature solve against the
-	// same network version then starts at the Steiner trees. Because the
-	// key pins the exact version, results are bit-identical to building
+	// network incarnation, graph generation, deployed set) everything
+	// stage one derives without looking at a destination: the MOD
+	// overlay, the chain search over it (mod.Network.SolveSFC runs once
+	// per overlay) and the candidate table read off that
+	// (mod.Network.Candidates: the last hosts in sweep order, each with
+	// the verdict, last host and price of its capacity-repaired chain). A
+	// same-signature solve at the same deployment — the same one, or one
+	// the network has come back to — then starts at the Steiner trees.
+	// An entry is served only to a network whose deployment bitset equals
+	// the one it was built at, so results are bit-identical to building
 	// fresh. A cached entry holds the solution's kS distance/predecessor
 	// pairs, 12 B each, and S table rows of 16 B — at most 256 entries, so
-	// ≈4.3 MB + 0.8 MB at S = 200, k = 7 — until the next version change
-	// evicts the lot. The dynamic manager shares one cache across
-	// concurrent admissions.
+	// ≈4.3 MB + 0.8 MB at S = 200, k = 7 — plus one deployment bitset per
+	// state it keeps entries of (|catalog|·|V| bits: 376 B at |V| = 100
+	// with 30 VNFs). Entries no second solve reused are dropped when the
+	// deployment moves (see mod.Cache). The dynamic manager shares one
+	// cache across concurrent admissions.
 	Scaffolds *mod.Cache
 	// Observer, when non-nil, receives structured phase events from
 	// every stage of the solve (see observe.go). Nil costs one pointer
@@ -274,8 +278,9 @@ func (sw *sweeper) chain(w int) (hosts []int, ok bool) {
 // chainTable appends the overlay's candidate table (mod.Candidates) to
 // rows: every server in ascending order of the cost of the optimal chain
 // ending there, each with the verdict, last host and price of that
-// chain once repaired. Source, chain and network version decide all of
-// it, so whichever solve builds it, the rows are the same.
+// chain once repaired. Source, chain and network state (topology,
+// configuration, deployed set) decide all of it, so whichever solve
+// builds it, the rows are the same.
 func (sw *sweeper) chainTable(rows []mod.Candidate) []mod.Candidate {
 	for _, v := range sw.net.ServerList() {
 		rows = append(rows, mod.Candidate{Cost: sw.sol.CostTo(v), Node: int32(v)})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -214,7 +216,8 @@ func (s *state) initialConnectionGroups(aggressive bool) []connGroup {
 		seen.add(conn)
 		groups = append(groups, connGroup{node: conn, members: s.destsThrough(conn)})
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].node < groups[b].node })
+	// seen makes the nodes distinct, so any sort yields this one order.
+	slices.SortFunc(groups, func(a, b connGroup) int { return cmp.Compare(a.node, b.node) })
 	return groups
 }
 

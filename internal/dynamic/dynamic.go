@@ -91,10 +91,11 @@ type Manager struct {
 	opts core.Options
 
 	// scaffolds memoizes stage-one MOD overlays across admissions with
-	// the same (source, chain) at the same network version. Overlays
-	// are only ever built against immutable snapshot clones (never the
-	// live, mutating network), so a cached overlay can be shared by
-	// every solver at that version.
+	// the same (source, chain) at the same deployment, including one the
+	// network returns to after sessions are released. Overlays are only
+	// ever built against immutable snapshot clones (never the live,
+	// mutating network), so a cached overlay can be shared by every
+	// solver at that deployment.
 	scaffolds *mod.Cache
 	// snap is the newest admission snapshot, handed out again for as
 	// long as it still equals the live network (see takeSnapshot);
@@ -290,7 +291,9 @@ type snapshot struct {
 // network's — the predicate settle commits under, so a reused clone is
 // indistinguishable from a fresh one. A run of admissions that reuse
 // live instances without deploying anything therefore shares one
-// clone, and with it one scaffold build per (source, chain).
+// clone. Scaffolds are keyed by deployed set rather than by epoch
+// (mod.Cache), so they outlive the clone: a later snapshot at a
+// deployment seen before finds the scaffolds reused there.
 //
 // An attempt solving ahead of its turn takes the same clone but leaves
 // reused for settle to decide, in commit order (see claimSnapshot).

@@ -26,16 +26,19 @@ func ChainSig(chain nfv.SFC) string {
 }
 
 // cacheKey identifies one reusable overlay: the (source, chain) pair
-// it embeds plus the network version it was built against. ID is the
-// network incarnation (process-unique, shared by clones), gen the
-// graph generation (topology + metric identity), epoch the deployment
-// epoch (setup costs of the virtual arcs reflect deployment state).
+// it embeds plus the network state it was built at. id is the network
+// incarnation (process-unique, shared by clones), gen the graph
+// generation (topology and metric identity), print the deployment
+// fingerprint (the virtual arcs' setup costs and the candidate table's
+// capacity verdicts read the deployed set). The fingerprint only
+// narrows the lookup: Get serves an entry only when the deployment
+// bitset it was built at equals the network's.
 type cacheKey struct {
 	source int
 	sig    string
 	id     uint64
 	gen    uint64
-	epoch  uint64
+	print  uint64
 }
 
 // cacheEntry is a singleflight slot: the first caller builds, every
@@ -50,6 +53,12 @@ type cacheEntry struct {
 	m    *Network
 	err  error
 	refs atomic.Int32
+	// bits is the deployment bitset the entry was built at, one copy
+	// shared by every entry built at that state; reused records that a
+	// Get after the building one served the entry. Both are guarded by
+	// the cache lock.
+	bits   []uint64
+	reused bool
 }
 
 // release drops one reference.
@@ -62,7 +71,7 @@ func (e *cacheEntry) release() {
 // Scaffold-cache traffic counters, process-global across all caches
 // (mirroring nfv.MetricCacheStats): a hit means an admission skipped
 // the full overlay construction because a same-signature solve already
-// built it at the same network version.
+// built it at the same deployment.
 var scaffoldHits, scaffoldMisses atomic.Int64
 
 // CacheStats reports the cumulative scaffold-cache traffic of every
@@ -71,19 +80,31 @@ func CacheStats() (hits, misses int64) {
 	return scaffoldHits.Load(), scaffoldMisses.Load()
 }
 
-// maxCacheEntries bounds one generation's worth of scaffolds; the mix
-// of live (source, chain) pairs is small in practice, so eviction is
-// wholesale rather than LRU.
+// maxCacheEntries bounds the scaffolds one cache holds; the mix of live
+// (source, chain) pairs and of deployments worth keeping is small in
+// practice, so eviction is wholesale rather than LRU.
 const maxCacheEntries = 256
 
 // Cache memoizes expanded MOD networks keyed by (source, chain
-// signature, graph generation, deployment epoch). Because the key pins
-// the exact network version, a cached overlay is bit-identical to what
-// Build would produce — reuse cannot change solver results. Entries
-// from superseded versions are dropped as soon as a newer version is
-// requested, so the cache holds at most one version's scaffolds (the
-// current one) at a time. Safe for concurrent use; concurrent requests
-// for the same key share one build (singleflight).
+// signature, incarnation, graph generation, deployment fingerprint).
+// An entry keeps the deployment bitset it was built at and is served
+// only to a network whose bitset equals it bit for bit, so a cached
+// overlay is what Build would produce — reuse cannot change solver
+// results, and the fingerprint is never trusted on its own. Because the
+// key is the deployment's content rather than a counter, a network
+// that returns to a deployment it was at before (sessions released,
+// a burst over) finds that deployment's scaffolds again. Safe for
+// concurrent use; concurrent requests for the same key share one build
+// (singleflight).
+//
+// Retention has no knob. A request at another incarnation or graph
+// generation empties the cache. A request at another deployment drops
+// every entry no second Get has served — a scaffold built once and
+// never reused is dead weight, as it is for a stream of distinct
+// chains — and keeps the reused ones, whatever state they were built
+// at, until the incarnation or generation changes, Purge, or the
+// 256-entry bound empties the cache wholesale. Entries built at one
+// deployment share one copy of its bitset.
 //
 // Entries are reference-counted. Get hands its caller a reference,
 // which Network.Release returns; dropping an entry drops only the
@@ -91,18 +112,22 @@ const maxCacheEntries = 256
 // intact for its holder, and its buffers go back to Build's pool when
 // the last holder releases it.
 //
-// Graph generations and deployment epochs are per-network counters, so
-// the key also carries the network's process-unique incarnation id: a
-// rebased manager feeding the cache a freshly materialized network can
-// never alias scaffolds of the network it replaced. Owners that swap
-// networks should still call Purge to release the dead entries
-// promptly.
+// Graph generations are per-graph counters, so the key also carries
+// the network's process-unique incarnation id: a rebased manager
+// feeding the cache a freshly materialized network can never alias
+// scaffolds of the network it replaced. Owners that swap networks
+// should still call Purge to release the dead entries promptly.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
-	// version of the entries currently held; a request for a newer
-	// version evicts everything older in one shot.
-	id, gen, epoch uint64
+	// id and gen are the incarnation and graph generation every held
+	// entry was built at.
+	id, gen uint64
+	// print is the fingerprint of the deployment the last request was
+	// at, and state that deployment's bitset once a build there has
+	// needed it (nil until then): the copy new entries share.
+	print uint64
+	state []uint64
 }
 
 // NewCache returns an empty scaffold cache.
@@ -121,21 +146,32 @@ func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, erro
 		sig:    ChainSig(chain),
 		id:     net.IncarnationID(),
 		gen:    net.Graph().Generation(),
-		epoch:  net.DeployEpoch(),
+		print:  net.DeployFingerprint(),
 	}
 	c.mu.Lock()
-	if key.id != c.id || key.gen != c.gen || key.epoch != c.epoch {
-		// The network moved on; every scaffold built against an older
-		// version is dead weight (a version triple never repeats).
+	switch {
+	case key.id != c.id || key.gen != c.gen:
+		// Another network or topology: nothing held can be served again.
 		c.dropAll()
-		c.id, c.gen, c.epoch = key.id, key.gen, key.epoch
+		c.id, c.gen, c.print, c.state = key.id, key.gen, key.print, nil
+	case key.print != c.print:
+		c.moveTo(key.print)
 	}
 	e, ok := c.entries[key]
-	if !ok {
+	if ok && !net.SameDeployment(e.bits) {
+		// An equal fingerprint over another deployment: the entry
+		// is not this state's, and a new build takes its slot.
+		delete(c.entries, key)
+		e.release()
+		ok = false
+	}
+	if ok {
+		e.reused = true
+	} else {
 		if len(c.entries) >= maxCacheEntries {
 			c.dropAll()
 		}
-		e = &cacheEntry{}
+		e = &cacheEntry{bits: c.stateOf(net)}
 		e.refs.Store(1) // the cache's own
 		c.entries[key] = e
 	}
@@ -158,6 +194,35 @@ func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, erro
 	return e.m, nil
 }
 
+// moveTo makes fp the current deployment's fingerprint, dropping every entry no
+// second Get has served; callers hold c.mu.
+func (c *Cache) moveTo(fp uint64) {
+	for k, e := range c.entries {
+		if !e.reused {
+			delete(c.entries, k)
+			e.release()
+		}
+	}
+	c.print, c.state = fp, nil
+}
+
+// stateOf returns the bitset a new entry at net's deployment shares:
+// the current copy when it matches, else the one a retained entry
+// built at this deployment holds, else a fresh copy; callers hold c.mu.
+func (c *Cache) stateOf(net *nfv.Network) []uint64 {
+	if net.SameDeployment(c.state) {
+		return c.state
+	}
+	for k, e := range c.entries {
+		if k.print == c.print && net.SameDeployment(e.bits) {
+			c.state = e.bits
+			return c.state
+		}
+	}
+	c.state = net.DeploymentBits()
+	return c.state
+}
+
 // dropAll empties the cache, dropping its reference to every entry;
 // callers hold c.mu.
 func (c *Cache) dropAll() {
@@ -169,10 +234,10 @@ func (c *Cache) dropAll() {
 
 // Purge drops every cached scaffold. Call it when the underlying
 // network object is replaced so dead entries are released immediately
-// instead of lingering until the next version-mismatch eviction.
+// instead of lingering until the next request at another network.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dropAll()
-	c.id, c.gen, c.epoch = 0, 0, 0
+	c.id, c.gen, c.print, c.state = 0, 0, 0, nil
 }

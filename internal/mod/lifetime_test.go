@@ -47,11 +47,13 @@ func tableOf(m *Network) func([]Candidate) []Candidate {
 }
 
 // TestScaffoldLifetime: an overlay a caller still holds survives the
-// cache dropping it. Held across a version change that evicts it and
-// across many later builds and releases — cached and direct, of every
-// chain length, which is what would take its recycled buffers — it
-// still reads the same bytes; once released, the next build takes
-// those buffers instead of allocating.
+// cache dropping it. Held across a deployment change that drops it
+// (no second Get served it) and across many later builds and releases —
+// cached and direct, of every chain length, which is what would take
+// its recycled buffers — it still reads the same bytes; so does a
+// reused overlay the cache keeps across those changes and Purge then
+// drops. Once released, the next build takes those buffers instead of
+// allocating.
 func TestScaffoldLifetime(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := buildNet(rng, 30, 20, 6)
@@ -62,10 +64,22 @@ func TestScaffoldLifetime(t *testing.T) {
 	}
 	held.Candidates(tableOf(held))
 	want := bytesOf(held)
+	kept, err := cache.Get(net, 8, nfv.SFC{2, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := cache.Get(net, 8, nfv.SFC{2, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Release()
+	kept.Candidates(tableOf(kept))
+	wantKept := bytesOf(kept)
 
 	for round := 0; round < 40; round++ {
-		// A deployment change moves the network to a new version: the
-		// next Get evicts every entry, the held one included.
+		// A deployment change moves the network to another deployment:
+		// the next Get drops every entry no second Get served, the held
+		// one included, and keeps the reused one.
 		f, v := round%6, round%30
 		change := net.Deploy
 		if net.IsDeployed(f, v) {
@@ -92,12 +106,22 @@ func TestScaffoldLifetime(t *testing.T) {
 		if got := bytesOf(held); !got.equal(want) {
 			t.Fatalf("round %d: the held overlay changed under its holder", round)
 		}
+		if n := held.entry.refs.Load(); n != 1 {
+			t.Fatalf("round %d: the never-reused overlay has %d references, want only its holder's", round, n)
+		}
+		if n := kept.entry.refs.Load(); n != 2 {
+			t.Fatalf("round %d: the reused overlay has %d references, want the cache's and its holder's", round, n)
+		}
 	}
 	cache.Purge()
 	if got := bytesOf(held); !got.equal(want) {
 		t.Fatal("purging the cache changed the held overlay")
 	}
+	if got := bytesOf(kept); !got.equal(wantKept) {
+		t.Fatal("the reused overlay changed under its holder")
+	}
 
+	kept.Release()
 	held.Release()
 	_, before := PoolStats()
 	m, err := Build(net, 3, nfv.SFC{4, 1, 5, 0})

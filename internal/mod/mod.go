@@ -389,9 +389,9 @@ const (
 // read-only, so an overlay served from a Cache carries them with it
 // (16 B per server). build appends the rows to the empty slice it is
 // given, whose array a released overlay left behind. The rows are a
-// function of (source, chain, network version) like the overlay
-// itself; every caller must pass a build that derives them from
-// nothing else.
+// function of (source, chain, network state: topology, configuration
+// and deployed set) like the overlay itself; every caller must pass a
+// build that derives them from nothing else.
 func (m *Network) Candidates(build func(rows []Candidate) []Candidate) []Candidate {
 	m.candOnce.Do(func() { m.cands = build(m.cands[:0]) })
 	return m.cands

@@ -82,14 +82,32 @@ type Network struct {
 	// parent. Not synchronized; callers serialize mutations themselves
 	// (the dynamic manager mutates only under its commit lock).
 	epoch uint64
+	// fingerprint hashes the deployed set: the XOR of mixCell(i) over
+	// every set bit i of deployed. Deploy and Undeploy toggle one term,
+	// so it depends on which instances run, never on the order they came
+	// and went in — unlike epoch, it repeats when a network returns to a
+	// deployment it had before. Clone copies it.
+	fingerprint uint64
 	// id is a process-unique incarnation stamp assigned at
 	// construction and shared by clones: (id, graph generation, epoch)
 	// identifies a deployment state exactly, provided clones are not
 	// mutated independently of their parent. Snapshot clones taken for
-	// read-only solving satisfy this by construction; scratch clones
-	// that mutate (e.g. ValidateDeployed's) must never feed
-	// version-keyed caches.
+	// read-only solving satisfy this by construction; a scratch clone
+	// that mutates (e.g. ValidateDeployed's) must never be compared by
+	// epoch with its parent. Comparisons by content — the fingerprint
+	// backed by SameDeployment, as mod.Cache keys its scaffolds — hold
+	// for any clone.
 	id uint64
+}
+
+// mixCell is the fingerprint term of deployment cell i: the (i+1)-th
+// output of splitmix64 seeded at zero, so every cell, the first one
+// included, contributes a well-mixed nonzero word.
+func mixCell(i int) uint64 {
+	z := uint64(i+1) * 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // tables is the part of a network that does not change as sessions
@@ -325,9 +343,10 @@ func (net *Network) Deploy(f, v int) error {
 		return fmt.Errorf("%w: node %d used %v + %v > cap %v",
 			ErrCapacityExceeded, v, net.UsedCapacity(v), demand, net.Capacity(v))
 	}
-	w, mask := net.bit(f, v)
-	net.deployed[w] |= mask
+	i := net.cell(f, v)
+	net.deployed[i>>6] |= 1 << (i & 63)
 	net.used[v] = net.recountUsed(v)
+	net.fingerprint ^= mixCell(i)
 	net.epoch++
 	return nil
 }
@@ -341,9 +360,10 @@ func (net *Network) Undeploy(f, v int) error {
 	if v < 0 || v >= net.g.NumNodes() || !net.IsDeployed(f, v) {
 		return fmt.Errorf("nfv: no instance of VNF %d on node %d to undeploy", f, v)
 	}
-	w, mask := net.bit(f, v)
-	net.deployed[w] &^= mask
+	i := net.cell(f, v)
+	net.deployed[i>>6] &^= 1 << (i & 63)
 	net.used[v] = net.recountUsed(v)
+	net.fingerprint ^= mixCell(i)
 	net.epoch++
 	return nil
 }
@@ -360,6 +380,23 @@ func (net *Network) DeployEpoch() uint64 { return net.epoch }
 // replacement network, so snapshots of the old incarnation can never
 // alias an epoch of the new one.
 func (net *Network) BumpDeployEpoch() { net.epoch++ }
+
+// DeployFingerprint returns a 64-bit hash of the deployed (VNF, node)
+// set, kept in O(1) by Deploy and Undeploy. Equal deployments have
+// equal fingerprints whatever path led to them; unequal ones almost
+// always differ, and a cache that must be exact confirms a match with
+// SameDeployment.
+func (net *Network) DeployFingerprint() uint64 { return net.fingerprint }
+
+// DeploymentBits returns a copy of the deployment bitset: one bit per
+// (VNF, node) cell, the form SameDeployment compares.
+func (net *Network) DeploymentBits() []uint64 { return slices.Clone(net.deployed) }
+
+// SameDeployment reports whether bits, as DeploymentBits returns them,
+// is net's deployment bit for bit.
+func (net *Network) SameDeployment(bits []uint64) bool {
+	return slices.Equal(net.deployed, bits)
+}
 
 // IncarnationID returns the process-unique stamp NewNetwork assigned
 // to this network; Clone preserves it, so a snapshot and its parent
@@ -444,14 +481,15 @@ func (net *Network) Clone() *Network {
 		t.shared.Store(true)
 	}
 	return &Network{
-		g:         net.g,
-		tab:       net.tab,
-		deployed:  slices.Clone(net.deployed),
-		used:      slices.Clone(net.used),
-		metric:    net.metric,
-		metricGen: net.metricGen,
-		metricFn:  net.metricFn,
-		epoch:     net.epoch,
-		id:        net.id,
+		g:           net.g,
+		tab:         net.tab,
+		deployed:    slices.Clone(net.deployed),
+		used:        slices.Clone(net.used),
+		metric:      net.metric,
+		metricGen:   net.metricGen,
+		metricFn:    net.metricFn,
+		epoch:       net.epoch,
+		fingerprint: net.fingerprint,
+		id:          net.id,
 	}
 }

@@ -23,7 +23,7 @@ import (
 //	    faults.State per-down-set APSP cache
 //	scaffold_cache_hits / scaffold_cache_misses / scaffold_cache_hit_rate
 //	    mod.Cache signature-keyed MOD-overlay scaffolds (stage-one
-//	    construction skipped on same-signature, same-version solves)
+//	    construction skipped on same-signature, same-deployment solves)
 //	sfc_rows_relaxed_total / sfc_rows_dominated_total / sfc_rows_total
 //	    mod.SolveSFC: predecessor rows the chain searches relaxed, rows
 //	    they skipped because a relaxed row already undercut them, and

@@ -8,6 +8,7 @@ import (
 
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
+	"sftree/internal/mod"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
@@ -16,9 +17,12 @@ import (
 // iteration enqueues a 32-ticket burst of one chain signature from four
 // origins on a 100-node network, waits for every ticket and releases
 // the sessions, so each burst meets the same deployment state. Beside
-// ns/op it reports the share of solves that ran ahead of their turn
-// and the share of those that went stale. Compare -cpu 1 with -cpu 2,
-// interleaved: this box changes speed by half from minute to minute.
+// ns/op it reports the share of solves that ran ahead of their turn,
+// the share of those that went stale, and the share of scaffold
+// lookups that hit (hit/op; a burst finds the deployments the one
+// before it reused scaffolds at). Compare -cpu 1 with -cpu 2,
+// interleaved: a shared machine changes speed by half from minute to
+// minute.
 func BenchmarkQueueBurst(b *testing.B) {
 	const burst, origins, dests, chain = 32, 4, 10, 5
 	rng := rand.New(rand.NewSource(1))
@@ -46,6 +50,7 @@ func BenchmarkQueueBurst(b *testing.B) {
 	ctx := context.Background()
 	tickets := make([]*Ticket, burst)
 	b.ResetTimer()
+	hits0, misses0 := mod.CacheStats()
 	for n := 0; n < b.N; n++ {
 		for i, task := range tasks {
 			if tickets[i], err = q.Enqueue(ctx, task, time.Time{}); err != nil {
@@ -64,9 +69,13 @@ func BenchmarkQueueBurst(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	hits1, misses1 := mod.CacheStats()
 	closeQueue(b, q)
 	st := q.Stats()
 	b.ReportMetric(float64(st.Speculated)/float64(st.Admitted), "ahead/op")
+	if hits, misses := hits1-hits0, misses1-misses0; hits+misses > 0 {
+		b.ReportMetric(float64(hits)/float64(hits+misses), "hit/op")
+	}
 	if st.Speculated > 0 {
 		b.ReportMetric(float64(st.Stale)/float64(st.Speculated), "stale/ahead")
 	}

@@ -14,6 +14,7 @@ import (
 	"sftree/internal/conformance"
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
+	"sftree/internal/mod"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 )
@@ -70,7 +71,11 @@ func embJSON(t *testing.T, sess *dynamic.Session) string {
 // requires bit-identical admission decisions to what the queue
 // produced on mQ — same per-task outcome, session IDs, embedding
 // bytes, cost bits, ref ledger and accounting — and both final states
-// must pass the conformance validator.
+// must pass the conformance validator. Every serial admission must in
+// turn equal a core.Solve without a scaffold cache on a clone of the
+// state it was admitted at, so what the managers' caches serve is
+// held to what a fresh build computes. Both managers run
+// core.Options{}.
 func checkEquivalence(t *testing.T, mQ, mS *dynamic.Manager, tickets []*Ticket) {
 	t.Helper()
 	ordered := append([]*Ticket(nil), tickets...)
@@ -79,6 +84,7 @@ func checkEquivalence(t *testing.T, mQ, mS *dynamic.Manager, tickets []*Ticket) 
 		if tk.order != i {
 			t.Fatalf("dispatch orders are not 0..%d: position %d holds order %d (err %v)", len(ordered)-1, i, tk.order, tk.err)
 		}
+		snap := mS.Network().Clone()
 		sessS, errS := mS.AdmitCtx(context.Background(), tk.task)
 		if (tk.err == nil) != (errS == nil) {
 			t.Fatalf("order %d: queue err %v, serial err %v", tk.order, tk.err, errS)
@@ -94,6 +100,16 @@ func checkEquivalence(t *testing.T, mQ, mS *dynamic.Manager, tickets []*Ticket) 
 		}
 		if a, b := tk.sess.Result.FinalCost, sessS.Result.FinalCost; math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("order %d: cost %v vs %v", tk.order, a, b)
+		}
+		fresh, err := core.Solve(snap, tk.task, core.Options{})
+		if err != nil {
+			t.Fatalf("order %d: uncached solve: %v", tk.order, err)
+		}
+		if a, b := embJSON(t, sessS), embJSON(t, &dynamic.Session{Result: fresh}); a != b {
+			t.Fatalf("order %d: admitted and uncached embeddings diverge:\n%s\n%s", tk.order, a, b)
+		}
+		if a, b := sessS.Result.FinalCost, fresh.FinalCost; math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("order %d: admitted cost %v, uncached %v", tk.order, a, b)
 		}
 	}
 
@@ -260,6 +276,83 @@ func TestQueueOrderAcrossSplit(t *testing.T) {
 				t.Errorf("want the plug's batch plus %d, got %d batches", len(halves), st.Batches)
 			}
 			checkEquivalence(t, mQ, mS, tickets)
+		})
+	}
+}
+
+// TestQueueBurstRevisit runs the burst_shared shape through the queue:
+// bursts of one chain signature from a few origins, each released in
+// full before the next is offered, so every burst starts from the
+// deployment the first one started from and walks the states it
+// walked. Each burst must agree with serialized, and so with uncached,
+// admission bit for bit (checkEquivalence), and every later burst must
+// find scaffolds the first one left behind: it hits, and on the
+// one-solver line, whose states repeat exactly, it misses fewer times
+// than the first burst did. (More solvers run ahead at snapshots that
+// depend on timing, so their miss counts vary from run to run.)
+func TestQueueBurstRevisit(t *testing.T) {
+	const bursts, size, origins = 3, 16, 3
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(48))
+			netQ, err := netgen.Generate(netgen.PaperConfig(30, 2), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto, err := netgen.GenerateTask(netQ, rng, 4, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := make([]nfv.Task, size)
+			for i := range tasks {
+				task := nfv.Task{Source: rng.Intn(origins), Chain: proto.Chain}
+				for _, v := range rng.Perm(netQ.NumNodes()) {
+					if v != task.Source && len(task.Destinations) < 4 {
+						task.Destinations = append(task.Destinations, v)
+					}
+				}
+				tasks[i] = task
+			}
+			mQ := dynamic.NewManager(netQ, core.Options{})
+			mS := dynamic.NewManager(netQ.Clone(), core.Options{})
+			var firstMisses int64
+			for b := 0; b < bursts; b++ {
+				q := New(Config{Depth: size, Workers: workers, Manager: func() *dynamic.Manager { return mQ }})
+				hits0, misses0 := mod.CacheStats()
+				tickets := make([]*Ticket, size)
+				for i, task := range tasks {
+					if tickets[i], err = q.Enqueue(context.Background(), task, time.Time{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, tk := range tickets {
+					if _, err := tk.Wait(context.Background()); err != nil && !errors.Is(err, dynamic.ErrRejected) {
+						t.Fatalf("burst %d ticket %d: %v", b, i, err)
+					}
+				}
+				closeQueue(t, q)
+				hits1, misses1 := mod.CacheStats()
+				hits, misses := hits1-hits0, misses1-misses0
+				t.Logf("burst %d: %d scaffold hits, %d misses", b, hits, misses)
+				checkEquivalence(t, mQ, mS, tickets)
+				for _, tk := range tickets {
+					if tk.err != nil {
+						continue
+					}
+					if err := mQ.Release(tk.sess.ID); err != nil {
+						t.Fatal(err)
+					}
+					if err := mS.Release(tk.sess.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch {
+				case b == 0:
+					firstMisses = misses
+				case hits == 0 || workers == 1 && misses >= firstMisses:
+					t.Errorf("burst %d revisits the first burst's deployments yet missed %d times (the first %d) and hit %d", b, misses, firstMisses, hits)
+				}
+			}
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sftree/internal/core"
+	"sftree/internal/dynamic"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
 )
@@ -67,7 +68,13 @@ func TestTrailingDataRefused(t *testing.T) {
 
 // TestRuntimeAndPoolGauges reads the garbage collector's cumulative
 // cost and every recycling pool's reuse rate from a live server's
-// /metrics after a run of admissions and releases.
+// /metrics after a run of admissions and releases. Each session is
+// released after the next admission, so every admission solves at the
+// deployment the other task's session leaves and no scaffold is asked
+// for twice at one deployment in a row: each admission builds an
+// overlay, and the scaffold cache drops the one before it. (Released
+// before the next admission, every admission would solve at the empty
+// deployment, and the cache would serve all but two of them.)
 func TestRuntimeAndPoolGauges(t *testing.T) {
 	net, _ := sessionNetwork(t)
 	_, ts := newTestServer(t, net, Config{})
@@ -77,14 +84,21 @@ func TestRuntimeAndPoolGauges(t *testing.T) {
 		{Source: 0, Destinations: []int{5, 9}, Chain: nfv.SFC{0, 1}},
 		{Source: 3, Destinations: []int{7, 11, 14}, Chain: nfv.SFC{2, 4, 1}},
 	}
+	var prev dynamic.SessionID
 	for i := 0; i < 20; i++ {
 		resp, err := client.Admit(ctx, tasks[i%len(tasks)])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Release(ctx, resp.ID); err != nil {
-			t.Fatal(err)
+		if i > 0 {
+			if err := client.Release(ctx, prev); err != nil {
+				t.Fatal(err)
+			}
 		}
+		prev = resp.ID
+	}
+	if err := client.Release(ctx, prev); err != nil {
+		t.Fatal(err)
 	}
 	runtime.GC()
 

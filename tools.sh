@@ -248,8 +248,8 @@ fuzz_smoke() {
 # internal/core's non-test files call no state.cost() (a solve prices
 # once, and stage two once per trial move), hold no second cost engine
 # (ensureLedger, applyMoveInc, releaseJournal, jrFree) and no DebugOPA
-# switch, and internal/obs's no journal_pool_ gauge; msa.go sorts its
-# candidates without sort.Slice; the only
+# switch, and internal/obs's no journal_pool_ gauge; internal/core's
+# non-test files sort without sort.Slice; the only
 # goroutines internal/queue starts are the solvers in New (no per-batch
 # runBatch, no go func); and internal/server/client.go closes a
 # response body in exactly one place, behind the bounded drain that
@@ -335,8 +335,8 @@ retired_guard() {
 		echo "retired guard: internal/obs exports move-journal pool gauges again (there is no journal pool)" >&2
 		exit 1
 	fi
-	if grep -n 'sort\.Slice' internal/core/msa.go; then
-		echo "retired guard: internal/core/msa.go sorts through reflection again" >&2
+	if grep -n 'sort\.Slice' $(ls internal/core/*.go | grep -v _test.go); then
+		echo "retired guard: internal/core sorts through reflection again (slices.SortFunc on a typed key)" >&2
 		exit 1
 	fi
 	if grep -nE 'runBatch|go func' $(ls internal/queue/*.go | grep -v _test.go); then
