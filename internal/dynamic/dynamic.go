@@ -113,19 +113,21 @@ type Manager struct {
 	// never appear here.
 	refs map[[2]int]int
 
+	// The manager's history, the one book Stats and /metrics read.
 	admitted, rejected int
 	admittedCost       float64
 	// Optimistic-concurrency history: commit attempts invalidated by a
-	// concurrent commit, solve reruns those conflicts forced, and
-	// admissions that exhausted their retries and ran serialized.
+	// concurrent commit — each forces one solve rerun, so it is also
+	// the retry count — and admissions that exhausted their retries and
+	// ran serialized.
 	commitConflicts     int
-	admitRetries        int
 	serializedFallbacks int
 	// coalescedSolves counts admissions that committed off a reused
 	// snapshot (see takeSnapshot).
 	coalescedSolves int
 
-	// met holds the optional registry handles (see Instrument).
+	// met holds the optional registry handles of the figures no other
+	// field keeps (see Instrument).
 	met *managerMetrics
 	// trace, when set, receives one obs.Trace per admission and repair
 	// solve (see Trace).
@@ -158,24 +160,12 @@ type Manager struct {
 }
 
 // managerMetrics are the registry handles an instrumented manager
-// updates: lifecycle counters, live-state gauges, the per-admission
-// solve latency histogram and the commit-conflict counters of the
-// optimistic admission path.
+// updates: the release and repair counters, the per-admission solve
+// latency and repair cost histograms, and the time one successful WAL
+// append — write plus sync — holds m.mu.
 type managerMetrics struct {
-	admitted, rejected, released   *obs.Counter
-	repairAttempts, repairFailures *obs.Counter
-	commitConflicts                *obs.Counter
-	admitRetries                   *obs.Counter
-	serializedFallbacks            *obs.Counter
-	coalescedSolves                *obs.Counter
-	live, liveInstances, degraded  *obs.Gauge
-	solveMS, repairCostDelta       *obs.Histogram
-	// Durability counters (see AttachWAL / Checkpoint), and the time
-	// one successful append — write plus sync — holds m.mu.
-	walRecords, walAppendErrors *obs.Counter
-	walAppendMS                 *obs.Histogram
-	snapshots                   *obs.Counter
-	walDirty                    *obs.Gauge
+	released, repairAttempts, repairFailures *obs.Counter
+	solveMS, repairCostDelta, walAppendMS    *obs.Histogram
 }
 
 // NewManager wraps a network for dynamic session management. The
@@ -209,40 +199,73 @@ func (m *Manager) CloneNetwork() *nfv.Network {
 	return m.net.Clone()
 }
 
-// Instrument wires the manager's lifecycle into the registry:
-// sessions_{admitted,rejected,released}_total counters, the
-// sessions_live and instances_live gauges, the session_solve_ms
-// per-admission latency histogram, and the optimistic-admission
-// counters admit_commit_conflicts_total, admit_retries_total and
-// admit_serialized_fallbacks_total, and wal_append_ms, the write and
-// sync of one committed record as the manager sees it, under its lock
-// (what tells a slow disk from a slow solve). It returns the manager
-// for chaining; an uninstrumented manager pays nothing.
+// Instrument wires the manager into the registry. The figures the
+// manager keeps under its lock are read from it at every scrape, so
+// they cannot disagree with Stats, and a restored manager reports its
+// restored totals and live state from the first scrape: the counters
+// sessions_{admitted,rejected}_total, admit_commit_conflicts_total,
+// admit_retries_total (the same count: each conflict forces one
+// rerun), admit_serialized_fallbacks_total,
+// admit_coalesced_solves_total, wal_records_total,
+// wal_append_errors_total and snapshots_written_total, and the gauges
+// sessions_live, instances_live, sessions_degraded and
+// wal_checkpoint_dirty. Handles carry the rest: the
+// sessions_released_total, repair_attempts and repair_failures
+// counters, the session_solve_ms per-admission latency and
+// repair_cost_delta histograms, and wal_append_ms, the write and sync
+// of one committed record as the manager sees it, under its lock (what
+// tells a slow disk from a slow solve). It returns the manager for
+// chaining; an uninstrumented manager pays nothing.
 func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.met = &managerMetrics{
-		admitted:            reg.Counter("sessions_admitted_total"),
-		rejected:            reg.Counter("sessions_rejected_total"),
-		released:            reg.Counter("sessions_released_total"),
-		repairAttempts:      reg.Counter("repair_attempts"),
-		repairFailures:      reg.Counter("repair_failures"),
-		commitConflicts:     reg.Counter("admit_commit_conflicts_total"),
-		admitRetries:        reg.Counter("admit_retries_total"),
-		serializedFallbacks: reg.Counter("admit_serialized_fallbacks_total"),
-		coalescedSolves:     reg.Counter("admit_coalesced_solves_total"),
-		live:                reg.Gauge("sessions_live"),
-		liveInstances:       reg.Gauge("instances_live"),
-		degraded:            reg.Gauge("sessions_degraded"),
-		solveMS:             reg.Histogram("session_solve_ms", obs.LatencyBuckets),
-		repairCostDelta:     reg.Histogram("repair_cost_delta", nil),
-		walRecords:          reg.Counter("wal_records_total"),
-		walAppendErrors:     reg.Counter("wal_append_errors_total"),
-		walAppendMS:         reg.Histogram("wal_append_ms", obs.LatencyBuckets),
-		snapshots:           reg.Counter("snapshots_written_total"),
-		walDirty:            reg.Gauge("wal_checkpoint_dirty"),
+		released:        reg.Counter("sessions_released_total"),
+		repairAttempts:  reg.Counter("repair_attempts"),
+		repairFailures:  reg.Counter("repair_failures"),
+		solveMS:         reg.Histogram("session_solve_ms", obs.LatencyBuckets),
+		repairCostDelta: reg.Histogram("repair_cost_delta", nil),
+		walAppendMS:     reg.Histogram("wal_append_ms", obs.LatencyBuckets),
+	}
+	m.mu.Unlock()
+	for name, f := range map[string]func() int{
+		"sessions_admitted_total":          func() int { return m.admitted },
+		"sessions_rejected_total":          func() int { return m.rejected },
+		"admit_commit_conflicts_total":     func() int { return m.commitConflicts },
+		"admit_retries_total":              func() int { return m.commitConflicts },
+		"admit_serialized_fallbacks_total": func() int { return m.serializedFallbacks },
+		"admit_coalesced_solves_total":     func() int { return m.coalescedSolves },
+		"wal_records_total":                func() int { return m.walRecords },
+		"wal_append_errors_total":          func() int { return m.walAppendErrors },
+		"snapshots_written_total":          func() int { return m.snapshots },
+	} {
+		reg.CounterFunc(name, m.locked(f))
+	}
+	for name, f := range map[string]func() int{
+		"sessions_live":        func() int { return len(m.sessions) },
+		"instances_live":       func() int { return len(m.refs) },
+		"sessions_degraded":    func() int { return m.degraded },
+		"wal_checkpoint_dirty": func() int { return boolInt(m.checkpointDirty) },
+	} {
+		reg.IntGaugeFunc(name, m.locked(f))
 	}
 	return m
+}
+
+// locked turns a read of manager state into a scrape-time reader that
+// takes m.mu around it.
+func (m *Manager) locked(read func() int) func() int64 {
+	return func() int64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return int64(read())
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Trace wires the manager's solver runs into a bounded trace ring:
@@ -257,16 +280,6 @@ func (m *Manager) Trace(buf *obs.TraceBuffer) *Manager {
 	defer m.mu.Unlock()
 	m.trace = buf
 	return m
-}
-
-// observe refreshes the live gauges; callers hold m.mu.
-func (m *Manager) observe() {
-	if m.met == nil {
-		return
-	}
-	m.met.live.Set(int64(len(m.sessions)))
-	m.met.liveInstances.Set(int64(len(m.refs)))
-	m.met.degraded.Set(int64(m.degraded))
 }
 
 // snapshot is one admission's read view: an immutable clone of the
@@ -457,9 +470,6 @@ func (a *Attempt) Settle() (*Session, error) {
 		}
 		if a.retries > maxAdmitRetries {
 			m.serializedFallbacks++
-			if m.met != nil {
-				m.met.serializedFallbacks.Inc()
-			}
 			a.solve(true)
 			continue
 		}
@@ -535,11 +545,6 @@ func (m *Manager) settle(a *Attempt) (final bool) {
 	if !current {
 		if !a.ahead {
 			m.commitConflicts++
-			m.admitRetries++
-			if m.met != nil {
-				m.met.commitConflicts.Inc()
-				m.met.admitRetries.Inc()
-			}
 		}
 		return false
 	}
@@ -558,9 +563,6 @@ func (m *Manager) settle(a *Attempt) (final bool) {
 // m.mu.
 func (m *Manager) rejectLocked(cause error) error {
 	m.rejected++
-	if m.met != nil {
-		m.met.rejected.Inc()
-	}
 	return fmt.Errorf("%w: %w", ErrRejected, cause)
 }
 
@@ -692,13 +694,6 @@ func (m *Manager) commitLocked(task nfv.Task, res *core.Result, coalesced bool) 
 	if coalesced {
 		m.coalescedSolves++
 	}
-	if m.met != nil {
-		m.met.admitted.Inc()
-		if coalesced {
-			m.met.coalescedSolves.Inc()
-		}
-		m.observe()
-	}
 	return out.sess, nil
 }
 
@@ -734,7 +729,6 @@ func (m *Manager) Release(id SessionID) error {
 	}
 	if m.met != nil {
 		m.met.released.Inc()
-		m.observe()
 	}
 	return nil
 }
@@ -788,7 +782,8 @@ type Stats struct {
 	Active       int     `json:"active"`
 	AdmittedCost float64 `json:"admitted_cost"` // sum of admission-time costs
 	// CommitConflicts counts optimistic commit attempts invalidated by
-	// a concurrent commit; AdmitRetries the solve reruns they forced;
+	// a concurrent commit; AdmitRetries the solve reruns they forced,
+	// one each, so it reads the same counter;
 	// SerializedFallbacks admissions that exhausted their retries and
 	// ran their last attempt holding the lock. All three stay zero
 	// without concurrency.
@@ -818,7 +813,7 @@ func (m *Manager) Stats() Stats {
 		Active:              len(m.sessions),
 		AdmittedCost:        m.admittedCost,
 		CommitConflicts:     m.commitConflicts,
-		AdmitRetries:        m.admitRetries,
+		AdmitRetries:        m.commitConflicts,
 		SerializedFallbacks: m.serializedFallbacks,
 		CoalescedSolves:     m.coalescedSolves,
 		WALRecords:          m.walRecords,

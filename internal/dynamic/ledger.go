@@ -190,7 +190,6 @@ func (m *Manager) loadSnapshotState(snap *wal.Snapshot) error {
 	m.rejected = snap.Counters.Rejected
 	m.admittedCost = snap.Counters.AdmittedCost
 	m.commitConflicts = snap.Counters.CommitConflicts
-	m.admitRetries = snap.Counters.AdmitRetries
 	m.serializedFallbacks = snap.Counters.SerializedFallbacks
 	return nil
 }

@@ -142,9 +142,6 @@ func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 			m.met.repairCostDelta.Observe(sr.CostAfter - sr.CostBefore)
 		}
 	}
-	if m.met != nil {
-		m.observe()
-	}
 	return rep
 }
 

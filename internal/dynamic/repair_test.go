@@ -251,17 +251,18 @@ func TestRepairCostDeltaAndMetrics(t *testing.T) {
 	if rep.CostDelta <= 0 {
 		t.Fatalf("cost delta %v, want > 0 (detour via 0-4 costs more)", rep.CostDelta)
 	}
-	if got := reg.Counter("repair_attempts").Value(); got != 1 {
+	snap := reg.Snapshot()
+	if got := snap.Counters["repair_attempts"]; got != 1 {
 		t.Fatalf("repair_attempts = %d", got)
 	}
-	if got := reg.Counter("repair_failures").Value(); got != 0 {
+	if got := snap.Counters["repair_failures"]; got != 0 {
 		t.Fatalf("repair_failures = %d", got)
 	}
-	if got := reg.Histogram("repair_cost_delta", nil).Count(); got != 1 {
+	if got := snap.Histograms["repair_cost_delta"].Count; got != 1 {
 		t.Fatalf("repair_cost_delta count = %d", got)
 	}
-	if got := reg.Gauge("sessions_degraded").Value(); got != 0 {
-		t.Fatalf("sessions_degraded = %d", got)
+	if got, ok := snap.Gauges["sessions_degraded"]; !ok || got != 0 {
+		t.Fatalf("sessions_degraded = %d (served: %v)", got, ok)
 	}
 }
 
@@ -347,7 +348,7 @@ func TestDegradedGaugeMatchesRecount(t *testing.T) {
 			}
 		}
 		seen = max(seen, recount)
-		if got := reg.Gauge("sessions_degraded").Value(); got != int64(recount) || m.degraded != recount {
+		if got := reg.Snapshot().Gauges["sessions_degraded"]; got != int64(recount) || m.degraded != recount {
 			t.Fatalf("after %s: sessions_degraded = %d, manager counts %d, %d sessions are degraded", after, got, m.degraded, recount)
 		}
 	}

@@ -11,9 +11,13 @@ import (
 // in order, rendered into a byte string usable as a map key. Two tasks
 // with equal signatures embed over the identical overlay skeleton.
 func ChainSig(chain nfv.SFC) string {
+	return string(appendChainSig(make([]byte, 0, 2*len(chain)), chain))
+}
+
+// appendChainSig appends chain's signature to buf.
+func appendChainSig(buf []byte, chain nfv.SFC) []byte {
 	// Varint-ish little scheme keeps the common case (ids < 128) at one
 	// byte per VNF without pulling in encoding/binary at call sites.
-	buf := make([]byte, 0, 2*len(chain))
 	for _, f := range chain {
 		u := uint(f)
 		for u >= 0x80 {
@@ -22,7 +26,7 @@ func ChainSig(chain nfv.SFC) string {
 		}
 		buf = append(buf, byte(u))
 	}
-	return string(buf)
+	return buf
 }
 
 // cacheKey identifies one reusable overlay: the (source, chain) pair
@@ -139,11 +143,14 @@ func NewCache() *Cache {
 // building and memoizing it on first use. net must be at rest for the
 // duration of the call (the dynamic manager passes immutable
 // snapshots); the returned overlay is shared and strictly read-only,
-// and the caller releases it once done (Network.Release).
+// and the caller releases it once done (Network.Release). A hit
+// allocates nothing: the signature is built on the stack, and only a
+// miss copies it into the key it stores.
 func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
+	var sigBuf [32]byte
+	sig := appendChainSig(sigBuf[:0], chain)
 	key := cacheKey{
 		source: source,
-		sig:    ChainSig(chain),
 		id:     net.IncarnationID(),
 		gen:    net.Graph().Generation(),
 		print:  net.DeployFingerprint(),
@@ -157,17 +164,20 @@ func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, erro
 	case key.print != c.print:
 		c.moveTo(key.print)
 	}
-	e, ok := c.entries[key]
-	if ok && !net.SameDeployment(e.bits) {
-		// An equal fingerprint over another deployment: the entry
-		// is not this state's, and a new build takes its slot.
-		delete(c.entries, key)
-		e.release()
-		ok = false
-	}
-	if ok {
+	// A string conversion inside the index expression is not
+	// materialized, so the lookup does not allocate.
+	e, ok := c.entries[cacheKey{source: source, sig: string(sig), id: key.id, gen: key.gen, print: key.print}]
+	hit := ok && net.SameDeployment(e.bits)
+	if hit {
 		e.reused = true
 	} else {
+		key.sig = string(sig)
+		if ok {
+			// An equal fingerprint over another deployment: the entry
+			// is not this state's, and a new build takes its slot.
+			delete(c.entries, key)
+			e.release()
+		}
 		if len(c.entries) >= maxCacheEntries {
 			c.dropAll()
 		}
@@ -177,7 +187,7 @@ func (c *Cache) Get(net *nfv.Network, source int, chain nfv.SFC) (*Network, erro
 	}
 	e.refs.Add(1)
 	c.mu.Unlock()
-	if ok {
+	if hit {
 		scaffoldHits.Add(1)
 	} else {
 		scaffoldMisses.Add(1)

@@ -191,3 +191,87 @@ func TestScaffoldRetention(t *testing.T) {
 		t.Fatal("Purge left entries or a deployment copy behind")
 	}
 }
+
+// TestScaffoldConfigChange: a setup-cost or server change on a network
+// the cache has served, at an unchanged deployment and graph, is not
+// answered with the scaffold built from the old configuration. The
+// reconfigured network is a new incarnation, so the next Get builds
+// what a fresh Build reads; a clone taken before the change keeps the
+// old configuration and is served the old scaffold's content.
+func TestScaffoldConfigChange(t *testing.T) {
+	net := buildNet(rand.New(rand.NewSource(14)), 16, 8, 3)
+	// Node 15 becomes a switch again in a copy whose server list lacks
+	// it, so SetServer(15, …) below changes the overlay's columns.
+	g := net.Graph()
+	sw := nfv.NewNetwork(g, net.Catalog())
+	for v := 0; v < 15; v++ {
+		if err := sw.SetServer(v, 100); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 3; f++ {
+			if err := sw.SetSetupCost(f, v, net.RawSetupCost(f, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chain := nfv.SFC{1, 2}
+	for _, tc := range []struct {
+		name   string
+		net    *nfv.Network
+		change func(*nfv.Network) error
+	}{
+		{"setup cost", net, func(n *nfv.Network) error { return n.SetSetupCost(1, 5, 1000) }},
+		{"server", sw, func(n *nfv.Network) error { return n.SetServer(15, 100) }},
+	} {
+		cache := NewCache()
+		before := getTable(t, cache, tc.net, 0, chain)
+		getTable(t, cache, tc.net, 0, chain).Release() // served twice: kept
+		old := tc.net.Clone()
+		if err := tc.change(tc.net); err != nil {
+			t.Fatal(err)
+		}
+		after := getTable(t, cache, tc.net, 0, chain)
+		if after == before || !bytesOf(after).equal(freshBytes(t, tc.net, 0, chain)) {
+			t.Errorf("%s: the cache served a scaffold built from the old configuration", tc.name)
+		}
+		if bytesOf(after).equal(bytesOf(before)) {
+			t.Errorf("%s: the change did not move the overlay; the test shows nothing", tc.name)
+		}
+		after.Release()
+		again := getTable(t, cache, old, 0, chain)
+		if !bytesOf(again).equal(bytesOf(before)) {
+			t.Errorf("%s: a clone taken before the change was served another configuration's scaffold", tc.name)
+		}
+		again.Release()
+		before.Release()
+	}
+}
+
+// TestScaffoldHitAllocs: a hit allocates nothing — the chain signature
+// is looked up from the stack — while a miss still stores its own key.
+func TestScaffoldHitAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates")
+	}
+	net := buildNet(rand.New(rand.NewSource(15)), 20, 10, 4)
+	chain := nfv.SFC{3, 0, 2}
+	cache := NewCache()
+	getTable(t, cache, net, 4, chain).Release()
+	hits, _ := CacheStats()
+	allocs := testing.AllocsPerRun(200, func() {
+		m, err := cache.Get(net, 4, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+	})
+	if h, _ := CacheStats(); h-hits < 200 {
+		t.Fatalf("%d of the measured Gets hit, want all", h-hits)
+	}
+	if allocs != 0 {
+		t.Errorf("a scaffold hit allocates %v objects, want 0", allocs)
+	}
+	if got := cache.entries[cacheKey{source: 4, sig: ChainSig(chain), id: net.IncarnationID(), gen: net.Graph().Generation(), print: net.DeployFingerprint()}]; got == nil {
+		t.Error("the entry is not stored under the chain's signature")
+	}
+}

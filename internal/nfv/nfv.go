@@ -89,12 +89,14 @@ type Network struct {
 	// deployment it had before. Clone copies it.
 	fingerprint uint64
 	// id is a process-unique incarnation stamp assigned at
-	// construction and shared by clones: (id, graph generation, epoch)
-	// identifies a deployment state exactly, provided clones are not
-	// mutated independently of their parent. Snapshot clones taken for
-	// read-only solving satisfy this by construction; a scratch clone
-	// that mutates (e.g. ValidateDeployed's) must never be compared by
-	// epoch with its parent. Comparisons by content — the fingerprint
+	// construction, renewed by every configuration setter (SetServer,
+	// SetSetupCost, SetCoords) and shared by clones: (id, graph
+	// generation, epoch) identifies a deployment state exactly,
+	// provided clones are not mutated independently of their parent.
+	// Snapshot clones taken for read-only solving satisfy this by
+	// construction; a scratch clone that mutates (e.g.
+	// ValidateDeployed's) must never be compared by epoch with its
+	// parent. Comparisons by content — the fingerprint
 	// backed by SameDeployment, as mod.Cache keys its scaffolds — hold
 	// for any clone.
 	id uint64
@@ -159,8 +161,11 @@ func NewNetwork(g *graph.Graph, catalog []VNF) *Network {
 }
 
 // own returns net's configuration for writing, copying it first when
-// a clone shares it.
+// a clone shares it. A configuration write makes net a new incarnation:
+// what was built from the old configuration under its id (mod.Cache's
+// scaffolds) is never served to it again, and clones keep theirs.
 func (net *Network) own() *tables {
+	net.id = netIDs.Add(1)
 	t := net.tab
 	if !t.shared.Load() {
 		return t
@@ -399,8 +404,9 @@ func (net *Network) SameDeployment(bits []uint64) bool {
 }
 
 // IncarnationID returns the process-unique stamp NewNetwork assigned
-// to this network; Clone preserves it, so a snapshot and its parent
-// share the id while independently constructed networks never do.
+// to this network, renewed by each configuration setter; Clone
+// preserves it, so a snapshot and its parent share the id while
+// independently constructed or reconfigured networks never do.
 func (net *Network) IncarnationID() uint64 { return net.id }
 
 // IsDeployed reports whether an instance of f already runs on v.

@@ -9,6 +9,7 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -159,21 +160,30 @@ func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()
 // first use of a name; the returned handles are lock-free, so callers
 // on hot paths should capture them once. The zero value is not usable;
 // create registries with NewRegistry.
+//
+// A figure that a component already keeps is not mirrored into a
+// handle: the component registers a reader (CounterFunc, IntGaugeFunc,
+// GaugeFunc), and every Snapshot calls it, so /metrics and the
+// component's own accounting are one book.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	floats   map[string]func() float64
+	// The readers, by the Snapshot section they land in.
+	counterFns, gaugeFns map[string]func() int64
+	floats               map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		floats:   make(map[string]func() float64),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		hists:      make(map[string]*Histogram),
+		counterFns: make(map[string]func() int64),
+		gaugeFns:   make(map[string]func() int64),
+		floats:     make(map[string]func() float64),
 	}
 }
 
@@ -245,6 +255,23 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.floats[name] = fn
 }
 
+// CounterFunc registers a counter read at every Snapshot, in the
+// counters section: fn returns a running total its owner keeps (and
+// may take its owner's lock to read). It shadows a Counter handle of
+// the same name; re-registering a name replaces fn.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counterFns[name] = fn
+}
+
+// IntGaugeFunc is CounterFunc for a level, in the gauges section.
+func (r *Registry) IntGaugeFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFns[name] = fn
+}
+
 // BucketCount is one cumulative histogram bucket in a snapshot; LE is
 // the inclusive upper bound rendered as a string ("+Inf" for the
 // overflow bucket) so the JSON stays valid.
@@ -266,7 +293,9 @@ type HistogramSnapshot struct {
 
 // Snapshot is a point-in-time copy of every metric in the registry,
 // the document GET /metrics serves. Floats carries the callback gauges
-// (GaugeFunc), evaluated at snapshot time.
+// (GaugeFunc); Counters and Gauges include the integer readers
+// (CounterFunc, IntGaugeFunc). Every reader is evaluated at snapshot
+// time.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -274,23 +303,17 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot captures the current value of every metric. Callback
-// gauges are evaluated after the registry lock is released, so a
-// callback may itself read registry handles.
+// Snapshot captures the current value of every metric. Readers are
+// evaluated after the registry lock is released, so a reader may
+// itself read registry handles or take its owner's lock.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
+		Counters:   make(map[string]int64, len(r.counters)+len(r.counterFns)),
+		Gauges:     make(map[string]int64, len(r.gauges)+len(r.gaugeFns)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
-	var fns map[string]func() float64
-	if len(r.floats) > 0 {
-		fns = make(map[string]func() float64, len(r.floats))
-		for name, fn := range r.floats {
-			fns[name] = fn
-		}
-	}
+	counterFns, gaugeFns, floatFns := maps.Clone(r.counterFns), maps.Clone(r.gaugeFns), maps.Clone(r.floats)
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
@@ -318,9 +341,15 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	r.mu.RUnlock()
-	if fns != nil {
-		s.Floats = make(map[string]float64, len(fns))
-		for name, fn := range fns {
+	for name, fn := range counterFns {
+		s.Counters[name] = fn()
+	}
+	for name, fn := range gaugeFns {
+		s.Gauges[name] = fn()
+	}
+	if len(floatFns) > 0 {
+		s.Floats = make(map[string]float64, len(floatFns))
+		for name, fn := range floatFns {
 			v := fn()
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 0

@@ -105,6 +105,47 @@ func TestSnapshotAndHandler(t *testing.T) {
 	}
 }
 
+// TestIntegerReaders holds CounterFunc and IntGaugeFunc to their
+// sections: the value is read at every Snapshot, a reader shadows a
+// handle of its name, re-registering replaces it, and a reader runs
+// after the registry lock is released, so it may take the lock of the
+// component whose figure it reads even while that component is
+// registering a metric.
+func TestIntegerReaders(t *testing.T) {
+	reg := NewRegistry()
+	var (
+		mu    sync.Mutex
+		total int64
+	)
+	reg.Counter("admits").Add(100) // shadowed by the reader below
+	reg.CounterFunc("admits", func() int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return total
+	})
+	reg.IntGaugeFunc("live", func() int64 {
+		reg.Counter("touched").Inc() // would deadlock under the registry lock
+		return 7
+	})
+	if s := reg.Snapshot(); s.Counters["admits"] != 0 || s.Gauges["live"] != 7 {
+		t.Fatalf("first snapshot: counters %v gauges %v", s.Counters, s.Gauges)
+	}
+	mu.Lock()
+	total = 3
+	mu.Unlock()
+	if got := reg.Snapshot().Counters["admits"]; got != 3 {
+		t.Errorf("admits = %d after the owner counted 3, want 3", got)
+	}
+	reg.IntGaugeFunc("live", func() int64 { return -2 })
+	s := reg.Snapshot()
+	if s.Gauges["live"] != -2 || s.Counters["touched"] != 2 {
+		t.Errorf("after re-registering: live = %d, touched = %d; want -2, 2", s.Gauges["live"], s.Counters["touched"])
+	}
+	if _, ok := s.Floats["live"]; ok {
+		t.Error("an integer reader landed in the floats section")
+	}
+}
+
 func TestPublishExpvarRepointsWithoutPanic(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("x").Inc()

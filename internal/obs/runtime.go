@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"context"
-	"runtime"
+	"math"
 	"runtime/metrics"
-	"time"
 
 	"sftree/internal/faults"
 	"sftree/internal/graph"
@@ -100,94 +98,94 @@ func RegisterPool(reg *Registry, name string, stats func() (gets, news int64)) {
 	})
 }
 
-// runtimeCounters are the runtime/metrics samples RegisterRuntimeStats
-// exposes, by gauge name.
-var runtimeCounters = map[string]string{
-	"runtime_gc_cpu_seconds_total": "/cpu/classes/gc/total:cpu-seconds",
-	"runtime_alloc_bytes_total":    "/gc/heap/allocs:bytes",
-	"runtime_gc_cycles_total":      "/gc/cycles/total:gc-cycles",
-}
+// runtimeTotals are the cumulative runtime/metrics samples
+// RegisterRuntimeStats exposes as callback gauges, and runtimeLevels
+// the levels it exposes as integer gauges, by metric name.
+var (
+	runtimeTotals = map[string]string{
+		"runtime_gc_cpu_seconds_total": "/cpu/classes/gc/total:cpu-seconds",
+		"runtime_alloc_bytes_total":    "/gc/heap/allocs:bytes",
+		"runtime_gc_cycles_total":      "/gc/cycles/total:gc-cycles",
+	}
+	runtimeLevels = map[string]string{
+		"runtime_goroutines":       "/sched/goroutines:goroutines",
+		"runtime_heap_alloc_bytes": "/memory/classes/heap/objects:bytes",
+		"runtime_heap_objects":     "/gc/heap/objects:objects",
+	}
+	// gcPauseQuantiles are the GC pause figures, in milliseconds, over
+	// every stop-the-world pause the collector has taken.
+	gcPauseQuantiles = map[string]float64{
+		"runtime_gc_pause_p50_ms": 0.50,
+		"runtime_gc_pause_p99_ms": 0.99,
+		"runtime_gc_pause_max_ms": 1,
+	}
+)
 
-// RegisterRuntimeStats exposes the Go runtime's cumulative garbage
-// collector cost as callback gauges, read from runtime/metrics at
-// every scrape: runtime_gc_cpu_seconds_total (the runtime's estimate
-// of CPU time spent collecting, updated as cycles complete),
-// runtime_alloc_bytes_total (bytes ever allocated on the heap) and
-// runtime_gc_cycles_total (completed cycles). Their rates are what an
-// allocation change moves: bytes per request, and the cycles and CPU
-// that buys.
+// RegisterRuntimeStats exposes the Go runtime through readers of
+// runtime/metrics, evaluated at every scrape, so no goroutine samples
+// it and nothing stops the world to read it. Callback gauges carry the
+// collector's cumulative cost: runtime_gc_cpu_seconds_total (the
+// runtime's estimate of CPU time spent collecting, updated as cycles
+// complete), runtime_alloc_bytes_total (bytes ever allocated on the
+// heap) and runtime_gc_cycles_total (completed cycles), whose rates
+// are what an allocation change moves; and the pause quantiles
+// runtime_gc_pause_{p50,p99,max}_ms. Integer gauges carry the levels
+// runtime_goroutines, runtime_heap_alloc_bytes (bytes in live and
+// not-yet-swept heap objects) and runtime_heap_objects.
 func RegisterRuntimeStats(reg *Registry) {
-	for gauge, name := range runtimeCounters {
-		reg.GaugeFunc(gauge, func() float64 {
-			sample := []metrics.Sample{{Name: name}}
-			metrics.Read(sample)
-			switch v := sample[0].Value; v.Kind() {
-			case metrics.KindUint64:
-				return float64(v.Uint64())
-			case metrics.KindFloat64:
-				return v.Float64()
-			}
-			return 0
-		})
+	for gauge, name := range runtimeTotals {
+		reg.GaugeFunc(gauge, func() float64 { return runtimeNumber(readRuntime(name)) })
+	}
+	for gauge, name := range runtimeLevels {
+		reg.IntGaugeFunc(gauge, func() int64 { return int64(runtimeNumber(readRuntime(name))) })
+	}
+	for gauge, q := range gcPauseQuantiles {
+		reg.GaugeFunc(gauge, func() float64 { return gcPause(q) })
 	}
 }
 
-// StartRuntimeSampler launches the periodic Go-runtime sampler:
-// every interval (0 means 5s) it refreshes the runtime_goroutines,
-// runtime_heap_alloc_bytes, runtime_heap_objects and runtime_gc_total
-// gauges and folds every GC pause completed since the previous sample
-// into the runtime_gc_pause_ms histogram. The sampler stops when ctx
-// is cancelled or when the returned function is called; stop blocks
-// until the sampler goroutine has exited and is safe to call more
-// than once.
-func StartRuntimeSampler(ctx context.Context, reg *Registry, interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 5 * time.Second
+// readRuntime reads one runtime/metrics sample.
+func readRuntime(name string) metrics.Value {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	return sample[0].Value
+}
+
+// runtimeNumber is a scalar sample's value, 0 for any other kind (a
+// name this runtime does not support reads KindBad).
+func runtimeNumber(v metrics.Value) float64 {
+	switch v.Kind() {
+	case metrics.KindUint64:
+		return float64(v.Uint64())
+	case metrics.KindFloat64:
+		return v.Float64()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	var (
-		goroutines = reg.Gauge("runtime_goroutines")
-		heapAlloc  = reg.Gauge("runtime_heap_alloc_bytes")
-		heapObjs   = reg.Gauge("runtime_heap_objects")
-		gcTotal    = reg.Gauge("runtime_gc_total")
-		gcPause    = reg.Histogram("runtime_gc_pause_ms", LatencyBuckets)
-	)
-	done := make(chan struct{})
-	sample := func(lastGC uint32) uint32 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		goroutines.Set(int64(runtime.NumGoroutine()))
-		heapAlloc.Set(int64(ms.HeapAlloc))
-		heapObjs.Set(int64(ms.HeapObjects))
-		gcTotal.Set(int64(ms.NumGC))
-		// PauseNs is a 256-entry ring indexed by GC number; fold in only
-		// the pauses that completed since the previous sample.
-		fresh := ms.NumGC - lastGC
-		if fresh > uint32(len(ms.PauseNs)) {
-			fresh = uint32(len(ms.PauseNs))
-		}
-		for i := uint32(0); i < fresh; i++ {
-			gcPause.Observe(float64(ms.PauseNs[(ms.NumGC-i+255)%256]) / 1e6)
-		}
-		return ms.NumGC
+	return 0
+}
+
+// gcPause is the q-quantile of the process's GC pauses in
+// milliseconds: the upper bound of the runtime histogram bucket that
+// holds the rank (its lower bound when the bucket is open-ended), 0
+// before the first pause.
+func gcPause(q float64) float64 {
+	v := readRuntime("/sched/pauses/total/gc:seconds")
+	if v.Kind() != metrics.KindFloat64Histogram {
+		return 0
 	}
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		// Seed with the current GC count so pre-existing pauses are not
-		// replayed into the histogram, then publish the initial levels.
-		var seed runtime.MemStats
-		runtime.ReadMemStats(&seed)
-		lastGC := sample(seed.NumGC)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				lastGC = sample(lastGC)
+	h := v.Float64Histogram()
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
+	var cum uint64
+	for i, c := range h.Counts {
+		if cum += c; cum >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi * 1e3
 			}
+			return h.Buckets[i] * 1e3
 		}
-	}()
-	return func() { cancel(); <-done }
+	}
+	return 0
 }

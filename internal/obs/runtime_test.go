@@ -1,11 +1,10 @@
 package obs
 
 import (
-	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
-	"time"
 
 	"sftree/internal/core"
 	"sftree/internal/faults"
@@ -131,25 +130,28 @@ func TestRegisterCacheStats(t *testing.T) {
 	}
 }
 
-func TestRuntimeSampler(t *testing.T) {
+// TestRuntimeStatsAtScrape reads the runtime levels and GC pause
+// figures at scrape time, with no sampler running: they are there on
+// the first Snapshot and follow a collection forced between two.
+func TestRuntimeStatsAtScrape(t *testing.T) {
 	reg := NewRegistry()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stop := StartRuntimeSampler(ctx, reg, 5*time.Millisecond)
-	time.Sleep(30 * time.Millisecond)
-	stop()
+	RegisterRuntimeStats(reg)
 	snap := reg.Snapshot()
-	if g := snap.Gauges["runtime_goroutines"]; g <= 0 {
-		t.Errorf("runtime_goroutines = %d, want > 0", g)
+	for _, name := range []string{"runtime_goroutines", "runtime_heap_alloc_bytes", "runtime_heap_objects"} {
+		if g := snap.Gauges[name]; g <= 0 {
+			t.Errorf("%s = %d on the first scrape, want > 0", name, g)
+		}
 	}
-	if g := snap.Gauges["runtime_heap_alloc_bytes"]; g <= 0 {
-		t.Errorf("runtime_heap_alloc_bytes = %d, want > 0", g)
+	runtime.GC()
+	after := reg.Snapshot().Floats
+	if after["runtime_gc_cycles_total"] <= snap.Floats["runtime_gc_cycles_total"] {
+		t.Errorf("runtime_gc_cycles_total did not move across runtime.GC: %v → %v",
+			snap.Floats["runtime_gc_cycles_total"], after["runtime_gc_cycles_total"])
 	}
-	if _, ok := snap.Histograms["runtime_gc_pause_ms"]; !ok {
-		t.Error("runtime_gc_pause_ms histogram not registered")
+	p50, p99, most := after["runtime_gc_pause_p50_ms"], after["runtime_gc_pause_p99_ms"], after["runtime_gc_pause_max_ms"]
+	if p50 <= 0 || p50 > p99 || p99 > most {
+		t.Errorf("GC pause figures after a collection: p50 %v, p99 %v, max %v; want 0 < p50 ≤ p99 ≤ max", p50, p99, most)
 	}
-	// stop must be idempotent-safe against a cancelled context too.
-	cancel()
 }
 
 // TestSolverHistogramsSubMillisecond asserts the solver-phase

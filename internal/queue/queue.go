@@ -172,8 +172,6 @@ const (
 	numOutcomes
 )
 
-var outcomeNames = [numOutcomes]string{"admitted", "rejected", "expired", "closed", "unavailable", "canceled"}
-
 // Stats is a point-in-time queue snapshot. Once the queue is closed,
 // Enqueued == Admitted + Rejected + Expired + Closed + Unavailable +
 // Canceled; Overflow and PastDeadline count refusals Enqueue never
@@ -201,17 +199,6 @@ type Stats struct {
 	Stale        uint64 `json:"stale"`
 }
 
-// queueMetrics are the optional registry handles (see Instrument).
-type queueMetrics struct {
-	outcomes           [numOutcomes]*obs.Counter
-	enqueued, overflow *obs.Counter
-	pastDeadline       *obs.Counter
-	batches, coalesced *obs.Counter
-	speculated, stale  *obs.Counter
-	waitMS             *obs.Histogram
-	batchSize          *obs.Histogram
-}
-
 // Queue is the bounded admission pipeline. All methods are safe for
 // concurrent use.
 type Queue struct {
@@ -224,13 +211,16 @@ type Queue struct {
 	closed  bool
 	seq     uint64
 
+	// The queue's history, the one book Stats and /metrics read.
 	outcomes              [numOutcomes]uint64
 	enqueued, overflow    uint64
 	pastDeadline, batches uint64
 	coalesced             uint64
 	speculated, stale     uint64
 
-	met *queueMetrics
+	// waitMS and batchSize are the registry's histograms, nil until
+	// Instrument.
+	waitMS, batchSize *obs.Histogram
 
 	// drain is held by the one solver moving pending into the line, from
 	// its wait for an arrival until the line has grown: arrivals during a
@@ -265,29 +255,35 @@ func New(cfg Config) *Queue {
 	return q
 }
 
-// Instrument wires the queue into the registry: queue_depth and
-// queue_saturated gauges, the queue_wait_ms histogram (enqueue to
-// solve start), the queue_batch_size distribution, and the
+// Instrument wires the queue into the registry: the queue_wait_ms
+// histogram (enqueue to solve start) and the queue_batch_size
+// distribution, and, read from Stats at every scrape, the queue_depth
+// and queue_saturated callback gauges and the
 // queue_{enqueued,admitted,rejected,expired,closed,unavailable,
 // canceled,overflow,past_deadline,batches,coalesced_solves,
 // speculations,speculations_stale}_total counters. Returns the queue
 // for chaining.
 func (q *Queue) Instrument(reg *obs.Registry) *Queue {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.met = &queueMetrics{
-		enqueued:     reg.Counter("queue_enqueued_total"),
-		overflow:     reg.Counter("queue_overflow_total"),
-		pastDeadline: reg.Counter("queue_past_deadline_total"),
-		batches:      reg.Counter("queue_batches_total"),
-		coalesced:    reg.Counter("queue_coalesced_solves_total"),
-		speculated:   reg.Counter("queue_speculations_total"),
-		stale:        reg.Counter("queue_speculations_stale_total"),
-		waitMS:       reg.Histogram("queue_wait_ms", obs.LatencyBuckets),
-		batchSize:    reg.Histogram("queue_batch_size", nil),
-	}
-	for o, name := range outcomeNames {
-		q.met.outcomes[o] = reg.Counter("queue_" + name + "_total")
+	q.waitMS = reg.Histogram("queue_wait_ms", obs.LatencyBuckets)
+	q.batchSize = reg.Histogram("queue_batch_size", nil)
+	q.mu.Unlock()
+	for name, f := range map[string]func(Stats) uint64{
+		"enqueued":           func(s Stats) uint64 { return s.Enqueued },
+		"admitted":           func(s Stats) uint64 { return s.Admitted },
+		"rejected":           func(s Stats) uint64 { return s.Rejected },
+		"expired":            func(s Stats) uint64 { return s.Expired },
+		"closed":             func(s Stats) uint64 { return s.Closed },
+		"unavailable":        func(s Stats) uint64 { return s.Unavailable },
+		"canceled":           func(s Stats) uint64 { return s.Canceled },
+		"overflow":           func(s Stats) uint64 { return s.Overflow },
+		"past_deadline":      func(s Stats) uint64 { return s.PastDeadline },
+		"batches":            func(s Stats) uint64 { return s.Batches },
+		"coalesced_solves":   func(s Stats) uint64 { return s.Coalesced },
+		"speculations":       func(s Stats) uint64 { return s.Speculated },
+		"speculations_stale": func(s Stats) uint64 { return s.Stale },
+	} {
+		reg.CounterFunc("queue_"+name+"_total", func() int64 { return int64(f(q.Stats())) })
 	}
 	reg.GaugeFunc("queue_depth", func() float64 { return float64(q.Stats().Depth) })
 	reg.GaugeFunc("queue_saturated", func() float64 {
@@ -315,11 +311,7 @@ func (q *Queue) Enqueue(ctx context.Context, task nfv.Task, deadline time.Time) 
 	if !deadline.IsZero() && !now.Before(deadline) {
 		q.mu.Lock()
 		q.pastDeadline++
-		met := q.met
 		q.mu.Unlock()
-		if met != nil {
-			met.pastDeadline.Inc()
-		}
 		return nil, ErrExpired
 	}
 	q.mu.Lock()
@@ -329,11 +321,7 @@ func (q *Queue) Enqueue(ctx context.Context, task nfv.Task, deadline time.Time) 
 	}
 	if len(q.pending) >= q.cfg.Depth {
 		q.overflow++
-		met := q.met
 		q.mu.Unlock()
-		if met != nil {
-			met.overflow.Inc()
-		}
 		return nil, ErrQueueFull
 	}
 	q.seq++
@@ -348,12 +336,8 @@ func (q *Queue) Enqueue(ctx context.Context, task nfv.Task, deadline time.Time) 
 	}
 	q.pending = append(q.pending, t)
 	q.enqueued++
-	met := q.met
 	q.cond.Signal()
 	q.mu.Unlock()
-	if met != nil {
-		met.enqueued.Inc()
-	}
 	return t, nil
 }
 
@@ -409,15 +393,14 @@ func (q *Queue) Stats() Stats {
 	}
 }
 
-// finish resolves t exactly once: the outcome is on the books (Stats
-// and the registry) before done closes, so a caller woken by its own
-// ticket already sees it counted.
+// finish resolves t exactly once: the outcome is on the books (Stats,
+// which the registry reads) before done closes, so a caller woken by
+// its own ticket already sees it counted.
 func (q *Queue) finish(t *Ticket, o outcome, err error) {
 	t.err = err
 	q.mu.Lock()
 	q.outcomes[o]++
-	coalesced := o == admitted && t.coalesced
-	if coalesced {
+	if o == admitted && t.coalesced {
 		q.coalesced++
 	}
 	if t.ahead {
@@ -426,22 +409,10 @@ func (q *Queue) finish(t *Ticket, o outcome, err error) {
 	if t.stale {
 		q.stale++
 	}
-	met := q.met
+	waitMS := q.waitMS
 	q.mu.Unlock()
-	if met != nil {
-		met.outcomes[o].Inc()
-		if coalesced {
-			met.coalesced.Inc()
-		}
-		if t.ahead {
-			met.speculated.Inc()
-		}
-		if t.stale {
-			met.stale.Inc()
-		}
-		if t.order >= 0 {
-			met.waitMS.ObserveDuration(t.wait)
-		}
+	if waitMS != nil && t.order >= 0 {
+		waitMS.ObserveDuration(t.wait)
 	}
 	close(t.done)
 }
@@ -484,13 +455,12 @@ func (q *Queue) claim() *Ticket {
 			q.mu.Unlock()
 			return nil
 		}
-		batch, met := q.pending, q.met
+		batch, sizes := q.pending, q.batchSize
 		q.pending = nil
 		q.batches++
 		q.mu.Unlock()
-		if met != nil {
-			met.batches.Inc()
-			met.batchSize.Observe(float64(len(batch)))
+		if sizes != nil {
+			sizes.Observe(float64(len(batch)))
 		}
 		q.extend(batch)
 	}

@@ -175,10 +175,11 @@ func TestQueueAdmits(t *testing.T) {
 	if m.Active() != n {
 		t.Errorf("manager holds %d sessions, want %d", m.Active(), n)
 	}
-	if got := reg.Counter("queue_admitted_total").Value(); got != n {
+	snap := reg.Snapshot()
+	if got := snap.Counters["queue_admitted_total"]; got != n {
 		t.Errorf("queue_admitted_total = %d, want %d", got, n)
 	}
-	if reg.Counter("queue_batches_total").Value() == 0 {
+	if snap.Counters["queue_batches_total"] == 0 {
 		t.Error("queue_batches_total stayed zero")
 	}
 }

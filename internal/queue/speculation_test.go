@@ -186,7 +186,8 @@ func TestQueueSpeculation(t *testing.T) {
 				t.Errorf("%d solves ran ahead, %d went stale; want %d and %d", st.Speculated, st.Stale, n-1, tc.stale)
 			}
 			checkConserved(t, st)
-			if a, s := reg.Counter("queue_speculations_total").Value(), reg.Counter("queue_speculations_stale_total").Value(); uint64(a) != st.Speculated || uint64(s) != st.Stale {
+			if c := reg.Snapshot().Counters; uint64(c["queue_speculations_total"]) != st.Speculated || uint64(c["queue_speculations_stale_total"]) != st.Stale {
+				a, s := c["queue_speculations_total"], c["queue_speculations_stale_total"]
 				t.Errorf("registry counts %d ahead, %d stale; Stats %d and %d", a, s, st.Speculated, st.Stale)
 			}
 			var ahead, stale uint64

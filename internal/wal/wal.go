@@ -186,12 +186,14 @@ type RefCount struct {
 // Counters are the manager's monotonic accounting, folded into
 // snapshots so a restore resumes the history, not just the state.
 type Counters struct {
-	Admitted            int     `json:"admitted"`
-	Rejected            int     `json:"rejected"`
-	AdmittedCost        float64 `json:"admitted_cost"`
-	CommitConflicts     int     `json:"commit_conflicts"`
-	AdmitRetries        int     `json:"admit_retries"`
-	SerializedFallbacks int     `json:"serialized_fallbacks"`
+	Admitted        int     `json:"admitted"`
+	Rejected        int     `json:"rejected"`
+	AdmittedCost    float64 `json:"admitted_cost"`
+	CommitConflicts int     `json:"commit_conflicts"`
+	// AdmitRetries repeats CommitConflicts (each conflict forces one
+	// rerun); a restore reads CommitConflicts.
+	AdmitRetries        int `json:"admit_retries"`
+	SerializedFallbacks int `json:"serialized_fallbacks"`
 }
 
 // Snapshot is one compacted controller state: everything a restore

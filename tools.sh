@@ -288,7 +288,14 @@ fuzz_smoke() {
 # the solver has no knob outside core.Options: no non-test file of
 # internal/steiner or internal/core reads an environment variable, and
 # the sweep's tree lower bound (sweep.go, moat.go) runs to the end of
-# its moat growth with no budget, threshold or cut-off of its own.
+# its moat growth with no budget, threshold or cut-off of its own; and
+# each serving figure is kept once: the manager's and queue's counters
+# live in their Stats and /metrics reads them at scrape time (no
+# Manager.observe mirror), and the runtime figures are read from
+# runtime/metrics at scrape time too, so no .go file names
+# StartRuntimeSampler, sftserve's sample-interval flag or
+# runtime_gc_total, internal/obs starts no goroutine, and no non-test
+# file outside bench/ stops the world for ReadMemStats.
 retired_guard() {
 	if grep -rnE 'os\.(Getenv|LookupEnv|Environ)|syscall\.Getenv' --include='*.go' --exclude='*_test.go' internal/steiner internal/core; then
 		echo "retired guard: internal/steiner or internal/core reads an environment variable (every solver setting is a core.Options field)" >&2
@@ -298,14 +305,14 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe())"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
 		echo "retired guard: m.refs / m.sessions written outside ledger.go: $writers" >&2
 		exit 1
 	fi
-	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot|LocalAcceptance|MaxOPAPasses|opaPasses|SolveCapacityAware|ReweightedCopy|LinkViolation|LinkCapacity|ErrLinkCapacity|DefaultCapacityRounds|linkCap|SetManager|mgrMu|pickFlapEdge|auditCommitted' --include='*.go' . || true)
+	retired=$(grep -rnE 'AdmitBatch|BatchTask|BatchOutcome|admitSerialized|snapshotCurrent|applyRecord|\bParallelism\b|NaiveRecost|MaxCandidateHosts|benchsuite|OPAPassRunner|DeltaCostRunner|WithHeap|QueueWorkers|gateThroughput|runQueueSpeedup|newSelfWorld|gate-speedup|queue-speedup|RunChaos|RunCrash|ChaosConfig|CrashConfig|NewReplayer|faults\.Load|SyncInterval|syncLoop|stopSyncLoop|KeepSnapshots|Mehlhorn|SteinerMehlhorn|CostsWithExtraRoot|LocalAcceptance|MaxOPAPasses|opaPasses|SolveCapacityAware|ReweightedCopy|LinkViolation|LinkCapacity|ErrLinkCapacity|DefaultCapacityRounds|linkCap|SetManager|mgrMu|pickFlapEdge|auditCommitted|StartRuntimeSampler|sample-interval|runtime_gc_total' --include='*.go' . || true)
 	if [ -n "$retired" ]; then
 		echo "retired guard: retired symbols are back:" >&2
 		echo "$retired" >&2
@@ -329,6 +336,12 @@ retired_guard() {
 	fi
 	if grep -nE 'ensureLedger|applyMoveInc|releaseJournal|jrFree|DebugOPA' $(ls internal/core/*.go | grep -v _test.go); then
 		echo "retired guard: internal/core keeps a second cost engine or a debug switch again (a stage-two trial move is priced by nfv.Cost on its embedding and undone by writing back what applyMove overwrote)" >&2
+		exit 1
+	fi
+	if grep -rn 'ReadMemStats' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . ||
+		grep -nE '(^|[{;])[[:space:]]*go[[:space:]]' $(ls internal/obs/*.go | grep -v _test.go) ||
+		grep -n 'func (m \*Manager) observe' internal/dynamic/*.go; then
+		echo "retired guard: a serving figure is kept twice again (a goroutine in internal/obs, a stop-the-world ReadMemStats outside bench/, or the manager's observe() gauges); /metrics reads Stats and runtime/metrics at scrape time" >&2
 		exit 1
 	fi
 	if grep -n 'journal_pool_' $(ls internal/obs/*.go | grep -v _test.go); then
