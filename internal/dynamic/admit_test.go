@@ -103,11 +103,70 @@ func TestAdmitCtxMatchesShadowSolve(t *testing.T) {
 	checkIntegrity(t, m)
 }
 
+// TestSettleIsSolveAtCommit: a commit is the solve at its commit
+// point. A head (not-ahead) attempt solves, then a concurrent admission
+// of the same chain commits and deploys instances the first task could
+// reuse for free. The first attempt's embedding is still feasible, but
+// it is not what a solve on the network as it now stands returns, so
+// Settle must count one conflict, solve again and commit exactly that
+// solve's embedding and cost.
+func TestSettleIsSolveAtCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	net, err := netgen.Generate(netgen.PaperConfig(30, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(net, core.Options{})
+	task, err := netgen.GenerateTask(net, rng, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := netgen.GenerateTask(net, rng, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Chain = task.Chain
+
+	a := m.Solve(context.Background(), task, false)
+	first := a.res
+	rival, err := m.Admit(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rival.Result.Embedding.NewInstances) == 0 {
+		t.Fatal("fixture: the concurrent admission deployed nothing")
+	}
+	atCommit := m.CloneNetwork()
+	sess, err := a.Settle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Solve(atCommit, task, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.FinalCost == want.FinalCost {
+		t.Fatalf("fixture: the first solve already costs %.2f, what a solve at the commit point costs", first.FinalCost)
+	}
+	if a, b := embBytes(t, sess.Result.Embedding), embBytes(t, want.Embedding); a != b {
+		t.Fatalf("committed embedding (cost %.2f; first solve %.2f) is not the solve at the commit point (cost %.2f):\n%s\n%s",
+			sess.Result.FinalCost, first.FinalCost, want.FinalCost, a, b)
+	}
+	if a, b := sess.Result.FinalCost, want.FinalCost; math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("committed cost %v, solve at the commit point %v", a, b)
+	}
+	if st := m.Stats(); st.CommitConflicts != 1 || st.SerializedFallbacks != 0 {
+		t.Fatalf("stats %+v: want one conflict and no fallback", st)
+	}
+	checkIntegrity(t, m)
+}
+
 // TestAdmitCtxCoalescesAcrossCalls pins when separate admissions share
 // a snapshot: exactly while no commit moved the deployment state. The
 // first admission after a deploy, after a release that undeployed
 // something, or after a Rebase solves on a fresh clone; every other
-// one rides the clone its predecessor left behind.
+// one rides the clone its predecessor left behind. An attempt solved
+// ahead of its turn hears what a serial admission at its turn would.
 func TestAdmitCtxCoalescesAcrossCalls(t *testing.T) {
 	m := NewManager(lineNet(t, 2), core.Options{})
 	x := nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}
@@ -149,6 +208,21 @@ func TestAdmitCtxCoalescesAcrossCalls(t *testing.T) {
 	admit("nothing moved", x, true)
 	m.Rebase(m.CloneNetwork())
 	admit("after a rebase", x, false)
+	admit("nothing moved", x, true)
+
+	// An attempt solved ahead of its turn asks in commit order. Here the
+	// network leaves its snapshot's state and comes back before that
+	// turn, so a serial run would have cloned afresh: not coalesced.
+	ahead := m.Solve(context.Background(), x, true)
+	lone = admit("deploys y's instance", y, true)
+	admit("after y's deploy", x, false)
+	if err := m.Release(lone.ID); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := ahead.Settle()
+	if err != nil || ahead.Stale() || sess.Coalesced {
+		t.Fatalf("ahead attempt: err %v, stale %v, Coalesced %v; want a commit as solved, not coalesced", err, ahead.Stale(), sess != nil && sess.Coalesced)
+	}
 	admit("nothing moved", x, true)
 	checkIntegrity(t, m)
 }
@@ -252,8 +326,8 @@ func (s *saboteur) OnEvent(e core.Event) {
 // deterministically. Four sessions each own one instance of the chain
 // the contested admission wants; during each of its first
 // maxAdmitRetries+1 solves the observer releases the owner of an
-// instance the candidate embedding reuses, so the epoch moves and
-// re-validation fails. The attempt after that holds the lock from
+// instance the candidate embedding reuses, so the live network leaves
+// the snapshot's state and the commit conflicts. The attempt after that holds the lock from
 // snapshot to commit: the observer has gone quiet, nothing can move,
 // and the result is what a fresh solve on the state after the last
 // release produces.

@@ -167,9 +167,9 @@ func (m *Manager) Drain(ctx context.Context) error {
 }
 
 // Checkpoint writes a compacted snapshot of the full manager state
-// through the attached WAL (sessions, refcount ledger, counters,
-// network version), rotating the log so replay after the next crash
-// starts here. It returns the snapshot's folded sequence number.
+// through the attached WAL (sessions, refcount ledger, counters),
+// rotating the log so replay after the next crash starts here. It
+// returns the snapshot's folded sequence number.
 func (m *Manager) Checkpoint() (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -183,12 +183,8 @@ func (m *Manager) Checkpoint() (uint64, error) {
 			Rejected:            m.rejected,
 			AdmittedCost:        m.admittedCost,
 			CommitConflicts:     m.commitConflicts,
-			AdmitRetries:        m.commitConflicts,
 			SerializedFallbacks: m.serializedFallbacks,
 		},
-		Gen:         m.net.Graph().Generation(),
-		Epoch:       m.net.DeployEpoch(),
-		Incarnation: m.net.IncarnationID(),
 	}
 	ids := make([]SessionID, 0, len(m.sessions))
 	for id := range m.sessions {
@@ -251,7 +247,7 @@ type RecoverReport struct {
 	SessionsDegraded  int `json:"sessions_degraded,omitempty"`
 	PurgedInstances   int `json:"purged_instances,omitempty"`
 	// Errors lists conformance cross-check failures of the final
-	// restored state: CheckLive/Recount violations or a refcount
+	// restored state: CheckLive violations or a refcount
 	// ledger that disagrees with the sessions' usage lists. Empty on a
 	// healthy restore — the crash gate asserts exactly that.
 	Errors []string `json:"errors,omitempty"`
@@ -266,7 +262,7 @@ type RecoverReport struct {
 // through — re-installs every reference-counted instance onto net,
 // runs the Rebase repair ladder
 // for anything the restored topology no longer satisfies, and
-// cross-checks the result with conformance.CheckLive/Recount plus an
+// cross-checks the result with conformance.CheckLive plus an
 // independent refcount re-derivation. The returned manager owns net
 // and continues logging to w.
 //
@@ -325,7 +321,7 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 
 	// Repair pass: the ordinary Rebase ladder against the restored
 	// network. On an unchanged topology every session checks out intact
-	// and this is a no-op beyond the version bump.
+	// and this is a no-op beyond the rebase record.
 	rr := m.Rebase(net)
 	rep.SessionsPatched = rr.Patched
 	rep.SessionsReembeded = rr.Reembeds
@@ -338,9 +334,10 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 }
 
 // crossCheck validates the restored state: every non-degraded session
-// must hold a live-valid embedding whose cost the independent
-// validator can re-derive, and the refcount ledger must equal the
-// re-derivation from the sessions' own usage lists.
+// must hold a live-valid embedding (CheckLive's traversal is the one
+// that also re-derives its cost, so a session it passes can be
+// priced), and the refcount ledger must equal the re-derivation from
+// the sessions' own usage lists.
 func (m *Manager) crossCheck(rep *RecoverReport) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -356,37 +353,9 @@ func (m *Manager) crossCheck(rep *RecoverReport) {
 		}
 		if err := conformance.CheckLive(m.net, sess.Result.Embedding); err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("session %d: validate: %v", id, err))
-			continue
-		}
-		if _, err := recountLive(m.net, sess.Result.Embedding); err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("session %d: recount: %v", id, err))
 		}
 	}
 	rep.Errors = append(rep.Errors, m.refMismatches()...)
-}
-
-// recountLive re-derives a live embedding's cost breakdown: like
-// conformance.Recount, but against a scratch network with the
-// embedding's own installed instances undeployed (the same trick
-// CheckLive plays), so the recount prices them instead of rejecting
-// them as shadowed.
-func recountLive(net *nfv.Network, e *nfv.Embedding) (conformance.Breakdown, error) {
-	scratch := net
-	for _, inst := range e.NewInstances {
-		if inst.VNF < 0 || inst.VNF >= net.CatalogSize() ||
-			inst.Node < 0 || inst.Node >= net.NumNodes() {
-			continue // out of range; Recount reports it as a typed error
-		}
-		if net.IsDeployed(inst.VNF, inst.Node) {
-			if scratch == net {
-				scratch = net.Clone()
-			}
-			if err := scratch.Undeploy(inst.VNF, inst.Node); err != nil {
-				return conformance.Breakdown{}, err
-			}
-		}
-	}
-	return conformance.Recount(scratch, e)
 }
 
 // VerifyRefs re-derives the refcount ledger from the live sessions'

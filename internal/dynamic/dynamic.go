@@ -10,15 +10,16 @@
 //
 // Admissions follow an optimistic two-phase protocol: the expensive
 // solve runs lock-free against an immutable snapshot of the network,
-// and only a short validate-and-commit step serializes on the
-// manager's mutex. The commit re-checks exactly the deployment state
-// the embedding touches, so concurrent admissions over disjoint
-// instances commit without re-solving; genuinely conflicting ones
-// retry a bounded number of times and then run the same attempt once
-// more with the lock held throughout, which guarantees progress. A
-// single client (no concurrency) always commits its first attempt
-// against an unchanged snapshot, making results bit-identical to the
-// fully serialized path.
+// and only a short commit step serializes on the manager's mutex. A
+// commit is the solve at its commit point: it is made only if the live
+// network is still in the snapshot's state, compared by content
+// (nfv.Network.SameState), and otherwise the admission solves again.
+// After a bounded number of such conflicts it runs the same round once
+// more with the lock held throughout, which guarantees progress. Every
+// committed embedding and every rejection is therefore what core.Solve
+// returns on the network as it stood when the verdict became final,
+// and a single client's results are bit-identical to the fully
+// serialized path.
 package dynamic
 
 import (
@@ -82,9 +83,9 @@ type Session struct {
 
 // Manager admits and releases sessions over a shared network. All
 // methods are safe for concurrent use. Admissions solve against a
-// read snapshot outside the lock and serialize only on a short
-// validate-and-commit step; Release, Rebase and the query methods
-// serialize on the same mutex.
+// read snapshot outside the lock and serialize only on a short commit
+// step; Release, Rebase and the query methods serialize on the same
+// mutex.
 type Manager struct {
 	mu   sync.Mutex
 	net  *nfv.Network
@@ -97,10 +98,11 @@ type Manager struct {
 	// mutating network), so a cached overlay can be shared by every
 	// solver at that deployment.
 	scaffolds *mod.Cache
-	// snap is the newest admission snapshot, handed out again for as
-	// long as it still equals the live network (see takeSnapshot);
-	// snapClaimed says an admission has had its turn on it.
-	snap        snapshot
+	// snap is the newest admission snapshot clone, handed out again for
+	// as long as the live network is still in its state (see
+	// takeSnapshot); snapClaimed says an admission has had its turn on
+	// it.
+	snap        *nfv.Network
 	snapClaimed bool
 
 	nextID   SessionID
@@ -113,7 +115,9 @@ type Manager struct {
 	// never appear here.
 	refs map[[2]int]int
 
-	// The manager's history, the one book Stats and /metrics read.
+	// The manager's history, the one book Stats and /metrics read. A
+	// session leaves m.sessions only by release, so admitted − live is
+	// the released count (see releasedLocked).
 	admitted, rejected int
 	admittedCost       float64
 	// Optimistic-concurrency history: commit attempts invalidated by a
@@ -160,12 +164,12 @@ type Manager struct {
 }
 
 // managerMetrics are the registry handles an instrumented manager
-// updates: the release and repair counters, the per-admission solve
-// latency and repair cost histograms, and the time one successful WAL
-// append — write plus sync — holds m.mu.
+// updates: the repair counters, the per-admission solve latency and
+// repair cost histograms, and the time one successful WAL append —
+// write plus sync — holds m.mu.
 type managerMetrics struct {
-	released, repairAttempts, repairFailures *obs.Counter
-	solveMS, repairCostDelta, walAppendMS    *obs.Histogram
+	repairAttempts, repairFailures        *obs.Counter
+	solveMS, repairCostDelta, walAppendMS *obs.Histogram
 }
 
 // NewManager wraps a network for dynamic session management. The
@@ -203,23 +207,21 @@ func (m *Manager) CloneNetwork() *nfv.Network {
 // manager keeps under its lock are read from it at every scrape, so
 // they cannot disagree with Stats, and a restored manager reports its
 // restored totals and live state from the first scrape: the counters
-// sessions_{admitted,rejected}_total, admit_commit_conflicts_total,
-// admit_retries_total (the same count: each conflict forces one
-// rerun), admit_serialized_fallbacks_total,
+// sessions_{admitted,released,rejected}_total,
+// admit_commit_conflicts_total, admit_retries_total (the same count:
+// each conflict forces one rerun), admit_serialized_fallbacks_total,
 // admit_coalesced_solves_total, wal_records_total,
 // wal_append_errors_total and snapshots_written_total, and the gauges
 // sessions_live, instances_live, sessions_degraded and
-// wal_checkpoint_dirty. Handles carry the rest: the
-// sessions_released_total, repair_attempts and repair_failures
-// counters, the session_solve_ms per-admission latency and
-// repair_cost_delta histograms, and wal_append_ms, the write and sync
-// of one committed record as the manager sees it, under its lock (what
-// tells a slow disk from a slow solve). It returns the manager for
-// chaining; an uninstrumented manager pays nothing.
+// wal_checkpoint_dirty. Handles carry the rest: the repair_attempts
+// and repair_failures counters, the session_solve_ms per-admission
+// latency and repair_cost_delta histograms, and wal_append_ms, the
+// write and sync of one committed record as the manager sees it, under
+// its lock (what tells a slow disk from a slow solve). It returns the
+// manager for chaining; an uninstrumented manager pays nothing.
 func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 	m.mu.Lock()
 	m.met = &managerMetrics{
-		released:        reg.Counter("sessions_released_total"),
 		repairAttempts:  reg.Counter("repair_attempts"),
 		repairFailures:  reg.Counter("repair_failures"),
 		solveMS:         reg.Histogram("session_solve_ms", obs.LatencyBuckets),
@@ -229,6 +231,7 @@ func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 	m.mu.Unlock()
 	for name, f := range map[string]func() int{
 		"sessions_admitted_total":          func() int { return m.admitted },
+		"sessions_released_total":          m.releasedLocked,
 		"sessions_rejected_total":          func() int { return m.rejected },
 		"admit_commit_conflicts_total":     func() int { return m.commitConflicts },
 		"admit_retries_total":              func() int { return m.commitConflicts },
@@ -261,6 +264,12 @@ func (m *Manager) locked(read func() int) func() int64 {
 	}
 }
 
+// releasedLocked is the number of sessions released: apply admits a
+// session into m.sessions and only a release record takes one out, so
+// the count is admitted − live and needs no book of its own. Callers
+// hold m.mu.
+func (m *Manager) releasedLocked() int { return m.admitted - len(m.sessions) }
+
 func boolInt(b bool) int {
 	if b {
 		return 1
@@ -283,13 +292,9 @@ func (m *Manager) Trace(buf *obs.TraceBuffer) *Manager {
 }
 
 // snapshot is one admission's read view: an immutable clone of the
-// network plus the version triple that decides whether the solve
-// computed against it is still valid at commit time.
+// network, which settle compares with the live network by content.
 type snapshot struct {
-	net    *nfv.Network // deep clone; never mutated after the copy
-	parent *nfv.Network // the live network object the clone was taken from
-	gen    uint64       // graph generation at snapshot time
-	epoch  uint64       // deployment epoch at snapshot time
+	net *nfv.Network // deep clone; never mutated after the copy
 	// The fields below are read fresh for every admission and never
 	// cached: the solver options and trace ring as configured right now,
 	// and whether an earlier admission had this clone before this one.
@@ -299,14 +304,14 @@ type snapshot struct {
 }
 
 // takeSnapshot returns the admission's read view; callers hold m.mu.
-// The newest clone is kept and handed out again for as long as its
-// (network, graph generation, deployment epoch) triple equals the live
-// network's — the predicate settle commits under, so a reused clone is
+// The newest clone is kept and handed out again for as long as the
+// live network is still in its state (nfv.Network.SameState) — the
+// predicate settle commits under, so a reused clone is
 // indistinguishable from a fresh one. A run of admissions that reuse
 // live instances without deploying anything therefore shares one
-// clone. Scaffolds are keyed by deployed set rather than by epoch
-// (mod.Cache), so they outlive the clone: a later snapshot at a
-// deployment seen before finds the scaffolds reused there.
+// clone. Scaffolds are keyed by the deployment too (mod.Cache) but
+// outlive the clone: a later snapshot at a deployment seen before
+// finds the scaffolds reused there.
 //
 // An attempt solving ahead of its turn takes the same clone but leaves
 // reused for settle to decide, in commit order (see claimSnapshot).
@@ -316,31 +321,30 @@ type snapshot struct {
 // network first: Clone copies both, and the live network and every
 // clone then share one APSP run.
 func (m *Manager) takeSnapshot(ahead bool) snapshot {
-	if s := &m.snap; s.net == nil || s.parent != m.net ||
-		s.gen != m.net.Graph().Generation() || s.epoch != m.net.DeployEpoch() {
+	if !m.snapCurrent() {
 		m.net.Metric()
 		m.net.ServerList()
-		m.snap = snapshot{
-			net:    m.net.Clone(),
-			parent: m.net,
-			gen:    m.net.Graph().Generation(),
-			epoch:  m.net.DeployEpoch(),
-		}
-		m.snapClaimed = false
+		m.snap, m.snapClaimed = m.net.Clone(), false
 	}
-	s := m.snap
+	s := snapshot{net: m.snap, opts: m.opts, trace: m.trace}
 	if !ahead {
 		s.reused = m.claimSnapshot()
 	}
-	s.opts, s.trace = m.opts, m.trace
 	return s
+}
+
+// snapCurrent reports whether the cached clone is still in the live
+// network's state; callers hold m.mu.
+func (m *Manager) snapCurrent() bool {
+	return m.snap != nil && m.net.SameState(m.snap)
 }
 
 // claimSnapshot reports whether an admission already had its turn on
 // the cached clone, and records that one now has; callers hold m.mu.
 // The answer is Session.Coalesced, and it must not depend on who
 // cloned first: an attempt solved ahead of its turn asks when its turn
-// comes, so it hears what a serial run would have told it.
+// comes, so it hears what a serial run would have told it (see
+// settle).
 func (m *Manager) claimSnapshot() (reused bool) {
 	reused, m.snapClaimed = m.snapClaimed, true
 	return reused
@@ -364,28 +368,29 @@ func (m *Manager) Admit(task nfv.Task) (*Session, error) {
 // with the wait for the ticket's turn in between.
 //
 // The solve runs outside the manager lock against a snapshot; the
-// commit step re-acquires the lock, verifies the snapshot's version
-// (or, when only the deployment epoch moved, re-validates exactly the
-// instances and capacities the embedding touches) and installs the
-// session. On conflict it re-solves against a fresh snapshot up to
-// maxAdmitRetries times; the round after that is the same round with
-// the lock held from snapshot to commit, which cannot conflict.
+// commit step re-acquires the lock and installs the session (or makes
+// the rejection final) only if the live network is still in the
+// snapshot's state. On conflict it re-solves against a fresh snapshot
+// up to maxAdmitRetries times; the round after that is the same round
+// with the lock held from snapshot to commit, which cannot conflict.
 func (m *Manager) AdmitCtx(ctx context.Context, task nfv.Task) (*Session, error) {
 	return m.Solve(ctx, task, false).Settle()
 }
 
 // Attempt is one admission between its two halves: Solve has run the
 // solver against a snapshot, nothing is committed, and Settle makes
-// the verdict final. Every field but retries and the two flags
-// describes the latest round. An Attempt must be settled, exactly
-// once: Drain waits for it from Solve until Settle returns.
+// the verdict final, once the live network is in the state the verdict
+// was solved at. Every field but retries and the two flags describes
+// the latest round. An Attempt must be settled, exactly once: Drain
+// waits for it from Solve until Settle returns.
 type Attempt struct {
 	m    *Manager
 	ctx  context.Context
 	task nfv.Task
 	// ahead marks a result solved before the admissions ordered in
-	// front of it had committed; stale that the network had moved by
-	// its turn, so that result was thrown away and Settle solved again.
+	// front of it had committed; stale that the network was in another
+	// state by its turn, so that result was thrown away and Settle
+	// solved again.
 	ahead, stale bool
 
 	snap    snapshot
@@ -408,10 +413,9 @@ func (a *Attempt) Stale() bool { return a.stale }
 // Solve is the first half of AdmitCtx: snapshot, then the two-stage
 // solver on the clone with the scaffold cache, outside the lock. ahead
 // says the caller is solving before its turn — earlier admissions of
-// an order it means to keep have not settled yet. Such a result stands
-// for what a solve at its turn would return only if nothing moved in
-// between, so Settle commits it at the exact snapshot version or not
-// at all.
+// an order it means to keep have not settled yet. Settle holds such a
+// result to the one rule every round is held to: it commits only if
+// the live network is in the snapshot's state by its turn.
 func (m *Manager) Solve(ctx context.Context, task nfv.Task, ahead bool) *Attempt {
 	m.inflight.Add(1)
 	a := &Attempt{m: m, ctx: ctx, task: task, ahead: ahead, start: time.Now()}
@@ -448,13 +452,13 @@ func (a *Attempt) solve(locked bool) {
 }
 
 // Settle is the second half of AdmitCtx: it commits the session or
-// rejects the task if the solve still describes the live network, and
-// otherwise solves again until it does. A solve that ran ahead and
-// went stale is discarded whole — no conflict, no retry, no trace and
-// no latency sample — and the attempt carries on as the ordinary
-// admission it would have been at its turn. Once the retries are used
-// up the round keeps the lock from snapshot to commit: that is the
-// progress guarantee, and the only difference is where the lock is
+// rejects the task if the live network is still in the snapshot's
+// state, and otherwise solves again until it is. A solve that ran
+// ahead and went stale is discarded whole — no conflict, no retry, no
+// trace and no latency sample — and the attempt carries on as the
+// ordinary admission it would have been at its turn. Once the retries
+// are used up the round keeps the lock from snapshot to commit: that is
+// the progress guarantee, and the only difference is where the lock is
 // dropped.
 func (a *Attempt) Settle() (*Session, error) {
 	m := a.m
@@ -522,33 +526,33 @@ func admitTrace(a *Attempt, took time.Duration) obs.Trace {
 }
 
 // settle is the short serialized phase of a round; callers hold m.mu.
-// It decides whether the solve's snapshot still describes the live
-// network — same network object, same graph generation, and either
-// the same deployment epoch or, when only the epoch moved, unchanged
-// state for exactly the instances and node capacities the embedding
-// touches — and if so makes the solve's verdict final: the session is
-// committed, or the task rejected. Otherwise it returns false, asking
-// for a re-solve, and counts a conflict unless the solve ran ahead.
+// If the live network is still in the snapshot's state
+// (nfv.Network.SameState: same incarnation, same graph, same
+// deployment bit for bit), the solve is the solve at this commit
+// point, and settle makes its verdict final: the session is committed,
+// or the task rejected. Otherwise it returns false, asking for a
+// re-solve, and counts a conflict unless the solve ran ahead. The rule
+// is the same for an embedding and a rejection, and for an attempt
+// that solved ahead and one that solved at its turn: a still-feasible
+// embedding is not the one a solve now would find if an instance it
+// could reuse for free was deployed meanwhile.
 //
-// A rejection needs the exact version: load a concurrent commit added
-// cannot make an infeasible task feasible, but capacity a concurrent
-// release freed could, and there is no embedding to re-validate. So
-// does a solve that ran ahead: re-validation admits an embedding that
-// is still feasible, not the one a solve at its turn would have found
-// — an instance deployed meanwhile is one it would have reused for
-// free.
+// An attempt that solved ahead claims its snapshot only now, in commit
+// order. Its clone is in the live state, so if the cached clone is not
+// (the network moved and came back while it waited), its clone takes
+// the cached one's place, as a serial run's takeSnapshot would have
+// cloned afresh here.
 func (m *Manager) settle(a *Attempt) (final bool) {
-	current := m.net == a.snap.parent && m.net.Graph().Generation() == a.snap.gen
-	if current && m.net.DeployEpoch() != a.snap.epoch {
-		current = !a.ahead && a.err == nil && m.revalidateLocked(a.task, a.res.Embedding)
-	}
-	if !current {
+	if !m.net.SameState(a.snap.net) {
 		if !a.ahead {
 			m.commitConflicts++
 		}
 		return false
 	}
 	if a.ahead {
+		if !m.snapCurrent() {
+			m.snap, m.snapClaimed = a.snap.net, false
+		}
 		a.snap.reused = m.claimSnapshot()
 	}
 	if a.err != nil {
@@ -566,74 +570,7 @@ func (m *Manager) rejectLocked(cause error) error {
 	return fmt.Errorf("%w: %w", ErrRejected, cause)
 }
 
-// revalidateLocked re-checks an embedding solved against an older
-// deployment epoch, touching only the state the embedding depends on:
-//
-//   - every fresh instance must still be uninstalled, and the summed
-//     demand of fresh instances per node must still fit the node's
-//     remaining capacity (constraint (1f));
-//   - every pre-existing instance a walk is served by must still be
-//     deployed, because the solver priced it at zero setup cost and
-//     its walks route through it.
-//
-// Anything else a concurrent commit changed — instances on nodes this
-// embedding avoids — cannot affect its feasibility or cost, so the
-// common case of disjoint concurrent admissions commits without a
-// re-solve. Callers hold m.mu.
-func (m *Manager) revalidateLocked(task nfv.Task, emb *nfv.Embedding) bool {
-	fresh := getKeySet()
-	defer putKeySet(fresh)
-	for _, inst := range emb.NewInstances {
-		if m.net.IsDeployed(inst.VNF, inst.Node) {
-			return false // someone installed the same instance meanwhile
-		}
-		fresh.add([2]int{inst.VNF, inst.Node})
-	}
-	// Per-node capacity: sum the demand this embedding adds to each
-	// node and check it still fits. NewInstances lists are short, so
-	// the quadratic grouping stays cheap and allocation-free.
-	for i, inst := range emb.NewInstances {
-		grouped := false
-		for _, prev := range emb.NewInstances[:i] {
-			if prev.Node == inst.Node {
-				grouped = true
-				break
-			}
-		}
-		if grouped {
-			continue // node already checked with its full addition
-		}
-		var add float64
-		for _, other := range emb.NewInstances[i:] {
-			if other.Node == inst.Node {
-				if vnf, err := m.net.VNF(other.VNF); err == nil {
-					add += vnf.Demand
-				}
-			}
-		}
-		if m.net.UsedCapacity(inst.Node)+add > m.net.Capacity(inst.Node)+1e-9 {
-			return false
-		}
-	}
-	// Reused serving instances must still exist.
-	seen := getKeySet()
-	defer putKeySet(seen)
-	k := task.K()
-	for di := range task.Destinations {
-		for lvl := 1; lvl <= k; lvl++ {
-			key := [2]int{task.Chain[lvl-1], emb.ServingNode(di, lvl)}
-			if !seen.add(key) || fresh.has(key) {
-				continue
-			}
-			if !m.net.IsDeployed(key[0], key[1]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// commitLocked installs a validated solver result: it deploys the
+// commitLocked installs a settled solver result: it deploys the
 // fresh instances (rolling back on the impossible install failure),
 // writes the admit record — session ID, embedding, cost and the usage
 // list of every dynamic instance the walks traverse — appends it to
@@ -648,8 +585,8 @@ func (m *Manager) commitLocked(task nfv.Task, res *core.Result, coalesced bool) 
 	fresh := res.Embedding.NewInstances
 	for i, inst := range fresh {
 		if err := m.net.Deploy(inst.VNF, inst.Node); err != nil {
-			// This indicates a solver bug: validated embeddings must fit
-			// capacity.
+			// This indicates a solver bug: an embedding solved in the
+			// live state must fit its capacity.
 			m.undeploy(fresh[:i])
 			return nil, m.rejectLocked(fmt.Errorf("install: %w", err))
 		}
@@ -727,9 +664,6 @@ func (m *Manager) Release(id SessionID) error {
 			return fmt.Errorf("dynamic: release %d: %w", id, err)
 		}
 	}
-	if m.met != nil {
-		m.met.released.Inc()
-	}
 	return nil
 }
 
@@ -777,7 +711,11 @@ func (m *Manager) Refs() map[[2]int]int {
 
 // Stats summarizes the manager's history.
 type Stats struct {
-	Admitted     int     `json:"admitted"`
+	Admitted int `json:"admitted"`
+	// Released counts sessions released, the queue's orphan releases
+	// included. It is Admitted − Active by construction, so it holds
+	// across restores, from snapshots written before it existed too.
+	Released     int     `json:"released"`
 	Rejected     int     `json:"rejected"`
 	Active       int     `json:"active"`
 	AdmittedCost float64 `json:"admitted_cost"` // sum of admission-time costs
@@ -809,6 +747,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		Admitted:            m.admitted,
+		Released:            m.releasedLocked(),
 		Rejected:            m.rejected,
 		Active:              len(m.sessions),
 		AdmittedCost:        m.admittedCost,

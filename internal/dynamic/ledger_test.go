@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -242,13 +243,17 @@ func TestShadowLedger(t *testing.T) {
 // WAL directory written by the commit before apply existed — a snapshot
 // of two sessions plus a tail with all four record types (admit,
 // release, rebase, two repairs) — and the fingerprint of the manager
-// that wrote it. Restoring a copy must land on that fingerprint.
+// that wrote it. Restoring a copy must land on that fingerprint. The
+// files also carry the network version stamps the WAL no longer has
+// (a snapshot's gen, epoch, incarnation and admit_retries, a rebase
+// record's gen and epoch), so this is the restore of such a log too.
 func TestRestoreParentWrittenLog(t *testing.T) {
 	dir := t.TempDir()
 	files, err := filepath.Glob("testdata/parent_wal/*")
 	if err != nil || len(files) != 2 {
 		t.Fatalf("fixture: %v %v", files, err)
 	}
+	var all []byte
 	for _, name := range files {
 		blob, err := os.ReadFile(name)
 		if err != nil {
@@ -256,6 +261,12 @@ func TestRestoreParentWrittenLog(t *testing.T) {
 		}
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), blob, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		all = append(all, blob...)
+	}
+	for _, key := range []string{`"gen":`, `"epoch":`, `"incarnation":`, `"admit_retries":`, `"type":"rebase","gen":`} {
+		if !bytes.Contains(all, []byte(key)) {
+			t.Fatalf("fixture: no retired stamp %s left to ignore", key)
 		}
 	}
 	want, err := os.ReadFile("testdata/parent_wal.fingerprint")

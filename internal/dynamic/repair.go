@@ -79,14 +79,13 @@ func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.net = newNet
-	// Advance the version and drop the scaffold cache and the cached
-	// snapshot: in-flight optimistic solves still hold snapshots of the
-	// old incarnation and must fail their commit checks, and the clone
-	// and the overlays built against the old network are dead weight
-	// (neither would ever be served again anyway).
-	newNet.BumpDeployEpoch()
+	// Drop the scaffold cache and the cached snapshot: the clone and the
+	// overlays built against the old network are dead weight. In-flight
+	// solves need nothing: settle commits one only if the new network is
+	// in its snapshot's state, which a materialized network, a new
+	// incarnation, never is.
 	m.scaffolds.Purge()
-	m.snap = snapshot{}
+	m.snap = nil
 	// Warm the metric before repairing: every session repair below
 	// prices against it, and a faults.State-materialized network may
 	// satisfy this from its per-topology cache instead of a fresh APSP.
@@ -106,12 +105,7 @@ func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 	}
 	sortKeys(purged)
 	rep.PurgedInstances = len(purged)
-	m.commitLagging(&wal.Record{
-		Type:   wal.RecRebase,
-		Purged: purged,
-		Gen:    m.net.Graph().Generation(),
-		Epoch:  m.net.DeployEpoch(),
-	})
+	m.commitLagging(&wal.Record{Type: wal.RecRebase, Purged: purged})
 	ids := make([]SessionID, 0, len(m.sessions))
 	for id := range m.sessions {
 		ids = append(ids, id)

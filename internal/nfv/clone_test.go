@@ -47,7 +47,7 @@ type netState struct {
 	Setup, Raw          [][]float64
 	Deployed            [][]bool
 	Coords              []Point
-	Epoch, Incarnation  uint64
+	Print, Incarnation  uint64
 	Catalog             []VNF
 	FreeCapacityOfNode1 float64
 }
@@ -58,7 +58,7 @@ func stateOf(net *Network) netState {
 		Servers:             net.Servers(),
 		Rows:                append([]int32(nil), net.ServerRows()...),
 		Coords:              net.Coords(),
-		Epoch:               net.DeployEpoch(),
+		Print:               net.DeployFingerprint(),
 		Incarnation:         net.IncarnationID(),
 		Catalog:             net.Catalog(),
 		FreeCapacityOfNode1: net.FreeCapacity(1),

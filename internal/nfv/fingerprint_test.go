@@ -166,3 +166,60 @@ func TestFingerprintTracksDeployment(t *testing.T) {
 		}
 	}
 }
+
+// TestSameState pins the one state test the dynamic manager commits
+// under: a clone is in its parent's state until either side deploys,
+// undeploys or is reconfigured, and is again once the deployment comes
+// back, whatever path it took; a fault-free materialization of the
+// same topology and deployment is another incarnation and never is.
+func TestSameState(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := fingerprintNet(rng)
+		churn(t, net, rng, 20)
+		clone := net.Clone()
+		if !net.SameState(clone) || !clone.SameState(net) {
+			t.Fatalf("seed %d: a fresh clone is not in its parent's state", seed)
+		}
+
+		f, v := rng.Intn(net.CatalogSize()), rng.Intn(net.NumNodes())
+		var err error
+		if net.IsDeployed(f, v) {
+			err = clone.Undeploy(f, v)
+		} else {
+			err = clone.Deploy(f, v)
+		}
+		if err == nil {
+			if net.SameState(clone) {
+				t.Fatalf("seed %d: toggling (%d, %d) on the clone left it in its parent's state", seed, f, v)
+			}
+			if net.IsDeployed(f, v) {
+				err = clone.Deploy(f, v)
+			} else {
+				err = clone.Undeploy(f, v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !net.SameState(clone) {
+				t.Fatalf("seed %d: the clone came back to its parent's deployment but not to its state", seed)
+			}
+		}
+
+		if err := clone.SetSetupCost(0, 0, clone.RawSetupCost(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if net.SameState(clone) {
+			t.Fatalf("seed %d: a reconfigured clone is still in its parent's state", seed)
+		}
+
+		twin, err := faults.NewState(net).Materialize(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !twin.SameDeployment(net.DeploymentBits()) || net.SameState(twin) {
+			t.Fatalf("seed %d: a materialization is the same deployment %v, the same state %v; want true, false",
+				seed, twin.SameDeployment(net.DeploymentBits()), net.SameState(twin))
+		}
+	}
+}

@@ -73,32 +73,17 @@ type Network struct {
 	metric    *graph.Metric
 	metricGen uint64
 	metricFn  func() *graph.Metric
-	// epoch counts deployment-state changes (Deploy/Undeploy). Together
-	// with the graph generation it versions the network for optimistic
-	// concurrency: two networks with the same graph, the same epoch and
-	// a common ancestry have identical deployment state, so a solver
-	// result computed against one commits cleanly against the other.
-	// Clone copies the epoch, so a snapshot stays comparable to its
-	// parent. Not synchronized; callers serialize mutations themselves
-	// (the dynamic manager mutates only under its commit lock).
-	epoch uint64
 	// fingerprint hashes the deployed set: the XOR of mixCell(i) over
 	// every set bit i of deployed. Deploy and Undeploy toggle one term,
 	// so it depends on which instances run, never on the order they came
-	// and went in — unlike epoch, it repeats when a network returns to a
-	// deployment it had before. Clone copies it.
+	// and went in, and it repeats when a network returns to a deployment
+	// it had before. Clone copies it.
 	fingerprint uint64
 	// id is a process-unique incarnation stamp assigned at
 	// construction, renewed by every configuration setter (SetServer,
-	// SetSetupCost, SetCoords) and shared by clones: (id, graph
-	// generation, epoch) identifies a deployment state exactly,
-	// provided clones are not mutated independently of their parent.
-	// Snapshot clones taken for read-only solving satisfy this by
-	// construction; a scratch clone that mutates (e.g.
-	// ValidateDeployed's) must never be compared by epoch with its
-	// parent. Comparisons by content — the fingerprint
-	// backed by SameDeployment, as mod.Cache keys its scaffolds — hold
-	// for any clone.
+	// SetSetupCost, SetCoords) and shared by clones: networks with the
+	// same id have the same configuration. SameState adds the graph and
+	// the deployment to it.
 	id uint64
 }
 
@@ -352,7 +337,6 @@ func (net *Network) Deploy(f, v int) error {
 	net.deployed[i>>6] |= 1 << (i & 63)
 	net.used[v] = net.recountUsed(v)
 	net.fingerprint ^= mixCell(i)
-	net.epoch++
 	return nil
 }
 
@@ -369,22 +353,8 @@ func (net *Network) Undeploy(f, v int) error {
 	net.deployed[i>>6] &^= 1 << (i & 63)
 	net.used[v] = net.recountUsed(v)
 	net.fingerprint ^= mixCell(i)
-	net.epoch++
 	return nil
 }
-
-// DeployEpoch returns the deployment-state version: a counter bumped
-// by every successful Deploy and Undeploy (and by BumpDeployEpoch).
-// Snapshot-based solvers stamp their read snapshot with it and commit
-// only when the live network still carries the same epoch — or, when
-// it moved, after re-validating exactly the state they touch.
-func (net *Network) DeployEpoch() uint64 { return net.epoch }
-
-// BumpDeployEpoch advances the deployment epoch without a deployment
-// change. The dynamic manager calls it when it rebases onto a
-// replacement network, so snapshots of the old incarnation can never
-// alias an epoch of the new one.
-func (net *Network) BumpDeployEpoch() { net.epoch++ }
 
 // DeployFingerprint returns a 64-bit hash of the deployed (VNF, node)
 // set, kept in O(1) by Deploy and Undeploy. Equal deployments have
@@ -401,6 +371,18 @@ func (net *Network) DeploymentBits() []uint64 { return slices.Clone(net.deployed
 // is net's deployment bit for bit.
 func (net *Network) SameDeployment(bits []uint64) bool {
 	return slices.Equal(net.deployed, bits)
+}
+
+// SameState reports whether o is in net's state, by content: the same
+// incarnation (so the same configuration), the same graph object, and
+// the same deployment bit for bit. A network's graph is fixed when it
+// is wrapped (NewNetwork), so the same graph object is the same graph
+// generation. A solve on one of two networks in the same state is the
+// solve on the other, which makes this the test the dynamic manager
+// commits under.
+func (net *Network) SameState(o *Network) bool {
+	return net.id == o.id && net.g == o.g &&
+		net.fingerprint == o.fingerprint && slices.Equal(net.deployed, o.deployed)
 }
 
 // IncarnationID returns the process-unique stamp NewNetwork assigned
@@ -494,7 +476,6 @@ func (net *Network) Clone() *Network {
 		metric:      net.metric,
 		metricGen:   net.metricGen,
 		metricFn:    net.metricFn,
-		epoch:       net.epoch,
 		fingerprint: net.fingerprint,
 		id:          net.id,
 	}

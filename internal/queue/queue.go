@@ -14,10 +14,10 @@
 // of every cost — but up to Workers solves run at once: a solver takes
 // the next ticket nobody is solving, and if the tickets before it have
 // not all committed it solves ahead of its turn, on the snapshot they
-// were solved on, and commits when its turn comes if the network is
-// still at the exact version it was solved at. If not, the result is
-// discarded and the ticket is solved again at the head of the line, so
-// at most Workers−1 solves are wasted each time the version moves.
+// were solved on, and commits when its turn comes if the live network
+// is still in that snapshot's state. If not, the result is discarded
+// and the ticket is solved again at the head of the line, so at most
+// Workers−1 solves are wasted each time the state moves.
 //
 // The queue is work-conserving: tickets wait behind busy solvers, never
 // behind a clock or the end of a batch. A solver that finds every
@@ -571,8 +571,8 @@ type line struct {
 // work takes ticket t from claim to commit: solve it under its own
 // context and deadline, wait for its turn, settle it, finish it. A
 // ticket whose turn has come when it is claimed is a plain AdmitCtx.
-// Any other is solved ahead and settles at its turn only at the exact
-// version it was solved at (see dynamic.Manager.Solve), so whichever
+// Any other is solved ahead and settles at its turn only in the state
+// it was solved in (see dynamic.Manager.Solve), so whichever
 // solver gets there, the line commits what one solver working through
 // it alone would have. Each solver holds at most one unsettled result,
 // which is the waste bound.

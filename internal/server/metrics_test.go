@@ -15,10 +15,12 @@ import (
 )
 
 // TestMetricsReadStats drives a WAL-backed server through admissions,
-// a rejection, a release, a checkpoint and a refused append, then
-// restores its log into a new server. After every step each manager
-// and queue figure GET /metrics serves must equal the manager's or
-// queue's own Stats, the restored server's from its first scrape.
+// a rejection, a release, a checkpoint, a release after it and a
+// refused append, then restores its log into a new server. After every
+// step each manager and queue figure GET /metrics serves must equal the
+// manager's or queue's own Stats, the restored server's from its first
+// scrape, and admitted − released must equal live: the snapshot
+// carries the releases before it, and replay counts the one after.
 func TestMetricsReadStats(t *testing.T) {
 	// A path 0-1-2-3-4 with three servers of capacity 2: f0 (demand 1)
 	// fits anywhere, f1 (demand 5) nowhere.
@@ -62,6 +64,21 @@ func TestMetricsReadStats(t *testing.T) {
 		}
 		return out
 	}
+	release := func(id dynamic.SessionID) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%d", ts.URL, id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE: status %d", resp.StatusCode)
+		}
+	}
 	var held []AdmitResponse
 	steps := []struct {
 		name string
@@ -76,25 +93,13 @@ func TestMetricsReadStats(t *testing.T) {
 		{"rejection", func(t *testing.T) {
 			admit(nfv.Task{Source: 0, Destinations: []int{4}, Chain: nfv.SFC{1}}, http.StatusConflict)
 		}},
-		{"release", func(t *testing.T) {
-			req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%d", ts.URL, held[0].ID), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("DELETE: status %d", resp.StatusCode)
-			}
-		}},
+		{"release", func(t *testing.T) { release(held[0].ID) }},
 		{"checkpoint", func(t *testing.T) {
 			if _, err := srv.Manager().Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"release after the checkpoint", func(t *testing.T) { release(held[1].ID) }},
 		{"refused append", func(t *testing.T) {
 			log.Crash()
 			admit(nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0}}, http.StatusServiceUnavailable)
@@ -110,8 +115,8 @@ func TestMetricsReadStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := m.Stats(); st.Active != 2 || st.Admitted != 3 || st.Rejected != 1 {
-				t.Fatalf("restored stats %+v, want 2 live of 3 admitted and 1 rejected", st)
+			if st := m.Stats(); st.Active != 1 || st.Admitted != 3 || st.Released != 2 || st.Rejected != 1 {
+				t.Fatalf("restored stats %+v, want 1 live of 3 admitted, 2 released and 1 rejected", st)
 			}
 			srv, ts = newTestServer(t, net, Config{Manager: m, QueueDepth: 8})
 		}},
@@ -139,6 +144,9 @@ func checkFigures(t *testing.T, url string, srv *Server) {
 	}
 	m := srv.Manager()
 	st, qs := m.Stats(), srv.Queue().Stats()
+	if st.Admitted-st.Released != st.Active {
+		t.Errorf("admitted %d − released %d ≠ live %d", st.Admitted, st.Released, st.Active)
+	}
 	degraded := 0
 	for _, sess := range m.Sessions() {
 		if sess.Degraded {
@@ -147,6 +155,7 @@ func checkFigures(t *testing.T, url string, srv *Server) {
 	}
 	counters := map[string]int64{
 		"sessions_admitted_total":          int64(st.Admitted),
+		"sessions_released_total":          int64(st.Released),
 		"sessions_rejected_total":          int64(st.Rejected),
 		"admit_commit_conflicts_total":     int64(st.CommitConflicts),
 		"admit_retries_total":              int64(st.AdmitRetries),

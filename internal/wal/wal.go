@@ -128,7 +128,7 @@ const (
 	// refcount decrements from the session's recorded usage list.
 	RecRelease RecordType = "release"
 	// RecRebase marks a substrate swap: the purged (dead) instance
-	// references and the new network version.
+	// references.
 	RecRebase RecordType = "rebase"
 	// RecRepair captures one session's post-repair state: outcome
 	// rung, replacement embedding, new cost, degraded/lost markers and
@@ -161,9 +161,6 @@ type Record struct {
 	// Purged lists the instance references a rebase dropped because
 	// the fault killed them (rebase).
 	Purged [][2]int `json:"purged,omitempty"`
-	// Gen and Epoch stamp the network version after a rebase.
-	Gen   uint64 `json:"gen,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 // SessionState is one live session inside a snapshot.
@@ -186,32 +183,23 @@ type RefCount struct {
 // Counters are the manager's monotonic accounting, folded into
 // snapshots so a restore resumes the history, not just the state.
 type Counters struct {
-	Admitted        int     `json:"admitted"`
-	Rejected        int     `json:"rejected"`
-	AdmittedCost    float64 `json:"admitted_cost"`
-	CommitConflicts int     `json:"commit_conflicts"`
-	// AdmitRetries repeats CommitConflicts (each conflict forces one
-	// rerun); a restore reads CommitConflicts.
-	AdmitRetries        int `json:"admit_retries"`
-	SerializedFallbacks int `json:"serialized_fallbacks"`
+	Admitted            int     `json:"admitted"`
+	Rejected            int     `json:"rejected"`
+	AdmittedCost        float64 `json:"admitted_cost"`
+	CommitConflicts     int     `json:"commit_conflicts"`
+	SerializedFallbacks int     `json:"serialized_fallbacks"`
 }
 
 // Snapshot is one compacted controller state: everything a restore
 // needs without replaying history before Seq.
 type Snapshot struct {
-	Schema   string         `json:"schema"`
-	Seq      uint64         `json:"seq"` // last record folded in
-	NextID   int64          `json:"next_id"`
-	Sessions []SessionState `json:"sessions"`
-	Refs     []RefCount     `json:"refs"`
-	Counters Counters       `json:"counters"`
-	// Gen, Epoch and Incarnation version the network the snapshot was
-	// taken against; a restore onto a different topology is detected
-	// by conformance checks, not by these, but they make drift visible.
-	Gen         uint64    `json:"gen"`
-	Epoch       uint64    `json:"epoch"`
-	Incarnation uint64    `json:"incarnation"`
-	WrittenAt   time.Time `json:"written_at"`
+	Schema    string         `json:"schema"`
+	Seq       uint64         `json:"seq"` // last record folded in
+	NextID    int64          `json:"next_id"`
+	Sessions  []SessionState `json:"sessions"`
+	Refs      []RefCount     `json:"refs"`
+	Counters  Counters       `json:"counters"`
+	WrittenAt time.Time      `json:"written_at"`
 }
 
 // snapshotSchema versions the snapshot document.
