@@ -95,7 +95,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("gate failed: %d validation errors, %d lost sessions, %d mismatches",
 			len(rep.ValidationErrors), len(rep.LostSessions), len(rep.Mismatches))
 	}
-	if repairs := rep.Patched + rep.Reembeds; repairs > 0 && rep.RepairsWithReuse == 0 {
+	if rep.Patched > 0 && rep.RepairsWithReuse == 0 {
 		return errors.New("repairs happened but none reused a surviving instance")
 	}
 	return nil

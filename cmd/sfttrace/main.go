@@ -94,7 +94,7 @@ func run(args []string, w io.Writer) error {
 }
 
 // summarizeTraces pulls a server's /debug/traces ring and reports the
-// serving-path story it tells: ops, warm ratio, repair rungs, request
+// serving-path story it tells: ops, warm ratio, request
 // ID coverage, where stage one's time went and the slowest runs.
 func summarizeTraces(base string, w io.Writer) error {
 	resp, err := http.Get(base + "/debug/traces")
@@ -120,7 +120,6 @@ func summarizeTraces(base string, w io.Writer) error {
 		return nil
 	}
 	ops := map[string]int{}
-	rungs := map[string]int{}
 	warm, withID, early, failed := 0, 0, 0, 0
 	ahead, stale := 0, 0 // admissions the queue solved ahead of their turn; those solved again
 	var stage1 time.Duration
@@ -149,9 +148,6 @@ func summarizeTraces(base string, w io.Writer) error {
 			}
 		}
 		ops[t.Op]++
-		if t.Rung != "" {
-			rungs[t.Rung]++
-		}
 		if t.Warm {
 			warm++
 		}
@@ -181,14 +177,6 @@ func summarizeTraces(base string, w io.Writer) error {
 	sort.Strings(names)
 	for _, k := range names {
 		fmt.Fprintf(w, "  op %-7s %5d\n", k, ops[k])
-	}
-	rn := make([]string, 0, len(rungs))
-	for r := range rungs {
-		rn = append(rn, r)
-	}
-	sort.Strings(rn)
-	for _, r := range rn {
-		fmt.Fprintf(w, "  repair rung %-8s %5d\n", r, rungs[r])
 	}
 	fmt.Fprintf(w, "warm-metric solves %d/%d, request-ID stamped %d/%d, early stops %d, failures %d\n",
 		warm, len(doc.Traces), withID, len(doc.Traces), early, failed)

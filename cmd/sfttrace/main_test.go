@@ -57,7 +57,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestSummarizeTraces serves a real TraceBuffer over HTTP and checks
-// the consumer reads ops, rungs, warm ratio and request IDs back out.
+// the consumer reads ops, warm ratio and request IDs back out.
 func TestSummarizeTraces(t *testing.T) {
 	buf := obs.NewTraceBuffer(8)
 	buf.Record(obs.Trace{Op: "admit", RequestID: "req-9", Warm: true, Session: -1, DurationNs: 2e6,
@@ -68,7 +68,7 @@ func TestSummarizeTraces(t *testing.T) {
 		}}}}, nil)
 	buf.Record(obs.Trace{Op: "admit", Session: 1, DurationNs: 1e6, Speculative: true}, nil)
 	buf.Record(obs.Trace{Op: "admit", Session: 2, DurationNs: 1e6, Speculative: true, Stale: true}, nil)
-	buf.Record(obs.Trace{Op: "repair", Rung: "patch", Session: 3, DurationNs: 5e6}, nil)
+	buf.Record(obs.Trace{Op: "repair", Session: 3, DurationNs: 5e6}, nil)
 	buf.Record(obs.Trace{Op: "solve", RequestID: "req-a", Err: "rejected", Session: -1, DurationNs: 1e6}, nil)
 	ts := httptest.NewServer(http.StripPrefix("/debug/traces", buf.Handler()))
 	defer ts.Close()
@@ -81,7 +81,7 @@ func TestSummarizeTraces(t *testing.T) {
 	for _, want := range []string{
 		"5 held (capacity 8, 5 added, 0 evicted)",
 		"op admit",
-		"repair rung patch",
+		"op repair",
 		"warm-metric solves 1/5",
 		"request-ID stamped 2/5",
 		"failures 1",

@@ -77,7 +77,7 @@ func TestAdmitCtxMatchesShadowSolve(t *testing.T) {
 			}
 			shadowRefs[[2]int{inst.VNF, inst.Node}] = 0
 		}
-		for key := range traversedKeys(res.Embedding) {
+		for _, key := range res.Embedding.AppendServed(nil) {
 			if _, dyn := shadowRefs[key]; dyn {
 				shadowRefs[key]++
 			}

@@ -240,12 +240,11 @@ type RecoverReport struct {
 	// the repair ladder.
 	RefsDeployed    int `json:"refs_deployed"`
 	RefsUnplaceable int `json:"refs_unplaceable,omitempty"`
-	// Repair-ladder outcomes for sessions the restored topology could
-	// not serve as recorded.
-	SessionsPatched   int `json:"sessions_patched,omitempty"`
-	SessionsReembeded int `json:"sessions_reembedded,omitempty"`
-	SessionsDegraded  int `json:"sessions_degraded,omitempty"`
-	PurgedInstances   int `json:"purged_instances,omitempty"`
+	// Repair outcomes for sessions the restored topology could not serve
+	// as recorded.
+	SessionsPatched  int `json:"sessions_patched,omitempty"`
+	SessionsDegraded int `json:"sessions_degraded,omitempty"`
+	PurgedInstances  int `json:"purged_instances,omitempty"`
 	// Errors lists conformance cross-check failures of the final
 	// restored state: CheckLive violations or a refcount
 	// ledger that disagrees with the sessions' usage lists. Empty on a
@@ -297,7 +296,7 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 	// topology refuses (dead node, vanished server, shrunk capacity) is
 	// a fault kill like any other: it stays undeployed, so the Rebase
 	// below purges the reference — durably, in its rebase record — and
-	// re-embeds or degrades the sessions leaning on it.
+	// patches or degrades the sessions leaning on it.
 	keys := make([][2]int, 0, len(m.refs))
 	for k := range m.refs {
 		keys = append(keys, k)
@@ -324,7 +323,6 @@ func Restore(net *nfv.Network, w *wal.Log, rec *wal.Recovery, opts core.Options)
 	// and this is a no-op beyond the rebase record.
 	rr := m.Rebase(net)
 	rep.SessionsPatched = rr.Patched
-	rep.SessionsReembeded = rr.Reembeds
 	rep.SessionsDegraded = rr.Degraded
 	rep.PurgedInstances = rr.PurgedInstances
 

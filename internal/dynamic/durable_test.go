@@ -284,7 +284,7 @@ func TestRestoreReplaysRepairHistory(t *testing.T) {
 		t.Fatalf("repaired state diverged:\n got %s\nwant %s", got, want)
 	}
 	// The restore's own repair pass found nothing left to fix.
-	if rrep.SessionsPatched != 0 || rrep.SessionsReembeded != 0 || rrep.SessionsDegraded != 0 {
+	if rrep.SessionsPatched != 0 || rrep.SessionsDegraded != 0 {
 		t.Fatalf("restore re-repaired a clean state: %+v", rrep)
 	}
 }

@@ -282,7 +282,7 @@ func boolInt(b bool) int {
 // stamped with the originating request ID (taken from the admission
 // context's obs middleware value), the warm/cold metric label, the
 // early-stop flag, the stage-one parallelism, the commit-conflict
-// retry count and — for repairs — the repair-ladder rung. It returns
+// retry count and — for repairs — the repaired session. It returns
 // the manager for chaining; an untraced manager pays nothing.
 func (m *Manager) Trace(buf *obs.TraceBuffer) *Manager {
 	m.mu.Lock()
@@ -558,7 +558,7 @@ func (m *Manager) settle(a *Attempt) (final bool) {
 	if a.err != nil {
 		a.err = m.rejectLocked(a.err)
 	} else {
-		a.sess, a.err = m.commitLocked(a.task, a.res, a.snap.reused)
+		a.sess, a.err = m.commitLocked(a.res, a.snap.reused)
 	}
 	return true
 }
@@ -571,53 +571,29 @@ func (m *Manager) rejectLocked(cause error) error {
 }
 
 // commitLocked installs a settled solver result: it deploys the
-// fresh instances (rolling back on the impossible install failure),
-// writes the admit record — session ID, embedding, cost and the usage
-// list of every dynamic instance the walks traverse — appends it to
-// the attached WAL, and only then lets apply fold it into the ledger.
-// The append sits between "the session is fully decided" and "the
-// in-memory state changes", so a crash on either side is clean: before
-// it nothing was committed (the record is absent, the deploys die with
-// the process), after it the record replays through the same apply
-// into the exact state this commit was about to install. Callers hold
-// m.mu.
-func (m *Manager) commitLocked(task nfv.Task, res *core.Result, coalesced bool) (*Session, error) {
+// fresh instances (rolling back on the impossible install failure: an
+// embedding solved in the live state fits its capacity, so a refusal
+// is a solver bug), writes the admit record — session ID, embedding,
+// cost and the usage list of every dynamic instance the walks traverse
+// — appends it to the attached WAL, and only then lets apply fold it
+// into the ledger. The append sits between "the session is fully
+// decided" and "the in-memory state changes", so a crash on either side
+// is clean: before it nothing was committed (the record is absent, the
+// deploys die with the process), after it the record replays through
+// the same apply into the exact state this commit was about to install.
+// Callers hold m.mu.
+func (m *Manager) commitLocked(res *core.Result, coalesced bool) (*Session, error) {
 	fresh := res.Embedding.NewInstances
-	for i, inst := range fresh {
-		if err := m.net.Deploy(inst.VNF, inst.Node); err != nil {
-			// This indicates a solver bug: an embedding solved in the
-			// live state must fit its capacity.
-			m.undeploy(fresh[:i])
-			return nil, m.rejectLocked(fmt.Errorf("install: %w", err))
-		}
+	if err := m.install(fresh); err != nil {
+		return nil, m.rejectLocked(err)
 	}
-	rec := &wal.Record{
+	out, err := m.commitDurable(&wal.Record{
 		Type:      wal.RecAdmit,
 		Session:   int64(m.nextID),
 		Embedding: res.Embedding,
 		FinalCost: res.FinalCost,
-	}
-	// The usage list: reused instances already in the ledger, then the
-	// fresh installs. The dedup scratch comes from a pool, so the
-	// critical section allocates only the record and the session.
-	seen := getKeySet()
-	for di := range task.Destinations {
-		for lvl := 1; lvl <= task.K(); lvl++ {
-			key := [2]int{task.Chain[lvl-1], res.Embedding.ServingNode(di, lvl)}
-			if !seen.add(key) {
-				continue
-			}
-			if _, dynamicInst := m.refs[key]; dynamicInst {
-				rec.Uses = append(rec.Uses, key)
-			}
-		}
-	}
-	putKeySet(seen)
-	for _, inst := range fresh {
-		rec.Uses = append(rec.Uses, [2]int{inst.VNF, inst.Node})
-	}
-
-	out, err := m.commitDurable(rec, "admit:post-wal")
+		Uses:      m.usesOf(res.Embedding),
+	}, "admit:post-wal")
 	if err != nil {
 		// Durability is part of the commit: an unloggable admission is
 		// refused and its installs undone, keeping disk and memory in
@@ -634,12 +610,50 @@ func (m *Manager) commitLocked(task nfv.Task, res *core.Result, coalesced bool) 
 	return out.sess, nil
 }
 
+// install deploys an embedding's fresh instances, undoing the ones it
+// placed if one is refused; callers hold m.mu.
+func (m *Manager) install(fresh []nfv.Instance) error {
+	for i, inst := range fresh {
+		if err := m.net.Deploy(inst.VNF, inst.Node); err != nil {
+			m.undeploy(fresh[:i])
+			return fmt.Errorf("install: %w", err)
+		}
+	}
+	return nil
+}
+
 // undeploy removes instances this commit installed itself, so the
 // removals cannot fail.
 func (m *Manager) undeploy(insts []nfv.Instance) {
 	for _, inst := range insts {
 		_ = m.net.Undeploy(inst.VNF, inst.Node)
 	}
+}
+
+// usesOf is the usage list a commit records for emb: the dynamic
+// instances its walks are served at. Those the ledger already counts
+// come first, in the order the walks first reach them, then emb's
+// NewInstances the ledger does not hold yet (fresh installs, in the
+// solver's order). Instances deployed at construction are permanent
+// and never listed. The served pairs are gathered in pooled scratch, so
+// the list itself is the only allocation. Callers hold m.mu.
+func (m *Manager) usesOf(emb *nfv.Embedding) [][2]int {
+	served := getKeySet()
+	defer putKeySet(served)
+	served.keys = emb.AppendServed(served.keys)
+	var uses [][2]int
+	for _, key := range served.keys {
+		if _, counted := m.refs[key]; counted {
+			uses = append(uses, key)
+		}
+	}
+	for _, inst := range emb.NewInstances {
+		key := [2]int{inst.VNF, inst.Node}
+		if _, counted := m.refs[key]; !counted {
+			uses = append(uses, key)
+		}
+	}
+	return uses
 }
 
 // Release tears a session down: every dynamic instance it referenced

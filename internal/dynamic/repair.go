@@ -2,8 +2,8 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"sftree/internal/conformance"
 	"sftree/internal/core"
@@ -22,10 +22,7 @@ const (
 	// RepairPatched: only the severed destinations were re-embedded;
 	// intact subtrees and surviving instances were kept in place.
 	RepairPatched RepairOutcome = "patched"
-	// RepairReembedded: the incremental patch failed, so the whole
-	// session was re-solved against the degraded network.
-	RepairReembedded RepairOutcome = "reembedded"
-	// RepairDegraded: no repair was feasible; the session keeps serving
+	// RepairDegraded: no patch was feasible; the session keeps serving
 	// only the destinations its surviving walks still reach.
 	RepairDegraded RepairOutcome = "degraded"
 )
@@ -56,7 +53,6 @@ type RepairReport struct {
 	Checked  int `json:"checked"`
 	Affected int `json:"affected"`
 	Patched  int `json:"patched"`
-	Reembeds int `json:"reembeds"`
 	Degraded int `json:"degraded"`
 	// PurgedInstances counts dynamic instances that died with the
 	// fault (their references are dropped without undeploying).
@@ -68,13 +64,16 @@ type RepairReport struct {
 
 // Rebase swaps the managed network for a degraded replacement (as
 // materialized by faults.State after an event) and repairs every live
-// session the fault touched. Repair is incremental where possible:
-// intact subtrees and surviving instances stay in place and only the
-// severed destinations are re-embedded; if that fails the session is
-// fully re-solved; if that fails too it is marked degraded and keeps
-// serving only the destinations its surviving walks reach. The new
-// network must carry over the deployments of the old one (see
-// faults.State.Materialize), minus whatever the fault killed.
+// session the fault touched. Repair is incremental: intact subtrees
+// and surviving instances stay in place and only the severed
+// destinations are re-embedded (the patch); if that fails the session
+// is marked degraded and keeps serving only the destinations its
+// surviving walks reach. A full re-solve would be no second chance: its
+// task is the patch's plus the intact destinations, on the same network
+// with the same chain, so any embedding it found, cut down to the
+// severed destinations, is a patch. The new network must carry over the
+// deployments of the old one (see faults.State.Materialize), minus
+// whatever the fault killed.
 func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -121,8 +120,6 @@ func (m *Manager) Rebase(newNet *nfv.Network) *RepairReport {
 		switch sr.Outcome {
 		case RepairPatched:
 			rep.Patched++
-		case RepairReembedded:
-			rep.Reembeds++
 		case RepairDegraded:
 			rep.Degraded++
 		}
@@ -161,8 +158,7 @@ func (m *Manager) repairSession(sess *Session) SessionRepair {
 	for _, di := range severed {
 		sr.Severed = append(sr.Severed, emb.Task.Destinations[di])
 	}
-	costBefore := sess.Result.FinalCost
-	sr.CostBefore = costBefore
+	sr.CostBefore = sess.Result.FinalCost
 
 	// Split severed destinations into recoverable and lost: a
 	// destination with no route from the source cannot be served at
@@ -178,74 +174,44 @@ func (m *Manager) repairSession(sess *Session) SessionRepair {
 		}
 	}
 
-	// Nothing to re-embed: every severed destination is physically
-	// unreachable. Keep the intact walks and drop the lost ones —
-	// re-solving could not serve them at any price.
-	if len(recoverable) == 0 {
+	// Patch: re-embed only the severed destinations that can still be
+	// reached, keeping intact walks and every surviving instance (reused
+	// at zero setup cost by the solver). If none can be reached, or the
+	// patch fails, degrade: keep only the intact walks.
+	if len(recoverable) == 0 || !m.tryPatch(sess, emb, intact, recoverable, lost, &sr) {
 		m.degrade(sess, emb, intact, severed, &sr)
-		return sr
 	}
-	// First rung: patch — re-embed only the severed destinations,
-	// keeping intact walks and every surviving instance (reused at
-	// zero setup cost by the solver).
-	if done := m.tryPatch(sess, emb, intact, recoverable, lost, &sr); done {
-		return sr
-	}
-	// Second rung: full re-embed of every still-reachable destination.
-	reachable := make([]int, 0, len(intact)+len(recoverable))
-	reachable = append(reachable, intact...)
-	reachable = append(reachable, recoverable...)
-	sort.Ints(reachable)
-	if done := m.tryReembed(sess, emb, reachable, lost, &sr); done {
-		return sr
-	}
-	// Last rung: degrade — keep only the intact walks.
-	m.degrade(sess, emb, intact, severed, &sr)
 	return sr
 }
 
-// repairSolve runs one repair-ladder solve, recording a trace tagged
-// with the rung ("patch", "reembed") and the repaired session when the
-// manager is tracing. Repairs run outside any HTTP request, so the
-// trace carries no request ID. Callers hold m.mu.
-func (m *Manager) repairSolve(rung string, id SessionID, task nfv.Task) (*core.Result, error) {
+// repairSolve runs the patch solve, recording a trace of the repaired
+// session when the manager is tracing. Repairs run outside any HTTP
+// request, so the trace carries no request ID. Callers hold m.mu.
+func (m *Manager) repairSolve(id SessionID, task nfv.Task) (*core.Result, error) {
 	opts := m.opts
-	if m.trace == nil {
-		return core.Solve(m.net, task, opts)
+	rec, finish := m.trace.StartTrace(obs.Trace{Op: "repair", Session: int(id)})
+	if rec != nil {
+		opts.Observer = obs.Tee(opts.Observer, rec)
 	}
-	rec := obs.AcquireRecorder()
-	opts.Observer = obs.Tee(opts.Observer, rec)
-	start := time.Now()
 	res, err := core.Solve(m.net, task, opts)
-	t := obs.Trace{
-		Op:         "repair",
-		Rung:       rung,
-		Session:    int(id),
-		Start:      start,
-		DurationNs: time.Since(start).Nanoseconds(),
-	}
-	if res != nil {
-		t.EarlyStop = res.EarlyStop
-	}
-	if err != nil {
-		t.Err = err.Error()
-	}
-	m.trace.Record(t, rec)
-	rec.Release()
+	finish(res, err)
 	return res, err
 }
 
 // tryPatch attempts the incremental repair: solve a sub-task covering
 // only the recoverable destinations, merge its walks with the intact
-// ones, and install whatever new instances it needs. Returns true if
-// the session was repaired (sr filled in).
+// ones, price and validate the result, and install whatever new
+// instances it needs. The merged embedding is priced *before*
+// installation, so new instances carry their setup cost while surviving
+// ones stay free. Returns true if the session was repaired (sr filled
+// in).
 func (m *Manager) tryPatch(sess *Session, emb *nfv.Embedding, intact, recoverable, lost []int, sr *SessionRepair) bool {
 	sub := nfv.Task{
 		Source:       emb.Task.Source,
 		Destinations: destNodes(emb, recoverable),
 		Chain:        append(nfv.SFC(nil), emb.Task.Chain...),
 	}
-	res, err := m.repairSolve("patch", sess.ID, sub)
+	res, err := m.repairSolve(sess.ID, sub)
 	if err != nil {
 		sr.Err = fmt.Sprintf("patch: %v", err)
 		return false
@@ -260,41 +226,25 @@ func (m *Manager) tryPatch(sess *Session, emb *nfv.Embedding, intact, recoverabl
 		}
 		return emb.Walks[di], containsInt(intact, di)
 	})
-	merged.NewInstances = m.keptInstances(merged, emb.NewInstances, res.Embedding.NewInstances)
-	if !m.commitRepair(sess, merged, res.Embedding.NewInstances, sr) {
+	fresh := res.Embedding.NewInstances
+	served := merged.AppendServed(nil)
+	merged.NewInstances = append(m.survivors(served, emb.NewInstances), fresh...)
+	cost := m.net.Cost(merged).Total
+	if err := conformance.CheckLive(m.net, merged); err != nil {
+		sr.Err = fmt.Sprintf("validate: %v", err)
+		return false
+	}
+	if err := m.install(fresh); err != nil {
+		sr.Err = err.Error()
 		return false
 	}
 	sr.Outcome = RepairPatched
 	sr.Lost = destNodes(emb, lost)
-	sr.ReusedInstances = m.countReused(merged, res.Embedding.NewInstances)
-	m.finishRepair(sess, merged, lost, sr)
-	return true
-}
-
-// tryReembed re-solves the whole session (reachable destinations only)
-// against the degraded network. Returns true on success.
-func (m *Manager) tryReembed(sess *Session, emb *nfv.Embedding, reachable, lost []int, sr *SessionRepair) bool {
-	full := nfv.Task{
-		Source:       emb.Task.Source,
-		Destinations: destNodes(emb, reachable),
-		Chain:        append(nfv.SFC(nil), emb.Task.Chain...),
-	}
-	res, err := m.repairSolve("reembed", sess.ID, full)
-	if err != nil {
-		if sr.Err != "" {
-			sr.Err += "; "
-		}
-		sr.Err += fmt.Sprintf("reembed: %v", err)
-		return false
-	}
-	merged := res.Embedding.Clone()
-	merged.NewInstances = m.keptInstances(merged, nil, res.Embedding.NewInstances)
-	if !m.commitRepair(sess, merged, res.Embedding.NewInstances, sr) {
-		return false
-	}
-	sr.Outcome = RepairReembedded
-	sr.Lost = destNodes(emb, lost)
-	sr.ReusedInstances = m.countReused(merged, res.Embedding.NewInstances)
+	sr.CostAfter = cost
+	sr.NewInstances = len(fresh)
+	// The solver lists only instances its walks are served at, so the
+	// fresh ones are among the served ones and the rest are reused.
+	sr.ReusedInstances = len(served) - len(fresh)
 	m.finishRepair(sess, merged, lost, sr)
 	return true
 }
@@ -305,47 +255,22 @@ func (m *Manager) degrade(sess *Session, emb *nfv.Embedding, intact, severed []i
 	kept := mergeEmbedding(emb, func(di int) (nfv.Walk, bool) {
 		return emb.Walks[di], containsInt(intact, di)
 	})
-	kept.NewInstances = m.keptInstances(kept, emb.NewInstances, nil)
+	kept.NewInstances = m.survivors(kept.AppendServed(nil), emb.NewInstances)
 	sr.Outcome = RepairDegraded
 	sr.Lost = destNodes(emb, severed)
 	sr.CostAfter = m.net.Cost(kept).Total
-	sr.NewInstances = 0
 	m.finishRepair(sess, kept, severed, sr)
 }
 
-// commitRepair prices and validates the candidate embedding, then
-// installs its fresh instances. The candidate is priced *before*
-// installation so new instances carry their setup cost while surviving
-// ones stay free. On any failure the installs are rolled back and the
-// caller falls through to the next repair rung.
-func (m *Manager) commitRepair(sess *Session, merged *nfv.Embedding, fresh []nfv.Instance, sr *SessionRepair) bool {
-	cost := m.net.Cost(merged).Total
-	if err := conformance.CheckLive(m.net, merged); err != nil {
-		sr.Err = fmt.Sprintf("validate: %v", err)
-		return false
-	}
-	for i, inst := range fresh {
-		if err := m.net.Deploy(inst.VNF, inst.Node); err != nil {
-			m.undeploy(fresh[:i])
-			sr.Err = fmt.Sprintf("install: %v", err)
-			return false
-		}
-	}
-	sr.CostAfter = cost
-	sr.NewInstances = len(fresh)
-	return true
-}
-
-// finishRepair commits the rung that succeeded, the way every other
-// state change commits: the outcome is written as a repair record — the
-// merged embedding, its price as computed before installation (fresh
-// setup included, survivors free), the usage list re-derived from its
-// walks, the accumulated lost destinations and the degraded mark — the
-// record is appended, apply swaps the session onto it and re-diffs the
-// reference counts, and the instances that diff orphaned are
-// undeployed. Replay lands on the repaired state from the record alone,
-// without re-running the ladder. sr carries the rung's outcome and
-// cost.
+// finishRepair commits the repair, the way every other state change
+// commits: the outcome is written as a repair record — the merged
+// embedding, its price as computed before installation (fresh setup
+// included, survivors free), its usage list (usesOf, as an admission
+// derives it), the accumulated lost destinations and the degraded mark
+// — the record is appended, apply swaps the session onto it and
+// re-diffs the reference counts, and the instances that diff orphaned
+// are undeployed. Replay lands on the repaired state from the record
+// alone, without repairing again. sr carries the outcome and cost.
 func (m *Manager) finishRepair(sess *Session, merged *nfv.Embedding, lostIdx []int, sr *SessionRepair) {
 	lost := append(append([]int(nil), sess.Lost...), destNodes(sess.Result.Embedding, lostIdx)...)
 	sort.Ints(lost)
@@ -354,8 +279,8 @@ func (m *Manager) finishRepair(sess *Session, merged *nfv.Embedding, lostIdx []i
 		Session:   int64(sess.ID),
 		Embedding: merged,
 		FinalCost: sr.CostAfter,
-		Uses:      m.repairedUses(merged),
-		Degraded:  sess.Degraded || len(lostIdx) > 0 || sr.Outcome == RepairDegraded,
+		Uses:      m.usesOf(merged),
+		Degraded:  sess.Degraded || len(lostIdx) > 0,
 		Lost:      lost,
 		Outcome:   string(sr.Outcome),
 	})
@@ -364,89 +289,17 @@ func (m *Manager) finishRepair(sess *Session, merged *nfv.Embedding, lostIdx []i
 	}
 }
 
-// repairedUses derives a repaired embedding's dynamic-instance
-// references from its walks, sorted. Only dynamic instances are
-// reference-counted: ones already in the ledger, or fresh installs
-// this repair just deployed (in the ledger under no session yet —
-// those are exactly the embedding's NewInstances). Callers hold m.mu.
-func (m *Manager) repairedUses(emb *nfv.Embedding) [][2]int {
-	set := getKeySet()
-	defer putKeySet(set)
-	k := emb.Task.K()
-	for di := range emb.Task.Destinations {
-		for lvl := 1; lvl <= k; lvl++ {
-			key := [2]int{emb.Task.Chain[lvl-1], emb.ServingNode(di, lvl)}
-			if _, dyn := m.refs[key]; dyn || isNewInstance(emb, key) {
-				set.add(key)
-			}
-		}
-	}
-	// The session keeps the slice, so it must be owned, not pooled.
-	keys := append([][2]int(nil), set.keys...)
-	sortKeys(keys)
-	return keys
-}
-
-// keptInstances filters the session's instance list down to instances
-// its walks actually traverse: survivors from before the fault (still
-// deployed) plus the repair's fresh installs.
-func (m *Manager) keptInstances(emb *nfv.Embedding, old, fresh []nfv.Instance) []nfv.Instance {
-	trav := traversedKeys(emb)
+// survivors lists the instances of old, in old's order, that are still
+// deployed and still served: served is what the repaired embedding's
+// walks are served at.
+func (m *Manager) survivors(served [][2]int, old []nfv.Instance) []nfv.Instance {
 	var out []nfv.Instance
-	seen := make(map[[2]int]bool)
 	for _, inst := range old {
-		key := [2]int{inst.VNF, inst.Node}
-		if trav[key] && m.net.IsDeployed(inst.VNF, inst.Node) && !seen[key] {
-			seen[key] = true
-			out = append(out, inst)
-		}
-	}
-	for _, inst := range fresh {
-		key := [2]int{inst.VNF, inst.Node}
-		if !seen[key] {
-			seen[key] = true
+		if slices.Contains(served, [2]int{inst.VNF, inst.Node}) && m.net.IsDeployed(inst.VNF, inst.Node) {
 			out = append(out, inst)
 		}
 	}
 	return out
-}
-
-// countReused counts distinct serving instances of the embedding that
-// the repair did not install — pre-existing survivors it leans on.
-func (m *Manager) countReused(emb *nfv.Embedding, fresh []nfv.Instance) int {
-	freshSet := make(map[[2]int]bool, len(fresh))
-	for _, inst := range fresh {
-		freshSet[[2]int{inst.VNF, inst.Node}] = true
-	}
-	n := 0
-	for key := range traversedKeys(emb) {
-		if !freshSet[key] {
-			n++
-		}
-	}
-	return n
-}
-
-// traversedKeys returns the distinct (vnf, node) serving pairs of the
-// embedding's walks.
-func traversedKeys(emb *nfv.Embedding) map[[2]int]bool {
-	keys := make(map[[2]int]bool)
-	k := emb.Task.K()
-	for di := range emb.Task.Destinations {
-		for lvl := 1; lvl <= k; lvl++ {
-			keys[[2]int{emb.Task.Chain[lvl-1], emb.ServingNode(di, lvl)}] = true
-		}
-	}
-	return keys
-}
-
-func isNewInstance(emb *nfv.Embedding, key [2]int) bool {
-	for _, inst := range emb.NewInstances {
-		if inst.VNF == key[0] && inst.Node == key[1] {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeEmbedding rebuilds an embedding keeping the original destination

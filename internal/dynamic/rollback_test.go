@@ -28,7 +28,7 @@ func TestRollbackStopsAtFailedInstance(t *testing.T) {
 			task := nfv.Task{Source: 0, Destinations: []int{3}, Chain: nfv.SFC{0, 1}}
 			res := &core.Result{Embedding: &nfv.Embedding{Task: task, NewInstances: insts}}
 			m.mu.Lock()
-			_, err := m.commitLocked(task, res, false)
+			_, err := m.commitLocked(res, false)
 			m.mu.Unlock()
 			if !errors.Is(err, ErrRejected) {
 				t.Fatalf("commit with an uninstallable instance: %v", err)

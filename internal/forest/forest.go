@@ -114,9 +114,9 @@ func embedInOrder(net *nfv.Network, tasks []nfv.Task, order []int, opts core.Opt
 		Order: append([]int(nil), order...),
 	}
 	useCount := make(map[[2]int]int)
+	var served [][2]int
 	for _, ti := range order {
-		task := tasks[ti]
-		res, err := core.Solve(work, task, opts)
+		res, err := core.Solve(work, tasks[ti], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -126,15 +126,9 @@ func embedInOrder(net *nfv.Network, tasks []nfv.Task, order []int, opts core.Opt
 			}
 		}
 		// Track per-instance usage (deployed-or-new) for sharing stats.
-		seen := map[[2]int]bool{}
-		for di := range task.Destinations {
-			for lvl := 1; lvl <= task.K(); lvl++ {
-				key := [2]int{task.Chain[lvl-1], res.Embedding.ServingNode(di, lvl)}
-				if !seen[key] {
-					seen[key] = true
-					useCount[key]++
-				}
-			}
+		served = res.Embedding.AppendServed(served[:0])
+		for _, key := range served {
+			useCount[key]++
 		}
 		out.Trees[ti] = res
 		out.TotalCost += res.FinalCost

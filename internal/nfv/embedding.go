@@ -45,6 +45,23 @@ func (e *Embedding) ServingNode(di, lvl int) int {
 	return e.Walks[di][lvl].Path[0]
 }
 
+// AppendServed appends to dst the distinct (vnf, node) instances the
+// walks are served at, in first-visit order (destination-major, then
+// level), and returns the extended slice. Entries dst already holds are
+// kept and not consulted; it allocates only when dst has to grow.
+func (e *Embedding) AppendServed(dst [][2]int) [][2]int {
+	start := len(dst)
+	for _, w := range e.Walks {
+		for lvl, f := range e.Task.Chain {
+			key := [2]int{f, w[lvl+1].Path[0]}
+			if !slices.Contains(dst[start:], key) {
+				dst = append(dst, key)
+			}
+		}
+	}
+	return dst
+}
+
 // Clone returns a deep copy of the embedding.
 func (e *Embedding) Clone() *Embedding {
 	c := &Embedding{

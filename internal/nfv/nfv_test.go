@@ -3,6 +3,7 @@ package nfv
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -433,6 +434,34 @@ func TestServingNode(t *testing.T) {
 	}
 	if got := e.ServingNode(0, 2); got != 2 {
 		t.Errorf("ServingNode(0,2) = %d, want 2", got)
+	}
+}
+
+// TestAppendServed: the served instances come out once each, in the
+// order the walks first reach them, after whatever dst held (which is
+// neither consulted nor changed), and with room in dst nothing is
+// allocated.
+func TestAppendServed(t *testing.T) {
+	// Destination 3 is served by f0 at 1 and f1 at 2, destination 2 by
+	// the same f0 at 1 and by f1 at 1.
+	e := &Embedding{
+		Task: Task{Source: 0, Destinations: []int{3, 2}, Chain: SFC{0, 1}},
+		Walks: []Walk{
+			{{Level: 0, Path: []int{0, 1}}, {Level: 1, Path: []int{1, 2}}, {Level: 2, Path: []int{2, 3}}},
+			{{Level: 0, Path: []int{0, 1}}, {Level: 1, Path: []int{1}}, {Level: 2, Path: []int{1, 2}}},
+		},
+	}
+	want := [][2]int{{0, 1}, {1, 2}, {1, 1}}
+	if got := e.AppendServed(nil); !slices.Equal(got, want) {
+		t.Errorf("AppendServed(nil) = %v, want %v", got, want)
+	}
+	held := [][2]int{{1, 1}, {2, 3}}
+	if got := e.AppendServed(held); !slices.Equal(got, append(slices.Clone(held), want...)) {
+		t.Errorf("AppendServed(%v) = %v, want the held pairs then %v", held, got, want)
+	}
+	dst := make([][2]int, 0, len(want))
+	if allocs := testing.AllocsPerRun(100, func() { dst = e.AppendServed(dst[:0]) }); allocs != 0 {
+		t.Errorf("AppendServed into a slice with room allocated %v times", allocs)
 	}
 }
 

@@ -32,13 +32,13 @@ func TestConcurrentObserverFanout(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec, finish := ring.StartTrace("solve", fmt.Sprintf("req-%d", i))
+			rec, finish := ring.StartTrace(Trace{Op: "solve", RequestID: fmt.Sprintf("req-%d", i), Session: -1})
 			res, err := core.Solve(net, task, core.Options{Observer: Tee(bridge, rec)})
+			recs[i] = &SpanRecorder{events: rec.Events()} // finish releases rec
 			finish(res, err)
 			if err != nil {
 				t.Error(err)
 			}
-			recs[i] = rec
 		}(i)
 	}
 	wg.Wait()

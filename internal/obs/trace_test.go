@@ -97,7 +97,7 @@ func TestTraceBufferHandler(t *testing.T) {
 // absorb events and queries without panicking.
 func TestStartTraceNilBuffer(t *testing.T) {
 	var b *TraceBuffer
-	rec, finish := b.StartTrace("solve", "req")
+	rec, finish := b.StartTrace(Trace{Op: "solve", RequestID: "req", Session: -1})
 	if rec != nil {
 		t.Error("nil buffer returned a live recorder")
 	}
@@ -112,14 +112,25 @@ func TestStartTraceNilBuffer(t *testing.T) {
 	finish(nil, nil) // must not panic
 }
 
+// TestStartTraceRecordsOutcome: finish stamps the caller's stub with
+// the run's start, duration and outcome, keeps the recorded events in
+// the ring, and releases the recorder, which StartTrace took from the
+// recorder pool.
 func TestStartTraceRecordsOutcome(t *testing.T) {
 	b := NewTraceBuffer(2)
-	rec, finish := b.StartTrace("solve", "req-1")
+	gets, _ := RecorderPoolStats()
+	rec, finish := b.StartTrace(Trace{Op: "solve", RequestID: "req-1", Session: -1})
+	if g, _ := RecorderPoolStats(); g != gets+1 {
+		t.Errorf("StartTrace took %d recorders from the pool, want 1", g-gets)
+	}
 	rec.OnEvent(core.Event{Kind: core.EventAPSPBuild, Warm: true})
 	rec.OnEvent(core.Event{Kind: core.EventStage1End, Cost: 5})
 	finish(&core.Result{EarlyStop: true}, nil)
+	if n := len(rec.Events()); n != 0 {
+		t.Errorf("finish left the recorder holding %d events: it was not released", n)
+	}
 
-	_, finish = b.StartTrace("admit", "req-2")
+	_, finish = b.StartTrace(Trace{Op: "repair", Session: 7})
 	finish(nil, fmt.Errorf("no capacity"))
 
 	snap := b.Snapshot()
@@ -127,10 +138,10 @@ func TestStartTraceRecordsOutcome(t *testing.T) {
 		t.Fatalf("ring holds %d traces, want 2", len(snap))
 	}
 	ok, bad := snap[0], snap[1]
-	if !ok.Warm || !ok.EarlyStop || len(ok.Spans) == 0 || ok.RequestID != "req-1" {
+	if !ok.Warm || !ok.EarlyStop || len(ok.Spans) == 0 || ok.RequestID != "req-1" || ok.Session != -1 || ok.Start.IsZero() {
 		t.Errorf("success trace = %+v", ok)
 	}
-	if bad.Err != "no capacity" || bad.Op != "admit" {
+	if bad.Err != "no capacity" || bad.Op != "repair" || bad.Session != 7 || bad.RequestID != "" {
 		t.Errorf("failure trace = %+v", bad)
 	}
 }

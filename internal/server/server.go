@@ -440,7 +440,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.solveContext(r, req.TimeoutMS)
 	defer cancel()
-	rec, finish := s.traces.StartTrace("solve", obs.RequestID(r.Context()))
+	rec, finish := s.traces.StartTrace(obs.Trace{Op: "solve", RequestID: obs.RequestID(r.Context()), Session: -1})
 	res, err := s.runAlgorithm(ctx, &req, rec)
 	finish(res, err)
 	if err != nil {

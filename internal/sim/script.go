@@ -261,7 +261,6 @@ type ScriptReport struct {
 	EventsApplied int `json:"events_applied"`
 	Affected      int `json:"affected"`
 	Patched       int `json:"patched"`
-	Reembeds      int `json:"reembeds"`
 	Degraded      int `json:"degraded"`
 	// RepairsWithReuse counts successful repairs that leaned on at least
 	// one surviving instance.
@@ -421,11 +420,10 @@ func (r *runner) exec(x *run, op Op) error {
 		r.rep.EventsApplied++
 		r.rep.Affected += rr.Affected
 		r.rep.Patched += rr.Patched
-		r.rep.Reembeds += rr.Reembeds
 		r.rep.Degraded += rr.Degraded
 		r.rep.CostDelta += rr.CostDelta
 		for _, sr := range rr.Sessions {
-			if (sr.Outcome == dynamic.RepairPatched || sr.Outcome == dynamic.RepairReembedded) && sr.ReusedInstances > 0 {
+			if sr.Outcome == dynamic.RepairPatched && sr.ReusedInstances > 0 {
 				r.rep.RepairsWithReuse++
 			}
 		}

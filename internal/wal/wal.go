@@ -130,9 +130,9 @@ const (
 	// RecRebase marks a substrate swap: the purged (dead) instance
 	// references.
 	RecRebase RecordType = "rebase"
-	// RecRepair captures one session's post-repair state: outcome
-	// rung, replacement embedding, new cost, degraded/lost markers and
-	// the re-derived usage list.
+	// RecRepair captures one session's post-repair state: outcome,
+	// replacement embedding, new cost, degraded/lost markers and the
+	// re-derived usage list.
 	RecRepair RecordType = "repair"
 )
 
@@ -155,8 +155,10 @@ type Record struct {
 	// Degraded and Lost carry the partial-service markers (repair).
 	Degraded bool  `json:"degraded,omitempty"`
 	Lost     []int `json:"lost,omitempty"`
-	// Outcome is the repair-ladder rung ("patched", "reembedded",
-	// "degraded") for repair records.
+	// Outcome is the repair outcome ("patched" or "degraded") for repair
+	// records; logs written while repair still had a full re-solve rung
+	// may also say "reembedded". It is informational: replay reads the
+	// embedding, usage list and markers, never the outcome.
 	Outcome string `json:"outcome,omitempty"`
 	// Purged lists the instance references a rebase dropped because
 	// the fault killed them (rebase).
