@@ -40,8 +40,9 @@ import (
 //	    candidate rows)
 //	trace_recorder_pool_gets / trace_recorder_pool_news /
 //	trace_recorder_pool_reuse_rate
-//	    AcquireRecorder: the span recorders of traced admissions and
-//	    repairs, and how many reused a released recorder's buffer
+//	    AcquireRecorder: the span recorders of traced admissions,
+//	    repairs and stateless solves, and how many reused a released
+//	    recorder's buffer
 //
 // Hit and reuse rates are fractions in [0,1]; they read 0 until the
 // first lookup.
