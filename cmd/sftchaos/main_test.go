@@ -62,3 +62,24 @@ func TestBadScheduleFileFails(t *testing.T) {
 		t.Fatal("mid-commit crash on a release accepted")
 	}
 }
+
+// TestSharedInstanceFaults runs configurations whose faults kill an
+// instance several sessions share. Each failed the gate while Rebase
+// judged a session only after the repairs of lower-ID sessions: a patch
+// reinstalled the instance, the next session read as intact without a
+// reference to it, and a release undeployed it from under that session.
+func TestSharedInstanceFaults(t *testing.T) {
+	for _, tc := range []struct{ nodes, seed string }{
+		{"25", "6"},
+		{"41", "62"},
+		{"53", "114"},
+	} {
+		t.Run(tc.nodes+"/"+tc.seed, func(t *testing.T) {
+			var out bytes.Buffer
+			args := []string{"-nodes", tc.nodes, "-sessions", "30", "-ops", "60", "-faults", "40", "-seed", tc.seed}
+			if err := run(args, &out); err != nil {
+				t.Fatalf("gate failed: %v\n%s", err, out.String())
+			}
+		})
+	}
+}

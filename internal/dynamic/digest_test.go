@@ -14,9 +14,11 @@ import (
 // repairDigest is TestRepairDigest's hash of every fault repair the
 // shadow scripts make. A change that moves any repaired walk, price
 // bit, usage list or ladder outcome moves it; a change that only
-// restructures how the repair is computed does not. It was taken
-// before the repair ladder lost its re-embed rung.
-const repairDigest = "3c2f599776047e53d45c7e69905cca40c659a8f1d095e594aa21b3eb62ef5e2d"
+// restructures how the repair is computed does not. It was retaken
+// when Rebase began judging every session before repairing any (the
+// constant before was 3c2f5997…: sessions judged after the repairs of
+// lower-ID ones).
+const repairDigest = "c6af519af3a53aee18514bc50985be657b4497f8190903fb21dc25862b847402"
 
 // TestRepairDigest makes "every repair unchanged" a test: over
 // TestShadowLedger's scripts it hashes every RepairReport a Rebase returns — counts, purged
