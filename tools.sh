@@ -302,7 +302,13 @@ fuzz_smoke() {
 # isNewInstance), and no non-test internal/dynamic or internal/forest
 # file calls ServingNode (nfv.Embedding.AppendServed answers "which
 # instances does this embedding use" for admission, repair and the
-# forest alike).
+# forest alike); and Rebase judges every session against the network
+# as the fault left it before repairing any, then repairs each damaged
+# session along one path: no non-test .go file names the per-session
+# judge-and-repair steps it replaced (repairSession, tryPatch,
+# mergeEmbedding, finishRepair, containsInt, destNodes), and non-test
+# internal/dynamic files call conformance.WalkBroken in exactly one
+# place, the judge pass.
 retired_guard() {
 	if grep -rnE 'os\.(Getenv|LookupEnv|Environ)|syscall\.Getenv' --include='*.go' --exclude='*_test.go' internal/steiner internal/core; then
 		echo "retired guard: internal/steiner or internal/core reads an environment variable (every solver setting is a core.Options field)" >&2
@@ -312,7 +318,7 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL)"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL)"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -423,6 +429,11 @@ retired_guard() {
 	if grep -rnwE 'tryReembed|RepairReembedded|traversedKeys|repairedUses|isNewInstance' --include='*.go' --exclude='*_test.go' . ||
 		grep -n 'ServingNode(' $(ls internal/dynamic/*.go internal/forest/*.go | grep -v _test.go); then
 		echo "retired guard: fault repair grew back its re-embed rung, or a package walks an embedding's served instances by hand again (repair is patch, then degrade; nfv.Embedding.AppendServed lists the served instances)" >&2
+		exit 1
+	fi
+	if grep -rnwE 'repairSession|tryPatch|mergeEmbedding|finishRepair|containsInt|destNodes' --include='*.go' --exclude='*_test.go' . ||
+		[ "$(cat $(ls internal/dynamic/*.go | grep -v _test.go) | grep -c 'conformance\.WalkBroken(')" != 1 ]; then
+		echo "retired guard: fault repair judges a session after other repairs changed the network, or grew a second repair path (Rebase marks every session's broken walks first, in one place, then repair patches or degrades through rebuild and commitRepair)" >&2
 		exit 1
 	fi
 	if grep -rnE 'JSONLObserver|lineEvent|eventLine|parseJSONL|breakdownOf' --include='*.go' . ||
