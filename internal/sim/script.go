@@ -487,18 +487,24 @@ func (r *runner) crashAt(i int, op Op) error {
 	return nil
 }
 
-// restore rebuilds the substrate the applied faults imply from the
-// pristine base, then restores a manager onto it from the log.
+// restore rebuilds the substrate the applied faults imply, then
+// restores a manager onto it from the log. The substrate is
+// materialized once per event, each from the previous result, starting
+// at the pristine base — the way the oracle's was — so a pre-deployed
+// instance a fault killed stays dead after its node comes back.
 func (r *runner) restore(i int, torn, fired bool) error {
 	st := faults.NewState(r.base)
+	net, err := st.Materialize(r.base)
+	if err != nil {
+		return fmt.Errorf("rebuild substrate: %w", err)
+	}
 	for _, ev := range r.applied {
 		if err := st.Apply(ev); err != nil {
 			return fmt.Errorf("rebuild fault state: %w", err)
 		}
-	}
-	net, err := st.Materialize(r.base)
-	if err != nil {
-		return fmt.Errorf("rebuild substrate: %w", err)
+		if net, err = st.Materialize(net); err != nil {
+			return fmt.Errorf("rebuild substrate: %w", err)
+		}
 	}
 	log, rec, err := wal.Open(r.dir, wal.Config{Policy: wal.SyncAlways})
 	if err != nil {
