@@ -266,8 +266,9 @@ func (net *Network) Validate(e *Embedding) error {
 // post-admission state). Validate would reject such an embedding as
 // duplicating deployed instances and double-count its capacity, so
 // this variant re-runs the full constraint check against a scratch
-// copy with the embedding's own instances undeployed. It is the
-// re-validation the fault-recovery path and the chaos gate use.
+// copy with the embedding's own instances undeployed. The fault-repair
+// path and the chaos gate do not call it: they use conformance.CheckLive
+// (TestCheckLiveMatchesValidateDeployed compares the two).
 func (net *Network) ValidateDeployed(e *Embedding) error {
 	scratch := net
 	for _, inst := range e.NewInstances {
