@@ -210,21 +210,21 @@ func TestCheckRejectsCapacityOverflow(t *testing.T) {
 	}
 }
 
-// TestCheckLiveMatchesValidateDeployed pins the live-embedding variant
-// to the nfv.ValidateDeployed behavior it replaces in the repair and
-// chaos paths.
-func TestCheckLiveMatchesValidateDeployed(t *testing.T) {
+// TestCheckLiveMatchesValidate: CheckLive on the network with the
+// embedding installed, as the dynamic manager leaves it, must agree
+// with nfv.Validate on the network before the install, for the solved
+// embedding and for a corrupted copy.
+func TestCheckLiveMatchesValidate(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		net, emb := solvedInstance(t, seed, 14, 2, 3)
-		// Install the solution, as the dynamic manager would.
 		live := net.Clone()
 		for _, inst := range emb.NewInstances {
 			if err := live.Deploy(inst.VNF, inst.Node); err != nil {
 				t.Fatalf("seed %d: deploy: %v", seed, err)
 			}
 		}
-		if err := live.ValidateDeployed(emb); err != nil {
-			t.Fatalf("seed %d: oracle rejects live embedding: %v", seed, err)
+		if err := net.Validate(emb); err != nil {
+			t.Fatalf("seed %d: oracle rejects the embedding: %v", seed, err)
 		}
 		if err := CheckLive(live, emb); err != nil {
 			t.Fatalf("seed %d: CheckLive rejects live embedding: %v", seed, err)
@@ -234,7 +234,7 @@ func TestCheckLiveMatchesValidateDeployed(t *testing.T) {
 		if len(bad.Walks[0]) > 1 {
 			bad.Walks[0] = bad.Walks[0][:1]
 		}
-		if (live.ValidateDeployed(bad) == nil) != (CheckLive(live, bad) == nil) {
+		if (net.Validate(bad) == nil) != (CheckLive(live, bad) == nil) {
 			t.Fatalf("seed %d: verdicts diverge on corrupted live embedding", seed)
 		}
 	}

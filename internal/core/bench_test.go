@@ -85,7 +85,7 @@ func trialBenchMove(b *testing.B, net *nfv.Network, task nfv.Task, st *state) (c
 	b.Helper()
 	metric := net.Metric()
 	k := task.K()
-	groups := st.initialConnectionGroups(false)
+	groups := st.initialConnectionGroupsNaive(false)
 	if len(groups) == 0 {
 		b.Skip("no independent connection groups on this instance")
 	}

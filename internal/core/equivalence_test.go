@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"sftree/internal/netgen"
+	"sftree/internal/nfv"
 )
 
 // Property: stage two's in-place trial (applyMove, then undoMove if the
@@ -92,6 +93,55 @@ func TestQuickIncrementalMatchesNaive(t *testing.T) {
 	}
 }
 
+// Property: the level-k groups runOPAPass builds (every connection
+// node, members gathered in one pass over the tails) and the ones
+// markIndependent keeps are the reference's eager groupings without
+// and with the dependence filter, on stage-one states and after
+// random kept moves, whose rewritten tails may visit a node twice.
+func TestQuickGroupsMatchNaive(t *testing.T) {
+	checked := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		net, task := randomInstance(rng, 8+rng.Intn(15), 1+rng.Intn(4), 1+rng.Intn(5))
+		st, _, err := runMSA(net, task, Options{}, getScratch(net.NumNodes()))
+		if err != nil {
+			return errors.Is(err, ErrNoFeasible)
+		}
+		metric, k, servers := net.Metric(), task.K(), net.ServerList()
+		for step := 0; step < 6; step++ {
+			groups := st.initialConnectionGroups()
+			st.markIndependent()
+			var kept []connGroup
+			for _, g := range groups {
+				if st.sc.indep.has(g.node) {
+					kept = append(kept, g)
+				}
+			}
+			if !sameGroups(groups, st.initialConnectionGroupsNaive(true)) || !sameGroups(kept, st.initialConnectionGroupsNaive(false)) {
+				return false
+			}
+			checked++
+			if len(groups) == 0 {
+				break
+			}
+			st.applyMove(1+rng.Intn(k), groups[rng.Intn(len(groups))], servers[rng.Intn(len(servers))], metric)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("%d states checked", checked)
+}
+
+// sameGroups reports whether a and b list the same nodes with the same
+// members, in the same order.
+func sameGroups(a, b []connGroup) bool {
+	return slices.EqualFunc(a, b, func(x, y connGroup) bool {
+		return x.node == y.node && slices.Equal(x.members, y.members)
+	})
+}
+
 // sameAssignment reports whether a and b serve every destination from
 // the same nodes along tails with the same contents.
 func sameAssignment(a, b *state) bool {
@@ -108,25 +158,37 @@ func sameAssignment(a, b *state) bool {
 
 // Property: the full two-stage solve is identical under runOPAPass and
 // the clone-and-recost reference, for every stage-two configuration:
-// both price through nfv.Cost, so the final costs agree to the bit.
+// both price through nfv.Cost, so the final costs agree to the bit, and
+// the pruned scan asks canHost exactly as often as the reference says.
 func TestQuickSolveMatchesReferenceEngine(t *testing.T) {
 	prop := func(seed int64, aggressive bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net, task := randomInstance(rng, 8+rng.Intn(14), 1+rng.Intn(3), 1+rng.Intn(4))
 		opts := Options{AggressiveOPA: aggressive}
-		fast, errFast := Solve(net, task, opts)
-		slowMoves, slowCost, errSlow := solveNaive(net, task, opts)
+		fast, probes, errFast := solveProbed(net, task, opts)
+		slowMoves, slowCost, slowProbes, errSlow := solveNaive(net, task, opts)
 		if (errFast == nil) != (errSlow == nil) {
 			return false
 		}
 		if errFast != nil {
 			return errors.Is(errFast, ErrNoFeasible) && errors.Is(errSlow, ErrNoFeasible)
 		}
-		return fast.MovesAccepted == slowMoves && math.Float64bits(fast.FinalCost) == math.Float64bits(slowCost)
+		return fast.MovesAccepted == slowMoves && math.Float64bits(fast.FinalCost) == math.Float64bits(slowCost) &&
+			probes == slowProbes
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// solveProbed is Solve that also returns how many servers stage two's
+// candidate scan asked canHost.
+func solveProbed(net *nfv.Network, task nfv.Task, opts Options) (*Result, int, error) {
+	sc := getScratch(net.NumNodes())
+	res, err := solve(net, task, opts, sc)
+	probes := sc.st.probes
+	scratchPool.Put(sc)
+	return res, probes, err
 }
 
 // moveEvents keeps a solve's stage-two move events, timings cleared.
@@ -143,36 +205,63 @@ func moveEvents(log eventLog) []Event {
 }
 
 // TestEngineEventParity: runOPAPass and the reference stage-two engine
-// must emit the same move events on the same instance, costs included.
+// must emit the same move events, costs included, on a seeded corpus of
+// paper-shaped instances (40-100 nodes, 2-10 destinations) under both
+// rules, and runOPAPass's scan must ask canHost for exactly the servers
+// the reference counts: those whose partial sum is below the bar. The
+// reference scans every server and filters dependent paths up front, so
+// a prune that drops a host able to win shows as a differing event, and
+// one that keeps a server whose partial sum only ties the bar (> where
+// >= is meant) as a differing probe count. Each rule must propose on
+// some instance, or its half of the prune went unchecked; the paper's
+// rule proposes on 3 of the 200.
 func TestEngineEventParity(t *testing.T) {
-	net, err := netgen.Generate(netgen.PaperConfig(60, 2), rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := netgen.GenerateTask(net, rand.New(rand.NewSource(12)), 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's rule proposes nothing on this instance; the aggressive
-	// one does, which is what keeps the comparison from being vacuous.
-	for _, opts := range []Options{{}, {AggressiveOPA: true}} {
-		var fast, slow eventLog
-		opts.Observer = &fast
-		if _, err := Solve(net, task, opts); err != nil {
+	proposals := map[bool]int{}
+	probes := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net, err := netgen.Generate(netgen.PaperConfig(40+rng.Intn(61), []float64{0.5, 1, 2}[seed%3]), rng)
+		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Observer = &slow
-		if _, _, err := solveNaive(net, task, opts); err != nil {
+		task, err := netgen.GenerateTask(net, rng, 2+rng.Intn(9), 2+rng.Intn(5))
+		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := moveEvents(fast), moveEvents(slow)
-		if len(a) != len(b) || opts.AggressiveOPA && len(a) == 0 {
-			t.Fatalf("aggressive %v: %d move events, %d from the reference", opts.AggressiveOPA, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("aggressive %v: move %d differs: %+v vs %+v", opts.AggressiveOPA, i, a[i], b[i])
+		for _, opts := range []Options{{}, {AggressiveOPA: true}} {
+			var fast, slow eventLog
+			opts.Observer = &fast
+			_, got, err := solveProbed(net, task, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			opts.Observer = &slow
+			_, _, want, err := solveNaive(net, task, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := moveEvents(fast), moveEvents(slow)
+			if len(a) != len(b) {
+				t.Fatalf("seed %d aggressive %v: %d move events, %d from the reference", seed, opts.AggressiveOPA, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Errorf("seed %d aggressive %v: move %d differs: %+v vs %+v", seed, opts.AggressiveOPA, i, a[i], b[i])
+				}
+				if a[i].Kind == EventMoveProposed {
+					proposals[opts.AggressiveOPA]++
+				}
+			}
+			if got != want {
+				t.Errorf("seed %d aggressive %v: the scan asked canHost %d times, want %d", seed, opts.AggressiveOPA, got, want)
+			}
+			probes += got
+		}
+	}
+	t.Logf("proposals: %d under the paper's rule, %d aggressive; %d canHost probes", proposals[false], proposals[true], probes)
+	for _, aggressive := range []bool{false, true} {
+		if proposals[aggressive] == 0 {
+			t.Errorf("aggressive %v: no instance proposed a move", aggressive)
 		}
 	}
 }

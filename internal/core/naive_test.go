@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sftree/internal/graph"
 	"sftree/internal/nfv"
 )
@@ -13,31 +15,37 @@ import (
 
 // solveNaive is Solve with the reference engine in stage two: stage
 // one via runMSA, then runOPAPassNaive in runOPA's pass loop. It
-// returns the accepted-move count and the final cost.
-func solveNaive(net *nfv.Network, task nfv.Task, opts Options) (int, float64, error) {
+// returns the accepted-move count, the final cost and the number of
+// canHost probes runOPAPass's pruned scan makes on the same states.
+func solveNaive(net *nfv.Network, task nfv.Task, opts Options) (int, float64, int, error) {
 	st, _, err := runMSA(net, task, opts, getScratch(net.NumNodes()))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	total := 0
 	for pass := 1; ; pass++ {
 		moves, err := runOPAPassNaive(st, opts, pass)
 		total += moves
 		if err != nil {
-			return total, 0, err
+			return total, 0, st.probes, err
 		}
 		if moves == 0 {
 			break
 		}
 	}
 	cost, err := st.cost()
-	return total, cost, err
+	return total, cost, st.probes, err
 }
 
 // runOPAPassNaive is the clone-and-recost evaluation of Algorithm 3:
 // every candidate move is applied to a cloned state and priced by a
-// full embedding reconstruction. It emits the same move events as
-// runOPAPass, so traces are comparable across engines.
+// full embedding reconstruction, the dependence filter runs up front,
+// and the host scan asks every reachable server. It emits the same move
+// events as runOPAPass, so traces are comparable across engines, and
+// counts in s.probes the servers runOPAPass's scan asks canHost: those
+// whose partial sum c(x,E) + c(E,pred) is below the bar, which starts
+// at the local gate (+Inf under AggressiveOPA) and falls to each
+// feasible score below it.
 func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 	k := s.task.K()
 	metric := s.net.Metric()
@@ -46,7 +54,11 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 		return 0, err
 	}
 
-	groups := s.initialConnectionGroups(opts.AggressiveOPA)
+	// runOPAPass scans every level-k group and filters dependent ones
+	// only once it has a host to propose; the reference filters up
+	// front but scans the groups it drops too, for the probe count.
+	groups := s.initialConnectionGroupsNaive(true)
+	kept := s.initialConnectionGroupsNaive(opts.AggressiveOPA)
 	moves := 0
 
 	for j := k; j >= 1; j-- {
@@ -70,9 +82,17 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 			}
 
 			bestE, bestScore := -1, graph.Inf
+			bar := graph.Inf
+			if !opts.AggressiveOPA {
+				bar = curScore - costEps
+			}
 			for _, u := range s.net.ServerList() {
 				if u == cur {
 					continue
+				}
+				probed := metric.Dist[grp.node][u]+metric.Dist[u][pred] < bar
+				if probed {
+					s.probes++
 				}
 				if metric.Dist[grp.node][u] == graph.Inf || metric.Dist[u][pred] == graph.Inf {
 					continue
@@ -84,11 +104,17 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 				if score < bestScore {
 					bestE, bestScore = u, score
 				}
+				if probed && score < bar {
+					bar = score
+				}
 			}
 			if bestE == -1 {
 				continue
 			}
 			if !opts.AggressiveOPA && bestScore >= curScore-costEps {
+				continue
+			}
+			if j == k && !slices.ContainsFunc(kept, func(g connGroup) bool { return g.node == grp.node }) {
 				continue
 			}
 
@@ -125,8 +151,53 @@ func runOPAPassNaive(s *state, opts Options, passNo int) (int, error) {
 	return moves, nil
 }
 
+// initialConnectionGroupsNaive is the level-k grouping with the
+// paper's dependence filter applied up front, unless aggressive: one
+// group per connection node of a tail that shares no physical edge with
+// any destination's SFC segments (levels < k), owning every destination
+// whose tail passes through that node, ordered by node.
+func (s *state) initialConnectionGroupsNaive(aggressive bool) []connGroup {
+	k, metric := s.task.K(), s.net.Metric()
+	type edge struct{ a, b int }
+	sfc := map[edge]bool{}
+	for di := range s.tail {
+		row := s.row(di)
+		for j := 0; j < k; j++ {
+			metric.EachHop(row[j], row[j+1], func(x, y int) { sfc[edge{min(x, y), max(x, y)}] = true })
+		}
+	}
+	grouped := map[int]bool{}
+	var groups []connGroup
+	for _, tail := range s.tail {
+		dependent := false
+		for i := 1; i < len(tail) && !aggressive; i++ {
+			dependent = dependent || sfc[edge{min(tail[i-1], tail[i]), max(tail[i-1], tail[i])}]
+		}
+		conn := -1
+		for _, v := range tail[1:] {
+			if slices.Contains(s.task.Destinations, v) {
+				conn = v
+				break
+			}
+		}
+		if dependent || conn == -1 || grouped[conn] {
+			continue
+		}
+		grouped[conn] = true
+		var members []int
+		for di, t := range s.tail {
+			if slices.Contains(t, conn) {
+				members = append(members, di)
+			}
+		}
+		groups = append(groups, connGroup{node: conn, members: members})
+	}
+	slices.SortFunc(groups, func(a, b connGroup) int { return a.node - b.node })
+	return groups
+}
+
 func (s *state) clone() *state {
-	c := &state{net: s.net, task: s.task, w: s.w, sc: s.sc, price: s.price,
+	c := &state{net: s.net, task: s.task, w: s.w, sc: s.sc, price: s.price, probes: s.probes,
 		serve: append([]int(nil), s.serve...),
 		tail:  make([][]int, len(s.tail)),
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"time"
@@ -56,10 +55,14 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 	metric := s.net.Metric()
 	s.listPlaced()
 
-	// Connection groups for the level-k round: per independent
-	// root-to-leaf path of the stage-one Steiner tree, the destination
-	// nearest the root, together with every destination downstream.
-	groups := s.initialConnectionGroups(opts.AggressiveOPA)
+	// Connection groups for the level-k round: per root-to-leaf path of
+	// the stage-one Steiner tree, the destination nearest the root,
+	// together with every destination downstream. The paper's rule
+	// re-homes only the groups of independent paths, and filtered says
+	// whether that filter has run: it runs only once a group has a host
+	// to propose.
+	groups := s.initialConnectionGroups()
+	filtered := false
 	moves := 0
 
 	for j := k; j >= 1; j-- {
@@ -82,30 +85,47 @@ func runOPAPass(s *state, opts Options, passNo int) (int, bool, error) {
 				continue // already colocated; nothing to gain
 			}
 
-			// Find the best alternative host E by the local rule.
+			// Find the best alternative host E by the local rule. The bar
+			// a host must beat starts at the paper's local gate,
+			// curScore-costEps; aggressive mode defers entirely to the
+			// global acceptance check below. Setup costs are >= 0 and
+			// rounding is monotone, so the partial sum c(x,E) + c(E,pred)
+			// bounds the score from below: a server whose partial sum
+			// does not clear the bar (+Inf for an unreachable one) is
+			// skipped before canHost is asked.
 			bestE, bestScore := -1, graph.Inf
+			if !opts.AggressiveOPA {
+				bestScore = curScore - costEps
+			}
 			for _, u := range s.net.ServerList() {
 				if u == cur {
 					continue
 				}
-				if metric.Dist[grp.node][u] == graph.Inf || metric.Dist[u][pred] == graph.Inf {
+				partial := metric.Dist[grp.node][u] + metric.Dist[u][pred]
+				if partial >= bestScore {
 					continue
 				}
+				s.probes++
 				if !s.canHost(f, u) {
 					continue
 				}
-				score := metric.Dist[grp.node][u] + metric.Dist[u][pred] + s.instanceSetupCost(f, u)
-				if score < bestScore {
+				if score := partial + s.instanceSetupCost(f, u); score < bestScore {
 					bestE, bestScore = u, score
 				}
 			}
 			if bestE == -1 {
 				continue
 			}
-			// The paper's local gate; aggressive mode defers entirely to
-			// the global acceptance check below.
-			if !opts.AggressiveOPA && bestScore >= curScore-costEps {
-				continue
+			if j == k && !opts.AggressiveOPA {
+				if !filtered {
+					// No move has been applied yet, so the state is still
+					// the one the groups were built from.
+					s.markIndependent()
+					filtered = true
+				}
+				if !s.sc.indep.has(grp.node) {
+					continue
+				}
 			}
 
 			ev := Event{Kind: EventMoveProposed, Pass: passNo, Level: j, Conn: grp.node,
@@ -146,94 +166,109 @@ type connGroup struct {
 	members []int // destination indices re-homed together
 }
 
-// initialConnectionGroups decomposes the stage-one Steiner tree into
-// root-to-leaf paths, discards the dependent ones (those sharing a
-// physical edge with the embedded SFC) unless aggressive mode keeps
-// them, and returns one group per connection node: the destination
-// nearest the root on a kept path, owning every destination whose
-// tail passes through it.
-func (s *state) initialConnectionGroups(aggressive bool) []connGroup {
-	k, sc := s.task.K(), s.sc
-	isDest, seen, sfcArcs := &sc.dests, &sc.conns, &sc.sfcArcs
+// initialConnectionGroups returns the level-k round's connection
+// groups, one per connection node, ordered by node: the first
+// destination after the root on some destination's tail (the tail
+// forest's paths from the last instance), owning every destination
+// whose tail passes through it. Treating every tail as a root-to-leaf
+// path finds the same connection nodes as walking the forest's leaves.
+// The paper keeps only the groups of independent paths; that filter is
+// markIndependent's, run only once a group has a host to propose.
+func (s *state) initialConnectionGroups() []connGroup {
+	sc := s.sc
+	isDest, conns := &sc.dests, &sc.conns
 	isDest.reset(s.net.NumNodes())
-	seen.reset(s.net.NumNodes())
+	conns.reset(s.net.NumNodes())
 	for _, d := range s.task.Destinations {
 		isDest.add(d)
 	}
-	// Physical edges used by the SFC part of the walks (levels < k),
-	// each marked at the arc that prices its low-to-high direction.
-	csr := s.net.Graph().CSR()
-	if !aggressive {
-		metric := s.net.Metric()
-		sfcArcs.reset(csr.NumArcs())
-		for di := range s.tail {
-			row := s.row(di)
-			for j := 0; j < k; j++ {
-				if s.repeatsSegment(di, j) {
-					continue
-				}
-				metric.EachHop(row[j], row[j+1], func(x, y int) {
-					if arc := csr.Arc(min(x, y), max(x, y)); arc >= 0 {
-						sfcArcs.add(int(arc))
-					}
-				})
-			}
+	for _, tail := range s.tail {
+		if conn := s.connOf(tail); conn != -1 {
+			conns.add(conn)
 		}
 	}
 
-	// Leaves of the tail forest: destinations whose tail is not a
-	// proper prefix of another tail. Simpler: a node is a leaf if no
-	// other tail extends beyond it; we just treat every destination's
-	// tail as a root-to-leaf candidate, which is equivalent for
-	// connection-node discovery.
-	var groups []connGroup
-	for di := range s.tail {
-		tail := s.tail[di]
-		// Independence: the whole root-to-leaf path must avoid SFC edges.
-		if !aggressive {
-			dependent := false
-			for i := 1; i < len(tail); i++ {
-				if arc := csr.Arc(min(tail[i-1], tail[i]), max(tail[i-1], tail[i])); arc >= 0 && sfcArcs.has(int(arc)) {
-					dependent = true
-					break
-				}
-			}
-			if dependent {
-				continue
+	// One pass over the tails: every (connection node, destination) pair
+	// a tail passes, sorted and made distinct (a tail re-homed by an
+	// earlier pass may visit a node twice), then cut into groups, nodes
+	// ascending and destination indices ascending within a group, their
+	// members carved from one buffer.
+	pairs := sc.pairs[:0]
+	for di, tail := range s.tail {
+		for _, v := range tail {
+			if conns.has(v) {
+				pairs = append(pairs, uint64(v)<<32|uint64(di))
 			}
 		}
-		// Connection node: first destination on the tail after the root.
-		conn := -1
-		for _, v := range tail[1:] {
-			if isDest.has(v) {
-				conn = v
-				break
-			}
-		}
-		if conn == -1 || seen.has(conn) {
-			continue
-		}
-		seen.add(conn)
-		groups = append(groups, connGroup{node: conn, members: s.destsThrough(conn)})
 	}
-	// seen makes the nodes distinct, so any sort yields this one order.
-	slices.SortFunc(groups, func(a, b connGroup) int { return cmp.Compare(a.node, b.node) })
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	groups, members := sc.groups[:0], resize(sc.members, len(pairs))
+	for start, end := 0, 0; start < len(pairs); start = end {
+		node := pairs[start] >> 32
+		for end = start; end < len(pairs) && pairs[end]>>32 == node; end++ {
+			members[end] = int(uint32(pairs[end]))
+		}
+		groups = append(groups, connGroup{node: int(node), members: members[start:end:end]})
+	}
+	sc.pairs, sc.groups, sc.members = pairs, groups, members
 	return groups
 }
 
-// destsThrough returns the indices of destinations whose tail passes
-// through node x.
-func (s *state) destsThrough(x int) []int {
-	var out []int
-	for di, tail := range s.tail {
-		for _, v := range tail {
-			if v == x {
-				out = append(out, di)
+// connOf is tail's connection node: its first destination after the
+// root, or -1. isDest must hold the task's destinations.
+func (s *state) connOf(tail []int) int {
+	for _, v := range tail[1:] {
+		if s.sc.dests.has(v) {
+			return v
+		}
+	}
+	return -1
+}
+
+// markIndependent fills sc.indep with the connection nodes the paper's
+// rule may re-home: those of a tail that shares no physical edge with
+// the embedded SFC (levels < k). It reads the tails and rows as they
+// stand, so runOPAPass calls it before the pass applies any move, and
+// initialConnectionGroups must have filled isDest for this pass.
+func (s *state) markIndependent() {
+	k, sc := s.task.K(), s.sc
+	indep, sfcArcs := &sc.indep, &sc.sfcArcs
+	indep.reset(s.net.NumNodes())
+	// Physical edges used by the SFC part of the walks, each marked at
+	// the arc that prices its low-to-high direction.
+	csr := s.net.Graph().CSR()
+	metric := s.net.Metric()
+	sfcArcs.reset(csr.NumArcs())
+	for di := range s.tail {
+		row := s.row(di)
+		for j := 0; j < k; j++ {
+			if s.repeatsSegment(di, j) {
+				continue
+			}
+			metric.EachHop(row[j], row[j+1], func(x, y int) {
+				if arc := csr.Arc(min(x, y), max(x, y)); arc >= 0 {
+					sfcArcs.add(int(arc))
+				}
+			})
+		}
+	}
+	for _, tail := range s.tail {
+		conn := s.connOf(tail)
+		if conn == -1 || indep.has(conn) {
+			continue
+		}
+		dependent := false
+		for i := 1; i < len(tail); i++ {
+			if arc := csr.Arc(min(tail[i-1], tail[i]), max(tail[i-1], tail[i])); arc >= 0 && sfcArcs.has(int(arc)) {
+				dependent = true
 				break
 			}
 		}
+		if !dependent {
+			indep.add(conn)
+		}
 	}
-	return out
 }
 
 // groupsAt returns the connection groups for level j: one group per

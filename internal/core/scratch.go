@@ -26,9 +26,16 @@ type scratch struct {
 	// insts backs state.placed, stage two's view of the placed
 	// instances.
 	insts []nfv.Instance
-	// initialConnectionGroups' sets: destination nodes, connection
-	// nodes already grouped, and the arcs under the embedded SFC.
-	dests, conns, sfcArcs marks
+	// initialConnectionGroups' sets, destination nodes and connection
+	// nodes, and the (node, destination) pairs, groups and members it
+	// builds, valid until the next pass builds groups; markIndependent's
+	// sets, the arcs under the embedded SFC and the connection nodes of
+	// independent paths.
+	dests, conns   marks
+	pairs          []uint64
+	groups         []connGroup
+	members        []int
+	sfcArcs, indep marks
 	// embedding's staging area: every segment path end to end, and
 	// where each starts.
 	hops, offs []int

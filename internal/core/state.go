@@ -51,6 +51,10 @@ type state struct {
 	// undo is what the last applyMove overwrote, for undoMove.
 	undo []overwrite
 	sc   *scratch
+	// probes counts the servers stage two's candidate scan asked
+	// canHost this solve, those whose partial sum cleared the bar; the
+	// parity tests hold it to the reference engine's count.
+	probes int
 }
 
 // overwrite is one destination's state before a move: its level-j

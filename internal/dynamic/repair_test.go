@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sftree/internal/conformance"
 	"sftree/internal/core"
 	"sftree/internal/faults"
 	"sftree/internal/graph"
@@ -84,7 +85,7 @@ func TestRepairPatchesSeveredDestinationReusingInstance(t *testing.T) {
 		t.Fatalf("nothing should be lost: %+v degraded=%v", sr, sess.Degraded)
 	}
 	// The repaired embedding must hold up under the core validator.
-	if err := m.Network().ValidateDeployed(sess.Result.Embedding); err != nil {
+	if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
 		t.Fatalf("repaired embedding invalid: %v", err)
 	}
 	// Both destinations are still served.
@@ -127,7 +128,7 @@ func TestRepairDegradesUnreachableDestination(t *testing.T) {
 		t.Fatalf("serving %v, want [3]", got)
 	}
 	// The partial embedding it still serves must validate.
-	if err := m.Network().ValidateDeployed(sess.Result.Embedding); err != nil {
+	if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
 		t.Fatalf("degraded embedding invalid: %v", err)
 	}
 }
@@ -184,7 +185,7 @@ func TestRepairSurvivorsUnaffected(t *testing.T) {
 		t.Fatalf("repaired session %d, want %d", rep.Sessions[0].ID, b.ID)
 	}
 	for _, sess := range []*Session{a, b} {
-		if err := m.Network().ValidateDeployed(sess.Result.Embedding); err != nil {
+		if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
 			t.Fatalf("session %d invalid after rebase: %v", sess.ID, err)
 		}
 	}
@@ -227,7 +228,7 @@ func TestRepairInstanceKillRedeploys(t *testing.T) {
 	if !m.Network().IsDeployed(0, 1) {
 		t.Fatal("instance not re-installed")
 	}
-	if err := m.Network().ValidateDeployed(sess.Result.Embedding); err != nil {
+	if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
 		t.Fatalf("repaired embedding invalid: %v", err)
 	}
 	if err := m.Release(sess.ID); err != nil {
@@ -306,7 +307,7 @@ func TestRepairManySessionsOnGeneratedNetwork(t *testing.T) {
 			if sess.Degraded {
 				continue
 			}
-			if err := m.Network().ValidateDeployed(sess.Result.Embedding); err != nil {
+			if err := conformance.CheckLive(m.Network(), sess.Result.Embedding); err != nil {
 				t.Fatalf("session %d invalid after rebase: %v", sess.ID, err)
 			}
 		}

@@ -261,32 +261,6 @@ func (net *Network) Validate(e *Embedding) error {
 	return nil
 }
 
-// ValidateDeployed checks a *live* embedding: one whose NewInstances
-// were installed on the network after solving (the dynamic manager's
-// post-admission state). Validate would reject such an embedding as
-// duplicating deployed instances and double-count its capacity, so
-// this variant re-runs the full constraint check against a scratch
-// copy with the embedding's own instances undeployed. The fault-repair
-// path and the chaos gate do not call it: they use conformance.CheckLive
-// (TestCheckLiveMatchesValidateDeployed compares the two).
-func (net *Network) ValidateDeployed(e *Embedding) error {
-	scratch := net
-	for _, inst := range e.NewInstances {
-		if inst.VNF < 0 || inst.VNF >= net.CatalogSize() {
-			break // Validate reports the malformed instance itself
-		}
-		if net.IsDeployed(inst.VNF, inst.Node) {
-			if scratch == net {
-				scratch = net.Clone()
-			}
-			if err := scratch.Undeploy(inst.VNF, inst.Node); err != nil {
-				return fmt.Errorf("%w: undeploy %+v for re-validation: %v", ErrInfeasible, inst, err)
-			}
-		}
-	}
-	return scratch.Validate(e)
-}
-
 // String renders a human-readable embedding summary.
 func (e *Embedding) String() string {
 	var b strings.Builder

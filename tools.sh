@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission and clone allocation budgets and the solve digest + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission and clone allocation budgets and the solve digest + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission and clone allocation budgets, the solve digest and stage-two engine parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission and clone allocation budgets, the solve digest and stage-two engine parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
 #                       # (equivalence battery: idle, held and trickle
@@ -518,9 +518,13 @@ echo "==> bench module: go vet ./... && go test ./..."
 # objects) and the clone budget (at most 4 allocations) hold the shared
 # configuration tables, the recycled scaffolds and the recycled trace
 # recorders in place. All are plain tests that skip themselves under
-# -race, so this is where they run uncached.
-echo "==> allocation budgets and solve digest: TestSolveAllocBudget, TestSolveDigest, TestAdmitAllocBudget, TestCloneAllocs"
-run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest' ./internal/core
+# -race, so this is where they run uncached. Beside the digest, the
+# stage-two parity tests (≈0.4 s) hold runOPAPass to its clone-and-
+# recost reference engine, move event for move event and canHost probe
+# for probe, so a change to the candidate scan that moves a pick, or
+# prunes a host it should not, fails here too.
+echo "==> allocation budgets, solve digest and stage-two parity: TestSolveAllocBudget, TestSolveDigest, TestEngineEventParity, TestQuickSolveMatchesReferenceEngine, TestQuickIncrementalMatchesNaive, TestAdmitAllocBudget, TestCloneAllocs"
+run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest|TestEngineEventParity|TestQuickSolveMatchesReferenceEngine|TestQuickIncrementalMatchesNaive' ./internal/core
 run_matching -count=1 'TestAdmitAllocBudget|TestCloneAllocs' ./internal/dynamic ./internal/nfv
 
 # internal/wal picks its sync and preallocation calls by platform; the
