@@ -51,7 +51,9 @@ type scratch struct {
 	tails     [][]int
 	paths     [][]int
 	pathNodes []int
-	// seen is nfv.Cost's (stage, edge) bitmap (price).
+	// seen is the (stage, edge) bitmap of every pricing in the solve:
+	// stage two's unchecked trial prices (price) and the validated price
+	// of the embedding a solve starts from (checkedPrice).
 	seen []uint64
 }
 
@@ -60,6 +62,15 @@ func (sc *scratch) price(net *nfv.Network, e *nfv.Embedding) float64 {
 	var bd nfv.CostBreakdown
 	bd, sc.seen = net.CostWith(e, sc.seen)
 	return bd.Total
+}
+
+// checkedPrice is nfv.ValidateCost on the scratch's bitmap: e's cost,
+// or the constraint it breaks.
+func (sc *scratch) checkedPrice(net *nfv.Network, e *nfv.Embedding) (float64, error) {
+	var bd nfv.CostBreakdown
+	var err error
+	bd, sc.seen, err = net.ValidateCost(e, sc.seen)
+	return bd.Total, err
 }
 
 // resize returns buf with length n, reallocated only when too short.

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sftree/internal/mod"
@@ -238,6 +240,57 @@ func TestSolveAllocBudget(t *testing.T) {
 		t.Logf("%d nodes, %dx%d: %.0f allocations per solve", c.net.NumNodes(), c.dests, c.k, allocs)
 		if allocs > 30 {
 			t.Errorf("%d nodes, %dx%d: %.0f allocations per solve, budget 30", c.net.NumNodes(), c.dests, c.k, allocs)
+		}
+	}
+}
+
+// TestBrokenStageOneFailsTheSolve: stage one's embedding is validated
+// in the pass that prices it, and a solve whose stage two accepts no
+// move (every burst task here) does not run Validate again. An observer
+// breaks the winning state once the sweep ends — the second
+// destination's tail takes a hop over a non-edge, or stops one node
+// short of its destination — and the solve, and stage one alone, must
+// fail as a bug. (Chain segments are metric paths, so a state cannot
+// break one; internal/nfv's TestQuickWalkerMatchesNaive breaks the
+// second destination's copy of a shared chain segment directly.)
+func TestBrokenStageOneFailsTheSolve(t *testing.T) {
+	net, tasks := burstPool(t)
+	g := net.Graph()
+	breaks := map[string]func(tail []int) []int{
+		"non-edge hop": func(tail []int) []int {
+			for x := 0; x < net.NumNodes(); x++ {
+				if _, ok := g.HasEdge(tail[0], x); !ok && x != tail[0] {
+					return append([]int{tail[0], x}, tail[1:]...)
+				}
+			}
+			t.Fatal("no non-neighbour")
+			return nil
+		},
+		"cut short": func(tail []int) []int { return tail[:len(tail)-1] },
+	}
+	for name, broken := range breaks {
+		for _, task := range tasks[:8] {
+			for stage, run := range map[string]func(*scratch, Options) error{
+				"solve": func(sc *scratch, opts Options) error {
+					_, err := solve(net, task, opts, sc)
+					return err
+				},
+				"stage one": func(sc *scratch, opts Options) error {
+					_, _, err := stageOne(net, task, opts, sc)
+					return err
+				},
+			} {
+				sc := getScratch(net.NumNodes()) // not put back: it is broken
+				opts := Options{Observer: observerFunc(func(e Event) {
+					if e.Kind == EventSweepEnd && len(sc.st.tail[1]) >= 2 {
+						sc.st.tail[1] = broken(slices.Clone(sc.st.tail[1]))
+					}
+				})}
+				err := run(sc, opts)
+				if !errors.Is(err, nfv.ErrInfeasible) || !strings.Contains(fmt.Sprint(err), "produced invalid embedding (bug)") {
+					t.Fatalf("%s, %s: %v, want the invalid-embedding bug", name, stage, err)
+				}
+			}
 		}
 	}
 }

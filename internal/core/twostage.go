@@ -31,7 +31,10 @@ type Result struct {
 
 // Solve runs the full two-stage algorithm (MSA then OPA) and returns
 // the resulting embedding, which is guaranteed to pass
-// Network.Validate. The network is treated as read-only.
+// Network.Validate. The network is treated as read-only. Stage one's
+// embedding is validated in the pass that prices it
+// (nfv.Network.ValidateCost); Validate runs again only when stage two
+// accepted a move and so rebuilt the embedding.
 func Solve(net *nfv.Network, task nfv.Task, opts Options) (*Result, error) {
 	sc := getScratch(net.NumNodes())
 	res, err := solve(net, task, opts, sc)
@@ -58,15 +61,30 @@ func solve(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*Result,
 	if err := stageTwo(st, res, opts); err != nil {
 		return nil, err
 	}
-	if err := net.Validate(res.Embedding); err != nil {
-		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
+	if err := revalidate(net, res); err != nil {
+		return nil, fmt.Errorf(errBug, err)
 	}
 	return res, nil
 }
 
-// stageOne runs MSA and then materialises and prices its solution —
-// the one embedding and the one pricing a solve needs unless stage two
-// moves something. The result is complete for a solve that stops here.
+// errBug wraps the constraint an embedding a solve built breaks.
+const errBug = "core: produced invalid embedding (bug): %w"
+
+// revalidate runs Validate on an embedding stage two rebuilt. With no
+// accepted move res.Embedding is the very embedding stageOne or
+// optimize validated while pricing it, against the same read-only
+// network, and is not checked twice.
+func revalidate(net *nfv.Network, res *Result) error {
+	if res.MovesAccepted == 0 {
+		return nil
+	}
+	return net.Validate(res.Embedding)
+}
+
+// stageOne runs MSA and then materialises, validates and prices its
+// solution in one pass — the one embedding and the one pricing a solve
+// needs unless stage two moves something. The result is complete for a
+// solve that stops here.
 func stageOne(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state, *Result, error) {
 	t1 := opts.now()
 	opts.emit(Event{Kind: EventStage1Start})
@@ -78,7 +96,10 @@ func stageOne(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*stat
 	if err != nil {
 		return nil, nil, err
 	}
-	cost := sc.price(net, emb)
+	cost, err := sc.checkedPrice(net, emb)
+	if err != nil {
+		return nil, nil, fmt.Errorf(errBug, err)
+	}
 	st.price = cost
 	if opts.Observer != nil {
 		opts.emit(Event{Kind: EventStage1End, Cost: cost,
@@ -126,20 +147,15 @@ func SolveStageOne(net *nfv.Network, task nfv.Task, opts Options) (*Result, erro
 	sc := getScratch(net.NumNodes())
 	_, res, err := stageOne(net, task, opts, sc)
 	scratchPool.Put(sc)
-	if err != nil {
-		return nil, err
-	}
-	if err := net.Validate(res.Embedding); err != nil {
-		return nil, fmt.Errorf("core: produced invalid embedding (bug): %w", err)
-	}
-	return res, nil
+	return res, err
 }
 
 // OptimizeEmbedding runs stage two (OPA) on an externally produced
 // feasible solution expressed as chain hosts plus per-destination
 // tails. Baseline strategies (SCA, RSA) share this optimization phase,
 // matching the paper's "the optimization procedure at the second stage
-// is the same" setup.
+// is the same" setup. A solution that fails Network.Validate is
+// refused before stage two runs: it is validated as it is priced.
 func OptimizeEmbedding(net *nfv.Network, task nfv.Task, hosts []int, tails [][]int, opts Options) (*Result, error) {
 	if err := task.Validate(net); err != nil {
 		return nil, err
@@ -166,14 +182,21 @@ func optimize(net *nfv.Network, task nfv.Task, hosts []int, tails [][]int, opts 
 	if err != nil {
 		return nil, err
 	}
-	cost := sc.price(net, emb)
+	cost, err := sc.checkedPrice(net, emb)
+	if err != nil {
+		return nil, fmt.Errorf(errOptimized, err)
+	}
 	st.price = cost
 	res := &Result{Embedding: emb, Stage1Cost: cost, FinalCost: cost, LastHost: hosts[len(hosts)-1]}
 	if err := stageTwo(st, res, opts); err != nil {
 		return nil, err
 	}
-	if err := net.Validate(res.Embedding); err != nil {
-		return nil, fmt.Errorf("core: optimized embedding invalid: %w", err)
+	if err := revalidate(net, res); err != nil {
+		return nil, fmt.Errorf(errOptimized, err)
 	}
 	return res, nil
 }
+
+// errOptimized wraps the constraint an external solution, or what stage
+// two made of it, breaks.
+const errOptimized = "core: optimized embedding invalid: %w"

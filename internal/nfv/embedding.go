@@ -88,7 +88,8 @@ type CostBreakdown struct {
 // Cost evaluates objective (1a) for the embedding: the setup cost of
 // every distinct new instance plus the link cost of every distinct
 // (stage, directed edge) pair across all walks. It does not check
-// feasibility; pair it with Validate.
+// feasibility (pair it with Validate, or call ValidateCost), and prices
+// a hop over a non-edge at +Inf.
 func (net *Network) Cost(e *Embedding) CostBreakdown {
 	bd, _ := net.CostWith(e, nil)
 	return bd
@@ -98,50 +99,15 @@ func (net *Network) Cost(e *Embedding) CostBreakdown {
 // reuses when large enough; it returns seen, grown if it had to be, for
 // the next call. Solvers that price many embeddings keep one.
 func (net *Network) CostWith(e *Embedding, seen []uint64) (CostBreakdown, []uint64) {
-	var bd CostBreakdown
-	for i, inst := range e.NewInstances {
-		if !placedBefore(e.NewInstances[:i], inst.VNF, inst.Node) {
-			bd.Setup += net.SetupCost(inst.VNF, inst.Node)
-		}
-	}
-	// One bit per (stage, directed edge): an edge carries one flow copy
-	// per chain stage whatever the fan-out. Stages are numbered by first
-	// appearance, so a mislabelled segment (Validate's business) still
-	// deduplicates against its own label.
-	csr := net.g.CSR()
-	words := (csr.NumArcs() + 63) / 64
-	var levelBuf [16]int
-	levels := levelBuf[:0]
-	seen = seen[:0]
-	for _, w := range e.Walks {
-		for _, seg := range w {
-			if len(seg.Path) < 2 {
-				continue
-			}
-			li := slices.Index(levels, seg.Level)
-			if li < 0 {
-				li = len(levels)
-				levels = append(levels, seg.Level)
-				seen = append(seen, make([]uint64, words)...)
-			}
-			row := seen[li*words : (li+1)*words]
-			for i := 1; i < len(seg.Path); i++ {
-				arc := csr.Arc(seg.Path[i-1], seg.Path[i])
-				if arc < 0 {
-					// Mirror Validate's verdict by pricing non-edges at +Inf.
-					bd.Link = math.Inf(1)
-					bd.Total = math.Inf(1)
-					return bd, seen
-				}
-				if bit := uint64(1) << (arc & 63); row[arc>>6]&bit == 0 {
-					row[arc>>6] |= bit
-					bd.Link += csr.Cost[arc]
-				}
-			}
-		}
-	}
-	bd.Total = bd.Setup + bd.Link
+	bd, seen, _ := net.walk(e, seen, false, true)
 	return bd, seen
+}
+
+// ValidateCost is Validate and CostWith in one pass over the segments:
+// the embedding's cost when it passes every check, else Validate's
+// error (and a zero breakdown). seen is reused as in CostWith.
+func (net *Network) ValidateCost(e *Embedding, seen []uint64) (CostBreakdown, []uint64, error) {
+	return net.walk(e, seen, true, true)
 }
 
 // placedBefore reports whether insts lists an instance of f on node v.
@@ -169,18 +135,154 @@ func placedBefore(insts []Instance, f, v int) bool {
 // no duplicates, not already deployed) and that every serving node
 // actually hosts the required VNF (pre-deployed or newly placed).
 func (net *Network) Validate(e *Embedding) error {
+	_, _, err := net.walk(e, nil, true, false)
+	return err
+}
+
+// walk is the one pass over an embedding behind Validate (check),
+// CostWith (price) and ValidateCost (both). Every hop is looked up
+// once, through CSR.Arc, which also gives the (stage, arc) bit it
+// prices — except the leading hops a segment shares with the
+// same-index segment of the previous walk, same level and same nodes:
+// all of them when the segment repeats that one, as segments 0..k-1 of
+// every walk of a stage-one solution do. Skipping them is exact. The
+// earlier copy's hops were looked up and priced, or the pass would have
+// stopped there (by induction, if it skipped some itself), so they are
+// edges and every bit they would set is already set: Link receives the
+// same additions in the same order and the price keeps its bits. The
+// per-walk checks (level label, start at the previous end, host
+// placement) run on every segment.
+//
+// Unchecked, a segment's edges are priced under its own label, stages
+// numbered by first appearance, and a hop over a non-edge prices the
+// embedding at +Inf.
+func (net *Network) walk(e *Embedding, seen []uint64, check, price bool) (CostBreakdown, []uint64, error) {
+	var bd CostBreakdown
+	task := e.Task
+	if check {
+		if err := net.checkInstances(e); err != nil {
+			return CostBreakdown{}, seen, err
+		}
+	}
+	if price {
+		for i, inst := range e.NewInstances {
+			if !placedBefore(e.NewInstances[:i], inst.VNF, inst.Node) {
+				bd.Setup += net.SetupCost(inst.VNF, inst.Node)
+			}
+		}
+	}
+	// One bit per (stage, directed edge): an edge carries one flow copy
+	// per chain stage whatever the fan-out.
+	csr := net.g.CSR()
+	words := (csr.NumArcs() + 63) / 64
+	var levelBuf [16]int
+	levels := levelBuf[:0]
+	if price {
+		seen = seen[:0]
+	}
+	k := task.K()
+	var prev Walk
+	for di, w := range e.Walks {
+		var d int
+		if check {
+			d = task.Destinations[di]
+			if len(w) != k+1 {
+				return CostBreakdown{}, seen, fmt.Errorf("%w: destination %d walk has %d segments, want %d",
+					ErrInfeasible, d, len(w), k+1)
+			}
+		}
+		prevEnd := task.Source
+		for j, seg := range w {
+			if check {
+				if seg.Level != j {
+					return CostBreakdown{}, seen, fmt.Errorf("%w: destination %d segment %d labelled level %d",
+						ErrInfeasible, d, j, seg.Level)
+				}
+				if len(seg.Path) == 0 {
+					return CostBreakdown{}, seen, fmt.Errorf("%w: destination %d segment %d empty", ErrInfeasible, d, j)
+				}
+				if seg.Path[0] != prevEnd {
+					return CostBreakdown{}, seen, fmt.Errorf("%w: constraint (1e): destination %d segment %d starts at %d, want %d",
+						ErrInfeasible, d, j, seg.Path[0], prevEnd)
+				}
+			}
+			from := 1 // the first hop not shared with the previous walk
+			if j < len(prev) && prev[j].Level == seg.Level {
+				from = max(from, commonPrefix(prev[j].Path, seg.Path))
+			}
+			if from < len(seg.Path) {
+				var row []uint64
+				if price {
+					li := slices.Index(levels, seg.Level)
+					if li < 0 {
+						li = len(levels)
+						levels = append(levels, seg.Level)
+						seen = append(seen, make([]uint64, words)...)
+					}
+					row = seen[li*words : (li+1)*words]
+				}
+				for i := from; i < len(seg.Path); i++ {
+					arc := csr.Arc(seg.Path[i-1], seg.Path[i])
+					if arc < 0 {
+						if check {
+							return CostBreakdown{}, seen, fmt.Errorf("%w: destination %d segment %d uses non-edge %d-%d",
+								ErrInfeasible, d, j, seg.Path[i-1], seg.Path[i])
+						}
+						bd.Link = math.Inf(1)
+						bd.Total = math.Inf(1)
+						return bd, seen, nil
+					}
+					if bit := uint64(1) << (arc & 63); price && row[arc>>6]&bit == 0 {
+						row[arc>>6] |= bit
+						bd.Link += csr.Cost[arc]
+					}
+				}
+			}
+			if !check {
+				continue
+			}
+			prevEnd = seg.Path[len(seg.Path)-1]
+			// Segment j (for j < k) ends at the node serving level j+1.
+			if j < k {
+				f := task.Chain[j]
+				if !net.IsDeployed(f, prevEnd) && !placedBefore(e.NewInstances, f, prevEnd) {
+					return CostBreakdown{}, seen, fmt.Errorf("%w: constraint (1b): destination %d level %d needs VNF %d on node %d but none is placed there",
+						ErrInfeasible, d, j+1, f, prevEnd)
+				}
+			}
+		}
+		if check && prevEnd != d {
+			return CostBreakdown{}, seen, fmt.Errorf("%w: destination %d walk ends at %d", ErrInfeasible, d, prevEnd)
+		}
+		prev = w
+	}
+	bd.Total = bd.Setup + bd.Link
+	return bd, seen, nil
+}
+
+// commonPrefix is the number of leading nodes a and b share.
+func commonPrefix(a, b []int) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// checkInstances is Validate's check of the task, the walk count and
+// NewInstances: structural checks, then capacity per node with the
+// demands added in listing order.
+func (net *Network) checkInstances(e *Embedding) error {
 	task := e.Task
 	if err := task.Validate(net); err != nil {
 		return err
 	}
-	k := task.K()
 	if len(e.Walks) != len(task.Destinations) {
 		return fmt.Errorf("%w: %d walks for %d destinations",
 			ErrInfeasible, len(e.Walks), len(task.Destinations))
 	}
-
-	// New instances: structural checks, then capacity per node with the
-	// demands added in listing order.
 	for i, inst := range e.NewInstances {
 		vnf, err := net.VNF(inst.VNF)
 		if err != nil {
@@ -214,48 +316,6 @@ func (net *Network) Validate(e *Embedding) error {
 		if first && net.UsedCapacity(v)+add > net.Capacity(v)+1e-9 {
 			return fmt.Errorf("%w: constraint (1d): node %d capacity %v exceeded (used %v + new %v)",
 				ErrInfeasible, v, net.Capacity(v), net.UsedCapacity(v), add)
-		}
-	}
-
-	for di, d := range task.Destinations {
-		w := e.Walks[di]
-		if len(w) != k+1 {
-			return fmt.Errorf("%w: destination %d walk has %d segments, want %d",
-				ErrInfeasible, d, len(w), k+1)
-		}
-		prevEnd := task.Source
-		for j := 0; j <= k; j++ {
-			seg := w[j]
-			if seg.Level != j {
-				return fmt.Errorf("%w: destination %d segment %d labelled level %d",
-					ErrInfeasible, d, j, seg.Level)
-			}
-			if len(seg.Path) == 0 {
-				return fmt.Errorf("%w: destination %d segment %d empty", ErrInfeasible, d, j)
-			}
-			if seg.Path[0] != prevEnd {
-				return fmt.Errorf("%w: constraint (1e): destination %d segment %d starts at %d, want %d",
-					ErrInfeasible, d, j, seg.Path[0], prevEnd)
-			}
-			for i := 1; i < len(seg.Path); i++ {
-				if _, ok := net.g.HasEdge(seg.Path[i-1], seg.Path[i]); !ok {
-					return fmt.Errorf("%w: destination %d segment %d uses non-edge %d-%d",
-						ErrInfeasible, d, j, seg.Path[i-1], seg.Path[i])
-				}
-			}
-			prevEnd = seg.Path[len(seg.Path)-1]
-			// Segment j (for j < k) ends at the node serving level j+1.
-			if j < k {
-				host := prevEnd
-				f := task.Chain[j]
-				if !net.IsDeployed(f, host) && !placedBefore(e.NewInstances, f, host) {
-					return fmt.Errorf("%w: constraint (1b): destination %d level %d needs VNF %d on node %d but none is placed there",
-						ErrInfeasible, d, j+1, f, host)
-				}
-			}
-		}
-		if prevEnd != d {
-			return fmt.Errorf("%w: destination %d walk ends at %d", ErrInfeasible, d, prevEnd)
 		}
 	}
 	return nil

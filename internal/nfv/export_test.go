@@ -13,3 +13,14 @@ func FingerprintFromBits(net *Network) uint64 {
 	}
 	return fp
 }
+
+// The reference pricer and validator (naive_test.go), the random
+// embedding generator (property_test.go) and the race build flag, for
+// the external tests.
+var (
+	ValidateNaive   = validateNaive
+	CostNaive       = costNaive
+	RandomEmbedding = randomEmbedding
+)
+
+const RaceDetector = raceDetector

@@ -61,10 +61,15 @@ func FuzzInstanceDocUnmarshal(f *testing.F) {
 }
 
 // FuzzValidateNeverPanics throws structurally arbitrary embeddings at
-// the validator and the cost oracle.
+// the validator and the cost oracle, alone and with a second walk that
+// repeats the first one's opening segment (the walker skips its
+// lookups), and holds both to the per-hop reference: the same verdict
+// word for word and, when valid, the same price bits. The third seed
+// is a valid embedding.
 func FuzzValidateNeverPanics(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(1), uint8(2))
 	f.Add(int64(99), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(1), uint8(2), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, rawNode, rawLevel, rawLen uint8) {
 		g := graph.New(4)
 		g.MustAddEdge(0, 1, 1)
@@ -76,17 +81,33 @@ func FuzzValidateNeverPanics(f *testing.F) {
 		}
 		// Deliberately malformed embedding pieces.
 		node := int(rawNode)%6 - 1 // may be out of range
+		host := int(uint64(seed) % 4)
 		e := &Embedding{
 			Task:         Task{Source: 0, Destinations: []int{3}, Chain: SFC{0}},
 			NewInstances: []Instance{{VNF: int(rawLen) % 3, Node: node, Level: int(rawLevel)}},
 			Walks: []Walk{{
-				{Level: int(rawLevel) % 3, Path: []int{0, int(rawNode) % 4}},
-				{Level: 1, Path: []int{int(rawNode) % 4, 3}},
+				{Level: int(rawLevel) % 3, Path: []int{0, host}},
+				{Level: 1, Path: []int{host, 2, 3}},
 			}},
 		}
+		two := e.Clone()
+		two.Task.Destinations = append(two.Task.Destinations, 2)
+		two.Walks = append(two.Walks, Walk{
+			{Level: two.Walks[0][0].Level, Path: append([]int(nil), two.Walks[0][0].Path...)},
+			{Level: 1, Path: []int{host, 2}},
+		})
 		// Must not panic; error or success are both acceptable.
-		if err := net.Validate(e); err == nil {
-			_ = net.Cost(e)
+		for _, e := range []*Embedding{e, two} {
+			got, want := net.Validate(e), validateNaive(net, e)
+			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+				t.Fatalf("Validate: %v, reference %v", got, want)
+			}
+			if got != nil {
+				continue // Cost trusts what Validate checks (instance ids)
+			}
+			if bd, ref := net.Cost(e), costNaive(net, e); bd != ref {
+				t.Fatalf("Cost: %+v, reference %+v", bd, ref)
+			}
 		}
 	})
 }

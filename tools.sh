@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission and clone allocation budgets, the solve digest and stage-two engine parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission and clone allocation budgets, the solve digest and stage-two engine parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,4
 #                       # (equivalence battery: idle, held and trickle
@@ -308,7 +308,9 @@ fuzz_smoke() {
 # judge-and-repair steps it replaced (repairSession, tryPatch,
 # mergeEmbedding, finishRepair, containsInt, destNodes), and non-test
 # internal/dynamic files call conformance.WalkBroken in exactly one
-# place, the judge pass.
+# place, the judge pass; and no non-test internal/nfv file calls
+# Graph.HasEdge (Validate, Cost and ValidateCost are one walk over the
+# segments, and each hop it looks up goes through CSR.Arc).
 retired_guard() {
 	if grep -rnE 'os\.(Getenv|LookupEnv|Environ)|syscall\.Getenv' --include='*.go' --exclude='*_test.go' internal/steiner internal/core; then
 		echo "retired guard: internal/steiner or internal/core reads an environment variable (every solver setting is a core.Options field)" >&2
@@ -318,7 +320,7 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL)"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL)"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -395,6 +397,10 @@ retired_guard() {
 	fi
 	if grep -nE '\btIn\b|inTree' internal/steiner/sweep.go; then
 		echo "retired guard: internal/steiner/sweep.go scans closed terminals again (since PR 28 Prim keeps the open ones packed)" >&2
+		exit 1
+	fi
+	if grep -n 'HasEdge(' $(ls internal/nfv/*.go | grep -v _test.go); then
+		echo "retired guard: internal/nfv looks an edge up through Graph.HasEdge again (Validate, Cost and ValidateCost share one walk over the segments, and its one edge lookup is CSR.Arc)" >&2
 		exit 1
 	fi
 	if grep -rnwE 'cheapestEdgeBetween|openTerm' --include='*.go' --exclude='*_test.go' .; then
@@ -522,10 +528,16 @@ echo "==> bench module: go vet ./... && go test ./..."
 # stage-two parity tests (≈0.4 s) hold runOPAPass to its clone-and-
 # recost reference engine, move event for move event and canHost probe
 # for probe, so a change to the candidate scan that moves a pick, or
-# prunes a host it should not, fails here too.
-echo "==> allocation budgets, solve digest and stage-two parity: TestSolveAllocBudget, TestSolveDigest, TestEngineEventParity, TestQuickSolveMatchesReferenceEngine, TestQuickIncrementalMatchesNaive, TestAdmitAllocBudget, TestCloneAllocs"
+# prunes a host it should not, fails here too. The walker parity test
+# holds Validate, Cost and ValidateCost — one pass that skips the hops a
+# walk repeats from the previous one — to the per-hop reference in
+# internal/nfv/naive_test.go, error text and price bits, broken copies
+# of shared segments included; the combined check allocates nothing
+# with a warm bitmap.
+echo "==> allocation budgets, solve digest, stage-two and walker parity: TestSolveAllocBudget, TestSolveDigest, TestEngineEventParity, TestQuickSolveMatchesReferenceEngine, TestQuickIncrementalMatchesNaive, TestAdmitAllocBudget, TestCloneAllocs, TestValidateCostAllocs, TestQuickWalkerMatchesNaive"
 run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest|TestEngineEventParity|TestQuickSolveMatchesReferenceEngine|TestQuickIncrementalMatchesNaive' ./internal/core
 run_matching -count=1 'TestAdmitAllocBudget|TestCloneAllocs' ./internal/dynamic ./internal/nfv
+run_matching -count=1 'TestValidateCostAllocs|TestQuickWalkerMatchesNaive' ./internal/nfv
 
 # internal/wal picks its sync and preallocation calls by platform; the
 # non-Linux file is never compiled by anything above. Standard library
