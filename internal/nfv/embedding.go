@@ -95,9 +95,11 @@ func (net *Network) Cost(e *Embedding) CostBreakdown {
 	return bd
 }
 
-// CostWith is Cost marking its (stage, edge) pairs in seen, which it
-// reuses when large enough; it returns seen, grown if it had to be, for
-// the next call. Solvers that price many embeddings keep one.
+// CostWith is Cost with a scratch the caller keeps: seen holds the
+// pass's (stage, edge) bitmap and its hop memo, and is reused when
+// large enough; it returns seen, grown if it had to be, for the next
+// call. Pass nil or what an earlier call returned. Solvers that price
+// many embeddings keep one.
 func (net *Network) CostWith(e *Embedding, seen []uint64) (CostBreakdown, []uint64) {
 	bd, seen, _ := net.walk(e, seen, false, true)
 	return bd, seen
@@ -142,13 +144,19 @@ func (net *Network) Validate(e *Embedding) error {
 // walk is the one pass over an embedding behind Validate (check),
 // CostWith (price) and ValidateCost (both). Every hop is looked up
 // once, through CSR.Arc, which also gives the (stage, arc) bit it
-// prices — except the leading hops a segment shares with the
-// same-index segment of the previous walk, same level and same nodes:
-// all of them when the segment repeats that one, as segments 0..k-1 of
-// every walk of a stage-one solution do. Skipping them is exact. The
-// earlier copy's hops were looked up and priced, or the pass would have
-// stopped there (by induction, if it skipped some itself), so they are
-// edges and every bit they would set is already set: Link receives the
+// prices — except hops the pass has already looked up at the same
+// level. Two rules find those: the leading hops a segment shares with
+// the same-index segment of the previous walk, same level and same
+// nodes (all of them when the segment repeats that one, as segments
+// 0..k-1 of every walk of a stage-one solution do), and, when the pass
+// has a scratch (it prices), the hop memo: per level 0..k and node v,
+// the node an earlier hop of the pass reached v from. A node of a tree
+// is reached from one parent only, so every hop of a destination's
+// tree path that some earlier destination's path already took is
+// skipped, not only those the previous one took. Skipping is exact. The
+// earlier copy of the hop was looked up and priced, or the pass would
+// have stopped there (by induction, if it was skipped itself), so it is
+// an edge and every bit it would set is already set: Link receives the
 // same additions in the same order and the price keeps its bits. The
 // per-walk checks (level label, start at the previous end, host
 // placement) run on every segment.
@@ -174,13 +182,17 @@ func (net *Network) walk(e *Embedding, seen []uint64, check, price bool) (CostBr
 	// One bit per (stage, directed edge): an edge carries one flow copy
 	// per chain stage whatever the fan-out.
 	csr := net.g.CSR()
+	n := csr.N
 	words := (csr.NumArcs() + 63) / 64
 	var levelBuf [16]int
 	levels := levelBuf[:0]
-	if price {
-		seen = seen[:0]
-	}
 	k := task.K()
+	var memo []uint64
+	var stamp uint64
+	if price {
+		memo, stamp, seen = hopMemo(seen, (k+1)*n, (k+1)*words)
+	}
+	rows := len(seen)
 	var prev Walk
 	for di, w := range e.Walks {
 		var d int
@@ -211,7 +223,7 @@ func (net *Network) walk(e *Embedding, seen []uint64, check, price bool) (CostBr
 				from = max(from, commonPrefix(prev[j].Path, seg.Path))
 			}
 			if from < len(seg.Path) {
-				var row []uint64
+				var row, reached []uint64
 				if price {
 					li := slices.Index(levels, seg.Level)
 					if li < 0 {
@@ -219,18 +231,28 @@ func (net *Network) walk(e *Embedding, seen []uint64, check, price bool) (CostBr
 						levels = append(levels, seg.Level)
 						seen = append(seen, make([]uint64, words)...)
 					}
-					row = seen[li*words : (li+1)*words]
+					row = seen[rows+li*words : rows+(li+1)*words]
+					if uint(seg.Level) <= uint(k) {
+						reached = memo[seg.Level*n : (seg.Level+1)*n]
+					}
 				}
 				for i := from; i < len(seg.Path); i++ {
-					arc := csr.Arc(seg.Path[i-1], seg.Path[i])
+					u, v := seg.Path[i-1], seg.Path[i]
+					if uint(u) < uint(len(reached)) && uint(v) < uint(len(reached)) && reached[v] == stamp|uint64(u) {
+						continue
+					}
+					arc := csr.Arc(u, v)
 					if arc < 0 {
 						if check {
 							return CostBreakdown{}, seen, fmt.Errorf("%w: destination %d segment %d uses non-edge %d-%d",
-								ErrInfeasible, d, j, seg.Path[i-1], seg.Path[i])
+								ErrInfeasible, d, j, u, v)
 						}
 						bd.Link = math.Inf(1)
 						bd.Total = math.Inf(1)
 						return bd, seen, nil
+					}
+					if reached != nil {
+						reached[v] = stamp | uint64(u)
 					}
 					if bit := uint64(1) << (arc & 63); price && row[arc>>6]&bit == 0 {
 						row[arc>>6] |= bit
@@ -258,6 +280,31 @@ func (net *Network) walk(e *Embedding, seen []uint64, check, price bool) (CostBr
 	}
 	bd.Total = bd.Setup + bd.Link
 	return bd, seen, nil
+}
+
+// hopMemo lays out the front of a pricing pass's scratch: a header word
+// — the pass stamp in its high half, the memo's length in its low half
+// — then the memo, span words, one per (level, node), each the stamp of
+// the pass that last reached the node at that level in its high half
+// and the node it came from in its low half. Entries outlive the pass:
+// a fresh stamp retires them all at once, so the memo is cleared only
+// when its length changes or the stamp would wrap. It returns the memo,
+// this pass's stamp and seen cut to header and memo, with room for
+// extra more words.
+func hopMemo(seen []uint64, span, extra int) (memo []uint64, stamp uint64, out []uint64) {
+	const low = 1<<32 - 1
+	if len(seen) <= span || seen[0]&low != uint64(span) || seen[0]>>32 == low {
+		if cap(seen) < 1+span+extra {
+			seen = make([]uint64, 1+span, 1+span+extra)
+		} else {
+			seen = seen[:1+span]
+			clear(seen)
+		}
+		seen[0] = uint64(span)
+	}
+	seen = seen[:1+span]
+	seen[0] += 1 << 32
+	return seen[1:], seen[0] &^ low, seen
 }
 
 // commonPrefix is the number of leading nodes a and b share.

@@ -70,6 +70,31 @@ func sharedChain(net *nfv.Network, e *nfv.Embedding) *nfv.Embedding {
 	return c
 }
 
+// thirdRepeatsFirst is e with the third destination's walk routed
+// through the first walk's chain segments (copied) and on along the
+// first walk's tree path, hop for hop, then from the first destination
+// to its own: every hop of it repeats an earlier walk's, but the
+// second walk in between keeps its own. Nil with fewer than three
+// destinations.
+func thirdRepeatsFirst(net *nfv.Network, e *nfv.Embedding) *nfv.Embedding {
+	if len(e.Walks) < 3 {
+		return nil
+	}
+	c := e.Clone()
+	k := c.Task.K()
+	on := net.Graph().FloydWarshall().Path(c.Task.Destinations[0], c.Task.Destinations[2])
+	if len(on) == 0 {
+		return nil
+	}
+	w := make(nfv.Walk, k+1)
+	for j := range w {
+		w[j] = nfv.Segment{Level: j, Path: slices.Clone(c.Walks[0][j].Path)}
+	}
+	w[k].Path = append(w[k].Path, on[1:]...)
+	c.Walks[2] = w
+	return c
+}
+
 // corruption is an embedding with one segment broken, and whether the
 // break must make it invalid.
 type corruption struct {
@@ -130,6 +155,41 @@ func corruptSecondCopy(net *nfv.Network, e *nfv.Embedding) []corruption {
 	return nil
 }
 
+// corruptThirdCopy breaks the third destination's copy of the first
+// segment whose leading hop repeats the first destination's while the
+// second destination's same segment does not take it: a non-edge hop
+// and a wrong level label. Only the hop memo can skip that copy's
+// hops. Nil when no walk has such a segment.
+func corruptThirdCopy(net *nfv.Network, e *nfv.Embedding) []corruption {
+	if len(e.Walks) < 3 {
+		return nil
+	}
+	g, n := net.Graph(), net.NumNodes()
+	for j := 0; j <= e.Task.K() && j < len(e.Walks[2]); j++ {
+		first, second, third := e.Walks[0][j], e.Walks[1][j], e.Walks[2][j]
+		if len(first.Path) < 2 || len(third.Path) < 2 || first.Level != third.Level ||
+			!slices.Equal(first.Path[:2], third.Path[:2]) ||
+			(second.Level == third.Level && len(second.Path) >= 2 && slices.Equal(second.Path[:2], third.Path[:2])) {
+			continue
+		}
+		var out []corruption
+		with := func(name string, edit func(*nfv.Segment)) {
+			c := e.Clone()
+			edit(&c.Walks[2][j])
+			out = append(out, corruption{name, j, c, true})
+		}
+		for x := 0; x < n; x++ {
+			if _, ok := g.HasEdge(third.Path[0], x); x != third.Path[0] && !ok {
+				with("third copy: non-edge hop", func(s *nfv.Segment) { s.Path[1] = x })
+				break
+			}
+		}
+		with("third copy: wrong level label", func(s *nfv.Segment) { s.Level = j + 1 })
+		return out
+	}
+	return nil
+}
+
 // checkWithCorruptions runs matchNaive on e and on every corruption of
 // it, counting the corruptions by name, and fails a corruption that
 // must be caught and is not.
@@ -137,7 +197,7 @@ func checkWithCorruptions(net *nfv.Network, e *nfv.Embedding, seen *[]uint64, co
 	if _, diff := matchNaive(net, e, seen); diff != nil {
 		return diff
 	}
-	for _, c := range corruptSecondCopy(net, e) {
+	for _, c := range append(corruptSecondCopy(net, e), corruptThirdCopy(net, e)...) {
 		verdict, diff := matchNaive(net, c.e, seen)
 		if diff != nil {
 			return fmt.Errorf("%s at segment %d: %v", c.name, c.segment, diff)
@@ -150,21 +210,36 @@ func checkWithCorruptions(net *nfv.Network, e *nfv.Embedding, seen *[]uint64, co
 	return nil
 }
 
+// withThird is embs, each followed by its thirdRepeatsFirst form when
+// it has one.
+func withThird(net *nfv.Network, embs ...*nfv.Embedding) []*nfv.Embedding {
+	var out []*nfv.Embedding
+	for _, e := range embs {
+		out = append(out, e)
+		if third := thirdRepeatsFirst(net, e); third != nil {
+			out = append(out, third)
+		}
+	}
+	return out
+}
+
 // TestQuickWalkerMatchesNaive holds Validate, Cost and ValidateCost to
 // the per-hop reference: on random embeddings (every destination its
 // own chain hosts), on the same embeddings with every walk through the
 // first walk's chain, on two-stage and stage-one solver outputs, and on
 // each of those with the second destination's copy of a shared chain
-// segment broken. The walker skips that copy when it repeats the first,
-// so each break must be seen by the checks that still run on it or
-// must stop the skip.
+// segment broken; and on each of those with a third destination that
+// repeats the first's segments but not the second's, its copy broken
+// too. The walker skips a copy when it repeats an earlier one, so each
+// break must be seen by the checks that still run on it or must stop
+// the skip.
 func TestQuickWalkerMatchesNaive(t *testing.T) {
 	var seen []uint64
 	counts := map[string]int{}
 	var failure error
 	prop := func(seed int64) bool {
 		net, e := nfv.RandomEmbedding(seed)
-		for _, emb := range []*nfv.Embedding{e, sharedChain(net, e)} {
+		for _, emb := range withThird(net, e, sharedChain(net, e)) {
 			if err := checkWithCorruptions(net, emb, &seen, counts); err != nil {
 				failure = fmt.Errorf("seed %d: %v\n%v", seed, err, emb)
 				return false
@@ -193,13 +268,16 @@ func TestQuickWalkerMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			solves++
-			if err := checkWithCorruptions(net, res.Embedding, &seen, counts); err != nil {
-				t.Fatalf("task %d: %v\n%v", i, err, res.Embedding)
+			for _, emb := range withThird(net, res.Embedding) {
+				if err := checkWithCorruptions(net, emb, &seen, counts); err != nil {
+					t.Fatalf("task %d: %v\n%v", i, err, emb)
+				}
 			}
 		}
 	}
 	t.Logf("%d solver outputs; corruptions: %v", solves, counts)
-	for _, name := range []string{"non-edge hop", "wrong level label", "interior node onto a non-edge", "interior detour", "prefix of the first copy"} {
+	for _, name := range []string{"non-edge hop", "wrong level label", "interior node onto a non-edge", "interior detour", "prefix of the first copy",
+		"third copy: non-edge hop", "third copy: wrong level label"} {
 		if counts[name] < 20 {
 			t.Errorf("thin coverage: %d corruptions %q, want at least 20", counts[name], name)
 		}

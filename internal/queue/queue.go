@@ -14,10 +14,17 @@
 // of every cost — but up to Workers solves run at once: a solver takes
 // the next ticket nobody is solving, and if the tickets before it have
 // not all committed it solves ahead of its turn, on the snapshot they
-// were solved on, and commits when its turn comes if the live network
-// is still in that snapshot's state. If not, the result is discarded
-// and the ticket is solved again at the head of the line, so at most
-// Workers−1 solves are wasted each time the state moves.
+// were solved on. A solve that finishes before its turn does not wait
+// for it: the result is parked on the ticket and the solver claims the
+// next one, and whichever solver commits the head of the line commits
+// every parked ticket behind it, in order, before it claims again. A
+// parked result commits as solved if the live network is still in its
+// snapshot's state; if not, it is discarded and the ticket is solved
+// again at the head of the line. At most 2·Workers tickets are claimed
+// and unsettled at once — a solver holds at most one parked result
+// besides the one it is solving — so at most 2·Workers−1 solves are
+// wasted each time the state moves. One solver is the serial loop: its
+// ticket is always the head.
 //
 // The queue is work-conserving: tickets wait behind busy solvers, never
 // behind a clock or the end of a batch. A solver that finds every
@@ -118,6 +125,12 @@ type Ticket struct {
 	coalesced bool
 	ahead     bool // solved before its turn had come
 	stale     bool // and that solve was discarded
+
+	start  time.Time          // its solve began
+	cancel context.CancelFunc // ends its deadline context once it settles
+	// attempt is its solve, parked until a solver takes it to settle at
+	// its turn; guarded by line.mu.
+	attempt *dynamic.Attempt
 }
 
 // Wait blocks until the ticket resolves or the context ends. A context
@@ -429,16 +442,22 @@ func (q *Queue) solve() {
 }
 
 // claim hands the caller the next ticket of the line nobody is
-// solving, marked ahead unless its turn has already come. When every
-// ticket is claimed it drains pending into the line, waiting for an
-// arrival if it must; while it does, the other idle solvers queue up
-// behind drain. Nil once the queue is closed and drained.
+// solving, marked ahead unless its turn has already come. While
+// 2·Workers tickets are claimed and unsettled — a parked result per
+// solver besides the one it is solving — it waits for the head to
+// commit before it hands out another. When every ticket is claimed it
+// drains pending into the line, waiting for an arrival if it must;
+// while it does, the other idle solvers queue up behind drain. Nil once
+// the queue is closed and drained.
 func (q *Queue) claim() *Ticket {
 	q.drain.Lock()
 	defer q.drain.Unlock()
 	l := &q.line
 	for {
 		l.mu.Lock()
+		for l.claimed < len(l.tickets) && l.claimed >= 2*q.cfg.Workers {
+			l.turn.Wait()
+		}
 		if l.claimed < len(l.tickets) {
 			t := l.tickets[l.claimed]
 			t.ahead = l.claimed > 0
@@ -568,31 +587,62 @@ type line struct {
 	claimed int // tickets[:claimed] have a solver
 }
 
-// work takes ticket t from claim to commit: solve it under its own
-// context and deadline, wait for its turn, settle it, finish it. A
+// work takes ticket t through its solve under its own context and
+// deadline. A ticket whose turn has come by then settles at once; any
+// other is parked on the line, its attempt and cancel func on the
+// ticket, and its solver goes back to claim. Whichever solver settles
+// the head of the line settles every parked ticket behind it in turn,
+// so no solver waits for a turn and a parked result costs no core. A
 // ticket whose turn has come when it is claimed is a plain AdmitCtx.
-// Any other is solved ahead and settles at its turn only in the state
-// it was solved in (see dynamic.Manager.Solve), so whichever
-// solver gets there, the line commits what one solver working through
-// it alone would have. Each solver holds at most one unsettled result,
-// which is the waste bound.
+// Any other was solved ahead and settles at its turn only in the state
+// it was solved in (see dynamic.Manager.Solve), so whichever solver
+// gets there, the line commits what one solver working through it
+// alone would have. claim keeps at most 2·Workers tickets claimed and
+// unsettled, which is the waste bound.
 func (q *Queue) work(t *Ticket) {
 	l := &q.line
-	ctx, cancel := t.ctx, context.CancelFunc(func() {})
+	ctx := t.ctx
+	t.cancel = func() {}
 	if !t.deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(t.ctx, t.deadline)
+		ctx, t.cancel = context.WithDeadline(t.ctx, t.deadline)
 	}
 	t.wait = q.cfg.Now().Sub(t.enqueued)
-	start := time.Now()
+	t.start = time.Now()
 	a := t.mgr.Solve(ctx, t.task, t.ahead)
 	l.mu.Lock()
-	for l.tickets[0] != t {
-		l.turn.Wait()
+	t.attempt = a
+	// A head with a parked attempt is settled by whoever sees it first
+	// under l.mu: the solver parking it, or the one popping the ticket
+	// in front. Taking the attempt off the ticket marks it as taken.
+	for len(l.tickets) > 0 && l.tickets[0].attempt != nil {
+		head := l.tickets[0]
+		a = head.attempt
+		head.attempt = nil
+		l.mu.Unlock()
+		q.settle(head, a)
+		l.mu.Lock()
+		l.tickets[0] = nil // the storage behind the head is let go as the line grows
+		l.tickets = l.tickets[1:]
+		l.claimed--
+		l.turn.Broadcast()
 	}
+	waiting := l.claimed < len(l.tickets)
 	l.mu.Unlock()
+	// With a solver on every processor, a caller answered here or by
+	// the solver settling the line has none to wake up on until a solver
+	// blocks: let it run before the next solve starts. A solver with
+	// nothing to claim is about to block anyway.
+	if waiting {
+		runtime.Gosched()
+	}
+}
+
+// settle commits ticket t, whose turn has come, through its attempt a,
+// ends its deadline context and finishes it.
+func (q *Queue) settle(t *Ticket, a *dynamic.Attempt) {
 	sess, err := a.Settle()
-	cancel()
-	t.solve, t.stale = time.Since(start), a.Stale()
+	t.cancel()
+	t.solve, t.stale = time.Since(t.start), a.Stale()
 	switch cerr := t.ctx.Err(); {
 	case errors.Is(err, dynamic.ErrWAL):
 		q.finish(t, unavailable, err)
@@ -605,19 +655,5 @@ func (q *Queue) work(t *Ticket) {
 	default:
 		t.sess, t.coalesced = sess, sess.Coalesced
 		q.finish(t, admitted, nil)
-	}
-	l.mu.Lock()
-	l.tickets[0] = nil // the storage behind the head is let go as the line grows
-	l.tickets = l.tickets[1:]
-	l.claimed--
-	waiting := l.claimed < len(l.tickets)
-	l.turn.Broadcast()
-	l.mu.Unlock()
-	// With a solver on every processor, the caller just answered has
-	// none to wake up on until one of them blocks: let it run before
-	// the next solve starts. A solver with nothing to claim is about to
-	// block anyway.
-	if waiting {
-		runtime.Gosched()
 	}
 }

@@ -8,12 +8,13 @@
 #   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
 #   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
-#                       # five times under -race at -cpu 1,4
+#                       # five times under -race at -cpu 1,2,4
 #                       # (equivalence battery: idle, held and trickle
 #                       # scripts at 1, 2 and 4 solvers bit-identical
 #                       # to serialized same-order admits; forced-stale
 #                       # and forced-hit speculation scripts; the
-#                       # open-line and mid-line Close tests; stress
+#                       # open-line, run-ahead bound and mid-line
+#                       # Close tests; stress
 #                       # test mixing enqueue, release, Rebase and WAL
 #                       # checkpoints; fuzz seeds; dispatch-rule
 #                       # tests), plus the manager's AdmitCtx tests
@@ -185,17 +186,22 @@ recover_gate() {
 # checkpoints; the fuzz seeds pin the never-lose-a-task contract and
 # the Stats conservation identity; the work-conservation, open-line,
 # per-ticket completion, mid-line Close and orphan tests pin the
-# dispatch rules. Every ordering property is held at 1, 2 and 4
-# solvers, and the package runs at -cpu 1 and -cpu 4: one processor
-# interleaves the solvers of a line at their blocking points only, four
-# let them truly overlap. The
-# queue package assembles every line by hook, never by sleeping, so it
-# repeats under -race; the server's queued-admission tests and the
+# dispatch rules, and the run-ahead bound test holds a parked head's
+# line to 2·Workers tickets claimed and unsettled. Every ordering
+# property is held at 1, 2 and 4 solvers, and the package runs at
+# -cpu 1, 2 and 4: one processor interleaves the solvers of a line at
+# their blocking points only; two is the shape where a solver that
+# finished ahead of its turn would otherwise idle (results parked on
+# the line, settled by whoever commits the head); four let them truly
+# overlap. The queue package assembles every line by hook, never by
+# sleeping (the run-ahead bound test polls for its parked results and
+# then leaves a solver that would pass the bound a short window), so
+# it repeats under -race; the server's queued-admission tests and the
 # manager's own AdmitCtx tests (the one admission routine, whose two
 # halves the queue calls) and its Drain test ride along.
 queue_gate() {
-	echo "==> queue gate: queue package x5 at -cpu 1,4 + AdmitCtx + queued-admission HTTP tests (race)"
-	go test -race -count=5 -cpu 1,4 ./internal/queue
+	echo "==> queue gate: queue package x5 at -cpu 1,2,4 + AdmitCtx + queued-admission HTTP tests (race)"
+	go test -race -count=5 -cpu 1,2,4 ./internal/queue
 	run_matching '-race -count=1' 'TestAdmitCtx|TestDrainWaits|TestQueuedAdmit' ./internal/dynamic ./internal/server
 	echo "OK (queue gate)"
 }
