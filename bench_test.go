@@ -51,7 +51,6 @@ func BenchmarkAblationSteiner(b *testing.B) { benchFigure(b, experiments.Ablatio
 func BenchmarkAblationOPAAcceptance(b *testing.B) {
 	benchFigure(b, experiments.AblationOPA, false)
 }
-func BenchmarkAblationAPSP(b *testing.B) { benchFigure(b, experiments.AblationAPSP, false) }
 
 // Micro-benchmarks on the primary entry points, one fixed mid-size
 // instance each, reporting per-solve cost.

@@ -492,10 +492,9 @@ type eventLog []Event
 func (l *eventLog) OnEvent(e Event) { *l = append(*l, e) }
 
 // The KMB sweep's rare branch, end to end: the steiner package's
-// nine-node diamond, padded past APSPAuto's Floyd-Warshall cutoff
-// with a tail of switches so the metric is built by Dijkstra, whose
-// tie-breaks route 0 -> 6 and 6 -> 8 around opposite sides of the
-// diamond. The servers are node 0 and the far end of the tail, so
+// nine-node diamond, whose metric rows route 0 -> 6 and 6 -> 8 around
+// opposite sides of the diamond, with a tail of switches. The servers
+// are node 0 and the far end of the tail, so
 // every candidate's tree holds the cycle; the solve must say so in its
 // sweep_end event, with the candidate the tree lower bound rules out,
 // and still return the valid embedding.

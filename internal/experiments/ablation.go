@@ -91,58 +91,9 @@ func AblationOPA(cfg Config) (*Figure, error) {
 		[]string{"GlobalAccept", "StageOneOnly"}, cfg)
 }
 
-// AblationAPSP compares the all-pairs shortest-path backends feeding
-// every algorithm: Floyd-Warshall (dense, the default) vs repeated
-// Dijkstra (sparse-friendly). Cost column holds the (identical)
-// distance-matrix checksum so divergence would be visible.
-func AblationAPSP(cfg Config) (*Figure, error) {
-	cfg = cfg.normalized()
-	fig := &Figure{
-		ID:       "ablation-apsp",
-		Title:    "APSP backend: Floyd-Warshall vs repeated Dijkstra",
-		XLabel:   "|V|",
-		AlgOrder: []string{"FloydWarshall", "AllDijkstra"},
-	}
-	for _, n := range []int{50, 100, 200} {
-		row := Row{X: float64(n), Algos: map[string]*Stat{
-			"FloydWarshall": {}, "AllDijkstra": {},
-		}}
-		for trial := 0; trial < cfg.Trials; trial++ {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(n) + int64(trial)*17))
-			net, err := netgen.Generate(netgen.PaperConfig(n, 2), rng)
-			if err != nil {
-				return nil, err
-			}
-			g := net.Graph()
-
-			start := time.Now()
-			fw := g.FloydWarshall()
-			row.Algos["FloydWarshall"].TimeMS.AddDuration(time.Since(start))
-			row.Algos["FloydWarshall"].Cost.Add(checksum(fw.Dist))
-
-			start = time.Now()
-			ad := g.AllDijkstra()
-			row.Algos["AllDijkstra"].TimeMS.AddDuration(time.Since(start))
-			row.Algos["AllDijkstra"].Cost.Add(checksum(ad.Dist))
-		}
-		fig.Rows = append(fig.Rows, row)
-	}
-	return fig, nil
-}
-
-func checksum(dist [][]float64) float64 {
-	var sum float64
-	for _, row := range dist {
-		for _, d := range row {
-			sum += d
-		}
-	}
-	return sum
-}
-
 // Ablations runs every ablation in order.
 func Ablations(cfg Config) ([]*Figure, error) {
-	runs := []func(Config) (*Figure, error){AblationSteiner, AblationOPA, AblationAPSP}
+	runs := []func(Config) (*Figure, error){AblationSteiner, AblationOPA}
 	out := make([]*Figure, 0, len(runs))
 	for _, run := range runs {
 		fig, err := run(cfg)

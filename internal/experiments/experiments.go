@@ -119,7 +119,7 @@ func runTrial(pt point, cfg Config, trial int) (map[string]measurement, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: task: %w", err)
 	}
-	net.Metric() // warm the APSP cache so timings compare algorithms, not Floyd-Warshall
+	net.Metric() // warm the APSP cache so timings compare algorithms, not the metric build
 
 	out := make(map[string]measurement, 4)
 

@@ -235,20 +235,3 @@ func TestAblationOPAOrdering(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationAPSPAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment runs are slow")
-	}
-	fig, err := AblationAPSP(Config{Trials: 1, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range fig.Rows {
-		fw := row.Algos["FloydWarshall"].Cost.Mean()
-		ad := row.Algos["AllDijkstra"].Cost.Mean()
-		if fw != ad {
-			t.Errorf("|V|=%v: distance checksums differ: %v vs %v", row.X, fw, ad)
-		}
-	}
-}

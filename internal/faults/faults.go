@@ -293,7 +293,7 @@ func (s *State) Materialize(deployFrom *nfv.Network) (*nfv.Network, error) {
 			if len(s.metricCache) >= 64 {
 				s.metricCache = make(map[string]*graph.Metric)
 			}
-			m := gg.APSPAuto()
+			m := gg.APSP()
 			s.metricCache[sig] = m
 			return m
 		})

@@ -1,8 +1,8 @@
-// Package graph provides the undirected and directed weighted graph
-// primitives that every other package in this repository builds on:
-// adjacency storage, single-source shortest paths (Dijkstra), all-pairs
-// shortest paths (Floyd-Warshall), minimum spanning trees (Prim and
-// Kruskal), connectivity queries, and a disjoint-set forest.
+// Package graph provides the undirected weighted graph that every
+// other package in this repository builds on: adjacency storage and
+// its flat CSR form, single-source shortest paths (Dijkstra), the
+// all-pairs shortest-path metric (APSP), connectivity queries, and a
+// disjoint-set forest.
 //
 // All costs are non-negative float64 values; math.Inf(1) denotes
 // "unreachable". Node identifiers are dense integers in [0, N).
@@ -163,15 +163,6 @@ func (g *Graph) Clone() *Graph {
 		copy(c.adj[i], l)
 	}
 	return c
-}
-
-// TotalCost returns the sum of all edge costs.
-func (g *Graph) TotalCost() float64 {
-	var sum float64
-	for _, e := range g.edges {
-		sum += e.Cost
-	}
-	return sum
 }
 
 // Connected reports whether every node is reachable from node 0.

@@ -53,8 +53,8 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 // An edge of cost +Inf used to be stored: listed by Edges and counted
-// by Connected and TotalCost, yet absent from HasEdge, the CSR and the
-// metric. Refused, it is absent from all of them.
+// by Connected, yet absent from HasEdge, the CSR and the metric.
+// Refused, it is absent from all of them.
 func TestInfiniteEdgeIsAbsentEverywhere(t *testing.T) {
 	g := New(2)
 	if _, err := g.AddEdge(0, 1, math.Inf(1)); err == nil {
@@ -63,10 +63,10 @@ func TestInfiniteEdgeIsAbsentEverywhere(t *testing.T) {
 	if g.Connected() {
 		t.Error("Connected reports true without an edge")
 	}
-	if len(g.Edges()) != 0 || g.TotalCost() != 0 {
-		t.Errorf("Edges %v, TotalCost %v: want none and 0", g.Edges(), g.TotalCost())
+	if len(g.Edges()) != 0 {
+		t.Errorf("Edges %v: want none", g.Edges())
 	}
-	if _, ok := g.HasEdge(0, 1); ok || g.CSR().Arc(0, 1) != -1 || g.FloydWarshall().Dist[0][1] != Inf {
+	if _, ok := g.HasEdge(0, 1); ok || g.CSR().Arc(0, 1) != -1 || g.APSP().Dist[0][1] != Inf {
 		t.Error("the refused edge is visible to HasEdge, the CSR or the metric")
 	}
 }
@@ -145,7 +145,7 @@ func TestFloydWarshallMatchesDijkstra(t *testing.T) {
 				g.MustAddEdge(u, v, 1+rng.Float64()*9)
 			}
 		}
-		m := g.FloydWarshall()
+		m := floydWarshall(g)
 		for s := 0; s < n; s++ {
 			tr := g.Dijkstra(s)
 			for v := 0; v < n; v++ {
@@ -172,8 +172,8 @@ func TestAllDijkstraMatchesFloydWarshall(t *testing.T) {
 				g.MustAddEdge(u, v, 1+rng.Float64()*5)
 			}
 		}
-		fw := g.FloydWarshall()
-		ad := g.AllDijkstra()
+		fw := floydWarshall(g)
+		ad := allDijkstra(g)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if math.Abs(fw.Dist[u][v]-ad.Dist[u][v]) > 1e-9 {
@@ -184,11 +184,12 @@ func TestAllDijkstraMatchesFloydWarshall(t *testing.T) {
 	}
 }
 
-// TestAllDijkstraParallelByteIdentical pins the contract that the
-// worker-pool APSP is indistinguishable from the serial one — same
-// distances AND same tie-breaks (first arcs) — including on graphs with
-// unreachable components, parallel edges, and zero-cost ties.
-func TestAllDijkstraParallelByteIdentical(t *testing.T) {
+// TestAPSPByteIdentical pins the contract that the worker-pool APSP
+// is indistinguishable from its rows run serially — same distances AND
+// same tie-breaks (first arcs) — including on graphs with unreachable
+// components, parallel edges, and zero-cost ties. tools.sh runs it at
+// -cpu 1,2,4, so the pool runs with one, two and four workers.
+func TestAPSPByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(60)
@@ -205,8 +206,8 @@ func TestAllDijkstraParallelByteIdentical(t *testing.T) {
 				g.MustAddEdge(u, v, float64(rng.Intn(6)))
 			}
 		}
-		serial := g.AllDijkstra()
-		par := g.AllDijkstraParallel()
+		serial := allDijkstra(g)
+		par := g.APSP()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if serial.Dist[u][v] != par.Dist[u][v] {
@@ -222,15 +223,15 @@ func TestAllDijkstraParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAPSPAutoMatchesFloydWarshall checks the auto-selected routine
-// returns correct distances and valid paths on both sides of the
-// density and size cutoffs.
-func TestAPSPAutoMatchesFloydWarshall(t *testing.T) {
+// TestAPSPMatchesFloydWarshall checks APSP's distances against the
+// Floyd–Warshall reference, and that each of its paths costs its own
+// distance, on a small graph and on large sparse and dense ones.
+func TestAPSPMatchesFloydWarshall(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, tc := range []struct{ n, extra int }{
-		{10, 20},                            // small: FW branch
-		{apspSmallCutoff + 16, 100},         // large sparse: parallel Dijkstra branch
-		{apspSmallCutoff + 16, 80 * 80 / 2}, // large dense: FW branch
+		{10, 20},
+		{80, 100},
+		{80, 80 * 80 / 2},
 	} {
 		g := New(tc.n)
 		for v := 1; v < tc.n; v++ {
@@ -242,33 +243,74 @@ func TestAPSPAutoMatchesFloydWarshall(t *testing.T) {
 				g.MustAddEdge(u, v, 1+rng.Float64()*9)
 			}
 		}
-		fw := g.FloydWarshall()
-		auto := g.APSPAuto()
+		fw := floydWarshall(g)
+		m := g.APSP()
 		for u := 0; u < tc.n; u++ {
 			for v := 0; v < tc.n; v++ {
-				if math.Abs(fw.Dist[u][v]-auto.Dist[u][v]) > 1e-9 {
-					t.Fatalf("n=%d extra=%d: dist(%d,%d): FW %v vs auto %v",
-						tc.n, tc.extra, u, v, fw.Dist[u][v], auto.Dist[u][v])
+				if math.Abs(fw.Dist[u][v]-m.Dist[u][v]) > 1e-9 {
+					t.Fatalf("n=%d extra=%d: dist(%d,%d): FW %v vs APSP %v",
+						tc.n, tc.extra, u, v, fw.Dist[u][v], m.Dist[u][v])
 				}
-				// The auto path must exist and cost its own distance.
-				p := auto.Path(u, v)
+				p := m.Path(u, v)
 				if p == nil {
 					continue
 				}
-				if got := g.PathCost(p); math.Abs(got-auto.Dist[u][v]) > 1e-9 {
+				if got := pathCost(g, p); math.Abs(got-m.Dist[u][v]) > 1e-9 {
 					t.Fatalf("n=%d extra=%d: path(%d,%d) costs %v, dist %v",
-						tc.n, tc.extra, u, v, got, auto.Dist[u][v])
+						tc.n, tc.extra, u, v, got, m.Dist[u][v])
 				}
 			}
 		}
 	}
 }
 
-// TestMetricFirstArcs pins what a metric hop names, under all three
-// APSP builders, on graphs with parallel edges (equal and unequal
-// costs, inserted in both orders) and zero and −0 costs: each
-// EachEdge hop carries the cheapest edge joining its two nodes, the
-// lowest id among equals — which is what CSR.Arc picks — EachEdge
+// TestAPSPTieBreakIndependentOfSize: a topology's equal-cost paths do
+// not depend on how many other nodes its graph holds. Small graphs
+// with {1,2} costs (ties everywhere) are padded with isolated nodes to
+// 64 and more; every path among the original nodes must stay the same.
+func TestAPSPTieBreakIndependentOfSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		n := 5 + rng.Intn(6)
+		type edge struct {
+			u, v int
+			cost float64
+		}
+		var es []edge
+		for v := 1; v < n; v++ {
+			es = append(es, edge{rng.Intn(v), v, float64(1 + rng.Intn(2))})
+		}
+		for i := 0; i < n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				es = append(es, edge{u, v, float64(1 + rng.Intn(2))})
+			}
+		}
+		build := func(nodes int) *Metric {
+			g := New(nodes)
+			for _, e := range es {
+				g.MustAddEdge(e.u, e.v, e.cost)
+			}
+			return g.APSP()
+		}
+		small := build(n)
+		for _, pad := range []int{64, 100} {
+			big := build(pad)
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					if a, b := small.Path(u, v), big.Path(u, v); !slices.Equal(a, b) {
+						t.Fatalf("trial %d: Path(%d,%d) is %v on %d nodes, %v padded to %d", trial, u, v, a, n, b, pad)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMetricFirstArcs pins what a metric hop names, under APSP and
+// the Floyd–Warshall reference, on graphs with parallel edges (equal
+// and unequal costs, inserted in both orders) and zero and −0 costs:
+// each EachEdge hop carries the cheapest edge joining its two nodes,
+// the lowest id among equals — which is what CSR.Arc picks — EachEdge
 // visits Path's nodes in order, every walk ends (two Dijkstra rows that
 // break a zero-cost tie differently must not hand it back and forth),
 // and an unreachable pair reports false.
@@ -319,9 +361,8 @@ func TestMetricFirstArcs(t *testing.T) {
 		name  string
 		build func(*Graph) *Metric
 	}{
-		{"FloydWarshall", (*Graph).FloydWarshall},
-		{"AllDijkstra", (*Graph).AllDijkstra},
-		{"AllDijkstraParallel", (*Graph).AllDijkstraParallel},
+		{"APSP", (*Graph).APSP},
+		{"floydWarshall", floydWarshall},
 	}
 	unreachable := 0
 	for gi, g := range graphs {
@@ -383,7 +424,7 @@ func TestEachHopMatchesPath(t *testing.T) {
 	for v := 1; v < n; v++ {
 		g.MustAddEdge(rng.Intn(v), v, 1+rng.Float64()*9)
 	}
-	m := g.FloydWarshall()
+	m := g.APSP()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			var hops [][2]int
@@ -417,7 +458,7 @@ func TestMetricPathReconstruction(t *testing.T) {
 			g.MustAddEdge(u, v, 1+rng.Float64()*9)
 		}
 	}
-	m := g.FloydWarshall()
+	m := g.APSP()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			p := m.Path(u, v)
@@ -427,7 +468,7 @@ func TestMetricPathReconstruction(t *testing.T) {
 			if p[0] != u || p[len(p)-1] != v {
 				t.Fatalf("Path(%d,%d) endpoints wrong: %v", u, v, p)
 			}
-			if got := g.PathCost(p); math.Abs(got-m.Dist[u][v]) > 1e-9 {
+			if got := pathCost(g, p); math.Abs(got-m.Dist[u][v]) > 1e-9 {
 				t.Fatalf("Path(%d,%d) cost %v != dist %v", u, v, got, m.Dist[u][v])
 			}
 		}
@@ -441,7 +482,7 @@ func TestMetricTriangleInequality(t *testing.T) {
 	for v := 1; v < n; v++ {
 		g.MustAddEdge(rng.Intn(v), v, 1+rng.Float64()*4)
 	}
-	m := g.FloydWarshall()
+	m := g.APSP()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
@@ -475,68 +516,6 @@ func TestConnectedAndComponents(t *testing.T) {
 	}
 }
 
-func TestBFSHops(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 100)
-	g.MustAddEdge(1, 2, 100)
-	g.MustAddEdge(0, 3, 1)
-	hops := g.BFSHops(0)
-	want := []int{0, 1, 2, 1}
-	for v := range want {
-		if hops[v] != want[v] {
-			t.Errorf("hops[%d] = %d, want %d", v, hops[v], want[v])
-		}
-	}
-}
-
-func TestMSTKruskalPrimAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(40)
-		g := New(n)
-		for v := 1; v < n; v++ {
-			g.MustAddEdge(rng.Intn(v), v, rng.Float64()*10)
-		}
-		for i := 0; i < n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.MustAddEdge(u, v, rng.Float64()*10)
-			}
-		}
-		ke, kc := g.MSTKruskal()
-		pe, pc := g.MSTPrim(0)
-		if math.Abs(kc-pc) > 1e-9 {
-			t.Fatalf("trial %d: Kruskal %v vs Prim %v", trial, kc, pc)
-		}
-		if len(ke) != n-1 || len(pe) != n-1 {
-			t.Fatalf("trial %d: MST edge counts %d,%d want %d", trial, len(ke), len(pe), n-1)
-		}
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		if !g.IsTreeSpanning(ke, all) {
-			t.Fatalf("trial %d: Kruskal result is not a spanning tree", trial)
-		}
-	}
-}
-
-func TestIsTreeSpanningRejectsCycle(t *testing.T) {
-	g := New(3)
-	a := g.MustAddEdge(0, 1, 1)
-	b := g.MustAddEdge(1, 2, 1)
-	c := g.MustAddEdge(2, 0, 1)
-	if g.IsTreeSpanning([]int{a, b, c}, []int{0, 1, 2}) {
-		t.Error("triangle accepted as tree")
-	}
-	if !g.IsTreeSpanning([]int{a, b}, []int{0, 1, 2}) {
-		t.Error("path rejected as spanning tree")
-	}
-	if g.IsTreeSpanning([]int{a}, []int{0, 1, 2}) {
-		t.Error("edge {0,1} cannot span node 2")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := diamond(t)
 	c := g.Clone()
@@ -546,13 +525,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if d := g.Dijkstra(0).Dist[3]; d != 2 {
 		t.Errorf("original dist changed after clone mutation: %v", d)
-	}
-}
-
-func TestTotalCost(t *testing.T) {
-	g := diamond(t)
-	if tc := g.TotalCost(); tc != 7 {
-		t.Errorf("TotalCost = %v, want 7", tc)
 	}
 }
 
@@ -572,16 +544,17 @@ func TestEdgeOther(t *testing.T) {
 	}
 }
 
+// TestPathCostNonAdjacent checks the pathCost oracle itself.
 func TestPathCostNonAdjacent(t *testing.T) {
 	g := diamond(t)
-	if c := g.PathCost([]int{0, 3}); !math.IsInf(c, 1) {
-		t.Errorf("PathCost over non-edge = %v, want Inf", c)
+	if c := pathCost(g, []int{0, 3}); !math.IsInf(c, 1) {
+		t.Errorf("pathCost over non-edge = %v, want Inf", c)
 	}
-	if c := g.PathCost([]int{0}); c != 0 {
-		t.Errorf("PathCost of single node = %v, want 0", c)
+	if c := pathCost(g, []int{0}); c != 0 {
+		t.Errorf("pathCost of single node = %v, want 0", c)
 	}
-	if c := g.PathCost(nil); c != 0 {
-		t.Errorf("PathCost(nil) = %v, want 0", c)
+	if c := pathCost(g, nil); c != 0 {
+		t.Errorf("pathCost(nil) = %v, want 0", c)
 	}
 }
 
@@ -596,5 +569,30 @@ func TestDegreeAndNeighbors(t *testing.T) {
 	}
 	if !seen[1] || !seen[2] {
 		t.Errorf("Neighbors(0) = %v", seen)
+	}
+}
+
+func TestNodeHeapDecreaseKey(t *testing.T) {
+	var h NodeHeap
+	h.Reset(4)
+	h.Push(0, 10)
+	h.Push(1, 5)
+	h.Push(2, 7)
+	h.Push(0, 1)  // decrease
+	h.Push(1, 99) // ignored: larger than current
+	n, p := h.Pop()
+	if n != 0 || p != 1 {
+		t.Fatalf("Pop = (%d,%v), want (0,1)", n, p)
+	}
+	n, p = h.Pop()
+	if n != 1 || p != 5 {
+		t.Fatalf("Pop = (%d,%v), want (1,5)", n, p)
+	}
+	n, p = h.Pop()
+	if n != 2 || p != 7 {
+		t.Fatalf("Pop = (%d,%v), want (2,7)", n, p)
+	}
+	if h.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", h.Len())
 	}
 }

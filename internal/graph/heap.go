@@ -3,6 +3,7 @@ package graph
 // NodeHeap is a binary min-heap of (node, priority) pairs with
 // decrease-key support, specialized for Dijkstra-style algorithms.
 // It avoids container/heap's interface indirection on the hot path.
+// A zero NodeHeap is ready for use once Reset has sized it.
 type NodeHeap struct {
 	items []heapItem
 	pos   []int // node -> index in items, -1 when absent
@@ -11,13 +12,6 @@ type NodeHeap struct {
 type heapItem struct {
 	node int
 	prio float64
-}
-
-// NewNodeHeap returns a heap able to hold nodes in [0, n).
-func NewNodeHeap(n int) *NodeHeap {
-	h := &NodeHeap{items: make([]heapItem, 0, n)}
-	h.Reset(n)
-	return h
 }
 
 // Reset empties the heap and sizes it for nodes in [0, n), reusing

@@ -123,64 +123,6 @@ func metricSlabs(n int) ([][]float64, [][]int32) {
 	return dist, next
 }
 
-// FloydWarshall computes all-pairs shortest paths in O(V^3).
-func (g *Graph) FloydWarshall() *Metric {
-	c := g.CSR()
-	n := c.N
-	dist, next := metricSlabs(n)
-	for i := 0; i < n; i++ {
-		di, ni := dist[i], next[i]
-		for j := range di {
-			di[j] = Inf
-			ni[j] = -1
-		}
-		di[i] = 0
-		// Each neighbour starts at its cheapest arc, the earliest on
-		// ties: a row lists its arcs in edge-id order, so that is the
-		// lowest-id cheapest edge, as CSR.Arc picks.
-		for p, end := c.Start[i], c.Start[i+1]; p < end; p++ {
-			if j := c.To[p]; c.Cost[p] < di[j] {
-				di[j] = c.Cost[p]
-				ni[j] = p
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		dk := dist[k]
-		for i := 0; i < n; i++ {
-			dik := dist[i][k]
-			if dik == Inf {
-				continue
-			}
-			di := dist[i]
-			ni := next[i]
-			nik := next[i][k]
-			for j := 0; j < n; j++ {
-				if nd := dik + dk[j]; nd < di[j] {
-					di[j] = nd
-					ni[j] = nik
-				}
-			}
-		}
-	}
-	return &Metric{Dist: dist, csr: c, next: next}
-}
-
-// AllDijkstra computes the same Metric as FloydWarshall using one
-// Dijkstra run per node: O(V * (E log V)). Faster on sparse graphs;
-// kept as an ablation alternative and as a cross-check in tests.
-func (g *Graph) AllDijkstra() *Metric {
-	c := g.CSR()
-	n := c.N
-	dist, next := metricSlabs(n)
-	sc := getScratch(n)
-	for s := 0; s < n; s++ {
-		apspRow(c, s, dist[s], next[s], sc)
-	}
-	putScratch(sc)
-	return &Metric{Dist: dist, csr: c, next: next}
-}
-
 // apspRow computes one row of the all-pairs metric into dist and nx
 // (both length c.N): distances from s plus the first arc towards
 // every reachable node. First arcs are filled in a single
@@ -219,12 +161,13 @@ func apspRow(c *CSR, s int, dist []float64, nx []int32, sc *spScratch) {
 	}
 }
 
-// AllDijkstraParallel computes the same Metric as AllDijkstra with one
-// worker goroutine per available CPU, each pulling source rows from a
-// shared counter. Every row is a pure function of its source, so the
-// result is byte-identical to the serial AllDijkstra regardless of
-// scheduling.
-func (g *Graph) AllDijkstraParallel() *Metric {
+// APSP computes all-pairs shortest paths: one Dijkstra row per
+// source (apspRow), the rows pulled from a shared counter by one
+// worker goroutine per available CPU. Every row is a pure function of
+// its source, so the result — distances and first arcs alike — is the
+// same at every worker count, and one tie-break holds at every graph
+// size and density.
+func (g *Graph) APSP() *Metric {
 	c := g.CSR()
 	n := c.N
 	dist, next := metricSlabs(n)
@@ -254,29 +197,6 @@ func (g *Graph) AllDijkstraParallel() *Metric {
 	}
 	wg.Wait()
 	return &Metric{Dist: dist, csr: c, next: next}
-}
-
-// apspDenseCutoff is the density divisor above which APSPAuto prefers
-// Floyd-Warshall: with m >= n^2/8 (average degree >= n/4) the n
-// heap-based Dijkstra runs lose to the cache-friendly O(V^3) sweep.
-const apspDenseCutoff = 8
-
-// apspSmallCutoff is the node count below which APSPAuto always uses
-// Floyd-Warshall: goroutine fan-out overhead dominates on tiny
-// instances, and FW tie-breaking is the historical behaviour that
-// small hand-built fixtures pin.
-const apspSmallCutoff = 64
-
-// APSPAuto computes all-pairs shortest paths with the routine that
-// fits the topology: Floyd-Warshall for small or dense graphs,
-// parallel Dijkstra for large sparse ones. Distances are identical
-// either way; equal-cost ties may be broken differently.
-func (g *Graph) APSPAuto() *Metric {
-	n := len(g.adj)
-	if n < apspSmallCutoff || len(g.edges)*apspDenseCutoff >= n*n {
-		return g.FloydWarshall()
-	}
-	return g.AllDijkstraParallel()
 }
 
 // Path returns one shortest path from u to v as a node sequence
@@ -324,42 +244,4 @@ func (m *Metric) EachEdge(u, v int, fn func(to, edge int)) bool {
 		fn(u, int(m.csr.EdgeID[a]))
 	}
 	return true
-}
-
-// BFSHops returns the minimum number of hops (unweighted) from src to
-// every node, with -1 for unreachable nodes.
-func (g *Graph) BFSHops(src int) []int {
-	n := len(g.adj)
-	hops := make([]int, n)
-	for i := range hops {
-		hops[i] = -1
-	}
-	hops[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.adj[u] {
-			if hops[a.To] == -1 {
-				hops[a.To] = hops[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return hops
-}
-
-// PathCost sums the edge costs along a node sequence, using the
-// cheapest parallel edge for every hop. It returns Inf if any
-// consecutive pair is not adjacent.
-func (g *Graph) PathCost(path []int) float64 {
-	var sum float64
-	for i := 1; i < len(path); i++ {
-		c, ok := g.HasEdge(path[i-1], path[i])
-		if !ok {
-			return Inf
-		}
-		sum += c
-	}
-	return sum
 }

@@ -19,17 +19,17 @@ import (
 // materialize is the reference for the implicit overlay: the expanded
 // MOD network of Fig. 4 with every arc stored — source to column 1,
 // "in" to "out", "out" of column j to "in" of column j+1, rows
-// ascending — for graph.Digraph's heap Dijkstra to run over. Node 0 is
+// ascending — for digraph's heap Dijkstra to run over. Node 0 is
 // the source; column j's row r is the pair (in, in+1) at
 // 1 + 2*((j-1)*S + r). It returns nil when no server is reachable from
 // the source.
-func materialize(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) *graph.Digraph {
+func materialize(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) *digraph {
 	t.Helper()
 	servers := net.ServerList()
 	metric := net.Metric()
 	k, s := len(chain), len(servers)
 	in := func(j, row int) int { return 1 + 2*((j-1)*s+row) }
-	dg := graph.NewDigraph(1 + 2*k*s)
+	dg := newDigraph(1 + 2*k*s)
 	add := func(u, v int, cost float64) {
 		if err := dg.AddArc(u, v, cost); err != nil {
 			t.Fatalf("oracle arc %d->%d: %v", u, v, err)

@@ -33,7 +33,7 @@ func benchEmbedding(b *testing.B) (*Network, *Embedding) {
 			b.Fatal(err)
 		}
 	}
-	metric := g.FloydWarshall()
+	metric := g.APSP()
 	task := Task{Source: 0, Destinations: rng.Perm(n)[1:21], Chain: make(SFC, k)}
 	for j := range task.Chain {
 		task.Chain[j] = j

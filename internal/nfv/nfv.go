@@ -423,9 +423,8 @@ func (net *Network) FreeCapacity(v int) float64 {
 // it on first use and recomputing when the graph has mutated since
 // (the cache is stamped with graph.Generation). First use is not
 // goroutine-safe; warm the cache before sharing the network across
-// solvers. The APSP routine is auto-selected by size and edge density
-// (Floyd-Warshall for small or dense networks, parallel Dijkstra for
-// large sparse ones); see graph.APSPAuto.
+// solvers. The metric is graph.APSP's: one Dijkstra row per source,
+// with one tie-break at every network size and density.
 func (net *Network) Metric() *graph.Metric {
 	if net.metric != nil && net.metricGen == net.g.Generation() {
 		metricHits.Add(1)
@@ -435,7 +434,7 @@ func (net *Network) Metric() *graph.Metric {
 	if net.metricFn != nil {
 		net.metric = net.metricFn()
 	} else {
-		net.metric = net.g.APSPAuto()
+		net.metric = net.g.APSP()
 	}
 	net.metricGen = net.g.Generation()
 	return net.metric

@@ -41,7 +41,7 @@ func randomEmbedding(seed int64) (*Network, *Embedding) {
 			}
 		}
 	}
-	metric := g.FloydWarshall()
+	metric := g.APSP()
 	nd := 1 + rng.Intn(3)
 	perm := rng.Perm(n)
 	task := Task{Source: perm[0], Destinations: perm[1 : 1+nd], Chain: make(SFC, k)}

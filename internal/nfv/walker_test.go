@@ -59,7 +59,7 @@ func matchNaive(net *nfv.Network, e *nfv.Embedding, seen *[]uint64) (verdict, di
 func sharedChain(net *nfv.Network, e *nfv.Embedding) *nfv.Embedding {
 	c := e.Clone()
 	k := c.Task.K()
-	metric := net.Graph().FloydWarshall()
+	metric := net.Graph().APSP()
 	last := c.Walks[0][k].Path[0]
 	for di := 1; di < len(c.Walks); di++ {
 		for j := 0; j < k; j++ {
@@ -82,7 +82,7 @@ func thirdRepeatsFirst(net *nfv.Network, e *nfv.Embedding) *nfv.Embedding {
 	}
 	c := e.Clone()
 	k := c.Task.K()
-	on := net.Graph().FloydWarshall().Path(c.Task.Destinations[0], c.Task.Destinations[2])
+	on := net.Graph().APSP().Path(c.Task.Destinations[0], c.Task.Destinations[2])
 	if len(on) == 0 {
 		return nil
 	}

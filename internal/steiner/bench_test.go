@@ -11,7 +11,7 @@ func benchSetup(b *testing.B, n, extra, terms int) (*graph.Graph, *graph.Metric,
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnectedGraph(rng, n, extra)
-	m := g.FloydWarshall()
+	m := g.APSP()
 	return g, m, rng.Perm(n)[:terms]
 }
 

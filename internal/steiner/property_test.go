@@ -17,7 +17,7 @@ func TestQuickExactSteinerMonotone(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 6+rng.Intn(8), 10)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		perm := rng.Perm(g.NumNodes())
 		small := perm[:2+rng.Intn(2)]
 		large := perm[:len(small)+1]
@@ -43,7 +43,7 @@ func TestQuickHeuristicsSandwiched(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 6+rng.Intn(8), 14)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		k := 2 + rng.Intn(3)
 		terms := rng.Perm(g.NumNodes())[:k]
 		exact, err := DreyfusWagner(g, m, terms)
@@ -52,14 +52,14 @@ func TestQuickHeuristicsSandwiched(t *testing.T) {
 		}
 		bound := 2 * (1 - 1/float64(k)) * exact.Cost
 		kmb, err := KMB(g, m, terms)
-		if err != nil || !g.IsTreeSpanning(kmb.Edges, terms) {
+		if err != nil || !isTreeSpanning(g, kmb.Edges, terms) {
 			return false
 		}
 		if kmb.Cost < exact.Cost-1e-9 || kmb.Cost > bound+1e-9 {
 			return false
 		}
 		tm, err := TakahashiMatsuyama(g, m, terms[0], terms[1:])
-		if err != nil || !g.IsTreeSpanning(tm.Edges, terms) {
+		if err != nil || !isTreeSpanning(g, tm.Edges, terms) {
 			return false
 		}
 		return tm.Cost >= exact.Cost-1e-9 && tm.Cost <= bound+1e-9
@@ -77,7 +77,7 @@ func TestQuickAllRootsConsistent(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 6+rng.Intn(6), 10)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		k := 2 + rng.Intn(3)
 		terms := rng.Perm(g.NumNodes())[:k]
 		table, err := NewDWTable(g, m, terms)
@@ -119,7 +119,7 @@ func TestQuickDWTableTreesSpan(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 6+rng.Intn(8), 12)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		terms := rng.Perm(g.NumNodes())[:1+rng.Intn(4)]
 		table, err := NewDWTable(g, m, terms)
 		if err != nil {
@@ -131,7 +131,7 @@ func TestQuickDWTableTreesSpan(t *testing.T) {
 				spans = append([]int{v}, terms...)
 			}
 			tree, err := table.Tree(v)
-			if err != nil || !g.IsTreeSpanning(tree.Edges, spans) {
+			if err != nil || !isTreeSpanning(g, tree.Edges, spans) {
 				return false
 			}
 			if math.Abs(tree.Cost-table.Cost(v)) > 1e-9 {
@@ -146,7 +146,7 @@ func TestQuickDWTableTreesSpan(t *testing.T) {
 	// A node that cannot reach D has no tree, and D must be connected.
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1)
-	m := g.FloydWarshall()
+	m := g.APSP()
 	table, err := NewDWTable(g, m, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +169,9 @@ func TestQuickPrunePreservesSpan(t *testing.T) {
 		terms := rng.Perm(g.NumNodes())[:k]
 		// Start from a spanning tree of the whole graph (superset of any
 		// Steiner tree).
-		edges, _ := g.MSTKruskal()
+		edges, _ := mstKruskal(g)
 		pruned := Prune(g, edges, terms)
-		return g.IsTreeSpanning(pruned, terms)
+		return isTreeSpanning(g, pruned, terms)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -47,8 +47,8 @@ func bruteForceSteiner(t *testing.T, g *graph.Graph, terminals []int) float64 {
 				sub.MustAddEdge(e.U, e.V, e.Cost)
 			}
 		}
-		edges, cost := sub.MSTKruskal()
-		if !sub.IsTreeSpanning(edges, terminals) {
+		edges, cost := mstKruskal(sub)
+		if !isTreeSpanning(sub, edges, terminals) {
 			continue
 		}
 		// MST may span several components; require terminals connected.
@@ -100,7 +100,7 @@ func TestKMBOnKnownGraph(t *testing.T) {
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(0, 1, 10)
 	g.MustAddEdge(1, 2, 10)
-	m := g.FloydWarshall()
+	m := g.APSP()
 	tree, err := KMB(g, m, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestKMBOnKnownGraph(t *testing.T) {
 	if tree.Cost != 3 {
 		t.Errorf("KMB cost = %v, want 3 (via hub)", tree.Cost)
 	}
-	if !g.IsTreeSpanning(tree.Edges, []int{0, 1, 2}) {
+	if !isTreeSpanning(g, tree.Edges, []int{0, 1, 2}) {
 		t.Error("KMB result does not span terminals")
 	}
 }
@@ -117,7 +117,7 @@ func TestKMBSingleAndEmptyTerminals(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	m := g.FloydWarshall()
+	m := g.APSP()
 	if _, err := KMB(g, m, nil); !errors.Is(err, ErrNoTerminals) {
 		t.Errorf("empty terminals: got %v", err)
 	}
@@ -137,7 +137,7 @@ func TestKMBUnreachableTerminal(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	// node 2,3 disconnected
 	g.MustAddEdge(2, 3, 1)
-	m := g.FloydWarshall()
+	m := g.APSP()
 	if _, err := KMB(g, m, []int{0, 2}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("got %v, want ErrUnreachable", err)
 	}
@@ -150,7 +150,7 @@ func TestDreyfusWagnerMatchesBruteForce(t *testing.T) {
 		g := randomConnectedGraph(rng, n, n)
 		k := 2 + rng.Intn(3) // 2..4 terminals
 		terms := sampleTerminals(rng, n, k)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		exact, err := DreyfusWagner(g, m, terms)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -160,7 +160,7 @@ func TestDreyfusWagnerMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d (n=%d terms=%v): DW %v, brute force %v",
 				trial, n, terms, exact.Cost, want)
 		}
-		if !g.IsTreeSpanning(exact.Edges, terms) {
+		if !isTreeSpanning(g, exact.Edges, terms) {
 			t.Fatalf("trial %d: DW result not a spanning tree of terminals", trial)
 		}
 	}
@@ -173,7 +173,7 @@ func TestKMBWithinTwiceOptimal(t *testing.T) {
 		g := randomConnectedGraph(rng, n, 2*n)
 		k := 2 + rng.Intn(4)
 		terms := sampleTerminals(rng, n, k)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		approx, err := KMB(g, m, terms)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -199,12 +199,12 @@ func TestTakahashiMatsuyamaFeasibleAndBounded(t *testing.T) {
 		g := randomConnectedGraph(rng, n, 2*n)
 		k := 2 + rng.Intn(4)
 		terms := sampleTerminals(rng, n, k)
-		m := g.FloydWarshall()
+		m := g.APSP()
 		tm, err := TakahashiMatsuyama(g, m, terms[0], terms[1:])
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !g.IsTreeSpanning(tm.Edges, terms) {
+		if !isTreeSpanning(g, tm.Edges, terms) {
 			t.Fatalf("trial %d: TM result not a tree spanning terminals", trial)
 		}
 		exact, err := DreyfusWagner(g, m, terms)
@@ -222,7 +222,7 @@ func TestDreyfusWagnerTerminalLimit(t *testing.T) {
 	for v := 1; v < 20; v++ {
 		g.MustAddEdge(v-1, v, 1)
 	}
-	m := g.FloydWarshall()
+	m := g.APSP()
 	terms := make([]int, MaxExactTerminals+1)
 	for i := range terms {
 		terms[i] = i
@@ -240,7 +240,7 @@ func TestDreyfusWagnerPathGraph(t *testing.T) {
 		g.MustAddEdge(v-1, v, float64(v))
 		total += float64(v)
 	}
-	m := g.FloydWarshall()
+	m := g.APSP()
 	tree, err := DreyfusWagner(g, m, []int{0, 5})
 	if err != nil {
 		t.Fatal(err)

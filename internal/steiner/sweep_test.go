@@ -169,15 +169,44 @@ func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) int64
 	return s.Counters().GeneralTrees
 }
 
-// apspBuilders are the three ways a metric reaches the solver; they
-// break equal-cost ties differently, so each is its own case.
-var apspBuilders = []struct {
-	name  string
-	build func(*graph.Graph) *graph.Metric
+// labellings run each edge case three ways. Three routines once built
+// the metric, each breaking equal-cost ties its own way; the subtests
+// keep their names, and each now breaks ties its own way by handing
+// APSP a relabelled copy of the instance: as given, with nodes
+// numbered in reverse, or with edges added in reverse order (which
+// moves the lowest id among parallel edges).
+var labellings = []struct {
+	name    string
+	relabel func(g *graph.Graph, dests []int) (*graph.Graph, []int)
 }{
-	{"FloydWarshall", (*graph.Graph).FloydWarshall},
-	{"AllDijkstra", (*graph.Graph).AllDijkstra},
-	{"APSPAuto", (*graph.Graph).APSPAuto},
+	{"FloydWarshall", func(g *graph.Graph, dests []int) (*graph.Graph, []int) { return g, dests }},
+	{"AllDijkstra", reverseNodes},
+	{"APSPAuto", reverseEdges},
+}
+
+// reverseNodes copies g with node v renamed n-1-v, edges in the same
+// order, and renames dests to match.
+func reverseNodes(g *graph.Graph, dests []int) (*graph.Graph, []int) {
+	n := g.NumNodes()
+	h := graph.New(n)
+	for _, e := range g.Edges() {
+		h.MustAddEdge(n-1-e.U, n-1-e.V, e.Cost)
+	}
+	var d []int
+	for _, v := range dests {
+		d = append(d, n-1-v)
+	}
+	return h, d
+}
+
+// reverseEdges copies g with its edges added last to first.
+func reverseEdges(g *graph.Graph, dests []int) (*graph.Graph, []int) {
+	h := graph.New(g.NumNodes())
+	es := g.Edges()
+	for i := len(es) - 1; i >= 0; i-- {
+		h.MustAddEdge(es[i].U, es[i].V, es[i].Cost)
+	}
+	return h, dests
 }
 
 // costModes draw edge costs: floats (ties rare), all ones, {1,2}
@@ -232,7 +261,7 @@ func hypercube(dim int) *graph.Graph {
 
 // generalBranchGraph is the smallest instance found whose expansion is
 // not a tree: the paths 0 -> 6 and 6 -> 8 take different sides of the
-// diamond 3-4-6-5 under AllDijkstra, so the union holds its cycle.
+// diamond 3-4-6-5 in the metric's rows, so the union holds its cycle.
 func generalBranchGraph() (g *graph.Graph, dests []int) {
 	g = graph.New(9)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {6, 5}, {6, 4}, {3, 7}, {7, 8}} {
@@ -250,9 +279,7 @@ func TestSweepDifferentialRandom(t *testing.T) {
 		for i := range dests {
 			dests[i] = rng.Intn(n) // duplicates and root-in-D come up on their own
 		}
-		for _, apsp := range apspBuilders {
-			diffSweep(t, g, apsp.build(g), dests)
-		}
+		diffSweep(t, g, g.APSP(), dests)
 	}
 }
 
@@ -260,11 +287,9 @@ func TestSweepDifferentialLattices(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	graphs := []*graph.Graph{unitGrid(4, 4), unitGrid(6, 6), unitGrid(3, 9), unitGrid(9, 8), hypercube(3), hypercube(5), hypercube(6)}
 	for _, g := range graphs {
-		for _, apsp := range apspBuilders {
-			m := apsp.build(g)
-			for trial := 0; trial < 6; trial++ {
-				diffSweep(t, g, m, rng.Perm(g.NumNodes())[:2+rng.Intn(7)])
-			}
+		m := g.APSP()
+		for trial := 0; trial < 6; trial++ {
+			diffSweep(t, g, m, rng.Perm(g.NumNodes())[:2+rng.Intn(7)])
 		}
 	}
 }
@@ -289,10 +314,8 @@ func skew(m *graph.Metric) *graph.Metric {
 func TestSweepDifferentialPickOrder(t *testing.T) {
 	g := unitGrid(5, 5)
 	dests := []int{12, 0, 24, 12, 4, 20, 0, 7, 17, 24}
-	for _, apsp := range apspBuilders {
-		diffSweep(t, g, apsp.build(g), dests)
-		diffSweep(t, g, skew(apsp.build(g)), dests)
-	}
+	diffSweep(t, g, g.APSP(), dests)
+	diffSweep(t, g, skew(g.APSP()), dests)
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(20)
@@ -301,7 +324,7 @@ func TestSweepDifferentialPickOrder(t *testing.T) {
 		for i := range d {
 			d[i] = rng.Intn(n)
 		}
-		diffSweep(t, g, skew(g.APSPAuto()), d)
+		diffSweep(t, g, skew(g.APSP()), d)
 	}
 }
 
@@ -334,13 +357,14 @@ func TestSweepDifferentialEdgeCases(t *testing.T) {
 		{"isolated destination", split, []int{5}},
 		{"parallel edges", parallel, []int{2, 0}},
 	} {
-		for _, apsp := range apspBuilders {
-			t.Run(tc.name+"/"+apsp.name, func(t *testing.T) {
-				diffSweep(t, tc.g, apsp.build(tc.g), tc.dests)
+		for _, l := range labellings {
+			t.Run(tc.name+"/"+l.name, func(t *testing.T) {
+				g, dests := l.relabel(tc.g, tc.dests)
+				diffSweep(t, g, g.APSP(), dests)
 			})
 		}
 	}
-	if _, err := KMB(path, path.FloydWarshall(), nil); !errors.Is(err, ErrNoTerminals) {
+	if _, err := KMB(path, path.APSP(), nil); !errors.Is(err, ErrNoTerminals) {
 		t.Errorf("KMB of no terminals: %v, want ErrNoTerminals", err)
 	}
 }
@@ -427,8 +451,8 @@ func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int)
 const exactNodes = 12
 
 // LowerBound never exceeds a tree it bounds, on the instances the
-// differential tests sweep: random graphs under every cost mode and
-// metric builder, lattices, and the edge cases (no destination, one,
+// differential tests sweep: random graphs under every cost mode,
+// lattices, and the edge cases (no destination, one,
 // duplicates, roots inside D, destinations in separate components).
 func TestSweepLowerBound(t *testing.T) {
 	worst := 0.0
@@ -440,18 +464,14 @@ func TestSweepLowerBound(t *testing.T) {
 		for i := range dests {
 			dests[i] = rng.Intn(n)
 		}
-		for _, apsp := range apspBuilders {
-			worst = max(worst, checkLowerBound(t, g, apsp.build(g), dests))
-		}
+		worst = max(worst, checkLowerBound(t, g, g.APSP(), dests))
 	}
 	for _, g := range []*graph.Graph{unitGrid(4, 4), unitGrid(6, 6), unitGrid(3, 9), hypercube(3), hypercube(5)} {
-		for _, apsp := range apspBuilders {
-			m := apsp.build(g)
-			for trial := 0; trial < 6; trial++ {
-				worst = max(worst, checkLowerBound(t, g, m, rng.Perm(g.NumNodes())[:2+rng.Intn(7)]))
-			}
-			worst = max(worst, checkLowerBound(t, g, skew(apsp.build(g)), []int{0, g.NumNodes() - 1, 0, 1}))
+		m := g.APSP()
+		for trial := 0; trial < 6; trial++ {
+			worst = max(worst, checkLowerBound(t, g, m, rng.Perm(g.NumNodes())[:2+rng.Intn(7)]))
 		}
+		worst = max(worst, checkLowerBound(t, g, skew(g.APSP()), []int{0, g.NumNodes() - 1, 0, 1}))
 	}
 	path := graph.New(5)
 	for v := 1; v < 5; v++ {
@@ -475,15 +495,16 @@ func TestSweepLowerBound(t *testing.T) {
 		{"two components", split, []int{1, 4}},
 		{"isolated destination", split, []int{5, 0}},
 	} {
-		for _, apsp := range apspBuilders {
-			t.Run(tc.name+"/"+apsp.name, func(t *testing.T) {
-				checkLowerBound(t, tc.g, apsp.build(tc.g), tc.dests)
+		for _, l := range labellings {
+			t.Run(tc.name+"/"+l.name, func(t *testing.T) {
+				g, dests := l.relabel(tc.g, tc.dests)
+				checkLowerBound(t, g, g.APSP(), dests)
 			})
 		}
 	}
 	// Two destinations on a path: the bound is their distance, which
 	// the tree rooted at either one costs exactly.
-	s := NewSweep(path, path.FloydWarshall(), []int{0, 4})
+	s := NewSweep(path, path.APSP(), []int{0, 4})
 	defer s.Close()
 	if lb := s.LowerBound(); lb != 4 {
 		t.Errorf("path 0..4: bound %v, want 4", lb)
@@ -493,7 +514,7 @@ func TestSweepLowerBound(t *testing.T) {
 
 // On graphs small enough for the exact optimum, the bound never
 // exceeds it and meets it at two and three destinations, under every
-// cost mode and metric builder, skewed or not.
+// cost mode, skewed or not.
 func TestSweepLowerBoundExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	sum, n4 := 0.0, 0
@@ -501,24 +522,22 @@ func TestSweepLowerBoundExact(t *testing.T) {
 		n := 4 + rng.Intn(exactNodes-3)
 		g := randomGraphWithCosts(rng, n, rng.Intn(2*n), costModes[trial%len(costModes)])
 		dests := rng.Perm(n)[:2+rng.Intn(min(n, 9)-1)]
-		for _, apsp := range apspBuilders {
-			m := apsp.build(g)
-			if trial%5 == 0 {
-				skew(m)
-			}
-			checkLowerBound(t, g, m, dests)
-			if len(dests) < 4 {
-				continue
-			}
-			dw, err := NewDWTable(g, m, dests)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if opt := dw.Cost(dests[0]); opt > 0 {
-				s := NewSweep(g, m, dests)
-				sum, n4 = sum+s.LowerBound()/opt, n4+1
-				s.Close()
-			}
+		m := g.APSP()
+		if trial%5 == 0 {
+			skew(m)
+		}
+		checkLowerBound(t, g, m, dests)
+		if len(dests) < 4 {
+			continue
+		}
+		dw, err := NewDWTable(g, m, dests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt := dw.Cost(dests[0]); opt > 0 {
+			s := NewSweep(g, m, dests)
+			sum, n4 = sum+s.LowerBound()/opt, n4+1
+			s.Close()
 		}
 	}
 	t.Logf("mean bound-to-optimum ratio at four or more destinations %.3f over %d sets", sum/float64(n4), n4)
@@ -550,7 +569,7 @@ func TestSweepLowerBoundMoats(t *testing.T) {
 		{"path", path, []int{0, 1, 3, 4}, 4 / 1.5},
 		{"spider", spider, []int{1, 2, 3, 4, 0}, 4 / 1.6},
 	} {
-		s := NewSweep(tc.g, tc.g.FloydWarshall(), tc.dests)
+		s := NewSweep(tc.g, tc.g.APSP(), tc.dests)
 		if span, lb := s.spanBound(), s.LowerBound(); span != tc.span || lb != 4 {
 			t.Errorf("%s: spanning-tree bound %v and bound %v, want %v and 4", tc.name, span, lb, tc.span)
 		}
@@ -564,7 +583,7 @@ func TestSweepLowerBoundMoats(t *testing.T) {
 func TestSweepGeneralBranch(t *testing.T) {
 	g, dests := generalBranchGraph()
 	before := SweepStats()
-	general := diffSweep(t, g, g.AllDijkstra(), dests)
+	general := diffSweep(t, g, g.APSP(), dests)
 	if general == 0 {
 		t.Fatal("no root took the general branch; the instance no longer covers it")
 	}
@@ -627,7 +646,7 @@ func FuzzSweepDifferential(f *testing.F) {
 	f.Add(uint8(25), false, lattice, pickOrder, uint8(0x80|2))
 	// Zero and −0 costs: a spine with free shortcuts and a −0 edge
 	// parallel to a +0 one, so closure distances tie at 0 in both signs;
-	// then a lattice whose rows cost nothing, under AllDijkstra.
+	// then a lattice whose rows cost nothing.
 	f.Add(uint8(10), true, []byte{0, 5, 0x40, 5, 0, 0x41, 2, 7, 0x41, 3, 8, 0x40, 1, 9, 0x41, 6, 4, 0x40}, []byte{9, 0, 7, 4, 9}, uint8(0))
 	var zeroRows []byte
 	for _, e := range unitGrid(4, 4).Edges() {
@@ -638,7 +657,8 @@ func FuzzSweepDifferential(f *testing.F) {
 		zeroRows = append(zeroRows, byte(e.U), byte(e.V), c)
 	}
 	f.Add(uint8(16), false, zeroRows, []byte{15, 0, 5, 10, 3, 12}, uint8(1))
-	f.Fuzz(func(t *testing.T, n uint8, spine bool, edges, dests []byte, apsp uint8) {
+	// Only bit 7 of the last byte is read: it skews the metric.
+	f.Fuzz(func(t *testing.T, n uint8, spine bool, edges, dests []byte, metric uint8) {
 		if n == 0 || n > 48 || len(edges) > 3*96 || len(dests) > 12 {
 			t.Skip()
 		}
@@ -647,8 +667,8 @@ func FuzzSweepDifferential(f *testing.F) {
 		for i, b := range dests {
 			d[i] = int(b) % int(n)
 		}
-		m := apspBuilders[int(apsp&0x7f)%len(apspBuilders)].build(g)
-		if apsp&0x80 != 0 {
+		m := g.APSP()
+		if metric&0x80 != 0 {
 			skew(m)
 		}
 		diffSweep(t, g, m, d)
@@ -660,13 +680,13 @@ func FuzzSweepDifferential(f *testing.F) {
 // repeats returned a different edge set from the first.
 func TestTakahashiMatsuyamaDeterministic(t *testing.T) {
 	g := unitGrid(6, 6)
-	m := g.FloydWarshall()
+	m := g.APSP()
 	dests := []int{35, 5, 30, 14, 21}
 	first, err := TakahashiMatsuyama(g, m, 0, dests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsTreeSpanning(first.Edges, append([]int{0}, dests...)) {
+	if !isTreeSpanning(g, first.Edges, append([]int{0}, dests...)) {
 		t.Fatalf("not a tree spanning the terminals: %v", first.Edges)
 	}
 	for rep := 1; rep < 200; rep++ {

@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + the solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + APSP byte identity + solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + APSP byte identity + the solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,2,4
 #                       # (equivalence battery: idle, held and trickle
@@ -249,7 +249,8 @@ fuzz_smoke() {
 # non-test files call no AdmitCtx (POST /v1/sessions has one way in,
 # the queue); the stage-one sweep stays one goroutine's loop; and the
 # chain search in internal/mod stays a column pass (no heap, no
-# shortest-path tree — its test oracle keeps graph.Digraph's Dijkstra —
+# shortest-path tree — its test oracle keeps a digraph Dijkstra in
+# internal/mod/digraph_test.go —
 # and predecessors come from a sorted shortlist, not a heap);
 # internal/core's non-test files call no state.cost() (a solve prices
 # once, and stage two once per trial move), hold no second cost engine
@@ -316,7 +317,13 @@ fuzz_smoke() {
 # internal/dynamic files call conformance.WalkBroken in exactly one
 # place, the judge pass; and no non-test internal/nfv file calls
 # Graph.HasEdge (Validate, Cost and ValidateCost are one walk over the
-# segments, and each hop it looks up goes through CSR.Arc).
+# segments, and each hop it looks up goes through CSR.Arc); and the
+# shortest-path metric has one routine at every size, graph.APSP: no
+# non-test .go file names the Floyd-Warshall or serial-row routines,
+# the cut-offs that chose between them or their ablation (FloydWarshall,
+# AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP),
+# nor the algorithms only tests called (MSTPrim, BFSHops, NewDigraph):
+# the references live in _test.go files.
 retired_guard() {
 	if grep -rnE 'os\.(Getenv|LookupEnv|Environ)|syscall\.Getenv' --include='*.go' --exclude='*_test.go' internal/steiner internal/core; then
 		echo "retired guard: internal/steiner or internal/core reads an environment variable (every solver setting is a core.Options field)" >&2
@@ -326,7 +333,7 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL)"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files)"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -453,6 +460,10 @@ retired_guard() {
 		echo "retired guard: solver events have a second wire form again (a JSON-lines stream, its sfttrace -parse reader or an obs.Breakdown summary); every consumer reads the span tree spansOf builds" >&2
 		exit 1
 	fi
+	if grep -rnwE 'FloydWarshall|AllDijkstra|APSPAuto|apspSmallCutoff|apspDenseCutoff|AblationAPSP|MSTPrim|BFSHops|NewDigraph' --include='*.go' --exclude='*_test.go' .; then
+		echo "retired guard: a second all-pairs routine, its size or density cut-off, its ablation or a test-only graph algorithm is back in a non-test file (the metric is graph.APSP at every size; Floyd-Warshall, the serial rows and the digraph are test references)" >&2
+		exit 1
+	fi
 	if go list -f '{{join .Imports "\n"}}' ./cmd/sftload | grep -xE 'sftree/internal/(wal|faults)' ||
 		grep -nE '"(restart|faults)"' cmd/sftload/*.go; then
 		echo "retired guard: cmd/sftload reaches past HTTP again (a WAL, a fault state, or a -restart / -faults flag); crashes under load are internal/server's TestCrashUnderConcurrentAdmissions" >&2
@@ -540,6 +551,12 @@ echo "==> bench module: go vet ./... && go test ./..."
 # internal/nfv/naive_test.go, error text and price bits, broken copies
 # of shared segments included; the combined check allocates nothing
 # with a warm bitmap.
+# APSP's rows run on a GOMAXPROCS-sized worker pool; the byte-identity
+# test holds every distance and first arc to the rows run serially, at
+# one, two and four workers.
+echo "==> APSP byte identity at -cpu 1,2,4: TestAPSPByteIdentical"
+run_matching '-count=1 -cpu 1,2,4' 'TestAPSPByteIdentical' ./internal/graph
+
 echo "==> allocation budgets, solve digest, stage-two and walker parity: TestSolveAllocBudget, TestSolveDigest, TestEngineEventParity, TestQuickSolveMatchesReferenceEngine, TestQuickIncrementalMatchesNaive, TestAdmitAllocBudget, TestCloneAllocs, TestValidateCostAllocs, TestQuickWalkerMatchesNaive"
 run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest|TestEngineEventParity|TestQuickSolveMatchesReferenceEngine|TestQuickIncrementalMatchesNaive' ./internal/core
 run_matching -count=1 'TestAdmitAllocBudget|TestCloneAllocs' ./internal/dynamic ./internal/nfv
