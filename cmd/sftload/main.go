@@ -9,16 +9,14 @@
 // Each admitted session holds for an exponentially distributed time
 // (-hold mean) and is then released, so the server reaches a steady
 // state of live sessions proportional to rate×hold (Little's law).
-// Tasks are sampled from a configurable chain-signature mix
-// ("destsxchain:weight" terms).
+// Tasks are sampled from a configurable mix of task shapes
+// ("destsxchain:weight" terms: destinations × chain length); every
+// arrival draws its own chain.
 //
 // By default sftload serves its own in-process sftserve (httptest) on
 // a generated network — the same queued server sftserve runs; -url
 // points it at a live server instead, in which case -nodes/-seed must
-// match the server's so sampled tasks reference valid node IDs. A "!"
-// mix marker ("6x4!") pins a term to one concrete chain, so all of its
-// arrivals share a chain signature — the shape the admission queue's
-// signature coalescing batches.
+// match the server's so sampled tasks reference valid node IDs.
 //
 // Output: one table row per offered rate (sustained admissions/sec,
 // p50/p95/p99/p999 scheduled-start latency, rejection rate, an
@@ -42,7 +40,7 @@
 //	sftload -rates 4,16,64 -duration 5s -out load.json
 //	sftload -url http://host:8080 -nodes 50 -seed 1 -rates 32
 //	sftload -rates 24 -duration 5s -check
-//	sftload -mix '6x4!' -rates 768 -duration 4s
+//	sftload -mix '6x4' -rates 768 -duration 4s
 package main
 
 import (
@@ -78,20 +76,15 @@ func main() {
 	}
 }
 
-// sig is one term of the chain-signature mix: tasks with |D|=dests
+// sig is one term of the task-shape mix: tasks with |D|=dests
 // destinations and a chain of chainLen VNFs, drawn with the given
-// weight. fixed pins the term to one concrete chain — every arrival
-// drawn from it shares the exact chain signature, the workload shape
-// the admission queue's signature coalescing is built for.
+// weight.
 type sig struct {
 	dests, chainLen int
 	weight          float64
-	fixed           bool
 }
 
-// parseMix parses "2x3:2,4x3:1,8x5:1" into signature terms. A "!"
-// after the shape ("4x4!") makes the term fixed-chain: one chain is
-// sampled per rate point and reused for all of the term's arrivals.
+// parseMix parses "2x3:2,4x3:1,8x5:1" into task-shape terms.
 func parseMix(s string) ([]sig, error) {
 	var out []sig
 	var total float64
@@ -109,22 +102,20 @@ func parseMix(s string) ([]sig, error) {
 			}
 			w = f
 		}
-		fixed := strings.HasSuffix(shape, "!")
-		shape = strings.TrimSuffix(shape, "!")
 		d, c, ok := strings.Cut(shape, "x")
 		if !ok {
-			return nil, fmt.Errorf("mix term %q: want destsxchain[!][:weight]", term)
+			return nil, fmt.Errorf("mix term %q: want destsxchain[:weight]", term)
 		}
 		dn, err1 := strconv.Atoi(d)
 		cn, err2 := strconv.Atoi(c)
 		if err1 != nil || err2 != nil || dn < 1 || cn < 1 {
 			return nil, fmt.Errorf("mix term %q: bad shape", term)
 		}
-		out = append(out, sig{dests: dn, chainLen: cn, weight: w, fixed: fixed})
+		out = append(out, sig{dests: dn, chainLen: cn, weight: w})
 		total += w
 	}
 	if len(out) == 0 {
-		return nil, errors.New("empty chain-signature mix")
+		return nil, errors.New("empty task-shape mix")
 	}
 	if math.IsInf(total, 1) {
 		return nil, errors.New("mix weights sum past the largest float")
@@ -153,30 +144,18 @@ func makePlan(net *nfv.Network, rng *rand.Rand, rate float64, warmup, window tim
 	}
 	var plan []arrival
 	total := warmup + window
-	// fixedChains caches the one chain each fixed ("!") mix term pins
-	// for this plan: every arrival of the term reuses it, so they all
-	// share a chain signature in the admission queue.
-	fixedChains := make(map[int]nfv.SFC)
 	for t := time.Duration(float64(time.Second) * rng.ExpFloat64() / rate); t < total; t += time.Duration(float64(time.Second) * rng.ExpFloat64() / rate) {
 		pick := rng.Float64() * totalW
-		mi := len(mix) - 1
-		for ci, cand := range mix {
+		m := mix[len(mix)-1]
+		for _, cand := range mix {
 			if pick -= cand.weight; pick < 0 {
-				mi = ci
+				m = cand
 				break
 			}
 		}
-		m := mix[mi]
 		task, err := netgen.GenerateTask(net, rng, m.dests, m.chainLen)
 		if err != nil {
 			return nil, fmt.Errorf("sample task %dx%d: %w", m.dests, m.chainLen, err)
-		}
-		if m.fixed {
-			if chain, ok := fixedChains[mi]; ok {
-				task.Chain = chain
-			} else {
-				fixedChains[mi] = task.Chain
-			}
 		}
 		var hold time.Duration
 		if holdMean > 0 {
@@ -382,7 +361,7 @@ func run(args []string, stdout io.Writer) error {
 		duration = fs.Duration("duration", 5*time.Second, "measured window per rate point")
 		warmup   = fs.Duration("warmup", 1*time.Second, "per-point warmup excluded from stats")
 		hold     = fs.Duration("hold", 2*time.Second, "mean exponential session holding time before release (0 = never release)")
-		mixStr   = fs.String("mix", "2x2:2,4x3:2,8x5:1", "chain-signature mix: destsxchain[:weight] terms")
+		mixStr   = fs.String("mix", "2x2:2,4x3:2,8x5:1", "task-shape mix: destsxchain[:weight] terms (destinations x chain length)")
 		drain    = fs.Duration("drain", 10*time.Second, "post-window wait for in-flight admissions before counting them dropped")
 		out      = fs.String("out", "", "write the JSON artifact here")
 		check    = fs.Bool("check", false, "smoke-gate mode: fail unless admissions, zero unsaturated drops, a warm metric-cache hit rate and a request-ID trace are observed")

@@ -19,44 +19,14 @@ func TestParseMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []sig{{2, 3, 2, false}, {8, 5, 1, false}, {4, 1, 0.5, false}}
+	want := []sig{{2, 3, 2}, {8, 5, 1}, {4, 1, 0.5}}
 	if !reflect.DeepEqual(mix, want) {
 		t.Errorf("mix = %+v, want %+v", mix, want)
 	}
-	fixed, err := parseMix("6x4!:3,2x2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []sig{{6, 4, 3, true}, {2, 2, 1, false}}; !reflect.DeepEqual(fixed, want) {
-		t.Errorf("fixed mix = %+v, want %+v", fixed, want)
-	}
 	for _, bad := range []string{"", "2y3", "0x3", "2x3:-1", "ax3",
-		"2x3:NaN", "2x3:Inf", "2x3:+Inf", "2x3:-Inf", "2x3:1e308,4x4:1e308"} {
+		"2x3:NaN", "2x3:Inf", "2x3:+Inf", "2x3:-Inf", "2x3:1e308,4x4:1e308", "6x4!", "6x4!:3"} {
 		if _, err := parseMix(bad); err == nil {
 			t.Errorf("mix %q accepted", bad)
-		}
-	}
-}
-
-// TestMakePlanFixedChain: every arrival of a "!" term shares one
-// chain (one signature), while a non-fixed term keeps sampling.
-func TestMakePlanFixedChain(t *testing.T) {
-	net, err := sftree.GenerateNetwork(sftree.DefaultGenConfig(30, 2), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := []sig{{4, 4, 1, true}}
-	plan, err := makePlan(net, rand.New(rand.NewSource(9)), 50, 0, time.Second, mix, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan) < 10 {
-		t.Fatalf("plan too small: %d", len(plan))
-	}
-	first := plan[0].task.Chain
-	for i, a := range plan {
-		if !reflect.DeepEqual(a.task.Chain, first) {
-			t.Fatalf("arrival %d chain %v differs from %v despite fixed term", i, a.task.Chain, first)
 		}
 	}
 }
@@ -66,7 +36,7 @@ func TestMakePlanDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix := []sig{{2, 2, 1, false}, {4, 3, 1, false}}
+	mix := []sig{{2, 2, 1}, {4, 3, 1}}
 	plan1, err := makePlan(net, rand.New(rand.NewSource(42)), 50, 200*time.Millisecond, time.Second, mix, time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"sftree/internal/nfv"
 )
@@ -269,26 +268,4 @@ func CostsAgree(a, b float64) bool {
 	}
 	tol := 1e-6 * math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= tol
-}
-
-// SortedInstanceKeys returns the embedding's distinct (vnf, node) new
-// instance pairs in deterministic order, a convenience for reports and
-// diffing solver outputs.
-func SortedInstanceKeys(e *nfv.Embedding) [][2]int {
-	seen := make(map[[2]int]bool, len(e.NewInstances))
-	var keys [][2]int
-	for _, inst := range e.NewInstances {
-		key := [2]int{inst.VNF, inst.Node}
-		if !seen[key] {
-			seen[key] = true
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	return keys
 }

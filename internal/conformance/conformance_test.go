@@ -361,19 +361,3 @@ func TestCostsAgree(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedInstanceKeysDedupes(t *testing.T) {
-	e := &nfv.Embedding{NewInstances: []nfv.Instance{
-		{VNF: 2, Node: 5}, {VNF: 1, Node: 9}, {VNF: 2, Node: 5}, {VNF: 1, Node: 3},
-	}}
-	keys := SortedInstanceKeys(e)
-	want := [][2]int{{1, 3}, {1, 9}, {2, 5}}
-	if len(keys) != len(want) {
-		t.Fatalf("keys %v, want %v", keys, want)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys %v, want %v", keys, want)
-		}
-	}
-}

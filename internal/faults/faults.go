@@ -215,15 +215,6 @@ func (s *State) Apply(ev Event) error {
 	return nil
 }
 
-// LinkIsDown reports whether the link {u,v} is currently failed.
-func (s *State) LinkIsDown(u, v int) bool { return s.downLinks[canonLink(u, v)] }
-
-// DownLinks returns the number of currently failed links.
-func (s *State) DownLinks() int { return len(s.downLinks) }
-
-// DownNodes returns the number of currently crashed nodes.
-func (s *State) DownNodes() int { return len(s.downNodes) }
-
 // Materialize builds the degraded network: the base topology minus
 // failed links and crashed nodes (with their incident links), carrying
 // over every VNF deployment of deployFrom that survives — instances on

@@ -42,7 +42,7 @@ func TestLinkDownUpMaterialize(t *testing.T) {
 	if err := st.Apply(Event{Kind: LinkDown, U: 1, V: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if !st.LinkIsDown(3, 1) {
+	if !st.downLinks[canonLink(3, 1)] {
 		t.Fatal("canonical link-down query failed")
 	}
 	degraded, err := st.Materialize(base)
@@ -246,8 +246,8 @@ func TestReplayerSteps(t *testing.T) {
 		{Kind: LinkDown, U: 2, V: 3},
 		{Kind: LinkUp, U: 1, V: 3},
 	})
-	if st.DownLinks() != 1 {
-		t.Fatalf("down links = %d, want 1", st.DownLinks())
+	if len(st.downLinks) != 1 {
+		t.Fatalf("down links = %d, want 1", len(st.downLinks))
 	}
 	if cur.Graph().NumEdges() != base.Graph().NumEdges()-1 {
 		t.Fatalf("degraded network has %d edges, want %d", cur.Graph().NumEdges(), base.Graph().NumEdges()-1)

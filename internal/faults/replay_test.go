@@ -15,7 +15,7 @@ import (
 func TestReplayerEmptySchedule(t *testing.T) {
 	base := testNet(t)
 	st, cur := replay(t, base, nil)
-	if cur != base || st.DownLinks() != 0 || st.DownNodes() != 0 {
+	if cur != base || len(st.downLinks) != 0 || len(st.downNodes) != 0 {
 		t.Fatal("empty schedule accumulated fault state")
 	}
 	net, err := st.Materialize(base)
@@ -37,10 +37,10 @@ func TestReplayerDuplicateDownIsIdempotent(t *testing.T) {
 		{Kind: NodeDown, Node: 2},
 		{Kind: NodeDown, Node: 2}, // duplicate
 	})
-	if got := st.DownLinks(); got != 1 {
+	if got := len(st.downLinks); got != 1 {
 		t.Fatalf("down links after duplicate downs = %d, want 1", got)
 	}
-	if got := st.DownNodes(); got != 1 {
+	if got := len(st.downNodes); got != 1 {
 		t.Fatalf("down nodes after duplicate downs = %d, want 1", got)
 	}
 	// One up each heals everything.
@@ -49,8 +49,8 @@ func TestReplayerDuplicateDownIsIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.DownLinks() != 0 || st.DownNodes() != 0 {
-		t.Fatalf("recovery after duplicate downs left %d links, %d nodes down", st.DownLinks(), st.DownNodes())
+	if len(st.downLinks) != 0 || len(st.downNodes) != 0 {
+		t.Fatalf("recovery after duplicate downs left %d links, %d nodes down", len(st.downLinks), len(st.downNodes))
 	}
 	net, err := st.Materialize(base)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestReplayerUpBeforeDown(t *testing.T) {
 		{Kind: NodeUp, Node: 1},
 		{Kind: LinkDown, U: 1, V: 3},
 	})
-	if got := st.DownLinks(); got != 1 {
+	if got := len(st.downLinks); got != 1 {
 		t.Fatalf("down links = %d, want only the real fault", got)
 	}
 	// The spurious ups must not have resurrected or duplicated anything.
@@ -108,9 +108,9 @@ func TestScheduleRoundTripThroughReplayer(t *testing.T) {
 	}
 	a, curA := replay(t, net, events)
 	b2, curB := replay(t, net, loaded)
-	if a.DownLinks() != b2.DownLinks() || a.DownNodes() != b2.DownNodes() {
+	if len(a.downLinks) != len(b2.downLinks) || len(a.downNodes) != len(b2.downNodes) {
 		t.Fatalf("replays diverged: %d/%d links, %d/%d nodes down",
-			a.DownLinks(), b2.DownLinks(), a.DownNodes(), b2.DownNodes())
+			len(a.downLinks), len(b2.downLinks), len(a.downNodes), len(b2.downNodes))
 	}
 	if curA.Graph().NumEdges() != curB.Graph().NumEdges() {
 		t.Fatalf("materialized networks diverged: %d vs %d edges", curA.Graph().NumEdges(), curB.Graph().NumEdges())

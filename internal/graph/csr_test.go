@@ -25,7 +25,7 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 		t.Fatalf("CSR has %d nodes, graph %d", c.N, g.NumNodes())
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		arcs := g.Neighbors(u)
+		arcs := g.adj[u]
 		row := c.Start[u+1] - c.Start[u]
 		if int(row) != len(arcs) {
 			t.Fatalf("node %d: CSR row %d arcs, adjacency %d", u, row, len(arcs))

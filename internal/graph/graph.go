@@ -41,14 +41,6 @@ type Edge struct {
 	Cost float64
 }
 
-// Other returns the endpoint of e that is not x.
-func (e Edge) Other(x int) int {
-	if e.U == x {
-		return e.V
-	}
-	return e.U
-}
-
 // Graph is an undirected weighted graph with dense integer node IDs.
 // The zero value is an empty graph with no nodes; use New to create a
 // graph with a fixed node count.
@@ -125,13 +117,6 @@ func (g *Graph) MustAddEdge(u, v int, cost float64) int {
 	}
 	return id
 }
-
-// Neighbors returns the adjacency list of u. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(u int) []Arc { return g.adj[u] }
-
-// Degree returns the number of incident edge endpoints at u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // HasEdge reports whether an edge {u,v} exists, and the cheapest cost
 // among parallel edges if so.

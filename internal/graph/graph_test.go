@@ -537,13 +537,6 @@ func TestEdgesReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestEdgeOther(t *testing.T) {
-	e := Edge{U: 3, V: 7, Cost: 1}
-	if e.Other(3) != 7 || e.Other(7) != 3 {
-		t.Errorf("Other: got %d,%d", e.Other(3), e.Other(7))
-	}
-}
-
 // TestPathCostNonAdjacent checks the pathCost oracle itself.
 func TestPathCostNonAdjacent(t *testing.T) {
 	g := diamond(t)
@@ -555,20 +548,6 @@ func TestPathCostNonAdjacent(t *testing.T) {
 	}
 	if c := pathCost(g, nil); c != 0 {
 		t.Errorf("pathCost(nil) = %v, want 0", c)
-	}
-}
-
-func TestDegreeAndNeighbors(t *testing.T) {
-	g := diamond(t)
-	if g.Degree(0) != 2 || g.Degree(3) != 2 {
-		t.Errorf("degrees: %d,%d want 2,2", g.Degree(0), g.Degree(3))
-	}
-	seen := map[int]bool{}
-	for _, a := range g.Neighbors(0) {
-		seen[a.To] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Errorf("Neighbors(0) = %v", seen)
 	}
 }
 

@@ -76,14 +76,15 @@ func TestQuickMetricAxioms(t *testing.T) {
 	}
 }
 
-// Property: union-find set counts decrease by exactly one per
-// successful union and Same() agrees with reachability over the unions
-// performed.
+// Property: a union-find's set count (its roots) decreases by exactly
+// one per successful union, and two nodes share a representative
+// exactly when the unions performed connect them.
 func TestQuickUnionFindInvariants(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		uf := NewUnionFind(n)
+		var uf UnionFind
+		uf.Reset(n)
 		adj := make([][]bool, n)
 		for i := range adj {
 			adj[i] = make([]bool, n)
@@ -112,13 +113,19 @@ func TestQuickUnionFindInvariants(t *testing.T) {
 			} else if merged {
 				return false
 			}
-			if uf.Sets() != sets {
+			roots := 0
+			for v := 0; v < n; v++ {
+				if uf.Find(v) == v {
+					roots++
+				}
+			}
+			if roots != sets {
 				return false
 			}
 		}
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				if uf.Same(a, b) != adj[a][b] {
+				if (uf.Find(a) == uf.Find(b)) != adj[a][b] {
 					return false
 				}
 			}

@@ -5,16 +5,6 @@ package graph
 type UnionFind struct {
 	parent []int
 	rank   []int8
-	sets   int
-}
-
-// NewUnionFind returns a forest of n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	return &UnionFind{parent: parent, rank: make([]int8, n), sets: n}
 }
 
 // Find returns the representative of x's set.
@@ -40,15 +30,8 @@ func (u *UnionFind) Union(x, y int) bool {
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
-	u.sets--
 	return true
 }
-
-// Same reports whether x and y belong to the same set.
-func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
 
 // Reset reinitializes the forest to n singleton sets, reusing the
 // backing arrays when large enough. It lets a zero-value UnionFind be
@@ -64,5 +47,4 @@ func (u *UnionFind) Reset(n int) {
 		u.parent[i] = i
 		u.rank[i] = 0
 	}
-	u.sets = n
 }

@@ -7,14 +7,9 @@ import (
 	"sftree/internal/nfv"
 )
 
-// ChainSig returns a compact signature of an SFC: the chain's VNF ids
-// in order, rendered into a byte string usable as a map key. Two tasks
-// with equal signatures embed over the identical overlay skeleton.
-func ChainSig(chain nfv.SFC) string {
-	return string(appendChainSig(make([]byte, 0, 2*len(chain)), chain))
-}
-
-// appendChainSig appends chain's signature to buf.
+// appendChainSig appends chain's signature to buf: the chain's VNF ids
+// in order, a compact byte string usable as a map key. Two tasks with
+// equal signatures embed over the identical overlay skeleton.
 func appendChainSig(buf []byte, chain nfv.SFC) []byte {
 	// Varint-ish little scheme keeps the common case (ids < 128) at one
 	// byte per VNF without pulling in encoding/binary at call sites.

@@ -88,7 +88,7 @@ func TestScaffoldBitsCheck(t *testing.T) {
 	}
 	alien.SolveSFC()
 	cache := NewCache()
-	key := cacheKey{source: 3, sig: ChainSig(chain), id: net.IncarnationID(),
+	key := cacheKey{source: 3, sig: string(appendChainSig(nil, chain)), id: net.IncarnationID(),
 		gen: net.Graph().Generation(), print: net.DeployFingerprint()}
 	planted := &cacheEntry{bits: other.DeploymentBits(), reused: true, m: alien}
 	planted.once.Do(func() {})
@@ -271,7 +271,7 @@ func TestScaffoldHitAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a scaffold hit allocates %v objects, want 0", allocs)
 	}
-	if got := cache.entries[cacheKey{source: 4, sig: ChainSig(chain), id: net.IncarnationID(), gen: net.Graph().Generation(), print: net.DeployFingerprint()}]; got == nil {
+	if got := cache.entries[cacheKey{source: 4, sig: string(appendChainSig(nil, chain)), id: net.IncarnationID(), gen: net.Graph().Generation(), print: net.DeployFingerprint()}]; got == nil {
 		t.Error("the entry is not stored under the chain's signature")
 	}
 }

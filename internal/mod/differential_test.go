@@ -79,8 +79,8 @@ func diffOverlay(t testing.TB, net *nfv.Network, source int, chain nfv.SFC) (dif
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if got := m.NumOverlayNodes(); got != want.NumNodes() {
-		t.Fatalf("NumOverlayNodes = %d, materialized %d", got, want.NumNodes())
+	if got := overlayNodes(m); got != want.NumNodes() {
+		t.Fatalf("overlay nodes = %d, materialized %d", got, want.NumNodes())
 	}
 	if got := m.NumOverlayArcs(); got != want.NumArcs() {
 		t.Fatalf("NumOverlayArcs = %d, materialized %d", got, want.NumArcs())

@@ -158,10 +158,6 @@ func (m *Network) Chain() nfv.SFC { return append(nfv.SFC(nil), m.chain...) }
 // overlay rows.
 func (m *Network) Servers() []int { return append([]int(nil), m.servers...) }
 
-// NumOverlayNodes returns the size of the paper's expanded overlay,
-// including the source.
-func (m *Network) NumOverlayNodes() int { return 1 + 2*len(m.chain)*len(m.servers) }
-
 // NumOverlayArcs returns the arc count of the paper's expanded
 // overlay, none of which is stored.
 // It scans the S*S server block of the metric on every call.
@@ -435,18 +431,6 @@ func (s *SFCSolution) AppendHostsTo(dst []int, v int) []int {
 		r = int(s.pred[j*size+r])
 	}
 	return dst
-}
-
-// BestHost returns the candidate last-VNF host with the cheapest SFC
-// embedding and its cost.
-func (s *SFCSolution) BestHost() (int, float64) {
-	best, bestCost := -1, graph.Inf
-	for _, v := range s.m.servers {
-		if c := s.CostTo(v); c < bestCost {
-			best, bestCost = v, c
-		}
-	}
-	return best, bestCost
 }
 
 // ChainCost recomputes the cost of a host sequence directly from the

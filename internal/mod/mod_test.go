@@ -121,7 +121,7 @@ func TestOverlayDimensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, s := len(chain), 6
-	if got, want := m.NumOverlayNodes(), 1+2*k*s; got != want {
+	if got, want := overlayNodes(m), 1+2*k*s; got != want {
 		t.Errorf("overlay nodes = %d, want %d", got, want)
 	}
 	// Connected network: s source arcs + k*s virtual + (k-1)*s*s column arcs.
@@ -197,7 +197,7 @@ func TestDeployedVNFMakesChainCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, before := m1.SolveSFC().BestHost()
+	_, before := bestHost(m1.SolveSFC())
 
 	// Deploy chain VNFs everywhere: setup becomes zero, so the best
 	// chain cost can only drop (to pure link cost).
@@ -212,7 +212,7 @@ func TestDeployedVNFMakesChainCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, after := m2.SolveSFC().BestHost()
+	best, after := bestHost(m2.SolveSFC())
 	if after > before+1e-9 {
 		t.Errorf("deploying VNFs increased best cost: %v -> %v", before, after)
 	}
@@ -255,7 +255,7 @@ func TestDeployedVNFCategories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.NumOverlayNodes(), 1+2*1*1; got != want {
+	if got, want := overlayNodes(m), 1+2*1*1; got != want {
 		t.Errorf("overlay nodes = %d, want %d (off-chain VNF must not add columns)", got, want)
 	}
 	// Not deployed in chain: the virtual arc carries the setup cost 7.
@@ -415,4 +415,20 @@ func TestSolveSFCOncePerOverlay(t *testing.T) {
 	if got, stale := moved.SolveSFC().CostTo(9), want.CostTo(9); got >= stale {
 		t.Errorf("chain ending at the new instance costs %v, before the deployment %v", got, stale)
 	}
+}
+
+// overlayNodes is the size of the paper's expanded overlay, the source
+// included: two nodes (in, out) per chain level and candidate host.
+func overlayNodes(m *Network) int { return 1 + 2*len(m.chain)*len(m.servers) }
+
+// bestHost returns the candidate last-VNF host with the cheapest SFC
+// embedding and its cost.
+func bestHost(s *SFCSolution) (int, float64) {
+	best, bestCost := -1, graph.Inf
+	for _, v := range s.m.servers {
+		if c := s.CostTo(v); c < bestCost {
+			best, bestCost = v, c
+		}
+	}
+	return best, bestCost
 }

@@ -86,8 +86,9 @@ func TestFatTreeStructure(t *testing.T) {
 		t.Fatalf("edge switches = %d, want 8", len(edges))
 	}
 	// Edge switches have degree k/2 (uplinks only, hosts not modelled).
+	c := net.Graph().CSR()
 	for _, v := range edges {
-		if d := net.Graph().Degree(v); d != k/2 {
+		if d := int(c.Start[v+1] - c.Start[v]); d != k/2 {
 			t.Fatalf("edge switch %d degree %d, want %d", v, d, k/2)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ type arrival struct {
 }
 
 // makeScript builds a fixed-seed arrival script whose chains repeat
-// (tasks are drawn from a small pool, so signature groups form) and
+// (tasks are drawn from a small pool, so scaffold lookups hit) and
 // whose deadlines mix none, generous, and tight-but-feasible.
 func makeScript(t *testing.T, seed int64, n int) (*nfv.Network, []arrival) {
 	t.Helper()
@@ -152,7 +153,7 @@ var workerCounts = []int{1, 2, 4}
 // agree bit for bit (see checkEquivalence). Every shape of line is
 // covered: a script enqueued on an idle queue is drained in whatever
 // small cuts the solvers' pace makes, one enqueued behind a held drain
-// rides a single EDF-sorted, signature-grouped drain, and a trickle
+// rides a single EDF-sorted drain, and a trickle
 // script keeps only a few tickets in the queue — each arrival waits for
 // the commit of the ticket that many places before it — so that drains
 // happen while the line is mid-flight and its tickets come one drain
@@ -274,6 +275,63 @@ func TestQueueOrderAcrossSplit(t *testing.T) {
 			closeQueue(t, q)
 			if st := q.Stats(); int(st.Batches) != 1+len(halves) {
 				t.Errorf("want the plug's batch plus %d, got %d batches", len(halves), st.Batches)
+			}
+			checkEquivalence(t, mQ, mS, tickets)
+		})
+	}
+}
+
+// TestQueueEDFAcrossChains queues x3, y2 and x1 behind a held plug —
+// x tickets share one chain, y has another, and the digit is the
+// deadline's rank, all hours out — so one drain plans all three. The
+// line must take them earliest deadline first, x1, y2, x3, whichever
+// chains they share, and the outcome must equal serialized admission
+// in that order.
+func TestQueueEDFAcrossChains(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(57))
+			netQ, err := netgen.Generate(netgen.PaperConfig(30, 2), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tasks [4]nfv.Task // plug, x, y, x again on another source
+			for i := range tasks {
+				if tasks[i], err = netgen.GenerateTask(netQ, rng, 3, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tasks[3].Chain = tasks[1].Chain
+			if slices.Equal(tasks[1].Chain, tasks[2].Chain) {
+				t.Fatal("x and y must differ in chain")
+			}
+			mQ := dynamic.NewManager(netQ, core.Options{})
+			mS := dynamic.NewManager(netQ.Clone(), core.Options{})
+			g := newGate(mQ)
+			q := New(Config{Depth: 8, Workers: workers, Manager: g.manager})
+
+			tickets := []*Ticket{g.hold(t, q, tasks[0])}
+			start := time.Now()
+			for _, a := range []struct {
+				task  nfv.Task
+				hours time.Duration
+			}{{tasks[1], 3}, {tasks[2], 2}, {tasks[3], 1}} { // x3, y2, x1
+				tk, err := q.Enqueue(context.Background(), a.task, start.Add(a.hours*time.Hour))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tickets = append(tickets, tk)
+			}
+			g.open()
+			for i, tk := range tickets {
+				if _, err := tk.Wait(context.Background()); err != nil && !errors.Is(err, dynamic.ErrRejected) {
+					t.Fatalf("ticket %d: %v", i, err)
+				}
+			}
+			closeQueue(t, q)
+			x3, y2, x1 := tickets[1], tickets[2], tickets[3]
+			if x1.Order() != 1 || y2.Order() != 2 || x3.Order() != 3 {
+				t.Errorf("orders x1=%d y2=%d x3=%d, want 1 2 3", x1.Order(), y2.Order(), x3.Order())
 			}
 			checkEquivalence(t, mQ, mS, tickets)
 		})

@@ -76,7 +76,7 @@ func TestQueueLineStaysOpen(t *testing.T) {
 // the parked head go stale: a state move discards at most 2·Workers−1
 // solves. With one solver nothing runs ahead.
 func TestQueueRunAheadBound(t *testing.T) {
-	chains := []int{0, 1, 1, 2, 2, 3} // one signature group after another: line order is arrival order
+	chains := []int{0, 1, 1, 2, 2, 3} // no deadlines: line order is arrival order
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			park := newParkSolves(1)

@@ -1,13 +1,13 @@
 // Package queue is the bounded async admission pipeline in front of
 // dynamic.Manager: requests enqueue with a deadline and Workers
-// long-lived solvers work one endless line of tickets, grouping tasks
-// that share a chain signature (the same varint key internal/mod
-// memoizes scaffolds under) and admitting each group back to back, one
-// admission per ticket. The manager hands consecutive admissions the
-// same snapshot clone for as long as no commit moves the deployment
-// state, so a signature group in the reuse-heavy steady state rides one
-// clone, one metric warm-up and one scaffold build while every task
-// still commits individually through the optimistic two-phase path.
+// long-lived solvers work one endless line of tickets, one admission
+// per ticket, in earliest-deadline-first order. The manager hands
+// consecutive admissions the same snapshot clone for as long as no
+// commit moves the deployment state, so a run of admissions in the
+// reuse-heavy steady state rides one clone and one metric warm-up —
+// and, where their chains repeat, the scaffolds internal/mod caches —
+// while every task still commits individually through the optimistic
+// two-phase path.
 //
 // The line is a pipeline. Commits land strictly in line order — a
 // deployed instance costs the next task nothing, so the order is part
@@ -36,11 +36,11 @@
 //
 // Scheduling is earliest-deadline-first within a drain: it drops
 // already-expired tickets and tickets whose caller has left before any
-// solve runs, sorts the rest by deadline (no deadline sorts last) with
-// the arrival sequence as tie-break, and lines up signature groups in
-// that order. At every Workers the result is bit-identical to
-// serialized AdmitCtx calls in the queue's dispatch order — the
-// property the equivalence battery in this package pins.
+// solve runs and sorts the rest by deadline (no deadline sorts last),
+// with the arrival sequence as tie-break; the line takes them in that
+// order. At every Workers the result is bit-identical to serialized
+// AdmitCtx calls in the queue's dispatch order — the property the
+// equivalence battery in this package pins.
 //
 // The never-lose-a-task contract: every ticket accepted by Enqueue is
 // finished exactly once, in exactly one of {admitted, rejected,
@@ -54,16 +54,16 @@
 package queue
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sftree/internal/dynamic"
-	"sftree/internal/mod"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
 )
@@ -487,12 +487,12 @@ func (q *Queue) claim() *Ticket {
 
 // plan orders one drain of pending: expired tickets (late) and tickets
 // whose caller has left (gone) come out first — no solve is wasted on
-// them — the rest go earliest-deadline-first with arrival order as
-// tie-break, then into chain-signature groups in first-occurrence
-// order. A function of (batch, now) and the tickets' contexts — the
-// fuzz harness replays it. It consumes batch, filtering it in place.
-func plan(batch []*Ticket, now time.Time) (groups [][]*Ticket, late, gone []*Ticket) {
-	live := batch[:0]
+// them — and the rest (live) go earliest-deadline-first, no deadline
+// last, arrival order breaking ties. A function of (batch, now) and the
+// tickets' contexts — the fuzz harness replays it. It consumes batch,
+// filtering it in place.
+func plan(batch []*Ticket, now time.Time) (live, late, gone []*Ticket) {
+	live = batch[:0]
 	for _, t := range batch {
 		switch {
 		case !t.deadline.IsZero() && !now.Before(t.deadline):
@@ -503,40 +503,21 @@ func plan(batch []*Ticket, now time.Time) (groups [][]*Ticket, late, gone []*Tic
 			live = append(live, t)
 		}
 	}
-	if len(live) <= 1 {
-		// The idle queue's common case: nothing to sort or group.
-		if len(live) == 1 {
-			groups = [][]*Ticket{live}
-		}
-		return groups, late, gone
+	if len(live) > 1 {
+		slices.SortStableFunc(live, func(a, b *Ticket) int {
+			switch da, db := a.deadline, b.deadline; {
+			case da.IsZero() != db.IsZero():
+				if da.IsZero() {
+					return 1
+				}
+				return -1
+			case !da.Equal(db):
+				return da.Compare(db)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
 	}
-	sort.SliceStable(live, func(i, j int) bool {
-		di, dj := live[i].deadline, live[j].deadline
-		switch {
-		case di.IsZero() && dj.IsZero():
-			return live[i].seq < live[j].seq
-		case di.IsZero():
-			return false
-		case dj.IsZero():
-			return true
-		case di.Equal(dj):
-			return live[i].seq < live[j].seq
-		default:
-			return di.Before(dj)
-		}
-	})
-	index := make(map[string]int)
-	for _, t := range live {
-		sig := mod.ChainSig(t.task.Chain)
-		gi, ok := index[sig]
-		if !ok {
-			gi = len(groups)
-			index[sig] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], t)
-	}
-	return groups, late, gone
+	return live, late, gone
 }
 
 // extend plans one drain of pending, answers the tickets no solve is
@@ -544,38 +525,33 @@ func plan(batch []*Ticket, now time.Time) (groups [][]*Ticket, late, gone []*Tic
 // and neither of the other locks: the manager provider may block (a
 // wedged crash run, a test gate) and Enqueue must not wait for it.
 func (q *Queue) extend(batch []*Ticket) {
-	groups, late, gone := plan(batch, q.cfg.Now())
+	live, late, gone := plan(batch, q.cfg.Now())
 	for _, t := range late {
 		q.finish(t, expired, ErrExpired)
 	}
 	for _, t := range gone {
 		q.finish(t, canceled, t.ctx.Err())
 	}
-	if len(groups) == 0 {
+	if len(live) == 0 {
 		return
 	}
 	mgr := q.cfg.Manager()
 	if mgr == nil {
-		for _, g := range groups {
-			for _, t := range g {
-				q.finish(t, unavailable, ErrUnavailable)
-			}
+		for _, t := range live {
+			q.finish(t, unavailable, ErrUnavailable)
 		}
 		return
 	}
-	// The global serialization order is assigned here, up front: groups
-	// in EDF first-occurrence order, tickets in EDF order within each.
-	// Commits land in exactly this order.
+	// The global serialization order is assigned here, up front, in plan's
+	// order; commits land in exactly this order.
 	l := &q.line
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, g := range groups {
-		for _, t := range g {
-			t.mgr, t.order = mgr, q.next
-			q.next++
-		}
-		l.tickets = append(l.tickets, g...)
+	for _, t := range live {
+		t.mgr, t.order = mgr, q.next
+		q.next++
 	}
+	l.tickets = append(l.tickets, live...)
 }
 
 // line is every drained ticket that has not committed yet, in commit

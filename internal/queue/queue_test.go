@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 )
 
 // testWorld builds a small network, a manager on it, and a task
-// generator whose chains repeat so batches form signature groups.
+// generator whose chains repeat so scaffold lookups hit.
 func testWorld(t *testing.T, seed int64, opts core.Options) (*dynamic.Manager, func() nfv.Task) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -209,7 +210,7 @@ func TestQueueWorkConserving(t *testing.T) {
 	}
 }
 
-// TestQueuePerTicketCompletion holds a batch of same-signature
+// TestQueuePerTicketCompletion holds a batch of same-chain
 // tickets, releases it, and watches from inside the commit critical
 // section: when ticket k's commit lands, every ticket dispatched before
 // it has its outcome, its done channel is closed and it is on the
@@ -536,9 +537,9 @@ func TestQueueOrphans(t *testing.T) {
 }
 
 // TestPlan pins the scheduler's ordering function: expired and
-// canceled out first, earliest deadline first with arrival-order
-// tie-break, no deadline last, and signature groups in
-// first-occurrence order.
+// canceled out first, then one earliest-deadline-first order with
+// arrival-order tie-break and no deadline last, whatever the tickets'
+// chains.
 func TestPlan(t *testing.T) {
 	now := time.Unix(1000, 0)
 	left, cancel := context.WithCancel(context.Background())
@@ -554,7 +555,7 @@ func TestPlan(t *testing.T) {
 	tDead := mk(4, bg, a, now.Add(-time.Second)) // already expired
 	tB2 := mk(5, bg, b, now.Add(time.Second))    // same deadline as tB1, later arrival
 	tGone := mk(6, left, b, time.Time{})         // caller left
-	groups, late, gone := plan([]*Ticket{tA1, tB1, tA2, tDead, tB2, tGone}, now)
+	live, late, gone := plan([]*Ticket{tA1, tB1, tA2, tDead, tB2, tGone}, now)
 
 	if len(late) != 1 || late[0] != tDead {
 		t.Fatalf("late = %v", late)
@@ -563,29 +564,35 @@ func TestPlan(t *testing.T) {
 		t.Fatalf("gone = %v", gone)
 	}
 	// EDF order: tB1, tB2 (tie → seq), tA2, tA1 (no deadline last).
-	// First-occurrence signature grouping: sig(b) first, then sig(a).
-	if len(groups) != 2 || len(groups[0]) != 2 || len(groups[1]) != 2 {
-		t.Fatalf("groups = %v, want two of two", groups)
-	}
-	if groups[0][0] != tB1 || groups[0][1] != tB2 {
-		t.Fatal("the earliest deadline's signature leads, and a deadline tie breaks by arrival order")
-	}
-	if groups[1][0] != tA2 || groups[1][1] != tA1 {
-		t.Fatal("no-deadline tickets must sort after deadlined ones")
+	if want := []*Ticket{tB1, tB2, tA2, tA1}; !slices.Equal(live, want) {
+		t.Fatalf("live = %v, want %v", live, want)
 	}
 
-	// One live ticket — alone or beside dead ones — skips the sort and
-	// the grouping, and a dead lone ticket is still dropped.
+	// A chain shared with an earlier-deadline ticket does not pull a
+	// ticket ahead of one with an earlier deadline of its own.
+	x3 := mk(1, bg, a, now.Add(3*time.Second))
+	y2 := mk(2, bg, b, now.Add(2*time.Second))
+	x1 := mk(3, bg, a, now.Add(time.Second))
+	if live, _, _ = plan([]*Ticket{x3, y2, x1}, now); !slices.Equal(live, []*Ticket{x1, y2, x3}) {
+		t.Fatalf("live = %v, want x1 y2 x3", live)
+	}
+
+	// One live ticket — alone or beside dead ones — skips the sort, and
+	// a dead lone ticket is still dropped.
 	for _, batch := range [][]*Ticket{{tA1}, {tDead, tA1, tGone}} {
 		dead := len(batch) - 1
-		if groups, late, gone = plan(batch, now); len(groups) != 1 || len(groups[0]) != 1 || groups[0][0] != tA1 || len(late)+len(gone) != dead {
-			t.Fatalf("one live ticket: groups=%v late=%v gone=%v", groups, late, gone)
+		if live, late, gone = plan(batch, now); len(live) != 1 || live[0] != tA1 || len(late)+len(gone) != dead {
+			t.Fatalf("one live ticket: live=%v late=%v gone=%v", live, late, gone)
 		}
 	}
-	if groups, late, _ = plan([]*Ticket{tDead}, now); len(groups) != 0 || len(late) != 1 {
-		t.Fatalf("lone expired ticket: groups=%v late=%v", groups, late)
+	if live, late, _ = plan([]*Ticket{tDead}, now); len(live) != 0 || len(late) != 1 {
+		t.Fatalf("lone expired ticket: live=%v late=%v", live, late)
 	}
-	if groups, _, gone = plan([]*Ticket{tGone}, now); len(groups) != 0 || len(gone) != 1 {
-		t.Fatalf("lone canceled ticket: groups=%v gone=%v", groups, gone)
+	if live, _, gone = plan([]*Ticket{tGone}, now); len(live) != 0 || len(gone) != 1 {
+		t.Fatalf("lone canceled ticket: live=%v gone=%v", live, gone)
+	}
+	one := []*Ticket{tA1}
+	if allocs := testing.AllocsPerRun(100, func() { plan(one, now) }); allocs != 0 {
+		t.Errorf("one live ticket: %v allocations per plan, want 0", allocs)
 	}
 }

@@ -75,7 +75,7 @@ func TestClientHoldsOneConnection(t *testing.T) {
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	if err := c.Release(ctx, last.ID); !IsNotFound(err) {
+	if err := c.Release(ctx, last.ID); !isNotFound(err) {
 		t.Fatalf("release of a released session: err = %v, want 404", err)
 	}
 	var apiErr *APIError

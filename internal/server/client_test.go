@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sftree/internal/nfv"
@@ -50,7 +53,7 @@ func TestClientAgainstServer(t *testing.T) {
 	if err := c.Release(ctx, sess.ID); err != nil {
 		t.Fatalf("release: %v", err)
 	}
-	if err := c.Release(ctx, sess.ID); !IsNotFound(err) {
+	if err := c.Release(ctx, sess.ID); !isNotFound(err) {
 		t.Fatalf("double release: %v", err)
 	}
 }
@@ -84,4 +87,53 @@ func TestClientContextCancellation(t *testing.T) {
 	if err := c.Health(ctx); err == nil {
 		t.Fatal("cancelled context succeeded")
 	}
+}
+
+// isNotFound reports whether err is an APIError with status 404.
+func isNotFound(err error) bool {
+	var apiErr *APIError
+	return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound
+}
+
+// failingServer answers every request 500 with a JSON error body and
+// counts the requests it saw.
+func failingServer(t *testing.T) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		_, _ = w.Write([]byte(`{"error":"transient"}`))
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &hits
+}
+
+// checkSentOnce requires err to carry the failing server's status and
+// message, and the server to have seen exactly one request.
+func checkSentOnce(t *testing.T, err error, hits *atomic.Int32) {
+	t.Helper()
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || apiErr.Message != "transient" {
+		t.Fatalf("err = %v, want APIError 500 \"transient\"", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("server saw %d requests, want 1", got)
+	}
+}
+
+// TestClientNoPolicyNoRetry: the client has no retry policy, so a
+// failing GET is sent once and its error surfaces.
+func TestClientNoPolicyNoRetry(t *testing.T) {
+	ts, hits := failingServer(t)
+	checkSentOnce(t, NewClient(ts.URL, nil).Health(context.Background()), hits)
+}
+
+// TestClientNeverRetriesPOST: a failed POST may have reached the
+// server, and the client sends it once.
+func TestClientNeverRetriesPOST(t *testing.T) {
+	ts, hits := failingServer(t)
+	_, err := NewClient(ts.URL, nil).Admit(context.Background(), nfv.Task{Source: 0, Destinations: []int{1}, Chain: nfv.SFC{0}})
+	checkSentOnce(t, err, hits)
 }

@@ -72,8 +72,8 @@ type Config struct {
 	// QueueDepth bounds the admission queue behind POST /v1/sessions:
 	// requests enqueue with their deadline, one solver per processor
 	// works the line they form — whatever queued up behind busy solvers
-	// joins it grouped by chain signature — and overflow answers 429
-	// with Retry-After. Zero takes queue.New's default depth.
+	// joins it earliest deadline first — and overflow answers 429 with
+	// Retry-After. Zero takes queue.New's default depth.
 	QueueDepth int
 	// Deprecated: BatchWindow is ignored; a ticket is taken the moment
 	// a solver is free.

@@ -141,21 +141,3 @@ func (t *DWTable) Tree(v int) (Tree, error) {
 	ws.rootTerms = append(append(ws.rootTerms[:0], v), t.terms...)
 	return treeFromEdges(t.g, ws.prune(t.g, ws.mstOfCollected(t.g), ws.rootTerms)), nil
 }
-
-// DreyfusWagner computes an exact minimum Steiner tree over the given
-// terminals: the DWTable over terminals[1:], read at terminals[0]. It
-// returns ErrTooManyTerminals beyond MaxExactTerminals.
-func DreyfusWagner(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
-	terminals = dedupTerminals(terminals)
-	switch len(terminals) {
-	case 0:
-		return Tree{}, ErrNoTerminals
-	case 1:
-		return Tree{}, nil
-	}
-	t, err := NewDWTable(g, m, terminals[1:])
-	if err != nil {
-		return Tree{}, err
-	}
-	return t.Tree(terminals[0])
-}

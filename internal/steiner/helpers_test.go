@@ -18,7 +18,8 @@ func mstKruskal(g *graph.Graph) ([]int, float64) {
 	sort.Slice(order, func(a, b int) bool {
 		return g.Edge(order[a]).Cost < g.Edge(order[b]).Cost
 	})
-	uf := graph.NewUnionFind(g.NumNodes())
+	var uf graph.UnionFind
+	uf.Reset(g.NumNodes())
 	var (
 		picked []int
 		total  float64
@@ -36,7 +37,8 @@ func mstKruskal(g *graph.Graph) ([]int, float64) {
 // isTreeSpanning reports whether the edge set forms a tree (acyclic,
 // connected over its endpoints) that touches every node in nodes.
 func isTreeSpanning(g *graph.Graph, edgeIDs []int, nodes []int) bool {
-	uf := graph.NewUnionFind(g.NumNodes())
+	var uf graph.UnionFind
+	uf.Reset(g.NumNodes())
 	touched := make(map[int]bool, 2*len(edgeIDs))
 	for _, id := range edgeIDs {
 		e := g.Edge(id)
@@ -75,4 +77,35 @@ func TestIsTreeSpanningRejectsCycle(t *testing.T) {
 	if isTreeSpanning(g, []int{a}, []int{0, 1, 2}) {
 		t.Error("edge {0,1} cannot span node 2")
 	}
+}
+
+// DreyfusWagner computes an exact minimum Steiner tree over the given
+// terminals: the DWTable over terminals[1:], read at terminals[0]. It
+// returns ErrTooManyTerminals beyond MaxExactTerminals. The KMB tests
+// hold their trees to it as the exact oracle.
+func DreyfusWagner(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, error) {
+	terminals = dedupTerminals(terminals)
+	switch len(terminals) {
+	case 0:
+		return Tree{}, ErrNoTerminals
+	case 1:
+		return Tree{}, nil
+	}
+	t, err := NewDWTable(g, m, terminals[1:])
+	if err != nil {
+		return Tree{}, err
+	}
+	return t.Tree(terminals[0])
+}
+
+// Prune repeatedly removes edges incident to non-terminal leaves,
+// returning the surviving edge indices sorted ascending: the leaf
+// pruning every tree builder ends with (workspace.prune), on a copy of
+// edgeIDs. The fixed point of leaf pruning is unique, so removal order
+// does not matter.
+func Prune(g *graph.Graph, edgeIDs []int, terminals []int) []int {
+	ws := getWS()
+	defer putWS(ws)
+	ids := append([]int(nil), edgeIDs...)
+	return ws.prune(g, ids, terminals)
 }

@@ -139,16 +139,6 @@ func TakahashiMatsuyama(g *graph.Graph, m *graph.Metric, root int, terminals []i
 	return treeFromEdges(g, ws.prune(g, ws.mstOfCollected(g), terminals)), nil
 }
 
-// Prune repeatedly removes edges incident to non-terminal leaves,
-// returning the surviving edge indices sorted ascending. The fixed
-// point of leaf pruning is unique, so removal order does not matter.
-func Prune(g *graph.Graph, edgeIDs []int, terminals []int) []int {
-	ws := getWS()
-	defer putWS(ws)
-	ids := append([]int(nil), edgeIDs...)
-	return ws.prune(g, ids, terminals)
-}
-
 // treeFromEdges copies the edge ids into a fresh Tree: callers hand
 // it workspace-owned slices that are recycled after return.
 func treeFromEdges(g *graph.Graph, edgeIDs []int) Tree {

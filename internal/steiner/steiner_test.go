@@ -52,14 +52,15 @@ func bruteForceSteiner(t *testing.T, g *graph.Graph, terminals []int) float64 {
 			continue
 		}
 		// MST may span several components; require terminals connected.
-		uf := graph.NewUnionFind(n)
+		var uf graph.UnionFind
+		uf.Reset(n)
 		for _, id := range edges {
 			e := sub.Edge(id)
 			uf.Union(e.U, e.V)
 		}
 		connected := true
 		for _, v := range terminals[1:] {
-			if !uf.Same(terminals[0], v) {
+			if uf.Find(terminals[0]) != uf.Find(v) {
 				connected = false
 				break
 			}

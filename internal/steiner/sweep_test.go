@@ -85,14 +85,15 @@ func referenceKMB(g *graph.Graph, m *graph.Metric, terminals []int) (Tree, [][2]
 }
 
 // cheapestEdgeBetween returns the index of the cheapest edge joining u
-// and v, the earliest on ties, by scanning u's neighbours: the oracle
+// and v, the earliest on ties, by scanning u's CSR row: the oracle
 // finds each hop's edge itself rather than reading the metric's arcs.
 func cheapestEdgeBetween(g *graph.Graph, u, v int) (int, bool) {
 	best, found := -1, false
 	bestCost := graph.Inf
-	for _, a := range g.Neighbors(u) {
-		if a.To == v && a.Cost < bestCost {
-			best, bestCost, found = a.Edge, a.Cost, true
+	c := g.CSR()
+	for p := c.Start[u]; p < c.Start[u+1]; p++ {
+		if int(c.To[p]) == v && c.Cost[p] < bestCost {
+			best, bestCost, found = int(c.EdgeID[p]), c.Cost[p], true
 		}
 	}
 	return best, found

@@ -323,7 +323,18 @@ fuzz_smoke() {
 # the cut-offs that chose between them or their ablation (FloydWarshall,
 # AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP),
 # nor the algorithms only tests called (MSTPrim, BFSHops, NewDigraph):
-# the references live in _test.go files.
+# the references live in _test.go files; and the admission line has one
+# order, earliest deadline first: internal/queue imports no
+# internal/mod and no non-test .go file names ChainSig (the queue no
+# longer regroups a drain by chain signature); and the client makes one
+# round trip per call: no non-test .go file names RetryPolicy,
+# WithRetry or DefaultRetryPolicy; and no exported name that only tests
+# called is back in a non-test file (NewUnionFind, NumOverlayNodes,
+# BestHost, SortedInstanceKeys, LinkIsDown, DownLinks, DownNodes,
+# DreyfusWagner, IsNotFound; internal/graph declares no Edge.Other,
+# Graph.Neighbors, Graph.Degree, UnionFind.Same or UnionFind.Sets, and
+# internal/steiner no Prune): the KMB tests' exact oracle and the
+# pruning wrapper live in internal/steiner/helpers_test.go.
 retired_guard() {
 	if grep -rnE 'os\.(Getenv|LookupEnv|Environ)|syscall\.Getenv' --include='*.go' --exclude='*_test.go' internal/steiner internal/core; then
 		echo "retired guard: internal/steiner or internal/core reads an environment variable (every solver setting is a core.Options field)" >&2
@@ -333,7 +344,7 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files)"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files), one admission order (EDF, no chain-signature grouping), one round trip per client call (no retry policy) and no test-only exported name in internal/"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -462,6 +473,21 @@ retired_guard() {
 	fi
 	if grep -rnwE 'FloydWarshall|AllDijkstra|APSPAuto|apspSmallCutoff|apspDenseCutoff|AblationAPSP|MSTPrim|BFSHops|NewDigraph' --include='*.go' --exclude='*_test.go' .; then
 		echo "retired guard: a second all-pairs routine, its size or density cut-off, its ablation or a test-only graph algorithm is back in a non-test file (the metric is graph.APSP at every size; Floyd-Warshall, the serial rows and the digraph are test references)" >&2
+		exit 1
+	fi
+	if go list -f '{{join .Imports "\n"}}' ./internal/queue | grep -x 'sftree/internal/mod' ||
+		grep -rnw 'ChainSig' --include='*.go' --exclude='*_test.go' .; then
+		echo "retired guard: the admission queue groups a drain by chain signature again (a drain goes to the line in one order: earliest deadline first, no deadline last, ties by arrival)" >&2
+		exit 1
+	fi
+	if grep -rnwE 'RetryPolicy|WithRetry|DefaultRetryPolicy' --include='*.go' --exclude='*_test.go' .; then
+		echo "retired guard: server.Client retries again (each call is one round trip; which failures are safe to repeat is the caller's call)" >&2
+		exit 1
+	fi
+	if grep -rnwE 'NewUnionFind|NumOverlayNodes|BestHost|SortedInstanceKeys|LinkIsDown|DownLinks|DownNodes|DreyfusWagner|IsNotFound' --include='*.go' --exclude='*_test.go' . ||
+		grep -rnE 'func \([a-z]+ \*?(Edge|Graph|UnionFind)\) (Other|Neighbors|Degree|Same|Sets)\(' --include='*.go' --exclude='*_test.go' internal/graph ||
+		grep -rn 'func Prune(' --include='*.go' --exclude='*_test.go' internal/steiner; then
+		echo "retired guard: an exported name only tests called is back in a non-test file (test helpers live in _test.go files)" >&2
 		exit 1
 	fi
 	if go list -f '{{join .Imports "\n"}}' ./cmd/sftload | grep -xE 'sftree/internal/(wal|faults)' ||
