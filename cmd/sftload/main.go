@@ -455,7 +455,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Scrape the server's telemetry: the floats section carries the
-	// cache hit rates and pool reuse rates.
+	// cache hit rates and the shortest-path pool's reuse rate.
 	snap, snapErr := scrapeMetrics(ctx, w.url)
 	if snapErr == nil {
 		doc.Metrics = excerptMetrics(snap)
@@ -599,15 +599,19 @@ func scrapeMetrics(ctx context.Context, base string) (*obs.Snapshot, error) {
 	return &snap, nil
 }
 
-// excerptMetrics keeps the artifact focused: all callback floats
-// (cache hit rates, pool reuse), the two counters whose ratio is
-// requests per connection, plus the headline solve percentiles.
+// excerptMetrics keeps the artifact focused: all callback floats (the
+// metric-cache, scaffold-cache and shortest-path-pool figures, the
+// runtime totals and pause quantiles, the queue's level), the two
+// counters whose ratio is requests per connection, what the chain
+// searches read of their overlays (sfc_rows_*, counters folded from
+// each solve's events), plus the headline solve percentiles.
 func excerptMetrics(snap *obs.Snapshot) map[string]float64 {
-	out := make(map[string]float64, len(snap.Floats)+6)
+	out := make(map[string]float64, len(snap.Floats)+9)
 	for k, v := range snap.Floats {
 		out[k] = v
 	}
-	for _, name := range []string{"http_requests_total", "http_connections_opened_total"} {
+	for _, name := range []string{"http_requests_total", "http_connections_opened_total",
+		"sfc_rows_relaxed_total", "sfc_rows_dominated_total", "sfc_rows_total"} {
 		if v, ok := snap.Counters[name]; ok {
 			out[name] = float64(v)
 		}

@@ -42,6 +42,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -140,6 +141,39 @@ func publishRecovery(reg *obs.Registry, rep *dynamic.RecoverReport) {
 	}
 }
 
+// snapshots folds the manager's WAL into a snapshot every period until
+// ctx ends. With once set it starts at once and stops at the first
+// snapshot taken: sftserve runs it that way, every second, when
+// Restore's repair pass, the only Rebase this process runs, left the
+// manager checkpoint-dirty (the log refused a rebase or repair record,
+// so the durable history trails the live state until a snapshot folds
+// it in). A refusal can heal — a full disk writes nothing and leaves
+// the log open — so a failure is logged once and retried until a
+// snapshot lands; a closed or poisoned log (wal.ErrClosed) never heals,
+// so the loop stops there.
+func snapshots(ctx context.Context, logger *slog.Logger, snapshot func() (uint64, error), reason string, period time.Duration, once bool) {
+	wait := period
+	if once {
+		wait = 0
+	}
+	for failing := false; ; wait = period {
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(wait):
+		}
+		seq, err := snapshot()
+		if err == nil {
+			logger.Info("snapshot written", "reason", reason, "seq", seq)
+		} else if !failing || errors.Is(err, wal.ErrClosed) {
+			logger.Error("snapshot failed", "reason", reason, "err", err)
+		}
+		if failing = err != nil; errors.Is(err, wal.ErrClosed) || once && !failing {
+			return
+		}
+	}
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sftserve", flag.ContinueOnError)
 	var (
@@ -230,6 +264,9 @@ func run(ctx context.Context, args []string) error {
 			"unplaceable", rrep.RefsUnplaceable,
 			"degraded", rrep.SessionsDegraded,
 			"replay_ms", rrep.ReplayDuration.Milliseconds())
+		if m.Stats().CheckpointDirty {
+			go snapshots(ctx, logger, m.Checkpoint, "wal divergence", time.Second, true)
+		}
 	}
 
 	srv := server.NewWith(network, core.Options{}, server.Config{
@@ -241,41 +278,9 @@ func run(ctx context.Context, args []string) error {
 	})
 
 	// Periodic compaction: fold the WAL into a snapshot so restart
-	// replay stays bounded by -snapshot-interval worth of records. A
-	// swallowed repair/rebase append failure marks the manager
-	// checkpoint-dirty; the fast poll folds a snapshot immediately so
-	// durable history does not trail the live state for a full
-	// interval (or forever, with periodic snapshots disabled).
-	if walLog != nil {
-		go func() {
-			checkpoint := func(reason string) {
-				if seq, err := srv.Manager().Checkpoint(); err != nil {
-					logger.Error("snapshot failed", "reason", reason, "err", err)
-				} else {
-					logger.Info("snapshot written", "reason", reason, "seq", seq)
-				}
-			}
-			dirty := time.NewTicker(time.Second)
-			defer dirty.Stop()
-			var interval <-chan time.Time
-			if *snapEvery > 0 {
-				tick := time.NewTicker(*snapEvery)
-				defer tick.Stop()
-				interval = tick.C
-			}
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-interval:
-					checkpoint("interval")
-				case <-dirty.C:
-					if srv.Manager().NeedsCheckpoint() {
-						checkpoint("wal divergence")
-					}
-				}
-			}
-		}()
+	// replay stays bounded by -snapshot-interval worth of records.
+	if walLog != nil && *snapEvery > 0 {
+		go snapshots(ctx, logger, mgr.Checkpoint, "interval", *snapEvery, false)
 	}
 
 	mux := http.NewServeMux()

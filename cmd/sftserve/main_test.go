@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sftree/internal/wal"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -302,5 +305,51 @@ func TestDebugEndpointsAndGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("shutdown did not complete")
+	}
+}
+
+// scriptedSnapshots stands in for Manager.Checkpoint: call i answers
+// errs[i], and every call past the script succeeds.
+type scriptedSnapshots struct {
+	errs  []error
+	calls int
+}
+
+func (s *scriptedSnapshots) snapshot() (uint64, error) {
+	s.calls++
+	if s.calls <= len(s.errs) && s.errs[s.calls-1] != nil {
+		return 0, s.errs[s.calls-1]
+	}
+	return uint64(s.calls), nil
+}
+
+// A snapshot loop logs a failure once until a snapshot lands again,
+// retries a log that can heal (a full disk leaves the log open) and
+// stops at a closed or poisoned one. Run once, as sftserve does after
+// a Restore that left the manager checkpoint-dirty, it stops at the
+// first snapshot taken.
+func TestSnapshotLoop(t *testing.T) {
+	full := errors.New("wal: reserve: no space left on device")
+	closed := fmt.Errorf("append: %w", wal.ErrClosed)
+	for _, c := range []struct {
+		name                 string
+		once                 bool
+		errs                 []error
+		calls, failed, wrote int
+	}{
+		{"dirty, disk full then freed", true, []error{full, full, full}, 4, 1, 1},
+		{"dirty, log closed", true, []error{closed, nil}, 1, 1, 0},
+		{"interval", false, []error{nil, full, full, nil, full, closed}, 6, 3, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var logs bytes.Buffer
+			s := &scriptedSnapshots{errs: c.errs}
+			snapshots(context.Background(), slog.New(slog.NewTextHandler(&logs, nil)), s.snapshot, "test", time.Microsecond, c.once)
+			failed, wrote := strings.Count(logs.String(), "snapshot failed"), strings.Count(logs.String(), "snapshot written")
+			if s.calls != c.calls || failed != c.failed || wrote != c.wrote {
+				t.Errorf("%d attempts, %d failures and %d snapshots logged; want %d, %d and %d:\n%s",
+					s.calls, failed, wrote, c.calls, c.failed, c.wrote, logs.String())
+			}
+		})
 	}
 }

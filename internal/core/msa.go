@@ -130,7 +130,13 @@ func runMSA(net *nfv.Network, task nfv.Task, opts Options, sc *scratch) (*state,
 	sw := newSweeper(net, task, overlay, opts.steiner(), sc)
 	rows := overlay.Candidates(sw.chainTable)
 	t2 := opts.now()
-	relaxed, dominated, finite := sw.sol.Rows()
+	// Only the solve that built the table reports the chain search's
+	// rows: each overlay's search is counted once, however often a
+	// scaffold cache serves it.
+	var relaxed, dominated, finite int
+	if sw.tabled {
+		relaxed, dominated, finite = sw.sol.Rows()
+	}
 	opts.emit(Event{Kind: EventSFCSolved, Duration: t2.Sub(t1), SFCRowsRelaxed: relaxed, SFCRowsDominated: dominated, SFCRows: finite})
 	if sw.algo == SteinerKMB {
 		sw.kmb = steiner.NewSweep(net.Graph(), sw.metric, task.Destinations)
@@ -244,6 +250,7 @@ type sweeper struct {
 	algo    SteinerAlgo
 	kmb     *steiner.Sweep // nil unless algo is SteinerKMB and the sweep has begun
 	sc      *scratch
+	tabled  bool // this sweeper built the overlay's candidate table
 }
 
 func newSweeper(net *nfv.Network, task nfv.Task, overlay *mod.Network, algo SteinerAlgo, sc *scratch) *sweeper {
@@ -282,6 +289,7 @@ func (sw *sweeper) chain(w int) (hosts []int, ok bool) {
 // configuration, deployed set) decide all of it, so whichever solve
 // builds it, the rows are the same.
 func (sw *sweeper) chainTable(rows []mod.Candidate) []mod.Candidate {
+	sw.tabled = true
 	for _, v := range sw.net.ServerList() {
 		rows = append(rows, mod.Candidate{Cost: sw.sol.CostTo(v), Node: int32(v)})
 	}

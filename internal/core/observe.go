@@ -141,9 +141,9 @@ type Event struct {
 	// SFCRowsRelaxed, SFCRowsDominated and SFCRows say how much of the
 	// overlay the chain search behind an EventSFCSolved read: predecessor
 	// rows relaxed, rows skipped because a relaxed row already undercut
-	// them, and rows with a finite distance (see mod.SFCStats). A
-	// scaffold hit reports the cached solution's counts with a Duration
-	// near zero (the candidate table is cached with it).
+	// them, and rows with a finite distance (see mod.SFCSolution.Rows).
+	// Only the solve that built the overlay's candidate table reports
+	// them; a scaffold hit, whose Duration is near zero, reports zeros.
 	SFCRowsRelaxed, SFCRowsDominated, SFCRows int
 	// Moves counts accepted moves (pass-end and stage-2-end events).
 	Moves int

@@ -67,7 +67,7 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["sessions_admitted_total"] != int64(stats.Admitted) ||
 		snap.Counters["sessions_rejected_total"] != int64(stats.Rejected) ||
-		snap.Counters["admit_retries_total"] != int64(stats.AdmitRetries) ||
+		snap.Counters["admit_commit_conflicts_total"] != int64(stats.AdmitRetries) ||
 		snap.Gauges["sessions_live"] != 0 || snap.Gauges["instances_live"] != 0 {
 		t.Errorf("/metrics counters %v and gauges %v disagree with stats %+v", snap.Counters, snap.Gauges, stats)
 	}

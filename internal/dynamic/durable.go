@@ -97,8 +97,8 @@ func (m *Manager) commitDurable(rec *wal.Record, point string) (applied, error) 
 // failed append is counted and the record applied regardless. It DOES
 // mark the manager checkpoint-dirty — until a snapshot re-captures the
 // live state, a crash would restore stale pre-repair sessions, so the
-// serving loop must fold one immediately, not on the interval. Callers
-// hold m.mu.
+// caller that rebased should Checkpoint at once (sftserve does after
+// Restore). Callers hold m.mu.
 func (m *Manager) commitLagging(rec *wal.Record) applied {
 	if err := m.appendRecord(rec); err != nil {
 		m.checkpointDirty = true
@@ -123,17 +123,6 @@ func usesCopy(uses [][2]int) [][2]int {
 		return nil
 	}
 	return append([][2]int(nil), uses...)
-}
-
-// NeedsCheckpoint reports that a WAL append failure left the durable
-// history behind the live state. The serving loop polls it and calls
-// Checkpoint immediately instead of waiting out the snapshot
-// interval, shrinking the window in which a crash restores stale
-// pre-repair state.
-func (m *Manager) NeedsCheckpoint() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.checkpointDirty
 }
 
 // sortKeys orders (vnf, node) pairs lexicographically, making records

@@ -159,7 +159,7 @@ type Manager struct {
 	lastSnapshotSeq uint64
 	// checkpointDirty marks a swallowed repair/rebase append failure:
 	// the durable history trails the live state until the next
-	// snapshot (see NeedsCheckpoint).
+	// snapshot.
 	checkpointDirty bool
 }
 
@@ -203,13 +203,16 @@ func (m *Manager) CloneNetwork() *nfv.Network {
 	return m.net.Clone()
 }
 
-// Instrument wires the manager into the registry. The figures the
-// manager keeps under its lock are read from it at every scrape, so
-// they cannot disagree with Stats, and a restored manager reports its
-// restored totals and live state from the first scrape: the counters
+// Instrument wires the manager into the registry. Its admission and
+// repair solves feed the solver_* and stage-one read figures through
+// obs.NewMetricsObserver, teed into its options' observer, so they are
+// counted whoever built the manager. The figures the manager keeps
+// under its lock are read from it at every scrape, so they cannot
+// disagree with Stats, and a restored manager reports its restored
+// totals and live state from the first scrape: the counters
 // sessions_{admitted,released,rejected}_total,
-// admit_commit_conflicts_total, admit_retries_total (the same count:
-// each conflict forces one rerun), admit_serialized_fallbacks_total,
+// admit_commit_conflicts_total (each conflict forces one rerun, so it
+// is also Stats.AdmitRetries), admit_serialized_fallbacks_total,
 // admit_coalesced_solves_total, wal_records_total,
 // wal_append_errors_total and snapshots_written_total, and the gauges
 // sessions_live, instances_live, sessions_degraded and
@@ -217,10 +220,12 @@ func (m *Manager) CloneNetwork() *nfv.Network {
 // and repair_failures counters, the session_solve_ms per-admission
 // latency and repair_cost_delta histograms, and wal_append_ms, the
 // write and sync of one committed record as the manager sees it, under
-// its lock (what tells a slow disk from a slow solve). It returns the
-// manager for chaining; an uninstrumented manager pays nothing.
+// its lock (what tells a slow disk from a slow solve). Instrument a
+// manager once. It returns the manager for chaining; an
+// uninstrumented manager pays nothing.
 func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 	m.mu.Lock()
+	m.opts.Observer = obs.Tee(m.opts.Observer, obs.NewMetricsObserver(reg))
 	m.met = &managerMetrics{
 		repairAttempts:  reg.Counter("repair_attempts"),
 		repairFailures:  reg.Counter("repair_failures"),
@@ -234,7 +239,6 @@ func (m *Manager) Instrument(reg *obs.Registry) *Manager {
 		"sessions_released_total":          m.releasedLocked,
 		"sessions_rejected_total":          func() int { return m.rejected },
 		"admit_commit_conflicts_total":     func() int { return m.commitConflicts },
-		"admit_retries_total":              func() int { return m.commitConflicts },
 		"admit_serialized_fallbacks_total": func() int { return m.serializedFallbacks },
 		"admit_coalesced_solves_total":     func() int { return m.coalescedSolves },
 		"wal_records_total":                func() int { return m.walRecords },
@@ -751,7 +755,7 @@ type Stats struct {
 	Snapshots       int    `json:"snapshots,omitempty"`
 	LastSnapshotSeq uint64 `json:"last_snapshot_seq,omitempty"`
 	// CheckpointDirty reports a swallowed repair/rebase append failure
-	// not yet healed by a snapshot (see NeedsCheckpoint).
+	// not yet healed by a snapshot (see Checkpoint).
 	CheckpointDirty bool `json:"checkpoint_dirty,omitempty"`
 }
 

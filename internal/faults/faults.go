@@ -263,22 +263,15 @@ func (s *State) Materialize(deployFrom *nfv.Network) (*nfv.Network, error) {
 	// other down-set is served from the per-signature cache, built on
 	// first demand against this materialization's graph.
 	if len(s.downLinks) == 0 && len(s.downNodes) == 0 {
-		// A pristine down-set is served by the base network's own metric;
-		// count it as a cache hit — no APSP runs for this materialization.
-		net.SetMetricSupplier(func() *graph.Metric {
-			apspHits.Add(1)
-			return s.base.Metric()
-		})
+		net.SetMetricSupplier(s.base.Metric)
 	} else {
 		sig, gg := s.topoSignature(), g
 		net.SetMetricSupplier(func() *graph.Metric {
 			s.metricMu.Lock()
 			defer s.metricMu.Unlock()
 			if m, ok := s.metricCache[sig]; ok {
-				apspHits.Add(1)
 				return m
 			}
-			apspMisses.Add(1)
 			// Bound the cache: a long chaos run can visit many distinct
 			// down-sets, and each closure is O(n^2) memory.
 			if len(s.metricCache) >= 64 {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"sftree/internal/graph"
 	"sftree/internal/nfv"
@@ -65,18 +64,8 @@ type Network struct {
 	entry *cacheEntry
 }
 
-// overlays recycles released Networks with their buffers; overlayGets
-// counts the overlays Build handed out, overlayNews those the pool
-// could not supply.
-var (
-	overlays                 sync.Pool
-	overlayGets, overlayNews atomic.Int64
-)
-
-// PoolStats reports how many overlays Build has handed out and how
-// many of them it had to allocate rather than take, buffers and all,
-// from a released one.
-func PoolStats() (gets, news int64) { return overlayGets.Load(), overlayNews.Load() }
+// overlays recycles released Networks with their buffers.
+var overlays sync.Pool
 
 // Build constructs the expanded MOD network. Setup costs reflect
 // deployment state: pre-deployed chain VNFs cost zero (§IV-D).
@@ -101,10 +90,8 @@ func Build(net *nfv.Network, source int, chain nfv.SFC) (*Network, error) {
 		return nil, ErrSourceUnreachable
 	}
 
-	overlayGets.Add(1)
 	m, _ := overlays.Get().(*Network)
 	if m == nil {
-		overlayNews.Add(1)
 		m = new(Network)
 	}
 	s := len(servers)
@@ -190,19 +177,11 @@ type SFCSolution struct {
 	rowsRelaxed, rowsDominated, rowsFinite int
 }
 
-// Chain-search traffic of every solution computed in the process.
-var sfcRowsRelaxed, sfcRowsDominated, sfcRowsFinite atomic.Int64
-
-// SFCStats reports how much of their overlays the process's chain
-// searches read: predecessor rows relaxed, rows skipped because a
-// relaxed row already undercut them, and rows with a finite distance.
-// The S*S arc block between two columns is read one relaxed row at a
-// time, so relaxed/total is also the share of inter-column arcs read.
-func SFCStats() (relaxed, dominated, total int64) {
-	return sfcRowsRelaxed.Load(), sfcRowsDominated.Load(), sfcRowsFinite.Load()
-}
-
-// Rows reports this solution's share of SFCStats.
+// Rows reports how much of the overlay this solution's chain search
+// read: predecessor rows relaxed, rows skipped because a relaxed row
+// already undercut them, and rows with a finite distance. The S*S arc
+// block between two columns is read one relaxed row at a time, so
+// relaxed/total is also the share of inter-column arcs read.
 func (s *SFCSolution) Rows() (relaxed, dominated, total int) {
 	return s.rowsRelaxed, s.rowsDominated, s.rowsFinite
 }
@@ -227,12 +206,7 @@ func (s *SFCSolution) Rows() (relaxed, dominated, total int) {
 // read-only SFCSolution. An overlay served from a Cache therefore
 // carries its solved SFC with it.
 func (m *Network) SolveSFC() *SFCSolution {
-	m.solveOnce.Do(func() {
-		m.solveSFC()
-		sfcRowsRelaxed.Add(int64(m.sol.rowsRelaxed))
-		sfcRowsDominated.Add(int64(m.sol.rowsDominated))
-		sfcRowsFinite.Add(int64(m.sol.rowsFinite))
-	})
+	m.solveOnce.Do(m.solveSFC)
 	return &m.sol
 }
 

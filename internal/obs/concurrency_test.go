@@ -44,9 +44,6 @@ func TestConcurrentObserverFanout(t *testing.T) {
 	wg.Wait()
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["solver_solves_total"]; got != solves {
-		t.Errorf("solver_solves_total = %d, want %d", got, solves)
-	}
 	for _, h := range []string{"solver_apsp_ms", "solver_stage1_ms", "solver_stage2_ms"} {
 		if got := snap.Histograms[h].Count; got != solves {
 			t.Errorf("%s count = %d, want %d", h, got, solves)

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sftree/internal/core"
 )
@@ -53,24 +52,17 @@ func (r *SpanRecorder) Reset() {
 	r.mu.Unlock()
 }
 
-// recorders recycles SpanRecorders between traced runs; recorderGets
-// and recorderNews count what AcquireRecorder handed out and how much
-// of that the pool could not supply.
-var (
-	recorders                  sync.Pool
-	recorderGets, recorderNews atomic.Int64
-)
+// recorders recycles SpanRecorders between traced runs.
+var recorders sync.Pool
 
 // AcquireRecorder returns an empty recorder, reusing a released one
 // and its event buffer when the pool has one. Hand it back with
 // Release once nothing reads it any more; TraceBuffer.Record copies
 // what it keeps.
 func AcquireRecorder() *SpanRecorder {
-	recorderGets.Add(1)
 	if r, _ := recorders.Get().(*SpanRecorder); r != nil {
 		return r
 	}
-	recorderNews.Add(1)
 	return &SpanRecorder{}
 }
 
@@ -82,12 +74,6 @@ func (r *SpanRecorder) Release() {
 	}
 	r.Reset()
 	recorders.Put(r)
-}
-
-// RecorderPoolStats reports how many recorders AcquireRecorder handed
-// out and how many of those it had to allocate.
-func RecorderPoolStats() (gets, news int64) {
-	return recorderGets.Load(), recorderNews.Load()
 }
 
 // Span is one node of the in-memory phase tree: a named phase with its
@@ -195,31 +181,44 @@ func spansOf(events []core.Event) []*Span {
 // metricsObserver bridges solver events into registry metrics, the
 // wiring behind the server's /metrics solver section.
 type metricsObserver struct {
-	apsp, stage1, stage2         *Histogram
-	overlay, sfc, sweep          *Histogram
-	proposed, accepted, rejected *Counter
-	passes, solves               *Counter
+	apsp, stage1, stage2             *Histogram
+	overlay, sfc, sweep              *Histogram
+	proposed, accepted, rejected     *Counter
+	passes                           *Counter
+	rowsRelaxed, rowsDominated, rows *Counter
+	generalTrees                     *Counter
 }
 
 // NewMetricsObserver returns a core.Observer that folds phase events
 // into the registry: solver_stage1_ms / solver_stage2_ms /
-// solver_apsp_ms histograms, the stage-one split (solver_overlay_ms,
-// solver_sfc_dijkstra_ms, solver_sweep_ms), the move-funnel counters
-// and pass/solve totals. The handles are captured once, so the
-// per-event cost is a few atomic adds.
+// solver_apsp_ms histograms (solver_stage2_ms's count is the number of
+// completed solves), the stage-one split (solver_overlay_ms,
+// solver_sfc_dijkstra_ms, solver_sweep_ms), the move-funnel counters,
+// the pass total, and what the two stage-one searches read:
+// sfc_rows_relaxed_total / sfc_rows_dominated_total / sfc_rows_total,
+// the MOD overlay rows the chain search relaxed, skipped as dominated
+// and had with a finite distance (relaxed/total is the share of the
+// overlay's inter-column arcs read; each overlay's search is counted
+// once, by the solve that built it, not again on a scaffold hit), and kmb_general_branch_total, the sweep's KMB
+// trees that were not already trees after the closure expansion. The
+// handles are captured once, so the per-event cost is a few atomic
+// adds.
 func NewMetricsObserver(reg *Registry) core.Observer {
 	return &metricsObserver{
-		apsp:     reg.Histogram("solver_apsp_ms", LatencyBuckets),
-		stage1:   reg.Histogram("solver_stage1_ms", LatencyBuckets),
-		stage2:   reg.Histogram("solver_stage2_ms", LatencyBuckets),
-		overlay:  reg.Histogram("solver_overlay_ms", LatencyBuckets),
-		sfc:      reg.Histogram("solver_sfc_dijkstra_ms", LatencyBuckets),
-		sweep:    reg.Histogram("solver_sweep_ms", LatencyBuckets),
-		proposed: reg.Counter("solver_moves_proposed_total"),
-		accepted: reg.Counter("solver_moves_accepted_total"),
-		rejected: reg.Counter("solver_moves_rejected_total"),
-		passes:   reg.Counter("solver_opa_passes_total"),
-		solves:   reg.Counter("solver_solves_total"),
+		apsp:          reg.Histogram("solver_apsp_ms", LatencyBuckets),
+		stage1:        reg.Histogram("solver_stage1_ms", LatencyBuckets),
+		stage2:        reg.Histogram("solver_stage2_ms", LatencyBuckets),
+		overlay:       reg.Histogram("solver_overlay_ms", LatencyBuckets),
+		sfc:           reg.Histogram("solver_sfc_dijkstra_ms", LatencyBuckets),
+		sweep:         reg.Histogram("solver_sweep_ms", LatencyBuckets),
+		proposed:      reg.Counter("solver_moves_proposed_total"),
+		accepted:      reg.Counter("solver_moves_accepted_total"),
+		rejected:      reg.Counter("solver_moves_rejected_total"),
+		passes:        reg.Counter("solver_opa_passes_total"),
+		rowsRelaxed:   reg.Counter("sfc_rows_relaxed_total"),
+		rowsDominated: reg.Counter("sfc_rows_dominated_total"),
+		rows:          reg.Counter("sfc_rows_total"),
+		generalTrees:  reg.Counter("kmb_general_branch_total"),
 	}
 }
 
@@ -234,11 +233,14 @@ func (m *metricsObserver) OnEvent(e core.Event) {
 		m.overlay.ObserveDuration(e.Duration)
 	case core.EventSFCSolved:
 		m.sfc.ObserveDuration(e.Duration)
+		m.rowsRelaxed.Add(int64(e.SFCRowsRelaxed))
+		m.rowsDominated.Add(int64(e.SFCRowsDominated))
+		m.rows.Add(int64(e.SFCRows))
 	case core.EventSweepEnd:
 		m.sweep.ObserveDuration(e.Duration)
+		m.generalTrees.Add(int64(e.GeneralTrees))
 	case core.EventStage2End:
 		m.stage2.ObserveDuration(e.Duration)
-		m.solves.Inc()
 	case core.EventOPAPassEnd:
 		m.passes.Inc()
 	case core.EventMoveProposed:

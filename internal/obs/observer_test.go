@@ -521,10 +521,68 @@ func TestConcurrentSolvesIntoSharedRegistry(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	if got := reg.Counter("solver_solves_total").Value(); got != workers*solves {
-		t.Errorf("solver_solves_total = %d, want %d", got, workers*solves)
+	for _, h := range []string{"solver_stage1_ms", "solver_stage2_ms"} {
+		if got := reg.Histogram(h, nil).Count(); got != workers*solves {
+			t.Errorf("%s count = %d, want %d", h, got, workers*solves)
+		}
 	}
-	if got := reg.Histogram("solver_stage1_ms", nil).Count(); got != workers*solves {
-		t.Errorf("stage1 histogram count = %d, want %d", got, workers*solves)
+}
+
+// TestMetricsObserverCountsStageOneReads: two observed solves of one
+// task through one scaffold cache move the sfc_rows_* counters by
+// exactly the rows one chain search read — the rows an uncached
+// mod.Build of the same source and chain reports; the second solve's
+// scaffold hit reads none — and kmb_general_branch_total by their
+// sweeps' general trees. The counters sit in the counters section, and
+// no solve total is kept beside solver_stage2_ms's count.
+func TestMetricsObserverCountsStageOneReads(t *testing.T) {
+	net, task := obsInstance(t)
+	reg := NewRegistry()
+	rec := &SpanRecorder{}
+	opts := core.Options{Observer: Tee(NewMetricsObserver(reg), rec), Scaffolds: mod.NewCache()}
+	for range 2 {
+		if _, err := core.Solve(net, task, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overlay, err := mod.Build(net, task.Source, task.Chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relaxed, dominated, rows := overlay.SolveSFC().Rows()
+	overlay.Release()
+	if relaxed <= 0 || dominated < 0 || relaxed+dominated > rows {
+		t.Fatalf("the chain search relaxed %d rows and skipped %d of %d", relaxed, dominated, rows)
+	}
+	general, searches := 0, 0
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case core.EventSweepEnd:
+			general += e.GeneralTrees
+		case core.EventSFCSolved:
+			if searches++; searches == 2 && e.SFCRows != 0 {
+				t.Errorf("the scaffold hit reported %d rows of a search it did not run", e.SFCRows)
+			}
+		}
+	}
+	if searches != 2 {
+		t.Fatalf("%d sfc_solved events over two solves", searches)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int{
+		"sfc_rows_relaxed_total":   relaxed,
+		"sfc_rows_dominated_total": dominated,
+		"sfc_rows_total":           rows,
+		"kmb_general_branch_total": general,
+	} {
+		if got, ok := snap.Counters[name]; !ok || got != int64(want) {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if _, ok := snap.Counters["solver_solves_total"]; ok {
+		t.Error("solver_solves_total is kept beside solver_stage2_ms's count")
+	}
+	if got := snap.Histograms["solver_stage2_ms"].Count; got != 2 {
+		t.Errorf("solver_stage2_ms count = %d after two solves", got)
 	}
 }

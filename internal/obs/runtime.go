@@ -4,11 +4,9 @@ import (
 	"math"
 	"runtime/metrics"
 
-	"sftree/internal/faults"
 	"sftree/internal/graph"
 	"sftree/internal/mod"
 	"sftree/internal/nfv"
-	"sftree/internal/steiner"
 )
 
 // RegisterCacheStats wires the process-global cache and pool counters
@@ -17,46 +15,20 @@ import (
 //
 //	metric_cache_hits / metric_cache_misses / metric_cache_hit_rate
 //	    nfv.Network.Metric generation cache (APSP closure reuse)
-//	apsp_cache_hits / apsp_cache_misses / apsp_cache_hit_rate
-//	    faults.State per-down-set APSP cache
 //	scaffold_cache_hits / scaffold_cache_misses / scaffold_cache_hit_rate
 //	    mod.Cache signature-keyed MOD-overlay scaffolds (stage-one
 //	    construction skipped on same-signature, same-deployment solves)
-//	sfc_rows_relaxed_total / sfc_rows_dominated_total / sfc_rows_total
-//	    mod.SolveSFC: predecessor rows the chain searches relaxed, rows
-//	    they skipped because a relaxed row already undercut them, and
-//	    the rows with a finite distance; relaxed/total is the share of
-//	    the overlays' inter-column arcs that was read
-//	kmb_trees_total / kmb_general_branch_total / kmb_path_memo_hit_rate
-//	    steiner.Sweep: KMB trees built, how many of them were not
-//	    already trees after the closure expansion (and so paid for
-//	    Kruskal and pruning), and the share of destination-to-
-//	    destination path lookups the per-solve memo served
 //	sp_pool_gets / sp_pool_news / sp_pool_reuse_rate
 //	    graph shortest-path scratch arenas (sync.Pool)
-//	scaffold_pool_gets / scaffold_pool_news / scaffold_pool_reuse_rate
-//	    mod.Build: overlays handed out, and how many came with the
-//	    buffers of a released one (setup block, chain-search arrays,
-//	    candidate rows)
-//	trace_recorder_pool_gets / trace_recorder_pool_news /
-//	trace_recorder_pool_reuse_rate
-//	    AcquireRecorder: the span recorders of traced admissions,
-//	    repairs and stateless solves, and how many reused a released
-//	    recorder's buffer
 //
 // Hit and reuse rates are fractions in [0,1]; they read 0 until the
-// first lookup.
+// first lookup. What a solve reads of the MOD overlay and the KMB
+// sweep reaches the registry through its events (NewMetricsObserver).
 func RegisterCacheStats(reg *Registry) {
 	reg.GaugeFunc("metric_cache_hits", func() float64 { h, _ := nfv.MetricCacheStats(); return float64(h) })
 	reg.GaugeFunc("metric_cache_misses", func() float64 { _, m := nfv.MetricCacheStats(); return float64(m) })
 	reg.GaugeFunc("metric_cache_hit_rate", func() float64 {
 		h, m := nfv.MetricCacheStats()
-		return ratio(h, h+m)
-	})
-	reg.GaugeFunc("apsp_cache_hits", func() float64 { h, _ := faults.CacheStats(); return float64(h) })
-	reg.GaugeFunc("apsp_cache_misses", func() float64 { _, m := faults.CacheStats(); return float64(m) })
-	reg.GaugeFunc("apsp_cache_hit_rate", func() float64 {
-		h, m := faults.CacheStats()
 		return ratio(h, h+m)
 	})
 	reg.GaugeFunc("scaffold_cache_hits", func() float64 { h, _ := mod.CacheStats(); return float64(h) })
@@ -65,18 +37,12 @@ func RegisterCacheStats(reg *Registry) {
 		h, m := mod.CacheStats()
 		return ratio(h, h+m)
 	})
-	reg.GaugeFunc("sfc_rows_relaxed_total", func() float64 { r, _, _ := mod.SFCStats(); return float64(r) })
-	reg.GaugeFunc("sfc_rows_dominated_total", func() float64 { _, d, _ := mod.SFCStats(); return float64(d) })
-	reg.GaugeFunc("sfc_rows_total", func() float64 { _, _, n := mod.SFCStats(); return float64(n) })
-	reg.GaugeFunc("kmb_trees_total", func() float64 { return float64(steiner.SweepStats().Trees) })
-	reg.GaugeFunc("kmb_general_branch_total", func() float64 { return float64(steiner.SweepStats().GeneralTrees) })
-	reg.GaugeFunc("kmb_path_memo_hit_rate", func() float64 {
-		c := steiner.SweepStats()
-		return ratio(c.MemoHits, c.MemoHits+c.MemoFills)
+	reg.GaugeFunc("sp_pool_gets", func() float64 { g, _ := graph.PoolStats(); return float64(g) })
+	reg.GaugeFunc("sp_pool_news", func() float64 { _, n := graph.PoolStats(); return float64(n) })
+	reg.GaugeFunc("sp_pool_reuse_rate", func() float64 {
+		g, n := graph.PoolStats()
+		return ratio(g-n, g)
 	})
-	RegisterPool(reg, "sp_pool", graph.PoolStats)
-	RegisterPool(reg, "scaffold_pool", mod.PoolStats)
-	RegisterPool(reg, "trace_recorder_pool", RecorderPoolStats)
 }
 
 // ratio is hit/total, 0 before the first lookup.
@@ -85,18 +51,6 @@ func ratio(hit, total int64) float64 {
 		return 0
 	}
 	return float64(hit) / float64(total)
-}
-
-// RegisterPool exposes a pool's traffic as the callback gauges
-// name_gets, name_news and name_reuse_rate: stats reports how many
-// gets the pool served and how many of them it had to allocate.
-func RegisterPool(reg *Registry, name string, stats func() (gets, news int64)) {
-	reg.GaugeFunc(name+"_gets", func() float64 { g, _ := stats(); return float64(g) })
-	reg.GaugeFunc(name+"_news", func() float64 { _, n := stats(); return float64(n) })
-	reg.GaugeFunc(name+"_reuse_rate", func() float64 {
-		g, n := stats()
-		return ratio(g-n, g)
-	})
 }
 
 // runtimeTotals are the cumulative runtime/metrics samples

@@ -58,22 +58,25 @@ func TestHistogramP999(t *testing.T) {
 }
 
 // TestRegisterCacheStats drives real cache traffic (a cold+warm Metric
-// lookup, a fault materialization cycle) and checks the bridged floats
-// move.
+// lookup, a fault materialization) and checks the bridged floats move.
+// Only the cache and pool families the benchmark reads are registered:
+// what a solve reads of the MOD overlay and the KMB sweep reaches the
+// registry through its events (TestMetricsObserverCountsStageOneReads).
 func TestRegisterCacheStats(t *testing.T) {
 	reg := NewRegistry()
 	RegisterCacheStats(reg)
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"metric_cache_hits", "metric_cache_misses", "metric_cache_hit_rate",
-		"apsp_cache_hits", "apsp_cache_misses", "apsp_cache_hit_rate",
-		"sfc_rows_relaxed_total", "sfc_rows_dominated_total", "sfc_rows_total",
-		"kmb_trees_total", "kmb_general_branch_total", "kmb_path_memo_hit_rate",
+		"scaffold_cache_hits", "scaffold_cache_misses", "scaffold_cache_hit_rate",
 		"sp_pool_gets", "sp_pool_news", "sp_pool_reuse_rate",
 	} {
 		if _, ok := snap.Floats[name]; !ok {
 			t.Errorf("float %s not registered", name)
 		}
+	}
+	if n := len(snap.Floats); n != 9 {
+		t.Errorf("%d floats registered, want the 9 above: %v", n, snap.Floats)
 	}
 
 	net, err := netgen.Generate(netgen.PaperConfig(30, 2), rand.New(rand.NewSource(3)))
@@ -88,45 +91,18 @@ func TestRegisterCacheStats(t *testing.T) {
 		t.Error("metric cache hit not counted")
 	}
 
-	// One pristine materialization cycle: the materialized network is a
-	// fresh object, so its first Metric call is a metric-cache miss
-	// served by the passthrough supplier — an APSP-cache hit.
-	st := faults.NewState(net)
-	deg, err := st.Materialize(net)
+	// The materialized network is a fresh object, so its first Metric
+	// call is a metric-cache miss; with nothing down it is served the
+	// base's closure itself, so no APSP runs.
+	deg, err := faults.NewState(net).Materialize(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg.Metric()
-	final := reg.Snapshot().Floats
-	if final["metric_cache_misses"] <= before["metric_cache_misses"] {
+	if deg.Metric() != net.Metric() {
+		t.Error("pristine materialization rebuilt the base's metric closure")
+	}
+	if final := reg.Snapshot().Floats; final["metric_cache_misses"] <= before["metric_cache_misses"] {
 		t.Error("metric cache miss not counted for the fresh materialization")
-	}
-	if final["apsp_cache_hits"] <= before["apsp_cache_hits"] {
-		t.Error("apsp cache hit not counted for pristine passthrough")
-	}
-
-	// One solve: a KMB tree per candidate host over shared destinations,
-	// so the path memo is hit far more often than it is filled.
-	task, err := netgen.GenerateTask(net, rand.New(rand.NewSource(4)), 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Solve(net, task, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	solved := reg.Snapshot().Floats
-	if solved["kmb_trees_total"] <= final["kmb_trees_total"] {
-		t.Error("KMB trees of a solve not counted")
-	}
-	// The chain search read some of the overlay's rows, and relaxed and
-	// skipped no more than the rows it had.
-	relaxed := solved["sfc_rows_relaxed_total"] - final["sfc_rows_relaxed_total"]
-	dominated := solved["sfc_rows_dominated_total"] - final["sfc_rows_dominated_total"]
-	if rows := solved["sfc_rows_total"] - final["sfc_rows_total"]; relaxed <= 0 || dominated < 0 || relaxed+dominated > rows {
-		t.Errorf("a solve moved sfc_rows_relaxed_total by %v, sfc_rows_dominated_total by %v and sfc_rows_total by %v", relaxed, dominated, rows)
-	}
-	if r := solved["kmb_path_memo_hit_rate"]; r <= 0.5 || r > 1 {
-		t.Errorf("kmb_path_memo_hit_rate = %v after a solve, want in (0.5, 1]", r)
 	}
 }
 

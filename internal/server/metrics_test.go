@@ -3,12 +3,14 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"testing"
 
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
 	"sftree/internal/graph"
+	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 	"sftree/internal/obs"
 	"sftree/internal/wal"
@@ -158,7 +160,6 @@ func checkFigures(t *testing.T, url string, srv *Server) {
 		"sessions_released_total":          int64(st.Released),
 		"sessions_rejected_total":          int64(st.Rejected),
 		"admit_commit_conflicts_total":     int64(st.CommitConflicts),
-		"admit_retries_total":              int64(st.AdmitRetries),
 		"admit_serialized_fallbacks_total": int64(st.SerializedFallbacks),
 		"admit_coalesced_solves_total":     int64(st.CoalescedSolves),
 		"wal_records_total":                int64(st.WALRecords),
@@ -210,5 +211,75 @@ func checkFigures(t *testing.T, url string, srv *Server) {
 		if got, ok := snap.Floats[name]; !ok || got != want {
 			t.Errorf("float %s = %v (served: %v), Stats says %v", name, got, ok, want)
 		}
+	}
+}
+
+// TestHandedManagerFeedsSolverMetrics: a server handed its manager —
+// the way sftserve boots with -wal-dir, restoring the manager from its
+// log first — counts its HTTP admissions in the solver figures exactly
+// as a server that built its own manager, and neither counts a solve
+// twice: three admissions and one POST /v1/solve are four solves.
+func TestHandedManagerFeedsSolverMetrics(t *testing.T) {
+	scrape := func(handed bool) obs.Snapshot {
+		net, _ := sessionNetwork(t)
+		rng := rand.New(rand.NewSource(21))
+		var tasks []nfv.Task
+		for range 3 {
+			task, err := netgen.GenerateTask(net, rng, 3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks = append(tasks, task)
+		}
+		cfg := Config{QueueDepth: 8}
+		if handed {
+			l, rec, err := wal.Open(t.TempDir(), wal.Config{Policy: wal.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			if cfg.Manager, _, err = dynamic.Restore(net, l, rec, core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, ts := newTestServer(t, net, cfg)
+		for _, task := range tasks {
+			if resp := postJSON(t, ts.URL+"/v1/sessions", task); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("handed %v: admission status %d", handed, resp.StatusCode)
+			}
+		}
+		if resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Instance: testInstance(t)}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("handed %v: solve status %d", handed, resp.StatusCode)
+		}
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap obs.Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	built, handed := scrape(false), scrape(true)
+	for _, h := range []string{"solver_stage1_ms", "solver_stage2_ms", "session_solve_ms"} {
+		want := int64(4)
+		if h == "session_solve_ms" {
+			want = 3
+		}
+		if b, g := built.Histograms[h].Count, handed.Histograms[h].Count; b != want || g != want {
+			t.Errorf("%s count: %d with a built manager, %d with a handed one, want %d", h, b, g, want)
+		}
+	}
+	for _, c := range []string{"sfc_rows_relaxed_total", "sfc_rows_dominated_total", "sfc_rows_total", "kmb_general_branch_total"} {
+		b, okB := built.Counters[c]
+		g, okG := handed.Counters[c]
+		if !okB || !okG || b != g {
+			t.Errorf("%s: %d (present %v) with a built manager, %d (present %v) with a handed one", c, b, okB, g, okG)
+		}
+	}
+	if built.Counters["sfc_rows_relaxed_total"] == 0 {
+		t.Error("four solves relaxed no chain-search row")
 	}
 }

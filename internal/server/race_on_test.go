@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceDetector reports that the test binary was built with -race,
+// under which sync.Pool drops a share of what it is handed.
+const raceDetector = true

@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sftree/internal/conformance"
@@ -115,21 +114,24 @@ func NewWith(net *nfv.Network, opts core.Options, cfg Config) *Server {
 	// callback gauges per server is idempotent (same names, same
 	// sources), so every registry scraping this server sees them.
 	obs.RegisterCacheStats(reg)
-	obs.RegisterPool(reg, "http_body_pool", bodies.stats)
 	obs.RegisterRuntimeStats(reg)
 	// Every solve, admission and fault-repair run leaves one
 	// request-scoped span tree in a ring of obs.DefaultTraceCap traces,
 	// served at GET /debug/traces (and reachable via Server.Traces).
 	traces := obs.NewTraceBuffer(0)
-	opts.Observer = obs.Tee(opts.Observer, obs.NewMetricsObserver(reg))
-	s := &Server{mux: http.NewServeMux(), net: net, reg: reg, traces: traces,
-		opts: opts, timeout: cfg.SolveTimeout}
-	if cfg.Manager != nil {
-		s.mgr = cfg.Manager.Instrument(reg).Trace(traces)
-	} else if net != nil {
-		s.mgr = dynamic.NewManager(net, opts).Instrument(reg).Trace(traces)
+	// Each solve path bridges its events into the registry once: the
+	// stateless /v1/solve path through s.opts, and the manager's
+	// admissions and repairs through Instrument, whoever built the
+	// manager. The manager is therefore handed opts without the bridge.
+	mgr := cfg.Manager
+	if mgr == nil && net != nil {
+		mgr = dynamic.NewManager(net, opts)
 	}
-	if s.mgr != nil {
+	opts.Observer = obs.Tee(opts.Observer, obs.NewMetricsObserver(reg))
+	s := &Server{mux: http.NewServeMux(), mgr: mgr, net: net, reg: reg, traces: traces,
+		opts: opts, timeout: cfg.SolveTimeout}
+	if mgr != nil {
+		mgr.Instrument(reg).Trace(traces)
 		s.q = queue.New(queue.Config{
 			Depth:       cfg.QueueDepth,
 			BatchWindow: cfg.BatchWindow,
@@ -401,19 +403,13 @@ var bodies bufferPool
 // for the life of the process.
 const maxPooledBody = 64 << 10
 
-// bufferPool is a sync.Pool of bytes.Buffers that counts how often a
-// get found one to reuse.
-type bufferPool struct {
-	pool       sync.Pool
-	gets, news atomic.Int64
-}
+// bufferPool is a sync.Pool of bytes.Buffers.
+type bufferPool struct{ pool sync.Pool }
 
 func (p *bufferPool) get() *bytes.Buffer {
-	p.gets.Add(1)
 	if b, _ := p.pool.Get().(*bytes.Buffer); b != nil {
 		return b
 	}
-	p.news.Add(1)
 	return new(bytes.Buffer)
 }
 
@@ -424,10 +420,6 @@ func (p *bufferPool) put(b *bytes.Buffer) {
 	b.Reset()
 	p.pool.Put(b)
 }
-
-// stats reports how many buffers get handed out and how many of them it
-// had to allocate.
-func (p *bufferPool) stats() (gets, news int64) { return p.gets.Load(), p.news.Load() }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest

@@ -102,7 +102,7 @@ func TestStatelessSolveTraced(t *testing.T) {
 }
 
 // TestMetricsExposesCacheFloats: the /metrics snapshot must carry the
-// cache hit-rate and pool reuse callback gauges.
+// cache hit-rate and pool reuse callback gauges the benchmark reads.
 func TestMetricsExposesCacheFloats(t *testing.T) {
 	net, _ := sessionNetwork(t)
 	_, ts := newTestServer(t, net, Config{})
@@ -120,7 +120,7 @@ func TestMetricsExposesCacheFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"metric_cache_hit_rate", "apsp_cache_hit_rate",
+		"metric_cache_hit_rate", "scaffold_cache_hit_rate",
 		"sp_pool_reuse_rate",
 	} {
 		if _, ok := snap.Floats[name]; !ok {

@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"sftree/internal/conformance"
 	"sftree/internal/core"
 	"sftree/internal/dynamic"
+	"sftree/internal/faults"
+	"sftree/internal/graph"
 	"sftree/internal/netgen"
 	"sftree/internal/nfv"
 	"sftree/internal/wal"
@@ -234,4 +237,95 @@ func TestCrashUnderConcurrentAdmissions(t *testing.T) {
 	}
 	t.Logf("%d acked, %d released, %d live, %d records replayed",
 		len(acked), len(freed), len(live), rep.ReplayedRecords)
+}
+
+// TestLaggingRepairMarksDirty rebases a WAL-backed manager whose log
+// has died onto a network that severs its session. A repair is a fact
+// of the network and cannot be refused: it is applied in memory, the
+// refused records are counted, and the manager turns checkpoint-dirty —
+// on /metrics and /readyz too. A snapshot on the dead log fails and
+// leaves it dirty.
+func TestLaggingRepairMarksDirty(t *testing.T) {
+	// 0-1 (1), 1-3 (1), 1-4 (1), 0-4 (5); node 1 is the only server.
+	// The session 0 -> {3, 4} places its instance at 1 and fans out
+	// over 1-3 and 1-4; with 1-4 down, 4 is reached over 1-0-4.
+	g := graph.New(5)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 3, 1)
+	g.MustAddEdge(1, 4, 1)
+	g.MustAddEdge(0, 4, 5)
+	net := nfv.NewNetwork(g, []nfv.VNF{{ID: 0, Name: "f0", Demand: 1}})
+	if err := net.SetServer(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetSetupCost(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(t.TempDir(), wal.Config{Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := dynamic.NewManager(net, core.Options{}).AttachWAL(log)
+	srv, ts := newTestServer(t, net, Config{Manager: mgr, QueueDepth: 8})
+	task := nfv.Task{Source: 0, Destinations: []int{3, 4}, Chain: nfv.SFC{0}}
+	if resp := postJSON(t, ts.URL+"/v1/sessions", task); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("admit on a healthy log: status %d", resp.StatusCode)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := faults.NewState(net)
+	if err := st.Apply(faults.Event{Kind: faults.LinkDown, U: 1, V: 4}); err != nil {
+		t.Fatal(err)
+	}
+	degraded, err := st.Materialize(mgr.CloneNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := mgr.Rebase(degraded)
+	if rep.Affected != 1 || rep.Patched != 1 || len(rep.Sessions) != 1 {
+		t.Fatalf("rebase report %+v: want the one session patched", rep)
+	}
+	sessions := mgr.Sessions()
+	if len(sessions) != 1 || sessions[0].Degraded || sessions[0].Result.FinalCost != rep.Sessions[0].CostAfter {
+		t.Fatalf("the patch is not applied in memory: %+v", sessions)
+	}
+	if err := conformance.CheckLive(mgr.Network(), sessions[0].Result.Embedding); err != nil {
+		t.Fatalf("patched session: %v", err)
+	}
+	// The log refused two records, the rebase and the session's repair,
+	// and holds only the admission.
+	stats := mgr.Stats()
+	if stats.WALAppendErrors != 2 || !stats.CheckpointDirty || stats.WALRecords != 1 {
+		t.Fatalf("stats %+v: want two refused records counted and the manager dirty", stats)
+	}
+
+	snap := srv.Registry().Snapshot()
+	if snap.Gauges["wal_checkpoint_dirty"] != 1 || snap.Counters["wal_append_errors_total"] != int64(stats.WALAppendErrors) {
+		t.Errorf("/metrics wal_checkpoint_dirty=%d wal_append_errors_total=%d, want 1 and %d",
+			snap.Gauges["wal_checkpoint_dirty"], snap.Counters["wal_append_errors_total"], stats.WALAppendErrors)
+	}
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ready.Body.Close()
+	var body struct {
+		Status string `json:"status"`
+		Dirty  bool   `json:"wal_checkpoint_dirty"`
+	}
+	if err := json.NewDecoder(ready.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Status != "degraded" || !body.Dirty {
+		t.Errorf("/readyz %+v: want degraded and checkpoint-dirty", body)
+	}
+
+	if _, err := mgr.Checkpoint(); !errors.Is(err, wal.ErrClosed) {
+		t.Errorf("checkpoint on the dead log: %v, want wal.ErrClosed", err)
+	}
+	if !mgr.Stats().CheckpointDirty {
+		t.Error("a failed checkpoint cleared the dirty mark")
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"sftree/internal/graph"
 )
@@ -38,7 +37,7 @@ type Sweep struct {
 	stats  SweepCounters
 }
 
-// SweepCounters counts what the sweeps of this process have done.
+// SweepCounters counts what one sweep has done.
 type SweepCounters struct {
 	// Trees is the number of KMB trees built (Tree and Cost calls over
 	// at least two terminals that passed the reachability check).
@@ -49,19 +48,6 @@ type SweepCounters struct {
 	// MemoHits and MemoFills count lookups of a D-D shortest path in
 	// the sweep's memo: served from it, or walked and stored.
 	MemoHits, MemoFills int64
-}
-
-var sweepTrees, sweepGeneral, sweepMemoHits, sweepMemoFills atomic.Int64
-
-// SweepStats reports the cumulative counters of every closed Sweep
-// (and so of every KMB call) in the process.
-func SweepStats() SweepCounters {
-	return SweepCounters{
-		Trees:        sweepTrees.Load(),
-		GeneralTrees: sweepGeneral.Load(),
-		MemoHits:     sweepMemoHits.Load(),
-		MemoFills:    sweepMemoFills.Load(),
-	}
 }
 
 // fromRoot is the closure-edge origin of a root outside D; origins
@@ -104,17 +90,12 @@ func (s *Sweep) init(g *graph.Graph, m *graph.Metric, dests []int) {
 	ws.bits = ws.bits[:s.ew+s.nw]
 }
 
-// Close folds the sweep's counters into SweepStats and releases its
-// workspace. A closed sweep panics on use; closing it again is a
-// no-op.
+// Close releases the sweep's workspace. A closed sweep panics on use
+// (Counters still answers); closing it again is a no-op.
 func (s *Sweep) Close() {
 	if s.ws == nil {
 		return
 	}
-	sweepTrees.Add(s.stats.Trees)
-	sweepGeneral.Add(s.stats.GeneralTrees)
-	sweepMemoHits.Add(s.stats.MemoHits)
-	sweepMemoFills.Add(s.stats.MemoFills)
 	putWS(s.ws)
 	s.ws, s.dests = nil, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sftree/internal/graph"
+	"sftree/internal/netgen"
 )
 
 // referenceKMB is the textbook four-step KMB the package shipped
@@ -130,9 +131,9 @@ func errClass(err error) string {
 // diffSweep holds one sweep over dests, and KMB itself, to the oracle
 // for every node as root: same edges in the same order, Cost ==, same
 // error class, and — whenever Prim ran — the same closure edges in the
-// same pick order with the same orientation. It returns how many of
-// the sweep's trees took the general branch.
-func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) int64 {
+// same pick order with the same orientation. It returns the sweep's
+// counters.
+func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) SweepCounters {
 	t.Helper()
 	s := NewSweep(g, m, dests)
 	defer s.Close()
@@ -167,7 +168,7 @@ func diffSweep(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) int64
 		got, err = KMB(g, m, terminals)
 		check("KMB", got, err)
 	}
-	return s.Counters().GeneralTrees
+	return s.Counters()
 }
 
 // labellings run each edge case three ways. Three routines once built
@@ -583,17 +584,43 @@ func TestSweepLowerBoundMoats(t *testing.T) {
 // fall back to Kruskal and pruning.
 func TestSweepGeneralBranch(t *testing.T) {
 	g, dests := generalBranchGraph()
-	before := SweepStats()
-	general := diffSweep(t, g, g.APSP(), dests)
-	if general == 0 {
+	c := diffSweep(t, g, g.APSP(), dests)
+	if c.GeneralTrees == 0 {
 		t.Fatal("no root took the general branch; the instance no longer covers it")
 	}
-	after := SweepStats()
-	if after.GeneralTrees-before.GeneralTrees < general || after.Trees <= before.Trees {
-		t.Errorf("SweepStats moved from %+v to %+v, sweep alone counted %d general trees", before, after, general)
+	// Tree and Cost each build a tree per root that reaches D.
+	if c.Trees < 2*c.GeneralTrees || c.Trees > 2*int64(g.NumNodes()) {
+		t.Errorf("sweep counted %d trees, %d of them general, over %d roots", c.Trees, c.GeneralTrees, g.NumNodes())
 	}
-	if after.MemoFills <= before.MemoFills || after.MemoHits <= before.MemoHits {
-		t.Errorf("path memo unused: %+v -> %+v", before, after)
+	if c.MemoFills == 0 || c.MemoHits == 0 {
+		t.Errorf("path memo unused: %+v", c)
+	}
+}
+
+// On a paper-sized instance, pricing every root over one destination
+// set walks each destination-to-destination path once and answers
+// most lookups from the memo.
+func TestSweepPathMemoOnPaperInstance(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net, err := netgen.Generate(netgen.PaperConfig(100, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := netgen.GenerateTask(net, rng, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSweep(net.Graph(), net.Metric(), task.Destinations)
+	defer s.Close()
+	for root := 0; root < net.NumNodes(); root++ {
+		if _, err := s.Cost(root); err != nil {
+			t.Fatalf("root %d: %v", root, err)
+		}
+	}
+	c := s.Counters()
+	t.Logf("%+v", c)
+	if c.MemoHits <= c.MemoFills {
+		t.Errorf("path memo answered %d lookups and walked %d, want most answered", c.MemoHits, c.MemoFills)
 	}
 }
 

@@ -334,7 +334,16 @@ fuzz_smoke() {
 # DreyfusWagner, IsNotFound; internal/graph declares no Edge.Other,
 # Graph.Neighbors, Graph.Degree, UnionFind.Same or UnionFind.Sets, and
 # internal/steiner no Prune): the KMB tests' exact oracle and the
-# pruning wrapper live in internal/steiner/helpers_test.go.
+# pruning wrapper live in internal/steiner/helpers_test.go; and solver
+# figures reach /metrics one way, through the solve's own events
+# bridged once per solve path (the stateless solve's options and
+# Manager.Instrument): no non-test .go file keeps a process-global stat
+# counter beside them or a name that repeats another figure
+# (SweepStats, SFCStats, RecorderPoolStats, RegisterPool, apspHits,
+# solver_solves_total — solver_stage2_ms's count —,
+# admit_retries_total — admit_commit_conflicts_total —), and sftserve
+# polls no checkpoint-dirty flag (NeedsCheckpoint): it checkpoints once
+# after Restore, the only Rebase it runs.
 retired_guard() {
 	if grep -rnE 'os\.(Getenv|LookupEnv|Environ)|syscall\.Getenv' --include='*.go' --exclude='*_test.go' internal/steiner internal/core; then
 		echo "retired guard: internal/steiner or internal/core reads an environment variable (every solver setting is a core.Options field)" >&2
@@ -344,7 +353,7 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files), one admission order (EDF, no chain-signature grouping), one round trip per client call (no retry policy) and no test-only exported name in internal/"
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files), one admission order (EDF, no chain-signature grouping), one round trip per client call (no retry policy), no test-only exported name in internal/ and each solver figure kept once (events bridged per solve path, no process-global stat counters)"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -488,6 +497,10 @@ retired_guard() {
 		grep -rnE 'func \([a-z]+ \*?(Edge|Graph|UnionFind)\) (Other|Neighbors|Degree|Same|Sets)\(' --include='*.go' --exclude='*_test.go' internal/graph ||
 		grep -rn 'func Prune(' --include='*.go' --exclude='*_test.go' internal/steiner; then
 		echo "retired guard: an exported name only tests called is back in a non-test file (test helpers live in _test.go files)" >&2
+		exit 1
+	fi
+	if grep -rnwE 'SweepStats|SFCStats|RecorderPoolStats|RegisterPool|apspHits|NeedsCheckpoint|solver_solves_total|admit_retries_total' --include='*.go' --exclude='*_test.go' .; then
+		echo "retired guard: a solver or pool figure is kept twice again (a process-global stat counter in steiner, mod, faults, obs or server, sftserve's checkpoint poll, or a registry name that repeats another); solver figures reach /metrics through the solve's events, bridged once per solve path" >&2
 		exit 1
 	fi
 	if go list -f '{{join .Imports "\n"}}' ./cmd/sftload | grep -xE 'sftree/internal/(wal|faults)' ||
