@@ -575,3 +575,44 @@ func TestNodeHeapDecreaseKey(t *testing.T) {
 		t.Fatalf("Len = %d, want 0", h.Len())
 	}
 }
+
+// TestMetricMeet holds Meet to the row scan it stores: the same bits
+// for every ordered pair, asked in either orientation and asked again
+// once stored, 0 for a node with itself and +Inf across components;
+// zero-cost edges tie meeting times at 0.
+func TestMetricMeet(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(50)
+		g := New(n)
+		reach := 1 + rng.Intn(n)
+		for v := 1; v < reach; v++ {
+			g.MustAddEdge(rng.Intn(v), v, float64(rng.Intn(4))*rng.Float64())
+		}
+		for i := 0; i < n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.MustAddEdge(u, v, float64(rng.Intn(3)))
+			}
+		}
+		m := g.APSP()
+		for rep := 0; rep < 2; rep++ {
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					want := Inf
+					for v := range m.Dist[a] {
+						want = min(want, max(m.Dist[a][v], m.Dist[b][v]))
+					}
+					if got := m.Meet(a, b); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d pass %d: Meet(%d, %d) = %v, the row scan %v", trial, rep, a, b, got, want)
+					}
+					if m.Dist[a][b] == Inf && m.Meet(b, a) != Inf {
+						t.Fatalf("trial %d: Meet(%d, %d) across components = %v", trial, b, a, m.Meet(b, a))
+					}
+					if a == b && m.Meet(a, b) != 0 {
+						t.Fatalf("trial %d: Meet(%d, %d) = %v, want 0", trial, a, b, m.Meet(a, b))
+					}
+				}
+			}
+		}
+	}
+}

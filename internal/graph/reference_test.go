@@ -45,7 +45,7 @@ func floydWarshall(g *Graph) *Metric {
 			}
 		}
 	}
-	return &Metric{Dist: dist, csr: c, next: next}
+	return newMetric(dist, c, next)
 }
 
 // allDijkstra is APSP without the worker pool: every source's row in
@@ -59,7 +59,7 @@ func allDijkstra(g *Graph) *Metric {
 		apspRow(c, s, dist[s], next[s], sc)
 	}
 	putScratch(sc)
-	return &Metric{Dist: dist, csr: c, next: next}
+	return newMetric(dist, c, next)
 }
 
 // pathCost sums the edge costs along a node sequence, using the

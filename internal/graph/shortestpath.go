@@ -101,11 +101,18 @@ func csrDijkstra(c *CSR, src int, dist []float64, parent []int, sc *spScratch) {
 // so a walk reads the next node and the edge that carries the hop in
 // one load each, and scans no adjacency list. That arc is always the
 // cheapest one joining its two nodes, the earliest (lowest edge id) on
-// ties — CSR.Arc's pick.
+// ties — CSR.Arc's pick. Beside them it keeps the lazily filled
+// table behind Meet.
 type Metric struct {
 	Dist [][]float64
 	csr  *CSR
 	next [][]int32 // next[u][v] = CSR position of the first arc on a shortest u->v path, -1 if u == v or none
+	meet []atomic.Pointer[meetRow]
+}
+
+// newMetric wraps the two matrices, with an empty Meet table.
+func newMetric(dist [][]float64, c *CSR, next [][]int32) *Metric {
+	return &Metric{Dist: dist, csr: c, next: next, meet: make([]atomic.Pointer[meetRow], len(dist))}
 }
 
 // metricSlabs allocates the n*n distance and first-arc matrices as
@@ -196,7 +203,7 @@ func (g *Graph) APSP() *Metric {
 		}()
 	}
 	wg.Wait()
-	return &Metric{Dist: dist, csr: c, next: next}
+	return newMetric(dist, c, next)
 }
 
 // Path returns one shortest path from u to v as a node sequence

@@ -1,10 +1,12 @@
 package steiner
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"sftree/internal/graph"
+	"sftree/internal/netgen"
 )
 
 func benchSetup(b *testing.B, n, extra, terms int) (*graph.Graph, *graph.Metric, []int) {
@@ -67,5 +69,44 @@ func BenchmarkDWTable45Nodes12Terminals(b *testing.B) {
 		if _, err := NewDWTable(g, m, terms); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLowerBound prices the tree bound of burst_shared's shape —
+// 10 destinations on a 100-node paper network — and of solve_paper's
+// largest, 20 on 200 nodes, over 128 destination sets taken in turn,
+// on a warm metric. BenchmarkLowerBoundRescan is the same with the
+// rescan the event list replaced.
+func BenchmarkLowerBound(b *testing.B) { benchLowerBound(b, (*Sweep).LowerBound) }
+
+// boundSink keeps the benchmarked bound live.
+var boundSink float64
+
+func BenchmarkLowerBoundRescan(b *testing.B) { benchLowerBound(b, (*Sweep).lowerBoundRescan) }
+
+func benchLowerBound(b *testing.B, bound func(*Sweep) float64) {
+	for _, shape := range []struct{ nodes, dests int }{{100, 10}, {200, 20}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.nodes, shape.dests), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			net, err := netgen.Generate(netgen.PaperConfig(shape.nodes, 2), rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, m := net.Graph(), net.Metric()
+			sets := make([][]int, 128)
+			for i := range sets {
+				sets[i] = rng.Perm(shape.nodes)[:shape.dests]
+				s := NewSweep(g, m, sets[i])
+				bound(s)
+				s.Close()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := NewSweep(g, m, sets[i%len(sets)])
+				boundSink = bound(s)
+				s.Close()
+			}
+		})
 	}
 }

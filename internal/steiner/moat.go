@@ -37,56 +37,73 @@ import (
 // All event times are distances read off the metric, or minima and
 // maxima of them: no search runs. Two growing moats meet at the first
 // time some node is within both, min over v of max(Dist[a][v],
-// Dist[b][v]) for centres a and b, and a growing centre a reaches a
+// Dist[b][v]) for centres a and b (graph.Metric.Meet, which the metric
+// keeps for every solve on it), and a growing centre a reaches a
 // stopped centre b of radius r at min of Dist[a][v] over b's nodes v.
-// Each pair is read once, and only when the lower bound that the
-// triangle inequality gives (half their distance, or their distance
-// less r) is below the next event found so far.
+//
+// The scan order decides ties: first each growing centre's root event,
+// by index; then, for each growing i in ascending order, its pairs
+// (i, j > i) and then its reaches (i, j) in the order j stopped. A root
+// or pair time does not change while its moats grow, so those events
+// are listed once, sorted by (time, scan rank), and each event takes
+// the first entry that can still happen: its centre still grows, or
+// its two centres grow in different moats. Neither holds again once
+// lost, so a head pointer passes the dead entries and never goes back.
+// A reach depends on when b stopped, so the reaches are scanned at each
+// event, each pair read once and only when the triangle bound (their
+// distance less r) does not rule it out against the list's pick.
 func (s *Sweep) moats() float64 {
 	ws, td := s.ws, len(s.dests)
 	dist, root := s.m.Dist, s.dests[0]
 	mo := &ws.moats
 	mo.reset(td)
-	now, paid := 0.0, 0.0
+	ev := mo.events[:0]
+	for i := 1; i < td; i++ {
+		ev = append(ev, moatEvent{key: key(dist[s.dests[i]][root]), rank: int32(i)})
+	}
+	for i := 1; i < td; i++ {
+		for j := i + 1; j < td; j++ {
+			ev = append(ev, moatEvent{key: key(s.m.Meet(s.dests[i], s.dests[j])), rank: int32(i*td + j)})
+		}
+	}
+	sortEvents(ev)
+	mo.events = ev
+	head, now, paid := 0, 0.0, 0.0
 	for len(mo.grow) > 0 {
 		next, a, b := graph.Inf, int32(0), int32(0) // b == 0: a's moat takes in the root
-		for _, i := range mo.grow {
-			if t := dist[s.dests[i]][root]; t < next {
-				next, a = t, i
+		for ; head < len(ev); head++ {
+			i, j := ev[head].rank, int32(0)
+			if i >= int32(td) {
+				i, j = i/int32(td), i%int32(td)
+			}
+			if mo.stop[i] == graph.Inf && (j == 0 || mo.stop[j] == graph.Inf && mo.moat[i] != mo.moat[j]) {
+				next, a, b = math.Float64frombits(ev[head].key), i, j
+				break
 			}
 		}
-		for p, i := range mo.grow {
+		// The reaches of a growing i < before precede the pick in scan
+		// order and win a tie with it; the others must beat it.
+		before := int32(0)
+		if b != 0 {
+			before = a
+		}
+		for _, i := range mo.grow {
+			tie := i < before
 			di := dist[s.dests[i]]
-			for _, j := range mo.grow[p+1:] {
-				if mo.moat[i] == mo.moat[j] {
-					continue
-				}
-				at := int(min(i, j))*td + int(max(i, j))
-				t := mo.meets[at]
-				if t != t { // NaN: not read yet
-					if math.Float64frombits(min(ws.dd[int(i)*td+int(j)], ws.dd[int(j)*td+int(i)]))/2 >= next {
-						continue
-					}
-					t = meet(di, dist[s.dests[j]])
-					mo.meets[at] = t
-				}
-				if t < next {
-					next, a, b = t, i, j
-				}
-			}
 			for _, j := range mo.halt {
 				at := int(i)*td + int(j)
 				t := mo.reaches[at]
 				if t != t { // NaN: not read yet
 					lo := math.Float64frombits(min(ws.dd[at], ws.dd[int(j)*td+int(i)])) - mo.stop[j]
-					if lo >= next {
+					if lo > next || lo == next && !tie {
 						continue
 					}
 					t = reach(di, dist[s.dests[j]], mo.stop[j])
 					mo.reaches[at] = t
 				}
-				if t < next {
+				if t < next || t == next && tie {
 					next, a, b = t, i, j
+					before, tie = 0, false
 				}
 			}
 		}
@@ -101,6 +118,57 @@ func (s *Sweep) moats() float64 {
 	return paid
 }
 
+// moatEvent is a root or pair event of Sweep.moats: the key of its
+// time and its rank in the scan order, i for i's root event and
+// i*td + j for the pair i < j (i >= 1, so every pair ranks after every
+// root).
+type moatEvent struct {
+	key  uint64
+	rank int32
+}
+
+func (x moatEvent) less(y moatEvent) bool {
+	return x.key < y.key || x.key == y.key && x.rank < y.rank
+}
+
+// sortEvents sorts ev by (key, rank), no two of which are equal: an
+// insertion sort on short runs, a quicksort on the median of three
+// above, recursing into the shorter side.
+func sortEvents(ev []moatEvent) {
+	for len(ev) > 12 {
+		n, m := len(ev)-1, len(ev)/2
+		if ev[m].less(ev[0]) {
+			ev[0], ev[m] = ev[m], ev[0]
+		}
+		if ev[n].less(ev[0]) {
+			ev[0], ev[n] = ev[n], ev[0]
+		}
+		if ev[m].less(ev[n]) {
+			ev[m], ev[n] = ev[n], ev[m]
+		}
+		p := 0
+		for i := range ev[:n] {
+			if ev[i].less(ev[n]) {
+				ev[i], ev[p] = ev[p], ev[i]
+				p++
+			}
+		}
+		ev[p], ev[n] = ev[n], ev[p]
+		if p < n-p {
+			sortEvents(ev[:p])
+			ev = ev[p+1:]
+		} else {
+			sortEvents(ev[p+1:])
+			ev = ev[:p]
+		}
+	}
+	for i := 1; i < len(ev); i++ {
+		for j := i; j > 0 && ev[j].less(ev[j-1]); j-- {
+			ev[j], ev[j-1] = ev[j-1], ev[j]
+		}
+	}
+}
+
 // moatState is the pooled state of Sweep.moats over td destinations,
 // each named by its index in dests.
 type moatState struct {
@@ -112,28 +180,29 @@ type moatState struct {
 	// stopped ones, and stop[i] is the radius at which i's moat stopped.
 	grow, halt []int32
 	stop       []float64
-	// meets[i*td+j] (i < j) is when i and j meet while both grow, and
-	// reaches[i*td+j] when growing i reaches stopped j; NaN until read.
-	meets, reaches []float64
+	// reaches[i*td+j] is when growing i reaches stopped j, NaN until
+	// read; events is the sorted list of root and pair events.
+	reaches []float64
+	events  []moatEvent
 }
 
 func (mo *moatState) reset(td int) {
 	if cap(mo.moat) < td {
 		mo.moat, mo.stop = make([]int32, td), make([]float64, td)
 		mo.grow, mo.halt = make([]int32, 0, td), make([]int32, 0, td)
-		mo.meets, mo.reaches = make([]float64, td*td), make([]float64, td*td)
+		mo.reaches = make([]float64, td*td)
 	}
 	mo.moat, mo.stop = mo.moat[:td], mo.stop[:td]
 	mo.grow, mo.halt = mo.grow[:0], mo.halt[:0]
-	mo.meets, mo.reaches = mo.meets[:td*td], mo.reaches[:td*td]
+	mo.reaches = mo.reaches[:td*td]
 	for i := range mo.moat {
 		mo.moat[i], mo.stop[i] = int32(i), graph.Inf
 		if i > 0 {
 			mo.grow = append(mo.grow, int32(i))
 		}
 	}
-	for i := range mo.meets {
-		mo.meets[i], mo.reaches[i] = math.NaN(), math.NaN()
+	for i := range mo.reaches {
+		mo.reaches[i] = math.NaN()
 	}
 	mo.moats = td - 1
 }
@@ -160,25 +229,6 @@ func (mo *moatState) event(a, b int32, now float64) {
 		grow = append(grow, i)
 	}
 	mo.grow = grow
-}
-
-// meet is min over v of max(a[v], b[v]): the first radius at which the
-// balls around the two rows' sources share a node. Four running minima
-// keep the loop from waiting on one compare chain.
-func meet(a, b []float64) float64 {
-	b = b[:len(a)]
-	m0, m1, m2, m3 := uint64(infKey), uint64(infKey), uint64(infKey), uint64(infKey)
-	v := 0
-	for ; v+4 <= len(a); v += 4 {
-		m0 = min(m0, max(key(a[v]), key(b[v])))
-		m1 = min(m1, max(key(a[v+1]), key(b[v+1])))
-		m2 = min(m2, max(key(a[v+2]), key(b[v+2])))
-		m3 = min(m3, max(key(a[v+3]), key(b[v+3])))
-	}
-	for ; v < len(a); v++ {
-		m0 = min(m0, max(key(a[v]), key(b[v])))
-	}
-	return math.Float64frombits(min(m0, m1, m2, m3))
 }
 
 // reach is min of a[v] over the nodes v with b[v] < r: the first

@@ -383,12 +383,14 @@ const boundTolerance = 1e-12
 // improves on, and otherwise no more than the tree of any root. On
 // graphs of at most exactNodes nodes it also holds it to the exact
 // optimum over D: never above it, and equal to it for two or three
-// destinations. It returns the largest bound-to-tree ratio seen.
+// destinations. The bound and the moats are the rescan's bits too. It
+// returns the largest bound-to-tree ratio seen.
 func checkLowerBound(t testing.TB, g *graph.Graph, m *graph.Metric, dests []int) (worst float64) {
 	t.Helper()
 	s := NewSweep(g, m, dests)
 	defer s.Close()
 	lb := s.LowerBound()
+	checkMoatsMatchRescan(t, s)
 	distinct := map[int]bool{}
 	split := false
 	for _, a := range dests {

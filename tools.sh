@@ -5,8 +5,8 @@
 # observability smoke test. CI and pre-commit should both call this;
 # it exits non-zero on the first failure.
 #
-#   ./tools.sh          # vet + gofmt + retired guard + bench module + APSP byte identity + solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
-#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + APSP byte identity + the solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity and walker parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
+#   ./tools.sh          # vet + gofmt + retired guard + bench module + APSP byte identity + solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity, walker parity and moat parity + race tests + two fuzz smokes (KMB sweep, MOD chain search) + chaos + recover + conformance + obs + queue + load
+#   ./tools.sh quick    # vet + gofmt + retired guard + bench module + APSP byte identity + the solve, admission, clone and validate-and-price allocation budgets, the solve digest, stage-two engine parity, walker parity and moat parity + the WAL's non-Linux sync fallback cross-compiled (skip the race run and smoke)
 #   ./tools.sh queue    # admission-queue gate only: the queue package
 #                       # five times under -race at -cpu 1,2,4
 #                       # (equivalence battery: idle, held and trickle
@@ -295,7 +295,12 @@ fuzz_smoke() {
 # the solver has no knob outside core.Options: no non-test file of
 # internal/steiner or internal/core reads an environment variable, and
 # the sweep's tree lower bound (sweep.go, moat.go) runs to the end of
-# its moat growth with no budget, threshold or cut-off of its own; and
+# its moat growth with no budget, threshold or cut-off of its own, and
+# takes its root and pair events from one list sorted per solve, the
+# pairs' meeting times from graph.Metric.Meet: no non-test .go file
+# names the rescan it replaced (moatsRescan, the reference in
+# internal/steiner/moat_test.go) and no non-test internal/steiner file
+# keeps a per-solve meets memo; and
 # each serving figure is kept once: the manager's and queue's counters
 # live in their Stats and /metrics reads them at scrape time (no
 # Manager.observe mirror), and the runtime figures are read from
@@ -353,7 +358,12 @@ retired_guard() {
 		echo "retired guard: the sweep's tree lower bound grew a budget or threshold (it grows every moat until it stops; its work is bounded by the destination pairs, not by a tuned constant)" >&2
 		exit 1
 	fi
-	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver and no budget in its tree bound, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files), one admission order (EDF, no chain-signature grouping), one round trip per client call (no retry policy), no test-only exported name in internal/ and each solver figure kept once (events bridged per solve path, no process-global stat counters)"
+	if grep -rnw 'moatsRescan' --include='*.go' --exclude='*_test.go' . ||
+		grep -rnw 'meets' --include='*.go' --exclude='*_test.go' internal/steiner; then
+		echo "retired guard: the tree bound rescans its pairs after every event, or keeps a per-solve memo of meeting times, again (root and pair events come from one list sorted per solve; a pair's meeting time is graph.Metric.Meet, kept once per metric)" >&2
+		exit 1
+	fi
+	echo "==> retired guard: one solve entry point, one implementation per Steiner algorithm, stage two has one rule, one form of solver telemetry, no garbage-collector knob, one writer of m.refs / m.sessions, no retired symbols (the chaos and crash loops included), a two-rung repair ladder judged once per fault and one walk over served instances, one admission path in internal/server, one sweep loop, no heap in internal/mod, no state.cost() or sort.Slice in the solve, no incremental cost ledger or journal gauges, no per-batch goroutine in internal/queue, one drained Body.Close in the client, no O_APPEND, no per-commit fsync and no goroutine in internal/wal, no per-row chain work in runMSA, no closed-terminal scan in the KMB sweep, no environment variable read by the solver, no budget in its tree bound and no rescan of its pairs, no neighbour scan per metric hop and no float-keyed Prim, one edge lookup in internal/nfv (CSR.Arc), no offline package in sftserve's deps and no /v1/render, a load generator that only talks HTTP, each serving figure kept once (no runtime sampler, no ReadMemStats, no observe()), one commit rule (no re-validation, no deploy epoch, no version stamps in the WAL), one APSP routine at every size and no test-only graph algorithm in the library (no FloydWarshall, AllDijkstra, APSPAuto, apspSmallCutoff, apspDenseCutoff, AblationAPSP, MSTPrim, BFSHops or NewDigraph outside _test.go files), one admission order (EDF, no chain-signature grouping), one round trip per client call (no retry policy), no test-only exported name in internal/ and each solver figure kept once (events bridged per solve path, no process-global stat counters)"
 	writers=$(grep -lE 'm\.(refs|sessions)\[.*\](\+\+|--| *[-+]?=[^=])|delete\(m\.(refs|sessions)\b' \
 		$(ls internal/dynamic/*.go | grep -v _test.go) | tr '\n' ' ')
 	if [ "$writers" != "internal/dynamic/ledger.go " ]; then
@@ -589,17 +599,21 @@ echo "==> bench module: go vet ./... && go test ./..."
 # walk repeats from the previous one — to the per-hop reference in
 # internal/nfv/naive_test.go, error text and price bits, broken copies
 # of shared segments included; the combined check allocates nothing
-# with a warm bitmap.
+# with a warm bitmap. The moat parity test holds the tree bound's
+# sorted event list to the rescan it replaced (moatsRescan in
+# internal/steiner/moat_test.go), bound for bound and bit for bit, on
+# paper networks and on the four cost modes' ties.
 # APSP's rows run on a GOMAXPROCS-sized worker pool; the byte-identity
 # test holds every distance and first arc to the rows run serially, at
 # one, two and four workers.
 echo "==> APSP byte identity at -cpu 1,2,4: TestAPSPByteIdentical"
 run_matching '-count=1 -cpu 1,2,4' 'TestAPSPByteIdentical' ./internal/graph
 
-echo "==> allocation budgets, solve digest, stage-two and walker parity: TestSolveAllocBudget, TestSolveDigest, TestEngineEventParity, TestQuickSolveMatchesReferenceEngine, TestQuickIncrementalMatchesNaive, TestAdmitAllocBudget, TestCloneAllocs, TestValidateCostAllocs, TestQuickWalkerMatchesNaive"
+echo "==> allocation budgets, solve digest, stage-two, walker and moat parity: TestSolveAllocBudget, TestSolveDigest, TestEngineEventParity, TestQuickSolveMatchesReferenceEngine, TestQuickIncrementalMatchesNaive, TestAdmitAllocBudget, TestCloneAllocs, TestValidateCostAllocs, TestQuickWalkerMatchesNaive, TestMoatsMatchRescan"
 run_matching -count=1 'TestSolveAllocBudget|TestSolveDigest|TestEngineEventParity|TestQuickSolveMatchesReferenceEngine|TestQuickIncrementalMatchesNaive' ./internal/core
 run_matching -count=1 'TestAdmitAllocBudget|TestCloneAllocs' ./internal/dynamic ./internal/nfv
 run_matching -count=1 'TestValidateCostAllocs|TestQuickWalkerMatchesNaive' ./internal/nfv
+run_matching -count=1 'TestMoatsMatchRescan' ./internal/steiner
 
 # internal/wal picks its sync and preallocation calls by platform; the
 # non-Linux file is never compiled by anything above. Standard library
@@ -621,6 +635,12 @@ go test -race -timeout 10m ./...
 # runs here by name so that a rename cannot drop it from the race run.
 echo "==> clone isolation under -race: TestCloneIsolation"
 run_matching '-race -count=1' 'TestCloneIsolation' ./internal/nfv
+
+# Clones also share their metric, and the metric's Meet table fills as
+# the solvers on them read it; the concurrent test solves on clones of
+# one network from a cold table at one, two and four Ps.
+echo "==> shared Meet table under -race at -cpu 1,2,4: TestMetricMeetConcurrent"
+run_matching '-race -count=1 -cpu 1,2,4' 'TestMetricMeetConcurrent' ./internal/core
 
 # The seed corpora already ran above as plain tests; ten seconds of
 # mutation on top holds the KMB sweep to its textbook oracle on graphs
